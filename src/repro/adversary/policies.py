@@ -187,7 +187,10 @@ class GreedyCutAdversary(AdversaryPolicy):
     accepted swap removes exactly two escape routes from the frontier
     while preserving all degrees.  ``budget`` counts rewired edges
     (two per swap).  With ``keep_connected`` each swap is checked and
-    retracted if it would disconnect the active subgraph.
+    retracted if it would disconnect the active subgraph, by the
+    exact local certificate of
+    :meth:`MutableTopology.swap_keeps_connected` whenever the graph is
+    known to be connected.
     """
 
     name = "greedy-cut"
@@ -234,7 +237,7 @@ class GreedyCutAdversary(AdversaryPolicy):
             if token is None:
                 rejected += 1
                 continue
-            if self.keep_connected and not topo.connected():
+            if self.keep_connected and not topo.swap_keeps_connected(token):
                 topo.undo(token)
                 rejected += 1
                 continue
@@ -448,7 +451,7 @@ class MovingSourceAdversary(AdversaryPolicy):
             if token is None:
                 rejected += 1
                 continue
-            if self.keep_connected and not topo.connected():
+            if self.keep_connected and not topo.swap_keeps_connected(token):
                 topo.undo(token)
                 rejected += 1
                 continue

@@ -107,8 +107,10 @@ class AdversarialSequence(MarkovGraphSequence):
         hi = np.maximum(edges[:, 0], edges[:, 1])
         return lo * np.int64(self.n) + hi
 
-    def _mutable(self) -> MutableTopology:
-        return MutableTopology(self.n, self._edges, self._keys, self._active)
+    def _mutable(self, connected: bool | None = None) -> MutableTopology:
+        return MutableTopology(
+            self.n, self._edges, self._keys, self._active, connected=connected
+        )
 
     # -- observation protocol -------------------------------------------
     def observe(self, observation) -> None:
@@ -180,7 +182,12 @@ class AdversarialSequence(MarkovGraphSequence):
             self._log[into_round] if into_round < len(self._log) else None
         )
         if digest is not None and self.adversary.budget > 0:
-            if self.adversary.adapt(self._mutable(), digest, rng):
+            # A round the oblivious phase rewired under keep_connected
+            # was just checked connected over all n vertices, which with
+            # none churned out is the active subgraph the policy sees.
+            checked = changed and self.keep_connected and bool(self._active.all())
+            topo = self._mutable(connected=True if checked else None)
+            if self.adversary.adapt(topo, digest, rng):
                 self._built = None
                 changed = True
         return changed

@@ -8,8 +8,10 @@ the operations every policy needs:
 
 * validated double-edge-swap replacement with an undo token (so a
   policy can retract a swap that disconnects the graph),
-* connectivity / component queries on the **active-induced** subgraph
-  (departed vertices keep their edge rows but do not count),
+* connectivity / component / reachability queries on the
+  **active-induced** subgraph (departed vertices keep their edge rows
+  but do not count), including the exact local certificate that
+  decides whether a swap kept a connected graph connected,
 * frontier-degree counting against an observed mask.
 
 Everything here is exact integer bookkeeping — no randomness — so a
@@ -38,17 +40,33 @@ class MutableTopology:
         in place.
     active:
         ``(n,)`` boolean active-vertex mask — mutated in place.
+    connected:
+        Whether the active subgraph is connected, if the caller has
+        just checked it (``None``: unknown; the first check finds out).
     """
 
-    __slots__ = ("n", "edges", "keys", "active")
+    __slots__ = ("n", "edges", "keys", "active", "_adjacency", "_connected")
 
     def __init__(
-        self, n: int, edges: np.ndarray, keys: set, active: np.ndarray
+        self,
+        n: int,
+        edges: np.ndarray,
+        keys: set,
+        active: np.ndarray,
+        *,
+        connected: bool | None = None,
     ) -> None:
         self.n = int(n)
         self.edges = edges
         self.keys = keys
         self.active = active
+        # Known connectivity of the current state, kept exact by the
+        # mutators (a swap makes it unknown, undo restores it).
+        self._connected = connected
+        # Flat CSR (row starts, neighbours) of the active subgraph as
+        # Python lists, built by the first reaches() and kept in step by
+        # the mutators below, like ``keys`` (so mutate only through them).
+        self._adjacency: tuple[list[int], list[int]] | None = None
 
     # -- keys -----------------------------------------------------------
     def edge_key(self, u: int, v: int) -> int:
@@ -93,32 +111,84 @@ class MutableTopology:
         self.keys.add(k2)
         self.edges[i] = (min(a1, b1), max(a1, b1))
         self.edges[j] = (min(a2, b2), max(a2, b2))
-        return (i, j, old_i, old_j, k1, k2, o1, o2)
+        self._rewire_adjacency((old_i, old_j), ((a1, b1), (a2, b2)))
+        token = (i, j, old_i, old_j, k1, k2, o1, o2, self._connected)
+        self._connected = None
+        return token
 
     def undo(self, token) -> None:
         """Retract a successful :meth:`replace_pair`."""
-        i, j, old_i, old_j, k1, k2, o1, o2 = token
+        i, j, old_i, old_j, k1, k2, o1, o2, connected = token
         self.keys.discard(k1)
         self.keys.discard(k2)
         self.keys.add(o1)
         self.keys.add(o2)
         self.edges[i] = old_i
         self.edges[j] = old_j
+        self._rewire_adjacency(
+            (divmod(k1, self.n), divmod(k2, self.n)), (old_i, old_j)
+        )
+        self._connected = connected
 
     def commit_edges(self, edges: np.ndarray, keys: set) -> None:
         """Adopt a whole proposed edge state (in place, same arrays)."""
         self.edges[:] = edges
         self.keys.clear()
         self.keys.update(keys)
+        self._adjacency = None
+        self._connected = None
+
+    def _rewire_adjacency(self, removed, added) -> None:
+        """Mirror an edge replacement in the adjacency cache.
+
+        A replacement among active vertices that keeps every degree (a
+        double-edge swap) rewrites neighbour slots in place; any other
+        drops the cache, to be rebuilt on the next query.
+        """
+        if self._adjacency is None:
+            return
+        ends = [x for edge in removed for x in edge]
+        if sorted(ends) != sorted(x for edge in added for x in edge) or not (
+            self.active[ends].all()
+        ):
+            self._adjacency = None
+            return
+        starts, nbrs = self._adjacency
+        free: dict[int, list[int]] = {}
+        for x, y in removed:
+            for p, q in ((x, y), (y, x)):
+                slot = nbrs.index(q, starts[p], starts[p + 1])
+                nbrs[slot] = -1
+                free.setdefault(p, []).append(slot)
+        for x, y in added:
+            for p, q in ((x, y), (y, x)):
+                nbrs[free[p].pop()] = q
 
     # -- activity -------------------------------------------------------
     def deactivate(self, vertices) -> None:
         """Churn vertices out (their edge rows stay, filtered at build)."""
         self.active[np.asarray(list(vertices), dtype=np.int64)] = False
+        self._adjacency = None
+        self._connected = None
 
     def reactivate(self, vertices) -> None:
         """Readmit churned-out vertices."""
         self.active[np.asarray(list(vertices), dtype=np.int64)] = True
+        self._adjacency = None
+        self._connected = None
+
+    def _neighbours(self) -> tuple[list[int], list[int]]:
+        """The adjacency cache, built from the live edges if absent."""
+        if self._adjacency is None:
+            u, v = self._live_edges()
+            n = np.int64(self.n)
+            keys = np.concatenate([u * n + v, v * n + u])
+            keys.sort()
+            src = keys // n
+            starts = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src, minlength=self.n), out=starts[1:])
+            self._adjacency = (starts.tolist(), (keys - src * n).tolist())
+        return self._adjacency
 
     def _live_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Endpoint columns of edges with both endpoints active."""
@@ -143,14 +213,70 @@ class MutableTopology:
             seen[v[fwd]] = True
             seen[u[bwd]] = True
 
+    def reaches(self, a: int, b: int) -> bool:
+        """Does ``a`` reach ``b`` in the active subgraph?
+
+        Two breadth-first searches, from ``a`` and from ``b``, walk the
+        adjacency lists and stop as soon as they meet.  Each step grows
+        the smaller frontier, so when the two vertices are apart the
+        search ends once the smaller of their components is exhausted.
+        """
+        if not (self.active[a] and self.active[b]):
+            return False
+        if a == b:
+            return True
+        starts, nbrs = self._neighbours()
+        side = {a: 0, b: 1}
+        frontiers = [[a], [b]]
+        while frontiers[0] and frontiers[1]:
+            s = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+            grown = []
+            for x in frontiers[s]:
+                for y in nbrs[starts[x] : starts[x + 1]]:
+                    t = side.get(y)
+                    if t is None:
+                        side[y] = s
+                        grown.append(y)
+                    elif t != s:
+                        return True
+            frontiers[s] = grown
+        return False
+
     def connected(self) -> bool:
         """Is the active-induced subgraph connected? (Vacuously True
         with at most one active vertex.)"""
-        idx = np.nonzero(self.active)[0]
-        if idx.size <= 1:
-            return True
-        comp = self.component_of(int(idx[0]))
-        return bool(comp[self.active].all())
+        if self._connected is None:
+            idx = np.nonzero(self.active)[0]
+            self._connected = idx.size <= 1 or bool(
+                self.component_of(int(idx[0]))[self.active].all()
+            )
+        return self._connected
+
+    def swap_keeps_connected(self, token) -> bool:
+        """Is the active subgraph connected after the swap ``token`` made?
+
+        An exact local certificate replaces the full :meth:`connected`
+        scan when the graph was known to be connected before a
+        double-edge swap of live edges.  Deleting ``{a, b}`` and
+        ``{c, d}`` from a connected graph leaves every vertex attached
+        to one of ``a``, ``b``, ``c``, ``d``.  Each added edge joins one
+        of ``a``, ``b`` to one of ``c``, ``d``, so at most two pieces
+        remain, one holding ``a`` and one holding ``b``: the graph is
+        connected iff ``a`` still reaches ``b``.  When connectivity
+        before the swap is unknown, for a replacement that is not such
+        a swap, or for one touching a departed vertex, the full scan
+        decides.  Call it right after the :meth:`replace_pair` that
+        returned ``token``.
+        """
+        _, _, (a, b), (c, d), k1, k2, _, _, was_connected = token
+        if was_connected and self.active[[a, b, c, d]].all():
+            swaps = (
+                {self.edge_key(a, c), self.edge_key(b, d)},
+                {self.edge_key(a, d), self.edge_key(b, c)},
+            )
+            if {k1, k2} in swaps:
+                self._connected = self.reaches(a, b)
+        return self.connected()
 
     def active_degrees(self) -> np.ndarray:
         """Per-vertex degree in the active-induced subgraph."""

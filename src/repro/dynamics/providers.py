@@ -60,29 +60,30 @@ def try_swap_round(
     bit-for-bit): ``swaps`` edge-index pairs first, then the mirror
     coins, then a sequential accept/reject loop rejecting self-loops,
     parallel edges and identity proposals.
+
+    The loop runs on plain Python ints read from the two endpoint
+    columns; only the rows it rewrites go back into the array.
     """
-    edges = edges.copy()
     keys = set(keys)
     m = edges.shape[0]
     pairs = rng.integers(0, m, size=(swaps, 2))
     mirror = rng.random(swaps) < 0.5
-    n = np.int64(n)
-    changed = False
+    n = int(n)
+    first, second = edges.T.tolist()
+    rewired: list[int] = []
     for (i, j), flip in zip(pairs.tolist(), mirror.tolist()):
         if i == j:
             continue
-        a, b = edges[i]
-        c, d = edges[j]
-        if flip:
-            c, d = d, c
+        a, b = first[i], second[i]
+        c, d = (second[j], first[j]) if flip else (first[j], second[j])
         if a == c or b == d:
             continue  # proposal creates a self-loop
-        new1 = (min(a, c), max(a, c))
-        new2 = (min(b, d), max(b, d))
-        k1 = new1[0] * n + new1[1]
-        k2 = new2[0] * n + new2[1]
-        old1 = min(a, b) * n + max(a, b)
-        old2 = min(c, d) * n + max(c, d)
+        lo1, hi1 = (a, c) if a < c else (c, a)
+        lo2, hi2 = (b, d) if b < d else (d, b)
+        k1 = lo1 * n + hi1
+        k2 = lo2 * n + hi2
+        old1 = a * n + b if a < b else b * n + a
+        old2 = c * n + d if c < d else d * n + c
         if {k1, k2} == {old1, old2}:
             continue  # identity proposal (edges share a vertex)
         keys.discard(old1)
@@ -93,10 +94,16 @@ def try_swap_round(
             continue  # proposal creates a parallel edge
         keys.add(k1)
         keys.add(k2)
-        edges[i] = new1
-        edges[j] = new2
-        changed = True
-    return edges, keys, changed
+        first[i], second[i] = lo1, hi1
+        first[j], second[j] = lo2, hi2
+        rewired += (i, j)
+    edges = edges.copy()
+    if rewired:
+        # A row rewired twice is listed twice, both times with its
+        # final value, so the write order does not matter.
+        edges[rewired, 0] = [first[r] for r in rewired]
+        edges[rewired, 1] = [second[r] for r in rewired]
+    return edges, keys, bool(rewired)
 
 
 def advance_swap_state(owner, rng: np.random.Generator) -> bool:

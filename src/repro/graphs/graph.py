@@ -18,6 +18,7 @@ direction.
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -238,35 +239,34 @@ class Graph:
     ) -> None:
         if n <= 0:
             raise ValueError(f"graph needs at least one vertex, got n={n}")
-        edge_arr = np.asarray(list(edges), dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        edge_arr = np.asarray(edges, dtype=np.int64)
         if edge_arr.size == 0:
             edge_arr = edge_arr.reshape(0, 2)
         if edge_arr.ndim != 2 or edge_arr.shape[1] != 2:
             raise ValueError("edges must be an iterable of (u, v) pairs")
         if edge_arr.size and (edge_arr.min() < 0 or edge_arr.max() >= n):
             raise ValueError("edge endpoint out of range [0, n)")
-        if edge_arr.size and np.any(edge_arr[:, 0] == edge_arr[:, 1]):
+        u, v = edge_arr[:, 0], edge_arr[:, 1]
+        if np.any(u == v):
             raise ValueError("self-loops are not allowed")
 
-        # Canonicalise and deduplicate: sort each pair, unique rows.
-        if edge_arr.size:
-            lo = np.minimum(edge_arr[:, 0], edge_arr[:, 1])
-            hi = np.maximum(edge_arr[:, 0], edge_arr[:, 1])
-            key = lo * np.int64(n) + hi
-            _, keep = np.unique(key, return_index=True)
-            lo, hi = lo[keep], hi[keep]
-        else:
-            lo = hi = np.empty(0, dtype=np.int64)
-
-        m = int(lo.shape[0])
-        # Build symmetric CSR via counting sort on the doubled edge list.
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        degrees = np.bincount(src, minlength=n).astype(np.int64)
+        # One sort of the doubled ``src * n + dst`` keys orders the CSR
+        # row by row with ascending neighbours; an edge listed several
+        # times (in either orientation) leaves equal adjacent keys.
+        n64 = np.int64(n)
+        keys = np.concatenate([u * n64 + v, v * n64 + u])
+        keys.sort()
+        repeat = keys[1:] == keys[:-1]
+        if repeat.any():
+            keys = np.concatenate([keys[:1], keys[1:][~repeat]])
+        src = keys // n64
+        indices = keys - src * n64
+        m = int(keys.shape[0]) // 2
+        degrees = np.bincount(src, minlength=n).astype(np.int64, copy=False)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        order = np.lexsort((dst, src))
-        indices = dst[order]
 
         self.n: int = int(n)
         self.m: int = m
@@ -427,6 +427,9 @@ class Graph:
         unreachable = np.iinfo(np.int64).max
         dist = np.full(self.n, unreachable, dtype=np.int64)
         dist[source] = 0
+        # slot[v] ends up naming one position of v in a level's candidate
+        # list, so exactly one copy of each newly reached vertex is kept.
+        slot = np.empty(self.n, dtype=np.int64)
         frontier = np.array([source], dtype=np.int64)
         level = 0
         while frontier.size:
@@ -442,7 +445,9 @@ class Graph:
             nxt = nxt[dist[nxt] == unreachable]
             if nxt.size == 0:
                 break
-            nxt = np.unique(nxt)
+            pos = np.arange(nxt.size)
+            slot[nxt] = pos
+            nxt = nxt[slot[nxt] == pos]
             dist[nxt] = level
             frontier = nxt
         return dist
@@ -549,7 +554,7 @@ class Graph:
         return hash((self.n, self.m, self.indices.tobytes()))
 
 
-class _Scratch:
+class _Scratch(threading.local):
     """Grow-only reusable buffers for the per-call sampling hot path.
 
     :meth:`Graph.sample_neighbors` runs every round of every gossip
@@ -557,10 +562,14 @@ class _Scratch:
     integer offsets) used to be fresh heap allocations per call.  One
     module-level instance hands out views of persistent buffers that
     only ever grow.  The views are valid until the *next* request of
-    the same dtype — callers must finish with them within the call —
-    and the whole scheme assumes the engine's single-threaded-process
-    execution model (process pools get a fresh copy per worker; threads
-    sharing one interpreter would race).
+    the same dtype — callers must finish with them within the call.
+
+    The buffers are per thread (``threading.local`` runs ``__init__``
+    afresh in each thread that touches the instance): in-process
+    workers run shards on concurrent threads, and
+    ``Generator.random(out=...)`` fills its buffer with the GIL
+    released, so one shared buffer would hand a thread another
+    thread's draws.
     """
 
     def __init__(self) -> None:
@@ -588,15 +597,18 @@ _ARANGE_TEMPLATE = np.empty(0, dtype=np.int64)
 
 
 def _arange_template(total: int) -> np.ndarray:
-    """The first ``total`` entries of a cached, read-only ``arange``."""
+    """The first ``total`` entries of a cached, read-only ``arange``.
+
+    Slices the local reference, never the global again: another thread
+    may rebind the cache to a shorter ramp in between.
+    """
     global _ARANGE_TEMPLATE
-    if _ARANGE_TEMPLATE.shape[0] < total:
-        grown = np.arange(
-            max(total, 2 * _ARANGE_TEMPLATE.shape[0]), dtype=np.int64
-        )
-        grown.setflags(write=False)
-        _ARANGE_TEMPLATE = grown
-    return _ARANGE_TEMPLATE[:total]
+    template = _ARANGE_TEMPLATE
+    if template.shape[0] < total:
+        template = np.arange(max(total, 2 * template.shape[0]), dtype=np.int64)
+        template.setflags(write=False)
+        _ARANGE_TEMPLATE = template
+    return template[:total]
 
 
 def _ragged_arange(counts: np.ndarray) -> np.ndarray:

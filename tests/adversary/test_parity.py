@@ -26,6 +26,10 @@ from repro.parallel import ShardTask, run_shard
 
 RUNS = 40
 MAX_SHARD = 8  # several shards even at tiny run counts
+# Isolating churn keeps every run from covering, so its runs go to the
+# round cap; 300 rounds still span dozens of churn/readmission cycles
+# at the default downtime of 8.
+MAX_ROUNDS = 300
 _CTX = mp.get_context("fork")
 
 
@@ -49,12 +53,9 @@ def _engine_state(rule, seq):
 def test_serial_vs_pool_workers(kind):
     seq = _sequence(kind)
     engine, state = _engine_state(CobraRule(make_policy(2)), seq)
-    serial = engine.run_sharded(
-        state, 123, workers=1, track_hits=True, max_shard=MAX_SHARD
-    )
-    pooled = engine.run_sharded(
-        state, 123, workers=2, track_hits=True, max_shard=MAX_SHARD
-    )
+    kwargs = dict(track_hits=True, max_shard=MAX_SHARD, max_rounds=MAX_ROUNDS)
+    serial = engine.run_sharded(state, 123, workers=1, **kwargs)
+    pooled = engine.run_sharded(state, 123, workers=2, **kwargs)
     assert np.array_equal(serial.finish_times, pooled.finish_times)
     assert np.array_equal(serial.hit_times, pooled.hit_times)
     assert np.array_equal(serial.final_state, pooled.final_state)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adversary import (
     ADVERSARY_KINDS,
     AdaptiveRRIPolicy,
+    AdversarialSequence,
     FrontierDigest,
     GreedyCutAdversary,
     IsolatingChurnAdversary,
@@ -13,7 +16,9 @@ from repro.adversary import (
     MutableTopology,
     make_adversary,
 )
-from repro.graphs import cycle_graph, random_regular_graph
+from repro.core.branching import make_policy
+from repro.engine import CobraRule, SpreadEngine
+from repro.graphs import Graph, cycle_graph, random_regular_graph
 
 
 def _mutable(graph):
@@ -95,6 +100,46 @@ class TestMutableTopology:
         assert fdeg.tolist() == [1, 1, 1, 0, 0, 1]
         topo.deactivate([1])
         assert topo.frontier_degrees(mask).tolist() == [0, 0, 0, 0, 0, 1]
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_reaches_tracks_every_mutation(self, data):
+        # The reachability query walks an adjacency cache that the
+        # mutators patch or drop; it must always agree with a fresh scan.
+        n = data.draw(st.integers(min_value=4, max_value=12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        # Sparse, so that swaps and their undos often change connectivity.
+        edges = sorted(
+            set(data.draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=n)))
+        )
+        topo = _mutable(Graph(n, edges))
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        tokens = []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+            op = data.draw(st.sampled_from(["swap", "replace", "undo", "churn"]))
+            m = topo.edges.shape[0]
+            i, j = data.draw(st.tuples(*[st.integers(0, m - 1)] * 2))
+            (a, b), (c, d) = topo.edges[i].tolist(), topo.edges[j].tolist()
+            if op == "swap":
+                token = topo.replace_pair(i, j, (a, c), (b, d))
+            elif op == "replace":
+                token = topo.replace_pair(
+                    i, j, data.draw(st.tuples(vertex, vertex)),
+                    data.draw(st.tuples(vertex, vertex)),
+                )
+            elif op == "undo" and tokens:
+                topo.undo(tokens.pop())
+                token = None
+            else:
+                x = data.draw(vertex)
+                (topo.reactivate if not topo.active[x] else topo.deactivate)([x])
+                tokens.clear()  # undo is only defined right after a swap
+                token = None
+            if token is not None:
+                tokens.append(token)
+            for x in range(n):
+                component = topo.component_of(x)
+                assert [topo.reaches(x, y) for y in range(n)] == component.tolist()
 
     def test_active_degrees(self):
         topo = _mutable(cycle_graph(5))
@@ -200,8 +245,6 @@ class TestIsolatingChurn:
         # anchor (the oblivious phase checks full-graph connectivity
         # only): the separation sweep must churn out unprotected
         # strays, never the protected vertex itself.
-        from repro.graphs import Graph
-
         graph = Graph(
             6, np.array([[0, 1], [1, 2], [2, 3], [4, 5]], dtype=np.int64)
         )
@@ -249,6 +292,150 @@ class TestMovingSource:
     def test_bad_trigger_rejected(self):
         with pytest.raises(ValueError, match="trigger"):
             MovingSourceAdversary(0, 4, trigger=1.5)
+
+
+def _full_scan(topo) -> bool:
+    """Connectivity of the active subgraph by a fresh full scan."""
+    idx = np.nonzero(topo.active)[0]
+    return idx.size <= 1 or bool(topo.component_of(int(idx[0]))[topo.active].all())
+
+
+class _AuditedTopology(MutableTopology):
+    """Checks every swap decision against the full connectivity scan."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.decisions: list[tuple[bool | None, bool]] = []
+
+    def swap_keeps_connected(self, token):
+        got = super().swap_keeps_connected(token)
+        assert got == _full_scan(self), token
+        self.decisions.append((token[-1], got))
+        return got
+
+
+class _FullScanTopology(MutableTopology):
+    """The pre-certificate decision rule: always the full scan."""
+
+    def swap_keeps_connected(self, token):
+        return _full_scan(self)
+
+
+@st.composite
+def _swap_cases(draw):
+    """Random graphs, connected or not, with or without churned vertices."""
+    n = draw(st.integers(min_value=6, max_value=20))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = set(draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=3 * n)))
+    if draw(st.booleans()):  # thread a random spanning path through
+        order = draw(st.permutations(range(n)))
+        edges |= {(min(a, b), max(a, b)) for a, b in zip(order, order[1:])}
+    active = np.ones(n, dtype=bool)
+    if draw(st.booleans()):
+        out = draw(st.lists(st.integers(0, n - 1), max_size=n // 3))
+        active[out] = False
+    occupied = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    extra = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return {
+        "n": n,
+        "edges": np.asarray(sorted(edges), dtype=np.int64),
+        "active": active,
+        "digest": _digest(1, occupied, occupied | extra),
+        "policy": draw(st.sampled_from(["greedy-cut", "moving-source"])),
+        "budget": draw(st.integers(min_value=2, max_value=16)),
+        "source": draw(st.integers(min_value=0, max_value=n - 1)),
+        "seed": draw(st.integers(min_value=0, max_value=2**32 - 1)),
+    }
+
+
+def _topology(cls, case, connected=None):
+    n, edges = case["n"], case["edges"].copy()
+    keys = set((edges[:, 0] * np.int64(n) + edges[:, 1]).tolist())
+    return cls(n, edges, keys, case["active"].copy(), connected=connected)
+
+
+def _policy(case):
+    if case["policy"] == "greedy-cut":
+        return GreedyCutAdversary(case["budget"])
+    return MovingSourceAdversary(case["source"], case["budget"])
+
+
+class TestConnectivityCertificate:
+    @given(_swap_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_every_decision_matches_the_full_scan(self, case):
+        # Either told the start's true connectivity, as a sequence
+        # does, or left to find it out.
+        told = _full_scan(_topology(MutableTopology, case))
+        audited = _topology(_AuditedTopology, case, told if case["seed"] % 2 else None)
+        reference = _topology(_FullScanTopology, case)
+        got = _policy(case).adapt(
+            audited, case["digest"], np.random.default_rng(case["seed"])
+        )
+        want = _policy(case).adapt(
+            reference, case["digest"], np.random.default_rng(case["seed"])
+        )
+        assert got == want
+        assert np.array_equal(audited.edges, reference.edges)
+        assert audited.keys == reference.keys
+
+    def test_certificate_is_used_once_connectivity_is_known(self):
+        graph = random_regular_graph(32, 4, rng=9)
+        topo = _topology(
+            _AuditedTopology,
+            {"n": 32, "edges": graph.edge_array(), "active": np.ones(32, bool)},
+        )
+        hot = np.zeros(32, dtype=bool)
+        hot[:16] = True
+        for t in range(1, 6):
+            GreedyCutAdversary(32).adapt(topo, _digest(t, hot), np.random.default_rng(t))
+        assert any(was for was, _ in topo.decisions)
+        assert _full_scan(topo)
+
+    def test_departed_endpoint_falls_back_to_the_full_scan(self):
+        # A "swap" whose rows touch a departed vertex does not change
+        # the active subgraph the way the certificate assumes.
+        topo = _mutable(cycle_graph(8))
+        topo.deactivate([0])
+        rows = {tuple(r): i for i, r in enumerate(topo.edges.tolist())}
+        assert _full_scan(topo)
+        topo = MutableTopology(topo.n, topo.edges, topo.keys, topo.active, connected=True)
+        token = topo.replace_pair(rows[(0, 1)], rows[(4, 5)], (0, 4), (1, 5))
+        assert token is not None
+        assert topo.swap_keeps_connected(token) == _full_scan(topo)
+
+    @pytest.mark.parametrize("kind", ["greedy-cut", "moving-source"])
+    @pytest.mark.parametrize("seq_connected", [True, False])
+    @pytest.mark.parametrize("policy_connected", [True, False])
+    def test_sequences_replay_the_full_scan_realisation(
+        self, monkeypatch, kind, seq_connected, policy_connected
+    ):
+        # End to end through AdversarialSequence, which tells the policy
+        # when its oblivious phase has just checked connectivity.
+        base = random_regular_graph(40, 3, rng=5)
+        state = np.zeros((6, base.n), dtype=bool)
+        state[:, 0] = True
+
+        def realise():
+            seq = AdversarialSequence(
+                base,
+                make_adversary(kind, 6, keep_connected=policy_connected),
+                8,
+                swaps_per_round=3,
+                keep_connected=seq_connected,
+            )
+            engine = SpreadEngine(CobraRule(make_policy(2)), seq)
+            res = engine.run(state, np.random.default_rng(3), max_rounds=80)
+            return res, [seq.graph_at(t) for t in range(res.rounds_run + 1)]
+
+        got, got_graphs = realise()
+        monkeypatch.setattr(
+            MutableTopology, "swap_keeps_connected", _FullScanTopology.swap_keeps_connected
+        )
+        want, want_graphs = realise()
+        assert np.array_equal(got.finish_times, want.finish_times)
+        assert np.array_equal(got.final_state, want.final_state)
+        assert got_graphs == want_graphs
 
 
 class TestAdaptiveRRI:

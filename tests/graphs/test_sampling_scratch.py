@@ -1,7 +1,8 @@
 """Scratch-buffer hot path: bit-identity of the reusable-buffer rewrite.
 
-``Graph.sample_neighbors`` and ``_ragged_arange`` now run on grow-only
-module-level scratch instead of per-call allocations.  These tests pin
+``Graph.sample_neighbors`` runs on grow-only per-thread scratch buffers
+and ``_ragged_arange`` on a grow-only read-only ramp, instead of
+per-call allocations.  These tests pin
 the two numpy facts the rewrite rests on — ``Generator.random(out=buf)``
 consumes the stream exactly like ``random(k)``, and int64 cast-assign
 truncates exactly like ``astype`` — by comparing against inline
@@ -9,6 +10,10 @@ re-implementations of the old allocating code, across interleaved call
 sizes so buffer reuse (shrinking views over a dirty buffer) is
 genuinely exercised.
 """
+
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -91,6 +96,58 @@ def test_ragged_arange_bit_identical():
 
 def test_ragged_arange_zero_total():
     assert _ragged_arange(np.zeros(7, dtype=np.int64)).size == 0
+
+
+def test_concurrent_threads_draw_their_own_streams():
+    """Scratch is per thread: concurrent samplers never share buffers.
+
+    ``Generator.random(out=...)`` fills with the GIL released, so
+    threads sharing one buffer read each other's draws (or raise
+    ``IndexError`` on offsets scaled by another thread's degrees).
+    More threads than cores, a 1 µs switch interval, large and varying
+    call sizes: every thread must reproduce its single-threaded draws.
+    """
+    graph = random_regular_graph(4096, 8, rng=np.random.default_rng(3))
+    sizes = [150_000, 1_000, 200_000, 40_000, 180_000, 7]
+    threads_n = 2 * (os.cpu_count() or 1) + 2
+
+    def draws(seed):
+        rng = np.random.default_rng(seed)
+        picks = np.random.default_rng(seed + 1000)
+        out = []
+        for k in sizes:
+            out.append(graph.sample_neighbors(picks.integers(0, graph.n, size=k), rng))
+            out.append(graph.bfs_distances(int(picks.integers(0, graph.n))))
+        return out
+
+    expected = [draws(seed) for seed in range(threads_n)]
+    got: dict[int, list] = {}
+    errors: list[BaseException] = []
+
+    def worker(seed):
+        try:
+            got[seed] = draws(seed)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(seed,)) for seed in range(threads_n)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    for seed in range(threads_n):
+        assert len(got[seed]) == len(expected[seed])
+        for i, (a, b) in enumerate(zip(got[seed], expected[seed])):
+            assert np.array_equal(a, b), f"thread {seed}, call {i}"
 
 
 def test_ragged_arange_output_is_mutable_copy():
