@@ -75,9 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     # Shared by the commands that reach a broker (--endpoint): the
-    # retry/backoff policy, the checkpoint manifest and the degradation
-    # mode, installed process-wide via repro.resilience.configure() so
-    # every execute_shards_remote call beneath the command sees them.
+    # retry/backoff policy and the degradation mode, installed
+    # process-wide via repro.resilience.configure() so every sharded run
+    # beneath the command sees them.
     res = argparse.ArgumentParser(add_help=False)
     res.add_argument(
         "--retry-attempts",
@@ -101,14 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="cap on the per-retry backoff delay (default 2.0)",
-    )
-    res.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="write a resumable job manifest to PATH as shards complete; "
-        "rerunning with the same PATH (and a result cache) serves the "
-        "finished shards from cache instead of recomputing them",
     )
     res.add_argument(
         "--fallback",
@@ -556,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the fast CI leg instead of the full matrix: two fault "
         "classes plus the dead-broker-fallback and killed-client "
-        "checkpoint-resume drills",
+        "cache-resume drills",
     )
     return parser
 
@@ -1224,7 +1216,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _configure_resilience(args: argparse.Namespace) -> None:
-    """Install --retry-*/--checkpoint/--fallback as process defaults.
+    """Install --retry-*/--fallback as process defaults.
 
     Only touches the defaults a flag was actually given for, so
     ``endpoint=`` entry points below the command pick them up through
@@ -1233,11 +1225,9 @@ def _configure_resilience(args: argparse.Namespace) -> None:
     retry_attempts = getattr(args, "retry_attempts", None)
     retry_base = getattr(args, "retry_base", None)
     retry_max = getattr(args, "retry_max", None)
-    checkpoint = getattr(args, "checkpoint", None)
     fallback = getattr(args, "fallback", None)
     if not any(
-        v is not None
-        for v in (retry_attempts, retry_base, retry_max, checkpoint, fallback)
+        v is not None for v in (retry_attempts, retry_base, retry_max, fallback)
     ):
         return
     from . import resilience
@@ -1256,8 +1246,6 @@ def _configure_resilience(args: argparse.Namespace) -> None:
             base_delay_s=base,
             max_delay_s=max(cap, base),
         )
-    if checkpoint is not None:
-        kwargs["checkpoint"] = checkpoint
     if fallback is not None:
         kwargs["fallback"] = fallback
     resilience.configure(**kwargs)
@@ -1280,7 +1268,7 @@ def main(argv: list[str] | None = None) -> int:
         from .kernels import ENV_VAR
 
         os.environ[ENV_VAR] = kernel_backend
-    # --retry-*/--checkpoint/--fallback install process-wide resilience
+    # --retry-*/--fallback install process-wide resilience
     # defaults (see repro.resilience.configure) for the broker-reaching
     # commands.
     _configure_resilience(args)

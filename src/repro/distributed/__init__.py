@@ -13,16 +13,17 @@ task unit (rule + topology + spawned seed — see
   renewal and requeue-on-dead-worker;
 * :mod:`~repro.distributed.worker` — the lease/execute/stream-back
   loop around :func:`repro.parallel.run_shard`;
-* :mod:`~repro.distributed.client` — job submission and collection,
-  mirroring :func:`repro.parallel.execute_shards`;
+* :mod:`~repro.distributed.client` — job submission and streamed
+  result collection, the broker tier of
+  :func:`repro.parallel.execute_cached`;
 * :mod:`~repro.distributed.cache` — a content-addressed result store
-  keyed by the canonical task encoding.
+  keyed by the canonical task encoding, and the only checkpoint a run
+  needs.
 
 Determinism contract: the shard plan and per-shard spawned seeds are
-computed before any transport is involved, so
-:func:`run_distributed` (also surfaced as
-:meth:`repro.engine.SpreadEngine.run_distributed` and the CLI's
-``--endpoint``) returns results bit-for-bit identical to
+computed before any transport is involved, so ``run_sharded`` with an
+``endpoint`` (also :meth:`repro.engine.SpreadEngine.run_distributed`
+and the CLI's ``--endpoint``) returns results bit-for-bit identical to
 :meth:`repro.engine.SpreadEngine.run_sharded` at any worker count,
 arrival order, or mid-run worker death.
 """
@@ -39,8 +40,6 @@ from .client import (
     DistributedError,
     broker_status,
     execute_shards_remote,
-    execute_shards_resilient,
-    run_distributed,
     transport_snapshot,
 )
 from .wire import (
@@ -71,8 +70,6 @@ __all__ = [
     "broker_status",
     "transport_snapshot",
     "execute_shards_remote",
-    "execute_shards_resilient",
-    "run_distributed",
     "run_worker",
     "WIRE_VERSION",
     "WireDecodeError",

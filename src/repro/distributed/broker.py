@@ -17,12 +17,13 @@ Two layers:
 * :class:`Broker` — a small asyncio TCP server speaking the framed
   JSON protocol of :mod:`repro.distributed.wire`.  Clients ``submit``
   a job (a list of encoded shard tasks keyed by shard index) and
-  either ``wait`` for it (one blocking reply) or poll ``collect`` for
-  incremental results (the checkpointing path), finishing with
-  ``drop``; workers ``lease`` / ``heartbeat`` / ``complete`` /
-  ``error``.  Shard payloads pass through the broker opaquely — it
-  never decodes a task, so its memory and CPU footprint is queue-sized,
-  not simulation-sized.  Result frames *are* shallowly validated
+  ``wait`` on it: the broker answers with one ``result`` frame per
+  shard as soon as that shard finishes, then ``done`` (or ``failed``),
+  so the client can persist every finished shard before the job ends;
+  workers ``lease`` / ``heartbeat`` / ``complete`` / ``error``.  Shard
+  payloads pass through the broker opaquely — it never decodes a task,
+  so its memory and CPU footprint is queue-sized, not
+  simulation-sized.  Result frames *are* shallowly validated
   (:func:`~repro.distributed.wire.result_envelope_error`): a
   structurally broken result is rejected and its shard requeued
   without poison-counting, instead of poisoning the client's decode.
@@ -45,6 +46,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ..telemetry import get_telemetry, span_id_from, summarize_values
+from ..telemetry.core import HISTOGRAM_WINDOW
 from .wire import attach_trace, read_frame, result_envelope_error, write_frame
 
 __all__ = ["ShardLedger", "ShardRecord", "QueueMetrics", "Broker"]
@@ -273,35 +275,19 @@ class ShardLedger:
         return list(self._jobs.get(job_id, ()))
 
     def job_results(self, job_id: str) -> list[tuple[int, dict]]:
-        """All ``(index, result)`` pairs of a finished job, index order."""
+        """All ``(index, result)`` pairs of a job, index order.
+
+        A shard that has not finished yet pairs with None, so a running
+        job's finished results are the non-None ones.
+        """
         shard_ids = self._jobs.get(job_id, [])
         records = sorted(
             (self._shards[s] for s in shard_ids), key=lambda r: r.index
         )
         return [(r.index, r.result) for r in records]
 
-    def done_results(
-        self, job_id: str, exclude=()
-    ) -> list[tuple[int, dict]]:
-        """``(index, result)`` pairs of the job's *completed* shards.
-
-        The incremental sibling of :meth:`job_results`, serving the
-        ``collect`` protocol: a checkpointing client polls for whatever
-        finished since its last poll, passing the indices it already
-        holds as ``exclude``.  Works on running jobs; index order.
-        """
-        skip = {int(i) for i in exclude}
-        out = [
-            (record.index, record.result)
-            for shard_id in self._jobs.get(job_id, ())
-            if (record := self._shards[shard_id]).state == DONE
-            and record.index not in skip
-        ]
-        out.sort(key=lambda pair: pair[0])
-        return out
-
     def drop_job(self, job_id: str) -> None:
-        """Forget a job and its shards (after the client collected them)."""
+        """Forget a job and its shards (once its waiter has them all)."""
         for shard_id in self._jobs.pop(job_id, []):
             self._shards.pop(shard_id, None)
         self._job_errors.pop(job_id, None)
@@ -349,7 +335,7 @@ class QueueMetrics:
     recent), so a long-lived broker's metrics memory stays constant.
     """
 
-    def __init__(self, *, window: int = 4096) -> None:
+    def __init__(self, *, window: int = HISTOGRAM_WINDOW) -> None:
         self.counters = {
             "submits": 0,
             "shards_submitted": 0,
@@ -458,7 +444,7 @@ class Broker:
     :meth:`start_in_thread` / :meth:`shutdown` (also available as a
     context manager) to host the broker inside another program.
 
-    A job whose client never collects it (disconnected, timed out,
+    A job whose client stops waiting on it (disconnected, timed out,
     crashed) is reaped ``job_ttl`` seconds after reaching its final
     state, so an abandoned sweep cannot pin its shard payloads and
     results in broker memory forever.
@@ -776,19 +762,17 @@ class Broker:
             )
 
     def _notify(self, job_id: str | None) -> None:
-        """Wake the job's waiter if the job just reached a final state."""
+        """Wake the job's waiter after a transition; stamp a final state."""
         if job_id is None:
             return
         event = self._events.get(job_id)
         if event is None:
             return
+        event.set()
         state, _ = self.ledger.job_state(job_id)
-        if state in ("done", "failed"):
-            first = job_id not in self._finished_at
-            event.set()
-            self._finished_at.setdefault(job_id, time.monotonic())
-            if first:
-                self._finish_job_span(job_id, state)
+        if state in ("done", "failed") and job_id not in self._finished_at:
+            self._finished_at[job_id] = time.monotonic()
+            self._finish_job_span(job_id, state)
 
     def _drop_job(self, job_id: str) -> None:
         if job_id in self._job_started:
@@ -811,7 +795,7 @@ class Broker:
                     tel.event("broker.requeue", shards=len(expired), cause="expired")
             for job_id in expired:
                 self._notify(job_id)
-            # Reap finished jobs whose client never collected them
+            # Reap finished jobs whose client stopped waiting on them
             # (disconnected, timed out, crashed): without this, the
             # abandoned shard payloads and results would pin broker
             # memory forever.
@@ -820,29 +804,38 @@ class Broker:
                     self._drop_job(job_id)
 
     async def _handle_wait(self, writer: asyncio.StreamWriter, job_id: str) -> None:
+        """Stream a job's results as its shards finish, then end it.
+
+        One ``result`` frame per shard, sent as soon as the shard is
+        done (and at once for shards already done), then ``done``; a
+        failed job ends with ``failed`` instead.  Clearing the event
+        before reading the ledger means a completion that lands while
+        frames are being written is picked up on the next pass.
+        """
         event = self._events.get(job_id)
-        if event is None:
-            await write_frame(
-                writer, {"type": "failed", "error": f"unknown job {job_id!r}"}
-            )
-            return
-        await event.wait()
-        state, error = self.ledger.job_state(job_id)
-        if state == "failed":
-            await write_frame(writer, {"type": "failed", "error": error})
-        else:
-            results = self.ledger.job_results(job_id)
-            await write_frame(
-                writer,
-                {
-                    "type": "done",
-                    "results": [
-                        {"index": index, "result": result}
-                        for index, result in results
-                    ],
-                },
-            )
+        sent: set[int] = set()
+        error = None
+        while event is not None:
+            event.clear()
+            state, error = self.ledger.job_state(job_id)
+            if state in ("failed", "unknown"):
+                break
+            for index, result in self.ledger.job_results(job_id):
+                if result is not None and index not in sent:
+                    sent.add(index)
+                    await write_frame(
+                        writer,
+                        {"type": "result", "index": index, "result": result},
+                    )
+            if state == "done":
+                self._drop_job(job_id)
+                await write_frame(writer, {"type": "done"})
+                return
+            await event.wait()
         self._drop_job(job_id)
+        await write_frame(
+            writer, {"type": "failed", "error": error or f"unknown job {job_id!r}"}
+        )
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -854,6 +847,7 @@ class Broker:
         self._connections += 1
         worker_id = f"conn-{self._connections}"
         tel = get_telemetry()
+        streams: list[asyncio.Task] = []
         try:
             while True:
                 message = await read_frame(reader)
@@ -1002,41 +996,14 @@ class Broker:
                     )
                     self._notify(job_id)  # an empty job is already done
                 elif kind == "wait":
-                    await self._handle_wait(writer, message["job_id"])
-                elif kind == "collect":
-                    # Incremental, non-blocking collection: everything
-                    # done since the indices the client already holds.
-                    # Checkpointing clients poll this instead of "wait"
-                    # so completed shards persist before the job ends.
-                    job_id = message["job_id"]
-                    state, error = self.ledger.job_state(job_id)
-                    if state == "unknown":
-                        await write_frame(
-                            writer,
-                            {
-                                "type": "failed",
-                                "error": f"unknown job {job_id!r}",
-                            },
+                    # Streamed from a child task so this loop keeps
+                    # reading: a client that dies mid-job is seen at
+                    # once (EOF), not when its job next finishes a shard.
+                    streams.append(
+                        asyncio.create_task(
+                            self._handle_wait(writer, message["job_id"])
                         )
-                    else:
-                        fresh = self.ledger.done_results(
-                            job_id, exclude=message.get("have", ())
-                        )
-                        await write_frame(
-                            writer,
-                            {
-                                "type": "partial",
-                                "state": state,
-                                "error": error,
-                                "results": [
-                                    {"index": index, "result": result}
-                                    for index, result in fresh
-                                ],
-                            },
-                        )
-                elif kind == "drop":
-                    self._drop_job(message["job_id"])
-                    await write_frame(writer, {"type": "ok"})
+                    )
                 elif kind == "status":
                     await write_frame(
                         writer,
@@ -1067,6 +1034,12 @@ class Broker:
                     writer, {"type": "failed", "error": f"malformed message: {exc}"}
                 )
         finally:
+            for stream in streams:
+                stream.cancel()
+                # A stream that outlived its client ends cancelled or
+                # with the write error the closed socket raised.
+                with contextlib.suppress(asyncio.CancelledError, ConnectionError):
+                    await stream
             released = self.ledger.release_worker(worker_id)
             if released:
                 self.metrics.on_requeue(len(released))

@@ -1,55 +1,33 @@
-"""Client side of the shard queue: submit, wait, merge, cache — resiliently.
+"""Client side of the shard queue: submit, stream results back, resiliently.
 
-:func:`execute_shards_remote` is the distributed mirror of
-:func:`repro.parallel.execute_shards` — same input (a list of
-:class:`~repro.parallel.ShardTask`), same output (per-task results in
-input order) — so :func:`repro.parallel.run_sharded` can swap one for
-the other and keep its planning, seeding and merging untouched.  That
-is the determinism argument in one line: the shard plan and the
-spawned seeds are computed *before* the transport is chosen, so
-``run_distributed`` over any broker, any worker count and any arrival
-order is bit-for-bit identical to ``run_sharded(workers=1)``.
+:func:`run_on_broker` is the broker tier of
+:func:`repro.parallel.execute_cached`: given wire-encoded shard tasks
+it submits them as one job, then sends ``wait``, on which the broker
+streams back each shard's result the moment a worker finishes it, and
+hands every result to the caller as it arrives — which stores it in the
+content-addressed cache, so a client killed mid-job has already cached
+every shard it saw finish.  The shard plan and the spawned seeds are
+computed before the transport is chosen, so any broker, any worker count
+and any arrival order give results bit-for-bit identical to
+``run_sharded(workers=1)``.
 
-Before contacting the broker the client consults the content-addressed
-:class:`~repro.distributed.cache.ResultCache`; fully-cached jobs never
-open a socket at all.  Freshly computed shard results are written back
-on arrival, so sweeps that revisit parameter points pay for each shard
-once, machine-wide.
-
-Resilience (PR 8): transport failures — refused dials, dropped or
-undecodable frames, a broker dying mid-job — are retried under a
-:class:`~repro.resilience.RetryPolicy` (each attempt resubmits only
-the still-missing shards, under a fresh job id), and a per-endpoint
+Transport failures — refused dials, dropped or undecodable frames, a
+broker dying mid-job — are retried under a
+:class:`~repro.resilience.RetryPolicy` (each attempt resubmits only the
+shards still missing, under a fresh job id), and a per-endpoint
 :class:`~repro.resilience.CircuitBreaker` converts repeated refusals
-into an immediate :class:`BrokerUnavailable`, which
-:func:`execute_shards_resilient` can degrade into local sharded
-execution (``fallback="local"``) with bit-identical results.  With
-``checkpoint=`` set, the client polls the broker's incremental
-``collect`` protocol and persists every completed shard (result into
-the cache, index into an atomic
-:class:`~repro.resilience.JobCheckpoint` manifest) the moment it
-lands, so a client killed mid-job resumes without recomputing —
-completed shards come back as cache hits.
+into an immediate :class:`BrokerUnavailable`, which ``fallback="local"``
+turns into local execution of the shards still undone.
 """
 
 from __future__ import annotations
 
 import socket
-import time
 import uuid
 
-from ..resilience import (
-    JobCheckpoint,
-    RetryError,
-    breaker_for,
-    execute_shards_checkpointed,
-    resolve_checkpoint,
-    resolve_fallback,
-    resolve_retry,
-)
+from ..resilience import RetryError, breaker_for
 from ..resilience.faults import InjectedCrash, InjectedFault, active_fault_plan
 from ..telemetry import get_telemetry
-from .cache import resolve_cache
 from .wire import (
     WireDecodeError,
     attach_trace,
@@ -65,8 +43,8 @@ __all__ = [
     "DistributedError",
     "BrokerUnavailable",
     "execute_shards_remote",
-    "execute_shards_resilient",
-    "run_distributed",
+    "cache_lookup",
+    "run_on_broker",
     "broker_status",
     "transport_snapshot",
 ]
@@ -107,6 +85,11 @@ def _exchange(sock: socket.socket, message: dict) -> dict:
     themselves (they select the retry path), not to be wrapped.
     """
     send_frame(sock, message, site="client.send")
+    return _receive(sock)
+
+
+def _receive(sock: socket.socket) -> dict:
+    """Read one broker frame; EOF and unparsed-frame replies raise."""
     reply = recv_frame(sock)
     if reply is None:
         raise ConnectionError("broker closed the connection")
@@ -123,7 +106,7 @@ def _exchange(sock: socket.socket, message: dict) -> dict:
     return reply
 
 
-def _open_socket(endpoint, connect_timeout: float, timeout) -> socket.socket:
+def _open_socket(endpoint) -> socket.socket:
     """Dial the broker; injected refusals surface as ``ConnectionError``."""
     host, port = parse_endpoint(endpoint)
     plan = active_fault_plan()
@@ -133,89 +116,55 @@ def _open_socket(endpoint, connect_timeout: float, timeout) -> socket.socket:
         if tel.enabled:
             tel.event("faults.refuse", site="client.connect")
         raise InjectedFault("refuse", "client.connect")
-    sock = socket.create_connection((host, port), timeout=connect_timeout)
-    sock.settimeout(timeout)
+    sock = socket.create_connection((host, port), timeout=10.0)
+    # A job may legitimately run for hours: no read timeout.
+    sock.settimeout(None)
     return sock
 
 
-def execute_shards_remote(
-    tasks,
-    endpoint,
-    *,
-    cache="auto",
-    timeout: float | None = None,
-    connect_timeout: float = 10.0,
-    retry="default",
-    checkpoint="default",
-    poll_interval: float = 0.05,
-) -> list:
-    """Run shard tasks through a broker; results in input order.
+def cache_lookup(tasks, store) -> tuple[list, list | None, list]:
+    """Wire-encode shard tasks and look each one up in ``store`` once.
 
-    The remote counterpart of :func:`repro.parallel.execute_shards`:
-    every task is encoded through :mod:`repro.distributed.wire`,
-    content-addressed against ``cache`` (``"auto"`` honours
-    ``REPRO_CACHE_DIR``; ``None`` disables), and only the misses are
-    submitted as one job.  The call blocks until the broker reports
-    the job done (``timeout`` bounds each broker exchange; None waits
-    forever) and raises :class:`DistributedError` if the job failed.
-
-    ``retry`` (a :class:`~repro.resilience.RetryPolicy`, ``"default"``
-    for the configured process default, or None for single-shot)
-    governs transport failures: each attempt resubmits only the shards
-    still missing, under a fresh job id, and exhausting the policy
-    raises :class:`BrokerUnavailable`.  ``checkpoint`` (a manifest
-    path; ``"default"`` consults :func:`repro.resilience.configure`)
-    switches collection to the broker's incremental ``collect``
-    protocol and persists every completed shard as it lands, so an
-    interrupted call resumes from the manifest — completed shards are
-    served from the cache, observable via ``client.cache.hits``.
+    Returns ``(encoded, keys, results)``: the encoded tasks, their
+    content addresses, and the cached result per task (None for a
+    miss).  Without a store there are no content addresses — hashing
+    the full canonical encoding per shard would be pure overhead — and
+    every task is a miss.
     """
-    tasks = list(tasks)
-    if not tasks:
-        return []
-    tel = get_telemetry()
-    policy = resolve_retry(retry)
-    checkpoint = resolve_checkpoint(checkpoint)
-    store = resolve_cache(cache)
-    if checkpoint is not None and store is None:
-        raise ValueError(
-            "checkpointed execution needs a result cache (the manifest "
-            "stores shard digests, the cache stores the results); pass "
-            "cache='auto' or a cache path"
-        )
     encoded = [encode_task(task) for task in tasks]
-    results: list = [None] * len(tasks)
-    manifest: JobCheckpoint | None = None
     if store is None:
-        # No store, no content addresses: hashing the full canonical
-        # encoding per shard would be pure overhead.
-        keys: list[str | None] = [None] * len(tasks)
-    else:
-        keys = [task_key(obj) for obj in encoded]
-        if checkpoint is not None:
-            manifest = JobCheckpoint.open(checkpoint, keys)
-        hits = 0
-        for i, key in enumerate(keys):
-            hit = store.get(key)
-            if hit is not None:
-                results[i] = hit
-                hits += 1
-                if manifest is not None:
-                    manifest.mark_done(i)
-        misses = len(tasks) - hits
-        if hits:
-            tel.count("client.cache.hits", hits)
-        if misses:
-            tel.count("client.cache.misses", misses)
-        if tel.enabled:
-            tel.event(
-                "client.cache", hits=hits, misses=misses, shards=len(tasks)
-            )
-        if manifest is not None:
-            manifest.save()
-    if all(result is not None for result in results):
-        return results
+        return encoded, None, [None] * len(tasks)
+    keys = [task_key(obj) for obj in encoded]
+    results = [store.get(key) for key in keys]
+    tel = get_telemetry()
+    hits = sum(result is not None for result in results)
+    misses = len(tasks) - hits
+    if hits:
+        tel.count("client.cache.hits", hits)
+    if misses:
+        tel.count("client.cache.misses", misses)
+    if tel.enabled:
+        tel.event("client.cache", hits=hits, misses=misses, shards=len(tasks))
+    return encoded, keys, results
 
+
+def run_on_broker(encoded: dict, endpoint, policy, deliver) -> None:
+    """Run wire-encoded shard tasks on the broker at ``endpoint``.
+
+    ``encoded`` maps shard index to encoded task.  The tasks are
+    submitted as one job, then the client sends ``wait`` and the broker
+    streams back each shard's result as soon as it finishes;
+    ``deliver(index, result, payload)`` receives the decoded result and
+    its wire payload the moment the frame arrives.
+
+    Transport failures are retried under ``policy`` (a
+    :class:`~repro.resilience.RetryPolicy`): each attempt resubmits only
+    the shards not yet delivered, under a fresh job id, and exhausting
+    the policy — or the endpoint's circuit breaker being open — raises
+    :class:`BrokerUnavailable`.  A job the broker declares failed
+    raises :class:`DistributedError`.
+    """
+    tel = get_telemetry()
     breaker = breaker_for(str(endpoint))
     if not breaker.allow():
         tel.count("client.breaker_fastfails")
@@ -223,35 +172,36 @@ def execute_shards_remote(
             f"cannot reach broker at {endpoint}: circuit breaker open, "
             "failing fast"
         )
+    plan = active_fault_plan()
+    pending = dict(encoded)
+    delivered = 0
 
-    def accept(index: int, payload: dict) -> bool:
-        """Decode + persist one shard result; False if undecodable."""
+    def accept(index: int, payload: dict) -> None:
+        """Decode and deliver one shard result; undecodable ones stay pending."""
+        nonlocal delivered
+        if index not in pending:
+            return
         try:
             result = decode_result(payload)
         except WireDecodeError as exc:
             tel.count("client.decode_rejects")
             if tel.enabled:
                 tel.event("client.decode_reject", index=index, error=str(exc))
-            return False
-        results[index] = result
-        if store is not None:
-            store.put(keys[index], payload)
-        if manifest is not None:
-            manifest.mark_done(index)
-        return True
+            return
+        del pending[index]
+        deliver(index, result, payload)
+        delivered += 1
+        if plan is not None and plan.crash_client(delivered):
+            raise InjectedCrash("client.wait", delivered)
 
     def run_attempt() -> None:
-        pending = [i for i in range(len(tasks)) if results[i] is None]
-        if not pending:
-            return
         job_id = uuid.uuid4().hex
-        sock = _open_socket(endpoint, connect_timeout, timeout)
-        with sock:
+        with _open_socket(endpoint) as sock:
             submit = {
                 "type": "submit",
                 "job_id": job_id,
                 "tasks": [
-                    {"index": i, "task": encoded[i]} for i in pending
+                    {"index": i, "task": task} for i, task in pending.items()
                 ],
             }
             # The optional trace-context wire key: present only when the
@@ -264,72 +214,26 @@ def execute_shards_remote(
                 raise DistributedError(
                     f"broker rejected job: {reply.get('error', reply)}"
                 )
-            if manifest is None:
-                reply = _exchange(sock, {"type": "wait", "job_id": job_id})
-                if reply.get("type") == "failed":
-                    raise DistributedError(
-                        f"distributed job failed: {reply.get('error')}"
-                    )
-                if reply.get("type") != "done":
-                    raise DistributedError(
-                        f"unexpected broker reply {reply.get('type')!r}"
-                    )
-                for item in reply["results"]:
-                    accept(int(item["index"]), item["result"])
-            else:
-                _collect_loop(sock, job_id, pending)
-        still = [i for i in pending if results[i] is None]
-        if still:
+            reply = _exchange(sock, {"type": "wait", "job_id": job_id})
+            while reply.get("type") == "result":
+                accept(int(reply["index"]), reply["result"])
+                reply = _receive(sock)
+            if reply.get("type") == "failed":
+                raise DistributedError(
+                    f"distributed job failed: {reply.get('error')}"
+                )
+            if reply.get("type") != "done":
+                raise DistributedError(
+                    f"unexpected broker reply {reply.get('type')!r}"
+                )
+        if pending:
             # Some result frames survived transport but not decoding
             # (e.g. injected payload corruption): resubmit just those
             # under the retry policy.
             raise ConnectionError(
-                f"{len(still)} shard result(s) undecodable; resubmitting"
+                f"{len(pending)} shard result(s) missing or undecodable; "
+                "resubmitting"
             )
-
-    def _collect_loop(sock, job_id: str, pending: list[int]) -> None:
-        plan = active_fault_plan()
-        have: set[int] = set()
-        while True:
-            reply = _exchange(
-                sock,
-                {"type": "collect", "job_id": job_id, "have": sorted(have)},
-            )
-            if reply.get("type") != "partial":
-                raise DistributedError(
-                    f"unexpected broker reply {reply.get('type')!r}"
-                )
-            fresh = reply.get("results", ())
-            for item in fresh:
-                index = int(item["index"])
-                have.add(index)
-                if not accept(index, item["result"]):
-                    # The broker holds a stored-but-undecodable result;
-                    # polling again returns the same bytes forever, so
-                    # abort the attempt and resubmit under a new job.
-                    raise ConnectionError(
-                        f"undecodable result for shard {index}; resubmitting"
-                    )
-            if fresh:
-                manifest.save()
-                tel.count("client.checkpointed", len(fresh))
-                if plan is not None and plan.crash_client(
-                    len(manifest.done_indices())
-                ):
-                    raise InjectedCrash(
-                        "client.collect", len(manifest.done_indices())
-                    )
-            state = reply.get("state")
-            if state == "failed":
-                raise DistributedError(
-                    f"distributed job failed: {reply.get('error')}"
-                )
-            if state == "done" and all(
-                results[i] is not None for i in pending
-            ):
-                _exchange(sock, {"type": "drop", "job_id": job_id})
-                return
-            time.sleep(poll_interval)
 
     def attempt() -> None:
         try:
@@ -348,128 +252,20 @@ def execute_shards_remote(
             f"cannot reach broker at {endpoint}: {exc.last!r} "
             f"(after {exc.attempts} attempt(s))"
         ) from exc
-    return results
 
 
-def execute_shards_resilient(
-    tasks,
-    endpoint,
-    *,
-    workers: int | None = None,
-    cache="auto",
-    retry="default",
-    checkpoint="default",
-    fallback="default",
-    mp_context: str | None = None,
-    schedule: str = "static",
-    timeout: float | None = None,
-    connect_timeout: float = 10.0,
-) -> list:
-    """Remote execution with graceful degradation to the local tier.
+def execute_shards_remote(tasks, endpoint, *, cache="auto", retry="default") -> list:
+    """Run shard tasks on the broker at ``endpoint``; results in input order.
 
-    Runs :func:`execute_shards_remote`; if (and only if) that fails
-    with :class:`BrokerUnavailable` — retries exhausted or the
-    endpoint's circuit breaker open — and the resolved fallback mode is
-    ``"local"``, the same tasks complete via the in-process pool
-    (checkpointed when a manifest is configured), bit-identical by the
-    per-shard seed contract.  Logical job failures always propagate.
+    :func:`repro.parallel.execute_cached` pinned to the broker tier:
+    completed shards come from ``cache``, the rest from the broker, and
+    an unreachable broker raises :class:`BrokerUnavailable` — there is
+    no local fallback.
     """
-    fallback_mode = resolve_fallback(fallback)
-    try:
-        return execute_shards_remote(
-            tasks,
-            endpoint,
-            cache=cache,
-            retry=retry,
-            checkpoint=checkpoint,
-            timeout=timeout,
-            connect_timeout=connect_timeout,
-        )
-    except BrokerUnavailable as exc:
-        if fallback_mode != "local":
-            raise
-        tel = get_telemetry()
-        tel.count("client.fallbacks")
-        if tel.enabled:
-            tel.event(
-                "client.fallback",
-                endpoint=str(endpoint),
-                mode="local",
-                cause=str(exc),
-            )
-        checkpoint_path = resolve_checkpoint(checkpoint)
-        if checkpoint_path is not None:
-            return execute_shards_checkpointed(
-                tasks,
-                workers=workers or 1,
-                cache=cache,
-                checkpoint=checkpoint_path,
-                mp_context=mp_context,
-            )
-        from ..parallel.sharding import execute_shards
+    from ..parallel.sharding import execute_cached
 
-        return execute_shards(
-            tasks, workers, mp_context=mp_context, schedule=schedule
-        )
-
-
-def run_distributed(
-    rule,
-    topology,
-    completion,
-    state,
-    seed,
-    *,
-    endpoint,
-    workers: int | None = None,
-    max_rounds: int | None = None,
-    track_hits: bool = False,
-    record_sizes: bool = False,
-    record_visited: bool = False,
-    budget_bytes: int | None = None,
-    max_shard: int | None = None,
-    cache="auto",
-    retry="default",
-    checkpoint="default",
-    fallback="default",
-):
-    """Shard one engine invocation's R axis across a broker's workers.
-
-    The drop-in distributed sibling of
-    :func:`repro.parallel.run_sharded` — identical signature semantics
-    plus ``endpoint`` (the broker's ``host:port``), ``cache``, and the
-    resilience knobs (``retry``, ``checkpoint``, ``fallback``).
-    The shard plan and per-shard spawned seeds are the same pure
-    functions of the arguments, so the merged
-    :class:`~repro.engine.SpreadResult` is bit-for-bit identical to
-    ``run_sharded`` at any worker count and any shard arrival order
-    (``workers`` is accepted for signature compatibility and ignored —
-    parallelism is however many workers the broker has).
-    """
-    from ..parallel.sharding import run_sharded
-
-    kwargs = {}
-    if budget_bytes is not None:
-        kwargs["budget_bytes"] = int(budget_bytes)
-    if max_shard is not None:
-        kwargs["max_shard"] = int(max_shard)
-    del workers  # broker-side parallelism; accepted for mirror-signature only
-    return run_sharded(
-        rule,
-        topology,
-        completion,
-        state,
-        seed,
-        max_rounds=max_rounds,
-        track_hits=track_hits,
-        record_sizes=record_sizes,
-        record_visited=record_visited,
-        endpoint=endpoint,
-        cache=cache,
-        retry=retry,
-        checkpoint=checkpoint,
-        fallback=fallback,
-        **kwargs,
+    return execute_cached(
+        tasks, endpoint=endpoint, cache=cache, retry=retry, fallback=None
     )
 
 

@@ -399,15 +399,16 @@ def _sharded_dynamic_times(
     the scalar samplers); a plain :class:`GraphSequence` argument is
     shared by every shard, preserving quenched semantics.  The shard
     plan and seeds are independent of ``workers``, so the returned
-    samples are identical at any worker count.  With ``endpoint`` set,
-    the same tasks go to a :mod:`repro.distributed` broker — each
+    samples are identical at any worker count.  The tasks run through
+    :func:`repro.parallel.execute_cached` like every sharded run: with
+    ``endpoint`` set they go to a :mod:`repro.distributed` broker — each
     remote worker re-realises its shard's sequence from the wire-
     encoded seed pair — and the samples stay identical.
     """
     from ..engine.completion import make_completion
     from ..parallel.sharding import (
         ShardTask,
-        execute_shards,
+        execute_cached,
         finished_times_or_raise,
         merge_shard_results,
         plan_shards,
@@ -438,17 +439,7 @@ def _sharded_dynamic_times(
                 max_rounds=max_rounds,
             )
         )
-    if endpoint is not None:
-        # The resilient entry point inherits the process-wide retry /
-        # checkpoint / fallback configuration, so a dying broker
-        # degrades a dynamic sweep exactly like a static one.
-        from ..distributed.client import execute_shards_resilient
-
-        results = execute_shards_resilient(
-            tasks, endpoint, workers=workers, cache=cache
-        )
-    else:
-        results = execute_shards(tasks, workers)
+    results = execute_cached(tasks, workers, endpoint=endpoint, cache=cache)
     res = merge_shard_results(results)
     return finished_times_or_raise(res.finish_times, f"sharded dynamic {what}")
 
@@ -552,8 +543,8 @@ def dynamic_cover_time_batch(
     equally valid — stream than the default single-batch path.
     ``endpoint`` sends the same shards to a :mod:`repro.distributed`
     broker instead (``cache`` as in
-    :func:`repro.distributed.execute_shards_remote`); samples match
-    the local sharded path bit-for-bit.
+    :func:`repro.parallel.execute_cached`); samples match the local
+    sharded path bit-for-bit.
     """
     if workers is not None or endpoint is not None:
         return _sharded_dynamic_times(

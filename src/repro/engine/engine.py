@@ -443,15 +443,11 @@ class SpreadEngine:
         track_hits: bool = False,
         record_sizes: bool = False,
         record_visited: bool = False,
-        budget_bytes: int | None = None,
         max_shard: int | None = None,
-        mp_context: str | None = None,
-        schedule: str = "static",
         endpoint: str | None = None,
         cache="auto",
         backend: str | None = None,
         retry="default",
-        checkpoint="default",
         fallback="default",
     ) -> SpreadResult:
         """Advance the runs sharded across worker processes.
@@ -480,23 +476,15 @@ class SpreadEngine:
         and stamped on every shard task; each shard's engine honours it
         exactly as :meth:`run` does.
 
-        ``schedule="completion"`` switches the local pool to
-        completion-order dispatch (idle workers steal the next shard
-        immediately; results re-keyed by shard index, so output is
-        unchanged).  ``endpoint`` routes the same shard plan through a
-        :mod:`repro.distributed` broker instead of a local pool — see
-        :meth:`run_distributed`.  ``retry`` / ``checkpoint`` /
-        ``fallback`` are the resilience knobs threaded to
-        :func:`repro.parallel.run_sharded` (transport retries,
-        resumable manifests, graceful degradation to the local tier).
+        ``endpoint`` routes the same shard plan through a
+        :mod:`repro.distributed` broker instead of the local pool;
+        ``cache``, ``retry`` and ``fallback`` are as in
+        :func:`repro.parallel.execute_cached` (the result cache, which
+        is also the resume point after a crash; transport retries; and
+        finishing locally when the broker is unreachable).
         """
         from ..parallel import sharding
 
-        kwargs = {}
-        if budget_bytes is not None:
-            kwargs["budget_bytes"] = int(budget_bytes)
-        if max_shard is not None:
-            kwargs["max_shard"] = int(max_shard)
         return sharding.run_sharded(
             self.rule,
             self.topology,
@@ -508,65 +496,15 @@ class SpreadEngine:
             track_hits=track_hits,
             record_sizes=record_sizes,
             record_visited=record_visited,
-            mp_context=mp_context,
-            schedule=schedule,
+            max_shard=(
+                sharding.DEFAULT_MAX_SHARD if max_shard is None else int(max_shard)
+            ),
             endpoint=endpoint,
             cache=cache,
             backend=backend,
             retry=retry,
-            checkpoint=checkpoint,
-            fallback=fallback,
-            **kwargs,
-        )
-
-    # ------------------------------------------------------------------
-    def run_distributed(
-        self,
-        state: np.ndarray,
-        seed,
-        *,
-        endpoint: str,
-        max_rounds: int | None = None,
-        track_hits: bool = False,
-        record_sizes: bool = False,
-        record_visited: bool = False,
-        budget_bytes: int | None = None,
-        max_shard: int | None = None,
-        cache="auto",
-        backend: str | None = None,
-        retry="default",
-        checkpoint="default",
-        fallback="default",
-    ) -> SpreadResult:
-        """Advance the runs sharded across a broker's worker fleet.
-
-        The multi-host counterpart of :meth:`run_sharded`: the same
-        deterministic shard plan and per-shard spawned seeds, but the
-        tasks travel to a :mod:`repro.distributed` broker at
-        ``endpoint`` (``host:port``) over the versioned wire format,
-        are leased to whatever workers are attached (surviving worker
-        death through lease-timeout requeue), and the results are
-        content-address cached (``cache="auto"`` honours
-        ``REPRO_CACHE_DIR``; ``None`` disables).  The merged
-        :class:`SpreadResult` is bit-for-bit identical to
-        ``run_sharded(workers=1)`` regardless of worker count, arrival
-        order, or requeues.  ``retry`` / ``checkpoint`` / ``fallback``
-        govern transport retries, resumable manifests, and graceful
-        degradation to local execution when the broker is unreachable.
-        """
-        return self.run_sharded(
-            state,
-            seed,
-            max_rounds=max_rounds,
-            track_hits=track_hits,
-            record_sizes=record_sizes,
-            record_visited=record_visited,
-            budget_bytes=budget_bytes,
-            max_shard=max_shard,
-            endpoint=endpoint,
-            cache=cache,
-            backend=backend,
-            retry=retry,
-            checkpoint=checkpoint,
             fallback=fallback,
         )
+
+    #: :meth:`run_sharded` with an ``endpoint``: the broker tier.
+    run_distributed = run_sharded

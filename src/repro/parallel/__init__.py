@@ -11,6 +11,7 @@ from .sharding import (
     DEFAULT_MAX_SHARD,
     DEFAULT_SHARD_STATE_BUDGET_BYTES,
     ShardTask,
+    execute_cached,
     execute_shards,
     finished_times_or_raise,
     merge_shard_results,
@@ -30,6 +31,7 @@ __all__ = [
     "DEFAULT_MAX_SHARD",
     "DEFAULT_SHARD_STATE_BUDGET_BYTES",
     "ShardTask",
+    "execute_cached",
     "execute_shards",
     "finished_times_or_raise",
     "merge_shard_results",

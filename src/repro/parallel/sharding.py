@@ -15,10 +15,15 @@ budget — and executes the shards across worker processes:
   small seeded objects they are and realised lazily in the worker.
 * **Randomness is per shard.**  Each shard's generator is spawned from
   the caller's master seed via :mod:`repro.stats.rng`, and the shard
-  plan is a pure function of ``(rule, runs, n, budget, max_shard)`` —
+  plan is a pure function of ``(rule, runs, n, max_shard)`` —
   never of the worker count — so the merged result is bit-for-bit
   identical at any ``workers`` (``workers=1`` runs the same shards
   serially in-process).
+* **One executor, the cache as checkpoint.**  :func:`execute_cached`
+  runs every sharded invocation: it serves finished shards from the
+  content-addressed result cache, runs the rest on a broker or the
+  local pool, and stores each fresh result, so resuming an interrupted
+  run is just running it again.
 
 The per-shard streams intentionally differ from the single-stream
 ``run_batch`` path: sharded determinism is seed × shard-plan, not
@@ -61,6 +66,7 @@ __all__ = [
     "plan_shards",
     "run_shard",
     "execute_shards",
+    "execute_cached",
     "merge_shard_results",
     "run_sharded",
     "finished_times_or_raise",
@@ -108,13 +114,13 @@ def plan_shards(
     total_runs: int,
     n_vertices: int,
     *,
-    budget_bytes: int = DEFAULT_SHARD_STATE_BUDGET_BYTES,
     max_shard: int = DEFAULT_MAX_SHARD,
 ) -> list[int]:
     """Split ``total_runs`` into deterministic shard sizes.
 
     Delegates to :func:`repro.parallel.plan_batches_for` (the rule's
-    declared per-run state footprint under ``budget_bytes``), capped at
+    declared per-run state footprint under
+    :data:`DEFAULT_SHARD_STATE_BUDGET_BYTES`), capped at
     ``max_shard`` runs per shard.  The result depends only on the
     arguments — never on the machine or the worker count — which is
     what makes sharded execution seed-stable.  ``total_runs == 0``
@@ -126,7 +132,7 @@ def plan_shards(
         rule,
         total_runs,
         n_vertices,
-        budget_bytes=budget_bytes,
+        budget_bytes=DEFAULT_SHARD_STATE_BUDGET_BYTES,
         max_batch=max_shard,
     )
 
@@ -239,31 +245,8 @@ def run_shard(task: ShardTask):
     )
 
 
-def _mp_context(spec: str | None = None):
-    """Pick a start method: ``fork`` where cheap and safe, else spawn."""
-    if spec is None:
-        spec = "fork" if os.name != "nt" else "spawn"
-    return mp.get_context(spec)
-
-
-def _run_shard_indexed(item: tuple[int, ShardTask]):
-    """Pool entry point for completion-order scheduling: keep the index.
-
-    ``imap_unordered`` yields results in finish order, so each one must
-    carry its shard index home for re-keying before the merge.
-    """
-    index, task = item
-    return index, run_shard(task)
-
-
-def execute_shards(
-    tasks: Sequence[ShardTask],
-    workers: int | None = None,
-    *,
-    mp_context: str | None = None,
-    schedule: str = "static",
-) -> list:
-    """Run shard tasks, serially or across a process pool.
+def execute_shards(tasks: Sequence[ShardTask], workers: int | None = None) -> list:
+    """Run shard tasks on the local pool, serially or across processes.
 
     ``workers=None`` uses :func:`repro.parallel.default_workers`;
     ``workers <= 1`` (or a single task) runs in-process, and a worker
@@ -272,20 +255,8 @@ def execute_shards(
     matches input order, and because every task carries its own spawned
     seed the results are identical either way.  ``chunksize`` is pinned
     to 1: shards are few and heavy, so eager redistribution beats
-    amortised IPC.
-
-    ``schedule`` selects the dispatch discipline: ``"static"`` is
-    ``Pool.map`` (results retrieved in order); ``"completion"`` is
-    ``Pool.imap_unordered`` — shards stream back the moment they
-    finish, and idle workers steal the next shard immediately, which
-    helps when cover times are heavy-tailed and one shard dominates.
-    Results are re-keyed by shard index before returning, so the two
-    schedules are observably identical apart from wall-clock.
+    amortised IPC.  Pools fork where the platform allows it.
     """
-    if schedule not in ("static", "completion"):
-        raise ValueError(
-            f"unknown schedule {schedule!r}: expected 'static' or 'completion'"
-        )
     tasks = list(tasks)
     if not tasks:
         return []
@@ -293,16 +264,125 @@ def execute_shards(
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [run_shard(task) for task in tasks]
-    ctx = _mp_context(mp_context)
+    ctx = mp.get_context("fork" if os.name != "nt" else "spawn")
     with ctx.Pool(processes=workers) as pool:
-        if schedule == "completion":
-            results: list = [None] * len(tasks)
-            for index, result in pool.imap_unordered(
-                _run_shard_indexed, list(enumerate(tasks)), chunksize=1
-            ):
-                results[index] = result
-            return results
         return pool.map(run_shard, tasks, chunksize=1)
+
+
+@contextlib.contextmanager
+def _graph_in_shared_memory(tasks: list, workers: int):
+    """Yield ``tasks`` with their static graph swapped for a shared-memory handle.
+
+    Only when a pool will run them and they all share one static
+    topology: every worker then maps the same physical CSR arrays
+    instead of unpickling a private copy per task.  The segment is
+    created, closed and unlinked here, so callers manage nothing.
+    """
+    from ..engine.engine import StaticTopology
+
+    topology = tasks[0].topology
+    if (
+        min(workers, len(tasks)) <= 1
+        or not isinstance(topology, StaticTopology)
+        or any(task.topology is not topology for task in tasks)
+    ):
+        yield tasks
+        return
+    shared = topology.base.to_shared()
+    try:
+        yield [replace(task, topology=shared) for task in tasks]
+    finally:
+        # Unlink first: through the still-open creator handle it also
+        # drops the resource-tracker registration on every Python
+        # version (see SharedGraph.unlink).
+        shared.unlink()
+        shared.close()
+
+
+def execute_cached(
+    tasks: Sequence[ShardTask],
+    workers: int | None = None,
+    *,
+    endpoint: str | None = None,
+    cache="auto",
+    retry="default",
+    fallback="default",
+) -> list:
+    """Run shard tasks through the result cache, on a broker or the local pool.
+
+    The one executor behind :func:`run_sharded`.  Each task's content
+    address (:func:`repro.distributed.wire.task_key`) is looked up once;
+    only the misses run — on the broker at ``endpoint`` when one is
+    given, else on the local pool (:func:`execute_shards`) — and every
+    fresh result is stored as it arrives (from the broker shard by
+    shard, from the pool when it returns), so a rerun after a crash
+    recomputes only the shards no earlier run stored.  The cache is the
+    only checkpoint.
+
+    ``cache="auto"`` is ``REPRO_CACHE_DIR``'s store on the broker tier
+    and no store on the local one; a
+    :class:`~repro.distributed.ResultCache` or a path is used on both
+    tiers, and None disables caching.  ``retry`` governs transport
+    retries against the broker, and ``fallback="local"`` finishes on the
+    local pool whatever shards an unreachable broker left undone; both
+    default to :func:`repro.resilience.configure`.  Results come back in
+    task order, bit-identical on every tier.
+    """
+    tasks = list(tasks)
+    if not tasks:
+        return []
+    workers = default_workers() if workers is None else int(workers)
+    results: list = [None] * len(tasks)
+    store = None
+    if endpoint is not None or cache != "auto":
+        from ..distributed.cache import resolve_cache
+
+        store = resolve_cache(cache)
+    if store is not None or endpoint is not None:
+        # The wire encoding is both the broker's payload and the content
+        # address; a plain local run never computes it.
+        from ..distributed import client
+
+        encoded, keys, results = client.cache_lookup(tasks, store)
+    missing = [i for i, result in enumerate(results) if result is None]
+    if endpoint is not None and missing:
+        from ..resilience import resolve_fallback, resolve_retry
+
+        policy = resolve_retry(retry)
+        fallback_mode = resolve_fallback(fallback)
+
+        def deliver(index: int, result, payload: dict) -> None:
+            results[index] = result
+            if store is not None:
+                store.put(keys[index], payload)
+
+        try:
+            client.run_on_broker(
+                {i: encoded[i] for i in missing}, endpoint, policy, deliver
+            )
+        except client.BrokerUnavailable as exc:
+            if fallback_mode != "local":
+                raise
+            tel = get_telemetry()
+            tel.count("client.fallbacks")
+            if tel.enabled:
+                tel.event(
+                    "client.fallback",
+                    endpoint=str(endpoint),
+                    mode="local",
+                    cause=str(exc),
+                )
+        missing = [i for i in missing if results[i] is None]
+    if missing:
+        with _graph_in_shared_memory(
+            [tasks[i] for i in missing], workers
+        ) as local:
+            fresh = execute_shards(local, workers)
+        for index, result in zip(missing, fresh):
+            results[index] = result
+            if store is not None:
+                store.put(keys[index], result)
+    return results
 
 
 def _pad_trajectories(parts: list[np.ndarray], width: int) -> np.ndarray:
@@ -451,15 +531,11 @@ def run_sharded(
     track_hits: bool = False,
     record_sizes: bool = False,
     record_visited: bool = False,
-    budget_bytes: int = DEFAULT_SHARD_STATE_BUDGET_BYTES,
     max_shard: int = DEFAULT_MAX_SHARD,
-    mp_context: str | None = None,
-    schedule: str = "static",
     endpoint: str | None = None,
     cache="auto",
     backend: str | None = None,
     retry="default",
-    checkpoint="default",
     fallback="default",
 ):
     """Shard one engine invocation's R axis across worker processes.
@@ -467,32 +543,13 @@ def run_sharded(
     ``state`` is the full rule-specific initial state (one row per
     run); it is split into :func:`plan_shards` row blocks, each driven
     by a generator spawned from ``seed`` (anything
-    :func:`repro.stats.rng.seed_sequence_from` accepts).  Static
-    topologies are exported to shared memory for the parallel case —
-    created, closed and unlinked here, so callers manage nothing.
-    Returns a merged :class:`~repro.engine.SpreadResult`; results are
-    identical for every ``workers`` value (an ``R = 0`` state merges
-    into a well-formed empty result).  ``schedule`` selects the pool
-    dispatch discipline (see :func:`execute_shards`).
-
-    With ``endpoint`` set (a broker's ``host:port``) the same tasks —
-    same plan, same spawned seeds — go through
-    :func:`repro.distributed.execute_shards_remote` instead of a local
-    pool: the topology ships by value over the versioned wire format
-    (no shared memory), results are content-address cached per
-    ``cache``, and the merged output stays bit-for-bit identical to
-    every local execution mode.
-
-    ``retry``, ``checkpoint`` and ``fallback`` are the resilience knobs
-    (see :mod:`repro.resilience`): ``retry`` governs transport retries
-    on the broker path, ``checkpoint`` names a manifest that makes the
-    run resumable (local *and* remote — completed shards are served
-    from the content-addressed cache on re-invocation), and
-    ``fallback="local"`` completes an ``endpoint=`` run in-process when
-    the broker is unreachable, bit-identically.  All three default to
-    the process-wide :func:`repro.resilience.configure` settings, which
-    default to no checkpoint, no fallback, and a small capped
-    exponential-backoff retry.
+    :func:`repro.stats.rng.seed_sequence_from` accepts), and the shard
+    tasks run through :func:`execute_cached`: on the local pool, or on
+    the broker at ``endpoint`` (``host:port``), with ``cache``,
+    ``retry`` and ``fallback`` as documented there.  Returns a merged
+    :class:`~repro.engine.SpreadResult`, bit-for-bit identical for every
+    ``workers`` value and on both tiers (an ``R = 0`` state merges into
+    a well-formed empty result).
 
     ``backend`` is the kernel-backend request (see
     :mod:`repro.kernels.dispatch`); it is resolved here against the
@@ -503,7 +560,7 @@ def run_sharded(
     Bit-packed rules (flooding) fold all runs into shared byte planes,
     so their state cannot be row-sharded; they are rejected.
     """
-    from ..engine.engine import StaticTopology, as_topology
+    from ..engine.engine import as_topology
     from ..kernels.dispatch import requested_backend
 
     backend = requested_backend(backend)
@@ -524,9 +581,7 @@ def run_sharded(
             record_sizes=record_sizes,
             record_visited=record_visited,
         )
-    shard_sizes = plan_shards(
-        rule, runs, topo.n, budget_bytes=budget_bytes, max_shard=max_shard
-    )
+    shard_sizes = plan_shards(rule, runs, topo.n, max_shard=max_shard)
     master = seed_sequence_from(seed)
     seeds = spawn_seeds(master, len(shard_sizes))
     workers = default_workers() if workers is None else int(workers)
@@ -564,25 +619,6 @@ def run_sharded(
         scope.callback(tel.install_context, prev_ctx)
         scope.enter_context(span)
     with scope:
-        checkpoint_path = None
-        if endpoint is None:
-            from ..resilience import resolve_checkpoint
-
-            checkpoint_path = resolve_checkpoint(checkpoint)
-        shared: SharedGraph | None = None
-        ship: object = topo
-        # Checkpointed local runs content-address their tasks through
-        # the wire encoding, which a process-local SharedGraph handle
-        # cannot cross: ship by value instead (same keys as the
-        # distributed tier, so a resume can switch tiers freely).
-        if (
-            endpoint is None
-            and checkpoint_path is None
-            and workers > 1
-            and isinstance(topo, StaticTopology)
-        ):
-            shared = topo.base.to_shared()
-            ship = shared
         # Observing topologies (adaptive adversaries) accumulate a per-run
         # observation log, so one instance cannot serve several engine
         # invocations: every shard gets its own pristine replay.  Oblivious
@@ -591,59 +627,30 @@ def run_sharded(
         per_shard_topo = (
             fresh if getattr(topo, "observes_process", False) and fresh else None
         )
-        try:
-            bounds = np.concatenate([[0], np.cumsum(shard_sizes)])
-            tasks = [
-                ShardTask(
-                    rule=rule,
-                    topology=ship if per_shard_topo is None else per_shard_topo(),
-                    completion=completion,
-                    state=state[lo:hi],
-                    seed=s,
-                    max_rounds=max_rounds,
-                    track_hits=track_hits,
-                    record_sizes=record_sizes,
-                    record_visited=record_visited,
-                    backend=backend,
-                )
-                for lo, hi, s in zip(bounds[:-1], bounds[1:], seeds)
-            ]
-            if endpoint is not None:
-                from ..distributed.client import execute_shards_resilient
-
-                results = execute_shards_resilient(
-                    tasks,
-                    endpoint,
-                    workers=workers,
-                    cache=cache,
-                    retry=retry,
-                    checkpoint=checkpoint,
-                    fallback=fallback,
-                    mp_context=mp_context,
-                    schedule=schedule,
-                )
-            else:
-                if checkpoint_path is not None:
-                    from ..resilience import execute_shards_checkpointed
-
-                    results = execute_shards_checkpointed(
-                        tasks,
-                        workers=workers,
-                        cache=cache,
-                        checkpoint=checkpoint_path,
-                        mp_context=mp_context,
-                    )
-                else:
-                    results = execute_shards(
-                        tasks, workers, mp_context=mp_context, schedule=schedule
-                    )
-        finally:
-            if shared is not None:
-                # Unlink first: through the still-open creator handle it
-                # also drops the resource-tracker registration on every
-                # Python version (see SharedGraph.unlink).
-                shared.unlink()
-                shared.close()
+        bounds = np.concatenate([[0], np.cumsum(shard_sizes)])
+        tasks = [
+            ShardTask(
+                rule=rule,
+                topology=topo if per_shard_topo is None else per_shard_topo(),
+                completion=completion,
+                state=state[lo:hi],
+                seed=s,
+                max_rounds=max_rounds,
+                track_hits=track_hits,
+                record_sizes=record_sizes,
+                record_visited=record_visited,
+                backend=backend,
+            )
+            for lo, hi, s in zip(bounds[:-1], bounds[1:], seeds)
+        ]
+        results = execute_cached(
+            tasks,
+            workers,
+            endpoint=endpoint,
+            cache=cache,
+            retry=retry,
+            fallback=fallback,
+        )
         merged = merge_shard_results(results)
         if span is not None:
             skew = (merged.meta or {}).get("skew")

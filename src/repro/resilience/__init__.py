@@ -1,6 +1,6 @@
 """repro.resilience — chaos engineering and recovery for the distributed tier.
 
-Four pieces, layered under :mod:`repro.distributed`:
+Three pieces, layered under :mod:`repro.distributed`:
 
 * :mod:`~repro.resilience.faults` — a deterministic, seed-driven
   :class:`FaultPlan` (frame drop/corrupt/duplicate/delay, worker kill,
@@ -11,26 +11,26 @@ Four pieces, layered under :mod:`repro.distributed`:
   exponential backoff with deterministic seeded jitter, error-class
   filters, a sleep budget) plus a per-endpoint :class:`CircuitBreaker`
   that fail-fasts once a broker is plainly dead;
-* :mod:`~repro.resilience.checkpoint` — atomic job manifests over the
-  content-addressed result cache, so interrupted runs resume without
-  recomputing completed shards;
 * :mod:`~repro.resilience.chaos` — the seeded fault-matrix harness
   behind ``repro chaos``, asserting bit-identity between every faulted
   run and the fault-free reference.
 
+Resuming needs no piece of its own: every finished shard is stored in
+the content-addressed result cache as it arrives, so a rerun serves it
+from there (see :func:`repro.parallel.execute_cached`).
+
 Module-level :func:`configure` installs process defaults (retry policy,
-fallback mode, checkpoint path) that ``endpoint=`` entry points pick up
-when their keyword arguments are left at the sentinel defaults — this
-is how the CLI's ``--retry-*``/``--fallback``/``--checkpoint`` flags
-reach :func:`repro.distributed.execute_shards_remote` without threading
-every knob through every signature.
+fallback mode) that ``endpoint=`` entry points pick up when their
+keyword arguments are left at the sentinel defaults — this is how the
+CLI's ``--retry-*``/``--fallback`` flags reach
+:func:`repro.parallel.execute_cached` without threading every knob
+through every signature.
 """
 
 from __future__ import annotations
 
 import os
 
-from .checkpoint import JobCheckpoint, execute_shards_checkpointed
 from .faults import (
     FAULT_PLAN_ENV_VAR,
     FaultPlan,
@@ -69,12 +69,9 @@ __all__ = [
     "breaker_for",
     "breaker_states",
     "reset_breakers",
-    "JobCheckpoint",
-    "execute_shards_checkpointed",
     "configure",
     "resolve_retry",
     "resolve_fallback",
-    "resolve_checkpoint",
     "FALLBACK_ENV_VAR",
 ]
 
@@ -84,24 +81,21 @@ __all__ = [
 FALLBACK_ENV_VAR = "REPRO_FALLBACK"
 
 _DEFAULT_RETRY = RetryPolicy()
-_DEFAULTS: dict = {"retry": None, "fallback": None, "checkpoint": None}
+_DEFAULTS: dict = {"retry": None, "fallback": None}
 _UNSET = object()
 
 
-def configure(*, retry=_UNSET, fallback=_UNSET, checkpoint=_UNSET) -> None:
+def configure(*, retry=_UNSET, fallback=_UNSET) -> None:
     """Install process-wide resilience defaults for ``endpoint=`` callers.
 
     Any argument left unset keeps its current value; pass ``None`` to
     reset one to the built-in default.  ``retry`` is a
-    :class:`RetryPolicy`, ``fallback`` is ``"local"``/``"none"``/None,
-    ``checkpoint`` is a manifest path.
+    :class:`RetryPolicy`, ``fallback`` is ``"local"``/``"none"``/None.
     """
     if retry is not _UNSET:
         _DEFAULTS["retry"] = retry
     if fallback is not _UNSET:
         _DEFAULTS["fallback"] = fallback
-    if checkpoint is not _UNSET:
-        _DEFAULTS["checkpoint"] = checkpoint
 
 
 def resolve_retry(spec) -> RetryPolicy:
@@ -137,14 +131,3 @@ def resolve_fallback(spec) -> str | None:
     if spec == "local":
         return "local"
     raise ValueError(f"unknown fallback mode {spec!r}: expected 'local' or 'none'")
-
-
-def resolve_checkpoint(spec):
-    """Coerce a checkpoint spec into a manifest path (or None).
-
-    ``"default"`` consults :func:`configure`; ``None`` disables
-    checkpointing; anything else is used as the manifest path.
-    """
-    if spec == "default":
-        spec = _DEFAULTS["checkpoint"]
-    return spec

@@ -12,9 +12,9 @@ plan must not perturb them at all.
 
 ``--smoke`` (:func:`run_chaos_smoke`) is the CI leg: two distributed
 fault cases plus the two recovery drills — dead-broker fallback to
-local execution, and a client killed mid-job resuming from its
-checkpoint manifest without recomputing completed shards (verified via
-the ``client.cache.hits`` counter).
+local execution, and a client killed mid-job resuming from the result
+cache without recomputing the shards it had stored (verified via the
+``client.cache.hits`` counter).
 
 Everything is driven by one seed: the workload seed, the fault plans
 and the retry jitter all derive from it, so a failing cell replays
@@ -203,7 +203,6 @@ def chaos_case(fault: str, seed: int = 0) -> dict:
                     max_shard=_MAX_SHARD,
                     cache=None,
                     retry=_FAST_RETRY,
-                    checkpoint=None,
                     fallback="none",
                 )
             report["distributed"] = _identical(got, reference)
@@ -272,22 +271,21 @@ def fallback_drill(seed: int = 0) -> dict:
             "fallbacks": fallbacks}
 
 
-def checkpoint_drill(seed: int = 0) -> dict:
-    """Kill the client mid-job; resume from the manifest without rework.
+def cache_resume_drill(seed: int = 0) -> dict:
+    """Kill the client mid-job; resume from the result cache without rework.
 
     Phase one runs distributed with ``crash_client_after_done=2``
     installed, so the driver aborts (``InjectedCrash``) once two shard
-    results are checkpointed.  Phase two resumes *locally* from the
-    same manifest and cache — no broker needed — and must (a) serve the
-    checkpointed shards from cache (``client.cache.hits`` grows) and
-    (b) finish bit-identical to the reference.
+    results are stored.  Phase two resumes *locally* from the same
+    cache — no broker needed — and must (a) serve the stored shards
+    from cache (``client.cache.hits`` grows) and (b) finish
+    bit-identical to the reference.
     """
     engine, state = _cell(seed)
     reference = _reference(engine, state, seed)
     tel = get_telemetry()
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         store = ResultCache(Path(tmp) / "cache", max_bytes=None)
-        manifest = str(Path(tmp) / "job.ckpt.json")
         crash_plan = FaultPlan(seed=seed, crash_client_after_done=2)
         crashed = False
         reset_breakers()
@@ -304,7 +302,6 @@ def checkpoint_drill(seed: int = 0) -> dict:
                             max_shard=_MAX_SHARD,
                             cache=store,
                             retry=_FAST_RETRY,
-                            checkpoint=manifest,
                             fallback="none",
                         )
                     except InjectedCrash:
@@ -320,7 +317,6 @@ def checkpoint_drill(seed: int = 0) -> dict:
             track_hits=True,
             max_shard=_MAX_SHARD,
             cache=store,
-            checkpoint=manifest,
         )
         resumed = tel.counters().get("client.cache.hits", 0) - hits_before
     return {
@@ -348,11 +344,11 @@ def run_chaos_smoke(seed: int = 0, emit=None) -> dict:
         emit(f"chaos fallback-local       "
              f"{'ok' if cases['fallback-local']['ok'] else 'FAIL'}  "
              f"{cases['fallback-local']}")
-    cases["checkpoint-resume"] = checkpoint_drill(seed=seed)
+    cases["cache-resume"] = cache_resume_drill(seed=seed)
     if emit is not None:
-        emit(f"chaos checkpoint-resume    "
-             f"{'ok' if cases['checkpoint-resume']['ok'] else 'FAIL'}  "
-             f"{cases['checkpoint-resume']}")
+        emit(f"chaos cache-resume         "
+             f"{'ok' if cases['cache-resume']['ok'] else 'FAIL'}  "
+             f"{cases['cache-resume']}")
     ok = all(
         all(v for k, v in c.items() if isinstance(v, bool)) and c.get("ok", True)
         for c in cases.values()

@@ -58,7 +58,7 @@ class InjectedCrash(RuntimeError):
 
     Deliberately *not* a :class:`ConnectionError`: retry policies must
     not swallow it.  The chaos harness uses it to simulate a client
-    killed mid-job so checkpoint resume can be exercised
+    killed mid-job so resuming from the cache can be exercised
     deterministically.
     """
 
@@ -128,7 +128,7 @@ class FaultPlan:
     ``stall_heartbeats`` suppresses heartbeat sends.  ``refuse_connections``
     rejects dial attempts.  ``crash_client_after_done`` aborts the
     client (raises :class:`InjectedCrash`) once that many shards have
-    been checkpointed — it fires at most once.
+    been stored — it fires at most once.
     """
 
     seed: int = 0
@@ -229,7 +229,7 @@ class FaultPlan:
         return k is not None and leases >= k
 
     def crash_client(self, done: int) -> bool:
-        """True (once) when the client has checkpointed *done* shards."""
+        """True (once) when the client has stored *done* shard results."""
         k = self.crash_client_after_done
         if k is None or done < k:
             return False

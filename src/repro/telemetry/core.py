@@ -38,6 +38,7 @@ import math
 import os
 import threading
 import time
+from collections import deque
 
 from .sinks import NULL_SINK, JsonlSink
 
@@ -53,6 +54,7 @@ __all__ = [
     "configure_from_env",
     "TELEMETRY_ENV_VAR",
     "TELEMETRY_SAMPLE_ENV_VAR",
+    "HISTOGRAM_WINDOW",
 ]
 
 #: Environment variable naming the JSONL trace path (CLI ``--telemetry``
@@ -61,6 +63,10 @@ TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
 
 #: Environment variable setting the per-round event sampling stride.
 TELEMETRY_SAMPLE_ENV_VAR = "REPRO_TELEMETRY_SAMPLE"
+
+#: Observations a histogram keeps (the most recent ones), so a
+#: long-lived traced process holds constant memory per histogram.
+HISTOGRAM_WINDOW = 4096
 
 
 def _canonical_part(part):
@@ -227,7 +233,8 @@ class Telemetry:
 
     Counters and histograms aggregate in memory on every call — they
     are cheap and rare (per round or per shard, never per vertex) and
-    feed :meth:`snapshot` even without a sink.  *Records* (the JSONL
+    feed :meth:`snapshot` even without a sink.  A histogram summarises
+    its last :data:`HISTOGRAM_WINDOW` observations.  *Records* (the JSONL
     stream) are only produced when a real sink is configured; hot
     paths should guard bulk instrumentation with :attr:`enabled`.
 
@@ -240,7 +247,7 @@ class Telemetry:
         self.sink = NULL_SINK if sink is None else sink
         self.sample_every = max(1, int(sample_every))
         self._counters: dict[str, float] = {}
-        self._histograms: dict[str, list[float]] = {}
+        self._histograms: dict[str, deque[float]] = {}
         self._gauges: dict[tuple[str, tuple[tuple[str, str], ...]], float] = {}
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -402,7 +409,10 @@ class Telemetry:
         """Add one observation to a histogram (and record it if enabled)."""
         value = float(value)
         with self._lock:
-            self._histograms.setdefault(name, []).append(value)
+            window = self._histograms.get(name)
+            if window is None:
+                window = self._histograms[name] = deque(maxlen=HISTOGRAM_WINDOW)
+            window.append(value)
         self._record(
             "histogram", name, span=self.current_span_id(), value=value
         )

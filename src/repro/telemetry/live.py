@@ -53,6 +53,10 @@ __all__ = [
 #: overrides it; empty/``0``/``off`` disables the server).
 METRICS_PORT_ENV_VAR = "REPRO_METRICS_PORT"
 
+# How often the serving thread checks for a shutdown request, in
+# seconds: stop() waits up to this long (http.server's default is 0.5).
+_SHUTDOWN_POLL_S = 0.02
+
 _NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
 _SAMPLE_RE = re.compile(
     r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})?\s+(\S+)$"
@@ -364,6 +368,7 @@ class MetricsServer:
         self._server = server
         self._thread = threading.Thread(
             target=server.serve_forever,
+            kwargs={"poll_interval": _SHUTDOWN_POLL_S},
             name=f"repro-metrics-{self.port}",
             daemon=True,
         )

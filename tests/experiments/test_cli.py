@@ -1,5 +1,7 @@
 """CLI tests."""
 
+import socket
+
 import pytest
 
 from repro.cli import _graph_from_spec, build_parser, main
@@ -126,6 +128,60 @@ class TestDynamicsCommand:
     def test_bad_rate_rejected(self):
         with pytest.raises(SystemExit):
             main(["dynamics", "--rate", "1.5", "--runs", "2"])
+
+
+def _dead_endpoint() -> str:
+    """A localhost port with nothing listening on it."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"127.0.0.1:{sock.getsockname()[1]}"
+
+
+def _statistics(out: str) -> list[str]:
+    """The mean and 95th-percentile lines of a sampling command's output."""
+    return [
+        line
+        for line in out.splitlines()
+        if line.strip().startswith(("mean ", "95th percentile"))
+    ]
+
+
+class TestResilienceFlags:
+    """--fallback local against a dead broker equals the local run."""
+
+    @pytest.fixture(autouse=True)
+    def _isolated(self, tmp_path, monkeypatch):
+        from repro import resilience
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        resilience.reset_breakers()
+        yield
+        resilience.configure(retry=None, fallback=None)
+        resilience.reset_breakers()
+
+    def test_cover_falls_back_to_local(self, capsys):
+        argv = ["cover", "rreg-4-64", "--runs", "40", "--seed", "3"]
+        assert main(argv + ["--workers", "1"]) == 0
+        local = _statistics(capsys.readouterr().out)
+        assert main(
+            argv + ["--endpoint", _dead_endpoint(), "--fallback", "local",
+                    "--retry-attempts", "1"]
+        ) == 0
+        fallen_back = _statistics(capsys.readouterr().out)
+        assert len(local) == 2
+        assert fallen_back == local
+
+    def test_dynamics_falls_back_to_local(self, capsys):
+        argv = ["dynamics", "--n", "24", "--runs", "12", "--seed", "5"]
+        assert main(argv + ["--workers", "1"]) == 0
+        local = _statistics(capsys.readouterr().out)
+        assert main(
+            argv + ["--endpoint", _dead_endpoint(), "--fallback", "local",
+                    "--retry-attempts", "1"]
+        ) == 0
+        fallen_back = _statistics(capsys.readouterr().out)
+        assert len(local) == 2
+        assert fallen_back == local
 
 
 class TestReportCommand:

@@ -3,8 +3,8 @@
 This drives the same harness as ``repro chaos``: every fault class runs
 serial/sharded/distributed and must be bit-identical to the fault-free
 reference; a dead broker degrades to local execution; a client killed
-mid-job resumes from its checkpoint without recomputing finished
-shards.
+mid-job resumes from the result cache without recomputing the shards
+it had stored.
 """
 
 import pytest
@@ -12,8 +12,8 @@ import pytest
 from repro.resilience import chaos
 from repro.resilience.chaos import (
     FAULT_CLASSES,
+    cache_resume_drill,
     chaos_case,
-    checkpoint_drill,
     fallback_drill,
     format_report,
 )
@@ -32,10 +32,10 @@ def test_fallback_local_on_dead_broker():
 
 
 def test_killed_client_resumes_from_checkpoint():
-    report = checkpoint_drill(seed=0)
+    report = cache_resume_drill(seed=0)
     assert report["crashed"], "the injected client crash must fire"
     assert report["resumed_from_cache"] >= 2, (
-        "resume must serve checkpointed shards from cache, not recompute"
+        "resume must serve the stored shards from cache, not recompute"
     )
     assert report["ok"]
 
@@ -47,8 +47,8 @@ def test_smoke_report_shape():
         "worker-kill",
         "frame-drop",
         "fallback-local",
-        "checkpoint-resume",
+        "cache-resume",
     }
     text = format_report(report)
     assert "ALL GREEN" in text
-    assert "checkpoint-resume" in text
+    assert "cache-resume" in text

@@ -1,6 +1,7 @@
 """The live plane: exposition render/parse, HTTP server, status panel."""
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -16,6 +17,7 @@ from repro.telemetry import (
     render_prometheus,
     render_status_panel,
 )
+from repro.telemetry.core import HISTOGRAM_WINDOW
 from repro.telemetry.live import (
     METRICS_PORT_ENV_VAR,
     human_bytes,
@@ -54,6 +56,18 @@ class TestRenderPrometheus:
         assert families["wait_seconds_count"][()] == 4.0
         assert families["wait_seconds_sum"][()] == pytest.approx(1.0)
         assert set(families) >= {"wait_seconds_p50", "wait_seconds_p90", "wait_seconds_p99"}
+
+    def test_histograms_keep_the_last_window(self):
+        tel = Telemetry()
+        for value in range(10_000):
+            tel.observe("wait.seconds", value)
+        assert HISTOGRAM_WINDOW == 4096
+        summary = tel.histogram_summary("wait.seconds")
+        assert summary["count"] == 4096
+        assert summary["min"] == 10_000 - 4096
+        families = parse_prometheus(render_prometheus(tel))
+        assert families["wait_seconds_count"][()] == 4096.0
+        assert families["wait_seconds_sum"][()] == sum(range(10_000 - 4096, 10_000))
 
     def test_gauges_with_labels(self):
         tel = Telemetry()
@@ -157,6 +171,12 @@ class TestMetricsServer:
         assert headers["Content-Type"].startswith("text/plain; version=0.0.4")
         families = parse_prometheus(body.decode("utf-8"))
         assert families["client_submits"][()] == 4.0
+
+    def test_stop_is_prompt(self):
+        server = MetricsServer(port=0).start()
+        start = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - start < 0.25
 
     def test_healthz_defaults_ok(self):
         with MetricsServer(port=0) as server:
