@@ -7,9 +7,8 @@ Times COBRA cover sampling five ways:
 * **inert-plan** — identical run with a :class:`FaultPlan` installed
   whose rules target only distributed injection sites, none of which a
   local run reaches: measures the cost of the hook checks themselves;
-* **live-on** — identical run with the live observability plane fully
-  up: a :class:`MetricsServer` serving ``/metrics`` and a
-  :class:`ResourceSampler` ticking in the background, the
+* **live-on** — identical run with the live observability plane up: a
+  :class:`MetricsServer` serving ``/metrics`` in the background, the
   ``--metrics-port`` deployment mode;
 * **cached** — cold run with a result cache (one cache write per
   shard);
@@ -21,7 +20,7 @@ Every invocation appends ``(n, R, mode, seconds)`` rows to
 gates assert (a) bit-identity across every mode and (b) the <5%%
 overhead contracts: with no faults firing, the median inert-plan run
 stays within 5%% of the median bare run, and so does the median
-live-on run (exporter + sampler on vs off).
+live-on run (exporter on vs off).
 
 Run with::
 
@@ -46,7 +45,7 @@ from repro.distributed import ResultCache
 from repro.engine import CobraRule, SpreadEngine
 from repro.graphs import random_regular_graph
 from repro.resilience import FaultPlan, FaultRule, fault_injection
-from repro.telemetry import MetricsServer, ResourceSampler
+from repro.telemetry import MetricsServer
 from repro.telemetry.compare import LIVE_OVERHEAD_MAX, RESILIENCE_OVERHEAD_MAX
 
 N = 4096
@@ -127,10 +126,10 @@ def measure(
     row("inert-plan", inert_s)
     results["inert-plan"] = inert_result.finish_times
 
-    # Steady-state live-plane cost: the server + sampler run across the
-    # timed region (the deployment shape — they live for the process,
-    # not per job), so their one-off start/stop cost is not measured.
-    with MetricsServer(port=0), ResourceSampler():
+    # Steady-state live-plane cost: the server runs across the timed
+    # region (the deployment shape — it lives for the process, not per
+    # job), so its one-off start/stop cost is not measured.
+    with MetricsServer(port=0):
         live_s, live_result = _timed(
             lambda: engine.run_sharded(
                 state, SEED, workers=1, max_shard=max_shard

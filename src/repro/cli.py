@@ -487,9 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="PORT",
-        help="serve /metrics, /healthz and /statusz on this HTTP port and "
-        "sample process resources (0 = ephemeral; also "
-        "REPRO_METRICS_PORT)",
+        help="serve /metrics, /healthz and /statusz on this HTTP port "
+        "(0 = ephemeral; also REPRO_METRICS_PORT)",
     )
 
     worker_p = sub.add_parser(
@@ -516,9 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="PORT",
-        help="serve /metrics, /healthz and /statusz on this HTTP port and "
-        "sample process resources (0 = ephemeral; also "
-        "REPRO_METRICS_PORT)",
+        help="serve /metrics, /healthz and /statusz on this HTTP port "
+        "(0 = ephemeral; also REPRO_METRICS_PORT)",
     )
     worker_p.add_argument(
         "--faults",
@@ -1139,7 +1137,7 @@ def _print_cache_stats() -> None:
 
 def _cmd_broker(args: argparse.Namespace) -> int:
     from .distributed import Broker
-    from .telemetry import ResourceSampler, metrics_port_from_env
+    from .telemetry import metrics_port_from_env
 
     broker = Broker(
         args.host,
@@ -1159,7 +1157,6 @@ def _cmd_broker(args: argparse.Namespace) -> int:
         if metrics_port is not None:
             # Started from the ready callback so the ephemeral-port
             # case can report the bound port next to the task port.
-            live.append(ResourceSampler().start())
             server = b.serve_metrics(metrics_port, host=args.host)
             live.append(server)
             print(f"repro broker metrics on http://{server.address}/metrics")

@@ -45,11 +45,10 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..telemetry import get_telemetry, span_id_from, summarize_values
-from ..telemetry.core import HISTOGRAM_WINDOW
+from ..telemetry import Telemetry, get_telemetry, span_id_from
 from .wire import attach_trace, read_frame, result_envelope_error, write_frame
 
-__all__ = ["ShardLedger", "ShardRecord", "QueueMetrics", "Broker"]
+__all__ = ["ShardLedger", "ShardRecord", "Broker"]
 
 #: Shard states.
 PENDING = "pending"
@@ -57,10 +56,28 @@ LEASED = "leased"
 DONE = "done"
 FAILED = "failed"
 
+#: The lifecycle counters of the ``metrics`` status section; each is the
+#: ``broker.queue.<key>`` counter of the broker's registry.
+_QUEUE_COUNTERS = ("submits", "shards_submitted", "leases", "heartbeats",
+                   "requeues", "completes", "worker_errors", "decode_rejects")
+
+#: Per-worker registry series (labelled ``worker``) and the key each
+#: has in a worker's entry of the ``metrics`` status section.
+_WORKER_SERIES = {
+    "broker.worker.completed": "completed",
+    "broker.worker.busy_seconds": "busy_s",
+    "broker.worker.runs": "runs",
+    "broker.worker.rounds": "rounds",
+    "broker.worker.max_rss_bytes": "max_rss",
+}
+
 
 @dataclass
 class ShardRecord:
-    """One shard's ledger entry (payloads are opaque encoded tasks)."""
+    """One shard's ledger entry (payloads are opaque encoded tasks).
+
+    ``submitted_at``/``leased_at`` time its queue wait and execution.
+    """
 
     shard_id: str
     job_id: str
@@ -73,6 +90,8 @@ class ShardRecord:
     deadline: float | None = None
     result: dict | None = field(default=None, repr=False)
     error: str | None = None
+    submitted_at: float = 0.0
+    leased_at: float | None = None
 
 
 class ShardLedger:
@@ -102,13 +121,13 @@ class ShardLedger:
         self._job_errors: dict[str, str] = {}
 
     # -- submission -----------------------------------------------------
-    def submit(self, job_id: str, tasks: list[tuple[int, dict]]) -> None:
+    def submit(self, job_id: str, tasks: list[tuple[int, dict]], now: float) -> None:
         """Register a job's shards (``(index, payload)`` pairs), FIFO.
 
         Atomic: the whole task list is validated before any state
         mutates, so a rejected submission (duplicate job or duplicate
         index) leaves no orphan shards behind and the job id stays
-        reusable.
+        reusable.  ``now`` stamps each shard's ``submitted_at``.
         """
         if job_id in self._jobs:
             raise ValueError(f"job {job_id!r} already submitted")
@@ -119,7 +138,8 @@ class ShardLedger:
         for index, (_, payload) in zip(indices, tasks):
             shard_id = f"{job_id}:{index}"
             self._shards[shard_id] = ShardRecord(
-                shard_id=shard_id, job_id=job_id, index=index, payload=payload
+                shard_id=shard_id, job_id=job_id, index=index, payload=payload,
+                submitted_at=now,
             )
             self._queue.append(shard_id)
             ids.append(shard_id)
@@ -144,6 +164,7 @@ class ShardLedger:
             record.worker = worker_id
             record.attempts += 1
             record.deadline = now + self.lease_timeout
+            record.leased_at = now
             return record
         return None
 
@@ -257,6 +278,10 @@ class ShardLedger:
                 affected.append(record.job_id)
         return affected
 
+    def record(self, shard_id: str) -> ShardRecord | None:
+        """The ledger entry of ``shard_id`` (None if unknown or dropped)."""
+        return self._shards.get(shard_id)
+
     # -- client side ----------------------------------------------------
     def job_state(self, job_id: str) -> tuple[str, str | None]:
         """Return ``("running"|"done"|"failed"|"unknown", error)``."""
@@ -269,10 +294,6 @@ class ShardLedger:
         if all(self._shards[s].state == DONE for s in shard_ids):
             return "done", None
         return "running", None
-
-    def job_shards(self, job_id: str) -> list[str]:
-        """The shard ids a job was submitted with (empty if unknown)."""
-        return list(self._jobs.get(job_id, ()))
 
     def job_results(self, job_id: str) -> list[tuple[int, dict]]:
         """All ``(index, result)`` pairs of a job, index order.
@@ -319,122 +340,6 @@ class ShardLedger:
         return count, worst
 
 
-class QueueMetrics:
-    """Queue-health aggregation fed by broker transitions.
-
-    The observability sibling of :class:`ShardLedger`: every transition
-    the broker applies is mirrored here with an explicit ``now``
-    timestamp (same unit-testability contract as the ledger — no
-    hidden clock reads).  :meth:`snapshot` renders the state `repro
-    status` reports: lifecycle counters, submit→lease wait and
-    lease→complete execution latency percentiles, and per-worker
-    throughput (fed by the ``stats`` dicts workers attach to their
-    ``complete`` frames).
-
-    Latency samples are kept in bounded windows (``window`` most
-    recent), so a long-lived broker's metrics memory stays constant.
-    """
-
-    def __init__(self, *, window: int = HISTOGRAM_WINDOW) -> None:
-        self.counters = {
-            "submits": 0,
-            "shards_submitted": 0,
-            "leases": 0,
-            "heartbeats": 0,
-            "requeues": 0,
-            "completes": 0,
-            "worker_errors": 0,
-            "decode_rejects": 0,
-        }
-        self.wait_s: deque[float] = deque(maxlen=window)
-        self.exec_s: deque[float] = deque(maxlen=window)
-        self.workers: dict[str, dict] = {}
-        self.started: float | None = None
-        self._submitted_at: dict[str, float] = {}
-        self._leased_at: dict[str, tuple[str, float]] = {}
-
-    def on_submit(self, shard_ids, now: float) -> None:
-        """A job's shards entered the queue."""
-        if self.started is None:
-            self.started = now
-        self.counters["submits"] += 1
-        self.counters["shards_submitted"] += len(shard_ids)
-        for shard_id in shard_ids:
-            self._submitted_at[shard_id] = now
-
-    def on_lease(self, shard_id: str, worker_id: str, now: float) -> float | None:
-        """A shard was handed out; returns its queue wait (if known)."""
-        self.counters["leases"] += 1
-        self._leased_at[shard_id] = (worker_id, now)
-        submitted = self._submitted_at.get(shard_id)
-        if submitted is None:
-            return None
-        wait = now - submitted
-        self.wait_s.append(wait)
-        return wait
-
-    def on_heartbeat(self) -> None:
-        """Count one lease-renewing heartbeat."""
-        self.counters["heartbeats"] += 1
-
-    def on_requeue(self, count: int = 1) -> None:
-        """Count ``count`` shards returned to pending (expiry/disconnect/error)."""
-        self.counters["requeues"] += count
-
-    def on_complete(
-        self, shard_id: str, now: float, stats: dict | None = None
-    ) -> float | None:
-        """A shard finished; returns its execution latency (if known)."""
-        self.counters["completes"] += 1
-        self._submitted_at.pop(shard_id, None)
-        leased = self._leased_at.pop(shard_id, None)
-        if leased is None:
-            return None
-        worker_id, leased_at = leased
-        elapsed = now - leased_at
-        self.exec_s.append(elapsed)
-        worker = self.workers.setdefault(
-            worker_id,
-            {"completed": 0, "busy_s": 0.0, "runs": 0, "rounds": 0, "max_rss": 0},
-        )
-        worker["completed"] += 1
-        worker["busy_s"] += elapsed
-        if stats:
-            worker["runs"] += int(stats.get("runs", 0) or 0)
-            worker["rounds"] += int(stats.get("rounds_run", 0) or 0)
-            rss = stats.get("max_rss")
-            if rss:
-                worker["max_rss"] = max(worker.get("max_rss", 0), int(rss))
-        return elapsed
-
-    def on_worker_error(self) -> None:
-        """Count one worker-reported shard failure."""
-        self.counters["worker_errors"] += 1
-
-    def on_decode_reject(self) -> None:
-        """Count one result frame rejected by envelope validation."""
-        self.counters["decode_rejects"] += 1
-
-    def snapshot(self, now: float) -> dict:
-        """JSON-able metrics for the ``status`` reply."""
-        elapsed = None if self.started is None else max(now - self.started, 1e-9)
-        workers = {}
-        for worker_id, stats in sorted(self.workers.items()):
-            workers[worker_id] = {
-                **stats,
-                "throughput": (
-                    stats["completed"] / elapsed if elapsed else 0.0
-                ),
-            }
-        return {
-            **self.counters,
-            "uptime_s": elapsed,
-            "wait_s": summarize_values(list(self.wait_s)),
-            "exec_s": summarize_values(list(self.exec_s)),
-            "workers": workers,
-        }
-
-
 class Broker:
     """Asyncio TCP broker serving the shard queue on ``host:port``.
 
@@ -448,6 +353,10 @@ class Broker:
     crashed) is reaped ``job_ttl`` seconds after reaching its final
     state, so an abandoned sweep cannot pin its shard payloads and
     results in broker memory forever.
+
+    Queue metrics live in :attr:`telemetry`, the broker's own registry
+    on the process trace sink (so two brokers in one process never mix
+    their counts); ``status``, ``/statusz`` and ``/metrics`` read it.
     """
 
     def __init__(
@@ -465,7 +374,10 @@ class Broker:
         self.ledger = ShardLedger(
             lease_timeout=lease_timeout, max_attempts=max_attempts
         )
-        self.metrics = QueueMetrics()
+        self.telemetry = Telemetry(get_telemetry().sink)
+        for key in _QUEUE_COUNTERS:  # served from the start, zeros included
+            self.telemetry.count(f"broker.queue.{key}", 0)
+        self._started: float | None = None  # first submit; uptime counts from it
         self.sweep_interval = (
             float(sweep_interval)
             if sweep_interval is not None
@@ -650,6 +562,31 @@ class Broker:
         """
         return self._on_loop(self._health_sync)
 
+    def _queue_metrics(self, now: float) -> dict:
+        """The ``metrics`` section of ``status`` and ``/statusz``, off the registry."""
+        tel = self.telemetry
+        counters = tel.counter_series()
+        uptime = None if self._started is None else max(now - self._started, 1e-9)
+        workers: dict[str, dict] = {}
+        for (name, labels), value in {**counters, **tel.gauges()}.items():
+            key = _WORKER_SERIES.get(name)
+            if key is None:
+                continue
+            stats = workers.setdefault(
+                dict(labels)["worker"],
+                {"completed": 0, "busy_s": 0.0, "runs": 0, "rounds": 0, "max_rss": 0},
+            )
+            stats[key] = value if key == "busy_s" else int(value)
+        for stats in workers.values():
+            stats["throughput"] = stats["completed"] / uptime if uptime else 0.0
+        return {
+            **{k: counters[(f"broker.queue.{k}", ())] for k in _QUEUE_COUNTERS},
+            "uptime_s": uptime,
+            "wait_s": tel.histogram_summary("broker.wait.seconds"),
+            "exec_s": tel.histogram_summary("broker.exec.seconds"),
+            "workers": dict(sorted(workers.items())),
+        }
+
     def _status_sync(self) -> dict:
         now = time.monotonic()
         return {
@@ -657,7 +594,7 @@ class Broker:
             "address": self.address,
             "pid": os.getpid(),
             "queue": self.ledger.counts(),
-            "metrics": self.metrics.snapshot(now),
+            "metrics": self._queue_metrics(now),
             "health": self._health_sync(),
         }
 
@@ -665,9 +602,9 @@ class Broker:
         """Thread-safe ``/statusz`` frame: queue, metrics, cache, resources.
 
         The superset of the TCP ``status`` reply: ledger counts and
-        :class:`QueueMetrics` (with per-worker throughput and peak
-        RSS), plus this process's circuit-breaker states, result-cache
-        footprint and resource snapshot.
+        queue metrics (with per-worker throughput and peak RSS), plus
+        this process's circuit-breaker states, result-cache footprint
+        and resource snapshot.
         """
         from ..telemetry.resource import resource_snapshot
         from .client import transport_snapshot
@@ -677,46 +614,28 @@ class Broker:
         status["resources"] = resource_snapshot()
         return status
 
-    def _metrics_extra_sync(self) -> dict:
+    def _metrics_registries_sync(self) -> tuple[Telemetry, Telemetry]:
         now = time.monotonic()
+        state = Telemetry()
         counts = self.ledger.counts()
-        snap = self.metrics.snapshot(now)
+        state.gauge("broker.jobs", counts["jobs"])
+        for shard_state in (PENDING, LEASED, DONE, FAILED):
+            state.gauge(f"broker.shards.{shard_state}", counts[shard_state])
         stale, _ = self.ledger.stale_leases(now, 2.0 * self.sweep_interval)
-        gauges: dict = {
-            "broker.jobs": counts["jobs"],
-            "broker.stale_leases": stale,
-        }
-        for state in (PENDING, LEASED, DONE, FAILED):
-            gauges[f"broker.shards.{state}"] = counts[state]
-        workers = snap.get("workers") or {}
-        if workers:
-            gauges["broker.worker.completed"] = [
-                ({"worker": wid}, s["completed"]) for wid, s in workers.items()
-            ]
-            gauges["broker.worker.throughput"] = [
-                ({"worker": wid}, s["throughput"]) for wid, s in workers.items()
-            ]
-            rss = [
-                ({"worker": wid}, s["max_rss"])
-                for wid, s in workers.items()
-                if s.get("max_rss")
-            ]
-            if rss:
-                gauges["broker.worker.max_rss_bytes"] = rss
-        counters = {
-            f"broker.queue.{key}": value
-            for key, value in self.metrics.counters.items()
-        }
-        histograms = {}
-        if snap.get("wait_s"):
-            histograms["broker.wait.seconds"] = snap["wait_s"]
-        if snap.get("exec_s"):
-            histograms["broker.exec.seconds"] = snap["exec_s"]
-        return {"gauges": gauges, "counters": counters, "histograms": histograms}
+        state.gauge("broker.stale_leases", stale)
+        for worker_id, stats in self._queue_metrics(now)["workers"].items():
+            state.gauge("broker.worker.throughput", stats["throughput"], worker=worker_id)
+        return self.telemetry, state
 
-    def metrics_extra(self) -> dict:
-        """Thread-safe extra ``/metrics`` families: queue depths and workers."""
-        return self._on_loop(self._metrics_extra_sync)
+    def metrics_registries(self) -> tuple[Telemetry, Telemetry]:
+        """Thread-safe: what ``/metrics`` renders beside the process registry.
+
+        :attr:`telemetry`, with the counters and histograms recorded as
+        transitions happened, and a fresh registry with no sink holding
+        queue depths, stale leases and per-worker throughput read from
+        the ledger now, so a scrape writes nothing to the trace.
+        """
+        return self._on_loop(self._metrics_registries_sync)
 
     def serve_metrics(self, port: int, host: str = "127.0.0.1"):
         """Start a :class:`~repro.telemetry.live.MetricsServer` for this broker.
@@ -732,7 +651,7 @@ class Broker:
             port=port,
             status=self.status_snapshot,
             health=self.health,
-            extra=self.metrics_extra,
+            registries=self.metrics_registries,
         )
         return server.start()
 
@@ -748,7 +667,7 @@ class Broker:
         trace = self._job_traces.get(job_id)
         if trace is None:
             return
-        tel = get_telemetry()
+        tel = self.telemetry
         if tel.enabled:
             wall = None if started is None else time.monotonic() - started
             tel.span_finished(
@@ -783,14 +702,27 @@ class Broker:
         self._job_traces.pop(job_id, None)
         self._job_started.pop(job_id, None)
 
+    def _observe_exec(self, worker_id: str, elapsed: float, stats) -> None:
+        """Record a finished shard's execution time and its worker's ``stats``."""
+        tel = self.telemetry
+        stats = stats or {}
+        tel.observe("broker.exec.seconds", elapsed)
+        tel.count("broker.worker.completed", worker=worker_id)
+        tel.count("broker.worker.busy_seconds", elapsed, worker=worker_id)
+        tel.count("broker.worker.runs", int(stats.get("runs", 0) or 0), worker=worker_id)
+        tel.count("broker.worker.rounds", int(stats.get("rounds_run", 0) or 0), worker=worker_id)
+        if stats.get("max_rss"):
+            # Peak RSS never falls, so a worker's latest is its maximum.
+            tel.gauge("broker.worker.max_rss_bytes", int(stats["max_rss"]), worker=worker_id)
+
     async def _sweep_loop(self) -> None:
-        tel = get_telemetry()
+        tel = self.telemetry
         while True:
             await asyncio.sleep(self.sweep_interval)
             now = time.monotonic()
             expired = self.ledger.expire(now)
             if expired:
-                self.metrics.on_requeue(len(expired))
+                tel.count("broker.queue.requeues", len(expired))
                 if tel.enabled:
                     tel.event("broker.requeue", shards=len(expired), cause="expired")
             for job_id in expired:
@@ -846,7 +778,7 @@ class Broker:
             task.add_done_callback(self._handlers.discard)
         self._connections += 1
         worker_id = f"conn-{self._connections}"
-        tel = get_telemetry()
+        tel = self.telemetry
         streams: list[asyncio.Task] = []
         try:
             while True:
@@ -860,9 +792,8 @@ class Broker:
                     if record is None:
                         await write_frame(writer, {"type": "idle"})
                     else:
-                        wait = self.metrics.on_lease(
-                            record.shard_id, worker_id, now
-                        )
+                        tel.count("broker.queue.leases")
+                        tel.observe("broker.wait.seconds", now - record.submitted_at)
                         if tel.enabled:
                             tel.event(
                                 "broker.lease",
@@ -870,8 +801,6 @@ class Broker:
                                 worker=worker_id,
                                 attempt=record.attempts,
                             )
-                            if wait is not None:
-                                tel.observe("broker.wait.seconds", wait)
                         reply = {
                             "type": "task",
                             "shard_id": record.shard_id,
@@ -886,7 +815,7 @@ class Broker:
                         )
                         await write_frame(writer, reply)
                 elif kind == "heartbeat":
-                    self.metrics.on_heartbeat()
+                    tel.count("broker.queue.heartbeats")
                     self.ledger.renew(
                         message.get("shard_id", ""), worker_id, time.monotonic()
                     )
@@ -900,8 +829,8 @@ class Broker:
                         # requeue the shard here (without burning an
                         # attempt — this is a transport/serialiser
                         # fault, not a task fault) and tell the worker.
-                        self.metrics.on_decode_reject()
-                        self.metrics.on_requeue()
+                        tel.count("broker.queue.decode_rejects")
+                        tel.count("broker.queue.requeues")
                         job_id = self.ledger.reject_result(
                             shard_id, worker_id, reason
                         )
@@ -917,23 +846,28 @@ class Broker:
                         )
                         self._notify(job_id)
                         continue
+                    # Only a shard's first result has an execution time;
+                    # a late duplicate is counted but not timed.
+                    record = self.ledger.record(shard_id)
+                    done = record is None or record.state == DONE
+                    leased_at = None if done else record.leased_at
                     job_id = self.ledger.complete(shard_id, message["result"])
-                    elapsed = self.metrics.on_complete(
-                        shard_id, now, message.get("stats")
-                    )
+                    tel.count("broker.queue.completes")
+                    if leased_at is not None:
+                        self._observe_exec(
+                            worker_id, now - leased_at, message.get("stats")
+                        )
                     if tel.enabled:
                         tel.event(
                             "broker.complete",
                             shard=shard_id,
                             worker=worker_id,
                         )
-                        if elapsed is not None:
-                            tel.observe("broker.exec.seconds", elapsed)
                     await write_frame(writer, {"type": "ok"})
                     self._notify(job_id)
                 elif kind == "error":
-                    self.metrics.on_worker_error()
-                    self.metrics.on_requeue()
+                    tel.count("broker.queue.worker_errors")
+                    tel.count("broker.queue.requeues")
                     job_id = self.ledger.fail(
                         message["shard_id"],
                         worker_id,
@@ -951,6 +885,7 @@ class Broker:
                     self._notify(job_id)
                 elif kind == "submit":
                     job_id = message["job_id"]
+                    now = time.monotonic()
                     try:
                         self.ledger.submit(
                             job_id,
@@ -958,22 +893,24 @@ class Broker:
                                 (int(item["index"]), item["task"])
                                 for item in message["tasks"]
                             ],
+                            now,
                         )
                     except (ValueError, KeyError, TypeError) as exc:
                         await write_frame(
                             writer, {"type": "failed", "error": str(exc)}
                         )
                         continue
-                    self.metrics.on_submit(
-                        self.ledger.job_shards(job_id), time.monotonic()
-                    )
+                    if self._started is None:
+                        self._started = now
+                    tel.count("broker.queue.submits")
+                    tel.count("broker.queue.shards_submitted", len(message["tasks"]))
                     trace = message.get("trace")
                     if isinstance(trace, dict) and trace.get("id"):
                         self._job_traces[job_id] = {
                             "id": str(trace["id"]),
                             "parent": trace.get("parent"),
                         }
-                        self._job_started[job_id] = time.monotonic()
+                        self._job_started[job_id] = now
                         if tel.enabled:
                             tel.span_started(
                                 "broker.job",
@@ -1010,7 +947,7 @@ class Broker:
                         {
                             "type": "status",
                             **self.ledger.counts(),
-                            "metrics": self.metrics.snapshot(time.monotonic()),
+                            "metrics": self._queue_metrics(time.monotonic()),
                         },
                     )
                 else:
@@ -1042,7 +979,7 @@ class Broker:
                     await stream
             released = self.ledger.release_worker(worker_id)
             if released:
-                self.metrics.on_requeue(len(released))
+                tel.count("broker.queue.requeues", len(released))
                 if tel.enabled:
                     tel.event(
                         "broker.requeue",

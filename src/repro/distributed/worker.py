@@ -48,7 +48,7 @@ from ..resilience.faults import (
 from ..resilience.retry import RetryError
 from ..telemetry import TraceContext, get_telemetry
 from ..telemetry.live import MetricsServer, metrics_port_from_env
-from ..telemetry.resource import ResourceSampler, resource_snapshot
+from ..telemetry.resource import resource_snapshot
 from .wire import (
     attach_trace,
     decode_task,
@@ -164,10 +164,9 @@ def run_worker(
         spawned worker processes inherit the plan.
     metrics_port:
         Serve ``/metrics``/``/healthz``/``/statusz`` on this port (0 =
-        ephemeral) and run a :class:`~repro.telemetry.ResourceSampler`
-        for the lifetime of the worker.  When None the
+        ephemeral) for the lifetime of the worker.  When None the
         ``REPRO_METRICS_PORT`` environment variable is consulted;
-        unset/off means no HTTP surface and no sampling thread at all.
+        unset/off means no HTTP surface at all.
 
     Returns the number of shards completed (including ones that ended
     in a reported error).  The very first dial failing (no broker ever
@@ -319,7 +318,6 @@ def run_worker(
 
     resolved_port = metrics_port_from_env(metrics_port)
     server = None
-    sampler = None
     if resolved_port is not None:
         from ..resilience.retry import breaker_states
 
@@ -333,12 +331,9 @@ def run_worker(
                 "resources": resource_snapshot(),
             }
 
-        sampler = ResourceSampler().start()
         server = MetricsServer(port=resolved_port, status=_statusz).start()
     try:
         return _session_loop()
     finally:
         if server is not None:
             server.stop()
-        if sampler is not None:
-            sampler.stop()

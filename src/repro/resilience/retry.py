@@ -30,7 +30,8 @@ __all__ = [
 ]
 
 #: Gauge encoding of breaker states on ``/metrics``
-#: (``retry.breaker.state``): closed=0, half-open=1, open=2.
+#: (``retry.breaker.state``, read at scrape time): closed=0,
+#: half-open=1, open=2.
 BREAKER_STATE_VALUES = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
 
 
@@ -179,39 +180,28 @@ class CircuitBreaker:
             self._probing = True
             return True
 
-    def _publish_state(self, value: float) -> None:
-        """Publish the state gauge the ``/metrics`` exporter scrapes."""
-        get_telemetry().gauge("retry.breaker.state", value, key=self.key)
-
     def record_success(self) -> None:
         """Note a successful call: closes the breaker."""
         with self._lock:
             self._failures = 0
             self._opened_at = None
             self._probing = False
-        self._publish_state(BREAKER_STATE_VALUES["closed"])
 
     def record_failure(self) -> None:
         """Note a failed call; trips the breaker at the threshold."""
-        tel = get_telemetry()
         with self._lock:
             self._probing = False
+            tripped = False
             if self._opened_at is not None:
                 # Failed probe: restart the cooldown window.
                 self._opened_at = self._clock()
-                reopened = True
-                tripped = False
             else:
-                reopened = False
                 self._failures += 1
                 if self._failures >= self.failure_threshold:
                     self._opened_at = self._clock()
                     tripped = True
-                else:
-                    tripped = False
-        if tripped or reopened:
-            self._publish_state(BREAKER_STATE_VALUES["open"])
         if tripped:
+            tel = get_telemetry()
             tel.count("retry.breaker_trips")
             if tel.enabled:
                 tel.event("retry.breaker_open", key=self.key)

@@ -3,8 +3,9 @@
 A zero-dependency observation layer: the engine, the sharded runner,
 and the distributed broker/worker/client all report what they are
 doing — per-round progress, per-shard timings, queue lifecycle events,
-cache hits — through one process-local :class:`Telemetry` registry
-with pluggable sinks.  Tracing is off by default (the null sink: one
+cache hits — through a :class:`Telemetry` registry with pluggable
+sinks: the process-local one, plus one per broker for its queue
+metrics.  Tracing is off by default (the null sink: one
 branch per instrumented site) and never perturbs results: enabling it
 leaves every engine, sharded, and distributed output bit-identical.
 
@@ -62,7 +63,7 @@ from .live import (
     render_prometheus,
     render_status_panel,
 )
-from .resource import ResourceSampler, max_rss_bytes, resource_snapshot
+from .resource import max_rss_bytes, resource_snapshot
 from .sinks import NULL_SINK, JsonlSink, MemorySink, NullSink, load_jsonl
 from .summarize import (
     SpanNode,
@@ -98,7 +99,6 @@ __all__ = [
     "fetch_statusz",
     "render_status_panel",
     # resource profiling
-    "ResourceSampler",
     "resource_snapshot",
     "max_rss_bytes",
     # sinks

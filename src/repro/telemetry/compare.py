@@ -73,8 +73,8 @@ KERNEL_SPEEDUP_FLOOR = 10.0
 KERNEL_GATE_N = 100_000
 #: An inert resilience plan may cost at most this fraction of runtime.
 RESILIENCE_OVERHEAD_MAX = 0.05
-#: A running metrics exporter + resource sampler may cost at most this
-#: fraction of runtime over the same run with the live plane off.
+#: A running metrics exporter may cost at most this fraction of runtime
+#: over the same run with the live plane off.
 LIVE_OVERHEAD_MAX = 0.05
 
 #: Substrings marking a counter whose *increase* is a regression.

@@ -246,7 +246,7 @@ class Telemetry:
     def __init__(self, sink=None, *, sample_every: int = 1) -> None:
         self.sink = NULL_SINK if sink is None else sink
         self.sample_every = max(1, int(sample_every))
-        self._counters: dict[str, float] = {}
+        self._counters: dict[tuple[str, tuple[tuple[str, str], ...]], float] = {}
         self._histograms: dict[str, deque[float]] = {}
         self._gauges: dict[tuple[str, tuple[tuple[str, str], ...]], float] = {}
         self._local = threading.local()
@@ -390,19 +390,22 @@ class Telemetry:
         """Emit one point-in-time record under the current span."""
         self._record("point", name, span=self.current_span_id(), fields=fields)
 
-    def count(self, name: str, value: float = 1) -> float:
+    def count(self, name: str, value: float = 1, **labels) -> float:
         """Bump a monotonic counter; returns the new total.
 
         Aggregates even when disabled (so ``repro status`` and job
         summaries can report cache hit/miss counts without a sink);
-        emits a ``counter`` record only when enabled.
+        emits a ``counter`` record only when enabled.  ``labels``
+        distinguish series of the same name, as for :meth:`gauge`.
         """
+        key = (name, _label_items(labels))
         with self._lock:
-            total = self._counters.get(name, 0) + value
-            self._counters[name] = total
-        self._record(
-            "counter", name, span=self.current_span_id(), value=value, total=total
-        )
+            total = self._counters.get(key, 0) + value
+            self._counters[key] = total
+        extra = {"span": self.current_span_id(), "value": value, "total": total}
+        if labels:
+            extra["labels"] = dict(key[1])
+        self._record("counter", name, **extra)
         return total
 
     def observe(self, name: str, value: float) -> None:
@@ -427,17 +430,24 @@ class Telemetry:
         when a sink is configured.
         """
         value = float(value)
-        label_items = tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+        label_items = _label_items(labels)
         with self._lock:
             self._gauges[(name, label_items)] = value
         extra = {"span": self.current_span_id(), "value": value}
         if labels:
-            extra["labels"] = {str(k): str(v) for k, v in labels.items()}
+            extra["labels"] = dict(label_items)
         self._record("gauge", name, **extra)
 
     # -- aggregation ----------------------------------------------------
     def counters(self) -> dict[str, float]:
-        """A copy of the counter totals."""
+        """A copy of the counter totals, keyed ``name`` or ``name{k=v,...}``."""
+        return {
+            format_gauge_key(name, labels): value
+            for (name, labels), value in self.counter_series().items()
+        }
+
+    def counter_series(self) -> dict[tuple[str, tuple[tuple[str, str], ...]], float]:
+        """A copy of the counter table, keyed ``(name, sorted label items)``."""
         with self._lock:
             return dict(self._counters)
 
@@ -454,8 +464,8 @@ class Telemetry:
 
     def snapshot(self) -> dict:
         """Counters, gauges and histogram summaries (JSON-able)."""
+        counters = self.counters()
         with self._lock:
-            counters = dict(self._counters)
             gauges = dict(self._gauges)
             histograms = {k: list(v) for k, v in self._histograms.items()}
         return {
@@ -482,8 +492,13 @@ class Telemetry:
         self.sink.flush()
 
 
+def _label_items(labels: dict) -> tuple[tuple[str, str], ...]:
+    """A label mapping as sorted ``(key, value)`` string pairs."""
+    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
 def format_gauge_key(name: str, labels: tuple[tuple[str, str], ...]) -> str:
-    """A human/JSON-friendly gauge key: ``name`` or ``name{k=v,...}``."""
+    """A human/JSON-friendly series key: ``name`` or ``name{k=v,...}``."""
     if not labels:
         return name
     rendered = ",".join(f"{k}={v}" for k, v in labels)

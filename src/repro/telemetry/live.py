@@ -2,10 +2,10 @@
 
 Three layers, all stdlib-only:
 
-* **Exposition** — :func:`render_prometheus` maps the process
-  telemetry registry (counters, gauges, histogram summaries) plus
-  caller-supplied extras to Prometheus text format 0.0.4: dotted names
-  normalised to underscores, histogram percentiles exported as
+* **Exposition** — :func:`render_prometheus` maps telemetry
+  registries (counters and gauges, labelled or not, and histogram
+  summaries) to Prometheus text format 0.0.4: dotted names normalised
+  to underscores, histogram percentiles exported as
   ``_p50``/``_p90``/``_p99`` gauges alongside ``_count``/``_sum``.
   :func:`parse_prometheus` is the strict round-trip parser the tests
   and CI scrape leg validate with.
@@ -13,7 +13,11 @@ Three layers, all stdlib-only:
   ``http.server`` thread (``--metrics-port`` / ``REPRO_METRICS_PORT``)
   exposing ``/metrics`` (exposition text), ``/healthz`` (JSON
   liveness, 503 when degraded) and ``/statusz`` (one JSON frame of
-  queue/worker/cache/breaker/resource state).
+  queue/worker/cache/breaker/resource state).  Values that are state
+  rather than events (circuit-breaker states, resource usage, a
+  broker's queue depths) are read into a fresh registry with no sink
+  when ``/metrics`` is scraped, so no thread runs between scrapes and
+  scraping never writes to a trace.
 * **Rendering** — :func:`render_status_panel` formats one ``/statusz``
   frame as a terminal panel with the shared
   :func:`~repro.telemetry.summarize.histogram_bar` /
@@ -33,7 +37,7 @@ import threading
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .core import get_telemetry
+from .core import Telemetry, get_telemetry
 from .summarize import fill_bar, histogram_bar
 
 __all__ = [
@@ -76,14 +80,12 @@ def normalise_metric_name(name: str) -> str:
     return name
 
 
-def _render_labels(labels) -> str:
-    """Render a label mapping/item-tuple as ``{k="v",...}`` (or '')."""
+def _render_labels(labels: tuple) -> str:
+    """Render sorted ``(key, value)`` label items as ``{k="v",...}`` (or '')."""
     if not labels:
         return ""
-    items = labels.items() if isinstance(labels, dict) else labels
     body = ",".join(
-        f'{normalise_metric_name(str(k))}="{_escape_label(str(v))}"'
-        for k, v in sorted((str(k), str(v)) for k, v in items)
+        f'{normalise_metric_name(k)}="{_escape_label(v)}"' for k, v in labels
     )
     return "{" + body + "}"
 
@@ -99,58 +101,46 @@ def _format_value(value) -> str:
     return repr(value)
 
 
-def _gauge_series(gauges) -> dict[str, list[tuple[tuple, float]]]:
-    """Group registry gauges ``{(name, label_items): v}`` by name."""
+def _series_by_name(table) -> list[tuple[str, list[tuple[tuple, float]]]]:
+    """Group a registry table ``{(name, label_items): v}`` by name, sorted."""
     series: dict[str, list[tuple[tuple, float]]] = {}
-    for (name, labels), value in gauges.items():
+    for (name, labels), value in table.items():
         series.setdefault(name, []).append((tuple(labels), float(value)))
-    return series
+    return [(name, sorted(series[name])) for name in sorted(series)]
 
 
-def render_prometheus(telemetry=None, *, extra=None) -> str:
-    """Render the registry (plus ``extra``) as Prometheus text 0.0.4.
+def render_prometheus(*registries) -> str:
+    """Render telemetry registries as Prometheus text 0.0.4.
 
-    ``extra`` optionally supplies role-specific families the registry
-    does not hold (the broker's queue depths, for instance) as
-    ``{"counters": {name: value}, "gauges": {name: value |
-    [(labels, value), ...]}, "histograms": {name: summary}}``; on a
-    name collision the extra entry wins.  Histogram summaries (the
-    shape of :func:`~repro.telemetry.core.summarize_values`) become
+    With no argument the process registry is rendered.  Several
+    registries (the process one and a broker's own, say) render as one
+    exposition; on a collision of name and labels the later registry
+    wins.  Histogram summaries (the shape of
+    :func:`~repro.telemetry.core.summarize_values`) become
     ``_p50``/``_p90``/``_p99`` gauges plus ``_count``/``_sum``
     counters, the sum reconstructed as ``mean * count``.
     """
-    tel = get_telemetry() if telemetry is None else telemetry
-    extra = extra or {}
-    counters = dict(tel.counters())
-    counters.update(extra.get("counters") or {})
-    gauges = _gauge_series(tel.gauges())
-    for name, value in (extra.get("gauges") or {}).items():
-        if isinstance(value, (int, float)):
-            gauges[name] = [((), float(value))]
-        else:
-            gauges[name] = [
-                (tuple(sorted((str(k), str(v)) for k, v in labels.items())), float(val))
-                for labels, val in value
-            ]
-    histograms = {
-        name: summary
-        for name, summary in tel.snapshot()["histograms"].items()
-        if summary
-    }
-    histograms.update(
-        {k: v for k, v in (extra.get("histograms") or {}).items() if v}
-    )
+    counters: dict = {}
+    gauges: dict = {}
+    histograms: dict = {}
+    for tel in registries or (get_telemetry(),):
+        counters.update(tel.counter_series())
+        gauges.update(tel.gauges())
+        histograms.update(
+            (name, summary)
+            for name, summary in tel.snapshot()["histograms"].items()
+            if summary
+        )
 
     lines: list[str] = []
-    for name in sorted(counters):
-        metric = normalise_metric_name(name)
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {_format_value(counters[name])}")
-    for name in sorted(gauges):
-        metric = normalise_metric_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        for labels, value in sorted(gauges[name]):
-            lines.append(f"{metric}{_render_labels(labels)} {_format_value(value)}")
+    for kind, table in (("counter", counters), ("gauge", gauges)):
+        for name, series in _series_by_name(table):
+            metric = normalise_metric_name(name)
+            lines.append(f"# TYPE {metric} {kind}")
+            for labels, value in series:
+                lines.append(
+                    f"{metric}{_render_labels(labels)} {_format_value(value)}"
+                )
     for name in sorted(histograms):
         summary = histograms[name]
         metric = normalise_metric_name(name)
@@ -225,29 +215,46 @@ def metrics_port_from_env(override=None) -> int | None:
         ) from None
 
 
-def _breaker_gauges() -> list[tuple[dict, float]]:
-    """Circuit-breaker states as labelled gauge samples (lazy import)."""
-    from ..resilience.retry import BREAKER_STATE_VALUES, breaker_states
+def _read_process_state(tel) -> None:
+    """Read this process's breaker states and resource usage into ``tel``.
 
-    return [
-        ({"key": key}, BREAKER_STATE_VALUES[state])
-        for key, state in sorted(breaker_states().items())
-    ]
+    Called on every ``/metrics`` scrape with a registry of its own: both
+    are state, not events, so they are read when asked for instead of
+    pushed by a thread, and never traced.
+    """
+    from ..resilience.retry import BREAKER_STATE_VALUES, breaker_states
+    from .resource import resource_snapshot
+
+    for key, state in breaker_states().items():
+        tel.gauge("retry.breaker.state", BREAKER_STATE_VALUES[state], key=key)
+    snap = resource_snapshot()
+    for key in ("rss_bytes", "max_rss_bytes", "open_fds"):
+        if key in snap:
+            tel.gauge(f"process.{key}", snap[key])
+    if "cpu_user_s" in snap:
+        tel.gauge("process.cpu_user_seconds", snap["cpu_user_s"])
+        tel.gauge("process.cpu_system_seconds", snap["cpu_system_s"])
+    for gen, collections in enumerate(snap["gc_collections"]):
+        tel.gauge("process.gc_collections", collections, generation=gen)
 
 
 class MetricsServer:
     """A daemon HTTP thread serving ``/metrics``, ``/healthz``, ``/statusz``.
 
-    ``status``/``health``/``extra`` are optional zero-argument
+    ``status``/``health``/``registries`` are optional zero-argument
     callables supplying the ``/statusz`` JSON frame, the ``/healthz``
-    verdict (a dict whose ``ok`` key picks 200 vs 503) and extra
-    exposition families for ``/metrics``; with none supplied the
-    server reports the process registry and resource snapshot alone.
-    Circuit-breaker states are always merged into ``/metrics`` as a
-    ``retry_breaker_state`` gauge.  A callback that raises yields a
-    500 response — the serving thread never dies with it.  Port ``0``
-    binds an ephemeral port, readable from :attr:`port` after
-    :meth:`start`.  Usable as a context manager.
+    verdict (a dict whose ``ok`` key picks 200 vs 503) and the
+    :class:`~repro.telemetry.Telemetry` registries rendered on
+    ``/metrics`` after the process registry (a broker's own and its
+    queue state, read on each call); with none supplied the server
+    reports the process registry and resource snapshot alone.  Every
+    scrape also reads the circuit-breaker states
+    (``retry.breaker.state``) and resource usage (``process.*``) into a
+    fresh registry with no sink, so scraping never writes to a trace.  A
+    callback that raises yields a 500 response — the serving thread
+    never dies with it.  Port ``0`` binds an ephemeral port, readable
+    from :attr:`port` after :meth:`start`.  Usable as a context
+    manager.
     """
 
     def __init__(
@@ -255,17 +262,15 @@ class MetricsServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        telemetry=None,
         status=None,
         health=None,
-        extra=None,
+        registries=None,
     ) -> None:
         self.host = host
         self.port = int(port)
-        self._telemetry = telemetry
         self._status = status
         self._health = health
-        self._extra = extra
+        self._registries = registries
         self._server: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
 
@@ -275,11 +280,10 @@ class MetricsServer:
         return f"{self.host}:{self.port}"
 
     def _metrics_text(self) -> str:
-        extra = dict(self._extra() or {}) if self._extra is not None else {}
-        gauges = dict(extra.get("gauges") or {})
-        gauges.setdefault("retry.breaker.state", _breaker_gauges())
-        extra["gauges"] = gauges
-        return render_prometheus(self._telemetry, extra=extra)
+        state = Telemetry()
+        _read_process_state(state)
+        others = () if self._registries is None else self._registries()
+        return render_prometheus(get_telemetry(), state, *others)
 
     def _health_payload(self) -> dict:
         if self._health is not None:
@@ -294,11 +298,10 @@ class MetricsServer:
             return dict(self._status())
         from .resource import resource_snapshot
 
-        tel = get_telemetry() if self._telemetry is None else self._telemetry
         return {
             "role": "process",
             "pid": os.getpid(),
-            "telemetry": tel.snapshot(),
+            "telemetry": get_telemetry().snapshot(),
             "resources": resource_snapshot(),
         }
 
@@ -501,10 +504,9 @@ def render_status_panel(status: dict, *, title=None, stale_s=None) -> str:
 
     The one layout both ``repro status`` and ``repro top`` print.  All
     sections are optional: ``queue`` (ledger counts + progress bar),
-    ``metrics`` (a :class:`~repro.distributed.broker.QueueMetrics`
-    snapshot: traffic, rates, wait/exec percentiles with
-    :func:`histogram_bar`, per-worker throughput/RSS with
-    :func:`fill_bar`), ``cache``, ``breakers``, ``counters``,
+    ``metrics`` (the broker's queue metrics: traffic, rates, wait/exec
+    percentiles with :func:`histogram_bar`, per-worker throughput/RSS
+    with :func:`fill_bar`), ``cache``, ``breakers``, ``counters``,
     ``resources`` and ``health``.  ``stale_s`` marks the panel as
     rendered from the last reachable frame.
     """

@@ -2,20 +2,16 @@
 
 Everything here is stdlib-only (``resource``/``gc``/``os``) and purely
 observational — readings come from kernel accounting and the Python
-runtime, never from anything the engine computes with, so sampling can
-never perturb results.  Two consumption modes:
-
-* One-shot: :func:`resource_snapshot` returns a JSON-able dict (used
-  by ``/statusz`` and merged per shard into ``SpreadResult.meta`` as
-  ``max_rss``).
-* Continuous: :class:`ResourceSampler` is a daemon thread publishing
-  the same readings as gauges on the process telemetry registry, where
-  the ``/metrics`` exporter picks them up.
+runtime, never from anything the engine computes with, so reading them
+can never perturb results.  :func:`resource_snapshot` returns one
+JSON-able reading: ``/statusz`` serves it, every ``/metrics`` scrape
+reads it into ``process.*`` gauges, and each shard merges its peak RSS
+into ``SpreadResult.meta`` as ``max_rss``.
 
 ``ru_maxrss`` units differ across platforms (kibibytes on Linux, bytes
 on macOS); :func:`max_rss_bytes` normalises to bytes.  On platforms
 without the ``resource`` module the helpers return ``None`` and the
-sampler simply publishes fewer gauges.
+snapshot simply carries fewer keys.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from __future__ import annotations
 import gc
 import os
 import sys
-import threading
 
 try:  # POSIX-only; degrade gracefully elsewhere.
     import resource as _resource
@@ -37,7 +32,6 @@ __all__ = [
     "open_fd_count",
     "gc_collection_counts",
     "resource_snapshot",
-    "ResourceSampler",
 ]
 
 #: ``ru_maxrss`` is reported in bytes on macOS, kibibytes elsewhere.
@@ -102,78 +96,3 @@ def resource_snapshot() -> dict:
         snap["open_fds"] = fds
     snap["gc_collections"] = gc_collection_counts()
     return snap
-
-
-class ResourceSampler:
-    """Daemon thread publishing resource gauges at a fixed interval.
-
-    Each tick calls :meth:`sample`, which reads the signals of
-    :func:`resource_snapshot` and publishes them as ``<prefix>.*``
-    gauges (``rss_bytes``, ``max_rss_bytes``, ``cpu_user_seconds``,
-    ``cpu_system_seconds``, ``open_fds`` and a per-generation
-    ``gc_collections``) on the telemetry registry.  The first sample
-    fires synchronously in :meth:`start`, so a scrape immediately
-    after startup already sees the gauges.  Usable as a context
-    manager; stopping is idempotent.
-    """
-
-    def __init__(self, telemetry=None, *, interval_s: float = 1.0, prefix: str = "process") -> None:
-        self._telemetry = telemetry
-        self.interval_s = max(0.05, float(interval_s))
-        self.prefix = prefix
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-
-    def _registry(self):
-        if self._telemetry is not None:
-            return self._telemetry
-        from .core import get_telemetry
-
-        return get_telemetry()
-
-    def sample(self) -> dict:
-        """Take one reading, publish it as gauges, and return it."""
-        tel = self._registry()
-        snap = resource_snapshot()
-        for key in ("rss_bytes", "max_rss_bytes", "open_fds"):
-            if key in snap:
-                tel.gauge(f"{self.prefix}.{key}", snap[key])
-        if "cpu_user_s" in snap:
-            tel.gauge(f"{self.prefix}.cpu_user_seconds", snap["cpu_user_s"])
-            tel.gauge(f"{self.prefix}.cpu_system_seconds", snap["cpu_system_s"])
-        for gen, collections in enumerate(snap["gc_collections"]):
-            tel.gauge(f"{self.prefix}.gc_collections", collections, generation=gen)
-        return snap
-
-    def start(self) -> "ResourceSampler":
-        """Take an immediate sample and start the sampling thread."""
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self.sample()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-resource-sampler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval_s):
-            try:
-                self.sample()
-            except Exception:  # pragma: no cover - never kill the host process
-                pass
-
-    def stop(self) -> None:
-        """Stop the sampling thread (idempotent; safe if never started)."""
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=5)
-            self._thread = None
-
-    def __enter__(self) -> "ResourceSampler":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()

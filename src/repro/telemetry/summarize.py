@@ -12,7 +12,7 @@ several processes and several per-host files) and renders
 * the **per-hop breakdown** — spans grouped by name (client engine,
   broker job, worker shards) with process counts and wall totals,
   next to the broker's queue wait/exec histograms;
-* the **counters** — summed per name across processes;
+* the **counters** — summed per name and label set across processes;
 * the **histograms** — count/mean/p50/p90/p99/max per name plus a
   coarse ASCII distribution, which is where per-round timing skew
   ("hot rounds") becomes visible at a glance.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import format_gauge_key, summarize_values
+from .core import _label_items, format_gauge_key, summarize_values
 from .sinks import load_jsonl
 
 __all__ = [
@@ -152,14 +152,12 @@ def summarize_trace(records) -> TraceSummary:
             if parent is not None and parent in spans:
                 spans[parent].points += 1
         elif kind == "counter":
-            counters[name] = counters.get(name, 0) + float(record.get("value", 0))
+            key = format_gauge_key(name, _label_items(record.get("labels") or {}))
+            counters[key] = counters.get(key, 0) + float(record.get("value", 0))
         elif kind == "histogram":
             histograms.setdefault(name, []).append(float(record.get("value", 0)))
         elif kind == "gauge":
-            labels = record.get("labels") or {}
-            key = name if not labels else format_gauge_key(
-                name, tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-            )
+            key = format_gauge_key(name, _label_items(record.get("labels") or {}))
             gauges[key] = float(record.get("value", 0))
 
     roots: list[SpanNode] = []

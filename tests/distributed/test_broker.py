@@ -15,7 +15,7 @@ from repro.distributed import ShardLedger
 def _ledger(**kw):
     kw.setdefault("lease_timeout", 10.0)
     ledger = ShardLedger(**kw)
-    ledger.submit("job", [(0, {"t": 0}), (1, {"t": 1}), (2, {"t": 2})])
+    ledger.submit("job", [(0, {"t": 0}), (1, {"t": 1}), (2, {"t": 2})], 0.0)
     return ledger
 
 
@@ -49,17 +49,17 @@ class TestLeasing:
     def test_duplicate_submit_rejected(self):
         ledger = _ledger()
         with pytest.raises(ValueError, match="already submitted"):
-            ledger.submit("job", [(0, {})])
+            ledger.submit("job", [(0, {})], 0.0)
 
     def test_rejected_submit_leaves_no_orphans(self):
         # Atomicity: a duplicate index must roll back completely — no
         # orphan shard to lease, and the job id stays reusable.
         ledger = ShardLedger()
         with pytest.raises(ValueError, match="duplicate shard index"):
-            ledger.submit("dup", [(0, {"a": 1}), (0, {"b": 2})])
+            ledger.submit("dup", [(0, {"a": 1}), (0, {"b": 2})], 0.0)
         assert ledger.lease("w", 0.0) is None
         assert ledger.counts()["jobs"] == 0
-        ledger.submit("dup", [(0, {"a": 1}), (1, {"b": 2})])  # reusable
+        ledger.submit("dup", [(0, {"a": 1}), (1, {"b": 2})], 0.0)  # reusable
         assert ledger.lease("w", 0.0).index == 0
 
 
@@ -186,7 +186,7 @@ class TestJobLifecycle:
 
     def test_empty_job_is_immediately_done(self):
         ledger = ShardLedger()
-        ledger.submit("empty", [])
+        ledger.submit("empty", [], 0.0)
         assert ledger.job_state("empty") == ("done", None)
         assert ledger.job_results("empty") == []
 

@@ -8,6 +8,7 @@ trajectories, and *including* the run where a worker stalls mid-shard
 and the broker requeues its lease onto the survivors.
 """
 
+import collections
 import multiprocessing as mp
 import socket
 import threading
@@ -377,6 +378,88 @@ class TestBrokerHousekeeping:
                     pytest.fail(f"abandoned job never reaped: {counts}")
             finally:
                 _reap(procs)
+
+
+def _holds(root, needle: str) -> bool:
+    """Whether any string reachable from ``root`` contains ``needle``.
+
+    Follows builtin containers and the attributes of repro objects, so
+    it sees every table a broker keeps (ledger, registry, bookkeeping).
+    """
+    seen: set[int] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, str):
+            if needle in obj:
+                return True
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset, collections.deque)):
+            stack.extend(obj)
+        elif type(obj).__module__.startswith("repro."):
+            stack.extend(getattr(obj, "__dict__", {}).values())
+    return False
+
+
+class TestBrokerMemory:
+    def test_failed_jobs_leave_nothing_behind(self):
+        # A long-lived broker must run in bounded memory: once a failed
+        # job's waiter has its answer, no table the broker keeps may
+        # still hold the job's id.
+        job_ids = [f"doomed-{i}" for i in range(5)]
+        with Broker(lease_timeout=15.0, max_attempts=1) as broker:
+            endpoint = parse_endpoint(broker.address)
+            with socket.create_connection(
+                endpoint, timeout=10
+            ) as client, socket.create_connection(endpoint, timeout=10) as worker:
+                for job_id in job_ids:
+                    tasks = [{"index": i, "task": {}} for i in range(8)]
+                    send_frame(
+                        client, {"type": "submit", "job_id": job_id, "tasks": tasks}
+                    )
+                    assert recv_frame(client)["type"] == "accepted"
+                    send_frame(worker, {"type": "lease"})
+                    task = recv_frame(worker)
+                    assert task["type"] == "task"
+                    send_frame(
+                        worker,
+                        {"type": "error", "shard_id": task["shard_id"], "message": "x"},
+                    )
+                    assert recv_frame(worker)["type"] == "ok"
+                    send_frame(client, {"type": "wait", "job_id": job_id})
+                    assert recv_frame(client)["type"] == "failed"
+                # The ledger's queue lets go of a dropped job's
+                # never-leased shard ids lazily, on the next lease.
+                send_frame(worker, {"type": "lease"})
+                assert recv_frame(worker)["type"] == "idle"
+        leaked = [job_id for job_id in job_ids if _holds(broker, job_id)]
+        assert not leaked
+
+
+class TestBrokerStatus:
+    def test_metrics_keys_and_uptime_from_first_submit(self):
+        # Rates and per-worker throughput count from the first job, so
+        # a broker that sat idle before it does not report them diluted.
+        with Broker() as broker:
+            assert broker_status(broker.address)["metrics"]["uptime_s"] is None
+            endpoint = parse_endpoint(broker.address)
+            with socket.create_connection(endpoint, timeout=10) as client:
+                tasks = [{"index": 0, "task": {}}]
+                send_frame(client, {"type": "submit", "job_id": "j", "tasks": tasks})
+                assert recv_frame(client)["type"] == "accepted"
+            metrics = broker_status(broker.address)["metrics"]
+        assert set(metrics) == {
+            "submits", "shards_submitted", "leases", "heartbeats", "requeues",
+            "completes", "worker_errors", "decode_rejects", "uptime_s",
+            "wait_s", "exec_s", "workers",
+        }
+        assert metrics["uptime_s"] > 0
+        assert (metrics["submits"], metrics["shards_submitted"]) == (1, 1)
 
 
 class TestCacheIntegration:

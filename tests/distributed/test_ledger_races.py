@@ -15,14 +15,14 @@ from repro.distributed import ShardLedger
 def _ledger(**kw):
     kw.setdefault("lease_timeout", 10.0)
     ledger = ShardLedger(**kw)
-    ledger.submit("job", [(0, {"t": 0}), (1, {"t": 1})])
+    ledger.submit("job", [(0, {"t": 0}), (1, {"t": 1})], 0.0)
     return ledger
 
 
 class TestRequeueRacingLateComplete:
     def test_late_complete_after_expiry_does_not_clobber_replacement(self):
         ledger = ShardLedger(lease_timeout=10.0)
-        ledger.submit("job", [(0, {"t": 0})])
+        ledger.submit("job", [(0, {"t": 0})], 0.0)
         stale = ledger.lease("w1", 0.0)
         ledger.expire(100.0)  # w1's lease is gone, shard pending again
         fresh = ledger.lease("w2", 100.0)
@@ -65,7 +65,7 @@ class TestMaxAttemptsBoundary:
         # max_attempts=3 means the third lease may still succeed; only
         # a failure *after* the third burns the job (off-by-one guard).
         ledger = ShardLedger(lease_timeout=10.0, max_attempts=3)
-        ledger.submit("job", [(0, {"t": 0})])
+        ledger.submit("job", [(0, {"t": 0})], 0.0)
         for round_no in range(2):
             record = ledger.lease("w", float(round_no))
             assert record is not None
@@ -79,7 +79,7 @@ class TestMaxAttemptsBoundary:
 
     def test_failure_on_final_attempt_fails_job(self):
         ledger = ShardLedger(lease_timeout=10.0, max_attempts=3)
-        ledger.submit("job", [(0, {"t": 0})])
+        ledger.submit("job", [(0, {"t": 0})], 0.0)
         for round_no in range(3):
             record = ledger.lease("w", float(round_no))
             ledger.fail(record.shard_id, "w", "boom")
@@ -119,7 +119,7 @@ class TestHeartbeatOnExpiredLease:
 class TestRejectResult:
     def test_reject_refunds_attempt(self):
         ledger = ShardLedger(lease_timeout=10.0, max_attempts=3)
-        ledger.submit("job", [(0, {"t": 0})])
+        ledger.submit("job", [(0, {"t": 0})], 0.0)
         record = ledger.lease("w1", 0.0)
         ledger.reject_result(record.shard_id, "w1", "undecodable")
         # The attempt was refunded: a healthy worker still has the full
@@ -132,7 +132,7 @@ class TestRejectResult:
         # A worker that deterministically produces garbage must exhaust
         # the budget, not loop forever on refunded attempts.
         ledger = ShardLedger(lease_timeout=10.0, max_attempts=2)
-        ledger.submit("job", [(0, {"t": 0})])
+        ledger.submit("job", [(0, {"t": 0})], 0.0)
         for tick in range(4):
             record = ledger.lease("bad", float(tick))
             if record is None:

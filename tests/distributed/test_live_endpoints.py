@@ -17,7 +17,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.branching import make_policy
-from repro.distributed import Broker
+from repro.distributed import Broker, broker_status
 from repro.distributed.worker import run_worker
 from repro.engine import CobraRule, SpreadEngine
 from repro.graphs import random_regular_graph
@@ -130,15 +130,26 @@ class TestLiveFleet:
         assert all(labels and labels[0][0] == "worker" for labels in throughput)
         rss = families["broker_worker_max_rss_bytes"]
         assert all(value > 0 for value in rss.values())
-        # Sampler gauges from the broker process itself.
+        # Resource gauges of the broker process, read at scrape time.
         assert families["process_rss_bytes"][()] > 0
+
+    def test_counts_agree_across_surfaces(self, live_fleet):
+        # One registry behind /metrics, /statusz and the TCP status reply.
+        _run_pair(live_fleet)
+        families = _scrape(live_fleet.metrics_address)
+        statusz = fetch_statusz(live_fleet.metrics_address)["metrics"]
+        tcp = broker_status(live_fleet.address)["metrics"]
+        for key in ("completes", "leases"):
+            scraped = families[f"broker_queue_{key}"][()]
+            assert scraped > 0
+            assert scraped == statusz[key] == tcp[key], key
 
     def test_worker_metrics_parse_on_both_workers(self, live_fleet):
         _run_pair(live_fleet)
         for address in live_fleet.worker_addresses:
             families = _scrape(address)
             # The process registry is shared in-process here, so the
-            # counter covers both; each worker serves its sampler gauges.
+            # counter covers both; each scrape reads the resource gauges.
             assert families["worker_completed"][()] > 0
             assert families["process_rss_bytes"][()] > 0
             assert families["process_cpu_user_seconds"][()] >= 0

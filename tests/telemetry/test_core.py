@@ -126,6 +126,52 @@ class TestAggregation:
         tel.reset()
         assert tel.counters() == {}
 
+    def test_labelled_counter_records_and_trace_summary(self):
+        from repro.telemetry import summarize_trace
+
+        sink = MemorySink()
+        tel = Telemetry(sink)
+        tel.count("broker.worker.completed", worker="conn-1")
+        tel.count("broker.worker.completed", 2, worker="conn-1")
+        tel.count("broker.queue.completes")
+        labelled = [r for r in sink.records if r.get("labels")]
+        assert [r["labels"] for r in labelled] == [{"worker": "conn-1"}] * 2
+        assert labelled[-1]["total"] == 3
+        assert summarize_trace(sink.records).counters == {
+            "broker.worker.completed{worker=conn-1}": 3.0,
+            "broker.queue.completes": 1.0,
+        }
+
+    def test_labelled_counts_from_threads_lose_no_update(self):
+        import sys
+        import threading
+
+        tel = Telemetry()
+
+        def bump(worker):
+            for _ in range(2000):
+                tel.count("broker.worker.completed", worker=worker)
+                tel.count("broker.queue.completes")
+
+        threads = [
+            threading.Thread(target=bump, args=(f"conn-{i % 2}",)) for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert tel.counters() == {
+            "broker.worker.completed{worker=conn-0}": 8000,
+            "broker.worker.completed{worker=conn-1}": 8000,
+            "broker.queue.completes": 16000,
+        }
+
     def test_summarize_values_empty_is_none(self):
         assert summarize_values([]) is None
 

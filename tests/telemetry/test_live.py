@@ -8,8 +8,10 @@ import urllib.request
 import pytest
 
 from repro.telemetry import (
+    MemorySink,
     MetricsServer,
     Telemetry,
+    configure,
     fetch_statusz,
     get_telemetry,
     metrics_port_from_env,
@@ -78,36 +80,38 @@ class TestRenderPrometheus:
         assert series[(("generation", "0"),)] == 7.0
         assert series[(("generation", "1"),)] == 2.0
 
-    def test_extra_overrides_registry(self):
+    def test_labelled_counters(self):
         tel = Telemetry()
-        tel.count("broker.queue.leases", 1)
-        text = render_prometheus(tel, extra={"counters": {"broker.queue.leases": 9}})
-        assert parse_prometheus(text)["broker_queue_leases"][()] == 9.0
-
-    def test_extra_gauges_scalar_and_labelled(self):
-        tel = Telemetry()
-        text = render_prometheus(
-            tel,
-            extra={
-                "gauges": {
-                    "broker.jobs": 2,
-                    "broker.worker.completed": [({"worker": "conn-1"}, 5.0)],
-                }
-            },
-        )
+        tel.count("client.submits", 2)
+        tel.count("broker.worker.completed", worker="conn-1")
+        tel.count("broker.worker.completed", 2, worker="conn-1")
+        assert tel.count("broker.worker.completed", worker="conn-2") == 1
+        assert tel.counters() == {
+            "client.submits": 2,
+            "broker.worker.completed{worker=conn-1}": 3,
+            "broker.worker.completed{worker=conn-2}": 1,
+        }
+        text = render_prometheus(tel)
+        assert text.count("# TYPE broker_worker_completed counter") == 1
         families = parse_prometheus(text)
-        assert families["broker_jobs"][()] == 2.0
-        assert families["broker_worker_completed"][(("worker", "conn-1"),)] == 5.0
+        assert families["client_submits"] == {(): 2.0}
+        assert families["broker_worker_completed"] == {
+            (("worker", "conn-1"),): 3.0,
+            (("worker", "conn-2"),): 1.0,
+        }
 
-    def test_extra_histogram_summary(self):
-        tel = Telemetry()
-        summary = {"count": 2, "mean": 0.5, "p50": 0.5, "p90": 0.9,
-                   "p99": 0.99, "max": 1.0, "min": 0.0}
-        families = parse_prometheus(
-            render_prometheus(tel, extra={"histograms": {"broker.wait.seconds": summary}})
-        )
-        assert families["broker_wait_seconds_count"][()] == 2.0
-        assert families["broker_wait_seconds_sum"][()] == pytest.approx(1.0)
+    def test_two_registries_render_together(self):
+        process, broker = Telemetry(), Telemetry()
+        process.count("client.submits", 1)
+        process.gauge("shared", 1.0)
+        broker.count("broker.queue.leases", 4)
+        broker.observe("broker.wait.seconds", 0.5)
+        broker.gauge("shared", 2.0)
+        families = parse_prometheus(render_prometheus(process, broker))
+        assert families["client_submits"][()] == 1.0
+        assert families["broker_queue_leases"][()] == 4.0
+        assert families["broker_wait_seconds_count"][()] == 1.0
+        assert families["shared"][()] == 2.0  # the later registry wins
 
     def test_label_values_escaped(self):
         tel = Telemetry()
@@ -221,11 +225,71 @@ class TestMetricsServer:
             status, _, _ = _get(f"http://{server.address}/healthz")
             assert status == 200
 
-    def test_extra_callback_families_served(self):
-        extra = lambda: {"gauges": {"broker.jobs": 3}}  # noqa: E731
-        with MetricsServer(port=0, extra=extra) as server:
-            _, _, body = _get(f"http://{server.address}/metrics")
-        assert parse_prometheus(body.decode("utf-8"))["broker_jobs"][()] == 3.0
+    def test_registries_callable_served_beside_process_registry(self):
+        get_telemetry().count("client.submits", 1)
+        broker = Telemetry()
+        broker.count("broker.queue.leases", 3)
+        scrapes = []
+
+        def registries():
+            scrapes.append(1)
+            state = Telemetry()
+            state.gauge("broker.jobs", len(scrapes))
+            return broker, state
+
+        with MetricsServer(port=0, registries=registries) as server:
+            _, _, first = _get(f"http://{server.address}/metrics")
+            _, _, second = _get(f"http://{server.address}/metrics")
+        first = parse_prometheus(first.decode("utf-8"))
+        second = parse_prometheus(second.decode("utf-8"))
+        assert first["broker_queue_leases"][()] == 3.0
+        assert first["client_submits"][()] == 1.0
+        # Called on every scrape, so state read into it is current.
+        assert (first["broker_jobs"][()], second["broker_jobs"][()]) == (1.0, 2.0)
+
+    def test_scrape_writes_no_trace_record(self):
+        from repro.resilience.retry import breaker_for, reset_breakers
+
+        sink = MemorySink()
+        tel = configure(sink)
+        tel.count("client.submits", 1)
+        reset_breakers()
+        try:
+            breaker_for("live-untraced", failure_threshold=1).record_failure()
+            sink.records.clear()
+            with MetricsServer(port=0) as server:
+                _, _, body = _get(f"http://{server.address}/metrics")
+        finally:
+            reset_breakers()
+        families = parse_prometheus(body.decode("utf-8"))
+        assert families["retry_breaker_state"][(("key", "live-untraced"),)] == 2.0
+        assert families["process_rss_bytes"][()] > 0
+        # State read at scrape time is served, but never traced.
+        assert sink.records == []
+        assert not any(name.startswith("process.") for name, _ in tel.gauges())
+
+    def test_half_open_breaker_scraped_as_one(self):
+        from repro.resilience.retry import breaker_for, reset_breakers
+
+        clock = [0.0]
+        reset_breakers()
+        try:
+            breaker = breaker_for(
+                "live-half-open", failure_threshold=1, cooldown_s=5.0,
+                clock=lambda: clock[0],
+            )
+            breaker.record_failure()
+            with MetricsServer(port=0) as server:
+                _, _, opened = _get(f"http://{server.address}/metrics")
+                clock[0] = 10.0  # past the cooldown: the next call probes
+                _, _, probing = _get(f"http://{server.address}/metrics")
+        finally:
+            reset_breakers()
+        key = (("key", "live-half-open"),)
+        opened = parse_prometheus(opened.decode("utf-8"))
+        probing = parse_prometheus(probing.decode("utf-8"))
+        assert opened["retry_breaker_state"][key] == 2.0
+        assert probing["retry_breaker_state"][key] == 1.0
 
     def test_breaker_state_always_present_family(self):
         from repro.resilience.retry import breaker_for, reset_breakers

@@ -1,14 +1,14 @@
-"""Resource profiling: one-shot snapshots and the sampler thread."""
+"""Resource profiling: one-shot snapshots and their scrape-time gauges."""
 
 import os
 
 from repro.telemetry import (
-    Telemetry,
+    MetricsServer,
     max_rss_bytes,
+    parse_prometheus,
     resource_snapshot,
 )
 from repro.telemetry.resource import (
-    ResourceSampler,
     cpu_seconds,
     current_rss_bytes,
     gc_collection_counts,
@@ -67,41 +67,15 @@ class TestResourceSnapshot:
         json.dumps(resource_snapshot())
 
 
-class TestResourceSampler:
-    def test_start_publishes_gauges_immediately(self):
-        tel = Telemetry()
-        with ResourceSampler(tel, interval_s=60.0):
-            gauges = tel.gauges()
-        names = {name for name, _labels in gauges}
-        assert "process.rss_bytes" in names or "process.max_rss_bytes" in names
-        assert "process.cpu_user_seconds" in names
-        assert ("process.gc_collections", (("generation", "0"),)) in gauges
+class TestScrapeReadsResources:
+    def test_bare_server_serves_process_gauges(self):
+        import urllib.request
 
-    def test_custom_prefix(self):
-        tel = Telemetry()
-        sampler = ResourceSampler(tel, interval_s=60.0, prefix="worker")
-        sampler.sample()
-        assert any(name.startswith("worker.") for name, _ in tel.gauges())
-
-    def test_sample_returns_snapshot(self):
-        tel = Telemetry()
-        snap = ResourceSampler(tel).sample()
-        assert snap["pid"] == os.getpid()
-
-    def test_stop_idempotent_and_restartable_start(self):
-        tel = Telemetry()
-        sampler = ResourceSampler(tel, interval_s=60.0)
-        sampler.stop()  # never started: no-op
-        sampler.start()
-        assert sampler.start() is sampler  # idempotent while running
-        sampler.stop()
-        sampler.stop()
-
-    def test_gauges_update_on_resample(self):
-        tel = Telemetry()
-        sampler = ResourceSampler(tel, interval_s=60.0)
-        sampler.sample()
-        first = dict(tel.gauges())
-        sampler.sample()
-        second = dict(tel.gauges())
-        assert set(first) == set(second)  # same keys, values last-write-wins
+        with MetricsServer(port=0) as server:
+            url = f"http://{server.address}/metrics"
+            with urllib.request.urlopen(url, timeout=2.0) as response:
+                body = response.read().decode("utf-8")
+        families = parse_prometheus(body)
+        assert families["process_rss_bytes"][()] > 0
+        assert families["process_cpu_user_seconds"][()] >= 0
+        assert families["process_gc_collections"][(("generation", "0"),)] >= 0
