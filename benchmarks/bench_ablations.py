@@ -1,9 +1,9 @@
-"""Design-choice ablation benchmarks (DESIGN.md section 5).
+"""Design-choice ablation benchmarks.
 
 Times the alternatives behind the library's two main engine decisions:
 
 * batched multi-run COBRA vs a Python loop of single runs — the
-  vectorised batch engine is the design DESIGN.md commits to;
+  vectorised batch engine is the design the library commits to;
 * dense vs sparse spectral path around the `_DENSE_LIMIT` crossover.
 """
 

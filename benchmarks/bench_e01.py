@@ -1,7 +1,7 @@
 """Benchmark: Table 1 — hypercube ladder (experiment E1).
 
 Regenerates the experiment's table(s) under timing and asserts its
-shape criteria (see DESIGN.md experiment index).
+shape criteria (see ``repro list`` and repro.experiments.registry).
 """
 
 from conftest import run_and_check

@@ -1,7 +1,7 @@
 """Benchmark: Table 3 — regular bound (Theorem 1.2) (experiment E3).
 
 Regenerates the experiment's table(s) under timing and asserts its
-shape criteria (see DESIGN.md experiment index).
+shape criteria (see ``repro list`` and repro.experiments.registry).
 """
 
 from conftest import run_and_check

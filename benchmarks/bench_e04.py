@@ -1,7 +1,7 @@
 """Benchmark: Figure 1 — duality (Theorem 1.3) (experiment E4).
 
 Regenerates the experiment's table(s) under timing and asserts its
-shape criteria (see DESIGN.md experiment index).
+shape criteria (see ``repro list`` and repro.experiments.registry).
 """
 
 from conftest import run_and_check

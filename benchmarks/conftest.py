@@ -1,7 +1,8 @@
 """Shared benchmark helpers.
 
 Each ``bench_eNN.py`` regenerates one of the paper's tables/figures (as
-defined in DESIGN.md) under pytest-benchmark timing.  The benchmarked
+registered in repro.experiments.registry; ``repro list``) under
+pytest-benchmark timing.  The benchmarked
 callable is the experiment's full measurement pipeline at ``quick``
 scale; each bench also asserts the experiment's shape checks so a
 benchmark run doubles as a reproduction audit.

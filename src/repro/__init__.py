@@ -14,8 +14,8 @@ Public API highlights:
   comparisons;
 * :mod:`repro.dynamics` — the same processes on time-evolving graphs
   (edge-Markovian, degree-preserving rewiring, vertex churn);
-* :mod:`repro.experiments` — the E1..E16 reproduction suite (see
-  DESIGN.md / EXPERIMENTS.md).
+* :mod:`repro.experiments` — the E1..E17 reproduction suite (list it
+  with ``repro list``; registered in :mod:`repro.experiments.registry`).
 
 Quickstart::
 

@@ -1,6 +1,6 @@
 """EXPERIMENTS.md generation: paper-vs-measured, mechanically produced.
 
-``generate_report`` runs (or is handed) the E1..E12 results and renders
+``generate_report`` runs (or is handed) the E1..E17 results and renders
 the reproduction record: per experiment, the paper's claim, the shape
 criterion, the measured outcome, every table, and the pass/fail
 verdicts.  The checked-in EXPERIMENTS.md is this module's output for a
@@ -244,9 +244,9 @@ def generate_report(
         f"Generated by `repro report` on {today} at scale "
         f"`{config.scale}` with master seed {config.seed}.  The paper "
         "contains no printed tables/figures (it is a theory paper); the "
-        "experiment set below is the canonical per-theorem suite defined "
-        "in DESIGN.md.  Regenerate any row with "
-        f"`python -m repro run <id> --scale {config.scale}`.",
+        "experiment set below is the canonical per-theorem suite registered "
+        "in `repro.experiments.registry` (`repro list`).  Regenerate any row "
+        f"with `python -m repro run <id> --scale {config.scale}`.",
         "",
         "| id | paper anchor | checks | verdict | runtime |",
         "|----|--------------|--------|---------|---------|",

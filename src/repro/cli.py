@@ -6,6 +6,9 @@ Subcommands::
     repro run E1 [--scale quick] [--seed N]   # run one experiment
     repro run all [--scale smoke]             # run the whole suite
     repro graph-info hypercube-7              # structural + spectral summary
+    repro cover hypercube-7 --runs 100        # COBRA cover time vs Theorem 1.1
+    repro trajectory cycle-9 [--process cobra]   # BIPS / COBRA trajectory chart
+    repro dynamics --family cycle --rate 0.3  # cover on an evolving graph
     repro adversary --kind greedy-cut --budget 8   # worst-case dynamic cover
     repro broker --port 7603                  # shard-queue broker
     repro worker 127.0.0.1:7603               # worker attached to a broker
@@ -17,10 +20,13 @@ Subcommands::
     repro bench migrate                       # normalize old BENCH schemas
     repro chaos [--smoke] [--seed N]          # seeded fault-injection matrix
 
-Experiment output is the table(s) plus the pass/fail shape checks from
-DESIGN.md.  ``cover`` / ``trajectory`` / ``dynamics`` accept
-``--endpoint host:port`` to fan their runs out over a broker's worker
-fleet (results bit-identical to local execution; shard results are
+Experiment output is the table(s) plus the pass/fail shape checks each
+experiment registers (``repro list``; :mod:`repro.experiments.registry`).
+The sampling commands ``cover`` / ``trajectory`` / ``dynamics`` /
+``adversary`` share one fleet: ``--workers N`` shards their runs over
+local processes and ``--endpoint host:port`` over a broker's worker
+fleet (``dynamics`` and ``adversary`` shard only their batched runner;
+results bit-identical to local execution; shard results are
 content-address cached under ``REPRO_CACHE_DIR``).  Every execution
 command accepts ``--telemetry PATH`` (or ``REPRO_TELEMETRY``) to
 stream a structured JSONL trace without perturbing any result, and
@@ -38,9 +44,24 @@ import sys
 import time
 
 from .experiments.config import SCALES, ExperimentConfig
-from .experiments.registry import EXPERIMENTS, run_experiment
+from .experiments.registry import EXPERIMENTS, get_experiment, run_experiment
 
 __all__ = ["main", "build_parser"]
+
+
+def _ranged(kind, low, high=None):
+    """An argparse ``type=`` that parses ``kind`` and keeps it in range."""
+
+    def parse(text: str):
+        value = kind(text)
+        if high is None and value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low:g}")
+        if high is not None and not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be in [{low:g}, {high:g}]")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,10 +73,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Shared by every execution command: where to stream the JSONL
-    # telemetry trace (overrides REPRO_TELEMETRY; see repro.telemetry)
-    # and which per-round kernel backend to force (overrides
-    # REPRO_KERNEL_BACKEND; see repro.kernels).
+    # Each shared flag is declared once, on a parent parser.  A child
+    # shares its parent's action objects, so a parent carries only the
+    # defaults every one of its children wants (hence one sampling
+    # parent per default run count).
+    #
+    # Every execution command: where to stream the JSONL telemetry
+    # trace (overrides REPRO_TELEMETRY; see repro.telemetry) and which
+    # per-round kernel backend to force (overrides REPRO_KERNEL_BACKEND;
+    # see repro.kernels).
     tel = argparse.ArgumentParser(add_help=False)
     tel.add_argument(
         "--telemetry",
@@ -74,12 +100,29 @@ def build_parser() -> argparse.ArgumentParser:
         "numpy; bitplane is distribution-equivalent only)",
     )
 
-    # Shared by the commands that reach a broker (--endpoint): the
-    # retry/backoff policy and the degradation mode, installed
-    # process-wide via repro.resilience.configure() so every sharded run
-    # beneath the command sees them.
-    res = argparse.ArgumentParser(add_help=False)
-    res.add_argument(
+    # The sampling commands' execution fleet: local worker processes or
+    # a broker (--endpoint), plus the retry/backoff policy and the
+    # degradation mode, installed process-wide via
+    # repro.resilience.configure() so every sharded run beneath the
+    # command sees them.
+    fleet = argparse.ArgumentParser(add_help=False, parents=[tel])
+    fleet.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="shard the runs over this many worker processes (shared-memory "
+        "CSR graph, per-shard spawned seeds; results identical at any "
+        "worker count, default: single-stream serial path; dynamics and "
+        "adversary shard only their batched runner)",
+    )
+    fleet.add_argument(
+        "--endpoint",
+        default=None,
+        metavar="HOST:PORT",
+        help="run the shards on a 'repro broker' worker fleet instead of "
+        "local processes (results bit-identical; overrides --workers)",
+    )
+    fleet.add_argument(
         "--retry-attempts",
         type=int,
         default=None,
@@ -87,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="connection/submission attempts against the broker before "
         "giving up (default 4; 1 disables retries)",
     )
-    res.add_argument(
+    fleet.add_argument(
         "--retry-base",
         type=float,
         default=None,
@@ -95,14 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="base backoff delay between retries, doubled each attempt "
         "with deterministic seeded jitter (default 0.1)",
     )
-    res.add_argument(
+    fleet.add_argument(
         "--retry-max",
         type=float,
         default=None,
         metavar="SECONDS",
         help="cap on the per-retry backoff delay (default 2.0)",
     )
-    res.add_argument(
+    fleet.add_argument(
         "--fallback",
         default=None,
         choices=("local", "none"),
@@ -112,101 +155,112 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO_FALLBACK)",
     )
 
-    sub.add_parser("list", help="list registered experiments")
+    # The sampling commands' --runs (default ``runs``), --lazy and --seed.
+    def sampling(runs: int) -> argparse.ArgumentParser:
+        sampler = argparse.ArgumentParser(add_help=False, parents=[fleet])
+        sampler.add_argument("--runs", type=_ranged(int, 1), default=runs)
+        sampler.add_argument(
+            "--lazy", action="store_true", help="use the lazy variant (bipartite fix)"
+        )
+        sampler.add_argument("--seed", type=int, default=0)
+        return sampler
 
-    run_p = sub.add_parser(
-        "run", help="run one experiment (or 'all')", parents=[tel]
+    branching = argparse.ArgumentParser(add_help=False)
+    branching.add_argument("--branching", type=float, default=2.0)
+
+    # dynamics and adversary: a base graph evolving under the spread.
+    evolving = argparse.ArgumentParser(
+        add_help=False, parents=[sampling(20), branching]
     )
-    run_p.add_argument("experiment", help="experiment id (E1..E12) or 'all'")
+    evolving.add_argument(
+        "--family",
+        choices=("expander", "cycle", "complete", "torus"),
+        default="expander",
+        help="base-graph family (expander = random 4-regular)",
+    )
+    evolving.add_argument("--n", type=int, default=64, help="base-graph size")
+    evolving.add_argument(
+        "--process", choices=("cobra", "bips"), default="cobra",
+        help="cobra: cover times; bips: infection times",
+    )
+    evolving.add_argument(
+        "--completion",
+        choices=("all-vertices", "all-active"),
+        default="all-vertices",
+        help="completion criterion: all n vertices, or only the vertices "
+        "present in the current snapshot (churn-aware; recommended with "
+        "isolating-churn, which removes vertices mid-run)",
+    )
+
+    metrics = argparse.ArgumentParser(add_help=False)
+    metrics.add_argument(
+        "--metrics-port",
+        type=int,
+        default=None,
+        metavar="PORT",
+        help="serve /metrics, /healthz and /statusz on this HTTP port "
+        "(0 = ephemeral; also REPRO_METRICS_PORT)",
+    )
+
+    def command(name: str, handler, **kwargs) -> argparse.ArgumentParser:
+        """A subcommand whose parsed namespace carries its handler."""
+        command_p = sub.add_parser(name, **kwargs)
+        command_p.set_defaults(handler=handler)
+        return command_p
+
+    command("list", _cmd_list, help="list registered experiments")
+
+    run_p = command(
+        "run", _cmd_run, help="run one experiment (or 'all')", parents=[tel]
+    )
+    run_p.add_argument("experiment", help="experiment id (E1..E17) or 'all'")
     run_p.add_argument("--scale", choices=SCALES, default="quick")
     run_p.add_argument("--seed", type=int, default=ExperimentConfig().seed)
-    run_p.add_argument("--workers", type=int, default=1)
+    run_p.add_argument("--workers", type=_ranged(int, 1), default=1)
 
-    info_p = sub.add_parser("graph-info", help="summarise a named graph")
+    info_p = command("graph-info", _cmd_graph_info, help="summarise a named graph")
     info_p.add_argument(
         "spec",
         help="family-parameter spec, e.g. hypercube-7, cycle-64, "
         "complete-32, torus-15x15, rreg-3-128",
     )
 
-    report_p = sub.add_parser(
-        "report", help="run the suite and write the EXPERIMENTS.md record"
+    report_p = command(
+        "report", _cmd_report, help="run the suite and write the EXPERIMENTS.md record"
     )
     report_p.add_argument("--scale", choices=SCALES, default="full")
     report_p.add_argument("--seed", type=int, default=ExperimentConfig().seed)
     report_p.add_argument("--output", default="EXPERIMENTS.md")
 
-    cover_p = sub.add_parser(
+    cover_p = command(
         "cover",
+        _cmd_cover,
         help="measure COBRA cover time on a named graph or edge list",
-        parents=[tel, res],
+        parents=[sampling(100), branching],
     )
     cover_p.add_argument(
         "spec", help="graph spec (as graph-info) or a path to an edge-list file"
     )
-    cover_p.add_argument("--runs", type=int, default=100)
     cover_p.add_argument("--start", type=int, default=0)
-    cover_p.add_argument("--branching", type=float, default=2.0)
-    cover_p.add_argument(
-        "--lazy", action="store_true", help="use the lazy variant (bipartite fix)"
-    )
-    cover_p.add_argument("--seed", type=int, default=0)
-    cover_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shard the runs over this many worker processes (shared-memory "
-        "CSR graph, per-shard spawned seeds; results identical at any "
-        "worker count, default: single-stream serial path)",
-    )
-    cover_p.add_argument(
-        "--endpoint",
-        default=None,
-        metavar="HOST:PORT",
-        help="run the shards on a 'repro broker' worker fleet instead of "
-        "local processes (results bit-identical; overrides --workers)",
-    )
 
-    traj_p = sub.add_parser(
+    traj_p = command(
         "trajectory",
+        _cmd_trajectory,
         help="render a BIPS infection / COBRA coverage trajectory chart",
-        parents=[tel, res],
+        parents=[sampling(60)],
     )
     traj_p.add_argument("spec", help="graph spec (as graph-info)")
     traj_p.add_argument(
         "--process", choices=("bips", "cobra"), default="bips",
         help="bips: |A_t| growth; cobra: cumulative coverage",
     )
-    traj_p.add_argument("--runs", type=int, default=60)
-    traj_p.add_argument("--lazy", action="store_true")
-    traj_p.add_argument("--seed", type=int, default=0)
-    traj_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the recorded engine pass "
-        "(default: serial; the series are identical at any count)",
-    )
-    traj_p.add_argument(
-        "--endpoint",
-        default=None,
-        metavar="HOST:PORT",
-        help="run the recorded pass on a 'repro broker' worker fleet "
-        "(series identical to local execution)",
-    )
 
-    dyn_p = sub.add_parser(
+    dyn_p = command(
         "dynamics",
+        _cmd_dynamics,
         help="measure COBRA cover / BIPS infection on a time-evolving graph",
-        parents=[tel, res],
+        parents=[evolving],
     )
-    dyn_p.add_argument(
-        "--family",
-        choices=("expander", "cycle", "complete", "torus"),
-        default="expander",
-        help="base-graph family (expander = random 4-regular)",
-    )
-    dyn_p.add_argument("--n", type=int, default=64, help="base-graph size")
     dyn_p.add_argument(
         "--kind",
         choices=("rewiring", "edge-markovian", "churn", "frozen"),
@@ -215,99 +269,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dyn_p.add_argument(
         "--rate",
-        type=float,
+        type=_ranged(float, 0, 1),
         default=0.1,
         help="evolution rate per round: fraction of edges swapped "
         "(rewiring), edge death probability (edge-markovian), or vertex "
         "leave probability (churn); 0 freezes the graph",
     )
     dyn_p.add_argument(
-        "--process", choices=("cobra", "bips"), default="cobra",
-        help="cobra: cover times; bips: infection times",
-    )
-    dyn_p.add_argument("--runs", type=int, default=20)
-    dyn_p.add_argument("--branching", type=float, default=2.0)
-    dyn_p.add_argument("--lazy", action="store_true")
-    dyn_p.add_argument("--seed", type=int, default=0)
-    dyn_p.add_argument(
-        "--completion",
-        choices=("all-vertices", "all-active"),
-        default="all-vertices",
-        help="completion criterion: all n vertices, or only the vertices "
-        "present in the current snapshot (churn-aware)",
-    )
-    dyn_p.add_argument(
         "--independent",
         action="store_true",
         help="draw an independent topology realisation per run (slow "
         "scalar loop) instead of the default batched runner, which "
-        "advances all runs on one shared realisation at hardware speed",
-    )
-    dyn_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shard the batched runner over this many worker processes, "
-        "each shard realising its sequence locally from a spawned seed "
-        "(ignored with --independent; results identical at any count)",
-    )
-    dyn_p.add_argument(
-        "--endpoint",
-        default=None,
-        metavar="HOST:PORT",
-        help="run the shards on a 'repro broker' worker fleet, each remote "
-        "worker re-realising its shard's sequence from the wire-encoded "
-        "seed (ignored with --independent)",
+        "advances all runs on one shared realisation at hardware speed "
+        "and alone can shard (--workers/--endpoint are rejected here)",
     )
 
-    adv_p = sub.add_parser(
+    adv_p = command(
         "adversary",
+        _cmd_adversary,
         help="measure worst-case cover/infection against an adaptive "
         "adversary rewiring against the observed frontier",
-        parents=[tel, res],
+        parents=[evolving],
     )
-    adv_p.add_argument(
-        "--family",
-        choices=("expander", "cycle", "complete", "torus"),
-        default="expander",
-        help="base-graph family (expander = random 4-regular)",
-    )
-    adv_p.add_argument("--n", type=int, default=64, help="base-graph size")
     adv_p.add_argument(
         "--kind",
         choices=("greedy-cut", "isolating-churn", "moving-source", "adaptive-rri"),
         default="greedy-cut",
-        help="adversary policy (see repro.adversary)",
+        help="adversary policy (see repro.adversary; moving-source targets "
+        "the bips source)",
     )
     adv_p.add_argument(
         "--budget",
-        type=int,
+        type=_ranged(int, 0),
         default=8,
         help="edges the adversary may rewire (or vertices it may churn) "
         "per round; 0 replays the oblivious baseline bit-for-bit",
     )
     adv_p.add_argument(
         "--rate",
-        type=float,
+        type=_ranged(float, 0, 1),
         default=0.1,
         help="oblivious double-edge-swap rate underneath the adversary "
         "(fraction of edges attempted per round; 0 = adversary only)",
-    )
-    adv_p.add_argument(
-        "--process", choices=("cobra", "bips"), default="cobra",
-        help="cobra: cover times; bips: infection times "
-        "(moving-source targets the bips source)",
-    )
-    adv_p.add_argument("--runs", type=int, default=20)
-    adv_p.add_argument("--branching", type=float, default=2.0)
-    adv_p.add_argument("--lazy", action="store_true")
-    adv_p.add_argument("--seed", type=int, default=0)
-    adv_p.add_argument(
-        "--completion",
-        choices=("all-vertices", "all-active"),
-        default="all-vertices",
-        help="completion criterion (all-active recommended with "
-        "isolating-churn, which removes vertices mid-run)",
     )
     adv_p.add_argument(
         "--batched",
@@ -317,25 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
         "default per-run loop, where the adversary fights each run's "
         "own frontier — the worst-case statistic E17 reports",
     )
-    adv_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="with --batched: shard the runs over this many worker "
-        "processes (each shard realises its own adversarial sequence "
-        "from a spawned seed; results identical at any count)",
-    )
-    adv_p.add_argument(
-        "--endpoint",
-        default=None,
-        metavar="HOST:PORT",
-        help="with --batched: run the shards on a 'repro broker' worker "
-        "fleet — adversarial sequences ship as seeded replay specs and "
-        "the samples stay bit-identical to local execution",
-    )
 
-    status_p = sub.add_parser(
+    status_p = command(
         "status",
+        _cmd_status,
         help="query a broker's shard-queue counters and latency metrics",
     )
     status_p.add_argument("endpoint", help="broker endpoint, host:port")
@@ -354,8 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
         "status panel until interrupted",
     )
 
-    top_p = sub.add_parser(
+    top_p = command(
         "top",
+        _cmd_top,
         help="live terminal dashboard over one or more /statusz endpoints "
         "(brokers/workers started with --metrics-port)",
     )
@@ -391,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
         "rendering its last frame as a stale panel",
     )
 
-    trace_p = sub.add_parser(
-        "trace", help="inspect a JSONL telemetry trace"
+    trace_p = command(
+        "trace", _cmd_trace, help="inspect a JSONL telemetry trace"
     )
     trace_sub = trace_p.add_subparsers(dest="trace_command", required=True)
     trace_sum_p = trace_sub.add_parser(
@@ -409,8 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
         "files (client, broker, workers) are merged before summarizing",
     )
 
-    bench_p = sub.add_parser(
+    bench_p = command(
         "bench",
+        _cmd_bench,
         help="BENCH_*.json trajectory analytics: compare entries for "
         "regressions, render trend tables, migrate old schemas",
     )
@@ -463,10 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
         "fields, canonicalize telemetry digests); idempotent",
     )
 
-    broker_p = sub.add_parser(
+    broker_p = command(
         "broker",
+        _cmd_broker,
         help="serve the distributed shard queue (lease/heartbeat/requeue)",
-        parents=[tel],
+        parents=[tel, metrics],
     )
     broker_p.add_argument("--host", default="127.0.0.1")
     broker_p.add_argument("--port", type=int, default=7603)
@@ -482,19 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=5,
         help="leases a shard may consume before its job is failed",
     )
-    broker_p.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve /metrics, /healthz and /statusz on this HTTP port "
-        "(0 = ephemeral; also REPRO_METRICS_PORT)",
-    )
 
-    worker_p = sub.add_parser(
+    worker_p = command(
         "worker",
+        _cmd_worker,
         help="serve shards from a broker until it goes away",
-        parents=[tel],
+        parents=[tel, metrics],
     )
     worker_p.add_argument("endpoint", help="broker endpoint, host:port")
     worker_p.add_argument(
@@ -511,14 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between lease attempts while the queue is empty",
     )
     worker_p.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve /metrics, /healthz and /statusz on this HTTP port "
-        "(0 = ephemeral; also REPRO_METRICS_PORT)",
-    )
-    worker_p.add_argument(
         "--faults",
         default=None,
         metavar="JSON",
@@ -527,8 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
         "only; also REPRO_FAULT_PLAN)",
     )
 
-    chaos_p = sub.add_parser(
+    chaos_p = command(
         "chaos",
+        _cmd_chaos,
         help="run the seeded fault-injection matrix: every fault class x "
         "serial/sharded/distributed, asserting bit-identity with the "
         "fault-free reference",
@@ -563,29 +540,30 @@ def _graph_from_spec(spec: str):
         torus_graph,
     )
 
-    parts = spec.split("-")
-    family = parts[0]
-    if family == "hypercube":
-        return hypercube_graph(int(parts[1]))
-    if family == "cycle":
-        return cycle_graph(int(parts[1]))
-    if family == "path":
-        return path_graph(int(parts[1]))
-    if family == "star":
-        return star_graph(int(parts[1]))
-    if family == "complete":
-        return complete_graph(int(parts[1]))
-    if family == "margulis":
-        return margulis_expander(int(parts[1]))
-    if family == "torus":
-        dims = [int(d) for d in parts[1].split("x")]
-        return torus_graph(dims)
-    if family == "rreg":
-        return random_regular_graph(int(parts[2]), int(parts[1]), rng=1)
+    family, *params = spec.split("-")
+    sized = {
+        "hypercube": hypercube_graph,
+        "cycle": cycle_graph,
+        "path": path_graph,
+        "star": star_graph,
+        "complete": complete_graph,
+        "margulis": margulis_expander,
+    }
+    try:
+        if family in sized:
+            return sized[family](int(params[0]))
+        if family == "torus":
+            return torus_graph([int(d) for d in params[0].split("x")])
+        if family == "rreg":
+            return random_regular_graph(int(params[1]), int(params[0]), rng=1)
+    except IndexError:
+        raise SystemExit(f"graph spec {spec!r} is missing a parameter")
+    except ValueError as exc:
+        raise SystemExit(f"bad graph spec {spec!r}: {exc}")
     raise SystemExit(f"unknown graph spec {spec!r}")
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     print(f"{'id':5} {'paper anchor':55} title")
     print("-" * 110)
     for key in sorted(EXPERIMENTS, key=lambda k: int(k[1:])):
@@ -596,11 +574,14 @@ def _cmd_list() -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = ExperimentConfig(seed=args.seed, scale=args.scale, n_workers=args.workers)
-    ids = (
-        sorted(EXPERIMENTS, key=lambda k: int(k[1:]))
-        if args.experiment.lower() == "all"
-        else [args.experiment]
-    )
+    if args.experiment.lower() == "all":
+        ids = sorted(EXPERIMENTS, key=lambda k: int(k[1:]))
+    else:
+        try:
+            get_experiment(args.experiment)
+        except KeyError as exc:
+            raise SystemExit(exc.args[0])
+        ids = [args.experiment]
     failures = 0
     for experiment_id in ids:
         started = time.perf_counter()
@@ -661,6 +642,8 @@ def _cmd_cover(args: argparse.Namespace) -> int:
         g = read_edge_list(args.spec)
     else:
         g = _graph_from_spec(args.spec)
+    if not 0 <= args.start < g.n:
+        raise SystemExit(f"--start must be a vertex of {g.name} (0..{g.n - 1})")
     lazy = args.lazy
     if not lazy and is_bipartite(g):
         print(f"{g.name} is bipartite: enabling the lazy variant automatically")
@@ -685,8 +668,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
         f"  Theorem 1.1 bound (constant 1): "
         f"{bound_spaa17_general(g.n, g.m, g.dmax):.1f}"
     )
-    if args.endpoint is not None:
-        _print_cache_stats()
+    _print_cache_stats(args.endpoint)
     return 0
 
 
@@ -696,28 +678,20 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     from .graphs import is_bipartite
 
     g = _graph_from_spec(args.spec)
-    lazy = args.lazy or is_bipartite(g)
-    if args.process == "bips":
-        ensemble = bips_size_ensemble(
-            g,
-            runs=args.runs,
-            lazy=lazy,
-            seed=args.seed,
-            workers=args.workers,
-            endpoint=args.endpoint,
+    ensemble = bips_size_ensemble if args.process == "bips" else cobra_coverage_ensemble
+    print(
+        render_ensemble(
+            ensemble(
+                g,
+                runs=args.runs,
+                lazy=args.lazy or is_bipartite(g),
+                seed=args.seed,
+                workers=args.workers,
+                endpoint=args.endpoint,
+            )
         )
-    else:
-        ensemble = cobra_coverage_ensemble(
-            g,
-            runs=args.runs,
-            lazy=lazy,
-            seed=args.seed,
-            workers=args.workers,
-            endpoint=args.endpoint,
-        )
-    print(render_ensemble(ensemble))
-    if args.endpoint is not None:
-        _print_cache_stats()
+    )
+    _print_cache_stats(args.endpoint)
     return 0
 
 
@@ -738,6 +712,77 @@ def _dynamics_base_graph(args: argparse.Namespace):
         return complete_graph(n)
     side = max(3, round(n**0.5))
     return torus_graph([side, side])
+
+
+def _sample_and_report(args, title, topology, *, batched, fleet_rule, modes, hint):
+    """Sample dynamic cover/infection times and print them: dynamics/adversary.
+
+    ``topology(base)`` returns the command's sequence factory and
+    header lines.  ``batched`` picks the shared-realisation (R, n) engine,
+    the only runner that shards; a fleet flag without it exits with
+    ``fleet_rule``.  ``modes`` are the execution lines of the per-run
+    loop and the batched engine and the suffix of the sharded/distributed
+    ones; ``hint`` follows a run that hit the round cap.
+    """
+    import numpy as np
+
+    from .dynamics import (
+        dynamic_cover_time_batch,
+        dynamic_cover_time_samples,
+        dynamic_infection_time_batch,
+        dynamic_infection_time_samples,
+    )
+    from .stats import mean_ci, whp_quantile
+
+    per_run_mode, batched_mode, fleet_suffix = modes
+    cover = args.process == "cobra"
+    if batched:
+        sample = dynamic_cover_time_batch if cover else dynamic_infection_time_batch
+        fleet = {"workers": args.workers, "endpoint": args.endpoint}
+        mode = batched_mode
+        if args.workers is not None:
+            mode = f"sharded (R, n) engine, {args.workers} workers{fleet_suffix}"
+        if args.endpoint is not None:
+            mode = f"distributed (R, n) engine via broker {args.endpoint}{fleet_suffix}"
+    elif args.workers is not None or args.endpoint is not None:
+        raise SystemExit(fleet_rule)
+    else:
+        sample = dynamic_cover_time_samples if cover else dynamic_infection_time_samples
+        fleet, mode = {}, per_run_mode
+    try:
+        base = _dynamics_base_graph(args)
+    except ValueError as exc:
+        raise SystemExit(f"cannot build a {args.family} base graph: {exc}")
+    factory, header = topology(base)
+    try:
+        samples = sample(
+            factory,
+            args.runs,
+            branching=args.branching,
+            lazy=args.lazy,
+            seed=args.seed,
+            completion=args.completion,
+            **fleet,
+        )
+    except RuntimeError as exc:
+        raise SystemExit(f"{exc}\nhint: {hint}")
+    stat_rng = np.random.default_rng(args.seed)
+    measured = "cover time" if cover else "infection time"
+    print(
+        "\n  ".join(
+            [
+                f"{title} {args.process.upper()} on {base!r}",
+                *header,
+                f"execution : {mode}",
+                f"runs={args.runs} b={args.branching:g} lazy={args.lazy} "
+                f"seed={args.seed} completion={args.completion}",
+                f"mean {measured:14}: {mean_ci(samples)}",
+                f"95th percentile    : {whp_quantile(samples, rng=stat_rng)}",
+            ]
+        )
+    )
+    _print_cache_stats(args.endpoint)
+    return 0
 
 
 def _dynamics_sequence_factory(args: argparse.Namespace, base):
@@ -774,184 +819,63 @@ def _dynamics_sequence_factory(args: argparse.Namespace, base):
 
 
 def _cmd_dynamics(args: argparse.Namespace) -> int:
-    import numpy as np
+    def topology(base):
+        label, factory = _dynamics_sequence_factory(args, base)
+        return factory, [f"dynamics  : {label}"]
 
-    from .dynamics import (
-        dynamic_cover_time_batch,
-        dynamic_cover_time_samples,
-        dynamic_infection_time_batch,
-        dynamic_infection_time_samples,
+    return _sample_and_report(
+        args,
+        "dynamic",
+        topology,
+        batched=not args.independent,
+        fleet_rule="--workers/--endpoint cannot be combined with --independent",
+        modes=(
+            "independent realisations (per-run loop)",
+            "batched (R, n) engine, shared realisation",
+            ", shard-local realisations",
+        ),
+        hint="under heavy churn, full coverage/infection of all n vertices "
+        "may be unreachable — lower --rate or pass --completion all-active "
+        "(count only currently-present vertices)",
     )
-    from .stats import mean_ci, whp_quantile
-
-    if not 0.0 <= args.rate <= 1.0:
-        raise SystemExit("--rate must be in [0, 1]")
-    if args.runs < 1:
-        raise SystemExit("--runs must be >= 1")
-    try:
-        base = _dynamics_base_graph(args)
-    except ValueError as exc:
-        raise SystemExit(f"cannot build a {args.family} base graph: {exc}")
-    label, factory = _dynamics_sequence_factory(args, base)
-    if args.independent:
-        sample_cover = dynamic_cover_time_samples
-        sample_infec = dynamic_infection_time_samples
-        mode = "independent realisations (per-run loop)"
-    else:
-        sample_cover = dynamic_cover_time_batch
-        sample_infec = dynamic_infection_time_batch
-        mode = "batched (R, n) engine, shared realisation"
-    extra = {}
-    if not args.independent and args.workers is not None:
-        extra["workers"] = args.workers
-        mode = (
-            f"sharded (R, n) engine, {args.workers} workers, "
-            "shard-local realisations"
-        )
-    if not args.independent and args.endpoint is not None:
-        extra["endpoint"] = args.endpoint
-        mode = (
-            f"distributed (R, n) engine via broker {args.endpoint}, "
-            "shard-local realisations"
-        )
-    try:
-        if args.process == "cobra":
-            samples = sample_cover(
-                factory,
-                args.runs,
-                branching=args.branching,
-                lazy=args.lazy,
-                seed=args.seed,
-                completion=args.completion,
-                **extra,
-            )
-            measured = "cover time"
-        else:
-            samples = sample_infec(
-                factory,
-                args.runs,
-                branching=args.branching,
-                lazy=args.lazy,
-                seed=args.seed,
-                completion=args.completion,
-                **extra,
-            )
-            measured = "infection time"
-    except RuntimeError as exc:
-        raise SystemExit(
-            f"{exc}\nhint: under heavy churn, full coverage/infection of all "
-            "n vertices may be unreachable — lower --rate or pass "
-            "--completion all-active (count only currently-present vertices)"
-        )
-    stat_rng = np.random.default_rng(args.seed)
-    print(
-        f"dynamic {args.process.upper()} on {base!r}\n"
-        f"  dynamics  : {label}\n"
-        f"  execution : {mode}\n"
-        f"  runs={args.runs} b={args.branching:g} lazy={args.lazy} "
-        f"seed={args.seed} completion={args.completion}"
-    )
-    print(f"  mean {measured:14}: {mean_ci(samples)}")
-    print(f"  95th percentile    : {whp_quantile(samples, rng=stat_rng)}")
-    if args.endpoint is not None:
-        _print_cache_stats()
-    return 0
 
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .adversary import AdversarialSequence, make_adversary
-    from .dynamics import (
-        dynamic_cover_time_batch,
-        dynamic_cover_time_samples,
-        dynamic_infection_time_batch,
-        dynamic_infection_time_samples,
-    )
-    from .stats import mean_ci, whp_quantile
 
-    if not 0.0 <= args.rate <= 1.0:
-        raise SystemExit("--rate must be in [0, 1]")
-    if args.budget < 0:
-        raise SystemExit("--budget must be >= 0")
-    if args.runs < 1:
-        raise SystemExit("--runs must be >= 1")
-    if not args.batched and (args.workers is not None or args.endpoint is not None):
-        raise SystemExit("--workers/--endpoint require --batched")
-    try:
-        base = _dynamics_base_graph(args)
-    except ValueError as exc:
-        raise SystemExit(f"cannot build a {args.family} base graph: {exc}")
-    swaps = max(1, round(args.rate * base.m)) if args.rate > 0 else 0
-    if base.m < 2:
-        raise SystemExit("adversarial rewiring needs at least two edges")
+    def topology(base):
+        swaps = max(1, round(args.rate * base.m)) if args.rate > 0 else 0
+        if base.m < 2:
+            raise SystemExit("adversarial rewiring needs at least two edges")
 
-    def factory(topology_seed):
-        return AdversarialSequence(
-            base,
-            make_adversary(args.kind, args.budget),
-            topology_seed,
-            swaps_per_round=swaps,
-        )
-
-    extra = {}
-    if args.batched:
-        sample_cover = dynamic_cover_time_batch
-        sample_infec = dynamic_infection_time_batch
-        mode = "batched (R, n) engine, shard-local adversarial realisations"
-        if args.workers is not None:
-            extra["workers"] = args.workers
-            mode = f"sharded (R, n) engine, {args.workers} workers"
-        if args.endpoint is not None:
-            extra["endpoint"] = args.endpoint
-            mode = f"distributed (R, n) engine via broker {args.endpoint}"
-    else:
-        sample_cover = dynamic_cover_time_samples
-        sample_infec = dynamic_infection_time_samples
-        mode = "per-run loop (adversary fights each run's own frontier)"
-    try:
-        if args.process == "cobra":
-            samples = sample_cover(
-                factory,
-                args.runs,
-                branching=args.branching,
-                lazy=args.lazy,
-                seed=args.seed,
-                completion=args.completion,
-                **extra,
+        def factory(topology_seed):
+            return AdversarialSequence(
+                base,
+                make_adversary(args.kind, args.budget),
+                topology_seed,
+                swaps_per_round=swaps,
             )
-            measured = "cover time"
-        else:
-            samples = sample_infec(
-                factory,
-                args.runs,
-                branching=args.branching,
-                lazy=args.lazy,
-                seed=args.seed,
-                completion=args.completion,
-                **extra,
-            )
-            measured = "infection time"
-    except RuntimeError as exc:
-        raise SystemExit(
-            f"{exc}\nhint: a harsh adversary can push runs past the round "
-            "cap — lower --budget, or pass --completion all-active for "
-            "churn-style adversaries"
-        )
-    stat_rng = np.random.default_rng(args.seed)
-    print(
-        f"adversarial {args.process.upper()} on {base!r}\n"
-        f"  adversary : {args.kind} (budget {args.budget}/round)\n"
-        f"  oblivious : {swaps} double-edge swaps/round (rate {args.rate:g})\n"
-        f"  execution : {mode}\n"
-        f"  runs={args.runs} b={args.branching:g} lazy={args.lazy} "
-        f"seed={args.seed} completion={args.completion}"
+
+        return factory, [
+            f"adversary : {args.kind} (budget {args.budget}/round)",
+            f"oblivious : {swaps} double-edge swaps/round (rate {args.rate:g})",
+        ]
+
+    return _sample_and_report(
+        args,
+        "adversarial",
+        topology,
+        batched=args.batched,
+        fleet_rule="--workers/--endpoint require --batched",
+        modes=(
+            "per-run loop (adversary fights each run's own frontier)",
+            "batched (R, n) engine, shard-local adversarial realisations",
+            "",
+        ),
+        hint="a harsh adversary can push runs past the round cap — lower "
+        "--budget, or pass --completion all-active for churn-style "
+        "adversaries",
     )
-    print(f"  mean {measured:14}: {mean_ci(samples)}")
-    print(f"  95th percentile    : {whp_quantile(samples, rng=stat_rng)}")
-    if args.endpoint is not None:
-        _print_cache_stats()
-    return 0
 
 
 def _status_frame(endpoint: str, counts: dict) -> dict:
@@ -973,39 +897,49 @@ def _status_frame(endpoint: str, counts: dict) -> dict:
     return frame
 
 
-def _clear_screen() -> None:
-    """ANSI clear + home, so watch/top redraw instead of scroll-append."""
-    print("\x1b[2J\x1b[H", end="")
+def _redraw(poll, interval: float | None) -> int:
+    """Print ``poll()``'s frame once, or redraw it every ``interval`` s.
+
+    ``poll`` returns ``(frame, error)``.  A frame goes to stdout, after
+    an ANSI clear + home when redrawing, so the panel redraws instead of
+    scrolling; an error goes to stderr and ends the loop with exit 1.
+    Ctrl-C and a closed pipe (``--watch 2 | head``) end it with exit 0.
+    """
+    try:
+        while True:
+            frame, error = poll()
+            if frame is not None:
+                if interval is not None:
+                    print("\x1b[2J\x1b[H", end="")
+                print(frame)
+            if error is not None:
+                print(error, file=sys.stderr)
+                return 1
+            if interval is None:
+                return 0
+            time.sleep(max(0.05, interval))
+    except KeyboardInterrupt:
+        return 0
+    except BrokenPipeError:
+        # The pager/head downstream closed the pipe: a clean exit, not
+        # an error.  Point stdout at devnull so the interpreter's
+        # exit-time flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
     from .distributed import DistributedError, broker_status
     from .telemetry import render_status_panel
 
-    while True:
+    def poll():
         try:
             counts = broker_status(args.endpoint, timeout=args.timeout)
         except DistributedError as exc:
-            print(
-                f"cannot query broker at {args.endpoint}: {exc}", file=sys.stderr
-            )
-            return 1
-        try:
-            if args.watch is not None:
-                _clear_screen()
-            print(render_status_panel(_status_frame(args.endpoint, counts)))
-            if args.watch is None:
-                return 0
-            time.sleep(max(0.05, args.watch))
-        except KeyboardInterrupt:
-            return 0
-        except BrokenPipeError:
-            # Downstream pager/head closed the pipe: a clean exit, not
-            # an error (common under ``--watch ... | head``).  Point
-            # stdout at devnull so the interpreter's exit-time flush
-            # does not raise again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 0
+            return None, f"cannot query broker at {args.endpoint}: {exc}"
+        return render_status_panel(_status_frame(args.endpoint, counts)), None
+
+    return _redraw(poll, args.watch)
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
@@ -1018,7 +952,8 @@ def _cmd_top(args: argparse.Namespace) -> int:
     from .telemetry import fetch_statusz, render_status_panel
 
     last: dict[str, tuple[dict, float]] = {}
-    while True:
+
+    def poll():
         now = time.monotonic()
         dead: list[str] = []
         panels: list[str] = []
@@ -1036,27 +971,12 @@ def _cmd_top(args: argparse.Namespace) -> int:
             panels.append(
                 render_status_panel(payload, title=endpoint, stale_s=stale)
             )
-        frame = "\n\n".join(panels)
-        try:
-            if not args.once:
-                _clear_screen()
-            print(frame)
-        except KeyboardInterrupt:
-            return 0
-        except BrokenPipeError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 0
+        error = None
         if dead and args.fail_on_dead:
-            print(
-                f"unreachable endpoint(s): {', '.join(dead)}", file=sys.stderr
-            )
-            return 1
-        if args.once:
-            return 0
-        try:
-            time.sleep(max(0.05, args.interval))
-        except KeyboardInterrupt:
-            return 0
+            error = f"unreachable endpoint(s): {', '.join(dead)}"
+        return "\n\n".join(panels), error
+
+    return _redraw(poll, None if args.once else args.interval)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -1114,18 +1034,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     thresholds = Thresholds()
     if args.fail_on_regress is not None:
         thresholds = Thresholds(
-            regress_pct=float(args.fail_on_regress),
-            digest_regress_pct=max(
-                float(args.fail_on_regress), Thresholds().digest_regress_pct
-            ),
+            regress_pct=args.fail_on_regress,
+            digest_regress_pct=max(args.fail_on_regress, thresholds.digest_regress_pct),
         )
     report = compare_all(paths, against=args.against, thresholds=thresholds)
     print(render_report(report))
     return 0 if report.ok else 1
 
 
-def _print_cache_stats() -> None:
-    """One line of client-side cache traffic for the finished job."""
+def _print_cache_stats(endpoint: str | None) -> None:
+    """One line of client-side cache traffic after a broker job."""
+    if endpoint is None:
+        return
     from .telemetry import get_telemetry
 
     counters = get_telemetry().counters()
@@ -1219,33 +1139,25 @@ def _configure_resilience(args: argparse.Namespace) -> None:
     ``endpoint=`` entry points below the command pick them up through
     their ``"default"`` sentinels without any signature threading.
     """
-    retry_attempts = getattr(args, "retry_attempts", None)
-    retry_base = getattr(args, "retry_base", None)
-    retry_max = getattr(args, "retry_max", None)
-    fallback = getattr(args, "fallback", None)
-    if not any(
-        v is not None for v in (retry_attempts, retry_base, retry_max, fallback)
-    ):
-        return
-    from . import resilience
+    attempts, base, cap, fallback = (
+        getattr(args, name, None)
+        for name in ("retry_attempts", "retry_base", "retry_max", "fallback")
+    )
+    kwargs: dict = {} if fallback is None else {"fallback": fallback}
+    if (attempts, base, cap) != (None, None, None):
+        from .resilience import RetryPolicy
 
-    kwargs: dict = {}
-    if any(v is not None for v in (retry_attempts, retry_base, retry_max)):
-        default = resilience.RetryPolicy()
-        base = retry_base if retry_base is not None else default.base_delay_s
-        cap = retry_max if retry_max is not None else default.max_delay_s
-        kwargs["retry"] = resilience.RetryPolicy(
-            attempts=(
-                retry_attempts
-                if retry_attempts is not None
-                else default.attempts
-            ),
+        default = RetryPolicy()
+        base = default.base_delay_s if base is None else base
+        kwargs["retry"] = RetryPolicy(
+            attempts=default.attempts if attempts is None else attempts,
             base_delay_s=base,
-            max_delay_s=max(cap, base),
+            max_delay_s=max(default.max_delay_s if cap is None else cap, base),
         )
-    if fallback is not None:
-        kwargs["fallback"] = fallback
-    resilience.configure(**kwargs)
+    if kwargs:
+        from .resilience import configure
+
+        configure(**kwargs)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1270,43 +1182,9 @@ def main(argv: list[str] | None = None) -> int:
     # commands.
     _configure_resilience(args)
     try:
-        return _dispatch(args)
+        return args.handler(args)
     finally:
         get_telemetry().flush()
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "graph-info":
-        return _cmd_graph_info(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "cover":
-        return _cmd_cover(args)
-    if args.command == "trajectory":
-        return _cmd_trajectory(args)
-    if args.command == "dynamics":
-        return _cmd_dynamics(args)
-    if args.command == "adversary":
-        return _cmd_adversary(args)
-    if args.command == "status":
-        return _cmd_status(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "broker":
-        return _cmd_broker(args)
-    if args.command == "worker":
-        return _cmd_worker(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    raise SystemExit(2)  # pragma: no cover - argparse enforces commands
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,4 +1,4 @@
-"""Experiment harness: the E1..E12 reproduction suite (see DESIGN.md)."""
+"""Experiment harness: the E1..E17 suite (``repro list``; see :mod:`.registry`)."""
 
 from .config import SCALES, ExperimentConfig
 from .registry import EXPERIMENTS, ExperimentSpec, get_experiment, run_experiment

@@ -3,7 +3,8 @@
 An experiment's ``run(config)`` returns an :class:`ExperimentResult`:
 one or more :class:`~repro.experiments.tables.Table` objects (the
 regenerated "table/figure" data) plus named :class:`Check` outcomes
-encoding the *shape criteria* from DESIGN.md — so both the CLI and the
+encoding the experiment's *shape criteria* (``repro list`` and
+:mod:`repro.experiments.registry` index them) — so both the CLI and the
 test-suite can assert reproduction success mechanically.
 """
 

@@ -19,7 +19,7 @@ SMOKE = ExperimentConfig(scale="smoke", seed=20170724)
 class TestRegistry:
     def test_all_seventeen_registered(self):
         # E1..E12 reproduce the paper; E13-E17 are extensions
-        # (DESIGN.md ablations, the dynamic-graph suite, and the
+        # (design ablations, the dynamic-graph suite, and the
         # adversarial-dynamics suite).
         assert len(EXPERIMENTS) == 17
         assert sorted(EXPERIMENTS) == sorted(f"E{i}" for i in range(1, 18))
