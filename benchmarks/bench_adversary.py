@@ -1,10 +1,9 @@
 """Adversarial-dynamics throughput: cover-time cost of the adversary.
 
 Times per-run adversarial COBRA cover sampling on a random regular
-expander across the adversary catalogue and a greedy-cut budget sweep,
-appending ``(n, R, adversary, budget, seconds, cover_rounds)`` rows to
-``BENCH_adversary.json`` at the repo root via :mod:`benchmarks.record`
-— the cross-PR perf trajectory for the observation-protocol hot path.
+expander across the adversary catalogue and a greedy-cut budget sweep
+— the observation-protocol hot path — as
+``(adversary, budget, seconds, cover_rounds)`` rows.
 
 The pytest gates assert the subsystem's two robust contracts rather
 than wall-clock numbers: the budget-0 greedy-cut run reproduces the
@@ -21,11 +20,11 @@ Run with::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
 import numpy as np
-from record import machine_context, record_bench
 
 from repro.adversary import AdversarialSequence, make_adversary
 from repro.dynamics import RewiringSequence, dynamic_cover_time_samples
@@ -53,7 +52,7 @@ def measure(n: int = N, runs: int = RUNS) -> tuple[list[dict], dict]:
 
     ``samples`` maps ``(adversary, budget)`` to the sampled cover
     times, so the pytest gates can assert the anchoring and
-    monotonicity contracts on exactly the recorded cells.
+    monotonicity contracts on exactly the timed cells.
     """
     base = random_regular_graph(n, DEGREE, rng=1)
     rows: list[dict] = []
@@ -68,8 +67,6 @@ def measure(n: int = N, runs: int = RUNS) -> tuple[list[dict], dict]:
         samples[(kind, budget)] = times
         rows.append(
             {
-                "n": n,
-                "R": runs,
                 "adversary": kind,
                 "budget": budget,
                 "seconds": round(seconds, 4),
@@ -121,18 +118,15 @@ def check_contracts(samples: dict) -> None:
 # ----------------------------------------------------------------------
 def test_adversary_contracts_smoke():
     """Gate: oblivious anchor + budget monotonicity on a tiny cell."""
-    rows, samples = measure(n=48, runs=16)
+    _rows, samples = measure(n=48, runs=16)
     check_contracts(samples)
-    record_bench(
-        "adversary", rows, meta={"cell": "smoke", "gate": "anchor+monotone"}
-    )
 
 
 # ----------------------------------------------------------------------
 # script entry point
 # ----------------------------------------------------------------------
 def main(argv=None) -> int:
-    """Measure, print the table, and append to BENCH_adversary.json."""
+    """Measure, check the contracts, and print the table."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=N)
     parser.add_argument("--runs", type=int, default=RUNS)
@@ -146,10 +140,9 @@ def main(argv=None) -> int:
 
     rows, samples = measure(n, runs)
     check_contracts(samples)
-    ctx = machine_context()
     print(
         f"adversarial COBRA b=2 on rreg-{DEGREE}-{n}, R={runs} per cell "
-        f"({ctx['cpus']} CPUs)"
+        f"({len(os.sched_getaffinity(0))} CPUs)"
     )
     header = f"{'adversary':16} {'budget':>7} {'seconds':>9} {'cover_rounds':>13}"
     print(header)
@@ -159,12 +152,7 @@ def main(argv=None) -> int:
             f"{row['adversary']:16} {row['budget']:>7} {row['seconds']:>9.4f} "
             f"{row['cover_rounds']:>13.2f}"
         )
-    path = record_bench(
-        "adversary",
-        rows,
-        meta={"cell": "smoke" if args.smoke else "full", "gate": "anchor+monotone"},
-    )
-    print(f"\nanchor + monotonicity: ok; appended to {path.name}")
+    print("\nanchor + monotonicity: ok")
     return 0
 
 

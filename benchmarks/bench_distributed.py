@@ -12,11 +12,8 @@ Times COBRA cover sampling on a random regular graph three ways:
   fast-path; no shard executes, and with every shard cached the
   client never even dials the broker).
 
-Every invocation appends ``(n, R, workers, transport, seconds)`` rows
-to ``BENCH_distributed.json`` at the repo root via
-:mod:`benchmarks.record`, building the cross-PR perf trajectory.  The
-pytest gates assert the bit-identity contract and that the warm cache
-beats the cold path — robust on any machine, unlike wall-clock
+The pytest gates assert the bit-identity contract and that the warm
+cache beats the cold path — robust on any machine, unlike wall-clock
 speedups on 1-CPU containers.
 
 Run with::
@@ -30,12 +27,12 @@ from __future__ import annotations
 
 import argparse
 import multiprocessing as mp
+import os
 import sys
 import tempfile
 import time
 
 import numpy as np
-from record import machine_context, record_bench
 
 from repro.core.branching import make_policy
 from repro.distributed import Broker, ResultCache
@@ -97,8 +94,6 @@ def measure(
     local_seconds = time.perf_counter() - t0
     rows.append(
         {
-            "n": n,
-            "R": runs,
             "workers": 1,
             "transport": "local",
             "seconds": round(local_seconds, 4),
@@ -137,8 +132,6 @@ def measure(
                     proc.join(timeout=5)
     rows.append(
         {
-            "n": n,
-            "R": runs,
             "workers": workers,
             "transport": "tcp",
             "seconds": round(cold_seconds, 4),
@@ -146,8 +139,6 @@ def measure(
     )
     rows.append(
         {
-            "n": n,
-            "R": runs,
             "workers": workers,
             "transport": "tcp+cache",
             "seconds": round(warm_seconds, 4),
@@ -173,11 +164,8 @@ def check_identity(results: dict) -> None:
 # ----------------------------------------------------------------------
 def test_distributed_bit_identity_smoke():
     """Gate: broker + 2 workers reproduce run_sharded(workers=1) exactly."""
-    rows, results = measure(n=512, runs=96, workers=2, max_shard=16)
+    _rows, results = measure(n=512, runs=96, workers=2, max_shard=16)
     check_identity(results)
-    record_bench(
-        "distributed", rows, meta={"cell": "smoke", "gate": "bit-identity"}
-    )
 
 
 def test_warm_cache_beats_cold_path():
@@ -192,7 +180,7 @@ def test_warm_cache_beats_cold_path():
 # script entry point
 # ----------------------------------------------------------------------
 def main(argv=None) -> int:
-    """Measure, print the table, and append to BENCH_distributed.json."""
+    """Measure, check bit-identity, and print the table."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=N)
     parser.add_argument("--runs", type=int, default=RUNS)
@@ -209,22 +197,16 @@ def main(argv=None) -> int:
 
     rows, results = measure(n, runs, args.workers, max_shard=max_shard)
     check_identity(results)
-    ctx = machine_context()
     print(
         f"COBRA b=2 on rreg-{DEGREE}-{n}, R={runs}, broker+{args.workers} "
-        f"workers over localhost ({ctx['cpus']} CPUs)"
+        f"workers over localhost ({len(os.sched_getaffinity(0))} CPUs)"
     )
     header = f"{'transport':12} {'workers':>8} {'seconds':>9}"
     print(header)
     print("-" * len(header))
     for row in rows:
         print(f"{row['transport']:12} {row['workers']:>8} {row['seconds']:>9.4f}")
-    path = record_bench(
-        "distributed",
-        rows,
-        meta={"cell": "smoke" if args.smoke else "full", "gate": "bit-identity"},
-    )
-    print(f"\nbit-identity: ok; appended to {path.name}")
+    print("\nbit-identity: ok")
     return 0
 
 

@@ -1,6 +1,6 @@
 """Sharded-engine throughput: multiprocess R-axis fan-out vs one process.
 
-Times COBRA cover sampling at ``n = 16384``, ``R = 1024`` (the ISSUE 3
+Times COBRA cover sampling at ``n = 16384``, ``R = 1024`` (the
 headline cell) three ways:
 
 * **run_batch** — the single-process batched engine, one stream;
@@ -9,15 +9,11 @@ headline cell) three ways:
 * **run_sharded, workers=2,4,...** — shards fanned out over processes
   against the shared-memory CSR graph.
 
-Every invocation appends its measurements to ``BENCH_sharding.json``
-at the repo root via :mod:`benchmarks.record`, so the speedup
-trajectory is tracked across PRs.  The pytest gate asserts the ≥ 3×
-wall-clock win of 4 workers over ``run_batch`` — on machines that
-actually have ≥ 4 CPUs (it records, but skips the assertion, on
-smaller boxes: fan-out cannot beat the hardware).  Rows carry the
-machine's ``cpus`` so readers can interpret them, and on a single-CPU
-box the multi-worker rows are skipped entirely rather than recorded
-as misleading sub-1x "speedups".
+The pytest gate asserts the ≥ 3× wall-clock win over ``run_batch``
+on this full cell — on machines that actually have ≥ 4 CPUs (it skips
+on smaller boxes: fan-out cannot beat the hardware).  On a single-CPU
+box the multi-worker rows are skipped entirely rather than shown as
+misleading sub-1x "speedups".
 
 Run with::
 
@@ -29,28 +25,29 @@ Run with::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
 import numpy as np
 import pytest
-from record import machine_context, record_bench
 
 from repro.core.branching import make_policy
 from repro.core.cobra import CobraProcess
 from repro.engine import CobraRule, SpreadEngine
 from repro.graphs import random_regular_graph
-from repro.telemetry.compare import SHARDING_MIN_CPUS, SHARDING_SPEEDUP_FLOOR
 
 N = 16384
 RUNS = 1024
 DEGREE = 8
 SEED = 20170724
 WORKER_GRID = (1, 2, 4)
-# The gate itself lives in repro.telemetry.compare (evaluate_gates), so
-# the bench script, `repro bench compare`, and CI share one floor.
-SPEEDUP_FLOOR = SHARDING_SPEEDUP_FLOOR
-MIN_CPUS_FOR_GATE = SHARDING_MIN_CPUS
+#: Sharded execution must beat the batched baseline by this factor...
+SPEEDUP_FLOOR = 3.0
+#: ...but only on machines with at least this many CPUs (a 1-CPU box
+#: *loses* to serial and the gate would be noise).
+MIN_CPUS_FOR_GATE = 4
+CPUS = len(os.sched_getaffinity(0))
 
 
 def build_cell(n: int = N, runs: int = RUNS):
@@ -62,13 +59,13 @@ def build_cell(n: int = N, runs: int = RUNS):
     return graph, engine, state
 
 
-def time_run_batch(graph, runs: int) -> tuple[float, np.ndarray]:
+def time_run_batch(graph, runs: int) -> float:
     """Single-process baseline: one ``run_batch`` stream over all runs."""
     proc = CobraProcess(graph)
     starts = np.zeros(runs, dtype=np.int64)
     t0 = time.perf_counter()
-    res = proc.run_batch(starts, np.random.default_rng(SEED))
-    return time.perf_counter() - t0, res.cover_times
+    proc.run_batch(starts, np.random.default_rng(SEED))
+    return time.perf_counter() - t0
 
 
 def time_run_sharded(engine, state, workers: int, max_shard: int | None):
@@ -76,27 +73,6 @@ def time_run_sharded(engine, state, workers: int, max_shard: int | None):
     t0 = time.perf_counter()
     res = engine.run_sharded(state, SEED, workers=workers, max_shard=max_shard)
     return time.perf_counter() - t0, res
-
-
-def traced_round_profile(engine, state, max_shard: int | None) -> dict:
-    """One untimed instrumented pass: per-round latency percentiles.
-
-    Runs the cell once more with full telemetry (memory sink, stride 1)
-    and digests the engine's per-round histograms — the "hot rounds"
-    half of the BENCH telemetry attachment; shard skew comes free from
-    the timed runs' merged meta.
-    """
-    from repro.telemetry import MemorySink, configure
-
-    tel = configure(MemorySink(), sample_every=1)
-    try:
-        engine.run_sharded(state, SEED, workers=1, max_shard=max_shard)
-        return {
-            "round_seconds": tel.histogram_summary("engine.round.seconds"),
-            "round_occupied": tel.histogram_summary("engine.round.occupied"),
-        }
-    finally:
-        configure(None)
 
 
 def measure(
@@ -113,36 +89,29 @@ def measure(
     ``runs <= 256`` into one shard, silently serialising every worker
     count).
 
-    Every row is annotated with the machine's visible CPU count, and
-    on a single-CPU box the ``workers > 1`` rows are skipped outright:
+    On a single-CPU box the ``workers > 1`` rows are skipped outright:
     process fan-out on one core measures scheduler thrash, and the
-    resulting sub-1x "speedups" would poison the recorded trajectory.
+    resulting sub-1x "speedups" would only mislead.
     """
-    cpus = machine_context()["cpus"]
-    if cpus < 2:
+    if CPUS < 2:
         skipped = [w for w in worker_grid if w > 1]
         worker_grid = tuple(w for w in worker_grid if w <= 1)
         if skipped:
             print(
-                f"note: {cpus} CPU visible — skipping workers={skipped} "
+                f"note: {CPUS} CPU visible — skipping workers={skipped} "
                 "rows (fan-out cannot beat the hardware)"
             )
     graph, engine, state = build_cell(n, runs)
-    base_seconds, base_times = time_run_batch(graph, runs)
+    base_seconds = time_run_batch(graph, runs)
     rows = [
         {
             "mode": "run_batch",
-            "n": n,
-            "runs": runs,
             "workers": 0,
-            "cpus": cpus,
             "seconds": round(base_seconds, 4),
             "speedup_vs_batch": 1.0,
-            "mean_cover": float(base_times.mean()),
         }
     ]
     reference = None
-    telemetry = {"shard_skew": None, "shard_wall_s": None}
     for workers in worker_grid:
         seconds, res = time_run_sharded(engine, state, workers, max_shard)
         times = res.finish_times
@@ -153,26 +122,15 @@ def measure(
                 f"sharded samples differ at workers={workers} — "
                 "determinism contract broken"
             )
-        meta = res.meta or {}
-        if meta.get("workers", 0) > 1 or telemetry["shard_skew"] is None:
-            # Prefer the widest fan-out's skew: single-worker runs are
-            # trivially balanced.
-            telemetry["shard_skew"] = meta.get("skew")
-            telemetry["shard_wall_s"] = meta.get("wall_s")
         rows.append(
             {
                 "mode": "run_sharded",
-                "n": n,
-                "runs": runs,
                 "workers": workers,
-                "cpus": cpus,
                 "seconds": round(seconds, 4),
                 "speedup_vs_batch": round(base_seconds / seconds, 3),
-                "mean_cover": float(times.mean()),
             }
         )
-    telemetry.update(traced_round_profile(engine, state, max_shard))
-    return rows, telemetry
+    return rows
 
 
 def best_speedup(rows: list[dict]) -> float:
@@ -193,34 +151,20 @@ def test_sharded_determinism_small():
 
 
 @pytest.mark.skipif(
-    machine_context()["cpus"] < MIN_CPUS_FOR_GATE,
+    CPUS < MIN_CPUS_FOR_GATE,
     reason=f"speedup gate needs >= {MIN_CPUS_FOR_GATE} CPUs",
 )
 def test_sharded_speedup_gate():
-    """Acceptance gate: >= 3x over run_batch at n=16384, R=1024, 4 workers.
-
-    Recorded first, then asserted through the comparator's
-    ``evaluate_gates`` — the same code path ``repro bench compare``
-    runs on every committed entry.
-    """
-    from repro.telemetry import evaluate_gates, load_bench
-
-    rows, telemetry = measure()
-    path = record_bench(
-        "sharding", rows, meta={"gate": f">={SPEEDUP_FLOOR}x"},
-        telemetry=telemetry,
-    )
-    gates = evaluate_gates(load_bench(path))
-    assert gates, "sharding gate did not evaluate on the recorded entry"
-    failed = [g for g in gates if g.regressed]
-    assert not failed, f"sharding gate failed: {failed}; rows: {rows}"
+    """Acceptance gate: >= 3x over run_batch at n=16384, R=1024, 4 workers."""
+    rows = measure()
+    assert best_speedup(rows) >= SPEEDUP_FLOOR, rows
 
 
 # ----------------------------------------------------------------------
 # script entry point
 # ----------------------------------------------------------------------
 def main(argv=None) -> int:
-    """Measure, print the table, and append to BENCH_sharding.json."""
+    """Measure (checking identity across worker counts) and print the table."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=N)
     parser.add_argument("--runs", type=int, default=RUNS)
@@ -243,9 +187,8 @@ def main(argv=None) -> int:
         (1024, 128, 32) if args.smoke else (args.n, args.runs, None)
     )
 
-    rows, telemetry = measure(n, runs, tuple(args.workers), max_shard=max_shard)
-    ctx = machine_context()
-    print(f"COBRA b=2 on rreg-{DEGREE}-{n}, R={runs} ({ctx['cpus']} CPUs)")
+    rows = measure(n, runs, tuple(args.workers), max_shard=max_shard)
+    print(f"COBRA b=2 on rreg-{DEGREE}-{n}, R={runs} ({CPUS} CPUs)")
     header = f"{'mode':12} {'workers':>8} {'seconds':>9} {'speedup':>8}"
     print(header)
     print("-" * len(header))
@@ -254,21 +197,9 @@ def main(argv=None) -> int:
             f"{row['mode']:12} {row['workers']:>8} {row['seconds']:>9.3f} "
             f"{row['speedup_vs_batch']:>7.2f}x"
         )
-    path = record_bench(
-        "sharding", rows, meta={"smoke": bool(args.smoke), "seed": SEED},
-        telemetry=telemetry,
-    )
-    print(f"recorded -> {path}")
-    profile = telemetry.get("round_seconds")
-    if profile:
+    if CPUS < MIN_CPUS_FOR_GATE:
         print(
-            f"per-round: p50={profile['p50'] * 1e3:.2f}ms "
-            f"p99={profile['p99'] * 1e3:.2f}ms over {profile['count']} rounds; "
-            f"shard skew {telemetry.get('shard_skew')}"
-        )
-    if ctx["cpus"] < MIN_CPUS_FOR_GATE:
-        print(
-            f"note: only {ctx['cpus']} CPU(s) visible — the >= "
+            f"note: only {CPUS} CPU(s) visible — the >= "
             f"{SPEEDUP_FLOOR}x gate needs {MIN_CPUS_FOR_GATE}+ cores"
         )
     return 0

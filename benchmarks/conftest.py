@@ -18,12 +18,12 @@ import pytest
 
 from repro.experiments import ExperimentConfig, run_experiment
 
-BENCH_CONFIG = ExperimentConfig(scale="quick", seed=20170724)
+AUDIT_CONFIG = ExperimentConfig(scale="quick", seed=20170724)
 
 
 def run_and_check(experiment_id: str):
     """Run one experiment and fail the bench if any shape check fails."""
-    result = run_experiment(experiment_id, BENCH_CONFIG)
+    result = run_experiment(experiment_id, AUDIT_CONFIG)
     failing = [c for c in result.checks if not c.passed]
     assert not failing, f"{experiment_id} checks failed: {[str(c) for c in failing]}"
     return result
@@ -31,4 +31,4 @@ def run_and_check(experiment_id: str):
 
 @pytest.fixture
 def bench_config() -> ExperimentConfig:
-    return BENCH_CONFIG
+    return AUDIT_CONFIG

@@ -15,9 +15,6 @@ Subcommands::
     repro status 127.0.0.1:7603 [--watch 2]   # broker queue counters + metrics
     repro top 127.0.0.1:9633 [...] [--once]   # live dashboard over /statusz
     repro trace summarize trace.jsonl [...]   # stitched span tree + histograms
-    repro bench compare [--fail-on-regress PCT]  # BENCH regression analytics
-    repro bench report                        # ASCII perf trend tables
-    repro bench migrate                       # normalize old BENCH schemas
     repro chaos [--smoke] [--seed N]          # seeded fault-injection matrix
 
 Experiment output is the table(s) plus the pass/fail shape checks each
@@ -62,6 +59,18 @@ def _ranged(kind, low, high=None):
 
     parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
     return parse
+
+
+def _branching(text: str) -> float:
+    """An argparse ``type=`` for ``--branching``: a factor make_policy accepts."""
+    from .core.branching import make_policy
+
+    try:
+        value = float(text)
+        make_policy(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         return sampler
 
     branching = argparse.ArgumentParser(add_help=False)
-    branching.add_argument("--branching", type=float, default=2.0)
+    branching.add_argument("--branching", type=_branching, default=2.0)
 
     # dynamics and adversary: a base graph evolving under the spread.
     evolving = argparse.ArgumentParser(
@@ -396,61 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         help="JSONL trace file(s) written by --telemetry; multiple "
         "files (client, broker, workers) are merged before summarizing",
-    )
-
-    bench_p = command(
-        "bench",
-        _cmd_bench,
-        help="BENCH_*.json trajectory analytics: compare entries for "
-        "regressions, render trend tables, migrate old schemas",
-    )
-    bench_sub = bench_p.add_subparsers(dest="bench_command", required=True)
-    bench_common = argparse.ArgumentParser(add_help=False)
-    bench_common.add_argument(
-        "names",
-        nargs="*",
-        help="bench names (e.g. 'sharding kernels'); default: every "
-        "BENCH_*.json under --root",
-    )
-    bench_common.add_argument(
-        "--root",
-        default=".",
-        help="directory holding the BENCH_*.json trajectories "
-        "(default: current directory)",
-    )
-    bench_cmp_p = bench_sub.add_parser(
-        "compare",
-        parents=[bench_common],
-        help="diff each trajectory's latest entry against its baseline "
-        "(headline seconds + telemetry digests + per-bench gates); "
-        "exits non-zero when anything regresses",
-    )
-    bench_cmp_p.add_argument(
-        "--against",
-        default="last",
-        help="baseline entry: 'last' (most recent comparable entry, "
-        "default), an entry index (negative allowed), or a timestamp "
-        "prefix",
-    )
-    bench_cmp_p.add_argument(
-        "--fail-on-regress",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="regression threshold percent for headline seconds "
-        "(default 20; the absolute noise floor of 0.1s still applies)",
-    )
-    bench_sub.add_parser(
-        "report",
-        parents=[bench_common],
-        help="render ASCII trend tables per trajectory (seconds per "
-        "row identity across entries, latest telemetry digest bars)",
-    )
-    bench_sub.add_parser(
-        "migrate",
-        parents=[bench_common],
-        help="normalize trajectories in place (backfill machine/cpus "
-        "fields, canonicalize telemetry digests); idempotent",
     )
 
     broker_p = command(
@@ -993,53 +947,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 1
     print(render_trace(records))
     return 0
-
-
-def _bench_paths(args: argparse.Namespace) -> list:
-    """Resolve the bench subcommands' trajectory paths (raises SystemExit)."""
-    from pathlib import Path
-
-    from .telemetry import discover_benches
-
-    if args.names:
-        paths = [Path(args.root) / f"BENCH_{name}.json" for name in args.names]
-        missing = [str(p) for p in paths if not p.exists()]
-        if missing:
-            raise SystemExit(f"no such trajectory: {', '.join(missing)}")
-        return paths
-    paths = discover_benches(args.root)
-    if not paths:
-        raise SystemExit(f"no BENCH_*.json trajectories under {args.root!r}")
-    return paths
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .telemetry import compare_all, migrate_file, render_report, render_trends
-    from .telemetry.compare import Thresholds, load_benches
-
-    paths = _bench_paths(args)
-    if args.bench_command == "migrate":
-        total = 0
-        for path in paths:
-            changed = migrate_file(path)
-            total += changed
-            state = f"{changed} entr{'y' if changed == 1 else 'ies'} migrated"
-            print(f"{path}: {state if changed else 'already normal'}")
-        print(f"migrated {total} entr{'y' if total == 1 else 'ies'} total")
-        return 0
-    if args.bench_command == "report":
-        print(render_trends(load_benches(paths)))
-        return 0
-    # compare
-    thresholds = Thresholds()
-    if args.fail_on_regress is not None:
-        thresholds = Thresholds(
-            regress_pct=args.fail_on_regress,
-            digest_regress_pct=max(args.fail_on_regress, thresholds.digest_regress_pct),
-        )
-    report = compare_all(paths, against=args.against, thresholds=thresholds)
-    print(render_report(report))
-    return 0 if report.ok else 1
 
 
 def _print_cache_stats(endpoint: str | None) -> None:

@@ -191,6 +191,11 @@ def run_worker(
         completed = 0
         leases = 0
         tel = get_telemetry()
+        if tel.enabled:
+            # Written before any lease, so a worker that never gets a
+            # shard still leaves a trace file `repro trace summarize`
+            # can load (the record carries the pid).
+            tel.event("worker.start", endpoint=f"{host}:{port}")
         ever_connected = False
         while max_tasks is None or completed < max_tasks:
             try:

@@ -22,24 +22,6 @@ Or from the CLI/environment: every execution command accepts
 ``REPRO_TELEMETRY_SAMPLE``.
 """
 
-from .baseline import (
-    Bench,
-    BenchEntry,
-    canonical_digest,
-    discover_benches,
-    load_bench,
-    migrate_file,
-)
-from .compare import (
-    Finding,
-    RegressionReport,
-    Thresholds,
-    compare_all,
-    compare_bench,
-    evaluate_gates,
-    render_report,
-    render_trends,
-)
 from .core import (
     TELEMETRY_ENV_VAR,
     TELEMETRY_SAMPLE_ENV_VAR,
@@ -116,19 +98,4 @@ __all__ = [
     "render_trace",
     "histogram_bar",
     "fill_bar",
-    # baseline / compare (BENCH regression analytics)
-    "Bench",
-    "BenchEntry",
-    "canonical_digest",
-    "discover_benches",
-    "load_bench",
-    "migrate_file",
-    "Thresholds",
-    "Finding",
-    "RegressionReport",
-    "compare_bench",
-    "compare_all",
-    "evaluate_gates",
-    "render_report",
-    "render_trends",
 ]

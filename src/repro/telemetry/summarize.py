@@ -259,8 +259,7 @@ def histogram_bar(summary: dict, width: int = 24) -> str:
     """A crude density bar: where the mass sits between min and max.
 
     ``5``/``9``/``+`` mark p50/p90/p99 between the distribution's min
-    and max.  Shared with the BENCH trend report
-    (:func:`repro.telemetry.compare.render_trends`).
+    and max.
     """
     lo, hi = summary["min"], summary["max"]
     if hi <= lo:
@@ -278,8 +277,7 @@ def histogram_bar(summary: dict, width: int = 24) -> str:
 def fill_bar(value: float, max_value: float, width: int = 24) -> str:
     """A proportional fill bar: ``value`` as a fraction of ``max_value``.
 
-    The magnitude sibling of :func:`histogram_bar`, used by the BENCH
-    trend tables to compare successive entries' headline seconds.
+    The magnitude sibling of :func:`histogram_bar`.
     """
     if max_value <= 0 or value is None or value <= 0:
         return ""

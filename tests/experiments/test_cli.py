@@ -64,16 +64,6 @@ MINIMAL_NAMESPACES = [
     (["trace", "summarize", "t.jsonl"], {
         "command": "trace", "trace_command": "summarize", "path": ["t.jsonl"],
     }),
-    (["bench", "compare"], {
-        "command": "bench", "bench_command": "compare", "names": [],
-        "root": ".", "against": "last", "fail_on_regress": None,
-    }),
-    (["bench", "report"], {
-        "command": "bench", "bench_command": "report", "names": [], "root": ".",
-    }),
-    (["bench", "migrate"], {
-        "command": "bench", "bench_command": "migrate", "names": [], "root": ".",
-    }),
     (["broker"], {
         "command": "broker", **_TEL, "host": "127.0.0.1", "port": 7603,
         "lease_timeout": 30.0, "max_attempts": 5, "metrics_port": None,
@@ -311,6 +301,11 @@ class TestInputErrors:
             ["dynamics", "--runs", "0"],
             ["adversary", "--runs", "0"],
             ["cover", "cycle-9", "--start", "99"],
+            ["cover", "cycle-9", "--branching", "0"],
+            ["cover", "cycle-9", "--branching", "2.5"],
+            ["cover", "cycle-9", "--branching", "nan"],
+            ["dynamics", "--branching", "0"],
+            ["adversary", "--branching", "0"],
         ],
         ids=" ".join,
     )

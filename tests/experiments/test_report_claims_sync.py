@@ -5,7 +5,7 @@ from pathlib import Path
 from repro.analysis import PAPER_CLAIMS
 from repro.experiments import EXPERIMENTS
 
-BENCH_DIR = Path(__file__).resolve().parent.parent.parent / "benchmarks"
+BENCHMARKS_DIR = Path(__file__).resolve().parent.parent.parent / "benchmarks"
 
 
 def test_every_experiment_has_a_paper_claim():
@@ -15,14 +15,14 @@ def test_every_experiment_has_a_paper_claim():
 def test_every_experiment_has_a_bench_file():
     for experiment_id in EXPERIMENTS:
         num = int(experiment_id[1:])
-        bench = BENCH_DIR / f"bench_e{num:02d}.py"
+        bench = BENCHMARKS_DIR / f"bench_e{num:02d}.py"
         assert bench.exists(), f"missing {bench.name}"
 
 
 def test_bench_files_reference_their_experiment():
     for experiment_id in EXPERIMENTS:
         num = int(experiment_id[1:])
-        text = (BENCH_DIR / f"bench_e{num:02d}.py").read_text()
+        text = (BENCHMARKS_DIR / f"bench_e{num:02d}.py").read_text()
         assert f'"{experiment_id}"' in text or f"'{experiment_id}'" in text
 
 

@@ -7,15 +7,21 @@ report orphans instead of dropping them, and reject empty or corrupt
 inputs with actionable errors.  The live half exercises the
 :class:`~repro.telemetry.TraceContext` machinery directly: wire
 round-trips, parent fallback for spans opened under an installed
-context, and the trace id stamped onto every record.
+context, and the trace id stamped onto every record.  A forked
+two-worker fleet then checks that a worker which leases no shard
+still writes a trace file that loads.
 """
 
 import json
+import multiprocessing as mp
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.branching import make_policy
+from repro.distributed import Broker
+from repro.distributed.worker import run_worker
 from repro.engine import CobraRule, SpreadEngine
 from repro.graphs import random_regular_graph
 from repro.telemetry import (
@@ -69,6 +75,12 @@ def _three_host_files(tmp_path):
                 parent="job1", ts=1.9, wall_s=0.4, cpu_s=0.4, fields={}),
     ])
     return client, broker, worker
+
+
+def _traced_worker(address, path):
+    """A worker process streaming its own trace file, as ``--telemetry``."""
+    configure(JsonlSink(path))
+    run_worker(address, poll_interval=0.05)
 
 
 class TestMultiFileStitching:
@@ -277,3 +289,40 @@ class TestRunShardedTracing:
         engine.run_sharded(state, 7, workers=1, max_shard=4)
         assert tel.current_context() is None
         assert get_telemetry().current_span_id() is None
+
+
+class TestWorkerTrace:
+    def test_worker_that_leases_nothing_still_leaves_a_trace(self, tmp_path):
+        """One shard, two traced workers: the idle one's file loads too."""
+        graph = random_regular_graph(64, 4, rng=3)
+        engine = SpreadEngine(CobraRule(make_policy(2)), graph)
+        state = np.zeros((8, 64), dtype=bool)
+        state[:, 0] = True
+        files = [tmp_path / "worker1.jsonl", tmp_path / "worker2.jsonl"]
+        fork = mp.get_context("fork")
+        with Broker(lease_timeout=15.0) as broker:
+            procs = [
+                fork.Process(
+                    target=_traced_worker, args=(broker.address, path), daemon=True
+                )
+                for path in files
+            ]
+            for proc in procs:
+                proc.start()
+            try:
+                engine.run_distributed(state, 7, endpoint=broker.address, cache=None)
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline and not all(
+                    path.exists() for path in files
+                ):
+                    time.sleep(0.05)
+                records = load_traces(files)
+            finally:
+                for proc in procs:
+                    proc.terminate()
+                for proc in procs:
+                    proc.join(timeout=5)
+        starts = [r for r in records if r["name"] == "worker.start"]
+        assert sorted(r["pid"] for r in starts) == sorted(p.pid for p in procs)
+        assert {r["fields"]["endpoint"] for r in starts} == {broker.address}
+        assert sum(r["name"] == "worker.lease" for r in records) == 1
