@@ -41,22 +41,23 @@ def test_bench_neighbor_sampling(benchmark, expander, rng):
 
 def test_bench_cobra_round_large_front(benchmark, expander, rng):
     proc = CobraProcess(expander)
-    active = np.unique(rng.integers(0, expander.n, size=expander.n // 2))
-    benchmark(proc.step, active, rng)
+    active = np.zeros((1, expander.n), dtype=bool)
+    active[0, rng.integers(0, expander.n, size=expander.n // 2)] = True
+    benchmark(proc.rule.step, expander, active, np.ones(1, dtype=bool), rng)
 
 
 def test_bench_bips_round(benchmark, expander, rng):
     proc = BipsProcess(expander, 0)
-    infected = rng.random(expander.n) < 0.3
-    infected[0] = True
-    benchmark(proc.step, infected, rng)
+    infected = rng.random((1, expander.n)) < 0.3
+    infected[0, 0] = True
+    benchmark(proc.rule_single.step, expander, infected, np.ones(1, dtype=bool), rng)
 
 
 def test_bench_bips_batch_round(benchmark, expander, rng):
     proc = BipsProcess(expander, 0)
     infected = rng.random((64, expander.n)) < 0.3
     infected[:, 0] = True
-    benchmark(proc.step_batch, infected, rng)
+    benchmark(proc.rule_batch.step, expander, infected, np.ones(64, dtype=bool), rng)
 
 
 def test_bench_cobra_full_cover(benchmark, rng):

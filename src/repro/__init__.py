@@ -7,7 +7,8 @@ Public API highlights:
 * :class:`repro.graphs.Graph` and the family generators — the CSR graph
   substrate;
 * :class:`repro.core.CobraProcess` / :class:`repro.core.BipsProcess` —
-  the paper's two processes, with single-run and batched engines;
+  the paper's two processes, with single-run and batched engines, on a
+  static graph or a :mod:`repro.dynamics` sequence;
 * :func:`repro.core.verify_duality_exact` — Theorem 1.3 checked to
   machine precision on tiny graphs;
 * :mod:`repro.theory` — every bound formula in the paper and its
@@ -44,8 +45,6 @@ from .core import (
 )
 from .dynamics import (
     ChurnSequence,
-    DynamicBipsProcess,
-    DynamicCobraProcess,
     EdgeMarkovianSequence,
     FrozenSequence,
     GraphSequence,
@@ -94,8 +93,6 @@ __all__ = [
     "verify_duality_monte_carlo",
     # dynamics
     "ChurnSequence",
-    "DynamicBipsProcess",
-    "DynamicCobraProcess",
     "EdgeMarkovianSequence",
     "FrozenSequence",
     "GraphSequence",

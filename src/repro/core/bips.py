@@ -15,7 +15,8 @@ candidate sets ``C_t`` of eq. (6) used by Corollaries 5.2/5.3.
 
 Execution is delegated to the unified batched engine
 (:mod:`repro.engine`): :class:`BipsProcess` binds a
-:class:`~repro.engine.rules.BipsRule` to a static graph.  ``run`` uses
+:class:`~repro.engine.rules.BipsRule` to a static graph or a
+time-evolving :class:`~repro.dynamics.GraphSequence`.  ``run`` uses
 the rule's ``"single"`` randomness discipline (the historical
 single-run draw order) at ``R = 1``; ``run_batch`` uses the ``"batch"``
 discipline (the historical tiled draw order).  Both are seed-for-seed
@@ -27,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine.caps import process_round_cap
+from ..engine.completion import CompletionCriterion
 from ..engine.engine import SpreadEngine
 from ..engine.rules import BipsRule
 from ..graphs.graph import Graph
@@ -56,17 +58,29 @@ def default_infection_cap(graph: Graph) -> int:
     return process_round_cap(graph.n, graph.m, graph.dmax)
 
 
+def _neighbor_counts_and_fixed(
+    graph: Graph, infected: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex infected-neighbour counts and the ``B_fix`` mask.
+
+    Counting by prefix sums over the CSR rows gives 0 for a degree-0
+    row.  A degree-0 vertex of a dynamic snapshot makes no selection and
+    is never infected, so it is not in ``B_fix``.
+    """
+    cum = np.concatenate(([0], np.cumsum(infected[graph.indices], dtype=np.int64)))
+    counts = cum[graph.indptr[1:]] - cum[graph.indptr[:-1]]
+    return counts, (counts == graph.degrees) & (graph.degrees > 0)
+
+
 def fixed_set(graph: Graph, infected: np.ndarray) -> np.ndarray:
     """``B_fix = {u : N(u) ⊆ A}`` — the deterministic part of the next set.
 
     ``infected`` is a boolean mask of ``A``.  Returns a boolean mask.
     (Paper, Section 3: these vertices will be infected regardless of
     their random selections, because every selection lands in ``A``.)
+    Degree-0 vertices are left out: they are never infected.
     """
-    counts = np.add.reduceat(
-        infected[graph.indices].astype(np.int64), graph.indptr[:-1]
-    )
-    return counts == graph.degrees
+    return _neighbor_counts_and_fixed(graph, infected)[1]
 
 
 def candidate_set(graph: Graph, infected: np.ndarray, source: int) -> np.ndarray:
@@ -76,36 +90,35 @@ def candidate_set(graph: Graph, infected: np.ndarray, source: int) -> np.ndarray
     Corollary 5.2 lower-bounds ``|C_t|`` by ``|A_{t-1}|(1-λ)/2`` for
     regular graphs with ``|A_{t-1}| <= n/2``.
     """
-    counts = np.add.reduceat(
-        infected[graph.indices].astype(np.int64), graph.indptr[:-1]
-    )
+    counts, bfix = _neighbor_counts_and_fixed(graph, infected)
     in_neighborhood = counts > 0
     in_neighborhood[source] = True
-    bfix = counts == graph.degrees
     return in_neighborhood & ~bfix
 
 
 class BipsProcess:
-    """A BIPS process bound to a graph, source vertex and branching policy.
+    """A BIPS process bound to a topology, source vertex and branching policy.
 
-    Parameters mirror :class:`~repro.core.cobra.CobraProcess`; the extra
-    ``source`` is the persistent source ``v``.  ``validate=False`` skips
-    the connectivity check (see :mod:`repro.dynamics`).
+    Parameters mirror :class:`~repro.core.cobra.CobraProcess` (a
+    connected graph or a :class:`~repro.dynamics.GraphSequence`, with
+    the same ``completion`` criteria); the extra ``source`` is the
+    persistent source ``v``.  On a snapshot with isolated vertices the
+    selections are restricted to degree-positive vertices, so an
+    isolated vertex other than the source is never infected.
     """
 
     def __init__(
         self,
-        graph: Graph,
+        topology,
         source: int,
         branching: BranchingPolicy | int | float = 2,
         *,
         lazy: bool = False,
-        validate: bool = True,
     ) -> None:
-        if validate:
-            require_connected(graph)
-        self.graph = graph
-        self.source = check_vertex(graph, source)
+        if isinstance(topology, Graph):
+            require_connected(topology)
+        self.topology = topology
+        self.source = check_vertex(topology, source)
         self.policy = make_policy(branching)
         self.lazy = lazy
         self.rule_single = BipsRule(
@@ -113,32 +126,6 @@ class BipsProcess:
         )
         self.rule_batch = BipsRule(
             self.policy, self.source, lazy=self.lazy, discipline="batch"
-        )
-        self._engine_single = SpreadEngine(self.rule_single, graph)
-        self._engine_batch = SpreadEngine(self.rule_batch, graph)
-
-    # ------------------------------------------------------------------
-    def step(self, infected: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One parallel round: return the next infected boolean mask.
-
-        Every vertex makes its selections; a vertex is infected next
-        round iff some selection is currently infected.  The source is
-        then forced back in.
-        """
-        g = self.graph
-        infected = np.asarray(infected, dtype=bool)
-        if infected.shape != (g.n,):
-            raise ValueError(f"infected mask must have shape ({g.n},)")
-        return self.rule_single.step(
-            g, infected[None, :], np.ones(1, dtype=bool), rng
-        )[0]
-
-    def step_batch(
-        self, infected: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One parallel round for ``R`` runs at once: ``(R, n) → (R, n)``."""
-        return self.rule_batch.step(
-            self.graph, infected, np.ones(infected.shape[0], dtype=bool), rng
         )
 
     # ------------------------------------------------------------------
@@ -150,25 +137,29 @@ class BipsProcess:
         record_degrees: bool = False,
         record_candidates: bool = False,
         initial: np.ndarray | None = None,
+        completion: str | CompletionCriterion = "all-vertices",
     ) -> BipsResult:
-        """Run until the whole graph is infected (or the cap).
+        """Run until the completion criterion holds (or the cap).
 
         ``initial`` optionally overrides ``A_0`` (must contain the
         source); the proofs' restart/monotonicity arguments use this.
-        Internally the batched engine at ``R = 1`` with the single-run
-        randomness discipline.
+        ``completion="all-active"`` declares the run finished once
+        every *currently-present* (degree-positive) vertex is infected
+        — the reachable target under vertex churn.  Internally the
+        batched engine at ``R = 1`` with the single-run randomness
+        discipline.
         """
-        g = self.graph
+        n = self.topology.n
         if initial is None:
-            infected = np.zeros(g.n, dtype=bool)
+            infected = np.zeros(n, dtype=bool)
             infected[self.source] = True
         else:
             infected = np.array(initial, dtype=bool)
-            if infected.shape != (g.n,) or not infected[self.source]:
+            if infected.shape != (n,) or not infected[self.source]:
                 raise ValueError("initial set must be a mask containing the source")
 
-        degree_sizes = [] if record_degrees else None
-        candidate_sizes = [] if record_candidates else None
+        degree_sizes: list[int] = []
+        candidate_sizes: list[int] = []
 
         def observe(t: int, graph: Graph, state: np.ndarray) -> None:
             if record_degrees:
@@ -178,7 +169,8 @@ class BipsProcess:
                     int(candidate_set(graph, state[0], self.source).sum())
                 )
 
-        res = self._engine_single.run(
+        engine = SpreadEngine(self.rule_single, self.topology, completion)
+        res = engine.run(
             infected[None, :],
             rng,
             max_rounds=max_rounds,
@@ -187,7 +179,8 @@ class BipsProcess:
         )
         final = res.final_state[0]
         if record_degrees:
-            degree_sizes.append(int(g.degrees[final].sum()))
+            final_graph = engine.topology.graph_at(res.rounds_run)
+            degree_sizes.append(int(final_graph.degrees[final].sum()))
 
         done = bool(res.finish_times[0] >= 0)
         return BipsResult(
@@ -195,12 +188,8 @@ class BipsProcess:
             infection_time=int(res.finish_times[0]) if done else -1,
             rounds_run=res.rounds_run,
             sizes=res.sizes[0].copy(),
-            degree_sizes=np.asarray(
-                degree_sizes if record_degrees else [], dtype=np.int64
-            ),
-            candidate_sizes=np.asarray(
-                candidate_sizes if record_candidates else [], dtype=np.int64
-            ),
+            degree_sizes=np.asarray(degree_sizes, dtype=np.int64),
+            candidate_sizes=np.asarray(candidate_sizes, dtype=np.int64),
             final_infected=final.copy(),
         )
 
@@ -212,19 +201,20 @@ class BipsProcess:
         *,
         max_rounds: int | None = None,
         record_sizes: bool = False,
+        completion: str | CompletionCriterion = "all-vertices",
     ) -> BipsBatchResult:
         """Advance ``runs`` independent BIPS runs together.
 
-        All runs share the same source.  A run that has fully infected
-        stops being updated (its state is frozen at all-infected).
+        All runs share the same source (and, on a sequence, one
+        topology realisation).  A finished run stops being updated: its
+        state is frozen at its completion state.
         """
-        g = self.graph
         if runs < 1:
             raise ValueError("need at least one run")
-        infected = np.zeros((runs, g.n), dtype=bool)
+        infected = np.zeros((int(runs), self.topology.n), dtype=bool)
         infected[:, self.source] = True
 
-        res = self._engine_batch.run(
+        res = SpreadEngine(self.rule_batch, self.topology, completion).run(
             infected, rng, max_rounds=max_rounds, record_sizes=record_sizes
         )
         return BipsBatchResult(
@@ -287,7 +277,7 @@ def infection_time_samples(
 
         state = np.zeros((int(runs), graph.n), dtype=bool)
         state[:, proc.source] = True
-        res = proc._engine_batch.run_sharded(
+        res = SpreadEngine(proc.rule_batch, graph).run_sharded(
             state,
             rng,
             workers=None if workers is None else int(workers),

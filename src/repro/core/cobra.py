@@ -11,12 +11,13 @@ implicit: a vertex chosen twice appears once.
 
 Execution is delegated to the unified batched engine
 (:mod:`repro.engine`): :class:`CobraProcess` is a thin wrapper binding
-a :class:`~repro.engine.rules.CobraRule` to a static graph, and both
-``run`` and ``run_batch`` drive the same ``(R, n)`` boolean program
-(a single run is the ``R = 1`` case).  The wrappers are seed-for-seed
-compatible with the pre-engine implementations: the rule kernel is the
-historical inner loop, and a sorted-unique active set consumed
-randomness in the same order in both code paths.
+a :class:`~repro.engine.rules.CobraRule` to a static graph or a
+time-evolving :class:`~repro.dynamics.GraphSequence`, and both ``run``
+and ``run_batch`` drive the same ``(R, n)`` boolean program (a single
+run is the ``R = 1`` case).  The wrappers are seed-for-seed compatible
+with the pre-engine implementations: the rule kernel is the historical
+inner loop, and a sorted-unique active set consumed randomness in the
+same order in both code paths.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine.caps import process_round_cap
+from ..engine.completion import CompletionCriterion
 from ..engine.engine import SpreadEngine
-from ..engine.rules import CobraRule, select_targets
+from ..engine.rules import CobraRule
 from ..graphs.graph import Graph
 from ..graphs.validation import check_vertex, check_vertex_set, require_connected
 from ..parallel.batch import plan_batches_for
@@ -57,55 +59,43 @@ def default_round_cap(graph: Graph) -> int:
 
 
 class CobraProcess:
-    """A COBRA process bound to a graph and a branching policy.
+    """A COBRA process bound to a topology and a branching policy.
 
     Parameters
     ----------
-    graph:
-        A connected :class:`~repro.graphs.Graph`.
+    topology:
+        A connected :class:`~repro.graphs.Graph`, or a
+        :class:`~repro.dynamics.GraphSequence` whose round-``t`` active
+        set makes its selections on ``sequence.graph_at(t)``.  Snapshots
+        may be momentarily disconnected (coverage then happens across
+        rounds), so only a static graph is checked for connectivity.
     branching:
         Branching spec: an int ``b``, a float ``1 + ρ`` in (1, 2), or a
         :class:`~repro.core.branching.BranchingPolicy`.
     lazy:
         If True, each individual neighbour selection instead returns the
         selecting vertex itself with probability 1/2 (the bipartite fix).
-    validate:
-        If False, skip the connectivity check.  Used by
-        :mod:`repro.dynamics`, whose per-round snapshot views may be
-        momentarily disconnected (coverage then happens across rounds).
+
+    ``run`` and ``run_batch`` take a ``completion`` criterion: a string
+    (``"all-vertices"`` or ``"all-active"``) or a
+    :class:`~repro.engine.completion.CompletionCriterion` such as
+    ``TargetHit(v)``; the churn-aware ``"all-active"`` counts only the
+    vertices present in the current snapshot.
     """
 
     def __init__(
         self,
-        graph: Graph,
+        topology,
         branching: BranchingPolicy | int | float = 2,
         *,
         lazy: bool = False,
-        validate: bool = True,
     ) -> None:
-        if validate:
-            require_connected(graph)
-        self.graph = graph
+        if isinstance(topology, Graph):
+            require_connected(topology)
+        self.topology = topology
         self.policy = make_policy(branching)
         self.lazy = lazy
         self.rule = CobraRule(self.policy, lazy=self.lazy)
-        self._engine = SpreadEngine(self.rule, graph)
-
-    # ------------------------------------------------------------------
-    def step(self, active: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Advance one round: return the sorted unique next active set.
-
-        ``active`` is an array of vertex ids (the particles' positions);
-        coalescing is performed by the ``np.unique``.  Duplicate ids
-        act as separate particles, exactly as before coalescing.
-        """
-        active = np.asarray(active, dtype=np.int64)
-        if active.size == 0:
-            raise ValueError("COBRA requires a nonempty active set")
-        counts = self.policy.draw_counts(active.shape[0], rng)
-        actors = np.repeat(active, counts)
-        targets = select_targets(self.graph, actors, rng, self.lazy)
-        return np.unique(targets)
 
     # ------------------------------------------------------------------
     def run(
@@ -115,23 +105,23 @@ class CobraProcess:
         *,
         max_rounds: int | None = None,
         record: bool = False,
+        completion: str | CompletionCriterion = "all-vertices",
     ) -> CobraResult:
-        """Run until the graph is covered (or ``max_rounds``).
+        """Run until the completion criterion holds (or ``max_rounds``).
 
         ``start`` may be a single vertex or an initial vertex set ``C``.
         ``record=True`` additionally stores ``|C_t|`` and the cumulative
         visited count per round.  Internally this is the batched engine
         at ``R = 1``.
         """
-        g = self.graph
+        topo = self.topology
+        state = np.zeros((1, topo.n), dtype=bool)
         if np.ndim(start) == 0:
-            active = np.array([check_vertex(g, int(start))], dtype=np.int64)
+            state[0, check_vertex(topo, start)] = True
         else:
-            active = check_vertex_set(g, start)
-        state = np.zeros((1, g.n), dtype=bool)
-        state[0, active] = True
+            state[0, check_vertex_set(topo, start)] = True
 
-        res = self._engine.run(
+        res = SpreadEngine(self.rule, topo, completion).run(
             state,
             rng,
             max_rounds=max_rounds,
@@ -161,24 +151,26 @@ class CobraProcess:
         *,
         max_rounds: int | None = None,
         track_hits: bool = False,
+        completion: str | CompletionCriterion = "all-vertices",
     ) -> CobraBatchResult:
         """Advance ``R`` independent runs together (vectorised over runs).
 
         ``starts`` is an array of ``R`` start vertices (one particle per
         run at round 0).  Runs that finish stop consuming work; the loop
-        exits when every run has covered or the cap is reached.
+        exits when every run has finished or the cap is reached.  On a
+        sequence all runs share one topology realisation.
         """
-        g = self.graph
+        n = self.topology.n
         starts = np.asarray(starts, dtype=np.int64)
         if starts.ndim != 1 or starts.size == 0:
             raise ValueError("starts must be a 1-D nonempty array of vertices")
-        if starts.min() < 0 or starts.max() >= g.n:
-            raise ValueError("start vertex out of range")
+        if starts.min() < 0 or starts.max() >= n:
+            raise ValueError(f"start vertex out of range [0, {n})")
         runs = starts.shape[0]
-        state = np.zeros((runs, g.n), dtype=bool)
+        state = np.zeros((runs, n), dtype=bool)
         state[np.arange(runs), starts] = True
 
-        res = self._engine.run(
+        res = SpreadEngine(self.rule, self.topology, completion).run(
             state, rng, max_rounds=max_rounds, track_hits=track_hits
         )
         return CobraBatchResult(
@@ -249,7 +241,7 @@ def cover_time_samples(
 
         state = np.zeros((int(runs), graph.n), dtype=bool)
         state[:, check_vertex(graph, int(start))] = True
-        res = proc._engine.run_sharded(
+        res = SpreadEngine(proc.rule, graph).run_sharded(
             state,
             rng,
             workers=None if workers is None else int(workers),
@@ -289,6 +281,9 @@ def hit_time_samples(
     """Sample ``Hit_start(target)`` ``runs`` times (for duality checks)."""
     gen = generator_from(rng)
     proc = CobraProcess(graph, branching, lazy=lazy)
+    target = check_vertex(graph, target)
+    if runs <= 0:
+        return np.empty(0, dtype=np.int64)
     res = proc.run_batch(
         np.full(runs, start, dtype=np.int64),
         gen,

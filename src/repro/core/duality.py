@@ -25,13 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.rules import BipsRule, CobraRule
 from ..graphs.graph import Graph
 from ..graphs.validation import check_vertex, check_vertex_set, require_connected
-from .bips import BipsProcess
-from .branching import BranchingPolicy
-from .cobra import CobraProcess
-from .exact import bips_exact, cobra_hit_survival_exact
 from ..stats.rng import generator_from
+from .branching import BranchingPolicy, make_policy
+from .exact import bips_exact, cobra_hit_survival_exact
+from .hitting import _cobra_hit_rounds
 
 __all__ = [
     "DualityReport",
@@ -120,8 +120,13 @@ def verify_duality_monte_carlo(
     COBRA side: fraction of runs (started from ``start_set``) in which
     the source is still unhit after ``T`` rounds.  BIPS side: fraction
     of runs (source ``source``) in which ``A_T`` misses ``start_set``
-    entirely.  Both estimated from ``runs`` independent trajectories.
+    entirely.  Both estimated from ``runs`` independent trajectories:
+    the COBRA runs one at a time (the loop of
+    :func:`~repro.core.hitting.cobra_hit_survival_mc`), the BIPS runs
+    as one ``(runs, n)`` batch.
     """
+    if runs < 1:
+        raise ValueError("need at least one run")
     require_connected(graph)
     gen = generator_from(rng)
     source = check_vertex(graph, source)
@@ -129,44 +134,29 @@ def verify_duality_monte_carlo(
     if horizons is None:
         horizons = np.arange(0, 4 * max(4, int(np.ceil(np.log2(graph.n + 1)))))
     horizons = np.asarray(horizons, dtype=np.int64)
+    if horizons.min() < 0:
+        raise ValueError("horizons must be nonnegative")
     t_top = int(horizons.max())
+    policy = make_policy(branching)
 
-    # --- COBRA side: track whether the source has been hit by each T.
-    cobra_proc = CobraProcess(graph, branching, lazy=lazy)
-    unhit_counts = np.zeros(horizons.shape[0], dtype=np.int64)
-    for _ in range(runs):
-        active = c.copy()
-        hit_at = 0 if source in set(c.tolist()) else -1
-        t = 0
-        while hit_at < 0 and t < t_top:
-            t += 1
-            active = cobra_proc.step(active, gen)
-            if hit_at < 0 and np.any(active == source):
-                hit_at = t
-        for i, horizon in enumerate(horizons):
-            if hit_at < 0 or hit_at > horizon:
-                unhit_counts[i] += 1
-    cobra_side = unhit_counts / runs
+    # --- COBRA side: the round each run first hits the source.
+    hits = _cobra_hit_rounds(
+        graph, c, source, CobraRule(policy, lazy=lazy), runs, t_top, gen
+    )
+    unhit = (hits[:, None] < 0) | (hits[:, None] > horizons[None, :])
+    cobra_side = unhit.sum(axis=0) / runs
 
-    # --- BIPS side: batch runs, check A_T ∩ C at each horizon.
-    bips_proc = BipsProcess(graph, source, branching, lazy=lazy)
-    miss_counts = np.zeros(horizons.shape[0], dtype=np.int64)
+    # --- BIPS side: batch runs, count the runs whose A_t misses C.
+    rule = BipsRule(policy, source, lazy=lazy)
+    alive = np.ones(runs, dtype=bool)
     infected = np.zeros((runs, graph.n), dtype=bool)
     infected[:, source] = True
-    cmask = np.zeros(graph.n, dtype=bool)
-    cmask[c] = True
-    for i, horizon in enumerate(horizons):
-        if horizon == 0:
-            miss_counts[i] = runs if not cmask[source] else 0
-    horizon_set = set(horizons.tolist())
-    t = 0
-    while t < t_top:
-        t += 1
-        infected = bips_proc.step_batch(infected, gen)
-        if t in horizon_set:
-            i = int(np.nonzero(horizons == t)[0][0])
-            miss_counts[i] = int(np.sum(~(infected & cmask[None, :]).any(axis=1)))
-    bips_side = miss_counts / runs
+    misses = np.zeros(t_top + 1, dtype=np.int64)
+    misses[0] = 0 if source in c else runs
+    for t in range(1, t_top + 1):
+        infected = rule.step(graph, infected, alive, gen)
+        misses[t] = np.count_nonzero(~infected[:, c].any(axis=1))
+    bips_side = misses[horizons] / runs
 
     def stderr(p: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(p * (1.0 - p), 1e-12) / runs)

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..engine.rules import CobraRule
 from ..graphs.graph import Graph
-from ..graphs.validation import check_vertex, require_connected
+from ..graphs.validation import check_vertex, check_vertex_set, require_connected
 from ..stats.rng import generator_from
 from ..stats.survival import SurvivalCurve, empirical_survival
-from .branching import BranchingPolicy
-from .cobra import CobraProcess
+from .branching import BranchingPolicy, make_policy
 
 __all__ = [
     "random_walk_hitting_times",
@@ -72,6 +72,41 @@ def commute_time(graph: Graph, u: int, v: int) -> float:
     )
 
 
+def _cobra_hit_rounds(
+    graph: Graph,
+    start: np.ndarray,
+    target: int,
+    rule: CobraRule,
+    runs: int,
+    horizon: int,
+    gen: np.random.Generator,
+) -> np.ndarray:
+    """Round at which each of ``runs`` COBRA runs first hits ``target``.
+
+    ``start`` is a validated vertex set; ``-1`` marks a run that has not
+    hit by ``horizon``.  The runs go one after another at ``R = 1``
+    through :meth:`CobraRule.step <repro.engine.rules.CobraRule.step>`,
+    each stopping at its hit, so a run draws exactly the randomness of
+    its own rounds — the stream Theorem 1.3's Monte-Carlo check and the
+    survival estimator have always consumed.
+    """
+    hits = np.full(runs, -1, dtype=np.int64)
+    state0 = np.zeros((1, graph.n), dtype=bool)
+    state0[0, start] = True
+    if state0[0, target]:
+        hits[:] = 0
+        return hits
+    alive = np.ones(1, dtype=bool)
+    for i in range(runs):
+        state = state0
+        for t in range(1, horizon + 1):
+            state = rule.step(graph, state, alive, gen)
+            if state[0, target]:
+                hits[i] = t
+                break
+    return hits
+
+
 def cobra_hit_survival_mc(
     graph: Graph,
     start,
@@ -85,30 +120,14 @@ def cobra_hit_survival_mc(
 ) -> SurvivalCurve:
     """Monte-Carlo ``P(Hit(target) > T | C_0 = start)`` for ``T ≤ horizon``.
 
-    Runs hitting the horizon are censored (counted as surviving), so
-    the curve is exact in expectation at every ``T ≤ horizon``.
+    ``start`` is a vertex or a vertex set.  Runs hitting the horizon are
+    censored (counted as surviving), so the curve is exact in
+    expectation at every ``T ≤ horizon``.
     """
     gen = generator_from(rng)
     require_connected(graph)
     target = check_vertex(graph, target)
-    proc = CobraProcess(graph, branching, lazy=lazy)
-    if np.ndim(start) == 0:
-        start_arr = np.array([int(start)], dtype=np.int64)
-    else:
-        start_arr = np.asarray(sorted(set(int(s) for s in start)), dtype=np.int64)
-    hits = np.empty(runs, dtype=np.int64)
-    for i in range(runs):
-        active = start_arr.copy()
-        if np.any(active == target):
-            hits[i] = 0
-            continue
-        t = 0
-        hit_at = -1
-        while t < horizon:
-            t += 1
-            active = proc.step(active, gen)
-            if np.any(active == target):
-                hit_at = t
-                break
-        hits[i] = hit_at
+    start = check_vertex_set(graph, [start] if np.ndim(start) == 0 else start)
+    rule = CobraRule(make_policy(branching), lazy=lazy)
+    hits = _cobra_hit_rounds(graph, start, target, rule, runs, horizon, gen)
     return empirical_survival(hits, horizon=horizon)

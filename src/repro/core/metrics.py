@@ -13,11 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.rules import CobraRule
 from ..graphs.graph import Graph
+from ..graphs.validation import check_vertex, require_connected
 from ..stats.estimators import Estimate, mean_ci
 from ..stats.rng import generator_from, spawn_seeds
 from .branching import BranchingPolicy, make_policy
-from .cobra import CobraProcess, cover_time_samples
+from .cobra import CobraProcess, cover_time_samples, default_round_cap
 
 __all__ = [
     "TransmissionReport",
@@ -93,6 +95,18 @@ def cobra_transmission_report(
     )
 
 
+class _LoggedCounts:
+    """A branching policy that keeps the counts of its latest draw."""
+
+    def __init__(self, policy: BranchingPolicy) -> None:
+        self.policy = policy
+        self.last = np.empty(0, dtype=np.int64)
+
+    def draw_counts(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        self.last = self.policy.draw_counts(k, rng)
+        return self.last
+
+
 def per_vertex_load(
     graph: Graph,
     start: int = 0,
@@ -106,34 +120,28 @@ def per_vertex_load(
 
     Returns an ``(n,)`` integer array: how many selections each vertex
     performed.  The paper's cap means no entry may exceed
-    ``b · cover_time``.
+    ``b · cover_time``.  The run is :class:`~repro.engine.rules.CobraRule`
+    at ``R = 1``, which draws one count per active vertex in ascending
+    vertex order.
     """
     gen = generator_from(rng)
-    policy = make_policy(branching)
-    proc = CobraProcess(graph, policy, lazy=lazy)
+    require_connected(graph)
+    counts = _LoggedCounts(make_policy(branching))
+    rule = CobraRule(counts, lazy=lazy)
+    state = np.zeros((1, graph.n), dtype=bool)
+    state[0, check_vertex(graph, start)] = True
+    visited = state[0].copy()
+    alive = np.ones(1, dtype=bool)
     load = np.zeros(graph.n, dtype=np.int64)
-    active = np.array([start], dtype=np.int64)
-    visited = np.zeros(graph.n, dtype=bool)
-    visited[start] = True
-    remaining = graph.n - 1
-    from .cobra import default_round_cap
-
     cap = default_round_cap(graph) if max_rounds is None else int(max_rounds)
     t = 0
-    while remaining > 0 and t < cap:
+    while not visited.all() and t < cap:
         t += 1
-        counts = policy.draw_counts(active.shape[0], gen)
-        np.add.at(load, active, counts)
-        actors = np.repeat(active, counts)
-        targets = graph.sample_neighbors(actors, gen)
-        if lazy:
-            stay = gen.random(actors.shape[0]) < 0.5
-            targets = np.where(stay, actors, targets)
-        active = np.unique(targets)
-        fresh = active[~visited[active]]
-        visited[fresh] = True
-        remaining -= fresh.shape[0]
-    if remaining > 0:
+        nxt = rule.step(graph, state, alive, gen)
+        load[state[0]] += counts.last
+        state = nxt
+        visited |= state[0]
+    if not visited.all():
         raise RuntimeError(f"COBRA failed to cover {graph.name} within {cap} rounds")
     return load
 

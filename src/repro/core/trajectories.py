@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.engine import SpreadEngine
 from ..graphs.graph import Graph
 from ..graphs.validation import check_vertex
 from .bips import BipsProcess
@@ -111,7 +112,7 @@ def bips_size_ensemble(
     proc = BipsProcess(graph, source, branching, lazy=lazy)
     state = np.zeros((int(runs), graph.n), dtype=bool)
     state[:, proc.source] = True
-    res = proc._engine_batch.run_sharded(
+    res = SpreadEngine(proc.rule_batch, graph).run_sharded(
         state,
         seed,
         workers=1 if workers is None else workers,
@@ -147,7 +148,7 @@ def cobra_coverage_ensemble(
     proc = CobraProcess(graph, branching, lazy=lazy)
     state = np.zeros((int(runs), graph.n), dtype=bool)
     state[:, check_vertex(graph, int(start))] = True
-    res = proc._engine.run_sharded(
+    res = SpreadEngine(proc.rule, graph).run_sharded(
         state,
         seed,
         workers=1 if workers is None else workers,

@@ -7,17 +7,17 @@ The subsystem splits into a topology layer and a process layer:
   :class:`SnapshotSchedule` (replay, eager or lazy), and the stochastic
   providers :class:`EdgeMarkovianSequence`, :class:`RewiringSequence`,
   :class:`ChurnSequence`;
-* :class:`DynamicCobraProcess` / :class:`DynamicBipsProcess` — thin
-  wrappers over the unified batched engine (:mod:`repro.engine`) that
-  drive the static kernels over the per-round snapshots, with one seed
-  stream for topology and one for the process.  Both offer single-run
-  ``run`` and shared-realisation ``run_batch`` execution, and
-  churn-aware completion criteria (``"all-active"``).
+* samplers (:func:`dynamic_cover_time_samples`,
+  :func:`dynamic_infection_time_batch`, ...) that run
+  :class:`repro.core.CobraProcess` / :class:`repro.core.BipsProcess` —
+  which accept a sequence wherever they accept a graph — over the
+  per-round snapshots, with one seed stream for topology and one for
+  the process.  Each comes as a one-realisation-per-run sampler and a
+  shared-realisation batch sampler, with churn-aware completion
+  criteria (``"all-active"``).
 """
 
 from .process import (
-    DynamicBipsProcess,
-    DynamicCobraProcess,
     batch_seed_pair,
     dynamic_cover_time_batch,
     dynamic_cover_time_samples,
@@ -41,8 +41,6 @@ __all__ = [
     "EdgeMarkovianSequence",
     "RewiringSequence",
     "ChurnSequence",
-    "DynamicCobraProcess",
-    "DynamicBipsProcess",
     "dynamic_cover_time_samples",
     "dynamic_infection_time_samples",
     "dynamic_cover_time_batch",

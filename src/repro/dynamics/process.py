@@ -1,11 +1,12 @@
-"""Dynamic COBRA / BIPS runners over a :class:`GraphSequence`.
+"""Dynamic COBRA / BIPS samplers over a :class:`GraphSequence`.
 
-The runners are thin wrappers over the unified batched engine
-(:mod:`repro.engine`): a :class:`~repro.dynamics.sequence.GraphSequence`
-is a topology source, so the static and dynamic step loops are the
-same ``(R, n)`` boolean program — ``run`` is the ``R = 1`` case and
-``run_batch`` advances ``R`` runs sharing one topology realisation
-(the ROADMAP's "batched dynamic runner").
+A :class:`~repro.dynamics.sequence.GraphSequence` is a topology source
+of the unified batched engine (:mod:`repro.engine`), so the dynamic
+processes are :class:`~repro.core.cobra.CobraProcess` and
+:class:`~repro.core.bips.BipsProcess` bound to a sequence instead of a
+graph: ``run`` is the ``R = 1`` case and ``run_batch`` advances ``R``
+runs sharing one topology realisation.  This module holds the seeding
+discipline and the samplers built on them.
 
 Randomness contract: a runner consumes exactly one
 :class:`numpy.random.Generator` for *process* randomness, while the
@@ -21,26 +22,25 @@ on an isolated vertex hold their position for the round; an isolated
 vertex cannot be infected by BIPS (its selections are empty) and drops
 out of the infected set unless it is the persistent source.  Because
 "all ``n`` at once" is unreachable at moderate churn rates, every
-runner and sampler accepts a churn-aware ``completion`` criterion:
+sampler accepts a churn-aware ``completion`` criterion:
 ``"all-vertices"`` (default), ``"all-active"`` (every currently-present
-vertex), or ``"target-hit"`` via the engine layer.
+vertex), or a :class:`~repro.engine.completion.CompletionCriterion`
+such as ``TargetHit(v)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..core.bips import BipsProcess
 from ..core.branching import BranchingPolicy, make_policy
-from ..core.state import BipsResult, CobraResult
-from ..engine.engine import SpreadEngine
-from ..engine.rules import BipsRule, CobraRule, select_targets
-from ..graphs.graph import Graph
+from ..core.cobra import CobraProcess
+from ..engine.rules import BipsRule, CobraRule
+from ..graphs.validation import check_vertex
 from ..stats.rng import spawn_seeds
 from .sequence import GraphSequence
 
 __all__ = [
-    "DynamicCobraProcess",
-    "DynamicBipsProcess",
     "dynamic_cover_time_samples",
     "dynamic_infection_time_samples",
     "dynamic_cover_time_batch",
@@ -48,277 +48,6 @@ __all__ = [
     "run_seed_pairs",
     "batch_seed_pair",
 ]
-
-
-def _check_start(sequence: GraphSequence, vertex: int) -> int:
-    vertex = int(vertex)
-    if not 0 <= vertex < sequence.n:
-        raise ValueError(f"vertex {vertex} out of range [0, {sequence.n})")
-    return vertex
-
-
-class DynamicCobraProcess:
-    """COBRA on a time-evolving graph.
-
-    The round-``t`` active set makes its selections on snapshot
-    ``sequence.graph_at(t)``, producing ``C_{t+1}``.  Parameters mirror
-    :class:`~repro.core.cobra.CobraProcess` with the graph replaced by
-    a :class:`~repro.dynamics.sequence.GraphSequence`.
-    """
-
-    def __init__(
-        self,
-        sequence: GraphSequence,
-        branching: BranchingPolicy | int | float = 2,
-        *,
-        lazy: bool = False,
-    ) -> None:
-        self.sequence = sequence
-        self.policy = make_policy(branching)
-        self.lazy = lazy
-        self.rule = CobraRule(self.policy, lazy=self.lazy)
-
-    # ------------------------------------------------------------------
-    def step_at(
-        self, t: int, active: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Advance the active set one round on the round-``t`` snapshot.
-
-        ``active`` is an array of vertex ids; duplicate ids act as
-        separate particles (the :meth:`CobraProcess.step
-        <repro.core.cobra.CobraProcess.step>` contract).  The result is
-        the sorted unique next active set; isolated particles hold
-        their position.
-        """
-        graph = self.sequence.graph_at(t)
-        active = np.asarray(active, dtype=np.int64)
-        stranded = graph.degrees[active] == 0
-        movers = active[~stranded]
-        if movers.size == 0:
-            return active.copy()
-        counts = self.policy.draw_counts(movers.shape[0], rng)
-        actors = np.repeat(movers, counts)
-        targets = np.unique(select_targets(graph, actors, rng, self.lazy))
-        if not stranded.any():
-            return targets
-        return np.union1d(targets, active[stranded])
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        start: int | np.ndarray,
-        rng: np.random.Generator,
-        *,
-        max_rounds: int | None = None,
-        record: bool = False,
-        completion: str = "all-vertices",
-        target: int | None = None,
-    ) -> CobraResult:
-        """Run until the completion criterion holds (or the cap).
-
-        The default criterion requires all ``n`` vertices visited;
-        ``completion="all-active"`` requires only the vertices present
-        in the current snapshot (churn-aware cover).
-        """
-        n = self.sequence.n
-        if np.ndim(start) == 0:
-            active = np.array([_check_start(self.sequence, start)], dtype=np.int64)
-        else:
-            active = np.unique(np.asarray(list(start), dtype=np.int64))
-            if active.size == 0 or active[0] < 0 or active[-1] >= n:
-                raise ValueError(f"start set must be nonempty within [0, {n})")
-        state = np.zeros((1, n), dtype=bool)
-        state[0, active] = True
-
-        engine = SpreadEngine(self.rule, self.sequence, completion, target=target)
-        res = engine.run(
-            state,
-            rng,
-            max_rounds=max_rounds,
-            track_hits=True,
-            record_sizes=record,
-            record_visited=record,
-        )
-        covered = bool(res.finish_times[0] >= 0)
-        return CobraResult(
-            covered=covered,
-            cover_time=int(res.finish_times[0]) if covered else -1,
-            rounds_run=res.rounds_run,
-            hit_times=res.hit_times[0].copy(),
-            active_sizes=(
-                res.sizes[0].copy() if record else np.empty(0, np.int64)
-            ),
-            visited_counts=(
-                res.visited_counts[0].copy() if record else np.empty(0, np.int64)
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    def run_batch(
-        self,
-        starts: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        max_rounds: int | None = None,
-        track_hits: bool = False,
-        completion: str = "all-vertices",
-        target: int | None = None,
-    ):
-        """Advance ``R`` dynamic runs sharing one topology realisation.
-
-        All runs see the same snapshot sequence but use independent
-        process randomness inside one ``(R, n)`` boolean program — the
-        batched counterpart of :meth:`run`.  Returns a
-        :class:`~repro.core.state.CobraBatchResult`.
-        """
-        from ..core.state import CobraBatchResult
-
-        n = self.sequence.n
-        starts = np.asarray(starts, dtype=np.int64)
-        if starts.ndim != 1 or starts.size == 0:
-            raise ValueError("starts must be a 1-D nonempty array of vertices")
-        if starts.min() < 0 or starts.max() >= n:
-            raise ValueError(f"start vertex out of range [0, {n})")
-        state = np.zeros((starts.shape[0], n), dtype=bool)
-        state[np.arange(starts.shape[0]), starts] = True
-
-        engine = SpreadEngine(self.rule, self.sequence, completion, target=target)
-        res = engine.run(state, rng, max_rounds=max_rounds, track_hits=track_hits)
-        return CobraBatchResult(
-            cover_times=res.finish_times,
-            rounds_run=res.rounds_run,
-            hit_times=res.hit_times,
-        )
-
-
-class DynamicBipsProcess:
-    """BIPS with a persistent source on a time-evolving graph.
-
-    The round-``t`` infection step runs on ``sequence.graph_at(t)``.
-    Snapshots with isolated vertices restrict the selection kernel to
-    degree-positive vertices with otherwise identical semantics.
-    """
-
-    def __init__(
-        self,
-        sequence: GraphSequence,
-        source: int,
-        branching: BranchingPolicy | int | float = 2,
-        *,
-        lazy: bool = False,
-    ) -> None:
-        self.sequence = sequence
-        self.source = _check_start(sequence, source)
-        self.policy = make_policy(branching)
-        self.lazy = lazy
-        self.rule_single = BipsRule(
-            self.policy, self.source, lazy=self.lazy, discipline="single"
-        )
-        self.rule_batch = BipsRule(
-            self.policy, self.source, lazy=self.lazy, discipline="batch"
-        )
-
-    # ------------------------------------------------------------------
-    def step_at(
-        self, t: int, infected: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """One infection round on the round-``t`` snapshot."""
-        graph = self.sequence.graph_at(t)
-        infected = np.asarray(infected, dtype=bool)
-        if infected.shape != (graph.n,):
-            raise ValueError(f"infected mask must have shape ({graph.n},)")
-        return self.rule_single.step(
-            graph, infected[None, :], np.ones(1, dtype=bool), rng
-        )[0]
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        rng: np.random.Generator,
-        *,
-        max_rounds: int | None = None,
-        record_degrees: bool = False,
-        completion: str = "all-vertices",
-        target: int | None = None,
-    ) -> BipsResult:
-        """Run until the completion criterion holds (or the cap).
-
-        ``completion="all-active"`` declares the run finished once
-        every *currently-present* (degree-positive) vertex is infected
-        — the reachable target under vertex churn.
-        """
-        n = self.sequence.n
-        infected = np.zeros(n, dtype=bool)
-        infected[self.source] = True
-
-        degree_sizes = [] if record_degrees else None
-
-        def observe(t: int, graph: Graph, state: np.ndarray) -> None:
-            degree_sizes.append(int(graph.degrees[state[0]].sum()))
-
-        engine = SpreadEngine(
-            self.rule_single, self.sequence, completion, target=target
-        )
-        res = engine.run(
-            infected[None, :],
-            rng,
-            max_rounds=max_rounds,
-            record_sizes=True,
-            on_round=observe if record_degrees else None,
-        )
-        final = res.final_state[0]
-        if record_degrees:
-            final_graph = self.sequence.graph_at(res.rounds_run)
-            degree_sizes.append(int(final_graph.degrees[final].sum()))
-
-        done = bool(res.finish_times[0] >= 0)
-        return BipsResult(
-            infected_all=done,
-            infection_time=int(res.finish_times[0]) if done else -1,
-            rounds_run=res.rounds_run,
-            sizes=res.sizes[0].copy(),
-            degree_sizes=np.asarray(
-                degree_sizes if record_degrees else [], dtype=np.int64
-            ),
-            candidate_sizes=np.asarray([], dtype=np.int64),
-            final_infected=final.copy(),
-        )
-
-    # ------------------------------------------------------------------
-    def run_batch(
-        self,
-        runs: int,
-        rng: np.random.Generator,
-        *,
-        max_rounds: int | None = None,
-        record_sizes: bool = False,
-        completion: str = "all-vertices",
-        target: int | None = None,
-    ):
-        """Advance ``runs`` dynamic BIPS runs sharing one realisation.
-
-        Returns a :class:`~repro.core.state.BipsBatchResult`; a
-        finished run is frozen at its completion state.
-        """
-        from ..core.state import BipsBatchResult
-
-        if runs < 1:
-            raise ValueError("need at least one run")
-        n = self.sequence.n
-        infected = np.zeros((int(runs), n), dtype=bool)
-        infected[:, self.source] = True
-
-        engine = SpreadEngine(
-            self.rule_batch, self.sequence, completion, target=target
-        )
-        res = engine.run(
-            infected, rng, max_rounds=max_rounds, record_sizes=record_sizes
-        )
-        return BipsBatchResult(
-            infection_times=res.finish_times,
-            rounds_run=res.rounds_run,
-            sizes=res.sizes,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -417,10 +146,9 @@ def _sharded_dynamic_times(
     # A probe realisation pins n (and validates the start vertex)
     # without consuming any shard's seeds.
     probe_topo, _ = batch_seed_pair(seed)
-    n = _resolve_sequence(sequence, probe_topo).n
-    start_column = int(start_column)
-    if not 0 <= start_column < n:
-        raise ValueError(f"vertex {start_column} out of range [0, {n})")
+    probe = _resolve_sequence(sequence, probe_topo)
+    n = probe.n
+    start_column = check_vertex(probe, start_column)
 
     shard_sizes = plan_shards(rule, int(runs), n)
     criterion = make_completion(completion)
@@ -467,7 +195,7 @@ def dynamic_cover_time_samples(
     times = np.empty(int(runs), dtype=np.int64)
     for i, (topo_seed, proc_seed) in enumerate(run_seed_pairs(seed, int(runs))):
         seq = _resolve_sequence(sequence, topo_seed, fresh=True)
-        proc = DynamicCobraProcess(seq, branching, lazy=lazy)
+        proc = CobraProcess(seq, branching, lazy=lazy)
         result = proc.run(
             start,
             np.random.default_rng(proc_seed),
@@ -498,7 +226,7 @@ def dynamic_infection_time_samples(
     times = np.empty(int(runs), dtype=np.int64)
     for i, (topo_seed, proc_seed) in enumerate(run_seed_pairs(seed, int(runs))):
         seq = _resolve_sequence(sequence, topo_seed, fresh=True)
-        proc = DynamicBipsProcess(seq, source, branching, lazy=lazy)
+        proc = BipsProcess(seq, source, branching, lazy=lazy)
         result = proc.run(
             np.random.default_rng(proc_seed),
             max_rounds=max_rounds,
@@ -562,9 +290,9 @@ def dynamic_cover_time_batch(
         )
     topo_seed, proc_seed = batch_seed_pair(seed)
     seq = _resolve_sequence(sequence, topo_seed, fresh=True)
-    proc = DynamicCobraProcess(seq, branching, lazy=lazy)
+    proc = CobraProcess(seq, branching, lazy=lazy)
     res = proc.run_batch(
-        np.full(int(runs), _check_start(seq, start), dtype=np.int64),
+        np.full(int(runs), check_vertex(seq, start), dtype=np.int64),
         np.random.default_rng(proc_seed),
         max_rounds=max_rounds,
         completion=completion,
@@ -615,7 +343,7 @@ def dynamic_infection_time_batch(
         )
     topo_seed, proc_seed = batch_seed_pair(seed)
     seq = _resolve_sequence(sequence, topo_seed, fresh=True)
-    proc = DynamicBipsProcess(seq, source, branching, lazy=lazy)
+    proc = BipsProcess(seq, source, branching, lazy=lazy)
     res = proc.run_batch(
         int(runs),
         np.random.default_rng(proc_seed),

@@ -9,24 +9,28 @@ completion; a rule owns only its state array and one ``step``.
 Seed-for-seed contract
 ----------------------
 The kernels here are the pre-refactor engines' inner loops moved
-verbatim, so the thin wrappers in :mod:`repro.core`,
-:mod:`repro.baselines` and :mod:`repro.dynamics` reproduce the seed
-engines' samples bit-for-bit under identical generators (the
-regression tests in ``tests/engine/test_seed_equivalence.py`` pin
-this).  In particular:
+verbatim, so the thin wrappers in :mod:`repro.core` (whose
+:class:`~repro.core.CobraProcess` and :class:`~repro.core.BipsProcess`
+run on a static graph or a :mod:`repro.dynamics` sequence) and
+:mod:`repro.baselines` reproduce the seed engines' samples bit-for-bit
+under identical generators (the regression tests in
+``tests/engine/test_seed_equivalence.py`` pin this).  In particular:
 
 * ``CobraRule`` consumes randomness only for *alive* runs (finished
   rows are dropped from the work list before any draw), matching the
-  original ``CobraProcess.run_batch``;
+  original ``CobraProcess.run_batch``; at ``R = 1`` the active row's
+  vertices come out of ``np.nonzero`` in ascending order, so a round
+  draws exactly what the historical set-based round over the sorted
+  unique active set drew;
 * ``BipsRule`` in its ``"batch"`` discipline draws for *every* row and
   freezes finished rows afterwards, matching the original
   ``BipsProcess.run_batch``; its ``"single"`` discipline reproduces the
-  original single-run ``step`` (whose Bernoulli second-selection draws
+  original single-run round (whose Bernoulli second-selection draws
   come in a different order than the batch kernel's);
 * degree-zero vertices (churned-out peers in dynamic snapshots) are
-  handled exactly as :mod:`repro.dynamics` did: COBRA particles and
-  walkers hold their position, BIPS restricts selections to present
-  vertices.
+  handled exactly as the original dynamic runners did: COBRA particles
+  and walkers hold their position, BIPS restricts selections to
+  present vertices.
 
 Rules are deliberately policy-agnostic about branching: they duck-type
 :class:`repro.core.branching.BranchingPolicy` through its
@@ -147,7 +151,12 @@ class CobraRule(SpreadRule):
 
     Degree-zero active vertices (possible only on dynamic snapshots)
     hold their position for the round, per the
-    :mod:`repro.dynamics` convention.
+    :mod:`repro.dynamics` convention.  This is the reference COBRA
+    kernel (the numba backend reproduces it bit for bit);
+    :func:`~repro.core.hitting.cobra_hit_survival_mc`,
+    :func:`~repro.core.duality.verify_duality_monte_carlo` and
+    :func:`~repro.core.metrics.per_vertex_load` call it one run at a
+    time.
     """
 
     completion_basis = "visited"
@@ -198,12 +207,12 @@ class BipsRule(SpreadRule):
     persistent source is forced back in (SIS dynamics).
 
     ``discipline`` selects the randomness layout: ``"batch"`` tiles all
-    runs into one draw per selection round (the historical
-    ``step_batch`` stream, drawn for finished runs too and frozen
-    afterwards); ``"single"`` reproduces the historical single-run
-    ``step`` stream, whose Bernoulli second selections draw the
-    participation mask *before* the neighbour picks and only for the
-    participating vertices.  ``"single"`` requires ``R == 1``.
+    runs into one draw per selection round (the historical batched
+    stream, drawn for finished runs too and frozen afterwards);
+    ``"single"`` reproduces the historical single-run stream, whose
+    Bernoulli second selections draw the participation mask *before*
+    the neighbour picks and only for the participating vertices.
+    ``"single"`` requires ``R == 1``.
     """
 
     completion_basis = "state"

@@ -9,7 +9,9 @@ from repro.core import (
     fixed_set,
     infection_time,
     infection_time_samples,
+    make_policy,
 )
+from repro.engine import BipsRule
 from repro.graphs import (
     Graph,
     complete_graph,
@@ -24,6 +26,29 @@ def _mask(n, members):
     m = np.zeros(n, dtype=bool)
     m[list(members)] = True
     return m
+
+
+def _step(graph, infected, rng, source):
+    """One BIPS round (b = 2): the rule's single-run kernel at ``R = 1``."""
+    rule = BipsRule(make_policy(2), source, discipline="single")
+    return rule.step(graph, infected[None, :], np.ones(1, dtype=bool), rng)[0]
+
+
+def _brute_force_sets(graph, infected, source):
+    """``B_fix`` and ``C`` straight from their definitions.
+
+    A degree-0 vertex makes no selection and is never infected, so it
+    is not in ``B_fix`` even though its empty neighbourhood lies in A.
+    """
+    n = graph.n
+    bfix = np.array(
+        [graph.degree(u) > 0 and bool(infected[graph.neighbors(u)].all()) for u in range(n)]
+    )
+    reach = np.zeros(n, dtype=bool)
+    for u in np.flatnonzero(infected):
+        reach[graph.neighbors(u)] = True
+    reach[source] = True
+    return bfix, reach & ~bfix
 
 
 class TestFixedAndCandidateSets:
@@ -48,13 +73,12 @@ class TestFixedAndCandidateSets:
     def test_candidate_set_never_empty_before_completion(self, rng):
         # Paper (Section 3): C_t is never empty while A != V.
         for g in (path_graph(6), star_graph(6), cycle_graph(7), petersen_graph()):
-            proc = BipsProcess(g, 0)
             infected = _mask(g.n, [0])
             for _ in range(60):
                 if infected.all():
                     break
                 assert candidate_set(g, infected, 0).sum() >= 1
-                infected = proc.step(infected, rng)
+                infected = _step(g, infected, rng, 0)
 
     def test_candidate_includes_source_when_not_fixed(self, path5):
         infected = _mask(5, [0])
@@ -69,22 +93,44 @@ class TestFixedAndCandidateSets:
         bfix = fixed_set(g, infected)
         assert bfix[0]
 
+    @pytest.mark.parametrize(
+        "edges,n",
+        [
+            ([(0, 1), (1, 4), (0, 4)], 5),  # isolated vertices 2, 3 in the middle
+            ([(0, 1), (1, 2), (0, 2)], 4),  # isolated last vertex
+            ([(1, 2), (2, 3)], 5),  # isolated first and last vertices
+            ([(0, 1), (1, 2), (2, 3), (3, 4)], 5),  # connected: a path
+            ([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], 4),  # connected, irregular
+        ],
+    )
+    def test_sets_match_definition_on_every_subset(self, edges, n):
+        g = Graph(n, edges)
+        for bits in range(1, 2**n):
+            infected = np.array([(bits >> u) & 1 for u in range(n)], dtype=bool)
+            for source in np.flatnonzero(infected):
+                bfix, cand = _brute_force_sets(g, infected, source)
+                assert np.array_equal(fixed_set(g, infected), bfix), (bits, source)
+                assert np.array_equal(candidate_set(g, infected, source), cand)
+
+    def test_isolated_vertices_are_not_candidates(self):
+        g = Graph(5, [(0, 1), (1, 4), (0, 4)])
+        c = candidate_set(g, _mask(5, [0]), source=0)
+        assert c.tolist() == [True, True, False, False, True]
+
 
 class TestStepSemantics:
     def test_source_always_infected(self, petersen, rng):
-        proc = BipsProcess(petersen, source=4)
         infected = _mask(10, [4])
         for _ in range(20):
-            infected = proc.step(infected, rng)
+            infected = _step(petersen, infected, rng, 4)
             assert infected[4]
 
     def test_infection_only_from_neighbors(self, rng):
         # With only the source infected, one round can infect only its
         # neighbours (plus the source itself).
         g = star_graph(8)
-        proc = BipsProcess(g, source=1)  # a leaf
-        infected = _mask(8, [1])
-        nxt = proc.step(infected, rng)
+        infected = _mask(8, [1])  # the source is a leaf
+        nxt = _step(g, infected, rng, 1)
         allowed = {1, 0}  # source + its unique neighbour (the hub)
         assert set(np.nonzero(nxt)[0].tolist()) <= allowed
 
@@ -93,11 +139,10 @@ class TestStepSemantics:
         # p = 1 - (1/(n-1))^2 chance... with all neighbours infected it
         # is deterministic.
         g = complete_graph(6)
-        proc = BipsProcess(g, 0)
         infected = _mask(6, range(5))
         count = 0
         for _ in range(30):
-            nxt = proc.step(infected, rng)
+            nxt = _step(g, infected, rng, 0)
             count += int(nxt[5])
         assert count == 30  # every neighbour infected => always infected
 
@@ -105,14 +150,13 @@ class TestStepSemantics:
         # On a path, an infected non-source vertex with no infected
         # neighbours must drop out.
         g = path_graph(5)
-        proc = BipsProcess(g, source=0)
         infected = _mask(5, [0, 4])
-        nxt = proc.step(infected, rng)
+        nxt = _step(g, infected, rng, 0)
         assert not nxt[4]  # neighbour 3 was not infected
 
     def test_mask_shape_validated(self, petersen, rng):
         with pytest.raises(ValueError):
-            BipsProcess(petersen, 0).step(np.zeros(5, dtype=bool), rng)
+            BipsProcess(petersen, 0).run(rng, initial=np.zeros(5, dtype=bool))
 
 
 class TestRun:

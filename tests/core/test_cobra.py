@@ -3,53 +3,66 @@
 import numpy as np
 import pytest
 
-from repro.core import CobraProcess, cover_time, cover_time_samples, hit_time_samples
+from repro.core import (
+    CobraProcess,
+    cover_time,
+    cover_time_samples,
+    hit_time_samples,
+    make_policy,
+)
 from repro.core.cobra import default_round_cap
+from repro.engine import CobraRule
 from repro.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
+
+
+def _step(graph, active, rng, branching=2, lazy=False):
+    """One COBRA round on a vertex set: the rule kernel at ``R = 1``."""
+    state = np.zeros((1, graph.n), dtype=bool)
+    state[0, active] = True
+    rule = CobraRule(make_policy(branching), lazy=lazy)
+    return np.flatnonzero(rule.step(graph, state, np.ones(1, dtype=bool), rng)[0])
 
 
 class TestStepSemantics:
     def test_targets_are_neighbors(self, petersen, rng):
-        proc = CobraProcess(petersen)
         active = np.array([0, 5])
-        nxt = proc.step(active, rng)
+        nxt = _step(petersen, active, rng)
         for v in nxt.tolist():
             assert any(petersen.has_edge(u, v) for u in active.tolist())
 
-    def test_output_sorted_unique(self, k5, rng):
-        proc = CobraProcess(k5)
-        nxt = proc.step(np.arange(5), rng)
-        assert np.all(np.diff(nxt) > 0)
+    def test_step_returns_fresh_mask(self, k5, rng):
+        state = np.ones((1, 5), dtype=bool)
+        nxt = CobraRule(make_policy(2)).step(k5, state, np.ones(1, dtype=bool), rng)
+        assert nxt.shape == (1, 5) and nxt.dtype == bool
+        assert nxt.any()
+        assert state.all()  # the rule must not mutate its input
 
     def test_coalescing_bounds_growth(self, k5, rng):
         # |C_{t+1}| <= b * |C_t| always (paper: doubling is the max).
-        proc = CobraProcess(k5, branching=2)
         active = np.array([0])
         for _ in range(10):
-            nxt = proc.step(active, rng)
+            nxt = _step(k5, active, rng, branching=2)
             assert nxt.shape[0] <= 2 * active.shape[0]
             active = nxt
 
     def test_b1_single_walker(self, petersen, rng):
-        proc = CobraProcess(petersen, branching=1)
         active = np.array([0])
         for _ in range(20):
-            active = proc.step(active, rng)
+            active = _step(petersen, active, rng, branching=1)
             assert active.shape[0] == 1  # b=1 never branches
 
     def test_empty_active_rejected(self, petersen, rng):
         with pytest.raises(ValueError, match="nonempty"):
-            CobraProcess(petersen).step(np.empty(0, dtype=np.int64), rng)
+            CobraProcess(petersen).run(np.empty(0, dtype=np.int64), rng)
 
     def test_lazy_can_stay(self, rng):
         # On a path with lazy selection, a particle at an endpoint can
         # stay put; over many steps both outcomes occur.
         g = path_graph(2)
-        proc = CobraProcess(g, branching=1, lazy=True)
         seen = set()
         active = np.array([0])
         for _ in range(40):
-            nxt = proc.step(active, rng)
+            nxt = _step(g, active, rng, branching=1, lazy=True)
             seen.add(int(nxt[0]))
         assert seen == {0, 1}
 
@@ -171,12 +184,21 @@ class TestConvenience:
         assert hits.shape == (30,)
         assert np.all(hits >= 3)  # distance 3 away
 
+    @pytest.mark.parametrize("target", [-1, 9])
+    def test_hit_time_samples_rejects_invalid_target(self, target):
+        # -1 must not wrap around to the last column (vertex 8).
+        with pytest.raises(ValueError, match="out of range"):
+            hit_time_samples(cycle_graph(9), 0, target, runs=3)
+
+    def test_hit_time_samples_zero_runs_is_empty(self):
+        hits = hit_time_samples(cycle_graph(9), 0, 4, runs=0)
+        assert hits.shape == (0,) and hits.dtype == np.int64
+        assert cover_time_samples(cycle_graph(9), 0, runs=0).shape == (0,)
+
 
 class TestStarGraphBehaviour:
     def test_star_alternates_via_centre(self, rng):
         # From a leaf, everything must route through the hub.
         g = star_graph(8)
-        proc = CobraProcess(g)
-        active = np.array([3])
-        nxt = proc.step(active, rng)
+        nxt = _step(g, np.array([3]), rng)
         assert nxt.tolist() == [0]

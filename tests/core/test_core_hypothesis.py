@@ -4,9 +4,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BipsProcess, CobraProcess, candidate_set, fixed_set
+from repro.core import BipsProcess, CobraProcess, candidate_set, fixed_set, make_policy
 from repro.core.duality import verify_duality_exact
+from repro.engine import BipsRule, CobraRule
 from repro.graphs import Graph
+
+ALIVE = np.ones(1, dtype=bool)
 
 
 @st.composite
@@ -28,14 +31,16 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 8):
 @settings(max_examples=60, deadline=None)
 def test_cobra_step_stays_in_neighborhood(g, seed):
     rng = np.random.default_rng(seed)
-    proc = CobraProcess(g)
-    active = np.array([seed % g.n], dtype=np.int64)
+    rule = CobraRule(make_policy(2))
+    state = np.zeros((1, g.n), dtype=bool)
+    state[0, seed % g.n] = True
     for _ in range(4):
-        nxt = proc.step(active, rng)
-        assert nxt.size >= 1
-        for v in nxt.tolist():
-            assert any(g.has_edge(u, v) for u in active.tolist())
-        active = nxt
+        nxt = rule.step(g, state, ALIVE, rng)
+        assert nxt.any()
+        active = np.flatnonzero(state[0]).tolist()
+        for v in np.flatnonzero(nxt[0]).tolist():
+            assert any(g.has_edge(u, v) for u in active)
+        state = nxt
 
 
 @given(connected_graphs(), st.integers(min_value=0, max_value=1_000_000))
@@ -67,7 +72,7 @@ def test_fixed_and_candidate_partition(g, seed):
     source = seed % g.n
     infected = np.zeros(g.n, dtype=bool)
     infected[source] = True
-    proc = BipsProcess(g, source)
+    rule = BipsRule(make_policy(2), source, discipline="single")
     for _ in range(3):
         if infected.all():
             break
@@ -81,7 +86,7 @@ def test_fixed_and_candidate_partition(g, seed):
             in_nbhd[g.neighbors(u)] = True
         in_nbhd[source] = True
         assert np.all(~cand | in_nbhd)
-        infected = proc.step(infected, rng)
+        infected = rule.step(g, infected[None, :], ALIVE, rng)[0]
 
 
 @given(connected_graphs(max_n=6), st.data())

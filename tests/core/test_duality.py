@@ -98,3 +98,15 @@ class TestMonteCarloDuality:
         assert mc.horizons.tolist() == [0, 2, 4]
         assert mc.cobra_side.shape == (3,)
         assert mc.max_abs_diff >= 0.0
+
+    @pytest.mark.parametrize("runs", [0, -3])
+    def test_needs_a_run(self, runs):
+        # Both sides are fractions of runs: undefined without a run.
+        with pytest.raises(ValueError, match="at least one run"):
+            verify_duality_monte_carlo(cycle_graph(5), 0, [2], runs=runs, rng=1)
+
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            verify_duality_monte_carlo(
+                cycle_graph(5), 0, [2], horizons=[-1, 2], runs=10, rng=1
+            )

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    BipsProcess,
-    CobraProcess,
     bips_exact,
     cobra_cover_survival_exact,
     cobra_hit_survival_exact,
+    cobra_hit_survival_mc,
     cover_time_samples,
     expected_time_from_survival,
     infection_time_samples,
@@ -20,7 +19,6 @@ from repro.graphs import (
     path_graph,
     star_graph,
 )
-from repro.stats import empirical_survival
 
 
 class TestBipsExact:
@@ -117,18 +115,7 @@ class TestCobraHitExact:
     def test_matches_monte_carlo(self):
         g = cycle_graph(6)
         surv = cobra_hit_survival_exact(g, 0, 3, t_max=16)
-        # Sample hit times empirically.
-        proc = CobraProcess(g)
-        rng = np.random.default_rng(21)
-        hits = []
-        for _ in range(1500):
-            active = np.array([0])
-            t = 0
-            while not np.any(active == 3) and t < 16:
-                active = proc.step(active, rng)
-                t += 1
-            hits.append(t if np.any(active == 3) else -1)
-        emp = empirical_survival(np.array(hits), horizon=15)
+        emp = cobra_hit_survival_mc(g, 0, 3, runs=1500, horizon=16, rng=21)
         for t in range(16):
             se = max(np.sqrt(surv[t] * (1 - surv[t]) / 1500), 1e-3)
             assert abs(emp.at(t) - surv[t]) < 5 * se

@@ -91,3 +91,9 @@ class TestMcSurvival:
             path_graph(4), [1, 2], 2, runs=50, horizon=5, rng=1
         )
         assert curve.at(0) == 0.0
+
+    @pytest.mark.parametrize("start", [[-2, 3], -1, 9])
+    def test_invalid_start_rejected(self, start):
+        # A negative id must not wrap around, and 9 is past the end.
+        with pytest.raises(ValueError, match="out of range"):
+            cobra_hit_survival_mc(cycle_graph(9), start, 4, runs=5, rng=1)

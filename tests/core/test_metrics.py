@@ -55,6 +55,11 @@ class TestPerVertexLoad:
         with pytest.raises(RuntimeError, match="failed to cover"):
             per_vertex_load(cycle_graph(64), rng=1, max_rounds=2)
 
+    @pytest.mark.parametrize("start", [-1, 9])
+    def test_invalid_start_rejected(self, start):
+        with pytest.raises(ValueError, match="out of range"):
+            per_vertex_load(cycle_graph(9), start, rng=1)
+
 
 class TestWorstStartCover:
     def test_all_starts_small_graph(self):

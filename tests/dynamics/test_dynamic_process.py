@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import BipsProcess, CobraProcess
+from repro.core import BipsProcess, CobraProcess, make_policy
 from repro.dynamics import (
     ChurnSequence,
-    DynamicBipsProcess,
-    DynamicCobraProcess,
     EdgeMarkovianSequence,
     FrozenSequence,
     RewiringSequence,
@@ -15,7 +13,10 @@ from repro.dynamics import (
     dynamic_infection_time_samples,
     run_seed_pairs,
 )
+from repro.engine import BipsRule, CobraRule
 from repro.graphs import Graph, cycle_graph, random_regular_graph
+
+ALIVE = np.ones(1, dtype=bool)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +30,7 @@ class TestFrozenMatchesStatic:
     def test_cobra_run_exact(self, expander):
         frozen = FrozenSequence(expander)
         for seed in range(6):
-            dynamic = DynamicCobraProcess(frozen).run(
+            dynamic = CobraProcess(frozen).run(
                 0, np.random.default_rng(seed)
             )
             static = CobraProcess(expander).run(0, np.random.default_rng(seed))
@@ -39,7 +40,7 @@ class TestFrozenMatchesStatic:
     def test_cobra_lazy_and_bernoulli_branching(self, expander):
         frozen = FrozenSequence(expander)
         for branching, lazy in ((2, True), (1.5, False), (3, False)):
-            dynamic = DynamicCobraProcess(frozen, branching, lazy=lazy).run(
+            dynamic = CobraProcess(frozen, branching, lazy=lazy).run(
                 0, np.random.default_rng(7)
             )
             static = CobraProcess(expander, branching, lazy=lazy).run(
@@ -50,7 +51,7 @@ class TestFrozenMatchesStatic:
     def test_bips_run_exact(self, expander):
         frozen = FrozenSequence(expander)
         for seed in range(6):
-            dynamic = DynamicBipsProcess(frozen, 0).run(np.random.default_rng(seed))
+            dynamic = BipsProcess(frozen, 0).run(np.random.default_rng(seed))
             static = BipsProcess(expander, 0).run(np.random.default_rng(seed))
             assert dynamic.infection_time == static.infection_time
             assert np.array_equal(dynamic.sizes, static.sizes)
@@ -103,40 +104,41 @@ class TestChurnAndIsolation:
     def test_cobra_particles_survive_churn(self):
         base = random_regular_graph(32, 3, rng=2)
         seq = ChurnSequence(base, leave=0.2, rejoin=0.5, seed=5)
-        result = DynamicCobraProcess(seq).run(0, np.random.default_rng(0))
+        result = CobraProcess(seq).run(0, np.random.default_rng(0))
         assert result.covered
         assert result.cover_time >= 1
 
     def test_bips_source_persists_under_churn(self):
         base = random_regular_graph(32, 3, rng=2)
         seq = ChurnSequence(base, leave=0.1, rejoin=0.6, seed=5)
-        proc = DynamicBipsProcess(seq, 0)
+        rule = BipsRule(make_policy(2), 0, discipline="single")
         rng = np.random.default_rng(1)
-        infected = np.zeros(32, dtype=bool)
-        infected[0] = True
+        infected = np.zeros((1, 32), dtype=bool)
+        infected[0, 0] = True
         for t in range(40):
-            infected = proc.step_at(t, infected, rng)
-            assert infected[0]
+            infected = rule.step(seq.graph_at(t), infected, ALIVE, rng)
+            assert infected[0, 0]
 
     def test_isolated_vertices_cannot_be_infected(self):
         # Star minus the hub: all leaves isolated.
         hubless = Graph(4, [(0, 1)], name="pair-plus-isolated")
-        seq = FrozenSequence(hubless)
-        proc = DynamicBipsProcess(seq, 0)
-        infected = np.zeros(4, dtype=bool)
-        infected[0] = True
-        nxt = proc.step_at(0, infected, np.random.default_rng(0))
+        rule = BipsRule(make_policy(2), 0, discipline="single")
+        infected = np.zeros((1, 4), dtype=bool)
+        infected[0, 0] = True
+        nxt = rule.step(hubless, infected, ALIVE, np.random.default_rng(0))[0]
         assert not nxt[2] and not nxt[3]
 
     def test_stranded_cobra_particle_stays_put(self):
         stranded = Graph(3, [(0, 1)], name="stranded")
-        proc = DynamicCobraProcess(FrozenSequence(stranded))
-        nxt = proc.step_at(0, np.array([2]), np.random.default_rng(0))
-        assert np.array_equal(nxt, [2])
+        active = np.array([[False, False, True]])
+        nxt = CobraRule(make_policy(2)).step(
+            stranded, active, ALIVE, np.random.default_rng(0)
+        )
+        assert np.array_equal(nxt, active)
 
     def test_cap_reported_not_raised_on_run(self):
         stranded = Graph(3, [(0, 1)], name="stranded")
-        result = DynamicCobraProcess(FrozenSequence(stranded)).run(
+        result = CobraProcess(FrozenSequence(stranded)).run(
             0, np.random.default_rng(0), max_rounds=5
         )
         assert not result.covered
@@ -150,25 +152,40 @@ class TestChurnAndIsolation:
             )
 
 
-class TestValidateFlag:
-    """Core engines accept disconnected snapshot views when asked."""
+class TestSequenceSkipsConnectivity:
+    """A static graph must be connected; a sequence's snapshots need not be."""
 
-    def test_cobra_validate_false_allows_disconnected(self):
+    def test_cobra_sequence_allows_disconnected(self):
         disconnected = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="connected"):
             CobraProcess(disconnected)
-        proc = CobraProcess(disconnected, validate=False)
-        nxt = proc.step(np.array([0]), np.random.default_rng(0))
-        assert nxt.size >= 1
+        res = CobraProcess(FrozenSequence(disconnected)).run(
+            0, np.random.default_rng(0), max_rounds=5, record=True
+        )
+        assert not res.covered
+        assert res.visited_counts[-1] == 2  # {0, 1}: the other edge is unreachable
 
-    def test_bips_validate_false_allows_disconnected(self):
+    def test_bips_sequence_allows_disconnected(self):
         disconnected = Graph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="connected"):
             BipsProcess(disconnected, 0)
-        proc = BipsProcess(disconnected, 0, validate=False)
-        infected = np.zeros(4, dtype=bool)
-        infected[0] = True
-        assert proc.step(infected, np.random.default_rng(0))[0]
+        res = BipsProcess(FrozenSequence(disconnected), 0).run(
+            np.random.default_rng(0), max_rounds=5
+        )
+        assert not res.infected_all
+        assert res.final_infected[0] and not res.final_infected[2:].any()
+
+    def test_bips_candidates_recorded_on_churn(self):
+        # From round 1 on, about 25 of the 32 vertices are churned out,
+        # the last one included: its CSR row is empty.
+        seq = ChurnSequence(random_regular_graph(32, 3, rng=2), 0.3, 0.5, seed=5)
+        res = BipsProcess(seq, 0).run(
+            np.random.default_rng(1), max_rounds=30, record_candidates=True
+        )
+        assert res.candidate_sizes.shape == (res.rounds_run,)
+        # Round 0 is the full cubic graph: the source and its 3 neighbours.
+        assert res.candidate_sizes[0] == 4
+        assert np.all(res.candidate_sizes <= res.sizes[:-1] * 4)
 
 
 class TestRewiredCycleSpeedup:

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import BipsProcess, CobraProcess
 from repro.core.branching import FixedBranching
 from repro.dynamics import (
     ChurnSequence,
-    DynamicBipsProcess,
-    DynamicCobraProcess,
     FrozenSequence,
     dynamic_infection_time_batch,
 )
@@ -135,6 +134,23 @@ class TestEngineTargetHit:
         res = engine.run(state, np.random.default_rng(0))
         assert np.array_equal(res.finish_times, [0, 0])
 
+    def test_processes_take_a_criterion(self):
+        g = path_graph(6)
+        proc = CobraProcess(g)
+        res = proc.run(0, np.random.default_rng(0), completion=TargetHit(5))
+        assert res.covered and res.cover_time == res.hit_times[5] >= 5
+        batch = proc.run_batch(
+            np.zeros(3, dtype=np.int64),
+            np.random.default_rng(0),
+            track_hits=True,
+            completion=TargetHit(5),
+        )
+        assert np.array_equal(batch.cover_times, batch.hit_times[:, 5])
+        bips = BipsProcess(g, 0).run(
+            np.random.default_rng(0), completion=TargetHit(5)
+        )
+        assert bips.infected_all and bips.final_infected[5]
+
 
 class TestChurnAwareCompletion:
     """ROADMAP satellite: under churn, all-active is the reachable target."""
@@ -146,7 +162,7 @@ class TestChurnAwareCompletion:
         # all-vertices target is unreachable within the cap while the
         # all-active target completes quickly.
         seq = ChurnSequence(base, leave=0.6, rejoin=0.2, seed=3)
-        proc = DynamicBipsProcess(seq, 0)
+        proc = BipsProcess(seq, 0)
         res_active = proc.run(
             np.random.default_rng(1), max_rounds=400, completion="all-active"
         )
@@ -154,7 +170,7 @@ class TestChurnAwareCompletion:
         assert res_active.infection_time >= 0
 
         seq2 = ChurnSequence(base, leave=0.6, rejoin=0.2, seed=3)
-        proc2 = DynamicBipsProcess(seq2, 0)
+        proc2 = BipsProcess(seq2, 0)
         res_all = proc2.run(
             np.random.default_rng(1), max_rounds=400, completion="all-vertices"
         )
@@ -165,10 +181,10 @@ class TestChurnAwareCompletion:
         for seed in range(3):
             seq_a = ChurnSequence(base, leave=0.2, rejoin=0.5, seed=9)
             seq_b = ChurnSequence(base, leave=0.2, rejoin=0.5, seed=9)
-            t_active = DynamicCobraProcess(seq_a).run(
+            t_active = CobraProcess(seq_a).run(
                 0, np.random.default_rng(seed), completion="all-active"
             )
-            t_all = DynamicCobraProcess(seq_b).run(
+            t_all = CobraProcess(seq_b).run(
                 0, np.random.default_rng(seed), completion="all-vertices"
             )
             assert t_active.covered and t_all.covered
@@ -179,10 +195,10 @@ class TestChurnAwareCompletion:
     def test_all_active_equals_all_vertices_on_static(self):
         g = random_regular_graph(24, 3, rng=1)
         frozen_a, frozen_b = FrozenSequence(g), FrozenSequence(g)
-        a = DynamicCobraProcess(frozen_a).run(
+        a = CobraProcess(frozen_a).run(
             0, np.random.default_rng(4), completion="all-active"
         )
-        b = DynamicCobraProcess(frozen_b).run(
+        b = CobraProcess(frozen_b).run(
             0, np.random.default_rng(4), completion="all-vertices"
         )
         assert a.cover_time == b.cover_time

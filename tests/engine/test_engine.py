@@ -12,8 +12,6 @@ from repro.core.bips import default_infection_cap
 from repro.core.branching import BernoulliBranching, FixedBranching
 from repro.core.cobra import default_round_cap
 from repro.dynamics import (
-    DynamicBipsProcess,
-    DynamicCobraProcess,
     FrozenSequence,
     RewiringSequence,
     batch_seed_pair,
@@ -207,7 +205,7 @@ class TestBatchedDynamicRunner:
 
     def test_cobra_run_batch_shapes(self, expander):
         seq = RewiringSequence(expander, 6, seed=1)
-        res = DynamicCobraProcess(seq).run_batch(
+        res = CobraProcess(seq).run_batch(
             np.zeros(8, dtype=np.int64), np.random.default_rng(0), track_hits=True
         )
         assert res.cover_times.shape == (8,)
@@ -217,7 +215,7 @@ class TestBatchedDynamicRunner:
 
     def test_bips_run_batch_shapes(self, expander):
         seq = RewiringSequence(expander, 6, seed=2)
-        res = DynamicBipsProcess(seq, 0).run_batch(
+        res = BipsProcess(seq, 0).run_batch(
             5, np.random.default_rng(1), record_sizes=True
         )
         assert res.infection_times.shape == (5,)
@@ -228,13 +226,13 @@ class TestBatchedDynamicRunner:
     def test_frozen_batch_equals_static_batch(self, expander):
         # The engine-level frozen anchor: same rule, same stream.
         starts = np.zeros(6, dtype=np.int64)
-        frozen = DynamicCobraProcess(FrozenSequence(expander)).run_batch(
+        frozen = CobraProcess(FrozenSequence(expander)).run_batch(
             starts, np.random.default_rng(7)
         )
         static = CobraProcess(expander).run_batch(starts, np.random.default_rng(7))
         assert np.array_equal(frozen.cover_times, static.cover_times)
 
-        frozen_b = DynamicBipsProcess(FrozenSequence(expander), 0).run_batch(
+        frozen_b = BipsProcess(FrozenSequence(expander), 0).run_batch(
             6, np.random.default_rng(8)
         )
         static_b = BipsProcess(expander, 0).run_batch(6, np.random.default_rng(8))
@@ -303,7 +301,7 @@ class TestBatchedBaselines:
         # dmin == 0 batch path: isolated vertices stay uninfected.
         g = Graph(4, [(0, 1)], name="pair-plus-isolated")
         seq = FrozenSequence(g)
-        res = DynamicBipsProcess(seq, 0).run_batch(
+        res = BipsProcess(seq, 0).run_batch(
             3, np.random.default_rng(0), max_rounds=30, completion="all-active"
         )
         assert res.all_infected  # {0, 1} is the present set

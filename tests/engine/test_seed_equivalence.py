@@ -4,7 +4,11 @@ Each ``_legacy_*`` function below is the pre-refactor implementation
 (PR 1 state) reduced to its essentials.  Every refactored wrapper must
 reproduce its legacy counterpart bit-for-bit under identical
 generators — the engine kernels are the historical inner loops, so any
-drift here means the refactor changed the process.
+drift here means the refactor changed the process.  The set-based
+COBRA round (``_legacy_cobra_step``, ``np.unique`` over vertex ids) is
+kept only here, as the reference for the rule kernel, for the two
+Monte-Carlo estimators that used to call it and for ``per_vertex_load``,
+which used to inline it.
 
 The single intentional exception: ``random_walk_cover_time``'s legacy
 implementation drew its uniforms in blocks of 4096 (an implementation
@@ -23,16 +27,15 @@ from repro.baselines import (
     random_walk_cover_time,
 )
 from repro.baselines.flooding import flooding_broadcast_time
-from repro.core import BipsProcess, CobraProcess
+from repro.core import BipsProcess, CobraProcess, cobra_hit_survival_mc
 from repro.core.branching import FixedBranching, make_policy
-from repro.dynamics import (
-    ChurnSequence,
-    DynamicBipsProcess,
-    DynamicCobraProcess,
-    RewiringSequence,
-)
+from repro.core.cobra import default_round_cap
+from repro.core.duality import verify_duality_monte_carlo
+from repro.core.metrics import per_vertex_load
+from repro.dynamics import ChurnSequence, RewiringSequence
 from repro.graphs import cycle_graph, petersen_graph, random_regular_graph
 from repro.graphs.properties import eccentricity
+from repro.stats.survival import empirical_survival
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,17 @@ def _legacy_select(graph, actors, rng, lazy):
 # ----------------------------------------------------------------------
 # Legacy COBRA
 # ----------------------------------------------------------------------
+def _legacy_cobra_step(graph, policy, lazy, active, rng):
+    """The set-based COBRA round: the sorted unique next active set.
+
+    ``active`` holds the particles' vertex ids; duplicate ids act as
+    separate particles, and coalescing is the ``np.unique``.
+    """
+    counts = policy.draw_counts(active.shape[0], rng)
+    actors = np.repeat(active, counts)
+    return np.unique(_legacy_select(graph, actors, rng, lazy))
+
+
 def _legacy_cobra_run(graph, policy, lazy, start, rng, cap):
     active = np.array([start], dtype=np.int64)
     hit = np.full(graph.n, -1, dtype=np.int64)
@@ -59,9 +73,7 @@ def _legacy_cobra_run(graph, policy, lazy, start, rng, cap):
     t = 0
     while uncovered > 0 and t < cap:
         t += 1
-        counts = policy.draw_counts(active.shape[0], rng)
-        actors = np.repeat(active, counts)
-        active = np.unique(_legacy_select(graph, actors, rng, lazy))
+        active = _legacy_cobra_step(graph, policy, lazy, active, rng)
         fresh = active[hit[active] < 0]
         hit[fresh] = t
         uncovered -= fresh.shape[0]
@@ -159,30 +171,35 @@ def _legacy_bips_run(graph, policy, lazy, source, rng, cap):
     return (t if infected.all() else -1), np.asarray(sizes, dtype=np.int64)
 
 
+def _legacy_bips_step_batch(graph, policy, lazy, source, infected, rng):
+    """One batched round on an ``(R, n)`` mask, every row drawn."""
+    runs, n = infected.shape
+    verts_tile = np.tile(np.arange(n, dtype=np.int64), runs)
+    pick = _legacy_select(graph, verts_tile, rng, lazy).reshape(runs, n)
+    nxt = np.take_along_axis(infected, pick, axis=1)
+    if isinstance(policy, FixedBranching):
+        for _ in range(policy.b - 1):
+            pick = _legacy_select(graph, verts_tile, rng, lazy).reshape(runs, n)
+            nxt |= np.take_along_axis(infected, pick, axis=1)
+    else:
+        p2 = policy.second_selection_probability()
+        if p2 > 0.0:
+            pick = _legacy_select(graph, verts_tile, rng, lazy).reshape(runs, n)
+            second = rng.random((runs, n)) < p2
+            nxt |= np.take_along_axis(infected, pick, axis=1) & second
+    nxt[:, source] = True
+    return nxt
+
+
 def _legacy_bips_run_batch(graph, policy, lazy, source, runs, rng, cap):
-    n = graph.n
-    all_vertices = np.arange(n, dtype=np.int64)
-    infected = np.zeros((runs, n), dtype=bool)
+    infected = np.zeros((runs, graph.n), dtype=bool)
     infected[:, source] = True
     times = np.full(runs, -1, dtype=np.int64)
     t = 0
     while np.any(times < 0) and t < cap:
         t += 1
         alive = times < 0
-        verts_tile = np.tile(all_vertices, runs)
-        pick = _legacy_select(graph, verts_tile, rng, lazy).reshape(runs, n)
-        nxt = np.take_along_axis(infected, pick, axis=1)
-        if isinstance(policy, FixedBranching):
-            for _ in range(policy.b - 1):
-                pick = _legacy_select(graph, verts_tile, rng, lazy).reshape(runs, n)
-                nxt |= np.take_along_axis(infected, pick, axis=1)
-        else:
-            p2 = policy.second_selection_probability()
-            if p2 > 0.0:
-                pick = _legacy_select(graph, verts_tile, rng, lazy).reshape(runs, n)
-                second = rng.random((runs, n)) < p2
-                nxt |= np.take_along_axis(infected, pick, axis=1) & second
-        nxt[:, source] = True
+        nxt = _legacy_bips_step_batch(graph, policy, lazy, source, infected, rng)
         infected = np.where(alive[:, None], nxt, infected)
         times[alive & infected.all(axis=1)] = t
     return times
@@ -327,8 +344,9 @@ class TestBaselineEquivalence:
 # Legacy dynamic runners
 # ----------------------------------------------------------------------
 def _legacy_dynamic_cobra_run(sequence, start, rng, cap):
-    """The PR 1 dynamic COBRA loop built on the static ``step`` kernel."""
+    """The PR 1 dynamic COBRA loop built on the set-based static round."""
     n = sequence.n
+    policy = FixedBranching(2)
     active = np.array([start], dtype=np.int64)
     hit = np.full(n, -1, dtype=np.int64)
     hit[active] = 0
@@ -336,16 +354,16 @@ def _legacy_dynamic_cobra_run(sequence, start, rng, cap):
     t = 0
     while uncovered > 0 and t < cap:
         graph = sequence.graph_at(t)
-        proc = CobraProcess(graph, 2, validate=False)
         stranded = graph.degrees[active] == 0
         if not stranded.any():
-            active = proc.step(active, rng)
+            active = _legacy_cobra_step(graph, policy, False, active, rng)
         else:
             movers = active[~stranded]
             if movers.size == 0:
                 active = active.copy()
             else:
-                active = np.union1d(proc.step(movers, rng), active[stranded])
+                moved = _legacy_cobra_step(graph, policy, False, movers, rng)
+                active = np.union1d(moved, active[stranded])
         t += 1
         fresh = active[hit[active] < 0]
         hit[fresh] = t
@@ -390,7 +408,7 @@ class TestDynamicEquivalence:
             t_ref, hit_ref = _legacy_dynamic_cobra_run(
                 seq_a, 0, np.random.default_rng(seed), 10_000
             )
-            res = DynamicCobraProcess(seq_b).run(0, np.random.default_rng(seed))
+            res = CobraProcess(seq_b).run(0, np.random.default_rng(seed))
             assert res.cover_time == t_ref
             assert np.array_equal(res.hit_times, hit_ref)
 
@@ -403,7 +421,7 @@ class TestDynamicEquivalence:
             t_ref, infected_ref = _legacy_dynamic_bips_run(
                 seq_a, 0, np.random.default_rng(seed), 500
             )
-            res = DynamicBipsProcess(seq_b, 0).run(
+            res = BipsProcess(seq_b, 0).run(
                 np.random.default_rng(seed), max_rounds=500
             )
             assert res.infection_time == t_ref
@@ -418,5 +436,114 @@ class TestDynamicEquivalence:
         t_ref, _ = _legacy_dynamic_cobra_run(
             seq_a, 3, np.random.default_rng(11), 10_000
         )
-        res = DynamicCobraProcess(seq_b).run(3, np.random.default_rng(11))
+        res = CobraProcess(seq_b).run(3, np.random.default_rng(11))
         assert res.cover_time == t_ref
+
+
+# ----------------------------------------------------------------------
+# Legacy Monte-Carlo estimators (hit-time survival, Theorem 1.3)
+# ----------------------------------------------------------------------
+def _legacy_hit_rounds(graph, policy, lazy, start, target, runs, horizon, rng):
+    """The set-based loop both estimators ran: first hit round, or -1."""
+    hits = np.empty(runs, dtype=np.int64)
+    for i in range(runs):
+        active = start.copy()
+        if np.any(active == target):
+            hits[i] = 0
+            continue
+        hit_at, t = -1, 0
+        while t < horizon:
+            t += 1
+            active = _legacy_cobra_step(graph, policy, lazy, active, rng)
+            if np.any(active == target):
+                hit_at = t
+                break
+        hits[i] = hit_at
+    return hits
+
+
+def _legacy_duality_sides(graph, policy, lazy, source, start, horizons, runs, rng):
+    """Both sides of the Monte-Carlo duality check, COBRA side first."""
+    t_top = int(horizons.max())
+    hits = _legacy_hit_rounds(graph, policy, lazy, start, source, runs, t_top, rng)
+    cobra = np.array([np.sum((hits < 0) | (hits > h)) for h in horizons]) / runs
+    infected = np.zeros((runs, graph.n), dtype=bool)
+    infected[:, source] = True
+    misses = {0: 0 if source in start else runs}
+    for t in range(1, t_top + 1):
+        infected = _legacy_bips_step_batch(graph, policy, lazy, source, infected, rng)
+        misses[t] = int(np.sum(~infected[:, start].any(axis=1)))
+    bips = np.array([misses[int(h)] for h in horizons]) / runs
+    return cobra, bips
+
+
+class TestEstimatorEquivalence:
+    """Both estimators reproduce the set-based loop bit for bit."""
+
+    @pytest.mark.parametrize("branching", [1, 1.5, 2])
+    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("start", [0, [2, 5], [1, 4, 8]])
+    def test_hit_survival_and_duality_match_set_loop(self, branching, lazy, start):
+        # Target 8 lies in the last start set: those runs hit at round 0.
+        g, target, runs = cycle_graph(9), 8, 120
+        policy = make_policy(branching)
+        start_arr = np.unique(np.atleast_1d(start)).astype(np.int64)
+
+        hits = _legacy_hit_rounds(
+            g, policy, lazy, start_arr, target, runs, 30, np.random.default_rng(3)
+        )
+        curve = cobra_hit_survival_mc(
+            g, start, target, branching=branching, lazy=lazy, runs=runs,
+            horizon=30, rng=np.random.default_rng(3),
+        )
+        ref = empirical_survival(hits, horizon=30)
+        assert np.array_equal(curve.probabilities, ref.probabilities)
+
+        horizons = np.array([0, 1, 2, 3, 5, 8, 13, 21])
+        cobra_ref, bips_ref = _legacy_duality_sides(
+            g, policy, lazy, target, start_arr, horizons, runs,
+            np.random.default_rng(4),
+        )
+        report = verify_duality_monte_carlo(
+            g, target, start_arr, branching=branching, lazy=lazy,
+            horizons=horizons, runs=runs, rng=np.random.default_rng(4),
+        )
+        assert np.array_equal(report.cobra_side, cobra_ref)
+        assert np.array_equal(report.bips_side, bips_ref)
+
+
+# ----------------------------------------------------------------------
+# Legacy per-vertex transmission load
+# ----------------------------------------------------------------------
+def _legacy_per_vertex_load(graph, policy, lazy, start, rng):
+    """The set-based load loop: selections made by each vertex to coverage."""
+    load = np.zeros(graph.n, dtype=np.int64)
+    active = np.array([start], dtype=np.int64)
+    visited = np.zeros(graph.n, dtype=bool)
+    visited[start] = True
+    cap, t = default_round_cap(graph), 0
+    while not visited.all() and t < cap:
+        t += 1
+        counts = policy.draw_counts(active.shape[0], rng)
+        np.add.at(load, active, counts)
+        actors = np.repeat(active, counts)
+        active = np.unique(_legacy_select(graph, actors, rng, lazy))
+        visited[active] = True
+    return load
+
+
+class TestPerVertexLoadEquivalence:
+    @pytest.mark.parametrize("branching", [1, 1.5, 2])
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_matches_set_loop(self, expander, branching, lazy):
+        policy = make_policy(branching)
+        for g, start in ((expander, 5), (cycle_graph(9), 0)):
+            for seed in range(3):
+                ref = _legacy_per_vertex_load(
+                    g, policy, lazy, start, np.random.default_rng(seed)
+                )
+                load = per_vertex_load(
+                    g, start, branching=branching, lazy=lazy,
+                    rng=np.random.default_rng(seed),
+                )
+                assert np.array_equal(load, ref)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import BipsProcess, CobraProcess
+from repro.core import make_policy
+from repro.engine import BipsRule, CobraRule
 from repro.graphs import complete_graph
 from repro.theory import (
     bips_complete_expected_next,
@@ -38,17 +39,19 @@ class TestCobraMap:
         # Mean |C_t| from simulation vs the occupancy map on K_64.
         n = 64
         g = complete_graph(n)
-        proc = CobraProcess(g)
+        rule = CobraRule(make_policy(2))
+        alive = np.ones(1, dtype=bool)
         rounds = 8
         sums = np.zeros(rounds + 1)
         runs = 300
         rng = np.random.default_rng(3)
         for _ in range(runs):
-            active = np.array([0])
+            active = np.zeros((1, n), dtype=bool)
+            active[0, 0] = True
             sums[0] += 1
             for t in range(1, rounds + 1):
-                active = proc.step(active, rng)
-                sums[t] += active.shape[0]
+                active = rule.step(g, active, alive, rng)
+                sums[t] += active.sum()
         means = sums / runs
         traj = cobra_complete_meanfield_trajectory(n, t_max=rounds)
         # Occupancy map ignores O(k/n^2) self-exclusion: 5% tolerance.
@@ -81,17 +84,18 @@ class TestBipsMap:
         # (Jensen-gap at mid-trajectory shrinks with concentration).
         n = 256
         g = complete_graph(n)
-        proc = BipsProcess(g, 0)
+        rule = BipsRule(make_policy(2), 0, discipline="single")
+        alive = np.ones(1, dtype=bool)
         rounds = 10
         runs = 200
         rng = np.random.default_rng(5)
         sums = np.zeros(rounds + 1)
         for _ in range(runs):
-            infected = np.zeros(n, dtype=bool)
-            infected[0] = True
+            infected = np.zeros((1, n), dtype=bool)
+            infected[0, 0] = True
             sums[0] += 1
             for t in range(1, rounds + 1):
-                infected = proc.step(infected, rng)
+                infected = rule.step(g, infected, alive, rng)
                 sums[t] += infected.sum()
         means = sums / runs
         traj = bips_complete_meanfield_trajectory(n, t_max=rounds)
