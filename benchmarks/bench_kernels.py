@@ -1,17 +1,19 @@
-"""Kernel-backend throughput: per-round seconds, numpy vs compiled.
+"""Kernel throughput: per-round seconds, numpy vs the faster kernels.
 
 Times one engine round (wall seconds / rounds executed) for each rule
-that has a compiled twin in :mod:`repro.kernels`, at n ∈ {10^4, 10^5}:
+that has a faster twin in :mod:`repro.kernels`, at n ∈ {10^4, 10^5}:
 
-* **COBRA** and batch **BIPS** — numpy vs the fused ``numba`` CSR
-  kernels (bit-identical, so the comparison is pure wall-clock);
-* **push** — numpy vs the word-packed ``bitplane`` rule
+* **COBRA** and batch **BIPS** — the numpy rules vs the fused
+  ``numba`` CSR kernels (bit-identical, so the comparison is pure
+  wall-clock), switched the way ``tests/kernels/test_numba_parity.py``
+  switches them;
+* **push** — ``PushRule`` vs the word-packed ``BitPushRule``
   (distribution-equivalent: same per-run law, 64 runs per draw).
 
 The pytest gate asserts the ≥ 10× per-round win of the numba kernel
 over numpy for COBRA at n = 10^5 — on machines that actually have
 numba (it auto-skips without it, mirroring the sharding gate's CPU
-guard); backends that are unavailable are skipped with a note, never
+guard); without numba the numba rows are skipped with a note, never
 shown as fake rows.
 
 Run with::
@@ -34,7 +36,7 @@ import pytest
 from repro.core.branching import make_policy
 from repro.engine import BipsRule, CobraRule, PushRule, SpreadEngine
 from repro.graphs import random_regular_graph
-from repro.kernels import backend_available
+from repro.kernels import BitPushRule, dispatch, numba_backend
 
 SIZES = (10_000, 100_000)
 RUNS = 32
@@ -46,7 +48,7 @@ SPEEDUP_FLOOR = 10.0
 #: ...at problem sizes at least this large (JIT warm-up dominates below).
 GATE_N = 100_000
 
-#: rule key -> (rule factory, compiled backend to compare against numpy)
+#: rule key -> (numpy rule factory, faster kernel compared against it)
 CELLS = {
     "cobra": (lambda: CobraRule(make_policy(2)), "numba"),
     "bips": (lambda: BipsRule(make_policy(2), 0), "numba"),
@@ -63,20 +65,31 @@ def build_cell(rule_key: str, n: int, runs: int = RUNS):
     return engine, state
 
 
-def time_backend(
-    engine, state, backend: str, *, max_rounds: int = MAX_ROUNDS
+def faster_cell(engine, state, kernel: str):
+    """The engine and start state that run ``kernel`` on the same cell:
+    the same engine for numba, a packed ``BitPushRule`` for bitplane."""
+    if kernel == "numba":
+        return engine, state
+    rule = BitPushRule(state.shape[0])
+    return SpreadEngine(rule, engine.topology), rule.pack(state)
+
+
+def time_kernel(
+    engine, state, *, numba: bool = False, max_rounds: int = MAX_ROUNDS
 ) -> tuple[float, int]:
-    """Seconds per executed round for one backend (fresh rng per call).
+    """Seconds per executed round (fresh rng per call), with the numba
+    kernels switched on or off for the call.
 
     The round cap keeps the cell in the growth phase where the kernels
-    do real work; both backends run the identical cap, so the ratio is
-    a fair per-round comparison even when neither reaches completion.
+    do real work; every kernel runs the identical cap, so the ratio is
+    a fair per-round comparison even when none reaches completion.
     """
-    t0 = time.perf_counter()
-    res = engine.run(
-        state, np.random.default_rng(SEED), max_rounds=max_rounds, backend=backend
-    )
-    seconds = time.perf_counter() - t0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numba_backend, "AVAILABLE", numba)
+        patch.setattr(dispatch, "AUTO_NUMBA_MIN_N", 0)
+        t0 = time.perf_counter()
+        res = engine.run(state, np.random.default_rng(SEED), max_rounds=max_rounds)
+        seconds = time.perf_counter() - t0
     rounds = max(1, int(res.rounds_run))
     return seconds / rounds, rounds
 
@@ -84,24 +97,24 @@ def time_backend(
 def measure(
     sizes=SIZES, runs: int = RUNS, max_rounds: int = MAX_ROUNDS
 ) -> tuple[list[dict], list[str]]:
-    """Time every rule × size × available backend; one row per cell.
+    """Time every rule × size × available kernel; one row per cell.
 
-    Returns ``(rows, skipped)`` where ``skipped`` names the backends
-    that were unavailable (so callers can print the caveat instead of
-    silently shrinking the grid).  Compiled backends get one untimed
+    Returns ``(rows, skipped)`` where ``skipped`` names the kernels that
+    were unavailable (so callers can print the caveat instead of
+    silently shrinking the grid).  The faster kernels get one untimed
     warm-up call per cell before the clock starts, so numba's JIT
     compilation is never billed to the per-round figure.
     """
     rows: list[dict] = []
     skipped: list[str] = []
-    for rule_key, (_, compiled) in CELLS.items():
-        compiled_ok = backend_available(compiled)
-        if not compiled_ok and compiled not in skipped:
-            skipped.append(compiled)
+    for rule_key, (_, kernel) in CELLS.items():
+        kernel_ok = kernel != "numba" or numba_backend.AVAILABLE
+        if not kernel_ok and kernel not in skipped:
+            skipped.append(kernel)
         for n in sizes:
             engine, state = build_cell(rule_key, n, runs)
-            base_spr, base_rounds = time_backend(
-                engine, state, "numpy", max_rounds=max_rounds
+            base_spr, base_rounds = time_kernel(
+                engine, state, max_rounds=max_rounds
             )
             rows.append(
                 {
@@ -113,17 +126,19 @@ def measure(
                     "speedup_vs_numpy": 1.0,
                 }
             )
-            if not compiled_ok:
+            if not kernel_ok:
                 continue
+            fast_engine, fast_state = faster_cell(engine, state, kernel)
+            numba = kernel == "numba"
             # Warm-up: compile (numba) / allocate (bitplane) off the clock.
-            time_backend(engine, state, compiled, max_rounds=2)
-            spr, rounds = time_backend(
-                engine, state, compiled, max_rounds=max_rounds
+            time_kernel(fast_engine, fast_state, numba=numba, max_rounds=2)
+            spr, rounds = time_kernel(
+                fast_engine, fast_state, numba=numba, max_rounds=max_rounds
             )
             rows.append(
                 {
                     "rule": rule_key,
-                    "backend": compiled,
+                    "backend": kernel,
                     "n": n,
                     "rounds": rounds,
                     "seconds_per_round": round(spr, 6),
@@ -152,7 +167,7 @@ def test_backend_rows_cover_numpy_baseline():
 
 
 @pytest.mark.skipif(
-    not backend_available("numba"),
+    not numba_backend.AVAILABLE,
     reason="compiled-kernel gate needs numba installed",
 )
 def test_kernel_speedup_gate():
@@ -184,7 +199,7 @@ def main(argv=None) -> int:
 
     rows, skipped = measure(sizes, runs, max_rounds)
     print(
-        f"kernel backends on rreg-{DEGREE}-n, R={runs}, "
+        f"kernels on rreg-{DEGREE}-n, R={runs}, "
         f"{max_rounds}-round cells ({len(os.sched_getaffinity(0))} CPUs)"
     )
     header = f"{'rule':7} {'backend':9} {'n':>7} {'s/round':>10} {'speedup':>8}"
@@ -198,7 +213,7 @@ def main(argv=None) -> int:
         )
     if skipped:
         print(
-            f"note: backend(s) {skipped} unavailable here — their rows "
+            f"note: kernel(s) {skipped} unavailable here — their rows "
             f"were skipped and the >= {SPEEDUP_FLOOR:g}x gate does not run"
         )
     return 0

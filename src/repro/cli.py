@@ -26,11 +26,10 @@ fleet (``dynamics`` and ``adversary`` shard only their batched runner;
 results bit-identical to local execution; shard results are
 content-address cached under ``REPRO_CACHE_DIR``).  Every execution
 command accepts ``--telemetry PATH`` (or ``REPRO_TELEMETRY``) to
-stream a structured JSONL trace without perturbing any result, and
-``--kernel-backend`` (or ``REPRO_KERNEL_BACKEND``) to force the
-per-round kernel backend — ``numpy``/``numba``/``auto`` are
-bit-identical choices; ``bitplane`` is distribution-equivalent only
-(see :mod:`repro.kernels`).
+stream a structured JSONL trace without perturbing any result.  No
+flag selects the per-round kernel: the engine uses numba's
+bit-identical kernels by itself where numba is installed and the graph
+is large (see :mod:`repro.kernels`).
 """
 
 from __future__ import annotations
@@ -88,9 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     # parent per default run count).
     #
     # Every execution command: where to stream the JSONL telemetry
-    # trace (overrides REPRO_TELEMETRY; see repro.telemetry) and which
-    # per-round kernel backend to force (overrides REPRO_KERNEL_BACKEND;
-    # see repro.kernels).
+    # trace (overrides REPRO_TELEMETRY; see repro.telemetry).
     tel = argparse.ArgumentParser(add_help=False)
     tel.add_argument(
         "--telemetry",
@@ -99,14 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append a structured JSONL telemetry trace to PATH "
         "(overrides REPRO_TELEMETRY; inspect with 'repro trace summarize'; "
         "results are bit-identical with tracing on or off)",
-    )
-    tel.add_argument(
-        "--kernel-backend",
-        default=None,
-        choices=("auto", "numpy", "numba", "bitplane"),
-        help="per-round kernel backend (overrides REPRO_KERNEL_BACKEND; "
-        "default auto = compiled where available and bit-identical, else "
-        "numpy; bitplane is distribution-equivalent only)",
     )
 
     # The sampling commands' execution fleet: local worker processes or
@@ -1076,14 +1065,6 @@ def main(argv: list[str] | None = None) -> int:
     # command; flushed on every exit path so partial runs still leave
     # a readable JSONL trace.
     configure_from_env(getattr(args, "telemetry", None))
-    # --kernel-backend exports through the environment so every engine
-    # entry point the command reaches — and every pool worker forked
-    # beneath it — resolves the same kernel choice.
-    kernel_backend = getattr(args, "kernel_backend", None)
-    if kernel_backend is not None:
-        from .kernels import ENV_VAR
-
-        os.environ[ENV_VAR] = kernel_backend
     # --retry-*/--fallback install process-wide resilience
     # defaults (see repro.resilience.configure) for the broker-reaching
     # commands.

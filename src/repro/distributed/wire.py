@@ -386,12 +386,30 @@ def _encode_graph(graph: Graph) -> dict:
 
 
 def _decode_graph(obj: dict) -> Graph:
+    """Rebuild a graph from the sender's CSR, checking it first.
+
+    :meth:`Graph._from_csr` trusts its input, and a malformed CSR would
+    otherwise run as a different graph (numpy wraps a negative index)
+    or fail deep inside a kernel, so the arrays must be 1-D integers
+    describing ``n`` vertices and ``m`` undirected edges.
+    """
+    n, m = int(obj["n"]), int(obj["m"])
     indptr = _decode_array(obj["indptr"])
     indices = _decode_array(obj["indices"])
-    degrees = np.diff(indptr)
-    return Graph._from_csr(
-        int(obj["n"]), int(obj["m"]), indptr, indices, degrees, obj["name"]
-    )
+    for key, arr in (("indptr", indptr), ("indices", indices)):
+        if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"graph {key} must be a 1-D integer array")
+    if n < 0 or len(indptr) != n + 1 or indptr[0] != 0:
+        raise ValueError("graph indptr must hold n + 1 offsets starting at 0")
+    if np.any(indptr[1:] < indptr[:-1]):
+        raise ValueError("graph indptr must be non-decreasing")
+    if not indptr[-1] == len(indices) == 2 * m:
+        raise ValueError("graph indptr[-1], len(indices) and 2m must agree")
+    if len(indices) and (indices.min() < 0 or indices.max() >= n):
+        raise ValueError("graph indices must lie in [0, n)")
+    indptr = indptr.astype(np.int64, copy=False)
+    indices = indices.astype(np.int64, copy=False)
+    return Graph._from_csr(n, m, indptr, indices, np.diff(indptr), obj["name"])
 
 
 def _encode_topology(topology) -> dict:
@@ -521,17 +539,12 @@ def encode_task(task: ShardTask) -> dict:
     The encoding is complete: :func:`decode_task` on another machine
     rebuilds a task whose execution by
     :func:`repro.parallel.run_shard` is bit-for-bit identical to
-    running the original in-process.
-
-    The kernel-backend hint is an *optional* key, emitted only when the
-    task carries one: default tasks encode byte-for-byte as they did
-    before the key existed, so :data:`WIRE_VERSION` stays put and no
-    cached result is invalidated.  A non-default backend does change
-    the :func:`task_key` — deliberately, since a ``bitplane`` result is
-    only distribution-equivalent and must not be served from a
-    ``numpy`` cache entry.
+    running the original in-process.  No kernel choice is encoded: the
+    worker's engine picks its own, bit-identically (see
+    :func:`repro.kernels.dispatch.resolve`), and decoding ignores the
+    ``backend`` key older senders could attach.
     """
-    obj = {
+    return {
         "v": WIRE_VERSION,
         "kind": "task",
         "rule": _encode_rule(task.rule),
@@ -544,9 +557,6 @@ def encode_task(task: ShardTask) -> dict:
         "record_sizes": bool(task.record_sizes),
         "record_visited": bool(task.record_visited),
     }
-    if task.backend is not None:
-        obj["backend"] = str(task.backend)
-    return obj
 
 
 def attach_trace(frame: dict, context) -> dict:
@@ -555,8 +565,7 @@ def attach_trace(frame: dict, context) -> dict:
     ``context`` is a :class:`~repro.telemetry.TraceContext` (or an
     already-encoded wire dict, as the broker relays on lease replies);
     ``None`` leaves the frame untouched, so the default encoding stays
-    byte-identical to the pre-trace format — same contract as the
-    optional ``backend`` hint in :func:`encode_task`, and the reason
+    byte-identical to the pre-trace format, which is why
     :data:`WIRE_VERSION` stays put.  Returns the frame for chaining.
     """
     if context is None:
@@ -607,7 +616,6 @@ def decode_task(obj: dict) -> ShardTask:
             track_hits=obj["track_hits"],
             record_sizes=obj["record_sizes"],
             record_visited=obj["record_visited"],
-            backend=obj.get("backend"),
         )
     except WireDecodeError:
         raise

@@ -12,7 +12,7 @@ independent and freely composable:
   any :class:`repro.dynamics.GraphSequence`) — static and
   time-evolving graphs share one step loop;
 * **Completion criterion** (:mod:`~repro.engine.completion`) —
-  ``all-vertices``, churn-aware ``all-active``, or ``target-hit``.
+  ``all-vertices``, churn-aware ``all-active``, or ``TargetHit(v)``.
 
 :mod:`repro.core`, :mod:`repro.baselines` and :mod:`repro.dynamics`
 are thin wrappers over this layer; round caps are centralised in

@@ -9,12 +9,13 @@ which is what makes churn-aware completion possible: under vertex
 churn, "all ``n`` vertices at once" is unreachable at moderate leave
 rates, but "every currently-present vertex" is a meaningful target.
 
-The three built-ins mirror the ISSUE/ROADMAP taxonomy:
+The three built-ins:
 
-* ``all-vertices`` — every vertex of the fixed vertex set;
-* ``all-active``  — every vertex present in the current snapshot
-  (degree > 0); departed vertices are excused;
-* ``target-hit``  — a designated vertex has been reached (the
+* :class:`AllVertices` (``"all-vertices"``) — every vertex of the fixed
+  vertex set;
+* :class:`AllActive` (``"all-active"``) — every vertex present in the
+  current snapshot (degree > 0); departed vertices are excused;
+* :class:`TargetHit` — a designated vertex has been reached (the
   hitting-time criterion used by duality audits).
 """
 
@@ -118,16 +119,11 @@ class TargetHit(CompletionCriterion):
         return f"TargetHit({self.target})"
 
 
-def make_completion(
-    spec: "CompletionCriterion | str",
-    *,
-    target: int | None = None,
-) -> CompletionCriterion:
+def make_completion(spec: "CompletionCriterion | str") -> CompletionCriterion:
     """Coerce a completion spec into a :class:`CompletionCriterion`.
 
-    Accepts a criterion instance, or one of the strings
-    ``"all-vertices"``, ``"all-active"``, ``"target-hit"`` (the latter
-    requires ``target=``).
+    Accepts a criterion instance (e.g. ``TargetHit(v)``), or one of the
+    strings ``"all-vertices"`` and ``"all-active"``.
     """
     if isinstance(spec, CompletionCriterion):
         return spec
@@ -135,11 +131,7 @@ def make_completion(
         return AllVertices()
     if spec == "all-active":
         return AllActive()
-    if spec == "target-hit":
-        if target is None:
-            raise ValueError("completion 'target-hit' requires target=")
-        return TargetHit(target)
     raise ValueError(
         f"unknown completion spec {spec!r}: expected 'all-vertices', "
-        "'all-active', 'target-hit', or a CompletionCriterion"
+        "'all-active', or a CompletionCriterion"
     )

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -140,9 +140,9 @@ class SpreadEngine:
         ``.n`` / ``.graph_at(t)`` (e.g. a
         :class:`repro.dynamics.GraphSequence`).
     completion:
-        ``"all-vertices"`` (default), ``"all-active"``,
-        ``"target-hit"`` (with ``target=``), or a
-        :class:`~repro.engine.completion.CompletionCriterion`.
+        ``"all-vertices"`` (default), ``"all-active"``, or a
+        :class:`~repro.engine.completion.CompletionCriterion` such as
+        ``TargetHit(v)``.
     """
 
     def __init__(
@@ -150,12 +150,10 @@ class SpreadEngine:
         rule: SpreadRule,
         topology,
         completion: "CompletionCriterion | str" = "all-vertices",
-        *,
-        target: int | None = None,
     ) -> None:
         self.rule = rule
         self.topology = as_topology(topology)
-        self.completion = make_completion(completion, target=target)
+        self.completion = make_completion(completion)
         validate = getattr(rule, "validate_topology", None)
         if validate is not None:
             validate(self.topology)
@@ -176,7 +174,6 @@ class SpreadEngine:
         record_sizes: bool = False,
         record_visited: bool = False,
         on_round: Callable[[int, Graph, np.ndarray], None] | None = None,
-        backend: str | None = None,
     ) -> SpreadResult:
         """Advance all runs until completion or the round cap.
 
@@ -194,17 +191,11 @@ class SpreadEngine:
         round's ``graph_at(t)`` call, so the snapshot may react to the
         state about to act on it.
 
-        ``backend`` selects the per-round kernel via
-        :mod:`repro.kernels.dispatch`: ``"numpy"`` (reference, the
-        default resolution), ``"numba"`` / ``"auto"`` (fused compiled
-        kernels where available — bit-identical to numpy), or
-        ``"bitplane"`` (word-packed gossip — distribution-equivalent
-        only).  ``None`` defers to the ``REPRO_KERNEL_BACKEND``
-        environment variable, then ``"auto"``.  When a backend was
-        explicitly requested, or resolution picked a non-numpy kernel,
-        the choice is recorded as ``meta["kernel_backend"]``; the
-        untouched default leaves ``meta`` None, preserving the
-        meta-is-observability-only contract.
+        Each round calls the step :func:`repro.kernels.dispatch.resolve`
+        picks for this run: the rule's own ``step``, or numba's fused
+        kernel for COBRA and batch BIPS on large graphs where numba is
+        installed — bit-identical either way, and never set by the
+        caller.
 
         With telemetry enabled (see :mod:`repro.telemetry`) the run is
         wrapped in an ``engine.run`` span, and every sampled round
@@ -228,13 +219,7 @@ class SpreadEngine:
         runs = runs_of(state) if runs_of is not None else state.shape[0]
         cap = self.default_cap() if max_rounds is None else int(max_rounds)
 
-        requested = dispatch.requested_backend(backend)
-        binding = dispatch.resolve(
-            self.rule, n=n, runs=runs, requested=requested
-        )
-        rule = binding.rule
-        if binding.pack is not None:
-            state = binding.pack(state)
+        binding = dispatch.resolve(self.rule, n=n, runs=runs)
 
         tel = get_telemetry()
         trace = tel.enabled
@@ -253,7 +238,6 @@ class SpreadEngine:
         )
         with span if span is not None else contextlib.nullcontext():
             result = self._run_loop(
-                rule,
                 binding.step,
                 topo,
                 observer,
@@ -274,18 +258,10 @@ class SpreadEngine:
                     rounds_run=int(result.rounds_run),
                     finished=int((result.finish_times >= 0).sum()),
                 )
-        if binding.unpack is not None:
-            result = replace(result, final_state=binding.unpack(result.final_state))
-        if requested is not None or binding.backend != "numpy":
-            result = replace(
-                result,
-                meta={**(result.meta or {}), "kernel_backend": binding.backend},
-            )
         return result
 
     def _run_loop(
         self,
-        rule,
         step,
         topo,
         observer,
@@ -303,6 +279,7 @@ class SpreadEngine:
         trace: bool,
     ) -> SpreadResult:
         """The round loop proper (see :meth:`run` for the contract)."""
+        rule = self.rule
         occ = rule.occupancy(state, n)
         monotone = rule.completion_basis == "visited"
         visited = remaining = None
@@ -446,7 +423,6 @@ class SpreadEngine:
         max_shard: int | None = None,
         endpoint: str | None = None,
         cache="auto",
-        backend: str | None = None,
         retry="default",
         fallback="default",
     ) -> SpreadResult:
@@ -471,10 +447,9 @@ class SpreadEngine:
         terminal-value padding — the engine-level one-pass recorder the
         analysis ensembles are built on.
 
-        ``backend`` is the kernel-backend request, resolved here (so
-        the environment variable crosses process and wire boundaries)
-        and stamped on every shard task; each shard's engine honours it
-        exactly as :meth:`run` does.
+        Each shard's engine picks its own per-round kernel exactly as
+        :meth:`run` does, so no kernel choice crosses the process or
+        wire boundary.
 
         ``endpoint`` routes the same shard plan through a
         :mod:`repro.distributed` broker instead of the local pool;
@@ -501,7 +476,6 @@ class SpreadEngine:
             ),
             endpoint=endpoint,
             cache=cache,
-            backend=backend,
             retry=retry,
             fallback=fallback,
         )

@@ -38,28 +38,28 @@ Rules are deliberately policy-agnostic about branching: they duck-type
 ``second_selection_probability`` methods, keeping this package free of
 imports from :mod:`repro.core`.
 
-Compiled backends
------------------
-The kernels in this module are the reference (``numpy``) backend of
-the dispatch tier in :mod:`repro.kernels`.  Per rule, the cross-backend
-equivalence contract is:
+Compiled kernels
+----------------
+The kernels in this module are the reference; :mod:`repro.kernels`
+relates faster code to them, per rule:
 
-* **bit-identical** under the ``numba`` backend: :class:`CobraRule`,
-  and :class:`BipsRule` with ``discipline="batch"``.  The compiled
-  kernels pre-draw the same uniforms from the same Generator in the
-  same order and reproduce the numpy index arithmetic exactly, so
-  ``backend="numba"`` (or ``"auto"``) changes wall-clock only — never
-  a sample.
-* **distribution-equivalent** under the ``bitplane`` backend:
-  :class:`PushRule`, :class:`PullRule`, :class:`PushPullRule`.  The
-  word-packed twins share neighbour draws across the runs of a machine
-  word, so per-run cover/broadcast laws are exact but the draw stream
-  (and cross-run independence within a word) differs — compare
-  distributions, never bits, across that boundary.
-* **numpy-only**: :class:`FloodingRule` (already bit-parallel),
-  :class:`WalkRule`, and ``BipsRule(discipline="single")`` have no
-  compiled twin; every backend request other than ``numpy``/``auto``
-  is rejected for them.
+* **bit-identical** numba kernels for :class:`CobraRule` and
+  :class:`BipsRule` with ``discipline="batch"``.  They pre-draw the
+  same uniforms from the same Generator in the same order and
+  reproduce the numpy index arithmetic exactly, so the engine swaps
+  them in by itself (:func:`repro.kernels.dispatch.resolve`, where
+  numba is installed and the graph is large): wall-clock changes,
+  never a sample.
+* **distribution-equivalent** bit-plane rules
+  (:class:`~repro.kernels.BitPushRule` and its pull and push–pull
+  siblings) for :class:`PushRule`, :class:`PullRule` and
+  :class:`PushPullRule`.  They share neighbour draws across the runs
+  of a machine word, so per-run cover/broadcast laws are exact but the
+  draw stream (and cross-run independence within a word) differs.
+  They are separate rules a caller chooses, never a substitution.
+* every other rule (:class:`FloodingRule`, already bit-parallel,
+  :class:`WalkRule`, ``BipsRule(discipline="single")``) always runs
+  its own ``step``.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class CobraRule(SpreadRule):
     Degree-zero active vertices (possible only on dynamic snapshots)
     hold their position for the round, per the
     :mod:`repro.dynamics` convention.  This is the reference COBRA
-    kernel (the numba backend reproduces it bit for bit);
+    kernel (the numba kernel reproduces it bit for bit);
     :func:`~repro.core.hitting.cobra_hit_survival_mc`,
     :func:`~repro.core.duality.verify_duality_monte_carlo` and
     :func:`~repro.core.metrics.per_vertex_load` call it one run at a

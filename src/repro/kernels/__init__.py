@@ -1,61 +1,37 @@
-"""Compiled kernel tier: dispatched per-round backends for the engine.
+"""Kernel tier: compiled steps the engine picks itself, and bit-plane gossip.
 
 The per-round hot loops in :mod:`repro.engine.rules` are numpy index
-programs over the CSR arrays.  This package puts faster backends
-behind the *same* ``SpreadRule.step`` interface, chosen per rule ×
-graph size by a dispatch layer with numpy as the always-available
-fallback:
+programs over the CSR arrays.  This package holds two faster
+alternatives:
 
-* ``numpy`` — the reference kernels, always available;
-* ``numba`` — fused neighbour-sample + absorb ``@njit`` kernels for
+* fused neighbour-sample + absorb ``@njit`` kernels
+  (:mod:`repro.kernels.numba_backend`) for
   :class:`~repro.engine.rules.CobraRule` and batch-discipline
-  :class:`~repro.engine.rules.BipsRule` that walk the CSR arrays
-  directly.  Randomness is drawn from the *same*
+  :class:`~repro.engine.rules.BipsRule`.  They draw from the *same*
   :class:`numpy.random.Generator` stream in the same order as the
-  numpy kernels, so results are **bit-identical**.  Optional: the
-  import is guarded and the backend simply reports unavailable when
-  numba is not installed;
-* ``bitplane`` — push/pull/push–pull gossip with the informed sets of
-  8–64 runs packed per machine word (extending
-  :class:`~repro.engine.rules.FloodingRule`'s bit-parallel trick to
-  the randomised baselines).  Draws are shared per word, so results
-  are **distribution-equivalent** per run, not bit-identical — see
-  :mod:`repro.kernels.bitplane` for the exact equivalence class.
-  Never chosen automatically; request it explicitly.
-
-Selection: ``SpreadEngine.run/run_sharded/run_distributed`` accept
-``backend=``, the CLI accepts ``--kernel-backend``, and the
-``REPRO_KERNEL_BACKEND`` environment variable (``numpy`` / ``numba`` /
-``auto``, plus explicit ``bitplane``) forces a choice process-wide.
-The chosen backend is recorded in ``SpreadResult.meta`` and counted by
-the ``kernel.dispatch`` telemetry counters.
+  numpy kernels, so results are **bit-identical**.
+  :func:`~repro.kernels.dispatch.resolve` picks them on its own, on
+  every engine run, when numba is installed and the graph has at least
+  :data:`AUTO_NUMBA_MIN_N` vertices; there is no setting.  The import
+  is guarded, so numba stays optional;
+* :class:`BitPushRule`, :class:`BitPullRule` and
+  :class:`BitPushPullRule`: push/pull/push–pull gossip with the
+  informed sets of 8–64 runs packed per machine word (the bit-parallel
+  trick of :class:`~repro.engine.rules.FloodingRule`, extended to the
+  randomised baselines).  They are ordinary rules: build one for ``R``
+  runs, ``pack`` the ``(R, n)`` start mask and drive it with
+  :class:`~repro.engine.SpreadEngine`.  Draws are shared per word, so
+  results are **distribution-equivalent** per run, not bit-identical —
+  see :mod:`repro.kernels.bitplane` for the exact equivalence class.
 """
 
 from .bitplane import BitPullRule, BitPushPullRule, BitPushRule
-from .dispatch import (
-    ENV_VAR,
-    KernelBackend,
-    KernelBinding,
-    backend_available,
-    backend_names,
-    kernel_contract,
-    register_backend,
-    requested_backend,
-    resolve,
-)
+from .dispatch import AUTO_NUMBA_MIN_N, KernelBinding, resolve
 
 __all__ = [
-    # dispatch
-    "ENV_VAR",
-    "KernelBackend",
+    "AUTO_NUMBA_MIN_N",
     "KernelBinding",
-    "backend_available",
-    "backend_names",
-    "kernel_contract",
-    "register_backend",
-    "requested_backend",
     "resolve",
-    # bit-plane gossip rules
     "BitPushRule",
     "BitPullRule",
     "BitPushPullRule",

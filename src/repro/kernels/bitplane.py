@@ -25,21 +25,28 @@ uniform neighbour per word of runs (a word is ``word_bits`` runs,
   neighbour choices, so they are *not* independent of each other (runs
   in different words are).  Estimator variance over ``R`` runs is that
   of ``R / word_bits`` independent blocks; use more words, or the
-  numpy backend, when cross-run independence matters.
+  numpy rules, when cross-run independence matters.
 * **Not bit-identical.**  The draw stream differs from the numpy
   kernels by construction; only distribution-level comparisons are
-  meaningful across this backend boundary.
+  meaningful between a bit-plane rule and its numpy counterpart.
 
 Finished runs freeze exactly as in the numpy rules: contributions and
 newly-learned bits are masked by the packed ``alive`` vector, so a run
 that met its completion criterion stops spreading even while its word
 mates continue.
 
-These are ordinary :class:`~repro.engine.rules.SpreadRule` objects and
-can be driven directly, but the intended entry point is the dispatch
-layer (``SpreadEngine.run(..., backend="bitplane")``), which packs the
-caller's ``(R, n)`` boolean state, substitutes the bit-plane rule, and
-unpacks the final state — see :mod:`repro.kernels.dispatch`.
+These are ordinary :class:`~repro.engine.rules.SpreadRule` objects,
+used like :class:`~repro.engine.rules.FloodingRule`: build one for
+``R`` runs, ``pack`` the ``(R, n)`` start mask, drive it with
+:class:`~repro.engine.SpreadEngine`, and read the final state back
+with ``occupancy``::
+
+    rule = BitPushRule(64)
+    result = SpreadEngine(rule, graph).run(rule.pack(start), rng)
+    informed = rule.occupancy(result.final_state, graph.n)
+
+Their state packs several runs per row, so
+:func:`repro.parallel.run_sharded` rejects them, as it does flooding.
 """
 
 from __future__ import annotations

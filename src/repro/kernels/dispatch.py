@@ -1,294 +1,70 @@
-"""Backend dispatch: choose a per-round kernel for a rule × graph size.
+"""Kernel dispatch: the per-round step the engine drives for a rule.
 
-The engine asks this module, once per :meth:`SpreadEngine.run`, for a
-:class:`KernelBinding` — the rule object to drive, the ``step``
-callable to call each round, optional pack/unpack converters for the
-state representation, and the equivalence contract the backend honours
-(``"bit-identical"`` or ``"distribution"``).
+The engine asks :func:`resolve`, once per :meth:`SpreadEngine.run`,
+for a :class:`KernelBinding`: the ``step`` callable to call each round
+and the name of the kernel behind it.  Nothing selects the kernel but
+the rule, the graph size and whether numba is installed, and every
+choice is bit-identical to the rule's own ``step``:
 
-Backends register in a module-level table (:func:`register_backend`);
-the built-ins are
-
-``numpy``
-    The reference kernels — :meth:`SpreadRule.step` itself.  Always
-    available, supports every rule, trivially bit-identical.
 ``numba``
-    Fused CSR kernels from :mod:`repro.kernels.numba_backend` for
+    The fused CSR kernels from :mod:`repro.kernels.numba_backend`, for
     :class:`~repro.engine.rules.CobraRule` and batch-discipline
-    :class:`~repro.engine.rules.BipsRule`.  Bit-identical (draws come
-    from the caller's Generator in numpy order).  Reports unavailable
-    when numba is not installed.
-``bitplane``
-    :mod:`repro.kernels.bitplane` push/pull/push–pull with 8–64 runs
-    packed per word.  Distribution-equivalent per run only, so it is
-    **never chosen automatically** — request it explicitly.
-
-Selection order: the ``requested`` parameter (threaded from
-``backend=`` on the engine entry points and ``--kernel-backend`` on
-the CLI) wins, else the ``REPRO_KERNEL_BACKEND`` environment variable,
-else ``"auto"``.  ``auto`` picks numba when it is available, supports
-the rule, and the graph is large enough to amortise call overhead
-(``n >= AUTO_NUMBA_MIN_N``); otherwise numpy.  Forcing an unknown
-backend raises :class:`ValueError`; forcing one that is not installed
-raises :class:`RuntimeError`; forcing one that does not support the
-rule raises :class:`ValueError` — auto never raises.
+    :class:`~repro.engine.rules.BipsRule`, when numba is installed,
+    ``n >= AUTO_NUMBA_MIN_N`` and ``runs >= 1``.  Their draws come from
+    the caller's Generator in numpy order, so no sample moves.
+``numpy``
+    Everything else: :meth:`SpreadRule.step` itself.
 
 Every resolution increments the ``kernel.dispatch`` telemetry counter
-plus a per-backend ``kernel.dispatch.<name>`` counter.
+plus a per-kernel ``kernel.dispatch.<name>`` counter.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine.rules import BipsRule, CobraRule, PullRule, PushPullRule, PushRule, SpreadRule
+from ..engine.rules import BipsRule, CobraRule, SpreadRule
 from ..telemetry import get_telemetry
 from . import numba_backend
-from .bitplane import BitPullRule, BitPushPullRule, BitPushRule
 
-__all__ = [
-    "ENV_VAR",
-    "AUTO_NUMBA_MIN_N",
-    "KernelBackend",
-    "KernelBinding",
-    "backend_available",
-    "backend_names",
-    "kernel_contract",
-    "register_backend",
-    "requested_backend",
-    "resolve",
-]
+__all__ = ["AUTO_NUMBA_MIN_N", "KernelBinding", "resolve"]
 
-#: Environment variable forcing a backend process-wide.
-ENV_VAR = "REPRO_KERNEL_BACKEND"
-
-#: ``auto`` only prefers numba at or above this vertex count — below it
-#: the numpy kernels win on call overhead anyway.
+#: numba is chosen only at or above this vertex count — below it the
+#: numpy kernels win on call overhead anyway.
 AUTO_NUMBA_MIN_N = 4096
 
 
 @dataclass(frozen=True)
 class KernelBinding:
-    """A resolved backend choice for one engine run.
+    """The per-round kernel for one engine run.
 
-    ``rule`` is the rule object the engine should drive (usually the
-    caller's rule; the bitplane backend substitutes a packed twin) and
-    ``step`` the per-round callable with the ``SpreadRule.step``
-    signature.  ``pack``/``unpack`` convert between the caller's
-    ``(R, n)`` boolean state and the backend's representation — both
-    identity (``None``) except for bitplane.  ``contract`` is
-    ``"bit-identical"`` or ``"distribution"`` (see the backend docs).
+    ``step`` has the ``SpreadRule.step(graph, state, alive, rng)``
+    signature; ``backend`` names it (``"numpy"`` or ``"numba"``) for the
+    ``engine.run`` span and the dispatch counters.
     """
 
     backend: str
-    rule: SpreadRule
     step: Callable[..., np.ndarray]
-    contract: str
-    pack: Callable[[np.ndarray], np.ndarray] | None = None
-    unpack: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-class KernelBackend:
-    """Base class for registrable kernel backends.
+def resolve(rule: SpreadRule, *, n: int, runs: int) -> KernelBinding:
+    """Pick the per-round kernel for ``runs`` runs of ``rule`` on ``n`` vertices.
 
-    Subclasses say whether they are installed (:meth:`available`),
-    which rules they accelerate (:meth:`supports`), and how to build a
-    :class:`KernelBinding` for a supported rule (:meth:`bind`).
-    ``auto_eligible`` marks backends ``auto`` may pick; backends with a
-    weaker-than-bit-identical contract keep it False.
+    numba's fused stepper for COBRA and batch BIPS when numba is
+    installed, ``n >= AUTO_NUMBA_MIN_N`` and ``runs >= 1``; otherwise
+    ``rule.step``.  ``numba_backend.AVAILABLE`` and
+    :data:`AUTO_NUMBA_MIN_N` are read on every call.
     """
-
-    name: str = ""
-    contract: str = "bit-identical"
-    auto_eligible: bool = True
-
-    def available(self) -> bool:
-        """Whether the backend's dependencies are importable here."""
-        return True
-
-    def supports(self, rule: SpreadRule) -> bool:
-        """Whether this backend accelerates ``rule``."""
-        raise NotImplementedError
-
-    def bind(self, rule: SpreadRule, *, n: int, runs: int) -> KernelBinding:
-        """Build the binding for a supported rule on an ``n``-vertex graph."""
-        raise NotImplementedError
-
-
-class _NumpyBackend(KernelBackend):
-    """The reference backend: the rule's own ``step``, unchanged."""
-
-    name = "numpy"
-
-    def supports(self, rule: SpreadRule) -> bool:
-        """Every rule runs on its own numpy kernel."""
-        return True
-
-    def bind(self, rule: SpreadRule, *, n: int, runs: int) -> KernelBinding:
-        """Bind the rule to itself."""
-        return KernelBinding(
-            backend=self.name, rule=rule, step=rule.step, contract=self.contract
-        )
-
-
-class _NumbaBackend(KernelBackend):
-    """Fused ``@njit`` CSR kernels for COBRA and batch BIPS."""
-
-    name = "numba"
-
-    def available(self) -> bool:
-        """True when numba imported (read dynamically for test patching)."""
-        return bool(numba_backend.AVAILABLE)
-
-    def supports(self, rule: SpreadRule) -> bool:
-        """COBRA always; BIPS only under the batch absorb discipline."""
+    backend, step = "numpy", rule.step
+    if numba_backend.AVAILABLE and n >= AUTO_NUMBA_MIN_N and runs >= 1:
         if isinstance(rule, CobraRule):
-            return True
-        return isinstance(rule, BipsRule) and rule.discipline == "batch"
-
-    def bind(self, rule: SpreadRule, *, n: int, runs: int) -> KernelBinding:
-        """Wrap the rule with its fused stepper (state layout unchanged)."""
-        if isinstance(rule, CobraRule):
-            step = numba_backend.cobra_stepper(rule)
-        else:
-            step = numba_backend.bips_stepper(rule)
-        return KernelBinding(
-            backend=self.name, rule=rule, step=step, contract=self.contract
-        )
-
-
-class _BitplaneBackend(KernelBackend):
-    """Word-packed push/pull/push–pull (distribution-equivalent only)."""
-
-    name = "bitplane"
-    contract = "distribution"
-    auto_eligible = False
-
-    def supports(self, rule: SpreadRule) -> bool:
-        """The three uniform-gossip baselines pack; nothing else does."""
-        return isinstance(rule, (PushRule, PullRule, PushPullRule))
-
-    def bind(self, rule: SpreadRule, *, n: int, runs: int) -> KernelBinding:
-        """Substitute the packed twin rule plus pack/unpack converters."""
-        if isinstance(rule, PushPullRule):
-            brule: SpreadRule = BitPushPullRule(runs)
-        elif isinstance(rule, PullRule):
-            brule = BitPullRule(runs)
-        else:
-            brule = BitPushRule(runs, fanout=rule.fanout)
-        return KernelBinding(
-            backend=self.name,
-            rule=brule,
-            step=brule.step,
-            contract=self.contract,
-            pack=brule.pack,
-            unpack=lambda state, _b=brule, _n=n: _b.occupancy(state, _n),
-        )
-
-
-_REGISTRY: dict[str, KernelBackend] = {}
-
-
-def register_backend(backend: KernelBackend) -> None:
-    """Register ``backend`` under its name (replacing any previous one)."""
-    if not backend.name:
-        raise ValueError("backend must have a non-empty name")
-    _REGISTRY[backend.name] = backend
-
-
-register_backend(_NumpyBackend())
-register_backend(_NumbaBackend())
-register_backend(_BitplaneBackend())
-
-
-def backend_names() -> tuple[str, ...]:
-    """All registered backend names, registration order."""
-    return tuple(_REGISTRY)
-
-
-def backend_available(name: str) -> bool:
-    """Whether ``name`` is registered and its dependencies import."""
-    backend = _REGISTRY.get(name)
-    return backend is not None and backend.available()
-
-
-def kernel_contract(name: str) -> str:
-    """The equivalence contract of backend ``name``
-    (``"bit-identical"`` or ``"distribution"``)."""
-    return _REGISTRY[name].contract
-
-
-def requested_backend(requested: str | None = None) -> str | None:
-    """Normalise the caller's backend request.
-
-    The explicit ``requested`` parameter wins; otherwise the
-    ``REPRO_KERNEL_BACKEND`` environment variable; otherwise None
-    (meaning: nobody asked — resolve as ``auto`` and leave no trace in
-    ``SpreadResult.meta``).
-    """
-    value = requested if requested is not None else os.environ.get(ENV_VAR)
-    if value is None:
-        return None
-    value = value.strip().lower()
-    return value or None
-
-
-def resolve(
-    rule: SpreadRule,
-    *,
-    n: int,
-    runs: int,
-    requested: str | None = None,
-) -> KernelBinding:
-    """Pick the backend for one engine run and build its binding.
-
-    ``requested`` is an already-normalised name (pass it through
-    :func:`requested_backend`) or None/"auto" for automatic selection.
-    Automatic selection never fails: it prefers an available,
-    auto-eligible compiled backend that supports the rule when
-    ``n >= AUTO_NUMBA_MIN_N`` and ``runs >= 1``, else numpy.  A forced
-    backend must exist (:class:`ValueError`), be available
-    (:class:`RuntimeError`) and support the rule (:class:`ValueError`).
-    """
-    req = requested or "auto"
-    if req == "auto":
-        choice = _REGISTRY["numpy"]
-        if runs >= 1 and n >= AUTO_NUMBA_MIN_N:
-            for backend in _REGISTRY.values():
-                if (
-                    backend.auto_eligible
-                    and backend.name != "numpy"
-                    and backend.available()
-                    and backend.supports(rule)
-                ):
-                    choice = backend
-                    break
-    else:
-        choice = _REGISTRY.get(req)
-        if choice is None:
-            raise ValueError(
-                f"unknown kernel backend {req!r}; known: "
-                f"{', '.join(backend_names())} (or 'auto')"
-            )
-        if not choice.available():
-            raise RuntimeError(
-                f"kernel backend {req!r} is not available here "
-                f"(is its dependency installed?)"
-            )
-        if not choice.supports(rule):
-            raise ValueError(
-                f"kernel backend {req!r} does not support rule "
-                f"{type(rule).__name__}"
-            )
-        if runs < 1 and choice.name != "numpy":
-            # Zero-run states carry no work; the packed backends cannot
-            # even represent them, so fall back to the reference kernel.
-            choice = _REGISTRY["numpy"]
+            backend, step = "numba", numba_backend.cobra_stepper(rule)
+        elif isinstance(rule, BipsRule) and rule.discipline == "batch":
+            backend, step = "numba", numba_backend.bips_stepper(rule)
     telemetry = get_telemetry()
     telemetry.count("kernel.dispatch")
-    telemetry.count(f"kernel.dispatch.{choice.name}")
-    return choice.bind(rule, n=n, runs=runs)
+    telemetry.count(f"kernel.dispatch.{backend}")
+    return KernelBinding(backend=backend, step=step)

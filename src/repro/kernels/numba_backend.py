@@ -16,7 +16,7 @@ kernel runs, with exactly the sizes and order the numpy kernels use
 then any second-selection coins), and the kernels reproduce the numpy
 index arithmetic ``indices[indptr[v] + int(u * degree[v])]`` in IEEE
 double precision with ``fastmath`` off.  The compiled and numpy
-backends are therefore **bit-identical** — pinned per rule by
+kernels are therefore **bit-identical** — pinned per rule by
 ``tests/kernels/test_numba_parity.py``.
 
 Degenerate inputs (degree-zero vertices on churned snapshots, the BIPS
@@ -26,6 +26,8 @@ compiled and fallback rounds is still bit-identical end to end.
 
 The import is guarded: without numba this module loads fine,
 :data:`AVAILABLE` is False, and the dispatch layer never binds it.
+``_njit`` is then a no-op, so the same kernels still run as plain
+Python — how the parity tests check them on machines without numba.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ def cobra_stepper(rule):
 
     The returned callable has the ``step(graph, state, alive, rng)``
     signature; draw order matches the numpy kernel (counts, neighbour
-    uniforms, lazy coins), so the two backends share one stream.
+    uniforms, lazy coins), so the two kernels share one stream.
     """
     policy, lazy = rule.policy, bool(rule.lazy)
 

@@ -19,6 +19,10 @@ budget — and executes the shards across worker processes:
   never of the worker count — so the merged result is bit-for-bit
   identical at any ``workers`` (``workers=1`` runs the same shards
   serially in-process).
+* **Kernels are chosen per shard.**  Each shard's engine picks its own
+  per-round kernel (:func:`repro.kernels.dispatch.resolve`, numba or
+  numpy, bit-identical either way), so a task carries no kernel choice
+  and the result does not depend on which machine ran it.
 * **One executor, the cache as checkpoint.**  :func:`execute_cached`
   runs every sharded invocation: it serves finished shards from the
   content-addressed result cache, runs the rest on a broker or the
@@ -158,12 +162,6 @@ class ShardTask:
     seed:
         The shard's spawned :class:`numpy.random.SeedSequence`; the
         worker builds its process stream from exactly this.
-    backend:
-        Kernel-backend request forwarded to the worker's
-        ``engine.run`` (see :mod:`repro.kernels.dispatch`).  Resolved
-        caller-side from parameter/environment so the choice crosses
-        process and wire boundaries; None means auto-resolve in the
-        worker.
     """
 
     rule: object
@@ -175,7 +173,6 @@ class ShardTask:
     track_hits: bool = False
     record_sizes: bool = False
     record_visited: bool = False
-    backend: str | None = None
 
 
 def run_shard(task: ShardTask):
@@ -225,7 +222,6 @@ def run_shard(task: ShardTask):
             track_hits=task.track_hits,
             record_sizes=task.record_sizes,
             record_visited=task.record_visited,
-            backend=task.backend,
         )
         if span is not None:
             span.annotate(rounds_run=int(result.rounds_run))
@@ -413,24 +409,16 @@ def _merge_meta(results: Sequence) -> dict | None:
     load-balance figure the ROADMAP's bench caveat asks for.
     """
     shards = []
-    kernel_backend = None
     for index, result in enumerate(results):
         meta = getattr(result, "meta", None)
-        if not meta:
-            continue
-        kernel_backend = meta.get("kernel_backend", kernel_backend)
-        if "shard" not in meta:
-            continue
-        shards.append({"index": index, **meta["shard"]})
+        if meta and "shard" in meta:
+            shards.append({"index": index, **meta["shard"]})
     if not shards:
-        if kernel_backend is not None:
-            return {"kernel_backend": kernel_backend}
         return None
     walls = [s["wall_s"] for s in shards]
     wall_stats = summarize_values(walls)
     rss = [s["max_rss"] for s in shards if s.get("max_rss")]
     return {
-        **({"kernel_backend": kernel_backend} if kernel_backend else {}),
         "shards": shards,
         "wall_s": wall_stats,
         "cpu_s": summarize_values([s["cpu_s"] for s in shards]),
@@ -534,7 +522,6 @@ def run_sharded(
     max_shard: int = DEFAULT_MAX_SHARD,
     endpoint: str | None = None,
     cache="auto",
-    backend: str | None = None,
     retry="default",
     fallback="default",
 ):
@@ -551,19 +538,11 @@ def run_sharded(
     ``workers`` value and on both tiers (an ``R = 0`` state merges into
     a well-formed empty result).
 
-    ``backend`` is the kernel-backend request (see
-    :mod:`repro.kernels.dispatch`); it is resolved here against the
-    parameter-then-environment precedence — so a caller-side
-    ``REPRO_KERNEL_BACKEND`` reaches workers that may not inherit the
-    environment — and stamped on every shard task.
-
-    Bit-packed rules (flooding) fold all runs into shared byte planes,
-    so their state cannot be row-sharded; they are rejected.
+    Bit-packed rules (flooding and the bit-plane gossip rules of
+    :mod:`repro.kernels`) fold all runs into shared byte planes, so
+    their state cannot be row-sharded; they are rejected.
     """
     from ..engine.engine import as_topology
-    from ..kernels.dispatch import requested_backend
-
-    backend = requested_backend(backend)
 
     if getattr(rule, "runs_of", None) is not None:
         raise ValueError(
@@ -639,7 +618,6 @@ def run_sharded(
                 track_hits=track_hits,
                 record_sizes=record_sizes,
                 record_visited=record_visited,
-                backend=backend,
             )
             for lo, hi, s in zip(bounds[:-1], bounds[1:], seeds)
         ]

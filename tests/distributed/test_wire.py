@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.core.branching import BernoulliBranching, FixedBranching, make_policy
 from repro.distributed import (
     WIRE_VERSION,
+    WireDecodeError,
     attach_trace,
     canonical_bytes,
     decode_result,
@@ -48,7 +49,7 @@ from repro.engine import (
     WalkRule,
 )
 from repro.engine.completion import AllActive, AllVertices, TargetHit
-from repro.graphs import petersen_graph, random_regular_graph
+from repro.graphs import cycle_graph, petersen_graph, random_regular_graph
 from repro.parallel import ShardTask, run_shard
 
 
@@ -308,27 +309,86 @@ class TestTasks:
         assert back.sizes is None
         assert back.visited_counts is None
 
-    def test_backend_hint_round_trips(self):
-        base = _task()
-        hinted = ShardTask(
-            rule=base.rule,
-            topology=base.topology,
-            completion=base.completion,
-            state=base.state,
-            seed=base.seed,
-            backend="numpy",
-        )
-        encoded = encode_task(hinted)
-        assert encoded["backend"] == "numpy"
-        assert decode_task(encoded).backend == "numpy"
-
     def test_default_encoding_has_no_backend_key(self):
-        """Tasks without a hint encode exactly as before the key
-        existed: same bytes, same cache address, no version bump."""
+        """A task carries no kernel choice, and the ``backend`` key an
+        older sender could attach is ignored: the worker picks its own
+        bit-identical kernel, under the same wire version."""
         encoded = encode_task(_task())
         assert "backend" not in encoded
-        assert decode_task(encoded).backend is None
         assert encoded["v"] == WIRE_VERSION
+        ref = run_shard(decode_task(encoded))
+        got = run_shard(decode_task({**encoded, "backend": "bitplane"}))
+        assert np.array_equal(got.finish_times, ref.finish_times)
+        assert np.array_equal(got.final_state, ref.final_state)
+
+
+def _cycle_task(key=None, edit=None):
+    """An encoded two-run COBRA task on cycle-8; ``edit`` rewrites the
+    graph field ``key`` (``"m"`` or one of the CSR arrays)."""
+    state = np.zeros((2, 8), dtype=bool)
+    state[:, 0] = True
+    obj = encode_task(
+        ShardTask(
+            rule=CobraRule(make_policy(2), lazy=True),
+            topology=cycle_graph(8),
+            completion=AllVertices(),
+            state=state,
+            seed=np.random.SeedSequence(42),
+        )
+    )
+    graph = obj["topology"]
+    if key == "m":
+        graph["m"] = edit(graph["m"])
+    elif key is not None:
+        graph[key] = _encode_array(edit(_decode_array(graph[key])))
+    return obj
+
+
+def _set(index, value):
+    def edit(arr):
+        arr[index] = value
+        return arr
+
+    return edit
+
+
+#: One malformed cycle-8 CSR per check in ``_decode_graph``.
+MALFORMED_CSR = {
+    "negative-index": ("indices", _set(0, -1)),
+    "index-beyond-n": ("indices", _set(0, 8)),
+    "m-mismatch": ("m", lambda m: 999),
+    "indptr-decreasing": ("indptr", _set(1, 5)),
+    "indptr-not-from-zero": ("indptr", _set(0, 1)),
+    "indptr-wrong-length": ("indptr", lambda a: a[:-1]),
+    "indices-short": ("indices", lambda a: a[:-1]),
+    "indices-float": ("indices", lambda a: a.astype(np.float64)),
+    "indptr-2d": ("indptr", lambda a: a.reshape(1, -1)),
+}
+
+
+class TestGraphValidation:
+    """A sender's CSR is checked on decode, never trusted.
+
+    Each malformation decoded silently before: a negative index ran as
+    another graph (numpy wraps -1 to vertex 7), the others reached
+    ``Graph._from_csr`` and ran or failed inside the kernel.
+    """
+
+    @pytest.mark.parametrize("case", list(MALFORMED_CSR))
+    def test_malformed_csr_rejected(self, case):
+        with pytest.raises(WireDecodeError, match="graph"):
+            decode_task(_cycle_task(*MALFORMED_CSR[case]))
+
+    def test_well_formed_csr_decodes_to_the_same_graph(self):
+        graph = cycle_graph(8)
+        task = decode_task(_cycle_task())
+        assert run_shard(task).all_finished
+        back = task.topology
+        assert (back.n, back.m) == (graph.n, graph.m)
+        assert np.array_equal(back.indptr, graph.indptr)
+        assert np.array_equal(back.indices, graph.indices)
+        assert np.array_equal(back.degrees, graph.degrees)
+        assert back.indptr.dtype == back.indices.dtype == np.int64
 
 
 class TestAttachTrace:
@@ -373,20 +433,6 @@ class TestAttachTrace:
         frame = {}
         attach_trace(frame, {})
         assert "trace" not in frame
-
-    def test_backend_hint_changes_task_key(self):
-        """A bitplane result is only distribution-equivalent: it must
-        never be served from a numpy task's cache slot."""
-        base = _task()
-        hinted = ShardTask(
-            rule=base.rule,
-            topology=base.topology,
-            completion=base.completion,
-            state=base.state,
-            seed=base.seed,
-            backend="bitplane",
-        )
-        assert task_key(hinted) != task_key(base)
 
 
 class TestEndpoints:

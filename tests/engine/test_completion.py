@@ -33,14 +33,13 @@ class TestMakeCompletion:
     def test_strings(self):
         assert isinstance(make_completion("all-vertices"), AllVertices)
         assert isinstance(make_completion("all-active"), AllActive)
-        assert isinstance(make_completion("target-hit", target=3), TargetHit)
 
     def test_passthrough(self):
-        crit = AllActive()
-        assert make_completion(crit) is crit
+        for crit in (AllActive(), TargetHit(3)):
+            assert make_completion(crit) is crit
 
-    def test_target_required(self):
-        with pytest.raises(ValueError, match="target"):
+    def test_target_hit_is_a_criterion_not_a_string(self):
+        with pytest.raises(ValueError, match="unknown completion"):
             make_completion("target-hit")
 
     def test_unknown_rejected(self):
@@ -118,7 +117,7 @@ class TestCriteriaProperties:
 class TestEngineTargetHit:
     def test_finish_equals_hit_time(self):
         g = path_graph(6)
-        engine = SpreadEngine(CobraRule(FixedBranching(2)), g, "target-hit", target=5)
+        engine = SpreadEngine(CobraRule(FixedBranching(2)), g, TargetHit(5))
         state = np.zeros((4, 6), dtype=bool)
         state[:, 0] = True
         res = engine.run(state, np.random.default_rng(0), track_hits=True)
@@ -128,7 +127,7 @@ class TestEngineTargetHit:
 
     def test_target_at_start_is_zero(self):
         g = path_graph(4)
-        engine = SpreadEngine(CobraRule(FixedBranching(2)), g, "target-hit", target=2)
+        engine = SpreadEngine(CobraRule(FixedBranching(2)), g, TargetHit(2))
         state = np.zeros((2, 4), dtype=bool)
         state[:, 2] = True
         res = engine.run(state, np.random.default_rng(0))

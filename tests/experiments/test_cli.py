@@ -13,7 +13,7 @@ from repro.cli import _graph_from_spec, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[2]
 
-_TEL = {"telemetry": None, "kernel_backend": None}
+_TEL = {"telemetry": None}
 _FLEET = {
     "retry_attempts": None, "retry_base": None, "retry_max": None,
     "fallback": None, "workers": None, "endpoint": None,

@@ -1,6 +1,6 @@
 """Bit-plane gossip: packing round-trips and the distribution contract.
 
-The bitplane backend's declared equivalence class (see
+The bit-plane rules' declared equivalence class (see
 ``repro/kernels/bitplane.py``) is *per-run marginal law exact, runs
 within a word correlated, not bit-identical*.  The KS tests here
 compare broadcast-time samples against the numpy rules using only one
@@ -185,36 +185,23 @@ class TestDistributionEquivalence:
 
 
 class TestEngineIntegration:
-    def test_engine_backend_bitplane_returns_dense_state(self, graph):
-        engine = SpreadEngine(PushPullRule(), graph)
-        state = one_hot(24, graph.n)
-        result = engine.run(state, np.random.default_rng(2), backend="bitplane")
-        assert result.meta["kernel_backend"] == "bitplane"
-        assert result.final_state.shape == (24, graph.n)
-        assert result.final_state.dtype == bool
+    """The bit-plane rules are ordinary rules: pack, run, unpack."""
+
+    def test_engine_drives_a_packed_rule(self, graph):
+        rule = BitPushPullRule(24)
+        result = SpreadEngine(rule, graph).run(
+            rule.pack(one_hot(24, graph.n)), np.random.default_rng(2)
+        )
         assert result.all_finished
-        assert result.final_state.all()
+        assert result.finish_times.shape == (24,)
+        assert result.final_state.shape == (3, graph.n)
+        assert rule.occupancy(result.final_state, graph.n).all()
 
     def test_engine_bitplane_deterministic(self, graph):
-        engine = SpreadEngine(PushRule(), graph)
-        state = one_hot(16, graph.n)
-        a = engine.run(state, np.random.default_rng(4), backend="bitplane")
-        b = engine.run(state, np.random.default_rng(4), backend="bitplane")
+        rule = BitPushRule(16)
+        engine = SpreadEngine(rule, graph)
+        state = rule.pack(one_hot(16, graph.n))
+        a = engine.run(state, np.random.default_rng(4))
+        b = engine.run(state, np.random.default_rng(4))
         assert np.array_equal(a.finish_times, b.finish_times)
         assert np.array_equal(a.final_state, b.final_state)
-
-    def test_sharded_bitplane_worker_count_invariant(self, graph):
-        """Per-shard packing: the merged result is identical at any
-        worker count, exactly as for the numpy backend."""
-        engine = SpreadEngine(PushRule(), graph)
-        state = one_hot(48, graph.n)
-        ref = engine.run_sharded(
-            state, 31, workers=1, max_shard=16, backend="bitplane"
-        )
-        assert ref.meta["kernel_backend"] == "bitplane"
-        for workers in (2, 3):
-            got = engine.run_sharded(
-                state, 31, workers=workers, max_shard=16, backend="bitplane"
-            )
-            assert np.array_equal(got.finish_times, ref.finish_times)
-            assert np.array_equal(got.final_state, ref.final_state)

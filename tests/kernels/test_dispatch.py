@@ -1,213 +1,138 @@
-"""Dispatch-layer contract: registry, selection precedence, fallbacks.
+"""Kernel dispatch: which step the engine drives for a rule.
 
-The forced-backend × rule equivalence matrix lives in
-``test_bitplane.py`` (distribution contract) and
-``test_numba_parity.py`` (bit-identity contract, numba-only); this
-module pins the selection machinery itself — including the container's
-own reality, a numpy-only environment where ``auto`` must silently
-fall back.
+:func:`repro.kernels.dispatch.resolve` picks numba's fused stepper for
+COBRA and batch BIPS when numba is installed, ``n >= AUTO_NUMBA_MIN_N``
+and ``runs >= 1``, and the rule's own ``step`` otherwise; no caller
+sets it.  ``numba_backend.AVAILABLE`` is patched here, so the choice is
+checked on machines without numba too (the steppers are built, not
+run; ``test_numba_parity.py`` runs them).
 """
+
+import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
-from repro.engine import BipsRule, CobraRule, FloodingRule, PushRule, SpreadEngine
 from repro.core.branching import FixedBranching
-from repro.graphs import random_regular_graph
-from repro.kernels import (
-    ENV_VAR,
-    KernelBackend,
-    backend_available,
-    backend_names,
-    kernel_contract,
-    register_backend,
-    requested_backend,
-    resolve,
+from repro.engine import (
+    BipsRule,
+    CobraRule,
+    FloodingRule,
+    PullRule,
+    PushPullRule,
+    PushRule,
+    SpreadEngine,
+    WalkRule,
 )
-from repro.kernels import dispatch as dispatch_mod
-from repro.kernels import numba_backend
-from repro.telemetry import get_telemetry
+from repro.graphs import random_regular_graph
+from repro.kernels import AUTO_NUMBA_MIN_N, BitPushRule, dispatch, numba_backend, resolve
+from repro.parallel import ShardTask, run_sharded
+from repro.telemetry import MemorySink, configure, get_telemetry
+
+#: Rules numba accelerates, by name.
+NUMBA_RULES = {
+    "cobra": lambda: CobraRule(FixedBranching(2)),
+    "cobra-lazy": lambda: CobraRule(FixedBranching(3), lazy=True),
+    "bips-batch": lambda: BipsRule(FixedBranching(2), 0),
+}
+#: Rules that always run their own step.
+NUMPY_RULES = {
+    "push": PushRule,
+    "pull": PullRule,
+    "push-pull": PushPullRule,
+    "flooding": lambda: FloodingRule(runs=8),
+    "walk": lambda: WalkRule(2),
+    "bips-single": lambda: BipsRule(FixedBranching(2), 0, discipline="single"),
+    "bit-push": lambda: BitPushRule(8),
+}
 
 
 @pytest.fixture()
-def graph():
-    return random_regular_graph(128, 4, rng=np.random.default_rng(0))
-
-
-def cobra():
-    return CobraRule(FixedBranching(2))
-
-
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        names = backend_names()
-        assert ("numpy", "numba", "bitplane") == names[:3]
-
-    def test_numpy_always_available(self):
-        assert backend_available("numpy")
-
-    def test_unknown_backend_not_available(self):
-        assert not backend_available("no-such-backend")
-
-    def test_contracts(self):
-        assert kernel_contract("numpy") == "bit-identical"
-        assert kernel_contract("numba") == "bit-identical"
-        assert kernel_contract("bitplane") == "distribution"
-
-    def test_register_requires_name(self):
-        class Anon(KernelBackend):
-            pass
-
-        with pytest.raises(ValueError, match="name"):
-            register_backend(Anon())
-
-
-class TestRequestedBackend:
-    def test_param_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert requested_backend("bitplane") == "bitplane"
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "NumPy ")
-        assert requested_backend(None) == "numpy"
-
-    def test_nothing_requested(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert requested_backend(None) is None
-
-    def test_empty_request_is_none(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "  ")
-        assert requested_backend(None) is None
+def numba_on(monkeypatch):
+    """Resolve as on a machine with numba installed."""
+    monkeypatch.setattr(numba_backend, "AVAILABLE", True)
 
 
 class TestResolve:
-    def test_auto_without_numba_falls_back_to_numpy(self, monkeypatch):
-        """The no-numba environment: auto silently resolves to numpy."""
-        monkeypatch.setattr(numba_backend, "AVAILABLE", False)
-        binding = resolve(cobra(), n=1 << 20, runs=8, requested=None)
-        assert binding.backend == "numpy"
-        assert binding.pack is None and binding.unpack is None
-
-    @pytest.mark.skipif(
-        not backend_available("numba"), reason="needs numba installed"
-    )
-    def test_auto_with_numba_picks_numba_on_large_graphs(self):
-        binding = resolve(cobra(), n=1 << 20, runs=8, requested="auto")
+    @pytest.mark.parametrize("key", sorted(NUMBA_RULES))
+    def test_numba_for_cobra_and_batch_bips(self, numba_on, key):
+        rule = NUMBA_RULES[key]()
+        binding = resolve(rule, n=AUTO_NUMBA_MIN_N, runs=1)
         assert binding.backend == "numba"
+        assert binding.step != rule.step
 
-    def test_auto_small_graph_stays_numpy(self, monkeypatch):
-        monkeypatch.setattr(numba_backend, "AVAILABLE", True)
-        n = dispatch_mod.AUTO_NUMBA_MIN_N - 1
-        assert resolve(cobra(), n=n, runs=8).backend == "numpy"
-
-    def test_auto_never_picks_bitplane(self):
-        binding = resolve(PushRule(), n=1 << 20, runs=64, requested=None)
+    @pytest.mark.parametrize("key", sorted(NUMPY_RULES))
+    def test_other_rules_keep_their_step(self, numba_on, key):
+        rule = NUMPY_RULES[key]()
+        binding = resolve(rule, n=1 << 20, runs=64)
         assert binding.backend == "numpy"
+        assert binding.step == rule.step
 
-    def test_forced_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve(cobra(), n=128, runs=8, requested="bogus")
+    @pytest.mark.parametrize(
+        "n,runs", [(AUTO_NUMBA_MIN_N - 1, 8), (AUTO_NUMBA_MIN_N, 0)]
+    )
+    def test_small_graph_or_no_runs_keeps_the_rule_step(self, numba_on, n, runs):
+        rule = CobraRule(FixedBranching(2))
+        binding = resolve(rule, n=n, runs=runs)
+        assert binding.backend == "numpy"
+        assert binding.step == rule.step
 
-    def test_forced_unavailable_backend_raises(self, monkeypatch):
+    @pytest.mark.parametrize("key", sorted(NUMBA_RULES))
+    def test_without_numba_every_rule_keeps_its_step(self, monkeypatch, key):
         monkeypatch.setattr(numba_backend, "AVAILABLE", False)
-        with pytest.raises(RuntimeError, match="not available"):
-            resolve(cobra(), n=128, runs=8, requested="numba")
+        rule = NUMBA_RULES[key]()
+        assert resolve(rule, n=1 << 20, runs=8).step == rule.step
 
-    def test_forced_unsupported_rule_raises(self, monkeypatch):
-        monkeypatch.setattr(numba_backend, "AVAILABLE", True)
-        with pytest.raises(ValueError, match="does not support"):
-            resolve(FloodingRule(runs=8), n=128, runs=8, requested="numba")
+    def test_threshold_is_read_on_every_call(self, numba_on, monkeypatch):
+        monkeypatch.setattr(dispatch, "AUTO_NUMBA_MIN_N", 0)
+        assert resolve(CobraRule(FixedBranching(2)), n=8, runs=1).backend == "numba"
 
-    def test_single_discipline_bips_not_numba_supported(self, monkeypatch):
-        monkeypatch.setattr(numba_backend, "AVAILABLE", True)
-        rule = BipsRule(FixedBranching(2), 0, discipline="single")
-        with pytest.raises(ValueError, match="does not support"):
-            resolve(rule, n=128, runs=8, requested="numba")
-
-    def test_zero_runs_forced_packed_backend_degrades_to_numpy(self):
-        binding = resolve(PushRule(), n=128, runs=0, requested="bitplane")
-        assert binding.backend == "numpy"
-
-    def test_bitplane_binding_carries_converters(self):
-        binding = resolve(PushRule(), n=128, runs=16, requested="bitplane")
-        assert binding.backend == "bitplane"
-        assert binding.contract == "distribution"
-        mask = np.zeros((16, 128), dtype=bool)
-        mask[:, 3] = True
-        packed = binding.pack(mask)
-        assert packed.shape == (2, 128)
-        assert np.array_equal(binding.unpack(packed), mask)
-
-    def test_dispatch_counters_increment(self):
+    def test_dispatch_counters_increment(self, numba_on):
         tel = get_telemetry()
-        before = tel.counters().get("kernel.dispatch.numpy", 0)
-        resolve(cobra(), n=64, runs=4, requested="numpy")
+        before = tel.counters()
+        resolve(CobraRule(FixedBranching(2)), n=64, runs=4)
+        resolve(CobraRule(FixedBranching(2)), n=AUTO_NUMBA_MIN_N, runs=4)
         after = tel.counters()
-        assert after["kernel.dispatch.numpy"] == before + 1
-        assert after["kernel.dispatch"] >= after["kernel.dispatch.numpy"]
+        for key, added in (
+            ("kernel.dispatch", 2),
+            ("kernel.dispatch.numpy", 1),
+            ("kernel.dispatch.numba", 1),
+        ):
+            assert after[key] == before.get(key, 0) + added, key
 
 
-class TestEngineMetaRecording:
-    """meta["kernel_backend"] appears iff a backend was requested or
-    resolution left the numpy default — the default run leaves meta
-    None, preserving the meta-is-observability-only contract."""
+class TestEngine:
+    @pytest.fixture()
+    def graph(self):
+        return random_regular_graph(128, 4, rng=np.random.default_rng(0))
 
-    def test_default_run_leaves_meta_none(self, graph, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        monkeypatch.setattr(numba_backend, "AVAILABLE", False)
-        engine = SpreadEngine(cobra(), graph)
+    def test_default_run_leaves_meta_none(self, graph):
+        engine = SpreadEngine(CobraRule(FixedBranching(2)), graph)
         state = np.zeros((4, graph.n), dtype=bool)
         state[:, 0] = True
-        result = engine.run(state, np.random.default_rng(0))
-        assert result.meta is None
+        assert engine.run(state, np.random.default_rng(0)).meta is None
 
-    def test_forced_backend_recorded(self, graph):
-        engine = SpreadEngine(cobra(), graph)
-        state = np.zeros((4, graph.n), dtype=bool)
-        state[:, 0] = True
-        result = engine.run(state, np.random.default_rng(0), backend="numpy")
-        assert result.meta == {"kernel_backend": "numpy"}
+    @pytest.mark.parametrize("numba", [False, True])
+    def test_engine_run_span_names_the_kernel(self, graph, monkeypatch, numba):
+        monkeypatch.setattr(numba_backend, "AVAILABLE", numba)
+        monkeypatch.setattr(dispatch, "AUTO_NUMBA_MIN_N", 0)
+        sink = MemorySink()
+        configure(sink)
+        try:
+            engine = SpreadEngine(CobraRule(FixedBranching(2)), graph)
+            state = np.zeros((2, graph.n), dtype=bool)
+            state[:, 0] = True
+            engine.run(state, np.random.default_rng(0), max_rounds=2)
+        finally:
+            configure(None)
+        (start,) = [
+            r for r in sink.records
+            if r["kind"] == "span-start" and r["name"] == "engine.run"
+        ]
+        assert start["fields"]["backend"] == ("numba" if numba else "numpy")
 
-    def test_env_requested_backend_recorded(self, graph, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        engine = SpreadEngine(cobra(), graph)
-        state = np.zeros((4, graph.n), dtype=bool)
-        state[:, 0] = True
-        result = engine.run(state, np.random.default_rng(0))
-        assert result.meta == {"kernel_backend": "numpy"}
-
-    def test_forced_backend_is_bit_identical_to_default(self, graph):
-        engine = SpreadEngine(cobra(), graph)
-        state = np.zeros((6, graph.n), dtype=bool)
-        state[:, 0] = True
-        plain = engine.run(state, np.random.default_rng(11), track_hits=True)
-        forced = engine.run(
-            state, np.random.default_rng(11), track_hits=True, backend="numpy"
-        )
-        assert np.array_equal(plain.finish_times, forced.finish_times)
-        assert np.array_equal(plain.final_state, forced.final_state)
-        assert np.array_equal(plain.hit_times, forced.hit_times)
-
-
-class TestShardedBackendThreading:
-    def test_sharded_numpy_forced_matches_default(self, graph):
-        engine = SpreadEngine(cobra(), graph)
-        state = np.zeros((24, graph.n), dtype=bool)
-        state[:, 0] = True
-        default = engine.run_sharded(state, 5, workers=1, max_shard=8)
-        forced = engine.run_sharded(
-            state, 5, workers=1, max_shard=8, backend="numpy"
-        )
-        assert np.array_equal(default.finish_times, forced.finish_times)
-        assert np.array_equal(default.final_state, forced.final_state)
-        assert forced.meta["kernel_backend"] == "numpy"
-        assert default.meta is not None
-        assert "kernel_backend" not in default.meta
-
-    def test_env_crosses_into_shard_tasks(self, graph, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        engine = SpreadEngine(cobra(), graph)
-        state = np.zeros((8, graph.n), dtype=bool)
-        state[:, 0] = True
-        result = engine.run_sharded(state, 5, workers=1, max_shard=4)
-        assert result.meta["kernel_backend"] == "numpy"
+    def test_no_caller_chooses_the_kernel(self):
+        for fn in (SpreadEngine.run, SpreadEngine.run_sharded, run_sharded):
+            assert "backend" not in inspect.signature(fn).parameters, fn
+        assert "backend" not in {f.name for f in dataclasses.fields(ShardTask)}

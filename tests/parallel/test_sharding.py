@@ -19,6 +19,7 @@ from repro.dynamics import (
 )
 from repro.engine import BipsRule, CobraRule, FloodingRule, SpreadEngine, WalkRule
 from repro.graphs import cycle_graph, random_regular_graph
+from repro.kernels import BitPullRule, BitPushPullRule, BitPushRule
 from repro.parallel import (
     ShardTask,
     execute_shards,
@@ -158,10 +159,15 @@ class TestPlanAndErrors:
 
     def test_bit_packed_rules_rejected(self):
         graph = cycle_graph(9)
-        rule = FloodingRule(runs=8)
-        state = rule.pack(np.eye(8, 9, dtype=bool))
-        with pytest.raises(ValueError, match="sharded"):
-            run_sharded(rule, graph, "all-vertices", state, 1)
+        for rule in (
+            FloodingRule(runs=8),
+            BitPushRule(8),
+            BitPullRule(8),
+            BitPushPullRule(8),
+        ):
+            state = rule.pack(np.eye(8, 9, dtype=bool))
+            with pytest.raises(ValueError, match="sharded"):
+                run_sharded(rule, graph, "all-vertices", state, 1)
 
     def test_execute_shards_empty(self):
         assert execute_shards([], workers=4) == []
