@@ -598,21 +598,45 @@ def _wrap_decode_error(kind: str, exc: BaseException) -> WireDecodeError:
     return WireDecodeError(f"malformed {kind} encoding: {exc}", kind=kind)
 
 
+def _check_state(rule, state: np.ndarray, n: int) -> None:
+    """Refuse a state that is not the array the decoded ``rule`` steps."""
+    if isinstance(rule, FloodingRule):  # 2·⌈runs/8⌉ packed bit planes
+        ok = state.dtype == np.uint8 and state.shape == (2 * -(-rule.runs // 8), n)
+    elif isinstance(rule, WalkRule):  # (R, k) positions in [0, n)
+        ok = state.dtype == np.int64 and state.ndim == 2 and state.shape[1] == rule.k
+        ok = ok and (state.size == 0 or 0 <= state.min() <= state.max() < n)
+    else:
+        ok = state.dtype == np.bool_ and state.ndim == 2 and state.shape[1] == n
+    if not ok:
+        raise ValueError(
+            f"task state {state.dtype}{list(state.shape)} does not fit "
+            f"{type(rule).__name__} on {n} vertices"
+        )
+
+
 def decode_task(obj: dict) -> ShardTask:
     """Rebuild a :class:`~repro.parallel.ShardTask` from its encoding.
 
     Raises :class:`WireDecodeError` (never a raw ``KeyError``) when the
-    encoding is truncated, corrupted, or from another wire version.
+    encoding is truncated, corrupted, or from another wire version, and
+    when its state or ``max_rounds`` does not fit the task.
     """
     try:
         _check_version(obj, "task")
+        rule = _decode_rule(obj["rule"])
+        topology = _decode_topology(obj["topology"])
+        state = _decode_array(obj["state"])
+        _check_state(rule, state, topology.n)
+        max_rounds = obj["max_rounds"]
+        if max_rounds is not None and (type(max_rounds) is not int or max_rounds < 0):
+            raise ValueError("task max_rounds must be None or a non-negative int")
         return ShardTask(
-            rule=_decode_rule(obj["rule"]),
-            topology=_decode_topology(obj["topology"]),
+            rule=rule,
+            topology=topology,
             completion=_decode_completion(obj["completion"]),
-            state=_decode_array(obj["state"]),
+            state=state,
             seed=_decode_seed(obj["seed"]),
-            max_rounds=obj["max_rounds"],
+            max_rounds=max_rounds,
             track_hits=obj["track_hits"],
             record_sizes=obj["record_sizes"],
             record_visited=obj["record_visited"],

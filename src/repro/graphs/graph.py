@@ -228,7 +228,7 @@ class Graph:
         Per-vertex degree, ``degrees[u] == indptr[u + 1] - indptr[u]``.
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "degrees", "name")
+    __slots__ = ("n", "m", "indptr", "indices", "degrees", "name", "_dmin", "_dmax")
 
     def __init__(
         self,
@@ -274,8 +274,14 @@ class Graph:
         self.indices = indices
         self.degrees = degrees
         self.name = name
+        self._freeze()
+
+    def _freeze(self) -> None:
+        """Make the CSR read-only and read the degree bounds once."""
         for arr in (self.indptr, self.indices, self.degrees):
             arr.setflags(write=False)
+        self._dmin = int(self.degrees.min()) if self.n else 0
+        self._dmax = int(self.degrees.max()) if self.n else 0
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -310,12 +316,12 @@ class Graph:
     @property
     def dmax(self) -> int:
         """Maximum vertex degree (``d_max`` in the paper)."""
-        return int(self.degrees.max()) if self.n else 0
+        return self._dmax
 
     @property
     def dmin(self) -> int:
         """Minimum vertex degree."""
-        return int(self.degrees.min()) if self.n else 0
+        return self._dmin
 
     def total_degree(self) -> int:
         """Return ``d(V) = 2m``, the degree of the full vertex set."""
@@ -339,16 +345,21 @@ class Graph:
         """Draw one uniform random neighbour for each vertex in ``vertices``.
 
         Fully vectorised: cost is O(len(vertices)) with no Python-level
-        loop.  Vertices may repeat; draws are independent.
+        loop.  Vertices may repeat; draws are independent.  A
+        ``d``-regular graph has ``indptr[v] == v·d``, so its offsets are
+        ``v·d + ⌊u·d⌋`` with no gather: the same draws and neighbours.
 
         Raises
         ------
         ValueError
-            If any requested vertex is isolated (degree zero).
+            If any requested vertex is isolated (degree zero); raised
+            before any draw, so the generator does not advance.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
-        degs = self.degrees[vertices]
-        if degs.size and int(degs.min()) == 0:
+        k = vertices.shape[0]
+        regular = self._dmin == self._dmax
+        degs = self._dmax if regular else self.degrees[vertices]
+        if k and self._dmin == 0 and int(np.min(degs)) == 0:
             raise ValueError("cannot sample a neighbour of an isolated vertex")
         # floor(u * d) is uniform on {0, .., d-1} for u ~ U[0, 1).
         # Draws land in reusable scratch: ``Generator.random(out=...)``
@@ -356,13 +367,13 @@ class Graph:
         # cast-assign truncates exactly like ``astype`` — bit-identical
         # to the allocating form (pinned in tests/graphs), minus two
         # heap allocations per round.
-        k = vertices.shape[0]
         u = _SCRATCH.floats(k)
         rng.random(out=u)
         np.multiply(u, degs, out=u)
         offsets = _SCRATCH.ints(k)
         offsets[:] = u
-        np.add(self.indptr[vertices], offsets, out=offsets)
+        starts = vertices * self._dmax if regular else self.indptr[vertices]
+        np.add(starts, offsets, out=offsets)
         return self.indices[offsets]
 
     # ------------------------------------------------------------------
@@ -516,8 +527,7 @@ class Graph:
         g.indices = indices
         g.degrees = degrees
         g.name = name
-        for arr in (g.indptr, g.indices, g.degrees):
-            arr.setflags(write=False)
+        g._freeze()
         return g
 
     def __reduce__(self):

@@ -42,6 +42,7 @@ from repro.dynamics import (
 from repro.engine import (
     BipsRule,
     CobraRule,
+    FloodingRule,
     PullRule,
     PushPullRule,
     PushRule,
@@ -389,6 +390,88 @@ class TestGraphValidation:
         assert np.array_equal(back.indices, graph.indices)
         assert np.array_equal(back.degrees, graph.degrees)
         assert back.indptr.dtype == back.indices.dtype == np.int64
+
+
+def _cycle_rule_task(rule, state):
+    """An encoded task stepping ``rule`` from ``state`` on cycle-8."""
+    return encode_task(
+        ShardTask(
+            rule=rule,
+            topology=cycle_graph(8),
+            completion=AllVertices(),
+            state=state,
+            seed=np.random.SeedSequence(42),
+        )
+    )
+
+
+def _walkers(*positions):
+    return np.array([positions], dtype=np.int64)
+
+
+#: One rule with a state it cannot step on cycle-8, per check in
+#: ``_check_state``; each decoded and ran (or failed inside a kernel).
+MALFORMED_STATE = {
+    "cobra-too-wide": (CobraRule(make_policy(2), lazy=True), np.ones((2, 9), bool)),
+    "cobra-int64": (CobraRule(make_policy(2), lazy=True), np.ones((2, 8), np.int64)),
+    "bips-1d": (BipsRule(make_policy(2), 0), np.ones(8, bool)),
+    "push-too-narrow": (PushRule(), np.ones((2, 7), bool)),
+    "flooding-bool": (FloodingRule(runs=2), np.ones((2, 8), bool)),
+    "flooding-too-many-planes": (FloodingRule(runs=2), np.ones((4, 8), np.uint8)),
+    "walk-beyond-n": (WalkRule(2), _walkers(0, 8)),
+    "walk-negative": (WalkRule(2), _walkers(-1, 0)),
+    "walk-wrong-k": (WalkRule(2), _walkers(0, 1, 2)),
+    "walk-int32": (WalkRule(2), _walkers(0, 1).astype(np.int32)),
+}
+
+
+def _well_formed_states():
+    mask = np.zeros((2, 8), dtype=bool)
+    mask[:, 0] = True
+    flooding = FloodingRule(runs=2)
+    return {
+        "cobra": (CobraRule(make_policy(1.5), lazy=True), mask),
+        "bips": (BipsRule(make_policy(2), 0, lazy=True), mask),
+        "push": (PushRule(), mask),
+        "pull": (PullRule(), mask),
+        "push-pull": (PushPullRule(), mask),
+        "flooding": (flooding, flooding.pack(mask)),
+        "walk": (WalkRule(2, lazy=True), np.array([[0, 7], [3, 3]], dtype=np.int64)),
+        "no-runs": (CobraRule(make_policy(2)), np.zeros((0, 8), dtype=bool)),
+    }
+
+
+class TestTaskValidation:
+    """A task's state and round cap are checked on decode, never trusted.
+
+    Each malformation decoded on the previous wire: a width-9 or int64
+    COBRA state ran to finish times [13, 6], and ``max_rounds`` of
+    ``"7"``, ``-3``, ``True`` and ``2.9`` ran 7, 0, 1 and 2 rounds.
+    """
+
+    @pytest.mark.parametrize("case", list(MALFORMED_STATE))
+    def test_state_that_does_not_fit_the_rule_rejected(self, case):
+        with pytest.raises(WireDecodeError, match="task state"):
+            decode_task(_cycle_rule_task(*MALFORMED_STATE[case]))
+
+    @pytest.mark.parametrize("max_rounds", ["7", -3, True, 2.9])
+    def test_max_rounds_must_be_a_non_negative_int(self, max_rounds):
+        obj = _cycle_task()
+        obj["max_rounds"] = max_rounds
+        with pytest.raises(WireDecodeError, match="max_rounds"):
+            decode_task(obj)
+
+    @pytest.mark.parametrize("case", list(_well_formed_states()))
+    def test_well_formed_state_decodes_and_runs(self, case):
+        rule, state = _well_formed_states()[case]
+        obj = _cycle_rule_task(rule, state)
+        for max_rounds in (None, 0, 5):
+            obj["max_rounds"] = max_rounds
+            task = decode_task(obj)
+            assert np.array_equal(task.state, state)
+            assert task.max_rounds == max_rounds
+            result = run_shard(task)
+            assert max_rounds is None or result.rounds_run <= max_rounds
 
 
 class TestAttachTrace:

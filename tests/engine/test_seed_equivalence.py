@@ -8,7 +8,9 @@ drift here means the refactor changed the process.  The set-based
 COBRA round (``_legacy_cobra_step``, ``np.unique`` over vertex ids) is
 kept only here, as the reference for the rule kernel, for the two
 Monte-Carlo estimators that used to call it and for ``per_vertex_load``,
-which used to inline it.
+which used to inline it.  So is the whole-round batched COBRA kernel
+(``_legacy_batch_cobra_step``), the reference for the blocked round at
+``R > 1``.
 
 The single intentional exception: ``random_walk_cover_time``'s legacy
 implementation drew its uniforms in blocks of 4096 (an implementation
@@ -33,7 +35,15 @@ from repro.core.cobra import default_round_cap
 from repro.core.duality import verify_duality_monte_carlo
 from repro.core.metrics import per_vertex_load
 from repro.dynamics import ChurnSequence, RewiringSequence
-from repro.graphs import cycle_graph, petersen_graph, random_regular_graph
+from repro.engine import CobraRule, rules
+from repro.graphs import (
+    Graph,
+    cycle_graph,
+    path_graph,
+    petersen_graph,
+    random_regular_graph,
+    star_graph,
+)
 from repro.graphs.properties import eccentricity
 from repro.stats.survival import empirical_survival
 
@@ -107,6 +117,71 @@ def _legacy_cobra_run_batch(graph, policy, lazy, starts, rng, cap):
         cover_times[alive & (remaining == 0)] = t
         active, next_active = next_active, active
     return cover_times
+
+
+def _legacy_batch_cobra_step(rule, graph, state, alive, rng):
+    """The whole-round ``CobraRule.step``: one 2-D nonzero, one scatter."""
+    work = state & alive[:, None]
+    if graph.dmin == 0:
+        can_move = graph.degrees > 0
+        movers = work & can_move[None, :]
+        stranded = work & ~can_move[None, :]
+    else:
+        movers, stranded = work, None
+    rows, verts = np.nonzero(movers)
+    counts = rule.policy.draw_counts(verts.shape[0], rng)
+    rows_rep = np.repeat(rows, counts)
+    actors = np.repeat(verts, counts)
+    targets = _legacy_select(graph, actors, rng, rule.lazy)
+    nxt = np.zeros_like(state)
+    nxt[rows_rep, targets] = True
+    if stranded is not None:
+        nxt |= stranded
+    return nxt
+
+
+#: Regular, star, path, and a snapshot whose vertices 4 and 9 are isolated.
+BLOCK_GRAPHS = {
+    "rreg-60-4": random_regular_graph(60, 4, rng=1),
+    "star-30": star_graph(30),
+    "path-25": path_graph(25),
+    "churned-12": Graph(
+        12, [(0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (7, 8), (8, 5), (10, 11)]
+    ),
+}
+
+
+class TestBlockedCobraRound:
+    """The blocked round draws and scatters what the whole round did."""
+
+    @pytest.mark.parametrize("block", [2, 6, 64, rules._BLOCK])
+    @pytest.mark.parametrize("branching", [2, 3, 1.5])
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_matches_whole_round(self, monkeypatch, block, branching, lazy):
+        monkeypatch.setattr(rules, "_BLOCK", block)
+        rule = CobraRule(make_policy(branching), lazy=lazy)
+        for name, graph in BLOCK_GRAPHS.items():
+            for runs in (0, 1, 7):
+                state = np.random.default_rng(runs).random((runs, graph.n)) < 0.3
+                alive = np.ones(runs, dtype=bool)
+                if runs == 7:
+                    alive[[1, 4]] = False  # finished runs draw nothing
+                ref, new = state, state
+                ref_rng, new_rng = np.random.default_rng(9), np.random.default_rng(9)
+                for t in range(4):
+                    ref = _legacy_batch_cobra_step(rule, graph, ref, alive, ref_rng)
+                    new = rule.step(graph, new, alive, new_rng)
+                    case = f"{name}, R={runs}, round {t + 1}"
+                    assert np.array_equal(new, ref), case
+                    assert new_rng.bit_generator.state == ref_rng.bit_generator.state, case
+
+    def test_state_width_must_match_the_graph(self):
+        state = np.zeros((2, 6), dtype=bool)
+        state[0, 0] = True
+        with pytest.raises(ValueError, match="6 wide for 8 vertices"):
+            CobraRule(make_policy(2)).step(
+                cycle_graph(8), state, np.ones(2, dtype=bool), np.random.default_rng(0)
+            )
 
 
 class TestCobraEquivalence:

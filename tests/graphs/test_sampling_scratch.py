@@ -8,10 +8,12 @@ consumes the stream exactly like ``random(k)``, and int64 cast-assign
 truncates exactly like ``astype`` — by comparing against inline
 re-implementations of the old allocating code, across interleaved call
 sizes so buffer reuse (shrinking views over a dirty buffer) is
-genuinely exercised.
+genuinely exercised.  The same reference pins the regular-graph
+offsets ``v·d + ⌊u·d⌋`` on every path that builds a graph.
 """
 
 import os
+import pickle
 import sys
 import threading
 
@@ -86,6 +88,61 @@ def test_sample_neighbors_isolated_vertex_still_raises():
     with pytest.raises(ValueError, match="isolated"):
         g.sample_neighbors(np.array([2]), rng)
     assert rng.bit_generator.state == state_before
+
+
+def test_edgeless_graph_raises_before_any_draw():
+    """An edgeless graph is 0-regular: the regular path guards too."""
+    from repro.graphs.graph import Graph
+
+    g = Graph(3, [])
+    rng = np.random.default_rng(0)
+    state_before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="isolated"):
+        g.sample_neighbors(np.array([0, 2]), rng)
+    assert rng.bit_generator.state == state_before
+    assert g.sample_neighbors(np.empty(0, dtype=np.int64), rng).size == 0
+
+
+def _rebuilt_by_decode_task(graph):
+    from repro.core import make_policy
+    from repro.distributed import decode_task, encode_task
+    from repro.engine import AllVertices, CobraRule
+    from repro.parallel import ShardTask
+
+    task = ShardTask(
+        rule=CobraRule(make_policy(2)),
+        topology=graph,
+        completion=AllVertices(),
+        state=np.ones((1, graph.n), dtype=bool),
+        seed=np.random.SeedSequence(0),
+    )
+    return decode_task(encode_task(task)).topology
+
+
+@pytest.mark.parametrize("rebuild", ["pickle", "shared-memory", "decode_task"])
+def test_rebuilt_regular_graph_samples_like_the_gather(rebuild):
+    """Every constructor path reads the degree bounds the sampler uses."""
+    graph = random_regular_graph(128, 6, rng=np.random.default_rng(4))
+    handle = None
+    if rebuild == "pickle":
+        back = pickle.loads(pickle.dumps(graph))
+    elif rebuild == "shared-memory":
+        handle = graph.to_shared()
+        back = handle.attach()
+    else:
+        back = _rebuilt_by_decode_task(graph)
+    try:
+        ref_rng, new_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for k in (500, 3, 0, 1200):
+            verts = np.random.default_rng(k).integers(0, graph.n, size=k)
+            expected = legacy_sample(graph, verts, ref_rng)
+            assert np.array_equal(back.sample_neighbors(verts, new_rng), expected)
+        assert ref_rng.bit_generator.state == new_rng.bit_generator.state
+    finally:
+        if handle is not None:
+            del back
+            handle.unlink()
+            handle.close()
 
 
 def test_ragged_arange_bit_identical():
