@@ -71,6 +71,10 @@ _WORKER_SERIES = {
     "broker.worker.max_rss_bytes": "max_rss",
 }
 
+#: How long :meth:`Broker.stop` waits for connection handlers to return
+#: after their transports are closed, before it cancels the rest.
+_STOP_GRACE_S = 1.0
+
 
 @dataclass
 class ShardRecord:
@@ -391,7 +395,7 @@ class Broker:
         self._finished_at: dict[str, float] = {}
         self._job_traces: dict[str, dict] = {}
         self._job_started: dict[str, float] = {}
-        self._handlers: set[asyncio.Task] = set()
+        self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._connections = 0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -412,9 +416,15 @@ class Broker:
         self._sweeper = self._loop.create_task(self._sweep_loop())
 
     async def stop(self) -> None:
-        """Close the server and cancel this broker's handler tasks.
+        """Close the server and end this broker's connection handlers.
 
-        Only the broker's own connection handlers are cancelled — a
+        Every open connection's transport is closed, so its handler
+        reads EOF and returns the way it does when a peer hangs up
+        (ending any result stream it runs); only a handler still running
+        :data:`_STOP_GRACE_S` later is cancelled.  A cancelled handler
+        makes Python 3.11's ``start_server`` log a ``CancelledError``,
+        and from 3.12.1 the server's ``wait_closed`` waits for every
+        open connection.  Only the broker's own handlers are touched — a
         host application embedding the broker in its event loop keeps
         its unrelated tasks running.
         """
@@ -423,15 +433,21 @@ class Broker:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._sweeper
             self._sweeper = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        handlers = [t for t in self._handlers if not t.done()]
-        for task in handlers:
-            task.cancel()
-        await asyncio.gather(*handlers, return_exceptions=True)
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        for writer in self._handlers.values():
+            writer.close()
+        if self._handlers:
+            _, stragglers = await asyncio.wait(
+                list(self._handlers), timeout=_STOP_GRACE_S
+            )
+            for task in stragglers:
+                task.cancel()
+            await asyncio.gather(*stragglers, return_exceptions=True)
         self._handlers.clear()
+        if server is not None:
+            await server.wait_closed()
 
     def run_forever(self, ready=None) -> None:
         """Serve until interrupted (the ``repro broker`` CLI entry).
@@ -774,8 +790,8 @@ class Broker:
     ) -> None:
         task = asyncio.current_task()
         if task is not None:
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
+            self._handlers[task] = writer
+            task.add_done_callback(lambda done: self._handlers.pop(done, None))
         self._connections += 1
         worker_id = f"conn-{self._connections}"
         tel = self.telemetry

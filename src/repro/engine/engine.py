@@ -44,6 +44,15 @@ from .rules import SpreadRule
 
 __all__ = ["SpreadEngine", "SpreadResult", "StaticTopology", "as_topology"]
 
+# Allocator warm-up, once per process.  When glibc frees a block it had
+# memory-mapped, it raises its mmap threshold to that block's size (up
+# to 32 MiB) and its trim threshold to twice that.  Freeing one 16 MiB
+# block here lets a round's temporaries (up to a few MiB each) come
+# from the heap and stay there, instead of being mapped, faulted in and
+# unmapped every round.  Under another malloc this is just a
+# short-lived allocation.
+np.empty(16 << 20, dtype=np.uint8)
+
 
 class StaticTopology:
     """Adapter presenting a static :class:`Graph` as a snapshot source.

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .rng import generator_from
 
@@ -41,7 +40,9 @@ def ks_compare(a, b) -> ComparisonResult:
     b = np.asarray(b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be nonempty")
-    res = sps.ks_2samp(a, b)
+    from scipy.stats import ks_2samp
+
+    res = ks_2samp(a, b)
     return ComparisonResult(
         statistic=float(res.statistic),
         p_value=float(res.pvalue),

@@ -34,11 +34,13 @@ import json
 import os
 import re
 import threading
-import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import TYPE_CHECKING
 
 from .core import Telemetry, get_telemetry
 from .summarize import fill_bar, histogram_bar
+
+if TYPE_CHECKING:
+    from http.server import ThreadingHTTPServer
 
 __all__ = [
     "METRICS_PORT_ENV_VAR",
@@ -309,6 +311,8 @@ class MetricsServer:
         """Bind the port and start serving (idempotent)."""
         if self._server is not None:
             return self
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         outer = self
 
         class _Handler(BaseHTTPRequestHandler):
@@ -403,6 +407,8 @@ def fetch_statusz(endpoint: str, *, timeout: float = 2.0) -> dict:
     Raises ``OSError`` when the endpoint is unreachable and
     ``ValueError`` when the body is not a JSON object.
     """
+    import urllib.request
+
     base = endpoint if "://" in endpoint else f"http://{endpoint}"
     with urllib.request.urlopen(f"{base}/statusz", timeout=timeout) as response:
         body = response.read().decode("utf-8")

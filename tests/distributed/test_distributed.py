@@ -9,6 +9,7 @@ and the broker requeues its lease onto the survivors.
 """
 
 import collections
+import logging
 import multiprocessing as mp
 import socket
 import threading
@@ -26,6 +27,7 @@ from repro.distributed import (
     broker_status,
     execute_shards_remote,
 )
+from repro.distributed.broker import _STOP_GRACE_S
 from repro.distributed.wire import parse_endpoint, recv_frame, send_frame
 from repro.distributed.worker import run_worker
 from repro.dynamics import (
@@ -319,6 +321,36 @@ class TestBrokerHousekeeping:
             send_frame(partial, {"type": "complete"})  # no shard_id
             partial.close()
             assert broker_status(broker.address)["jobs"] == 0
+
+    def test_stop_ends_open_connections_quietly(self, caplog):
+        # Stopping closes each connection, and its handler returns on
+        # EOF; a cancelled handler would make Python 3.11's start_server
+        # log a CancelledError for it.  Two idle peers and a client
+        # waiting on a job no worker leases must all end without an
+        # asyncio log record, well inside the grace period.
+        broker = Broker().start_in_thread()
+        endpoint = parse_endpoint(broker.address)
+        socks = [socket.create_connection(endpoint, timeout=10) for _ in range(3)]
+        try:
+            client = socks[0]
+            tasks = [{"index": 0, "task": {}}]
+            send_frame(client, {"type": "submit", "job_id": "j", "tasks": tasks})
+            assert recv_frame(client)["type"] == "accepted"
+            send_frame(client, {"type": "wait", "job_id": "j"})
+            for idle in socks[1:]:  # every handler is up and reading
+                send_frame(idle, {"type": "status"})
+                assert recv_frame(idle)["type"] == "status"
+            with caplog.at_level(logging.WARNING, logger="asyncio"):
+                start = time.monotonic()
+                broker.shutdown()
+                elapsed = time.monotonic() - start
+            assert [recv_frame(sock) for sock in socks] == [None] * 3
+        finally:
+            broker.shutdown()
+            for sock in socks:
+                sock.close()
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+        assert elapsed < _STOP_GRACE_S
 
 
     def test_uncollected_job_is_reaped_after_ttl(self):

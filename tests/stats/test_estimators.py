@@ -30,6 +30,26 @@ class TestMeanCI:
             hits += est.lower <= 10.0 <= est.upper
         assert 0.90 <= hits / 300 <= 0.99
 
+    def test_interval_equals_scipy_stats_t(self):
+        # mean_ci takes its quantile from scipy.special.stdtrit, which
+        # imports faster than scipy.stats; the interval must be the same
+        # floats scipy.stats.t.ppf gives.
+        from scipy import stats
+
+        rng = np.random.default_rng(11)
+        for size in (2, 3, 5, 10, 31, 100, 1000, 10_000, 100_000):
+            x = rng.normal(10.0, 3.0, size=size)
+            mean = float(x.mean())
+            sem = float(x.std(ddof=1) / np.sqrt(size))
+            for confidence in (0.5, 0.9, 0.95, 0.99, 0.999):
+                tcrit = float(stats.t.ppf(0.5 + confidence / 2.0, df=size - 1))
+                est = mean_ci(x, confidence=confidence)
+                assert (est.value, est.lower, est.upper) == (
+                    mean,
+                    mean - tcrit * sem,
+                    mean + tcrit * sem,
+                ), (size, confidence)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mean_ci(np.array([]))
