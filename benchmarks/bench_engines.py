@@ -1,7 +1,7 @@
 """Engine microbenchmarks: per-round throughput of the hot paths.
 
 These measure the vectorised kernels the experiment suite is built on —
-one COBRA round, one BIPS round (single and batched), neighbour
+one COBRA round, one BIPS round (one run and 64 runs), neighbour
 sampling, the unified ``(R, n)`` engine's rule kernels, and the
 spectral solve — so performance regressions in the substrate are
 caught independently of the experiment pipelines.
@@ -50,14 +50,14 @@ def test_bench_bips_round(benchmark, expander, rng):
     proc = BipsProcess(expander, 0)
     infected = rng.random((1, expander.n)) < 0.3
     infected[0, 0] = True
-    benchmark(proc.rule_single.step, expander, infected, np.ones(1, dtype=bool), rng)
+    benchmark(proc.rule.step, expander, infected, np.ones(1, dtype=bool), rng)
 
 
 def test_bench_bips_batch_round(benchmark, expander, rng):
     proc = BipsProcess(expander, 0)
     infected = rng.random((64, expander.n)) < 0.3
     infected[:, 0] = True
-    benchmark(proc.rule_batch.step, expander, infected, np.ones(64, dtype=bool), rng)
+    benchmark(proc.rule.step, expander, infected, np.ones(64, dtype=bool), rng)
 
 
 def test_bench_cobra_full_cover(benchmark, rng):

@@ -1,11 +1,11 @@
 """Shared benchmark helpers.
 
-Each ``bench_eNN.py`` regenerates one of the paper's tables/figures (as
-registered in repro.experiments.registry; ``repro list``) under
-pytest-benchmark timing.  The benchmarked
-callable is the experiment's full measurement pipeline at ``quick``
-scale; each bench also asserts the experiment's shape checks so a
-benchmark run doubles as a reproduction audit.
+``bench_experiments.py`` regenerates each of the paper's tables/figures
+(as registered in repro.experiments.registry; ``repro list``) under
+pytest-benchmark timing.  The benchmarked callable is the experiment's
+full measurement pipeline at ``quick`` scale; each case also asserts
+the experiment's shape checks so a benchmark run doubles as a
+reproduction audit.
 
 Run with::
 

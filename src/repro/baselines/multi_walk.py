@@ -9,9 +9,9 @@ the paper contrasts COBRA against.
 
 Execution goes through the unified batched engine
 (:class:`repro.engine.SpreadEngine` with a
-:class:`~repro.engine.rules.WalkRule`): one run keeps an ``(1, k)``
-position row, and the sampler advances ``R`` runs (``R × k`` walkers)
-per flattened neighbour-sample.
+:class:`~repro.engine.rules.WalkRule`) on the sharded stream: one run
+keeps a ``(1, k)`` position row, and a shard of ``R`` runs advances
+``R × k`` walkers per flattened neighbour-sample.
 """
 
 from __future__ import annotations
@@ -22,47 +22,9 @@ from ..engine.engine import SpreadEngine
 from ..engine.rules import WalkRule
 from ..graphs.graph import Graph
 from ..graphs.validation import check_vertex, require_connected
-from ..parallel.batch import plan_batches_for
-from ..stats.rng import generator_from
+from ..parallel.sharding import finished_times_or_raise
 
-__all__ = ["multi_walk_cover_time", "multi_walk_cover_samples"]
-
-
-def multi_walk_cover_time(
-    graph: Graph,
-    k: int,
-    start: int | np.ndarray = 0,
-    *,
-    rng: np.random.Generator | int | None = None,
-    lazy: bool = False,
-    max_rounds: int | None = None,
-) -> int:
-    """Cover time of ``k`` independent walkers (all from ``start`` if scalar).
-
-    Each round advances all ``k`` walkers with one vectorised
-    neighbour-sample; visitation is tracked by the engine's ``(R, n)``
-    visited mask.
-    """
-    gen = generator_from(rng)
-    require_connected(graph)
-    rule = WalkRule(k, lazy=lazy)
-    if np.ndim(start) == 0:
-        positions = np.full(k, check_vertex(graph, int(start)), dtype=np.int64)
-    else:
-        positions = np.asarray(start, dtype=np.int64).copy()
-        if positions.shape != (k,):
-            raise ValueError(f"start array must have shape ({k},)")
-    # Multiple walks speed up cover by between Θ(log k) and Θ(k)
-    # depending on the graph (Elsässer–Sauerwald), so the safe cap is
-    # the single-walk one — finishing early costs nothing.
-    engine = SpreadEngine(rule, graph)
-    res = engine.run(positions[None, :], gen, max_rounds=max_rounds)
-    if not res.all_finished:
-        cap = engine.default_cap() if max_rounds is None else int(max_rounds)
-        raise RuntimeError(
-            f"{k} walks failed to cover {graph.name} within {cap} rounds"
-        )
-    return int(res.finish_times[0])
+__all__ = ["multi_walk_cover_samples"]
 
 
 def multi_walk_cover_samples(
@@ -74,24 +36,18 @@ def multi_walk_cover_samples(
     rng: np.random.Generator | int | None = None,
     lazy: bool = False,
     max_rounds: int | None = None,
-    batch_size: int = 256,
 ) -> np.ndarray:
-    """Sample the ``k``-walk cover time ``runs`` times (batched engine)."""
-    gen = generator_from(rng)
-    require_connected(graph)
-    if runs <= 0:
-        return np.empty(0, dtype=np.int64)
+    """Sample the cover time of ``k`` walkers from ``start``, ``runs`` times.
+
+    Multiple walks speed up cover by between ``Θ(log k)`` and ``Θ(k)``
+    depending on the graph (Elsässer–Sauerwald), so the default cap is
+    the single-walk one — finishing early costs nothing.  Raises if a
+    run hits the cap.
+    """
     rule = WalkRule(k, lazy=lazy)
-    engine = SpreadEngine(rule, graph)
-    v = check_vertex(graph, int(start))
-    out = []
-    for r in plan_batches_for(rule, int(runs), graph.n, max_batch=batch_size):
-        state = np.full((r, k), v, dtype=np.int64)
-        res = engine.run(state, gen, max_rounds=max_rounds)
-        if not res.all_finished:
-            cap = engine.default_cap() if max_rounds is None else int(max_rounds)
-            raise RuntimeError(
-                f"{k} walks failed to cover {graph.name} within {cap} rounds"
-            )
-        out.append(res.finish_times)
-    return np.concatenate(out)
+    require_connected(graph)
+    state = np.full((max(int(runs), 0), k), check_vertex(graph, start), dtype=np.int64)
+    res = SpreadEngine(rule, graph).run_sharded(
+        state, rng, workers=1, max_rounds=max_rounds
+    )
+    return finished_times_or_raise(res.finish_times, f"{k}-walk on {graph.name}")

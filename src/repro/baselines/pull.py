@@ -11,94 +11,22 @@ Note the structural kinship: a BIPS round *is* a pull round with ``b``
 requests and SIS forgetting — pull is what BIPS becomes if vertices
 never lose the infection.
 
-All entry points execute through the unified batched engine
+Both samplers execute through the unified batched engine
 (:class:`repro.engine.SpreadEngine` with
 :class:`~repro.engine.rules.PullRule` /
-:class:`~repro.engine.rules.PushPullRule`); the samplers advance all
-runs inside one ``(R, n)`` boolean program.
+:class:`~repro.engine.rules.PushPullRule`) on the sharded stream, as
+:func:`repro.baselines.push.push_broadcast_samples` does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..engine.engine import SpreadEngine
 from ..engine.rules import PullRule, PushPullRule
 from ..graphs.graph import Graph
-from ..graphs.validation import check_vertex, require_connected
-from ..parallel.batch import plan_batches_for
-from ..stats.rng import generator_from
+from .push import _broadcast_samples
 
-__all__ = [
-    "pull_broadcast_time",
-    "push_pull_broadcast_time",
-    "pull_broadcast_samples",
-    "push_pull_broadcast_samples",
-]
-
-
-def _broadcast_batches(
-    rule,
-    label: str,
-    graph: Graph,
-    start: int,
-    runs: int,
-    gen: np.random.Generator,
-    max_rounds: int | None,
-    batch_size: int,
-) -> np.ndarray:
-    """Shared batched-sampling loop for the gossip baselines."""
-    require_connected(graph)
-    if runs <= 0:
-        return np.empty(0, dtype=np.int64)
-    engine = SpreadEngine(rule, graph)
-    v = check_vertex(graph, start)
-    out = []
-    for r in plan_batches_for(rule, int(runs), graph.n, max_batch=batch_size):
-        state = np.zeros((r, graph.n), dtype=bool)
-        state[:, v] = True
-        res = engine.run(state, gen, max_rounds=max_rounds)
-        if not res.all_finished:
-            cap = engine.default_cap() if max_rounds is None else int(max_rounds)
-            raise RuntimeError(
-                f"{label} failed to inform {graph.name} within {cap} rounds"
-            )
-        out.append(res.finish_times)
-    return np.concatenate(out)
-
-
-def pull_broadcast_time(
-    graph: Graph,
-    start: int = 0,
-    *,
-    rng: np.random.Generator | int | None = None,
-    max_rounds: int | None = None,
-) -> int:
-    """Rounds until everyone is informed under pull-only gossip."""
-    gen = generator_from(rng)
-    samples = _broadcast_batches(
-        PullRule(), "pull", graph, start, 1, gen, max_rounds, 1
-    )
-    return int(samples[0])
-
-
-def push_pull_broadcast_time(
-    graph: Graph,
-    start: int = 0,
-    *,
-    rng: np.random.Generator | int | None = None,
-    max_rounds: int | None = None,
-) -> int:
-    """Rounds to inform everyone when informed push and uninformed pull.
-
-    Both halves act on the start-of-round state (simultaneity); the
-    push half draws its neighbours first.
-    """
-    gen = generator_from(rng)
-    samples = _broadcast_batches(
-        PushPullRule(), "push-pull", graph, start, 1, gen, max_rounds, 1
-    )
-    return int(samples[0])
+__all__ = ["pull_broadcast_samples", "push_pull_broadcast_samples"]
 
 
 def pull_broadcast_samples(
@@ -108,13 +36,9 @@ def pull_broadcast_samples(
     *,
     rng: np.random.Generator | int | None = None,
     max_rounds: int | None = None,
-    batch_size: int = 256,
 ) -> np.ndarray:
-    """Sample the pull broadcast time ``runs`` times (batched engine)."""
-    gen = generator_from(rng)
-    return _broadcast_batches(
-        PullRule(), "pull", graph, start, runs, gen, max_rounds, batch_size
-    )
+    """Sample the pull-only broadcast time ``runs`` times (batched engine)."""
+    return _broadcast_samples(PullRule(), "pull", graph, start, runs, rng, max_rounds)
 
 
 def push_pull_broadcast_samples(
@@ -124,10 +48,13 @@ def push_pull_broadcast_samples(
     *,
     rng: np.random.Generator | int | None = None,
     max_rounds: int | None = None,
-    batch_size: int = 256,
 ) -> np.ndarray:
-    """Sample the push–pull broadcast time ``runs`` times (batched)."""
-    gen = generator_from(rng)
-    return _broadcast_batches(
-        PushPullRule(), "push-pull", graph, start, runs, gen, max_rounds, batch_size
+    """Sample the push–pull broadcast time ``runs`` times (batched).
+
+    Informed vertices push and uninformed vertices pull; both halves act
+    on the start-of-round state (simultaneity), and the push half draws
+    its neighbours first.
+    """
+    return _broadcast_samples(
+        PushPullRule(), "push-pull", graph, start, runs, rng, max_rounds
     )

@@ -7,17 +7,12 @@ budget as ``b = 1``, but without COBRA's "forget unless re-hit" rule.
 On expanders push completes in ``Θ(log n)`` rounds — the target COBRA
 aspires to with only one round of memory.
 
-Both entry points execute through the unified batched engine
+The sampler executes through the unified batched engine
 (:class:`repro.engine.SpreadEngine` with a
-:class:`~repro.engine.rules.PushRule`): a single broadcast is the
-``R = 1`` case, and the sampler advances all runs inside one ``(R, n)``
-boolean program instead of the historical one-run-at-a-time Python
-loop.  Measured against the replaced samplers (which revalidated the
-graph and re-dispatched per run): 2–4× faster at experiment scale
-(``n ≤ 1024``) and parity at ``n = 4096``, where both are bound by the
-same neighbour-sampling work; against per-selection scalar loops the
-batched engine is ≥10× — ``benchmarks/bench_baselines.py`` holds the
-measured numbers for all three rungs.
+:class:`~repro.engine.rules.PushRule`): it advances all runs inside one
+``(R, n)`` boolean program per shard, on the sharded stream of
+:meth:`~repro.engine.SpreadEngine.run_sharded` (one spawned seed per
+shard), like every static sampler in the repo.
 """
 
 from __future__ import annotations
@@ -28,37 +23,22 @@ from ..engine.engine import SpreadEngine
 from ..engine.rules import PushRule
 from ..graphs.graph import Graph
 from ..graphs.validation import check_vertex, require_connected
-from ..parallel.batch import plan_batches_for
-from ..stats.rng import generator_from
+from ..parallel.sharding import finished_times_or_raise
 
-__all__ = ["push_broadcast_time", "push_broadcast_samples"]
+__all__ = ["push_broadcast_samples"]
 
 
-def push_broadcast_time(
-    graph: Graph,
-    start: int = 0,
-    *,
-    rng: np.random.Generator | int | None = None,
-    fanout: int = 1,
-    max_rounds: int | None = None,
-) -> int:
-    """Rounds until all vertices are informed under push with ``fanout``.
-
-    ``fanout`` is the number of random neighbours each informed vertex
-    pushes to per round (1 is the classic protocol; 2 matches COBRA's
-    transmission budget at ``b = 2``).
-    """
-    gen = generator_from(rng)
+def _broadcast_samples(
+    rule, label: str, graph: Graph, start: int, runs: int, rng, max_rounds
+) -> np.ndarray:
+    """Sample a gossip rule's broadcast time from ``start`` ``runs`` times."""
     require_connected(graph)
-    rule = PushRule(fanout)
-    engine = SpreadEngine(rule, graph)
-    state = np.zeros((1, graph.n), dtype=bool)
-    state[0, check_vertex(graph, start)] = True
-    res = engine.run(state, gen, max_rounds=max_rounds)
-    if not res.all_finished:
-        cap = engine.default_cap() if max_rounds is None else int(max_rounds)
-        raise RuntimeError(f"push failed to inform {graph.name} within {cap} rounds")
-    return int(res.finish_times[0])
+    state = np.zeros((max(int(runs), 0), graph.n), dtype=bool)
+    state[:, check_vertex(graph, start)] = True
+    res = SpreadEngine(rule, graph).run_sharded(
+        state, rng, workers=1, max_rounds=max_rounds
+    )
+    return finished_times_or_raise(res.finish_times, f"{label} on {graph.name}")
 
 
 def push_broadcast_samples(
@@ -69,25 +49,13 @@ def push_broadcast_samples(
     rng: np.random.Generator | int | None = None,
     fanout: int = 1,
     max_rounds: int | None = None,
-    batch_size: int = 256,
 ) -> np.ndarray:
-    """Sample the push broadcast time ``runs`` times (batched engine)."""
-    gen = generator_from(rng)
-    require_connected(graph)
-    if runs <= 0:
-        return np.empty(0, dtype=np.int64)
-    rule = PushRule(fanout)
-    engine = SpreadEngine(rule, graph)
-    v = check_vertex(graph, start)
-    out = []
-    for r in plan_batches_for(rule, int(runs), graph.n, max_batch=batch_size):
-        state = np.zeros((r, graph.n), dtype=bool)
-        state[:, v] = True
-        res = engine.run(state, gen, max_rounds=max_rounds)
-        if not res.all_finished:
-            cap = engine.default_cap() if max_rounds is None else int(max_rounds)
-            raise RuntimeError(
-                f"push failed to inform {graph.name} within {cap} rounds"
-            )
-        out.append(res.finish_times)
-    return np.concatenate(out)
+    """Sample the push broadcast time ``runs`` times (batched engine).
+
+    ``fanout`` is the number of random neighbours each informed vertex
+    pushes to per round (1 is the classic protocol; 2 matches COBRA's
+    transmission budget at ``b = 2``).  Raises if a run hits the cap.
+    """
+    return _broadcast_samples(
+        PushRule(fanout), "push", graph, start, runs, rng, max_rounds
+    )

@@ -6,30 +6,25 @@ rounds, whereas COBRA with ``b = 2`` targets polylogarithmic cover on
 good graphs.  This module provides the walk itself plus cover/hitting
 time samplers used in the E9 comparison table.
 
-Cover sampling executes through the unified batched engine
-(:class:`repro.engine.SpreadEngine` with a single-walker
-:class:`~repro.engine.rules.WalkRule`): ``R`` independent walks advance
-one step per round inside one flattened neighbour-sample.  The engine
-draws one uniform per walker per step via
-:meth:`~repro.graphs.Graph.sample_neighbors` (the historical scalar
-loop drew its uniforms in blocks of 4096, an implementation detail that
-is *not* preserved bit-for-bit; distributions are identical).
-:func:`walk_trajectory` keeps the block-drawing fast path for
-single-trajectory inspection.
+Cover sampling is :func:`~repro.baselines.multi_walk.multi_walk_cover_samples`
+with one walker: ``R`` independent walks advance one step per round
+inside one flattened neighbour-sample, drawing one uniform per walker
+per step via :meth:`~repro.graphs.Graph.sample_neighbors` (the
+historical scalar loop drew its uniforms in blocks of 4096, an
+implementation detail that is *not* preserved bit-for-bit;
+distributions are identical).  :func:`walk_trajectory` keeps the
+block-drawing fast path for single-trajectory inspection.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..engine.engine import SpreadEngine
-from ..engine.rules import WalkRule
 from ..graphs.graph import Graph
 from ..graphs.validation import check_vertex, require_connected
-from ..parallel.batch import plan_batches_for
-from ..stats.rng import generator_from
+from .multi_walk import multi_walk_cover_samples
 
-__all__ = ["random_walk_cover_time", "random_walk_cover_samples", "walk_trajectory"]
+__all__ = ["random_walk_cover_samples", "walk_trajectory"]
 
 
 def walk_trajectory(
@@ -64,30 +59,6 @@ def walk_trajectory(
     return out
 
 
-def random_walk_cover_time(
-    graph: Graph,
-    start: int = 0,
-    *,
-    rng: np.random.Generator | int | None = None,
-    lazy: bool = False,
-    max_steps: int | None = None,
-) -> int:
-    """Number of *rounds* for one walk to visit every vertex.
-
-    A round here is one step, matching COBRA's round at ``b = 1``.
-    """
-    gen = generator_from(rng)
-    require_connected(graph)
-    rule = WalkRule(1, lazy=lazy)
-    engine = SpreadEngine(rule, graph)
-    state = np.array([[check_vertex(graph, start)]], dtype=np.int64)
-    res = engine.run(state, gen, max_rounds=max_steps)
-    if not res.all_finished:
-        cap = engine.default_cap() if max_steps is None else int(max_steps)
-        raise RuntimeError(f"random walk failed to cover {graph.name} in {cap} steps")
-    return int(res.finish_times[0])
-
-
 def random_walk_cover_samples(
     graph: Graph,
     start: int = 0,
@@ -96,24 +67,11 @@ def random_walk_cover_samples(
     rng: np.random.Generator | int | None = None,
     lazy: bool = False,
     max_steps: int | None = None,
-    batch_size: int = 256,
 ) -> np.ndarray:
-    """Sample the walk's cover time ``runs`` times (batched engine)."""
-    gen = generator_from(rng)
-    require_connected(graph)
-    if runs <= 0:
-        return np.empty(0, dtype=np.int64)
-    rule = WalkRule(1, lazy=lazy)
-    engine = SpreadEngine(rule, graph)
-    v = check_vertex(graph, start)
-    out = []
-    for r in plan_batches_for(rule, int(runs), graph.n, max_batch=batch_size):
-        state = np.full((r, 1), v, dtype=np.int64)
-        res = engine.run(state, gen, max_rounds=max_steps)
-        if not res.all_finished:
-            cap = engine.default_cap() if max_steps is None else int(max_steps)
-            raise RuntimeError(
-                f"random walk failed to cover {graph.name} in {cap} steps"
-            )
-        out.append(res.finish_times)
-    return np.concatenate(out)
+    """Sample the walk's cover time ``runs`` times (batched engine).
+
+    A round here is one step, matching COBRA's round at ``b = 1``.
+    """
+    return multi_walk_cover_samples(
+        graph, 1, start, runs, rng=rng, lazy=lazy, max_rounds=max_steps
+    )

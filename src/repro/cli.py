@@ -110,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="shard the runs over this many worker processes (shared-memory "
         "CSR graph, per-shard spawned seeds; results identical at any "
-        "worker count, default: single-stream serial path; dynamics and "
-        "adversary shard only their batched runner)",
+        "worker count, default: the same shards in this process; dynamics "
+        "and adversary shard only their batched runner)",
     )
     fleet.add_argument(
         "--endpoint",

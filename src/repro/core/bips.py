@@ -14,13 +14,13 @@ proofs track: ``|A_t|``, the degree ``d(A_t)`` of Section 3, and the
 candidate sets ``C_t`` of eq. (6) used by Corollaries 5.2/5.3.
 
 Execution is delegated to the unified batched engine
-(:mod:`repro.engine`): :class:`BipsProcess` binds a
+(:mod:`repro.engine`): :class:`BipsProcess` binds one
 :class:`~repro.engine.rules.BipsRule` to a static graph or a
-time-evolving :class:`~repro.dynamics.GraphSequence`.  ``run`` uses
-the rule's ``"single"`` randomness discipline (the historical
-single-run draw order) at ``R = 1``; ``run_batch`` uses the ``"batch"``
-discipline (the historical tiled draw order).  Both are seed-for-seed
-compatible with the pre-engine implementations.
+time-evolving :class:`~repro.dynamics.GraphSequence`; ``run`` is its
+``R = 1`` case and ``run_batch`` its ``R``-run case, both drawn from
+the caller's Generator.  :func:`infection_time_samples` draws from the
+sharded stream instead, exactly as
+:func:`repro.core.cobra.cover_time_samples` does.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ from ..engine.engine import SpreadEngine
 from ..engine.rules import BipsRule
 from ..graphs.graph import Graph
 from ..graphs.validation import check_vertex, require_connected
-from ..parallel.batch import plan_batches_for
+from ..parallel.sharding import finished_times_or_raise
 from ..stats.rng import generator_from
 from .branching import BranchingPolicy, make_policy
+from .cobra import _start_state
 from .state import BipsBatchResult, BipsResult
 
 __all__ = [
@@ -121,12 +122,7 @@ class BipsProcess:
         self.source = check_vertex(topology, source)
         self.policy = make_policy(branching)
         self.lazy = lazy
-        self.rule_single = BipsRule(
-            self.policy, self.source, lazy=self.lazy, discipline="single"
-        )
-        self.rule_batch = BipsRule(
-            self.policy, self.source, lazy=self.lazy, discipline="batch"
-        )
+        self.rule = BipsRule(self.policy, self.source, lazy=self.lazy)
 
     # ------------------------------------------------------------------
     def run(
@@ -146,8 +142,7 @@ class BipsProcess:
         ``completion="all-active"`` declares the run finished once
         every *currently-present* (degree-positive) vertex is infected
         — the reachable target under vertex churn.  Internally the
-        batched engine at ``R = 1`` with the single-run randomness
-        discipline.
+        batched engine at ``R = 1``.
         """
         n = self.topology.n
         if initial is None:
@@ -169,7 +164,7 @@ class BipsProcess:
                     int(candidate_set(graph, state[0], self.source).sum())
                 )
 
-        engine = SpreadEngine(self.rule_single, self.topology, completion)
+        engine = SpreadEngine(self.rule, self.topology, completion)
         res = engine.run(
             infected[None, :],
             rng,
@@ -214,7 +209,7 @@ class BipsProcess:
         infected = np.zeros((int(runs), self.topology.n), dtype=bool)
         infected[:, self.source] = True
 
-        res = SpreadEngine(self.rule_batch, self.topology, completion).run(
+        res = SpreadEngine(self.rule, self.topology, completion).run(
             infected, rng, max_rounds=max_rounds, record_sizes=record_sizes
         )
         return BipsBatchResult(
@@ -257,47 +252,22 @@ def infection_time_samples(
     lazy: bool = False,
     rng: np.random.Generator | int | None = None,
     max_rounds: int | None = None,
-    batch_size: int = 256,
     workers: int | None = None,
     endpoint: str | None = None,
 ) -> np.ndarray:
-    """Sample ``infec(source)`` ``runs`` times via the batch engine.
+    """Sample ``infec(source)`` ``runs`` times on the sharded engine path.
 
-    Batches are planned by :func:`repro.parallel.plan_batches_for`
-    under the BIPS rule's declared state footprint, capped at
-    ``batch_size`` runs each.  ``workers`` switches to the sharded
-    multiprocess path and ``endpoint`` to a broker's worker fleet,
-    exactly as in :func:`repro.core.cobra.cover_time_samples`.
+    ``workers`` and ``endpoint`` choose the tier exactly as in
+    :func:`repro.core.cobra.cover_time_samples`; the samples depend
+    only on ``rng``, ``runs`` and the shard plan.  Raises if a run hits
+    the cap.
     """
     proc = BipsProcess(graph, source, branching, lazy=lazy)
-    if runs <= 0:
-        return np.empty(0, dtype=np.int64)
-    if workers is not None or endpoint is not None:
-        from ..parallel.sharding import finished_times_or_raise
-
-        state = np.zeros((int(runs), graph.n), dtype=bool)
-        state[:, proc.source] = True
-        res = SpreadEngine(proc.rule_batch, graph).run_sharded(
-            state,
-            rng,
-            workers=None if workers is None else int(workers),
-            max_rounds=max_rounds,
-            max_shard=batch_size,
-            endpoint=endpoint,
-        )
-        return finished_times_or_raise(
-            res.finish_times, f"sharded BIPS on {graph.name}"
-        )
-    gen = generator_from(rng)
-    out = []
-    for r in plan_batches_for(
-        proc.rule_batch, int(runs), graph.n, max_batch=batch_size
-    ):
-        res = proc.run_batch(r, gen, max_rounds=max_rounds)
-        if not res.all_infected:
-            raise RuntimeError(
-                f"{(res.infection_times < 0).sum()} of {r} BIPS runs on "
-                f"{graph.name} hit the round cap"
-            )
-        out.append(res.infection_times)
-    return np.concatenate(out)
+    res = SpreadEngine(proc.rule, graph).run_sharded(
+        _start_state(graph, proc.source, runs),
+        rng,
+        workers=1 if workers is None else int(workers),
+        max_rounds=max_rounds,
+        endpoint=endpoint,
+    )
+    return finished_times_or_raise(res.finish_times, f"BIPS on {graph.name}")

@@ -14,10 +14,11 @@ Execution is delegated to the unified batched engine
 a :class:`~repro.engine.rules.CobraRule` to a static graph or a
 time-evolving :class:`~repro.dynamics.GraphSequence`, and both ``run``
 and ``run_batch`` drive the same ``(R, n)`` boolean program (a single
-run is the ``R = 1`` case).  The wrappers are seed-for-seed compatible
-with the pre-engine implementations: the rule kernel is the historical
-inner loop, and a sorted-unique active set consumed randomness in the
-same order in both code paths.
+run is the ``R = 1`` case) from the caller's Generator.  The samplers
+(:func:`cover_time_samples`, :func:`hit_time_samples`) draw from the
+sharded stream instead (:meth:`repro.engine.SpreadEngine.run_sharded`,
+one spawned seed per shard), so their samples depend only on the seed,
+the run count and the shard cap, never on how many processes ran them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ..engine.engine import SpreadEngine
 from ..engine.rules import CobraRule
 from ..graphs.graph import Graph
 from ..graphs.validation import check_vertex, check_vertex_set, require_connected
-from ..parallel.batch import plan_batches_for
+from ..parallel.sharding import finished_times_or_raise
 from ..stats.rng import generator_from
 from .branching import BranchingPolicy, make_policy
 from .state import CobraBatchResult, CobraResult
@@ -204,6 +205,13 @@ def cover_time(
     return result.cover_time
 
 
+def _start_state(graph: Graph, start: int, runs: int) -> np.ndarray:
+    """``runs`` rows of one active particle at ``start`` (none if ``runs <= 0``)."""
+    state = np.zeros((max(int(runs), 0), graph.n), dtype=bool)
+    state[:, check_vertex(graph, start)] = True
+    return state
+
+
 def cover_time_samples(
     graph: Graph,
     start: int = 0,
@@ -213,58 +221,29 @@ def cover_time_samples(
     lazy: bool = False,
     rng: np.random.Generator | int | None = None,
     max_rounds: int | None = None,
-    batch_size: int = 256,
     workers: int | None = None,
     endpoint: str | None = None,
 ) -> np.ndarray:
-    """Sample ``cover(start)`` ``runs`` times using the batch engine.
+    """Sample ``cover(start)`` ``runs`` times on the sharded engine path.
 
-    Batches are planned by :func:`repro.parallel.plan_batches_for`
-    under the rule's declared state footprint, capped at ``batch_size``
-    runs each; results concatenate across batches.
-
-    ``workers`` (any int >= 1) switches to the sharded engine path
-    (:meth:`repro.engine.SpreadEngine.run_sharded`): batches become
-    shards fanned out over worker processes against the shared-memory
-    CSR arrays, with per-shard spawned seeds — identical samples at
-    every worker count, but a different (equally valid) stream than
-    the default single-process path.  ``endpoint`` (a
-    :mod:`repro.distributed` broker's ``host:port``) sends the same
-    shard plan to a broker's worker fleet instead; the samples are
-    bit-identical to any local ``workers`` setting.
+    The runs are split into shards (:func:`repro.parallel.plan_shards`)
+    with one seed each spawned from ``rng``
+    (:meth:`repro.engine.SpreadEngine.run_sharded`).  ``workers=None``
+    runs the shards one after another in this process; ``workers=k``
+    fans them out over ``k`` processes against shared-memory CSR
+    arrays, and ``endpoint`` (a :mod:`repro.distributed` broker's
+    ``host:port``) sends them to a broker's worker fleet.  The samples
+    are bit-identical on every tier.  Raises if a run hits the cap.
     """
     proc = CobraProcess(graph, branching, lazy=lazy)
-    if runs <= 0:
-        return np.empty(0, dtype=np.int64)
-    if workers is not None or endpoint is not None:
-        from ..parallel.sharding import finished_times_or_raise
-
-        state = np.zeros((int(runs), graph.n), dtype=bool)
-        state[:, check_vertex(graph, int(start))] = True
-        res = SpreadEngine(proc.rule, graph).run_sharded(
-            state,
-            rng,
-            workers=None if workers is None else int(workers),
-            max_rounds=max_rounds,
-            max_shard=batch_size,
-            endpoint=endpoint,
-        )
-        return finished_times_or_raise(
-            res.finish_times, f"sharded COBRA on {graph.name}"
-        )
-    gen = generator_from(rng)
-    out = []
-    for r in plan_batches_for(proc.rule, int(runs), graph.n, max_batch=batch_size):
-        res = proc.run_batch(
-            np.full(r, start, dtype=np.int64), gen, max_rounds=max_rounds
-        )
-        if not res.all_covered:
-            raise RuntimeError(
-                f"{(res.cover_times < 0).sum()} of {r} COBRA runs on "
-                f"{graph.name} hit the round cap"
-            )
-        out.append(res.cover_times)
-    return np.concatenate(out)
+    res = SpreadEngine(proc.rule, graph).run_sharded(
+        _start_state(graph, start, runs),
+        rng,
+        workers=1 if workers is None else int(workers),
+        max_rounds=max_rounds,
+        endpoint=endpoint,
+    )
+    return finished_times_or_raise(res.finish_times, f"COBRA on {graph.name}")
 
 
 def hit_time_samples(
@@ -278,18 +257,20 @@ def hit_time_samples(
     rng: np.random.Generator | int | None = None,
     max_rounds: int | None = None,
 ) -> np.ndarray:
-    """Sample ``Hit_start(target)`` ``runs`` times (for duality checks)."""
-    gen = generator_from(rng)
+    """Sample ``Hit_start(target)`` ``runs`` times (for duality checks).
+
+    Drawn from the same sharded stream as :func:`cover_time_samples`:
+    each run goes on to cover, and its hit time of ``target`` is read
+    off the merged ``hit_times``.
+    """
     proc = CobraProcess(graph, branching, lazy=lazy)
     target = check_vertex(graph, target)
-    if runs <= 0:
-        return np.empty(0, dtype=np.int64)
-    res = proc.run_batch(
-        np.full(runs, start, dtype=np.int64),
-        gen,
+    res = SpreadEngine(proc.rule, graph).run_sharded(
+        _start_state(graph, start, runs),
+        rng,
+        workers=1,
         max_rounds=max_rounds,
         track_hits=True,
     )
-    if not res.all_covered:
-        raise RuntimeError("some runs hit the round cap before covering")
+    finished_times_or_raise(res.finish_times, f"COBRA on {graph.name}")
     return res.hit_times[:, target].copy()

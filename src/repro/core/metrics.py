@@ -13,13 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.engine import SpreadEngine
 from ..engine.rules import CobraRule
 from ..graphs.graph import Graph
 from ..graphs.validation import check_vertex, require_connected
+from ..parallel.sharding import finished_times_or_raise
 from ..stats.estimators import Estimate, mean_ci
 from ..stats.rng import generator_from, spawn_seeds
 from .branching import BranchingPolicy, make_policy
-from .cobra import CobraProcess, cover_time_samples, default_round_cap
+from .cobra import (
+    CobraProcess,
+    _start_state,
+    cover_time_samples,
+    default_round_cap,
+)
 
 __all__ = [
     "TransmissionReport",
@@ -65,33 +72,33 @@ def cobra_transmission_report(
 ) -> TransmissionReport:
     """Run COBRA to coverage ``runs`` times and account for every message.
 
-    For the Bernoulli policy the expected per-vertex rate ``1 + ρ`` is
-    used (the engine draws counts internally; we account in
-    expectation, which is exact for fixed ``b``).
+    One recorded pass of the sharded engine path (the stream of
+    :func:`~repro.core.cobra.cover_time_samples`).  Run ``r``, covering
+    at round ``T_r``, sends from ``C_0 … C_{T_r - 1}`` and peaks at the
+    largest of ``|C_0| … |C_{T_r}|``; shards pad their rows past their
+    end, so both are read up to ``T_r``.  For the Bernoulli policy the
+    expected per-vertex rate ``1 + ρ`` is used (the engine draws counts
+    internally; we account in expectation, which is exact for fixed
+    ``b``).
     """
-    gen = generator_from(rng)
     policy = make_policy(branching)
     proc = CobraProcess(graph, policy, lazy=lazy)
-    rounds, totals, peaks = [], [], []
-    for _ in range(runs):
-        res = proc.run(start, gen, record=True)
-        if not res.covered:
-            raise RuntimeError(f"run hit the round cap on {graph.name}")
-        rounds.append(res.cover_time)
-        # Senders in round t are the active set C_{t-1}: all but the
-        # last recorded size send.
-        senders = int(res.active_sizes[:-1].sum())
-        totals.append(policy.expected_branching * senders)
-        peaks.append(int(res.active_sizes.max()))
-    totals_arr = np.asarray(totals, dtype=np.float64)
+    res = SpreadEngine(proc.rule, graph).run_sharded(
+        _start_state(graph, start, runs), rng, workers=1, record_sizes=True
+    )
+    rounds = finished_times_or_raise(res.finish_times, f"COBRA on {graph.name}")
+    t = np.arange(res.sizes.shape[1])
+    senders = np.where(t < rounds[:, None], res.sizes, 0).sum(axis=1)
+    totals = policy.expected_branching * senders.astype(np.float64)
+    peak = int(np.where(t <= rounds[:, None], res.sizes, 0).max(initial=0))
     return TransmissionReport(
         graph_name=graph.name,
         n=graph.n,
         runs=runs,
-        rounds=mean_ci(np.asarray(rounds, dtype=np.float64)),
-        total_messages=mean_ci(totals_arr),
-        messages_per_vertex=mean_ci(totals_arr / graph.n),
-        peak_active_fraction=float(max(peaks)) / graph.n,
+        rounds=mean_ci(rounds.astype(np.float64)),
+        total_messages=mean_ci(totals),
+        messages_per_vertex=mean_ci(totals / graph.n),
+        peak_active_fraction=float(peak) / graph.n,
     )
 
 

@@ -112,7 +112,7 @@ def bips_size_ensemble(
     proc = BipsProcess(graph, source, branching, lazy=lazy)
     state = np.zeros((int(runs), graph.n), dtype=bool)
     state[:, proc.source] = True
-    res = SpreadEngine(proc.rule_batch, graph).run_sharded(
+    res = SpreadEngine(proc.rule, graph).run_sharded(
         state,
         seed,
         workers=1 if workers is None else workers,

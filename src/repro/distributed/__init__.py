@@ -39,7 +39,6 @@ from .client import (
     BrokerUnavailable,
     DistributedError,
     broker_status,
-    execute_shards_remote,
     transport_snapshot,
 )
 from .wire import (
@@ -69,7 +68,6 @@ __all__ = [
     "DistributedError",
     "broker_status",
     "transport_snapshot",
-    "execute_shards_remote",
     "run_worker",
     "WIRE_VERSION",
     "WireDecodeError",

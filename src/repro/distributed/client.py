@@ -42,7 +42,6 @@ from .wire import (
 __all__ = [
     "DistributedError",
     "BrokerUnavailable",
-    "execute_shards_remote",
     "cache_lookup",
     "run_on_broker",
     "broker_status",
@@ -252,21 +251,6 @@ def run_on_broker(encoded: dict, endpoint, policy, deliver) -> None:
             f"cannot reach broker at {endpoint}: {exc.last!r} "
             f"(after {exc.attempts} attempt(s))"
         ) from exc
-
-
-def execute_shards_remote(tasks, endpoint, *, cache="auto", retry="default") -> list:
-    """Run shard tasks on the broker at ``endpoint``; results in input order.
-
-    :func:`repro.parallel.execute_cached` pinned to the broker tier:
-    completed shards come from ``cache``, the rest from the broker, and
-    an unreachable broker raises :class:`BrokerUnavailable` — there is
-    no local fallback.
-    """
-    from ..parallel.sharding import execute_cached
-
-    return execute_cached(
-        tasks, endpoint=endpoint, cache=cache, retry=retry, fallback=None
-    )
 
 
 def transport_snapshot() -> dict:

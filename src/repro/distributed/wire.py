@@ -213,7 +213,6 @@ def _encode_rule(rule) -> dict:
             "policy": _encode_policy(rule.policy),
             "source": int(rule.source),
             "lazy": bool(rule.lazy),
-            "discipline": rule.discipline,
         }
     if isinstance(rule, WalkRule):
         return {"kind": "walk", "k": int(rule.k), "lazy": bool(rule.lazy)}
@@ -237,11 +236,11 @@ def _decode_rule(obj: dict):
     if kind == "cobra":
         return CobraRule(_decode_policy(obj["policy"]), lazy=obj["lazy"])
     if kind == "bips":
+        # A peer from before BIPS had one layout may still name it.
+        if obj.get("discipline", "batch") != "batch":
+            raise ValueError(f"unknown BIPS discipline {obj['discipline']!r}")
         return BipsRule(
-            _decode_policy(obj["policy"]),
-            int(obj["source"]),
-            lazy=obj["lazy"],
-            discipline=obj["discipline"],
+            _decode_policy(obj["policy"]), int(obj["source"]), lazy=obj["lazy"]
         )
     if kind == "walk":
         return WalkRule(int(obj["k"]), lazy=obj["lazy"])

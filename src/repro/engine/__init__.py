@@ -17,7 +17,7 @@ independent and freely composable:
 :mod:`repro.core`, :mod:`repro.baselines` and :mod:`repro.dynamics`
 are thin wrappers over this layer; round caps are centralised in
 :mod:`~repro.engine.caps` and per-rule memory footprints feed
-:func:`repro.parallel.plan_batches_for`.
+:func:`repro.parallel.plan_shards`.
 """
 
 from .caps import flooding_round_cap, process_round_cap, walk_round_cap

@@ -202,7 +202,7 @@ class SpreadEngine:
 
         Each round calls the step :func:`repro.kernels.dispatch.resolve`
         picks for this run: the rule's own ``step``, or numba's fused
-        kernel for COBRA and batch BIPS on large graphs where numba is
+        kernel for COBRA and BIPS on large graphs where numba is
         installed — bit-identical either way, and never set by the
         caller.
 

@@ -26,11 +26,11 @@ under identical generators (the regression tests in
   ``R = 1`` a round draws exactly what the historical set-based round
   over the sorted unique active set drew, and drawing block by block
   consumes the stream exactly as one whole-round draw did;
-* ``BipsRule`` in its ``"batch"`` discipline draws for *every* row and
-  freezes finished rows afterwards, matching the original
-  ``BipsProcess.run_batch``; its ``"single"`` discipline reproduces the
-  original single-run round (whose Bernoulli second-selection draws
-  come in a different order than the batch kernel's);
+* ``BipsRule`` draws for *every* row and freezes finished rows
+  afterwards, matching the original ``BipsProcess.run_batch``; at
+  ``R = 1`` and fixed ``b`` it also draws exactly what the original
+  single-run round drew (with Bernoulli ``b = 1 + ρ`` the single-run
+  round drew its second selections in another order);
 * degree-zero vertices (churned-out peers in dynamic snapshots) are
   handled exactly as the original dynamic runners did: COBRA particles
   and walkers hold their position, BIPS restricts selections to
@@ -48,7 +48,7 @@ The kernels in this module are the reference; :mod:`repro.kernels`
 relates faster code to them, per rule:
 
 * **bit-identical** numba kernels for :class:`CobraRule` and
-  :class:`BipsRule` with ``discipline="batch"``.  They pre-draw the
+  :class:`BipsRule`.  They pre-draw the
   same uniforms from the same Generator in the same order and
   reproduce the numpy index arithmetic exactly, so the engine swaps
   them in by itself (:func:`repro.kernels.dispatch.resolve`, where
@@ -61,9 +61,8 @@ relates faster code to them, per rule:
   of a machine word, so per-run cover/broadcast laws are exact but the
   draw stream (and cross-run independence within a word) differs.
   They are separate rules a caller chooses, never a substitution.
-* every other rule (:class:`FloodingRule`, already bit-parallel,
-  :class:`WalkRule`, ``BipsRule(discipline="single")``) always runs
-  its own ``step``.
+* every other rule (:class:`FloodingRule`, already bit-parallel, and
+  :class:`WalkRule`) always runs its own ``step``.
 """
 
 from __future__ import annotations
@@ -121,8 +120,8 @@ class SpreadRule(abc.ABC):
     state_arrays:
         How many ``(R, n)``-byte boolean-array equivalents the engine
         keeps live per run while stepping this rule; used by
-        :func:`repro.parallel.plan_batches_for` to split trial budgets
-        under a memory cap.
+        :func:`repro.parallel.plan_shards` to size shards under a
+        memory cap.
     """
 
     completion_basis: str = "visited"
@@ -240,114 +239,58 @@ class BipsRule(SpreadRule):
     next infected set iff some sample is currently infected; the
     persistent source is forced back in (SIS dynamics).
 
-    ``discipline`` selects the randomness layout: ``"batch"`` tiles all
-    runs into one draw per selection round (the historical batched
-    stream, drawn for finished runs too and frozen afterwards);
-    ``"single"`` reproduces the historical single-run stream, whose
-    Bernoulli second selections draw the participation mask *before*
-    the neighbour picks and only for the participating vertices.
-    ``"single"`` requires ``R == 1``.
+    A round tiles all runs into one draw per selection (drawn for
+    finished runs too, which are frozen afterwards) and gathers each
+    pick's infection status from the flat ``r·n + v`` mask.
     """
 
     completion_basis = "state"
     state_arrays = 12  # state + next + the (R, n) int64 pick buffer
 
-    def __init__(
-        self, policy, source: int, lazy: bool = False, discipline: str = "batch"
-    ) -> None:
-        if discipline not in ("batch", "single"):
-            raise ValueError(f"unknown BIPS discipline {discipline!r}")
+    def __init__(self, policy, source: int, lazy: bool = False) -> None:
         self.policy = policy
         self.source = int(source)
         self.lazy = bool(lazy)
-        self.discipline = discipline
 
-    # -- kernels --------------------------------------------------------
-    def _select(
-        self, graph: Graph, actors: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        return select_targets(graph, actors, rng, self.lazy)
-
-    def _next_single(
+    # -- kernel ---------------------------------------------------------
+    def _next(
         self, graph: Graph, infected: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        """Historical single-run round on a length-``n`` mask."""
-        n = graph.n
-        fixed_b = self.policy.fixed_selection_count()
-        if graph.dmin >= 1:
-            all_vertices = np.arange(n, dtype=np.int64)
-            pick = self._select(graph, all_vertices, rng)
-            nxt = infected[pick]
-            if fixed_b is not None and fixed_b >= 2:
-                for _ in range(fixed_b - 1):
-                    pick = self._select(graph, all_vertices, rng)
-                    nxt |= infected[pick]
-            elif fixed_b is None:
-                p2 = self.policy.second_selection_probability()
-                if p2 > 0.0:
-                    second = rng.random(n) < p2
-                    actors = all_vertices[second]
-                    pick2 = self._select(graph, actors, rng)
-                    nxt[actors] |= infected[pick2]
-        else:
-            live = np.nonzero(graph.degrees > 0)[0]
-            nxt = np.zeros(n, dtype=bool)
-            if live.size:
-                pick = self._select(graph, live, rng)
-                nxt[live] = infected[pick]
-                if fixed_b is not None and fixed_b >= 2:
-                    for _ in range(fixed_b - 1):
-                        pick = self._select(graph, live, rng)
-                        nxt[live] |= infected[pick]
-                elif fixed_b is None:
-                    p2 = self.policy.second_selection_probability()
-                    if p2 > 0.0:
-                        actors = live[rng.random(live.shape[0]) < p2]
-                        if actors.size:
-                            picks = self._select(graph, actors, rng)
-                            nxt[actors] |= infected[picks]
-        nxt[self.source] = True
-        return nxt
-
-    def _next_batch(
-        self, graph: Graph, infected: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Historical batch round on an ``(R, n)`` mask (all rows drawn)."""
+        """One round on an ``(R, n)`` mask (all rows drawn)."""
         runs, n = infected.shape
-        fixed_b = self.policy.fixed_selection_count()
-        if graph.dmin >= 1:
-            verts_tile = np.tile(np.arange(n, dtype=np.int64), runs)
-            pick = self._select(graph, verts_tile, rng).reshape(runs, n)
-            nxt = np.take_along_axis(infected, pick, axis=1)
-            if fixed_b is not None:
-                for _ in range(fixed_b - 1):
-                    pick = self._select(graph, verts_tile, rng).reshape(runs, n)
-                    nxt |= np.take_along_axis(infected, pick, axis=1)
-            else:
-                p2 = self.policy.second_selection_probability()
-                if p2 > 0.0:
-                    pick = self._select(graph, verts_tile, rng).reshape(runs, n)
-                    second = rng.random((runs, n)) < p2
-                    nxt |= np.take_along_axis(infected, pick, axis=1) & second
-        else:
-            live = np.nonzero(graph.degrees > 0)[0]
+        live = None if graph.dmin >= 1 else np.flatnonzero(graph.degrees > 0)
+        if live is not None and live.size == 0:
             nxt = np.zeros_like(infected)
-            if live.size:
-                k = live.shape[0]
-                live_tile = np.tile(live, runs)
-                pick = self._select(graph, live_tile, rng).reshape(runs, k)
-                nxt[:, live] = np.take_along_axis(infected, pick, axis=1)
-                if fixed_b is not None:
-                    for _ in range(fixed_b - 1):
-                        pick = self._select(graph, live_tile, rng).reshape(runs, k)
-                        nxt[:, live] |= np.take_along_axis(infected, pick, axis=1)
-                else:
-                    p2 = self.policy.second_selection_probability()
-                    if p2 > 0.0:
-                        pick = self._select(graph, live_tile, rng).reshape(runs, k)
-                        second = rng.random((runs, k)) < p2
-                        sel = np.take_along_axis(infected, pick, axis=1) & second
-                        nxt[:, live] |= sel
+            nxt[:, self.source] = True
+            return nxt
+        actors = np.arange(n, dtype=np.int64) if live is None else live
+        k = actors.shape[0]
+        if runs > 1:
+            actors = np.tile(actors, runs)
+        row_base = np.arange(0, runs * n, n, dtype=np.int64)[:, None]
+        flat = infected.reshape(-1)
+
+        def gather() -> np.ndarray:
+            """The infection status of one pick per actor, ``flat[r·n + pick]``."""
+            pick = select_targets(graph, actors, rng, self.lazy).reshape(runs, k)
+            pick += row_base
+            return flat[pick]
+
+        got = gather()
+        fixed_b = self.policy.fixed_selection_count()
+        if fixed_b is not None:
+            for _ in range(fixed_b - 1):
+                got |= gather()
+        else:
+            p2 = self.policy.second_selection_probability()
+            if p2 > 0.0:
+                picked = gather()
+                got |= picked & (rng.random((runs, k)) < p2)
+        if live is None:
+            nxt = got
+        else:
+            nxt = np.zeros_like(infected)
+            nxt[:, live] = got
         nxt[:, self.source] = True
         return nxt
 
@@ -360,13 +303,8 @@ class BipsRule(SpreadRule):
         rng: np.random.Generator,
     ) -> np.ndarray:
         """One infection round; finished runs are frozen afterwards."""
-        if self.discipline == "single":
-            if state.shape[0] != 1:
-                raise ValueError("BIPS 'single' discipline requires R == 1")
-            nxt = self._next_single(graph, state[0], rng)[None, :]
-        else:
-            nxt = self._next_batch(graph, state, rng)
-        return np.where(alive[:, None], nxt, state)
+        nxt = self._next(graph, state, rng)
+        return nxt if alive.all() else np.where(alive[:, None], nxt, state)
 
     def occupancy(self, state: np.ndarray, n: int) -> np.ndarray:
         """The infected mask *is* the occupancy."""

@@ -56,9 +56,9 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
     table = Table(title="mean rounds to inform all vertices")
     checks: list[Check] = []
-    # COBRA sampling always goes through the sharded engine (shared-
-    # memory CSR, per-shard spawned seeds): n_workers=1 is its serial
-    # fallback, so E9's tables are identical at every worker count.
+    # Every sampler draws from the sharded engine (per-shard spawned
+    # seeds); COBRA's shards fan out over n_workers processes, so E9's
+    # tables are identical at every worker count.
     for label, g in graphs:
         gens = spawn_generators(config.seed + g.n, 6)
         cobra = measure_cover(

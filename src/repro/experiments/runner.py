@@ -93,9 +93,10 @@ def measure_cover(
 ) -> CoverMeasurement:
     """Sample COBRA cover times and summarise (the E-series workhorse).
 
-    ``workers`` (int >= 1) routes the sampling through the sharded
-    multiprocess engine path; ``None`` keeps the historical
-    single-stream serial path (and its exact samples).
+    ``workers`` (int >= 1) fans the shards of
+    :func:`~repro.core.cobra.cover_time_samples` out over that many
+    processes; ``None`` runs them in this process.  The samples are the
+    same either way.
     """
     rng = generator_from(seed)
     samples = cover_time_samples(

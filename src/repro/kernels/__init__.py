@@ -6,7 +6,7 @@ alternatives:
 
 * fused neighbour-sample + absorb ``@njit`` kernels
   (:mod:`repro.kernels.numba_backend`) for
-  :class:`~repro.engine.rules.CobraRule` and batch-discipline
+  :class:`~repro.engine.rules.CobraRule` and
   :class:`~repro.engine.rules.BipsRule`.  They draw from the *same*
   :class:`numpy.random.Generator` stream in the same order as the
   numpy kernels, so results are **bit-identical**.

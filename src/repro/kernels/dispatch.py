@@ -8,7 +8,7 @@ choice is bit-identical to the rule's own ``step``:
 
 ``numba``
     The fused CSR kernels from :mod:`repro.kernels.numba_backend`, for
-    :class:`~repro.engine.rules.CobraRule` and batch-discipline
+    :class:`~repro.engine.rules.CobraRule` and
     :class:`~repro.engine.rules.BipsRule`, when numba is installed,
     ``n >= AUTO_NUMBA_MIN_N`` and ``runs >= 1``.  Their draws come from
     the caller's Generator in numpy order, so no sample moves.
@@ -53,7 +53,7 @@ class KernelBinding:
 def resolve(rule: SpreadRule, *, n: int, runs: int) -> KernelBinding:
     """Pick the per-round kernel for ``runs`` runs of ``rule`` on ``n`` vertices.
 
-    numba's fused stepper for COBRA and batch BIPS when numba is
+    numba's fused stepper for COBRA and BIPS when numba is
     installed, ``n >= AUTO_NUMBA_MIN_N`` and ``runs >= 1``; otherwise
     ``rule.step``.  ``numba_backend.AVAILABLE`` and
     :data:`AUTO_NUMBA_MIN_N` are read on every call.
@@ -62,7 +62,7 @@ def resolve(rule: SpreadRule, *, n: int, runs: int) -> KernelBinding:
     if numba_backend.AVAILABLE and n >= AUTO_NUMBA_MIN_N and runs >= 1:
         if isinstance(rule, CobraRule):
             backend, step = "numba", numba_backend.cobra_stepper(rule)
-        elif isinstance(rule, BipsRule) and rule.discipline == "batch":
+        elif isinstance(rule, BipsRule):
             backend, step = "numba", numba_backend.bips_stepper(rule)
     telemetry = get_telemetry()
     telemetry.count("kernel.dispatch")

@@ -19,10 +19,10 @@ double precision with ``fastmath`` off.  The compiled and numpy
 kernels are therefore **bit-identical** — pinned per rule by
 ``tests/kernels/test_numba_parity.py``.
 
-Degenerate inputs (degree-zero vertices on churned snapshots, the BIPS
-``"single"`` discipline) fall back to the numpy kernel *per call*;
-because the numpy path consumes the identical draws, a run that mixes
-compiled and fallback rounds is still bit-identical end to end.
+Degenerate inputs (degree-zero vertices on churned snapshots) fall
+back to the numpy kernel *per call*; because the numpy path consumes
+the identical draws, a run that mixes compiled and fallback rounds is
+still bit-identical end to end.
 
 The import is guarded: without numba this module loads fine,
 :data:`AVAILABLE` is False, and the dispatch layer never binds it.
@@ -165,18 +165,17 @@ def cobra_stepper(rule):
 
 
 def bips_stepper(rule):
-    """Build a compiled drop-in for batch ``BipsRule.step`` (bit-identical).
+    """Build a compiled drop-in for ``BipsRule.step`` (bit-identical).
 
-    Fuses the tile + pick + ``take_along_axis`` program into one CSR
-    walk per selection.  Degree-zero snapshots and the ``"single"``
-    discipline fall back to the numpy kernel per call (same draws, so
-    mixed runs stay bit-identical).
+    Fuses the tile + pick + gather program into one CSR walk per
+    selection.  Degree-zero snapshots fall back to the numpy kernel per
+    call (same draws, so mixed runs stay bit-identical).
     """
     policy, source, lazy = rule.policy, int(rule.source), bool(rule.lazy)
 
     def step(graph, state, alive, rng):
         """One fused infection round (numpy draws, compiled gather)."""
-        if rule.discipline != "batch" or graph.dmin == 0:
+        if graph.dmin == 0:
             return rule.step(graph, state, alive, rng)
         runs, n = state.shape
         total = runs * n

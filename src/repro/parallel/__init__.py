@@ -1,11 +1,5 @@
-"""Parallel execution substrate: pools, batching, and R-axis sharding."""
+"""Parallel execution substrate: pools and R-axis sharding."""
 
-from .batch import (
-    DEFAULT_STATE_BUDGET_BYTES,
-    plan_batches,
-    plan_batches_for,
-    run_batched,
-)
 from .pool import default_workers, parallel_map, pool_chunk_size
 from .sharding import (
     DEFAULT_MAX_SHARD,
@@ -21,10 +15,6 @@ from .sharding import (
 )
 
 __all__ = [
-    "DEFAULT_STATE_BUDGET_BYTES",
-    "plan_batches",
-    "plan_batches_for",
-    "run_batched",
     "default_workers",
     "parallel_map",
     "pool_chunk_size",

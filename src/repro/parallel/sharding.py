@@ -2,9 +2,9 @@
 
 One :class:`~repro.engine.SpreadEngine` invocation advances ``R``
 independent runs, but on one core.  This module splits the R axis into
-*shards* — contiguous run blocks sized by
-:func:`repro.parallel.plan_batches_for` under a fixed per-shard state
-budget — and executes the shards across worker processes:
+*shards* — contiguous run blocks sized by :func:`plan_shards` under a
+fixed per-shard state budget — and executes the shards across worker
+processes (or one after another in-process, ``workers=1``):
 
 * **Topology ships once.**  A static graph's CSR arrays are exported
   into POSIX shared memory (:meth:`repro.graphs.Graph.to_shared`), so
@@ -29,16 +29,17 @@ budget — and executes the shards across worker processes:
   local pool, and stores each fresh result, so resuming an interrupted
   run is just running it again.
 
-The per-shard streams intentionally differ from the single-stream
-``run_batch`` path: sharded determinism is seed × shard-plan, not
-seed × interleaving.  ``tests/parallel/test_sharding.py`` pins the
-worker-count invariance and the serial shard-by-shard reference.
+This is the one seed stream of every static sampler in
+:mod:`repro.core` and :mod:`repro.baselines`: samples depend on the
+seed, the run count and the shard cap, never on the tier that ran
+them.  ``tests/parallel/test_sharding.py`` pins the worker-count
+invariance and the serial shard-by-shard reference, and
+``tests/test_one_stream.py`` pins each sampler to it.
 
-Shard sizing uses a deliberately smaller default budget than the
-single-process batch planner (:data:`DEFAULT_SHARD_STATE_BUDGET_BYTES`
-per shard, at most :data:`DEFAULT_MAX_SHARD` runs): shards are the
-unit of load balancing, so there should be at least a few of them per
-worker.
+A shard holds at most :data:`DEFAULT_SHARD_STATE_BUDGET_BYTES` of
+state and at most :data:`DEFAULT_MAX_SHARD` runs: shards are the unit
+of load balancing as well as of memory, so there should be at least a
+few of them per worker.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from ..telemetry import (
     span_id_from,
     summarize_values,
 )
-from .batch import plan_batches_for
 from .pool import default_workers
 
 __all__ = [
@@ -82,9 +82,8 @@ __all__ = [
 def finished_times_or_raise(finish_times: np.ndarray, what: str) -> np.ndarray:
     """Return a copy of ``finish_times``, raising if any run hit the cap.
 
-    The shared tail of every sharded sampling wrapper: ``what`` names
-    the process/graph for the error message (e.g. ``"sharded COBRA on
-    hypercube-6"``).
+    The shared tail of every sampler: ``what`` names the process and
+    graph for the error message (e.g. ``"COBRA on hypercube-6"``).
     """
     capped = int((finish_times < 0).sum())
     if capped:
@@ -94,11 +93,10 @@ def finished_times_or_raise(finish_times: np.ndarray, what: str) -> np.ndarray:
         )
     return finish_times.copy()
 
-#: Per-shard boolean-state budget (64 MiB).  Intentionally well below
-#: :data:`repro.parallel.batch.DEFAULT_STATE_BUDGET_BYTES`: a shard is
-#: both a memory unit *and* a load-balancing unit, and the plan must
-#: not depend on the worker count, so it is sized for "a few shards
-#: per worker" on any reasonable machine.
+#: Per-shard boolean-state budget (64 MiB).  A shard is both a memory
+#: unit *and* a load-balancing unit, and the plan must not depend on
+#: the worker count, so it is sized for "a few shards per worker" on
+#: any reasonable machine.
 DEFAULT_SHARD_STATE_BUDGET_BYTES = 64 * 1024 * 1024
 
 #: Hard cap on runs per shard (keeps several shards in flight even on
@@ -122,23 +120,23 @@ def plan_shards(
 ) -> list[int]:
     """Split ``total_runs`` into deterministic shard sizes.
 
-    Delegates to :func:`repro.parallel.plan_batches_for` (the rule's
-    declared per-run state footprint under
-    :data:`DEFAULT_SHARD_STATE_BUDGET_BYTES`), capped at
-    ``max_shard`` runs per shard.  The result depends only on the
-    arguments — never on the machine or the worker count — which is
-    what makes sharded execution seed-stable.  ``total_runs == 0``
-    yields the empty plan (zero shards) rather than an error.
+    Each run costs ``rule.state_arrays · n_vertices`` bytes (the rule's
+    declared live ``(R, n)`` boolean-array equivalents, 4 if it
+    declares none), so a shard holds as many runs as
+    :data:`DEFAULT_SHARD_STATE_BUDGET_BYTES` allows, at least one and
+    at most ``max_shard``: full shards, then the remainder.  The result
+    depends only on the arguments — never on the machine or the worker
+    count — which is what makes sharded execution seed-stable.
+    ``total_runs == 0`` yields the empty plan (zero shards).
     """
-    if total_runs == 0:
-        return []
-    return plan_batches_for(
-        rule,
-        total_runs,
-        n_vertices,
-        budget_bytes=DEFAULT_SHARD_STATE_BUDGET_BYTES,
-        max_batch=max_shard,
-    )
+    if total_runs < 0 or n_vertices < 1:
+        raise ValueError(
+            f"cannot plan {total_runs} runs on {n_vertices} vertices"
+        )
+    per_run = int(getattr(rule, "state_arrays", 4)) * n_vertices
+    cap = max(1, min(max_shard, DEFAULT_SHARD_STATE_BUDGET_BYTES // per_run))
+    full, rem = divmod(total_runs, cap)
+    return [cap] * full + ([rem] if rem else [])
 
 
 @dataclass(frozen=True)

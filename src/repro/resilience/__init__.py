@@ -44,7 +44,6 @@ from .faults import (
 )
 from .retry import (
     CircuitBreaker,
-    CircuitOpenError,
     RetryError,
     RetryPolicy,
     breaker_for,
@@ -65,7 +64,6 @@ __all__ = [
     "RetryPolicy",
     "RetryError",
     "CircuitBreaker",
-    "CircuitOpenError",
     "breaker_for",
     "breaker_states",
     "reset_breakers",

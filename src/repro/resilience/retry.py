@@ -22,7 +22,6 @@ __all__ = [
     "RetryPolicy",
     "RetryError",
     "CircuitBreaker",
-    "CircuitOpenError",
     "BREAKER_STATE_VALUES",
     "breaker_for",
     "breaker_states",
@@ -122,14 +121,6 @@ class RetryPolicy:
         tel.count("retry.giveups")
         assert last is not None
         raise RetryError(what, attempt, last) from last
-
-
-class CircuitOpenError(ConnectionError):
-    """Raised when an operation is refused because the breaker is open."""
-
-    def __init__(self, key: str):
-        super().__init__(f"circuit breaker open for {key}")
-        self.key = key
 
 
 class CircuitBreaker:

@@ -538,11 +538,17 @@ def configure(sink=None, *, sample_every: int | None = None) -> Telemetry:
     Aggregated counters/histograms survive reconfiguration only in the
     sense that a fresh registry starts empty — ``configure`` installs
     a new :class:`Telemetry`, which is what tests rely on for
-    isolation.  Returns the new registry.
+    isolation.  The sink it replaces is closed (a closed
+    :class:`JsonlSink` reopens on its next write, and a closed
+    :class:`~repro.telemetry.sinks.MemorySink` keeps its records).
+    Returns the new registry.
     """
     global _GLOBAL
     stride = 1 if sample_every is None else sample_every
+    old = _GLOBAL.sink
     _GLOBAL = Telemetry(sink, sample_every=stride)
+    if old is not _GLOBAL.sink:
+        old.close()
     return _GLOBAL
 
 

@@ -7,11 +7,8 @@ from repro.baselines import (
     flooding_broadcast_time,
     flooding_frontier_sizes,
     multi_walk_cover_samples,
-    multi_walk_cover_time,
     push_broadcast_samples,
-    push_broadcast_time,
     random_walk_cover_samples,
-    random_walk_cover_time,
     walk_trajectory,
 )
 from repro.graphs import (
@@ -44,18 +41,18 @@ class TestWalkTrajectory:
 
 class TestRandomWalkCover:
     def test_covers_complete_graph(self):
-        t = random_walk_cover_time(complete_graph(8), rng=1)
+        (t,) = random_walk_cover_samples(complete_graph(8), runs=1, rng=1)
         # Coupon collector: ~ n ln n ~ 17; allow wide range.
         assert 7 <= t <= 300
 
     def test_star_needs_many_steps(self):
         # Star cover ~ 2 (n-1) H_{n-1}: strictly more than 2(n-1) - 2.
-        t = random_walk_cover_time(star_graph(10), rng=2)
+        (t,) = random_walk_cover_samples(star_graph(10), runs=1, rng=2)
         assert t >= 17
 
     def test_cap_raises(self):
-        with pytest.raises(RuntimeError, match="failed to cover"):
-            random_walk_cover_time(cycle_graph(32), rng=1, max_steps=5)
+        with pytest.raises(RuntimeError, match="round cap"):
+            random_walk_cover_samples(cycle_graph(32), runs=1, rng=1, max_steps=5)
 
     def test_samples(self):
         s = random_walk_cover_samples(complete_graph(6), runs=5, rng=3)
@@ -70,22 +67,14 @@ class TestMultiWalk:
         t8 = np.mean(multi_walk_cover_samples(g, 8, runs=6, rng=2))
         assert t8 < t1
 
-    def test_start_array(self, rng):
-        g = cycle_graph(12)
-        starts = np.array([0, 3, 6, 9])
-        t = multi_walk_cover_time(g, 4, starts, rng=rng)
-        assert t >= 1
-
-    def test_validation(self, rng):
-        with pytest.raises(ValueError):
-            multi_walk_cover_time(cycle_graph(5), 0)
-        with pytest.raises(ValueError):
-            multi_walk_cover_time(cycle_graph(5), 2, np.array([0]))
+    def test_validation(self):
+        with pytest.raises(ValueError, match="walker"):
+            multi_walk_cover_samples(cycle_graph(5), 0)
 
 
 class TestPush:
     def test_informs_everyone(self):
-        t = push_broadcast_time(complete_graph(32), rng=4)
+        (t,) = push_broadcast_samples(complete_graph(32), runs=1, rng=4)
         # Push on K_n completes in ~ log2 n + ln n ~ 8.5 rounds.
         assert 5 <= t <= 40
 
@@ -97,12 +86,11 @@ class TestPush:
 
     def test_fanout_validated(self):
         with pytest.raises(ValueError):
-            push_broadcast_time(cycle_graph(5), fanout=0)
+            push_broadcast_samples(cycle_graph(5), fanout=0)
 
     def test_monotone_informed_set(self):
         # Push never un-informs: broadcast time >= eccentricity.
-        g = path_graph(16)
-        t = push_broadcast_time(g, 0, rng=7)
+        (t,) = push_broadcast_samples(path_graph(16), 0, runs=1, rng=7)
         assert t >= 15
 
 

@@ -29,8 +29,8 @@ def _mask(n, members):
 
 
 def _step(graph, infected, rng, source):
-    """One BIPS round (b = 2): the rule's single-run kernel at ``R = 1``."""
-    rule = BipsRule(make_policy(2), source, discipline="single")
+    """One BIPS round (b = 2): the rule's kernel at ``R = 1``."""
+    rule = BipsRule(make_policy(2), source)
     return rule.step(graph, infected[None, :], np.ones(1, dtype=bool), rng)[0]
 
 
@@ -202,7 +202,7 @@ class TestBatch:
         assert res.all_infected
         assert np.all(res.infection_times >= 1)
 
-    def test_batch_sizes_recorded(self, rng):
+    def test_run_batch_records_sizes(self, rng):
         res = BipsProcess(cycle_graph(9), 0).run_batch(6, rng, record_sizes=True)
         assert res.sizes is not None
         assert res.sizes.shape[0] == 6
@@ -236,7 +236,7 @@ class TestConvenience:
             infection_time(cycle_graph(64), 0, rng=1, max_rounds=2)
 
     def test_samples_batched(self):
-        s = infection_time_samples(complete_graph(8), runs=25, rng=4, batch_size=10)
+        s = infection_time_samples(complete_graph(8), runs=25, rng=4)
         assert s.shape == (25,)
 
 

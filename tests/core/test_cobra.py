@@ -173,9 +173,7 @@ class TestConvenience:
             cover_time(cycle_graph(64), rng=1, max_rounds=2)
 
     def test_samples_shape_and_batching(self):
-        samples = cover_time_samples(
-            complete_graph(8), runs=25, rng=3, batch_size=10
-        )
+        samples = cover_time_samples(complete_graph(8), runs=25, rng=3)
         assert samples.shape == (25,)
         assert np.all(samples >= 3)  # log2(8)
 

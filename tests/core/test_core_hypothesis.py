@@ -72,7 +72,7 @@ def test_fixed_and_candidate_partition(g, seed):
     source = seed % g.n
     infected = np.zeros(g.n, dtype=bool)
     infected[source] = True
-    rule = BipsRule(make_policy(2), source, discipline="single")
+    rule = BipsRule(make_policy(2), source)
     for _ in range(3):
         if infected.all():
             break

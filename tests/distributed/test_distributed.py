@@ -25,7 +25,6 @@ from repro.distributed import (
     DistributedError,
     ResultCache,
     broker_status,
-    execute_shards_remote,
 )
 from repro.distributed.broker import _STOP_GRACE_S
 from repro.distributed.wire import parse_endpoint, recv_frame, send_frame
@@ -37,7 +36,7 @@ from repro.dynamics import (
 )
 from repro.engine import BipsRule, CobraRule, SpreadEngine, WalkRule
 from repro.graphs import random_regular_graph
-from repro.parallel import ShardTask
+from repro.parallel import ShardTask, execute_cached
 
 RUNS = 40
 MAX_SHARD = 8  # several shards even at tiny run counts
@@ -152,7 +151,8 @@ class TestBitIdentity:
     def test_cover_time_samples_endpoint(self, fleet, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         graph = _graph()
-        reference = cover_time_samples(graph, runs=RUNS, rng=9, workers=1)
+        # The default in-process path and the broker draw one stream.
+        reference = cover_time_samples(graph, runs=RUNS, rng=9)
         got = cover_time_samples(
             graph, runs=RUNS, rng=9, endpoint=fleet.address
         )
@@ -296,8 +296,11 @@ class TestFaultTolerance:
             procs = _spawn_workers(broker.address, 1)
             try:
                 with pytest.raises(DistributedError, match="failed"):
-                    execute_shards_remote(
-                        [good, poison], broker.address, cache=None
+                    execute_cached(
+                        [good, poison],
+                        endpoint=broker.address,
+                        cache=None,
+                        fallback=None,
                     )
             finally:
                 _reap(procs)

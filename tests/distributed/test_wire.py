@@ -136,7 +136,7 @@ class TestRulesAndCompletion:
         CobraRule(make_policy(2)),
         CobraRule(BernoulliBranching(0.5), lazy=True),
         BipsRule(make_policy(2), source=3),
-        BipsRule(FixedBranching(3), source=1, lazy=True, discipline="single"),
+        BipsRule(FixedBranching(3), source=1, lazy=True),
         WalkRule(k=4, lazy=True),
         PushRule(fanout=2),
         PullRule(),
@@ -168,6 +168,16 @@ class TestRulesAndCompletion:
         assert type(back.completion) is type(completion)
         if isinstance(completion, TargetHit):
             assert back.completion.target == completion.target
+
+    def test_legacy_bips_discipline(self):
+        # BIPS had two layouts once; a peer may still send the key.
+        obj = encode_task(_task(rule=BipsRule(make_policy(2), source=3)))
+        assert "discipline" not in obj["rule"]
+        obj["rule"]["discipline"] = "batch"
+        assert isinstance(decode_task(obj).rule, BipsRule)
+        obj["rule"]["discipline"] = "single"
+        with pytest.raises(WireDecodeError, match="discipline"):
+            decode_task(obj)
 
     def test_unsupported_policy_rejected(self):
         class Weird:

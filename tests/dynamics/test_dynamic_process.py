@@ -111,7 +111,7 @@ class TestChurnAndIsolation:
     def test_bips_source_persists_under_churn(self):
         base = random_regular_graph(32, 3, rng=2)
         seq = ChurnSequence(base, leave=0.1, rejoin=0.6, seed=5)
-        rule = BipsRule(make_policy(2), 0, discipline="single")
+        rule = BipsRule(make_policy(2), 0)
         rng = np.random.default_rng(1)
         infected = np.zeros((1, 32), dtype=bool)
         infected[0, 0] = True
@@ -122,7 +122,7 @@ class TestChurnAndIsolation:
     def test_isolated_vertices_cannot_be_infected(self):
         # Star minus the hub: all leaves isolated.
         hubless = Graph(4, [(0, 1)], name="pair-plus-isolated")
-        rule = BipsRule(make_policy(2), 0, discipline="single")
+        rule = BipsRule(make_policy(2), 0)
         infected = np.zeros((1, 4), dtype=bool)
         infected[0, 0] = True
         nxt = rule.step(hubless, infected, ALIVE, np.random.default_rng(0))[0]

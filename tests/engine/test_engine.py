@@ -35,7 +35,7 @@ from repro.engine import (
 )
 from repro.graphs import Graph, cycle_graph, petersen_graph, random_regular_graph
 from repro.graphs.properties import eccentricity
-from repro.parallel import plan_batches_for
+from repro.parallel import plan_shards
 
 
 @pytest.fixture(scope="module")
@@ -92,23 +92,18 @@ class TestCaps:
         )
 
 
-class TestPlanBatchesWiring:
-    """Satellite: plan_batches accounts the rule's declared arrays."""
+class TestPlanShardsWiring:
+    """Shard plans account the rule's declared live arrays."""
 
     def test_rule_footprints_declared(self):
         assert BipsRule(FixedBranching(2), 0).state_arrays > CobraRule(
             FixedBranching(2)
         ).state_arrays
 
-    def test_heavier_rule_gets_smaller_batches(self):
+    def test_heavier_rule_gets_smaller_shards(self):
         n = 1024 * 1024
-        budget = 64 * 1024 * 1024
-        cobra = plan_batches_for(
-            CobraRule(FixedBranching(2)), 32, n, budget_bytes=budget
-        )
-        bips = plan_batches_for(
-            BipsRule(FixedBranching(2), 0), 32, n, budget_bytes=budget
-        )
+        cobra = plan_shards(CobraRule(FixedBranching(2)), 32, n)
+        bips = plan_shards(BipsRule(FixedBranching(2), 0), 32, n)
         assert sum(cobra) == sum(bips) == 32
         assert max(bips) < max(cobra)
 
@@ -116,22 +111,13 @@ class TestPlanBatchesWiring:
         class Bare:
             pass
 
-        from repro.parallel import plan_batches
-
-        assert plan_batches_for(Bare(), 10, 100) == plan_batches(10, 100)
+        n = 1024 * 1024
+        assert plan_shards(Bare(), 40, n) == plan_shards(
+            CobraRule(FixedBranching(2)), 40, n
+        ) == [16, 16, 8]
 
 
 class TestRuleValidation:
-    def test_bips_discipline_validated(self):
-        with pytest.raises(ValueError, match="discipline"):
-            BipsRule(FixedBranching(2), 0, discipline="triple")
-
-    def test_bips_single_requires_one_run(self, expander):
-        rule = BipsRule(FixedBranching(2), 0, discipline="single")
-        state = np.zeros((2, expander.n), dtype=bool)
-        with pytest.raises(ValueError, match="R == 1"):
-            rule.step(expander, state, np.ones(2, bool), np.random.default_rng(0))
-
     def test_walk_needs_walker(self):
         with pytest.raises(ValueError, match="walker"):
             WalkRule(0)
@@ -319,15 +305,12 @@ class TestBatchedBaselines:
         assert np.all(s >= 1)
 
     def test_batched_gossip_matches_single_distribution(self, expander):
-        # Batched sampler vs single-run loop: same distribution.
-        from repro.baselines import push_broadcast_samples, push_broadcast_time
+        # Batched sampler vs one run per call: same distribution.
+        from repro.baselines import push_broadcast_samples
 
         batch = push_broadcast_samples(expander, runs=120, rng=5)
-        single = np.array(
-            [
-                push_broadcast_time(expander, rng=np.random.default_rng(900 + i))
-                for i in range(120)
-            ]
+        single = np.concatenate(
+            [push_broadcast_samples(expander, runs=1, rng=900 + i) for i in range(120)]
         )
         se = np.sqrt(batch.var(ddof=1) / 120 + single.var(ddof=1) / 120)
         assert abs(batch.mean() - single.mean()) < 4 * se

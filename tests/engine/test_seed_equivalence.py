@@ -12,22 +12,19 @@ which used to inline it.  So is the whole-round batched COBRA kernel
 (``_legacy_batch_cobra_step``), the reference for the blocked round at
 ``R > 1``.
 
-The single intentional exception: ``random_walk_cover_time``'s legacy
-implementation drew its uniforms in blocks of 4096 (an implementation
-detail, not process semantics); its reference here is the equivalent
-per-step ``sample_neighbors`` loop, which is what the engine preserves.
+The single intentional exception: the legacy random-walk cover time
+drew its uniforms in blocks of 4096 (an implementation detail, not
+process semantics); its reference here is the equivalent per-step
+``sample_neighbors`` loop, which is what the engine preserves.
+
+The baseline references are compared with the engine at ``R = 1`` on
+the same Generator.  The samplers themselves draw from the sharded
+stream (``tests/test_one_stream.py``).
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    multi_walk_cover_time,
-    pull_broadcast_time,
-    push_broadcast_time,
-    push_pull_broadcast_time,
-    random_walk_cover_time,
-)
 from repro.baselines.flooding import flooding_broadcast_time
 from repro.core import BipsProcess, CobraProcess, cobra_hit_survival_mc
 from repro.core.branching import FixedBranching, make_policy
@@ -35,7 +32,15 @@ from repro.core.cobra import default_round_cap
 from repro.core.duality import verify_duality_monte_carlo
 from repro.core.metrics import per_vertex_load
 from repro.dynamics import ChurnSequence, RewiringSequence
-from repro.engine import CobraRule, rules
+from repro.engine import (
+    CobraRule,
+    PullRule,
+    PushPullRule,
+    PushRule,
+    SpreadEngine,
+    WalkRule,
+    rules,
+)
 from repro.graphs import (
     Graph,
     cycle_graph,
@@ -281,7 +286,7 @@ def _legacy_bips_run_batch(graph, policy, lazy, source, runs, rng, cap):
 
 
 class TestBipsEquivalence:
-    @pytest.mark.parametrize("branching,lazy", [(2, False), (3, False), (1.5, True)])
+    @pytest.mark.parametrize("branching,lazy", [(2, False), (3, False)])
     def test_run(self, expander, branching, lazy):
         policy = make_policy(branching)
         for seed in range(4):
@@ -366,25 +371,34 @@ def _legacy_multi_walk_time(graph, k, start, rng, lazy, cap):
     return t
 
 
+def _engine_time(rule, graph, start_row, seed):
+    """One engine run (``R = 1``) from ``start_row`` on ``default_rng(seed)``."""
+    res = SpreadEngine(rule, graph).run(start_row[None, :], np.random.default_rng(seed))
+    return int(res.finish_times[0])
+
+
+def _mask(graph, v):
+    row = np.zeros(graph.n, dtype=bool)
+    row[v] = True
+    return row
+
+
 class TestBaselineEquivalence:
     def test_push(self, expander):
         for seed, fanout in ((0, 1), (1, 2), (2, 1)):
             ref = _legacy_push_time(expander, 3, np.random.default_rng(seed), fanout, 10_000)
-            new = push_broadcast_time(
-                expander, 3, rng=np.random.default_rng(seed), fanout=fanout
-            )
+            new = _engine_time(PushRule(fanout), expander, _mask(expander, 3), seed)
             assert new == ref
 
     def test_pull(self, expander):
         for seed in range(3):
             ref = _legacy_pull_time(expander, 1, np.random.default_rng(seed), 10_000)
-            new = pull_broadcast_time(expander, 1, rng=np.random.default_rng(seed))
-            assert new == ref
+            assert _engine_time(PullRule(), expander, _mask(expander, 1), seed) == ref
 
     def test_push_pull(self, expander):
         for seed in range(3):
             ref = _legacy_push_pull_time(expander, 2, np.random.default_rng(seed), 10_000)
-            new = push_pull_broadcast_time(expander, 2, rng=np.random.default_rng(seed))
+            new = _engine_time(PushPullRule(), expander, _mask(expander, 2), seed)
             assert new == ref
 
     def test_multi_walk(self, expander):
@@ -392,10 +406,8 @@ class TestBaselineEquivalence:
             ref = _legacy_multi_walk_time(
                 expander, k, 0, np.random.default_rng(seed), lazy, 100_000
             )
-            new = multi_walk_cover_time(
-                expander, k, 0, rng=np.random.default_rng(seed), lazy=lazy
-            )
-            assert new == ref
+            positions = np.zeros(k, dtype=np.int64)
+            assert _engine_time(WalkRule(k, lazy=lazy), expander, positions, seed) == ref
 
     def test_random_walk_matches_per_step_reference(self):
         # Reference: one sample_neighbors draw per step (the engine's
@@ -405,8 +417,8 @@ class TestBaselineEquivalence:
             ref = _legacy_multi_walk_time(
                 g, 1, 0, np.random.default_rng(seed), False, 100_000
             )
-            new = random_walk_cover_time(g, 0, rng=np.random.default_rng(seed))
-            assert new == ref
+            positions = np.zeros(1, dtype=np.int64)
+            assert _engine_time(WalkRule(1), g, positions, seed) == ref
 
     def test_flooding_equals_eccentricity(self, expander):
         for start in (0, 7, 23):

@@ -34,7 +34,7 @@ from repro.telemetry import MemorySink, configure, get_telemetry
 NUMBA_RULES = {
     "cobra": lambda: CobraRule(FixedBranching(2)),
     "cobra-lazy": lambda: CobraRule(FixedBranching(3), lazy=True),
-    "bips-batch": lambda: BipsRule(FixedBranching(2), 0),
+    "bips": lambda: BipsRule(FixedBranching(2), 0),
 }
 #: Rules that always run their own step.
 NUMPY_RULES = {
@@ -43,7 +43,6 @@ NUMPY_RULES = {
     "push-pull": PushPullRule,
     "flooding": lambda: FloodingRule(runs=8),
     "walk": lambda: WalkRule(2),
-    "bips-single": lambda: BipsRule(FixedBranching(2), 0, discipline="single"),
     "bit-push": lambda: BitPushRule(8),
 }
 
@@ -56,7 +55,7 @@ def numba_on(monkeypatch):
 
 class TestResolve:
     @pytest.mark.parametrize("key", sorted(NUMBA_RULES))
-    def test_numba_for_cobra_and_batch_bips(self, numba_on, key):
+    def test_numba_for_cobra_and_bips(self, numba_on, key):
         rule = NUMBA_RULES[key]()
         binding = resolve(rule, n=AUTO_NUMBA_MIN_N, runs=1)
         assert binding.backend == "numba"

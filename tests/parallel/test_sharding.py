@@ -157,6 +157,26 @@ class TestPlanAndErrors:
         assert sum(plan) == 1000
         assert max(plan) <= 128
 
+    def test_byte_budget_bounds_the_shard(self):
+        # 4 arrays × 2^20 vertices: 4 MiB a run, 16 runs in 64 MiB.
+        rule = CobraRule(make_policy(2))
+        assert plan_shards(rule, 40, 1024 * 1024) == [16, 16, 8]
+
+    def test_at_least_one_run_per_shard(self):
+        # 12 arrays × 10^7 vertices overruns the budget at one run.
+        rule = BipsRule(make_policy(2), 0)
+        assert plan_shards(rule, 3, 10**7) == [1, 1, 1]
+
+    def test_single_shard_when_small(self):
+        assert plan_shards(CobraRule(make_policy(2)), 10, 100) == [10]
+
+    def test_plan_validation(self):
+        rule = CobraRule(make_policy(2))
+        with pytest.raises(ValueError):
+            plan_shards(rule, -1, 10)
+        with pytest.raises(ValueError):
+            plan_shards(rule, 10, 0)
+
     def test_bit_packed_rules_rejected(self):
         graph = cycle_graph(9)
         for rule in (

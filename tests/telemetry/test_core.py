@@ -5,6 +5,7 @@ import pytest
 
 from repro.stats.rng import seed_sequence_from, spawn_seeds
 from repro.telemetry import (
+    JsonlSink,
     MemorySink,
     Telemetry,
     configure,
@@ -211,6 +212,20 @@ class TestConfigure:
         configure(MemorySink())
         tel = configure(None)
         assert not tel.enabled
+
+    def test_configure_closes_the_sink_it_replaces(self, tmp_path):
+        path = tmp_path / "replaced.jsonl"
+        replaced = JsonlSink(path)
+        configure(replaced).event("before.swap")
+        assert replaced._file is not None
+        configure(MemorySink())
+        # Closed, with the record on disk; a later write reopens it.
+        assert replaced._file is None
+        assert path.read_text().count("before.swap") == 1
+        replaced.write({"kind": "late"})
+        replaced.close()
+        assert path.read_text().count("\n") == 2
+        configure(None)
 
     def test_env_disabling_values(self, monkeypatch, tmp_path):
         for off in ("", "0", "off", "OFF"):

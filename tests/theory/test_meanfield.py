@@ -84,7 +84,7 @@ class TestBipsMap:
         # (Jensen-gap at mid-trajectory shrinks with concentration).
         n = 256
         g = complete_graph(n)
-        rule = BipsRule(make_policy(2), 0, discipline="single")
+        rule = BipsRule(make_policy(2), 0)
         alive = np.ones(1, dtype=bool)
         rounds = 10
         runs = 200
