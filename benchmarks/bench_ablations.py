@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import CobraProcess
+from repro.engine import SpreadEngine
 from repro.graphs import random_regular_graph
 from repro.graphs.spectral import random_walk_spectrum, second_eigenvalue
 
@@ -24,11 +25,13 @@ RUNS = 64
 
 
 def test_bench_cover_batched(benchmark, graph):
-    proc = CobraProcess(graph)
+    engine = SpreadEngine(CobraProcess(graph).rule, graph)
 
     def run():
         rng = np.random.default_rng(1)
-        return proc.run_batch(np.zeros(RUNS, dtype=np.int64), rng).cover_times
+        state = np.zeros((RUNS, graph.n), dtype=bool)
+        state[:, 0] = True
+        return engine.run(state, rng).finish_times
 
     times = benchmark(run)
     assert times.shape == (RUNS,)

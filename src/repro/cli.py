@@ -22,8 +22,8 @@ experiment registers (``repro list``; :mod:`repro.experiments.registry`).
 The sampling commands ``cover`` / ``trajectory`` / ``dynamics`` /
 ``adversary`` share one fleet: ``--workers N`` shards their runs over
 local processes and ``--endpoint host:port`` over a broker's worker
-fleet (``dynamics`` and ``adversary`` shard only their batched runner;
-results bit-identical to local execution; shard results are
+fleet (``dynamics`` and ``adversary`` shard only their shared-realisation
+runs; results bit-identical to local execution; shard results are
 content-address cached under ``REPRO_CACHE_DIR``).  Every execution
 command accepts ``--telemetry PATH`` (or ``REPRO_TELEMETRY``) to
 stream a structured JSONL trace without perturbing any result.  No
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard the runs over this many worker processes (shared-memory "
         "CSR graph, per-shard spawned seeds; results identical at any "
         "worker count, default: the same shards in this process; dynamics "
-        "and adversary shard only their batched runner)",
+        "and adversary shard only runs on a shared realisation)",
     )
     fleet.add_argument(
         "--endpoint",
@@ -276,10 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     dyn_p.add_argument(
         "--independent",
         action="store_true",
-        help="draw an independent topology realisation per run (slow "
-        "scalar loop) instead of the default batched runner, which "
-        "advances all runs on one shared realisation at hardware speed "
-        "and alone can shard (--workers/--endpoint are rejected here)",
+        help="draw an independent topology realisation per run (annealed; "
+        "one run at a time in this process, so --workers/--endpoint are "
+        "rejected) instead of the default, where every run replays one "
+        "shared realisation (quenched) and --workers/--endpoint pick "
+        "only where the runs execute",
     )
 
     adv_p = command(
@@ -313,10 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     adv_p.add_argument(
         "--batched",
         action="store_true",
-        help="advance all runs on shared per-shard realisations (the "
-        "batched engine; enables --workers/--endpoint) instead of the "
-        "default per-run loop, where the adversary fights each run's "
-        "own frontier — the worst-case statistic E17 reports",
+        help="replay one shared adversarial sequence, the adversary "
+        "fighting the joint frontier of each shard's runs (enables "
+        "--workers/--endpoint, which pick only where the runs execute) "
+        "instead of the default per-run loop, where the adversary fights "
+        "each run's own frontier — the worst-case statistic E17 reports",
     )
 
     status_p = command(
@@ -657,53 +659,47 @@ def _dynamics_base_graph(args: argparse.Namespace):
     return torus_graph([side, side])
 
 
-def _sample_and_report(args, title, topology, *, batched, fleet_rule, modes, hint):
+def _sample_and_report(args, title, topology, *, shared, fleet_rule, modes, hint):
     """Sample dynamic cover/infection times and print them: dynamics/adversary.
 
     ``topology(base)`` returns the command's sequence factory and
-    header lines.  ``batched`` picks the shared-realisation (R, n) engine,
-    the only runner that shards; a fleet flag without it exits with
-    ``fleet_rule``.  ``modes`` are the execution lines of the per-run
-    loop and the batched engine and the suffix of the sharded/distributed
-    ones; ``hint`` follows a run that hit the round cap.
+    header lines.  ``shared`` hands the samplers one realisation that
+    every run replays (quenched; ``--workers``/``--endpoint`` pick only
+    the tier), else the factory itself (annealed: one realisation per
+    run, in this process; a fleet flag exits with ``fleet_rule``).
+    ``modes`` are the execution lines of the two estimators; ``hint``
+    follows a run that hit the round cap.
     """
     import numpy as np
 
-    from .dynamics import (
-        dynamic_cover_time_batch,
-        dynamic_cover_time_samples,
-        dynamic_infection_time_batch,
-        dynamic_infection_time_samples,
-    )
+    from .dynamics import dynamic_cover_time_samples, dynamic_infection_time_samples
     from .stats import mean_ci, whp_quantile
 
-    per_run_mode, batched_mode, fleet_suffix = modes
-    cover = args.process == "cobra"
-    if batched:
-        sample = dynamic_cover_time_batch if cover else dynamic_infection_time_batch
-        fleet = {"workers": args.workers, "endpoint": args.endpoint}
-        mode = batched_mode
-        if args.workers is not None:
-            mode = f"sharded (R, n) engine, {args.workers} workers{fleet_suffix}"
-        if args.endpoint is not None:
-            mode = f"distributed (R, n) engine via broker {args.endpoint}{fleet_suffix}"
-    elif args.workers is not None or args.endpoint is not None:
+    if not shared and (args.workers is not None or args.endpoint is not None):
         raise SystemExit(fleet_rule)
-    else:
-        sample = dynamic_cover_time_samples if cover else dynamic_infection_time_samples
-        fleet, mode = {}, per_run_mode
+    annealed_mode, shared_mode = modes
+    cover = args.process == "cobra"
+    sample = dynamic_cover_time_samples if cover else dynamic_infection_time_samples
     try:
         base = _dynamics_base_graph(args)
     except ValueError as exc:
         raise SystemExit(f"cannot build a {args.family} base graph: {exc}")
     factory, header = topology(base)
+    if shared:
+        # Independent topology and process streams: one seed for both
+        # would hand round 1's topology stream to shard 0's runs.
+        topology_seed, seed = np.random.SeedSequence(args.seed).spawn(2)
+        sequence = factory(topology_seed)
+        fleet = {"workers": args.workers, "endpoint": args.endpoint}
+    else:
+        sequence, seed, fleet = factory, args.seed, {}
     try:
         samples = sample(
-            factory,
+            sequence,
             args.runs,
             branching=args.branching,
             lazy=args.lazy,
-            seed=args.seed,
+            seed=seed,
             completion=args.completion,
             **fleet,
         )
@@ -716,7 +712,7 @@ def _sample_and_report(args, title, topology, *, batched, fleet_rule, modes, hin
             [
                 f"{title} {args.process.upper()} on {base!r}",
                 *header,
-                f"execution : {mode}",
+                f"execution : {shared_mode if shared else annealed_mode}",
                 f"runs={args.runs} b={args.branching:g} lazy={args.lazy} "
                 f"seed={args.seed} completion={args.completion}",
                 f"mean {measured:14}: {mean_ci(samples)}",
@@ -770,12 +766,11 @@ def _cmd_dynamics(args: argparse.Namespace) -> int:
         args,
         "dynamic",
         topology,
-        batched=not args.independent,
+        shared=not args.independent,
         fleet_rule="--workers/--endpoint cannot be combined with --independent",
         modes=(
-            "independent realisations (per-run loop)",
-            "batched (R, n) engine, shared realisation",
-            ", shard-local realisations",
+            "independent realisation per run (per-run loop)",
+            "one shared realisation, replayed by every run",
         ),
         hint="under heavy churn, full coverage/infection of all n vertices "
         "may be unreachable — lower --rate or pass --completion all-active "
@@ -808,12 +803,11 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         args,
         "adversarial",
         topology,
-        batched=args.batched,
+        shared=args.batched,
         fleet_rule="--workers/--endpoint require --batched",
         modes=(
             "per-run loop (adversary fights each run's own frontier)",
-            "batched (R, n) engine, shard-local adversarial realisations",
-            "",
+            "one shared adversarial sequence, replayed by each shard's runs",
         ),
         hint="a harsh adversary can push runs past the round cap — lower "
         "--budget, or pass --completion all-active for churn-style "
@@ -846,7 +840,9 @@ def _redraw(poll, interval: float | None) -> int:
     ``poll`` returns ``(frame, error)``.  A frame goes to stdout, after
     an ANSI clear + home when redrawing, so the panel redraws instead of
     scrolling; an error goes to stderr and ends the loop with exit 1.
-    Ctrl-C and a closed pipe (``--watch 2 | head``) end it with exit 0.
+    Ctrl-C and a closed pipe (``--watch 2 | head``, or ``repro trace
+    summarize FILE | head``, which prints its one frame here) end it
+    with exit 0.
     """
     try:
         while True:
@@ -854,7 +850,9 @@ def _redraw(poll, interval: float | None) -> int:
             if frame is not None:
                 if interval is not None:
                     print("\x1b[2J\x1b[H", end="")
-                print(frame)
+                # Flushed here, so a reader that closed the pipe is
+                # caught below rather than at the exit-time flush.
+                print(frame, flush=True)
             if error is not None:
                 print(error, file=sys.stderr)
                 return 1
@@ -934,8 +932,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         # load_jsonl's line-numbered parse error, or an empty file.
         print(f"malformed trace: {exc}", file=sys.stderr)
         return 1
-    print(render_trace(records))
-    return 0
+    return _redraw(lambda: (render_trace(records), None), None)
 
 
 def _print_cache_stats(endpoint: str | None) -> None:

@@ -63,7 +63,7 @@ from .serialization import (
     StepRecord,
     collect_increments,
 )
-from .state import BipsBatchResult, BipsResult, CobraBatchResult, CobraResult
+from .state import BipsResult, CobraResult
 from .trajectories import (
     TrajectoryEnsemble,
     bips_size_ensemble,
@@ -107,9 +107,7 @@ __all__ = [
     "SerializedBips",
     "StepRecord",
     "collect_increments",
-    "BipsBatchResult",
     "BipsResult",
-    "CobraBatchResult",
     "CobraResult",
     "CoverProfile",
     "TransmissionReport",

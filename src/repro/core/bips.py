@@ -17,10 +17,10 @@ Execution is delegated to the unified batched engine
 (:mod:`repro.engine`): :class:`BipsProcess` binds one
 :class:`~repro.engine.rules.BipsRule` to a static graph or a
 time-evolving :class:`~repro.dynamics.GraphSequence`; ``run`` is its
-``R = 1`` case and ``run_batch`` its ``R``-run case, both drawn from
-the caller's Generator.  :func:`infection_time_samples` draws from the
-sharded stream instead, exactly as
-:func:`repro.core.cobra.cover_time_samples` does.
+``R = 1`` case, drawn from the caller's Generator.
+:func:`infection_time_samples` draws ``R`` runs from the sharded
+stream instead, exactly as :func:`repro.core.cobra.cover_time_samples`
+does.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from ..parallel.sharding import finished_times_or_raise
 from ..stats.rng import generator_from
 from .branching import BranchingPolicy, make_policy
 from .cobra import _start_state
-from .state import BipsBatchResult, BipsResult
+from .state import BipsResult
 
 __all__ = [
     "BipsProcess",
@@ -186,36 +186,6 @@ class BipsProcess:
             degree_sizes=np.asarray(degree_sizes, dtype=np.int64),
             candidate_sizes=np.asarray(candidate_sizes, dtype=np.int64),
             final_infected=final.copy(),
-        )
-
-    # ------------------------------------------------------------------
-    def run_batch(
-        self,
-        runs: int,
-        rng: np.random.Generator,
-        *,
-        max_rounds: int | None = None,
-        record_sizes: bool = False,
-        completion: str | CompletionCriterion = "all-vertices",
-    ) -> BipsBatchResult:
-        """Advance ``runs`` independent BIPS runs together.
-
-        All runs share the same source (and, on a sequence, one
-        topology realisation).  A finished run stops being updated: its
-        state is frozen at its completion state.
-        """
-        if runs < 1:
-            raise ValueError("need at least one run")
-        infected = np.zeros((int(runs), self.topology.n), dtype=bool)
-        infected[:, self.source] = True
-
-        res = SpreadEngine(self.rule, self.topology, completion).run(
-            infected, rng, max_rounds=max_rounds, record_sizes=record_sizes
-        )
-        return BipsBatchResult(
-            infection_times=res.finish_times,
-            rounds_run=res.rounds_run,
-            sizes=res.sizes,
         )
 
 

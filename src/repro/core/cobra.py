@@ -12,13 +12,13 @@ implicit: a vertex chosen twice appears once.
 Execution is delegated to the unified batched engine
 (:mod:`repro.engine`): :class:`CobraProcess` is a thin wrapper binding
 a :class:`~repro.engine.rules.CobraRule` to a static graph or a
-time-evolving :class:`~repro.dynamics.GraphSequence`, and both ``run``
-and ``run_batch`` drive the same ``(R, n)`` boolean program (a single
-run is the ``R = 1`` case) from the caller's Generator.  The samplers
-(:func:`cover_time_samples`, :func:`hit_time_samples`) draw from the
-sharded stream instead (:meth:`repro.engine.SpreadEngine.run_sharded`,
-one spawned seed per shard), so their samples depend only on the seed,
-the run count and the shard cap, never on how many processes ran them.
+time-evolving :class:`~repro.dynamics.GraphSequence`, and its ``run``
+is the engine's ``R = 1`` case, drawn from the caller's Generator.
+The samplers (:func:`cover_time_samples`, :func:`hit_time_samples`)
+draw from the sharded stream instead
+(:meth:`repro.engine.SpreadEngine.run_sharded`, one spawned seed per
+shard), so their samples depend only on the seed, the run count and
+the shard cap, never on how many processes ran them.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine.caps import process_round_cap
-from ..engine.completion import CompletionCriterion
+from ..engine.completion import CompletionCriterion, TargetHit
 from ..engine.engine import SpreadEngine
 from ..engine.rules import CobraRule
 from ..graphs.graph import Graph
@@ -34,7 +34,7 @@ from ..graphs.validation import check_vertex, check_vertex_set, require_connecte
 from ..parallel.sharding import finished_times_or_raise
 from ..stats.rng import generator_from
 from .branching import BranchingPolicy, make_policy
-from .state import CobraBatchResult, CobraResult
+from .state import CobraResult
 
 __all__ = [
     "CobraProcess",
@@ -77,7 +77,7 @@ class CobraProcess:
         If True, each individual neighbour selection instead returns the
         selecting vertex itself with probability 1/2 (the bipartite fix).
 
-    ``run`` and ``run_batch`` take a ``completion`` criterion: a string
+    ``run`` takes a ``completion`` criterion: a string
     (``"all-vertices"`` or ``"all-active"``) or a
     :class:`~repro.engine.completion.CompletionCriterion` such as
     ``TargetHit(v)``; the churn-aware ``"all-active"`` counts only the
@@ -144,42 +144,6 @@ class CobraProcess:
             ),
         )
 
-    # ------------------------------------------------------------------
-    def run_batch(
-        self,
-        starts: np.ndarray,
-        rng: np.random.Generator,
-        *,
-        max_rounds: int | None = None,
-        track_hits: bool = False,
-        completion: str | CompletionCriterion = "all-vertices",
-    ) -> CobraBatchResult:
-        """Advance ``R`` independent runs together (vectorised over runs).
-
-        ``starts`` is an array of ``R`` start vertices (one particle per
-        run at round 0).  Runs that finish stop consuming work; the loop
-        exits when every run has finished or the cap is reached.  On a
-        sequence all runs share one topology realisation.
-        """
-        n = self.topology.n
-        starts = np.asarray(starts, dtype=np.int64)
-        if starts.ndim != 1 or starts.size == 0:
-            raise ValueError("starts must be a 1-D nonempty array of vertices")
-        if starts.min() < 0 or starts.max() >= n:
-            raise ValueError(f"start vertex out of range [0, {n})")
-        runs = starts.shape[0]
-        state = np.zeros((runs, n), dtype=bool)
-        state[np.arange(runs), starts] = True
-
-        res = SpreadEngine(self.rule, self.topology, completion).run(
-            state, rng, max_rounds=max_rounds, track_hits=track_hits
-        )
-        return CobraBatchResult(
-            cover_times=res.finish_times,
-            rounds_run=res.rounds_run,
-            hit_times=res.hit_times,
-        )
-
 
 # ----------------------------------------------------------------------
 # Convenience wrappers
@@ -205,10 +169,13 @@ def cover_time(
     return result.cover_time
 
 
-def _start_state(graph: Graph, start: int, runs: int) -> np.ndarray:
-    """``runs`` rows of one active particle at ``start`` (none if ``runs <= 0``)."""
-    state = np.zeros((max(int(runs), 0), graph.n), dtype=bool)
-    state[:, check_vertex(graph, start)] = True
+def _start_state(topology, start: int, runs: int) -> np.ndarray:
+    """``runs`` rows of one active particle at ``start`` (none if ``runs <= 0``).
+
+    ``topology`` is a graph or a sequence: only its ``n`` is read.
+    """
+    state = np.zeros((max(int(runs), 0), topology.n), dtype=bool)
+    state[:, check_vertex(topology, start)] = True
     return state
 
 
@@ -259,18 +226,18 @@ def hit_time_samples(
 ) -> np.ndarray:
     """Sample ``Hit_start(target)`` ``runs`` times (for duality checks).
 
-    Drawn from the same sharded stream as :func:`cover_time_samples`:
-    each run goes on to cover, and its hit time of ``target`` is read
-    off the merged ``hit_times``.
+    Drawn from the sharded stream as :func:`cover_time_samples` is, but
+    each run stops at its hit: the engine runs to
+    :class:`~repro.engine.completion.TargetHit` completion, so a run
+    draws nothing after it reaches ``target``.  Raises if a run has not
+    hit ``target`` by the cap.
     """
     proc = CobraProcess(graph, branching, lazy=lazy)
     target = check_vertex(graph, target)
-    res = SpreadEngine(proc.rule, graph).run_sharded(
+    res = SpreadEngine(proc.rule, graph, TargetHit(target)).run_sharded(
         _start_state(graph, start, runs),
         rng,
         workers=1,
         max_rounds=max_rounds,
-        track_hits=True,
     )
-    finished_times_or_raise(res.finish_times, f"COBRA on {graph.name}")
-    return res.hit_times[:, target].copy()
+    return finished_times_or_raise(res.finish_times, f"COBRA on {graph.name}")

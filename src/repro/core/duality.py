@@ -25,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.completion import TargetHit
+from ..engine.engine import SpreadEngine
 from ..engine.rules import BipsRule, CobraRule
 from ..graphs.graph import Graph
 from ..graphs.validation import check_vertex, check_vertex_set, require_connected
 from ..stats.rng import generator_from
 from .branching import BranchingPolicy, make_policy
 from .exact import bips_exact, cobra_hit_survival_exact
-from .hitting import _cobra_hit_rounds
 
 __all__ = [
     "DualityReport",
@@ -121,9 +122,10 @@ def verify_duality_monte_carlo(
     the source is still unhit after ``T`` rounds.  BIPS side: fraction
     of runs (source ``source``) in which ``A_T`` misses ``start_set``
     entirely.  Both estimated from ``runs`` independent trajectories:
-    the COBRA runs one at a time (the loop of
-    :func:`~repro.core.hitting.cobra_hit_survival_mc`), the BIPS runs
-    as one ``(runs, n)`` batch.
+    the COBRA runs from the sharded stream, each stopping at its hit of
+    the source (as in :func:`~repro.core.hitting.cobra_hit_survival_mc`;
+    the stream's root is one draw from ``rng``), then the BIPS runs as
+    one ``(runs, n)`` batch on ``rng``.
     """
     if runs < 1:
         raise ValueError("need at least one run")
@@ -139,10 +141,13 @@ def verify_duality_monte_carlo(
     t_top = int(horizons.max())
     policy = make_policy(branching)
 
-    # --- COBRA side: the round each run first hits the source.
-    hits = _cobra_hit_rounds(
-        graph, c, source, CobraRule(policy, lazy=lazy), runs, t_top, gen
-    )
+    # --- COBRA side: the round each run first hits the source (-1:
+    # not by t_top).
+    state = np.zeros((runs, graph.n), dtype=bool)
+    state[:, c] = True
+    hits = SpreadEngine(
+        CobraRule(policy, lazy=lazy), graph, TargetHit(source)
+    ).run_sharded(state, gen, workers=1, max_rounds=t_top).finish_times
     unhit = (hits[:, None] < 0) | (hits[:, None] > horizons[None, :])
     cobra_side = unhit.sum(axis=0) / runs
 

@@ -10,17 +10,20 @@ linear system
 and provides Monte-Carlo hit-time survival estimation for any branching
 factor — the empirical counterpart of
 :func:`repro.core.exact.cobra_hit_survival_exact` at scales where the
-exact chain is out of reach.
+exact chain is out of reach.  Its runs are drawn, like every sampler's,
+from :meth:`~repro.engine.SpreadEngine.run_sharded`, each stopping at
+its hit (:class:`~repro.engine.completion.TargetHit` completion).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..engine.completion import TargetHit
+from ..engine.engine import SpreadEngine
 from ..engine.rules import CobraRule
 from ..graphs.graph import Graph
 from ..graphs.validation import check_vertex, check_vertex_set, require_connected
-from ..stats.rng import generator_from
 from ..stats.survival import SurvivalCurve, empirical_survival
 from .branching import BranchingPolicy, make_policy
 
@@ -72,41 +75,6 @@ def commute_time(graph: Graph, u: int, v: int) -> float:
     )
 
 
-def _cobra_hit_rounds(
-    graph: Graph,
-    start: np.ndarray,
-    target: int,
-    rule: CobraRule,
-    runs: int,
-    horizon: int,
-    gen: np.random.Generator,
-) -> np.ndarray:
-    """Round at which each of ``runs`` COBRA runs first hits ``target``.
-
-    ``start`` is a validated vertex set; ``-1`` marks a run that has not
-    hit by ``horizon``.  The runs go one after another at ``R = 1``
-    through :meth:`CobraRule.step <repro.engine.rules.CobraRule.step>`,
-    each stopping at its hit, so a run draws exactly the randomness of
-    its own rounds — the stream Theorem 1.3's Monte-Carlo check and the
-    survival estimator have always consumed.
-    """
-    hits = np.full(runs, -1, dtype=np.int64)
-    state0 = np.zeros((1, graph.n), dtype=bool)
-    state0[0, start] = True
-    if state0[0, target]:
-        hits[:] = 0
-        return hits
-    alive = np.ones(1, dtype=bool)
-    for i in range(runs):
-        state = state0
-        for t in range(1, horizon + 1):
-            state = rule.step(graph, state, alive, gen)
-            if state[0, target]:
-                hits[i] = t
-                break
-    return hits
-
-
 def cobra_hit_survival_mc(
     graph: Graph,
     start,
@@ -120,14 +88,18 @@ def cobra_hit_survival_mc(
 ) -> SurvivalCurve:
     """Monte-Carlo ``P(Hit(target) > T | C_0 = start)`` for ``T ≤ horizon``.
 
-    ``start`` is a vertex or a vertex set.  Runs hitting the horizon are
-    censored (counted as surviving), so the curve is exact in
-    expectation at every ``T ≤ horizon``.
+    ``start`` is a vertex or a vertex set.  The ``runs`` runs are drawn
+    from the sharded stream of ``rng`` and stop at their hit; a run
+    still unhit at ``horizon`` is censored (counted as surviving), so
+    the curve is exact in expectation at every ``T ≤ horizon``.
     """
-    gen = generator_from(rng)
     require_connected(graph)
     target = check_vertex(graph, target)
     start = check_vertex_set(graph, [start] if np.ndim(start) == 0 else start)
+    state = np.zeros((runs, graph.n), dtype=bool)
+    state[:, start] = True
     rule = CobraRule(make_policy(branching), lazy=lazy)
-    hits = _cobra_hit_rounds(graph, start, target, rule, runs, horizon, gen)
+    hits = SpreadEngine(rule, graph, TargetHit(target)).run_sharded(
+        state, rng, workers=1, max_rounds=horizon
+    ).finish_times
     return empirical_survival(hits, horizon=horizon)

@@ -13,9 +13,7 @@ import numpy as np
 
 __all__ = [
     "CobraResult",
-    "CobraBatchResult",
     "BipsResult",
-    "BipsBatchResult",
 ]
 
 
@@ -54,29 +52,6 @@ class CobraResult:
 
 
 @dataclass(frozen=True)
-class CobraBatchResult:
-    """Outcome of ``R`` independent COBRA runs advanced together.
-
-    ``cover_times[i] == -1`` marks a run that hit the round cap without
-    covering.  ``hit_times`` has shape ``(R, n)`` with ``-1`` for
-    unvisited, and is only populated when requested.
-    """
-
-    cover_times: np.ndarray
-    rounds_run: int
-    hit_times: np.ndarray | None = None
-
-    @property
-    def all_covered(self) -> bool:
-        """True iff every run covered the graph within the cap."""
-        return bool(np.all(self.cover_times >= 0))
-
-    def covered_fraction(self) -> float:
-        """Fraction of runs that covered within the cap."""
-        return float(np.mean(self.cover_times >= 0))
-
-
-@dataclass(frozen=True)
 class BipsResult:
     """Outcome of one BIPS run.
 
@@ -107,21 +82,3 @@ class BipsResult:
     degree_sizes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     candidate_sizes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     final_infected: np.ndarray = field(default_factory=lambda: np.empty(0, bool))
-
-
-@dataclass(frozen=True)
-class BipsBatchResult:
-    """Outcome of ``R`` independent BIPS runs advanced together.
-
-    ``infection_times[i] == -1`` marks a run that hit the round cap.
-    ``sizes`` has shape ``(R, rounds_run + 1)`` when recorded.
-    """
-
-    infection_times: np.ndarray
-    rounds_run: int
-    sizes: np.ndarray | None = None
-
-    @property
-    def all_infected(self) -> bool:
-        """True iff every run fully infected within the cap."""
-        return bool(np.all(self.infection_times >= 0))

@@ -8,23 +8,18 @@ The subsystem splits into a topology layer and a process layer:
   providers :class:`EdgeMarkovianSequence`, :class:`RewiringSequence`,
   :class:`ChurnSequence`;
 * samplers (:func:`dynamic_cover_time_samples`,
-  :func:`dynamic_infection_time_batch`, ...) that run
-  :class:`repro.core.CobraProcess` / :class:`repro.core.BipsProcess` —
-  which accept a sequence wherever they accept a graph — over the
-  per-round snapshots, with one seed stream for topology and one for
-  the process.  Each comes as a one-realisation-per-run sampler and a
-  shared-realisation batch sampler, with churn-aware completion
-  criteria (``"all-active"``).
+  :func:`dynamic_infection_time_samples`) that run COBRA and BIPS
+  (:class:`repro.core.CobraProcess` / :class:`repro.core.BipsProcess`
+  accept a sequence wherever they accept a graph) over the per-round
+  snapshots, with one seed stream for topology and one for the
+  process.  The ``sequence`` argument picks the estimator: a
+  :class:`GraphSequence` is one realisation every run replays
+  (quenched, on the sharded stream of the static samplers), a factory
+  ``topology_seed -> GraphSequence`` draws one per run (annealed).
+  Both take churn-aware completion criteria (``"all-active"``).
 """
 
-from .process import (
-    batch_seed_pair,
-    dynamic_cover_time_batch,
-    dynamic_cover_time_samples,
-    dynamic_infection_time_batch,
-    dynamic_infection_time_samples,
-    run_seed_pairs,
-)
+from .process import dynamic_cover_time_samples, dynamic_infection_time_samples
 from .providers import ChurnSequence, EdgeMarkovianSequence, RewiringSequence
 from .sequence import (
     FrozenSequence,
@@ -43,8 +38,4 @@ __all__ = [
     "ChurnSequence",
     "dynamic_cover_time_samples",
     "dynamic_infection_time_samples",
-    "dynamic_cover_time_batch",
-    "dynamic_infection_time_batch",
-    "run_seed_pairs",
-    "batch_seed_pair",
 ]

@@ -301,12 +301,15 @@ class SpreadEngine:
             hits[occ] = 0
 
         times = np.full(runs, -1, dtype=np.int64)
+        # An observer sees the visited set only where completion rests on
+        # it: what the caller records must not change what it sees.
+        shown = visited if monotone else None
         if observer is not None:
             observer(
                 FrontierObservation(
                     t=0,
                     occupied=occ,
-                    visited=visited,
+                    visited=shown,
                     alive=np.ones(runs, dtype=bool),
                 )
             )
@@ -345,7 +348,7 @@ class SpreadEngine:
                     FrontierObservation(
                         t=t,
                         occupied=rule.occupancy(state, n),
-                        visited=visited,
+                        visited=shown,
                         alive=alive,
                     )
                 )

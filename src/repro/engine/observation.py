@@ -19,7 +19,8 @@ So ``graph_at(t)`` may react to exactly the process state that is
 about to act on snapshot ``t`` — full information, zero lookahead.
 
 Determinism contract: the observation stream is a pure function of
-``(rule, topology seed, process seed, initial state)``, so an adaptive
+``(rule, topology seed, process seed, initial state)`` — never of what
+the caller asks the engine to record — so an adaptive
 source remains replayable — re-running the same engine invocation
 regenerates the identical observation sequence and therefore the
 identical topology realisation.  This is what keeps adversarial
@@ -54,10 +55,11 @@ class FrontierObservation:
         set for COBRA, the infected set for BIPS, the informed set for
         the broadcast baselines, walker positions scattered for walks.
     visited:
-        ``(R, n)`` cumulative visited mask when the engine maintains
-        one (cover-type rules, or ``track_hits``/``record_visited``);
-        None otherwise — observers should fall back to ``occupied``,
-        which for the monotone rules coincides with it.
+        ``(R, n)`` cumulative visited mask for rules whose completion
+        rests on it (``completion_basis == "visited"``: COBRA, walks);
+        None otherwise, whatever the caller records (``track_hits`` /
+        ``record_visited`` never change what an observer sees) —
+        observers should fall back to ``occupied``.
     alive:
         ``(R,)`` boolean mask of runs that have not yet completed.
     """

@@ -21,13 +21,13 @@ under identical generators (the regression tests in
 
 * ``CobraRule`` consumes randomness only for *alive* runs (finished
   rows are dropped from the work list before any draw), matching the
-  original ``CobraProcess.run_batch``; movers come out of
+  original batched COBRA loop; movers come out of
   ``np.flatnonzero`` row by row in ascending vertex order, so at
   ``R = 1`` a round draws exactly what the historical set-based round
   over the sorted unique active set drew, and drawing block by block
   consumes the stream exactly as one whole-round draw did;
 * ``BipsRule`` draws for *every* row and freezes finished rows
-  afterwards, matching the original ``BipsProcess.run_batch``; at
+  afterwards, matching the original batched BIPS loop; at
   ``R = 1`` and fixed ``b`` it also draws exactly what the original
   single-run round drew (with Bernoulli ``b = 1 + ρ`` the single-run
   round drew its second selections in another order);
@@ -166,9 +166,7 @@ class CobraRule(SpreadRule):
     its neighbours and scatters them; a lazy round keeps its picks, one
     int64 per actor, and draws its coins in a second pass.  This is the
     reference COBRA kernel (the numba kernel reproduces it bit for bit);
-    :func:`~repro.core.hitting.cobra_hit_survival_mc`,
-    :func:`~repro.core.duality.verify_duality_monte_carlo` and
-    :func:`~repro.core.metrics.per_vertex_load` call it one run at a
+    :func:`~repro.core.metrics.per_vertex_load` calls it one run at a
     time.
     """
 

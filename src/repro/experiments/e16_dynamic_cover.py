@@ -7,18 +7,19 @@ k-swap dynamics (:class:`~repro.dynamics.RewiringSequence`) on two
 extremes — a random 4-regular expander and an odd cycle — and measures
 dynamic cover and infection times per rate.
 
-Execution is batched: each sweep cell advances all its runs inside one
-``(R, n)`` boolean program via the unified engine
-(:func:`~repro.dynamics.dynamic_cover_time_batch` /
-:func:`~repro.dynamics.dynamic_infection_time_batch`), all runs of a
-cell sharing one topology realisation (quenched statistics).
+Each sweep cell draws one topology realisation from its own seed and
+hands that sequence to :func:`~repro.dynamics.dynamic_cover_time_samples`
+and :func:`~repro.dynamics.dynamic_infection_time_samples`, so every
+run of the cell replays it (quenched statistics) on the samplers'
+sharded stream.
 
 Shape criteria:
 
-* **Static anchor (exact).**  At rate 0 the batched dynamic runners
-  reproduce the static batch engines sample-for-sample under the same
-  process stream — the frozen-sequence regression contract of
-  :mod:`repro.dynamics`, now checked through the engine layer.
+* **Static anchor (exact).**  At rate 0 the dynamic samplers reproduce
+  the static samplers (:func:`~repro.core.cover_time_samples`,
+  :func:`~repro.core.infection_time_samples`) sample-for-sample under
+  the same seed — the frozen-sequence regression contract of
+  :mod:`repro.dynamics`.
 * **Expander robustness.**  Rewiring an expander keeps it an expander
   (degree-preserving swaps stay in the random-regular family), so the
   mean cover time stays within a small constant of the static mean at
@@ -33,14 +34,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.bips import BipsProcess
-from ..core.cobra import CobraProcess
+from ..core.bips import infection_time_samples
+from ..core.cobra import cover_time_samples
 from ..dynamics import (
     FrozenSequence,
     RewiringSequence,
-    batch_seed_pair,
-    dynamic_cover_time_batch,
-    dynamic_infection_time_batch,
+    dynamic_cover_time_samples,
+    dynamic_infection_time_samples,
 )
 from ..graphs.generators import cycle_graph, random_regular_graph
 from ..graphs.graph import Graph
@@ -67,24 +67,23 @@ def _swaps_for(base: Graph, rate: float) -> int:
     return max(1, round(rate * base.m)) if rate > 0 else 0
 
 
-def _sequence_factory(base: Graph, rate: float):
-    """Factory ``topology_seed -> GraphSequence`` for one sweep cell."""
+def _sequence(base: Graph, rate: float, topology_seed: int):
+    """The one topology realisation of a sweep cell."""
     if rate == 0.0:
-        return lambda topology_seed: FrozenSequence(base)
-    swaps = _swaps_for(base, rate)
-    return lambda topology_seed: RewiringSequence(base, swaps, seed=topology_seed)
+        return FrozenSequence(base)
+    return RewiringSequence(base, _swaps_for(base, rate), seed=topology_seed)
 
 
 def _measure_dynamic_task(task: dict) -> dict:
     """Module-level worker for :func:`parallel_map` (must be picklable).
 
-    One batched engine invocation per process: the cell's ``runs`` runs
-    advance together on one shared topology realisation.
+    The cell's ``runs`` runs all replay its one realisation, drawn on
+    the samplers' sharded stream in this process.
     """
     base, rate, runs = task["base"], task["rate"], task["runs"]
-    factory = _sequence_factory(base, rate)
-    cover = dynamic_cover_time_batch(factory, runs, seed=task["cover_seed"])
-    infec = dynamic_infection_time_batch(factory, runs, seed=task["infec_seed"])
+    sequence = _sequence(base, rate, task["topology_seed"])
+    cover = dynamic_cover_time_samples(sequence, runs, seed=task["cover_seed"])
+    infec = dynamic_infection_time_samples(sequence, runs, seed=task["infec_seed"])
     return {
         "family": task["family"],
         "rate": rate,
@@ -106,22 +105,6 @@ def _grid(config: ExperimentConfig) -> tuple[dict[str, Graph], tuple, int]:
     return bases, rates, runs
 
 
-def _static_cover(base: Graph, seed: int, runs: int) -> np.ndarray:
-    """Static COBRA batch samples drawn with the batched sampler's stream."""
-    _, proc_seed = batch_seed_pair(seed)
-    res = CobraProcess(base).run_batch(
-        np.zeros(runs, dtype=np.int64), np.random.default_rng(proc_seed)
-    )
-    return res.cover_times
-
-
-def _static_infection(base: Graph, seed: int, runs: int) -> np.ndarray:
-    """Static BIPS batch samples drawn with the batched sampler's stream."""
-    _, proc_seed = batch_seed_pair(seed)
-    res = BipsProcess(base, 0).run_batch(runs, np.random.default_rng(proc_seed))
-    return res.infection_times
-
-
 def run(config: ExperimentConfig) -> ExperimentResult:
     """Sweep rewiring rates on the expander and cycle families."""
     bases, rates, runs = _grid(config)
@@ -132,13 +115,16 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         # Integer seeds keep the worker/parent seed discipline stateless:
         # the parent re-derives the same run streams for the exact checks
         # regardless of worker count.
-        cover_seed, infec_seed = (int(s) for s in cell_seed.generate_state(2))
+        topology_seed, cover_seed, infec_seed = (
+            int(s) for s in cell_seed.generate_state(3)
+        )
         tasks.append(
             {
                 "family": family,
                 "base": bases[family],
                 "rate": rate,
                 "runs": runs,
+                "topology_seed": topology_seed,
                 "cover_seed": cover_seed,
                 "infec_seed": infec_seed,
             }
@@ -165,13 +151,13 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         if res["rate"] != 0.0:
             continue
         base = task["base"]
-        static_cover = _static_cover(base, task["cover_seed"], runs)
-        static_infec = _static_infection(base, task["infec_seed"], runs)
+        static_cover = cover_time_samples(base, 0, runs, rng=task["cover_seed"])
+        static_infec = infection_time_samples(base, 0, runs, rng=task["infec_seed"])
         cover_ok = bool(np.array_equal(res["cover"], static_cover))
         infec_ok = bool(np.array_equal(res["infec"], static_infec))
         checks.append(
             Check(
-                name=f"{res['family']}: frozen dynamics == static engines (exact)",
+                name=f"{res['family']}: frozen dynamics == static samplers (exact)",
                 passed=cover_ok and infec_ok,
                 detail=(
                     f"cover samples equal: {cover_ok}; "
@@ -211,11 +197,10 @@ def run(config: ExperimentConfig) -> ExperimentResult:
             "rewiring = degree-preserving double-edge swaps per round "
             "(connectivity-preserving); rate is the attempted-swap "
             "fraction of |E| per round",
-            "batched execution: each cell's runs share one topology "
-            "realisation and advance in one (R, n) boolean program "
-            "(quenched statistics)",
-            "rate 0 uses FrozenSequence: the exact-match check is the "
-            "static-regression contract of repro.dynamics, through the "
-            "unified engine",
+            "quenched statistics: each cell's runs replay one topology "
+            "realisation, drawn on the samplers' sharded stream",
+            "rate 0 uses FrozenSequence: the exact-match check against the "
+            "static samplers is the static-regression contract of "
+            "repro.dynamics",
         ],
     )

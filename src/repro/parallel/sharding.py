@@ -10,9 +10,9 @@ processes (or one after another in-process, ``workers=1``):
   into POSIX shared memory (:meth:`repro.graphs.Graph.to_shared`), so
   every worker maps the same physical ``indptr`` / ``indices`` /
   ``degrees`` instead of unpickling a private copy per task; dynamic
-  sequences are constructed per shard (see
-  :func:`repro.dynamics.dynamic_cover_time_batch`) or shipped as the
-  small seeded objects they are and realised lazily in the worker.
+  sequences ship as the small seeded objects they are and are realised
+  lazily in the worker (an observing sequence as a fresh replay per
+  shard).
 * **Randomness is per shard.**  Each shard's generator is spawned from
   the caller's master seed via :mod:`repro.stats.rng`, and the shard
   plan is a pure function of ``(rule, runs, n, max_shard)`` —
@@ -30,10 +30,12 @@ processes (or one after another in-process, ``workers=1``):
   run is just running it again.
 
 This is the one seed stream of every static sampler in
-:mod:`repro.core` and :mod:`repro.baselines`: samples depend on the
-seed, the run count and the shard cap, never on the tier that ran
-them.  ``tests/parallel/test_sharding.py`` pins the worker-count
-invariance and the serial shard-by-shard reference, and
+:mod:`repro.core` and :mod:`repro.baselines`, of the COBRA hit-time
+estimators and of the dynamic samplers on a shared
+:class:`~repro.dynamics.GraphSequence`: samples depend on the seed, the
+run count and the shard cap, never on the tier that ran them.
+``tests/parallel/test_sharding.py`` pins the worker-count invariance
+and the serial shard-by-shard reference, and
 ``tests/test_one_stream.py`` pins each sampler to it.
 
 A shard holds at most :data:`DEFAULT_SHARD_STATE_BUDGET_BYTES` of

@@ -19,7 +19,7 @@ from repro.core.branching import make_policy
 from repro.distributed import Broker
 from repro.distributed.wire import decode_task, encode_task
 from repro.distributed.worker import run_worker
-from repro.dynamics import dynamic_cover_time_batch
+from repro.dynamics import dynamic_cover_time_samples, dynamic_infection_time_samples
 from repro.engine import BipsRule, CobraRule, SpreadEngine
 from repro.graphs import random_regular_graph
 from repro.parallel import ShardTask, run_shard
@@ -115,19 +115,12 @@ def test_distributed_matches_serial_reference():
     assert np.array_equal(got.final_state, reference.final_state)
 
 
-def test_batched_sampler_sharded_parity():
-    base = _base()
-
-    def factory(topology_seed):
-        return AdversarialSequence(
-            base,
-            make_adversary("greedy-cut", 4),
-            topology_seed,
-            swaps_per_round=2,
-        )
-
-    serial = dynamic_cover_time_batch(factory, RUNS, seed=3, workers=1)
-    pooled = dynamic_cover_time_batch(factory, RUNS, seed=3, workers=2)
+def test_shared_sequence_sampler_parity():
+    # A realised adversarial sequence passed to the sampler: the tier
+    # picks where the runs execute, never what they draw.
+    seq = _sequence("greedy-cut", budget=4)
+    serial = dynamic_cover_time_samples(seq, RUNS, seed=3)
+    pooled = dynamic_cover_time_samples(seq, RUNS, seed=3, workers=2)
     assert np.array_equal(serial, pooled)
 
 
@@ -135,6 +128,51 @@ def test_shared_instance_shards_get_fresh_replays():
     # One sequence object passed (not a factory): every shard must
     # drive its own pristine replay instead of clashing on one log.
     seq = _sequence("greedy-cut", budget=4)
-    times = dynamic_cover_time_batch(seq, RUNS, seed=3, workers=1)
-    again = dynamic_cover_time_batch(seq.fresh_replay(), RUNS, seed=3, workers=1)
+    times = dynamic_cover_time_samples(seq, RUNS, seed=3, workers=1)
+    again = dynamic_cover_time_samples(seq.fresh_replay(), RUNS, seed=3, workers=1)
     assert np.array_equal(times, again)
+
+
+def test_factory_refuses_a_fleet():
+    # A factory realises one sequence per run, in this process.
+    def factory(topology_seed):
+        return _sequence("greedy-cut", budget=4, seed=topology_seed)
+
+    with pytest.raises(ValueError, match="factory"):
+        dynamic_infection_time_samples(factory, RUNS, seed=3, workers=2)
+
+
+@pytest.mark.parametrize("completion", ["all-vertices", "all-active"])
+@pytest.mark.parametrize("process", ["cobra", "bips"])
+@pytest.mark.parametrize(
+    "kind", ["greedy-cut", "isolating-churn", "moving-source", "adaptive-rri"]
+)
+def test_recording_does_not_change_what_the_adversary_sees(kind, process, completion):
+    # Hit times, sizes and visited counts are read-outs: asking for them
+    # must not hand the adversary a visited set it would not otherwise see.
+    rule = (
+        CobraRule(make_policy(2))
+        if process == "cobra"
+        else BipsRule(make_policy(2), source=0)
+    )
+    seq = AdversarialSequence(
+        random_regular_graph(128, 4, rng=11),
+        make_adversary(kind, 8),
+        77,
+        swaps_per_round=26,
+    )
+    state = np.zeros((6, seq.n), dtype=bool)
+    state[:, 0] = True
+    plain, recorded = (
+        SpreadEngine(rule, seq.fresh_replay(), completion).run(
+            state,
+            np.random.default_rng(9),
+            max_rounds=MAX_ROUNDS,
+            track_hits=record,
+            record_sizes=record,
+            record_visited=record,
+        )
+        for record in (False, True)
+    )
+    assert np.array_equal(plain.finish_times, recorded.finish_times)
+    assert np.array_equal(plain.final_state, recorded.final_state)

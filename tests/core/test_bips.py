@@ -11,7 +11,7 @@ from repro.core import (
     infection_time_samples,
     make_policy,
 )
-from repro.engine import BipsRule
+from repro.engine import BipsRule, SpreadEngine
 from repro.graphs import (
     Graph,
     complete_graph,
@@ -196,14 +196,25 @@ class TestRun:
         assert res.infection_time == -1
 
 
+def _sources(graph, runs, source=0):
+    """``runs`` rows infected at ``source`` only."""
+    state = np.zeros((runs, graph.n), dtype=bool)
+    state[:, source] = True
+    return state
+
+
 class TestBatch:
     def test_batch_times_positive(self, rng):
-        res = BipsProcess(complete_graph(8), 0).run_batch(16, rng)
-        assert res.all_infected
-        assert np.all(res.infection_times >= 1)
+        g = complete_graph(8)
+        res = SpreadEngine(BipsProcess(g, 0).rule, g).run(_sources(g, 16), rng)
+        assert res.all_finished
+        assert np.all(res.finish_times >= 1)
 
-    def test_run_batch_records_sizes(self, rng):
-        res = BipsProcess(cycle_graph(9), 0).run_batch(6, rng, record_sizes=True)
+    def test_run_records_sizes(self, rng):
+        g = cycle_graph(9)
+        res = SpreadEngine(BipsProcess(g, 0).rule, g).run(
+            _sources(g, 6), rng, record_sizes=True
+        )
         assert res.sizes is not None
         assert res.sizes.shape[0] == 6
         assert np.all(res.sizes[:, 0] == 1)
@@ -219,10 +230,6 @@ class TestBatch:
         batch = infection_time_samples(g, 0, 150, rng=9)
         se = np.sqrt(single.var(ddof=1) / 150 + batch.var(ddof=1) / 150)
         assert abs(single.mean() - batch.mean()) < 4 * se
-
-    def test_batch_run_count_validated(self, rng):
-        with pytest.raises(ValueError):
-            BipsProcess(path_graph(4), 0).run_batch(0, rng)
 
 
 class TestConvenience:

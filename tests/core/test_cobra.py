@@ -11,8 +11,15 @@ from repro.core import (
     make_policy,
 )
 from repro.core.cobra import default_round_cap
-from repro.engine import CobraRule
+from repro.engine import CobraRule, SpreadEngine
 from repro.graphs import Graph, complete_graph, cycle_graph, path_graph, star_graph
+
+
+def _starts(graph, runs, start=0):
+    """``runs`` rows of one particle at ``start``."""
+    state = np.zeros((runs, graph.n), dtype=bool)
+    state[:, start] = True
+    return state
 
 
 def _step(graph, active, rng, branching=2, lazy=False):
@@ -119,25 +126,26 @@ class TestRun:
 class TestBatch:
     def test_batch_covers(self, rng):
         g = complete_graph(12)
-        res = CobraProcess(g).run_batch(np.zeros(20, dtype=np.int64), rng)
-        assert res.all_covered
-        assert res.covered_fraction() == 1.0
-        assert np.all(res.cover_times >= np.log2(12) - 1e-9)
+        res = SpreadEngine(CobraProcess(g).rule, g).run(_starts(g, 20), rng)
+        assert res.all_finished
+        assert res.finished_fraction() == 1.0
+        assert np.all(res.finish_times >= np.log2(12) - 1e-9)
 
     def test_batch_hit_times(self, rng):
         g = path_graph(5)
-        res = CobraProcess(g).run_batch(
-            np.zeros(8, dtype=np.int64), rng, track_hits=True
+        res = SpreadEngine(CobraProcess(g).rule, g).run(
+            _starts(g, 8), rng, track_hits=True
         )
         assert res.hit_times is not None
         assert np.all(res.hit_times[:, 0] == 0)
-        assert np.all(res.hit_times.max(axis=1) == res.cover_times)
+        assert np.all(res.hit_times.max(axis=1) == res.finish_times)
 
     def test_batch_respects_cap(self, rng):
-        res = CobraProcess(cycle_graph(64)).run_batch(
-            np.zeros(4, dtype=np.int64), rng, max_rounds=2
+        g = cycle_graph(64)
+        res = SpreadEngine(CobraProcess(g).rule, g).run(
+            _starts(g, 4), rng, max_rounds=2
         )
-        assert not res.all_covered
+        assert not res.all_finished
         assert res.rounds_run == 2
 
     def test_batch_distribution_matches_single(self):
@@ -153,13 +161,6 @@ class TestBatch:
         # Compare means within joint 4-sigma.
         se = np.sqrt(single.var(ddof=1) / 150 + batch.var(ddof=1) / 150)
         assert abs(single.mean() - batch.mean()) < 4 * se
-
-    def test_batch_input_validation(self, rng):
-        proc = CobraProcess(path_graph(4))
-        with pytest.raises(ValueError):
-            proc.run_batch(np.empty(0, dtype=np.int64), rng)
-        with pytest.raises(ValueError):
-            proc.run_batch(np.array([9]), rng)
 
 
 class TestConvenience:

@@ -18,6 +18,7 @@ from repro.core import (
     infection_time,
     verify_duality_exact,
 )
+from repro.engine import SpreadEngine
 from repro.graphs import Graph, complete_graph, cycle_graph, path_graph
 
 
@@ -101,11 +102,12 @@ class TestCapsAndErrors:
         assert res.rounds_run == 0
 
     def test_batch_zero_cap(self, rng):
-        res = CobraProcess(cycle_graph(8)).run_batch(
-            np.zeros(3, dtype=np.int64), rng, max_rounds=0
-        )
-        assert not res.all_covered
-        assert res.covered_fraction() == 0.0
+        g = cycle_graph(8)
+        state = np.zeros((3, g.n), dtype=bool)
+        state[:, 0] = True
+        res = SpreadEngine(CobraProcess(g).rule, g).run(state, rng, max_rounds=0)
+        assert not res.all_finished
+        assert res.finished_fraction() == 0.0
 
     def test_bips_invalid_source(self):
         with pytest.raises(ValueError):

@@ -31,8 +31,8 @@ from repro.distributed.wire import parse_endpoint, recv_frame, send_frame
 from repro.distributed.worker import run_worker
 from repro.dynamics import (
     RewiringSequence,
-    dynamic_cover_time_batch,
-    dynamic_infection_time_batch,
+    dynamic_cover_time_samples,
+    dynamic_infection_time_samples,
 )
 from repro.engine import BipsRule, CobraRule, SpreadEngine, WalkRule
 from repro.graphs import random_regular_graph
@@ -135,17 +135,16 @@ class TestBitIdentity:
         assert np.array_equal(got.visited_counts, reference.visited_counts)
 
     @pytest.mark.parametrize(
-        "sampler", [dynamic_cover_time_batch, dynamic_infection_time_batch]
+        "sampler", [dynamic_cover_time_samples, dynamic_infection_time_samples]
     )
-    def test_dynamic_factory_samplers(self, fleet, sampler, monkeypatch, tmp_path):
+    def test_dynamic_shared_sequence_samplers(
+        self, fleet, sampler, monkeypatch, tmp_path
+    ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        base = _graph()
-
-        def factory(topology_seed):
-            return RewiringSequence(base, 2, seed=topology_seed)
-
-        reference = sampler(factory, RUNS, seed=3, workers=1)
-        got = sampler(factory, RUNS, seed=3, endpoint=fleet.address)
+        seq = RewiringSequence(_graph(), 2, seed=np.random.SeedSequence(3))
+        # The default in-process path and the broker draw one stream.
+        reference = sampler(seq, RUNS, seed=3)
+        got = sampler(seq, RUNS, seed=3, endpoint=fleet.address)
         assert np.array_equal(got, reference)
 
     def test_cover_time_samples_endpoint(self, fleet, monkeypatch, tmp_path):

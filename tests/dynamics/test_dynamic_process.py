@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import BipsProcess, CobraProcess, make_policy
+from repro.core import (
+    BipsProcess,
+    CobraProcess,
+    cover_time_samples,
+    infection_time_samples,
+    make_policy,
+)
 from repro.dynamics import (
     ChurnSequence,
     EdgeMarkovianSequence,
@@ -11,10 +17,10 @@ from repro.dynamics import (
     RewiringSequence,
     dynamic_cover_time_samples,
     dynamic_infection_time_samples,
-    run_seed_pairs,
 )
 from repro.engine import BipsRule, CobraRule
 from repro.graphs import Graph, cycle_graph, random_regular_graph
+from repro.stats import spawn_seeds
 
 ALIVE = np.ones(1, dtype=bool)
 
@@ -56,14 +62,24 @@ class TestFrozenMatchesStatic:
             assert dynamic.infection_time == static.infection_time
             assert np.array_equal(dynamic.sizes, static.sizes)
 
-    def test_cover_time_samples_exact(self, expander):
+    def test_shared_sequence_samples_equal_static_samplers(self, expander):
         frozen = FrozenSequence(expander)
-        dynamic = dynamic_cover_time_samples(frozen, 12, seed=99)
+        cover = dynamic_cover_time_samples(frozen, 12, seed=99)
+        assert np.array_equal(cover, cover_time_samples(expander, 0, 12, rng=99))
+        infec = dynamic_infection_time_samples(frozen, 12, seed=99, branching=1.5)
+        assert np.array_equal(
+            infec, infection_time_samples(expander, 0, 12, rng=99, branching=1.5)
+        )
+
+    def test_factory_samples_equal_per_run_loop(self, expander):
+        # Run i: child i of the seed, split into (topology, process) seeds.
+        frozen = FrozenSequence(expander)
+        dynamic = dynamic_cover_time_samples(lambda topo: frozen, 12, seed=99)
         proc = CobraProcess(expander)
         static = np.array(
             [
-                proc.run(0, np.random.default_rng(proc_seed)).cover_time
-                for _, proc_seed in run_seed_pairs(99, 12)
+                proc.run(0, np.random.default_rng(child.spawn(2)[1])).cover_time
+                for child in spawn_seeds(99, 12)
             ]
         )
         assert np.array_equal(dynamic, static)

@@ -10,7 +10,7 @@ from repro.core.branching import FixedBranching
 from repro.dynamics import (
     ChurnSequence,
     FrozenSequence,
-    dynamic_infection_time_batch,
+    dynamic_infection_time_samples,
 )
 from repro.engine import (
     AllActive,
@@ -138,13 +138,12 @@ class TestEngineTargetHit:
         proc = CobraProcess(g)
         res = proc.run(0, np.random.default_rng(0), completion=TargetHit(5))
         assert res.covered and res.cover_time == res.hit_times[5] >= 5
-        batch = proc.run_batch(
-            np.zeros(3, dtype=np.int64),
-            np.random.default_rng(0),
-            track_hits=True,
-            completion=TargetHit(5),
+        state = np.zeros((3, g.n), dtype=bool)
+        state[:, 0] = True
+        batch = SpreadEngine(proc.rule, g, TargetHit(5)).run(
+            state, np.random.default_rng(0), track_hits=True
         )
-        assert np.array_equal(batch.cover_times, batch.hit_times[:, 5])
+        assert np.array_equal(batch.finish_times, batch.hit_times[:, 5])
         bips = BipsProcess(g, 0).run(
             np.random.default_rng(0), completion=TargetHit(5)
         )
@@ -204,11 +203,9 @@ class TestChurnAwareCompletion:
 
     def test_batched_all_active_sampler(self):
         base = complete_graph(16)
-        factory = lambda topo: ChurnSequence(  # noqa: E731
-            base, leave=0.5, rejoin=0.25, seed=topo
-        )
-        times = dynamic_infection_time_batch(
-            factory, 6, seed=11, max_rounds=500, completion="all-active"
+        seq = ChurnSequence(base, leave=0.5, rejoin=0.25, seed=11)
+        times = dynamic_infection_time_samples(
+            seq, 6, seed=11, max_rounds=500, completion="all-active"
         )
         assert times.shape == (6,)
         assert np.all(times >= 0)

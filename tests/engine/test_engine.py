@@ -16,9 +16,8 @@ from repro.core.cobra import default_round_cap
 from repro.dynamics import (
     FrozenSequence,
     RewiringSequence,
-    batch_seed_pair,
-    dynamic_cover_time_batch,
-    dynamic_infection_time_batch,
+    dynamic_cover_time_samples,
+    dynamic_infection_time_samples,
 )
 from repro.engine import (
     BipsRule,
@@ -221,69 +220,63 @@ class TestEngineLoop:
         assert res.all_finished
 
 
+def _at_vertex(n, runs, vertex=0):
+    """``runs`` rows occupying ``vertex`` only."""
+    state = np.zeros((runs, n), dtype=bool)
+    state[:, vertex] = True
+    return state
+
+
 class TestBatchedDynamicRunner:
     """ROADMAP satellite: R dynamic runs share one topology realisation."""
 
     def test_cobra_run_batch_shapes(self, expander):
         seq = RewiringSequence(expander, 6, seed=1)
-        res = CobraProcess(seq).run_batch(
-            np.zeros(8, dtype=np.int64), np.random.default_rng(0), track_hits=True
+        res = SpreadEngine(CobraProcess(seq).rule, seq).run(
+            _at_vertex(expander.n, 8), np.random.default_rng(0), track_hits=True
         )
-        assert res.cover_times.shape == (8,)
-        assert res.all_covered
+        assert res.finish_times.shape == (8,)
+        assert res.all_finished
         assert res.hit_times.shape == (8, expander.n)
-        assert np.all(res.hit_times.max(axis=1) == res.cover_times)
+        assert np.all(res.hit_times.max(axis=1) == res.finish_times)
 
     def test_bips_run_batch_shapes(self, expander):
         seq = RewiringSequence(expander, 6, seed=2)
-        res = BipsProcess(seq, 0).run_batch(
-            5, np.random.default_rng(1), record_sizes=True
+        res = SpreadEngine(BipsProcess(seq, 0).rule, seq).run(
+            _at_vertex(expander.n, 5), np.random.default_rng(1), record_sizes=True
         )
-        assert res.infection_times.shape == (5,)
-        assert res.all_infected
+        assert res.finish_times.shape == (5,)
+        assert res.all_finished
         assert res.sizes.shape[0] == 5
         assert np.all(res.sizes[:, 0] == 1)
 
     def test_frozen_batch_equals_static_batch(self, expander):
         # The engine-level frozen anchor: same rule, same stream.
-        starts = np.zeros(6, dtype=np.int64)
-        frozen = CobraProcess(FrozenSequence(expander)).run_batch(
-            starts, np.random.default_rng(7)
+        cobra = CobraProcess(expander).rule
+        state = _at_vertex(expander.n, 6)
+        frozen = SpreadEngine(cobra, FrozenSequence(expander)).run(
+            state, np.random.default_rng(7)
         )
-        static = CobraProcess(expander).run_batch(starts, np.random.default_rng(7))
-        assert np.array_equal(frozen.cover_times, static.cover_times)
+        static = SpreadEngine(cobra, expander).run(state, np.random.default_rng(7))
+        assert np.array_equal(frozen.finish_times, static.finish_times)
 
-        frozen_b = BipsProcess(FrozenSequence(expander), 0).run_batch(
-            6, np.random.default_rng(8)
+        bips = BipsProcess(expander, 0).rule
+        frozen_b = SpreadEngine(bips, FrozenSequence(expander)).run(
+            state, np.random.default_rng(8)
         )
-        static_b = BipsProcess(expander, 0).run_batch(6, np.random.default_rng(8))
-        assert np.array_equal(frozen_b.infection_times, static_b.infection_times)
+        static_b = SpreadEngine(bips, expander).run(state, np.random.default_rng(8))
+        assert np.array_equal(frozen_b.finish_times, static_b.finish_times)
 
     def test_batch_samplers_deterministic(self, expander):
-        factory = lambda topo: RewiringSequence(expander, 8, seed=topo)  # noqa: E731
-        a = dynamic_cover_time_batch(factory, 10, seed=42)
-        b = dynamic_cover_time_batch(factory, 10, seed=42)
-        c = dynamic_cover_time_batch(factory, 10, seed=43)
+        seq = RewiringSequence(expander, 8, seed=1)
+        a = dynamic_cover_time_samples(seq, 10, seed=42)
+        b = dynamic_cover_time_samples(seq, 10, seed=42)
+        c = dynamic_cover_time_samples(seq, 10, seed=43)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-        ia = dynamic_infection_time_batch(factory, 6, seed=5)
-        ib = dynamic_infection_time_batch(factory, 6, seed=5)
+        ia = dynamic_infection_time_samples(seq, 6, seed=5)
+        ib = dynamic_infection_time_samples(seq, 6, seed=5)
         assert np.array_equal(ia, ib)
-
-    def test_batch_sampler_raises_on_cap(self):
-        stranded = Graph(3, [(0, 1)], name="stranded")
-        with pytest.raises(RuntimeError, match="round cap"):
-            dynamic_cover_time_batch(
-                FrozenSequence(stranded), 4, seed=0, max_rounds=5
-            )
-
-    def test_batch_seed_pair_published(self):
-        topo, proc = batch_seed_pair(123)
-        topo2, proc2 = batch_seed_pair(123)
-        assert np.array_equal(
-            topo.generate_state(2), topo2.generate_state(2)
-        )
-        assert np.array_equal(proc.generate_state(2), proc2.generate_state(2))
 
 
 class TestBatchedBaselines:
@@ -319,7 +312,7 @@ class TestBatchedBaselines:
         # dmin == 0 batch path: isolated vertices stay uninfected.
         g = Graph(4, [(0, 1)], name="pair-plus-isolated")
         seq = FrozenSequence(g)
-        res = BipsProcess(seq, 0).run_batch(
-            3, np.random.default_rng(0), max_rounds=30, completion="all-active"
+        res = SpreadEngine(BipsProcess(seq, 0).rule, seq, "all-active").run(
+            _at_vertex(g.n, 3), np.random.default_rng(0), max_rounds=30
         )
-        assert res.all_infected  # {0, 1} is the present set
+        assert res.all_finished  # {0, 1} is the present set

@@ -6,11 +6,11 @@ reproduce its legacy counterpart bit-for-bit under identical
 generators — the engine kernels are the historical inner loops, so any
 drift here means the refactor changed the process.  The set-based
 COBRA round (``_legacy_cobra_step``, ``np.unique`` over vertex ids) is
-kept only here, as the reference for the rule kernel, for the two
-Monte-Carlo estimators that used to call it and for ``per_vertex_load``,
-which used to inline it.  So is the whole-round batched COBRA kernel
-(``_legacy_batch_cobra_step``), the reference for the blocked round at
-``R > 1``.
+kept only here, as the reference for the rule kernel and for
+``per_vertex_load``, which used to inline it.  So is the whole-round
+batched COBRA kernel (``_legacy_batch_cobra_step``), the reference for
+the blocked round at ``R > 1``, and the batched loop the two
+Monte-Carlo hit estimators run shard by shard.
 
 The single intentional exception: the legacy random-walk cover time
 drew its uniforms in blocks of 4096 (an implementation detail, not
@@ -50,6 +50,8 @@ from repro.graphs import (
     star_graph,
 )
 from repro.graphs.properties import eccentricity
+from repro.parallel import plan_shards
+from repro.stats.rng import seed_sequence_from, spawn_seeds
 from repro.stats.survival import empirical_survival
 
 
@@ -210,10 +212,11 @@ class TestCobraEquivalence:
         ref = _legacy_cobra_run_batch(
             expander, policy, lazy, starts, np.random.default_rng(5), 10_000
         )
-        res = CobraProcess(expander, branching, lazy=lazy).run_batch(
-            starts, np.random.default_rng(5)
-        )
-        assert np.array_equal(res.cover_times, ref)
+        state = np.zeros((9, expander.n), dtype=bool)
+        state[np.arange(9), starts] = True
+        rule = CobraProcess(expander, branching, lazy=lazy).rule
+        res = SpreadEngine(rule, expander).run(state, np.random.default_rng(5))
+        assert np.array_equal(res.finish_times, ref)
 
 
 # ----------------------------------------------------------------------
@@ -305,10 +308,11 @@ class TestBipsEquivalence:
         ref = _legacy_bips_run_batch(
             expander, policy, lazy, 0, 7, np.random.default_rng(9), 10_000
         )
-        res = BipsProcess(expander, 0, branching, lazy=lazy).run_batch(
-            7, np.random.default_rng(9)
-        )
-        assert np.array_equal(res.infection_times, ref)
+        state = np.zeros((7, expander.n), dtype=bool)
+        state[:, 0] = True
+        rule = BipsProcess(expander, 0, branching, lazy=lazy).rule
+        res = SpreadEngine(rule, expander).run(state, np.random.default_rng(9))
+        assert np.array_equal(res.finish_times, ref)
 
 
 # ----------------------------------------------------------------------
@@ -530,29 +534,43 @@ class TestDynamicEquivalence:
 # ----------------------------------------------------------------------
 # Legacy Monte-Carlo estimators (hit-time survival, Theorem 1.3)
 # ----------------------------------------------------------------------
-def _legacy_hit_rounds(graph, policy, lazy, start, target, runs, horizon, rng):
-    """The set-based loop both estimators ran: first hit round, or -1."""
-    hits = np.empty(runs, dtype=np.int64)
-    for i in range(runs):
-        active = start.copy()
-        if np.any(active == target):
-            hits[i] = 0
-            continue
-        hit_at, t = -1, 0
-        while t < horizon:
+def _legacy_cobra_hit_batch(graph, policy, lazy, start, target, runs, horizon, rng):
+    """First hit rounds (-1: none by ``horizon``), drawn shard by shard.
+
+    The sharded stream's seeding — one root drawn from ``rng``, one
+    spawned seed per planned shard — around the whole-round batched
+    COBRA loop of :func:`_legacy_cobra_run_batch`, stopped per run at
+    its hit of ``target``.
+    """
+    rule = CobraRule(policy, lazy=lazy)
+    sizes = plan_shards(rule, runs, graph.n)
+    seeds = spawn_seeds(seed_sequence_from(rng), len(sizes))
+    hits = []
+    for size, seed in zip(sizes, seeds):
+        gen = np.random.default_rng(seed)
+        active = np.zeros((size, graph.n), dtype=bool)
+        active[:, start] = True
+        times = np.where(active[:, target], 0, -1)
+        t = 0
+        while np.any(times < 0) and t < horizon:
             t += 1
-            active = _legacy_cobra_step(graph, policy, lazy, active, rng)
-            if np.any(active == target):
-                hit_at = t
-                break
-        hits[i] = hit_at
-    return hits
+            alive = times < 0
+            rows, verts = np.nonzero(active & alive[:, None])
+            counts = policy.draw_counts(verts.shape[0], gen)
+            targets = _legacy_select(graph, np.repeat(verts, counts), gen, lazy)
+            active = np.zeros_like(active)
+            active[np.repeat(rows, counts), targets] = True
+            times[alive & active[:, target]] = t
+        hits.append(times)
+    return np.concatenate(hits)
 
 
 def _legacy_duality_sides(graph, policy, lazy, source, start, horizons, runs, rng):
     """Both sides of the Monte-Carlo duality check, COBRA side first."""
     t_top = int(horizons.max())
-    hits = _legacy_hit_rounds(graph, policy, lazy, start, source, runs, t_top, rng)
+    hits = _legacy_cobra_hit_batch(
+        graph, policy, lazy, start, source, runs, t_top, rng
+    )
     cobra = np.array([np.sum((hits < 0) | (hits > h)) for h in horizons]) / runs
     infected = np.zeros((runs, graph.n), dtype=bool)
     infected[:, source] = True
@@ -565,18 +583,19 @@ def _legacy_duality_sides(graph, policy, lazy, source, start, horizons, runs, rn
 
 
 class TestEstimatorEquivalence:
-    """Both estimators reproduce the set-based loop bit for bit."""
+    """Both estimators reproduce the batched loop, shard by shard, bit for bit."""
 
     @pytest.mark.parametrize("branching", [1, 1.5, 2])
     @pytest.mark.parametrize("lazy", [False, True])
     @pytest.mark.parametrize("start", [0, [2, 5], [1, 4, 8]])
-    def test_hit_survival_and_duality_match_set_loop(self, branching, lazy, start):
+    def test_hit_survival_and_duality_match_batched_loop(self, branching, lazy, start):
         # Target 8 lies in the last start set: those runs hit at round 0.
-        g, target, runs = cycle_graph(9), 8, 120
+        # 300 runs is more than one shard, so the spawned seeds matter.
+        g, target, runs = cycle_graph(9), 8, 300
         policy = make_policy(branching)
         start_arr = np.unique(np.atleast_1d(start)).astype(np.int64)
 
-        hits = _legacy_hit_rounds(
+        hits = _legacy_cobra_hit_batch(
             g, policy, lazy, start_arr, target, runs, 30, np.random.default_rng(3)
         )
         curve = cobra_hit_survival_mc(

@@ -244,6 +244,16 @@ class TestDynamicsCommand:
         with pytest.raises(SystemExit):
             main(["dynamics", "--rate", "1.5", "--runs", "2"])
 
+    def test_workers_pick_only_the_tier(self, capsys):
+        # 300 runs make two shards, so --workers 2 really forks.
+        argv = ["dynamics", "--n", "24", "--runs", "300", "--rate", "0.1",
+                "--seed", "7"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert "  execution : one shared realisation, replayed by every run\n" in serial
+
     def test_independent_rejects_fleet(self):
         # The per-run loop cannot shard, so a fleet flag is an error, as
         # it is for adversary without --batched.
@@ -274,7 +284,10 @@ class TestAdversaryCommand:
                 "--batched", "--workers", "1", "--seed", "7"]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "  execution : sharded (R, n) engine, 1 workers\n" in out
+        assert (
+            "  execution : one shared adversarial sequence, replayed by each "
+            "shard's runs\n" in out
+        )
         assert "95th percentile" in out
 
     def test_unbatched_rejects_fleet(self):

@@ -14,8 +14,8 @@ import pytest
 from repro.core.branching import make_policy
 from repro.dynamics import (
     RewiringSequence,
-    dynamic_cover_time_batch,
-    dynamic_infection_time_batch,
+    dynamic_cover_time_samples,
+    dynamic_infection_time_samples,
 )
 from repro.engine import BipsRule, CobraRule, FloodingRule, SpreadEngine, WalkRule
 from repro.graphs import cycle_graph, random_regular_graph
@@ -128,25 +128,16 @@ class TestTrajectoryMerging:
 
 class TestDynamicSharding:
     @pytest.mark.parametrize(
-        "sampler", [dynamic_cover_time_batch, dynamic_infection_time_batch]
+        "sampler", [dynamic_cover_time_samples, dynamic_infection_time_samples]
     )
-    def test_factory_samples_identical_across_worker_counts(self, sampler):
-        base = _graph()
-
-        def factory(topology_seed):
-            return RewiringSequence(base, 2, seed=topology_seed)
-
-        reference = sampler(factory, RUNS, seed=3, workers=1)
-        for workers in (2, 4):
-            assert np.array_equal(sampler(factory, RUNS, seed=3, workers=workers), reference)
-
-    def test_shared_sequence_instance_is_quenched(self):
-        # A concrete GraphSequence (not a factory) is shared by every
-        # shard: same realisation, still deterministic across counts.
+    def test_shared_sequence_samples_identical_across_worker_counts(self, sampler):
+        # A concrete GraphSequence is one realisation every run replays;
+        # the worker count picks only where the shards run.  300 runs
+        # make two shards of the default plan, so the pool really runs.
         seq = _sequence(_graph())
-        a = dynamic_cover_time_batch(seq, RUNS, seed=3, workers=1)
-        b = dynamic_cover_time_batch(seq, RUNS, seed=3, workers=2)
-        assert np.array_equal(a, b)
+        reference = sampler(seq, 300, seed=3)
+        for workers in (1, 2):
+            assert np.array_equal(sampler(seq, 300, seed=3, workers=workers), reference)
 
 
 class TestPlanAndErrors:

@@ -63,19 +63,23 @@ class TestJsonlSink:
 
     def test_through_telemetry_registry(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        tel = Telemetry(JsonlSink(path))
+        sink = JsonlSink(path)
+        tel = Telemetry(sink)
         with tel.span("s", id_parts=[1]):
             tel.event("e", t=0)
         tel.flush()
+        sink.close()
         kinds = [r["kind"] for r in load_jsonl(path)]
         assert kinds == ["span-start", "point", "span-end"]
 
     def test_every_line_is_valid_json(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        tel = Telemetry(JsonlSink(path))
+        sink = JsonlSink(path)
+        tel = Telemetry(sink)
         tel.observe("h", 0.25)
         tel.count("c")
         tel.flush()
+        sink.close()
         for line in path.read_text().splitlines():
             json.loads(line)
 
@@ -130,7 +134,8 @@ class TestJsonlSinkConcurrentWriters:
 
     def test_concurrent_registry_counts(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        tel = Telemetry(JsonlSink(path))
+        sink = JsonlSink(path)
+        tel = Telemetry(sink)
 
         def pump():
             for _ in range(100):
@@ -143,6 +148,7 @@ class TestJsonlSinkConcurrentWriters:
         for t in threads:
             t.join()
         tel.flush()
+        sink.close()
         assert tel.counters()["c"] == 400
         kinds = [r["kind"] for r in load_jsonl(path)]
         assert kinds.count("counter") == 400

@@ -1,5 +1,10 @@
 """Trace reconstruction and rendering (`repro trace summarize`)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.telemetry import (
@@ -114,6 +119,26 @@ class TestCliTraceCommand:
         assert main(["trace", "summarize", str(path)]) == 0
         out = capsys.readouterr().out
         assert "spans:" in out
+
+    def test_summarize_into_a_closed_pipe_exits_zero(self, tmp_path):
+        # ``repro trace summarize FILE | head -1``: the reader is gone
+        # before the summary is written.
+        path = tmp_path / "t.jsonl"
+        sink = JsonlSink(path)
+        for record in _traced_run():
+            sink.write(record)
+        sink.close()
+        src = Path(__file__).resolve().parents[2] / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", "summarize", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
     def test_summarize_exits_nonzero_on_garbage(self, tmp_path, capsys):
         from repro.cli import main

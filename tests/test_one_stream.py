@@ -1,18 +1,23 @@
-"""One seed stream: every static sampler draws the sharded stream.
+"""One seed stream: every sampler draws the sharded stream.
 
 A sampler's samples depend only on the seed, the run count and the
 shard cap, never on the tier that ran them.  ``CASES`` has one row per
 sampler: the call on its default, in-process tier, and the reference it
 must equal on two worker processes.  That is the sampler itself with
 ``workers=2`` where it takes ``workers``, else
-``SpreadEngine(rule, g).run_sharded(state, seed, workers=2)`` on the
-rule and start state the sampler builds.  ``RUNS`` sits above the
-256-run shard cap, so the plan has two shards and the pool really runs.
+``SpreadEngine(rule, topology, completion).run_sharded(state, seed,
+workers=2)`` on the rule, start state and completion the sampler
+builds.  The dynamic samplers take a realised sequence (one
+realisation every run replays); on a frozen one they equal the static
+samplers, and a ``SeedSequence`` seed equals its integer.  ``RUNS``
+sits above the 256-run shard cap, so the plan has two shards and the
+pool really runs.
 """
 
 import numpy as np
 import pytest
 
+from repro.adversary import AdversarialSequence, make_adversary
 from repro.baselines import (
     multi_walk_cover_samples,
     pull_broadcast_samples,
@@ -26,12 +31,19 @@ from repro.core import (
     infection_time_samples,
     make_policy,
 )
+from repro.dynamics import (
+    FrozenSequence,
+    RewiringSequence,
+    dynamic_cover_time_samples,
+    dynamic_infection_time_samples,
+)
 from repro.engine import (
     CobraRule,
     PullRule,
     PushPullRule,
     PushRule,
     SpreadEngine,
+    TargetHit,
     WalkRule,
 )
 from repro.graphs import petersen_graph
@@ -40,6 +52,10 @@ RUNS = 300
 SEED = 11
 START, TARGET = 0, 7
 GRAPH = petersen_graph()
+REWIRING = RewiringSequence(GRAPH, 2, seed=SEED)
+ADVERSARY = AdversarialSequence(
+    GRAPH, make_adversary("greedy-cut", 2), SEED, swaps_per_round=2
+)
 
 
 def _informed():
@@ -52,8 +68,10 @@ def _walkers(k):
     return np.full((RUNS, k), START, dtype=np.int64)
 
 
-def _pooled(rule, state, **record):
-    return SpreadEngine(rule, GRAPH).run_sharded(state, SEED, workers=2, **record)
+def _pooled(rule, state, completion="all-vertices"):
+    return SpreadEngine(rule, GRAPH, completion).run_sharded(
+        state, SEED, workers=2
+    )
 
 
 #: sampler name -> (default-tier call, the same stream on two processes)
@@ -73,8 +91,8 @@ CASES = {
     "hit": (
         lambda: hit_time_samples(GRAPH, START, TARGET, RUNS, rng=SEED),
         lambda: _pooled(
-            CobraRule(make_policy(2)), _informed(), track_hits=True
-        ).hit_times[:, TARGET],
+            CobraRule(make_policy(2)), _informed(), TargetHit(TARGET)
+        ).finish_times,
     ),
     "push": (
         lambda: push_broadcast_samples(GRAPH, START, RUNS, rng=SEED, fanout=2),
@@ -95,6 +113,38 @@ CASES = {
     "multi-walk": (
         lambda: multi_walk_cover_samples(GRAPH, 3, START, RUNS, rng=SEED),
         lambda: _pooled(WalkRule(3), _walkers(3)).finish_times,
+    ),
+    "dynamic-cover": (
+        lambda: dynamic_cover_time_samples(REWIRING, RUNS, seed=SEED),
+        lambda: dynamic_cover_time_samples(REWIRING, RUNS, seed=SEED, workers=2),
+    ),
+    "dynamic-infection": (
+        lambda: dynamic_infection_time_samples(ADVERSARY, RUNS, seed=SEED),
+        lambda: dynamic_infection_time_samples(
+            ADVERSARY, RUNS, seed=SEED, workers=2
+        ),
+    ),
+    "frozen-cover": (
+        lambda: dynamic_cover_time_samples(
+            FrozenSequence(GRAPH), RUNS, start=START, seed=SEED, branching=3
+        ),
+        lambda: cover_time_samples(
+            GRAPH, START, RUNS, rng=SEED, branching=3, workers=2
+        ),
+    ),
+    "frozen-infection": (
+        lambda: dynamic_infection_time_samples(
+            FrozenSequence(GRAPH), RUNS, source=START, seed=SEED, branching=1.5
+        ),
+        lambda: infection_time_samples(
+            GRAPH, START, RUNS, rng=SEED, branching=1.5, workers=2
+        ),
+    ),
+    "seed-sequence": (
+        lambda: dynamic_cover_time_samples(
+            REWIRING, RUNS, seed=np.random.SeedSequence(SEED)
+        ),
+        lambda: dynamic_cover_time_samples(REWIRING, RUNS, seed=SEED, workers=2),
     ),
 }
 
