@@ -142,19 +142,15 @@ class AdversarialSequence(MarkovGraphSequence):
         """An unused sequence replaying this seed from a pristine state.
 
         Same base, same parameters, a reset copy of the policy, and the
-        master seed re-rooted (spawn counter cleared) — the object the
-        sharded and per-run samplers hand to each new engine
-        invocation, and the exact semantics of the wire replay spec.
+        master seed (which every sequence re-roots, spawn counter
+        cleared) — the object the sharded and per-run samplers hand to
+        each new engine invocation, and the exact semantics of the wire
+        replay spec.
         """
-        seed = np.random.SeedSequence(
-            self._master.entropy,
-            spawn_key=self._master.spawn_key,
-            pool_size=self._master.pool_size,
-        )
         return AdversarialSequence(
             self.base,
             self.adversary.fresh(),
-            seed,
+            self._master,
             swaps_per_round=self.swaps_per_round,
             keep_connected=self.keep_connected,
             max_retries=self.max_retries,

@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..graphs.graph import Graph
+from ..stats.rng import unspawned
 
 __all__ = [
     "GraphSequence",
@@ -191,7 +192,7 @@ class MarkovGraphSequence(GraphSequence):
         super().__init__(base.n, name, cache_size=cache_size)
         self.base = base
         self._master = (
-            seed
+            unspawned(seed)
             if isinstance(seed, np.random.SeedSequence)
             else np.random.SeedSequence(seed)
         )

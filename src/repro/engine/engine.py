@@ -395,7 +395,8 @@ class SpreadEngine:
                 occ = rule.occupancy(state, n)
                 if visited is not None:
                     fresh = occ & ~visited
-                    fresh &= alive[:, None]
+                    if not alive.all():
+                        fresh[~alive] = False
                     visited |= fresh
                     if hits is not None:
                         hits[fresh] = t

@@ -9,6 +9,19 @@ particles the round moves.  The engine layer owns the loop, the
 visited set, hit times and completion; a rule owns only its state
 array and one ``step``.
 
+A round costs what its actors cost, not a pass over ``(R, n)`` per
+bookkeeping step.  This is the one place the invariant is stated:
+
+* finished runs are handled row by row, never by the column broadcast
+  ``mask & alive[:, None]``: :func:`live_rows` clears their rows in a
+  copy (and does nothing while every run is alive),
+  :func:`freeze_rows` copies back only their rows, and the engine's
+  visited update clears them in its own ``fresh`` array;
+* an actor's row base ``r·n`` is ``actor // n * n`` (a floor-divide by
+  a scalar), its vertex the actor minus that base, never ``actor % n``;
+* a fixed policy's ``draw_counts`` is a read-only zero-stride view of
+  ``b``, not ``k`` int64 copies; rules only read their counts.
+
 Seed-for-seed contract
 ----------------------
 The kernels here are the pre-refactor engines' inner loops moved
@@ -20,7 +33,7 @@ under identical generators (the regression tests in
 ``tests/engine/test_seed_equivalence.py`` pin this).  In particular:
 
 * ``CobraRule`` consumes randomness only for *alive* runs (finished
-  rows are dropped from the work list before any draw), matching the
+  rows are cleared from the work mask before any draw), matching the
   original batched COBRA loop; movers come out of
   ``np.flatnonzero`` row by row in ascending vertex order, so at
   ``R = 1`` a round draws exactly what the historical set-based round
@@ -89,6 +102,24 @@ __all__ = [
 #: Actors per block of a COBRA round (bounds its temporaries).  16K and
 #: 64K measured equal on a 256-run ``rreg(16384, 8)`` shard, 128K slower.
 _BLOCK = 1 << 16
+
+
+def live_rows(mask: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """``mask`` itself while every run is alive, else a copy whose
+    finished rows are zeroed."""
+    if alive.all():
+        return mask
+    out = mask.copy()
+    out[~alive] = False
+    return out
+
+
+def freeze_rows(nxt: np.ndarray, state: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """``nxt`` with the finished runs' rows put back to ``state``, in place."""
+    if not alive.all():
+        dead = ~alive
+        nxt[dead] = state[dead]
+    return nxt
 
 
 def select_targets(
@@ -192,33 +223,36 @@ class CobraRule(SpreadRule):
         n = graph.n
         if state.shape[1] != n:
             raise ValueError(f"COBRA state is {state.shape[1]} wide for {n} vertices")
-        work = state & alive[:, None]
+        work = live_rows(state, alive)
         stranded = None
         if graph.dmin == 0:
             can_move = graph.degrees > 0
             stranded = work & ~can_move[None, :]
-            work &= can_move[None, :]
+            work = work & can_move[None, :]
         movers = np.flatnonzero(work)  # r·n + v, in the 2-D nonzero's order
         counts = self.policy.draw_counts(movers.shape[0], rng)
         per = max(1, _BLOCK // int(counts.max(initial=1)))
 
         def blocks():
+            """Each block's actors as (row bases r·n, vertices v)."""
             for i in range(0, movers.shape[0], per):
-                yield np.repeat(movers[i : i + per], counts[i : i + per])
+                verts = np.repeat(movers[i : i + per], counts[i : i + per])
+                base = verts // n  # a scalar floor-divide, several times faster than %
+                base *= n
+                verts -= base
+                yield base, verts
 
         # A lazy round's coins follow all of its neighbour uniforms.
-        picks = [graph.sample_neighbors(a % n, rng) for a in blocks()] if self.lazy else None
+        picks = [graph.sample_neighbors(v, rng) for _, v in blocks()] if self.lazy else None
         nxt = np.zeros(state.shape, dtype=bool)
         flat = nxt.reshape(-1)
-        for i, actors in enumerate(blocks()):
-            verts = actors % n
+        for i, (base, verts) in enumerate(blocks()):
             if self.lazy:
                 targets = np.where(rng.random(verts.shape[0]) < 0.5, verts, picks[i])
             else:
                 targets = graph.sample_neighbors(verts, rng)
-            actors -= verts
-            actors += targets
-            flat[actors] = True
+            base += targets
+            flat[base] = True
         if stranded is not None:
             nxt |= stranded
         return nxt
@@ -301,8 +335,7 @@ class BipsRule(SpreadRule):
         rng: np.random.Generator,
     ) -> np.ndarray:
         """One infection round; finished runs are frozen afterwards."""
-        nxt = self._next(graph, state, rng)
-        return nxt if alive.all() else np.where(alive[:, None], nxt, state)
+        return freeze_rows(self._next(graph, state, rng), state, alive)
 
     def occupancy(self, state: np.ndarray, n: int) -> np.ndarray:
         """The infected mask *is* the occupancy."""
@@ -337,9 +370,9 @@ class _BroadcastRule(SpreadRule):
         mask: np.ndarray, alive: np.ndarray, graph: Graph
     ) -> tuple[np.ndarray, np.ndarray]:
         """Row/vertex indices of degree-positive actors among ``mask``."""
-        work = mask & alive[:, None]
+        work = live_rows(mask, alive)
         if graph.dmin == 0:
-            work &= (graph.degrees > 0)[None, :]
+            work = work & (graph.degrees > 0)[None, :]
         return np.nonzero(work)
 
 

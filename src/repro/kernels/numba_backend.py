@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..engine.rules import freeze_rows, live_rows
+
 __all__ = ["AVAILABLE", "cobra_stepper", "bips_stepper"]
 
 try:  # pragma: no cover - exercised only where numba is installed
@@ -141,7 +143,7 @@ def cobra_stepper(rule):
 
     def step(graph, state, alive, rng):
         """One fused branching round (numpy draws, compiled scatter)."""
-        work = state & alive[:, None]
+        work = live_rows(state, alive)
         if graph.dmin == 0:
             can_move = graph.degrees > 0
             movers = work & can_move[None, :]
@@ -198,6 +200,6 @@ def bips_stepper(rule):
                 u_second = rng.random(total)
                 _bips_second(*args, u_nbr, u_lazy, lazy, u_second, p2, nxt)
         nxt[:, source] = True
-        return np.where(alive[:, None], nxt, state)
+        return freeze_rows(nxt, state, alive)
 
     return step

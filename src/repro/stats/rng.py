@@ -16,7 +16,23 @@ __all__ = [
     "spawn_seeds",
     "generator_from",
     "seed_sequence_from",
+    "unspawned",
 ]
+
+
+def unspawned(seed: np.random.SeedSequence) -> np.random.SeedSequence:
+    """A copy of ``seed`` that has spawned no children yet.
+
+    ``SeedSequence.spawn`` numbers its children on from what the object
+    already spawned, so spawning from the caller's own object would make
+    a second call with the same seed draw other children.  Spawning from
+    this copy (same entropy, spawn key and pool size) makes a result
+    depend on the seed's identity only; a caller who wants a stream
+    passes a ``Generator``.
+    """
+    return np.random.SeedSequence(
+        seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size
+    )
 
 
 def seed_sequence_from(
@@ -48,11 +64,16 @@ def generator_from(seed: np.random.Generator | np.random.SeedSequence | int | No
 
 
 def spawn_seeds(master: int | np.random.SeedSequence, count: int) -> list[np.random.SeedSequence]:
-    """Spawn ``count`` independent child SeedSequences from a master seed."""
+    """Spawn ``count`` independent child SeedSequences from a master seed.
+
+    A ``SeedSequence`` master is left untouched (see :func:`unspawned`):
+    the same master always spawns the same children.
+    """
     if count < 0:
         raise ValueError("count must be non-negative")
-    ss = master if isinstance(master, np.random.SeedSequence) else np.random.SeedSequence(master)
-    return ss.spawn(count)
+    if isinstance(master, np.random.SeedSequence):
+        return unspawned(master).spawn(count)
+    return np.random.SeedSequence(master).spawn(count)
 
 
 def spawn_generators(master: int | np.random.SeedSequence, count: int) -> list[np.random.Generator]:

@@ -67,11 +67,14 @@ def empirical_sup_tail(
     paths = np.asarray(paths, dtype=np.float64)
     if paths.ndim != 2:
         raise ValueError("paths must be 2-D (runs, steps)")
-    runs, q_max = paths.shape
-    if q0 > q_max:
+    if q0 > paths.shape[1]:
         raise ValueError("q0 beyond the simulated horizon")
-    sums = np.cumsum(paths, axis=1)
-    qs = np.arange(1, q_max + 1, dtype=np.float64)
+    return _sup_tail(np.cumsum(paths, axis=1), delta, alpha, q0)
+
+
+def _sup_tail(sums: np.ndarray, delta: float, alpha: float, q0: int) -> float:
+    """:func:`empirical_sup_tail` on the paths' partial sums ``S_1..S_Q``."""
+    qs = np.arange(1, sums.shape[1] + 1, dtype=np.float64)
     threshold = alpha * (qs - q0) + delta * np.sqrt(q0)
     relevant = qs >= q0
     exceed = (sums > threshold[None, :]) & relevant[None, :]
@@ -100,15 +103,19 @@ def check_azuma_on_paths(
     alphas=(0.25, 0.5, 1.0),
     q0s=(8, 32, 128),
 ) -> list[TailCheck]:
-    """Evaluate Corollary 2.2 empirically across a (δ, α, q0) grid."""
+    """Evaluate Corollary 2.2 empirically across a (δ, α, q0) grid.
+
+    The partial sums are taken once for the whole grid.
+    """
     checks = []
     q_max = paths.shape[1]
+    sums = np.cumsum(np.asarray(paths, dtype=np.float64), axis=1)
     for delta in deltas:
         for alpha in alphas:
             for q0 in q0s:
                 if q0 > q_max:
                     continue
-                emp = empirical_sup_tail(paths, delta, alpha, q0)
+                emp = _sup_tail(sums, delta, alpha, q0)
                 checks.append(
                     TailCheck(
                         delta=float(delta),

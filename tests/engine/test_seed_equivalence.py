@@ -169,18 +169,28 @@ class TestBlockedCobraRound:
         rule = CobraRule(make_policy(branching), lazy=lazy)
         for name, graph in BLOCK_GRAPHS.items():
             for runs in (0, 1, 7):
-                state = np.random.default_rng(runs).random((runs, graph.n)) < 0.3
+                plain = np.random.default_rng(runs).random((runs, graph.n)) < 0.3
+                stranded = plain.copy()
+                stranded[:, graph.degrees == 0] = True  # in live and finished rows
                 alive = np.ones(runs, dtype=bool)
                 if runs == 7:
                     alive[[1, 4]] = False  # finished runs draw nothing
-                ref, new = state, state
-                ref_rng, new_rng = np.random.default_rng(9), np.random.default_rng(9)
-                for t in range(4):
-                    ref = _legacy_batch_cobra_step(rule, graph, ref, alive, ref_rng)
-                    new = rule.step(graph, new, alive, new_rng)
-                    case = f"{name}, R={runs}, round {t + 1}"
-                    assert np.array_equal(new, ref), case
-                    assert new_rng.bit_generator.state == ref_rng.bit_generator.state, case
+                for label, start in (("plain", plain), ("stranded", stranded)):
+                    ref, new = start, start
+                    ref_rng, new_rng = np.random.default_rng(9), np.random.default_rng(9)
+                    for t in range(4):
+                        ref = _legacy_batch_cobra_step(rule, graph, ref, alive, ref_rng)
+                        new = rule.step(graph, new, alive, new_rng)
+                        case = f"{name}, R={runs}, {label} start, round {t + 1}"
+                        assert np.array_equal(new, ref), case
+                        assert new_rng.bit_generator.state == ref_rng.bit_generator.state, case
+
+    def test_step_leaves_its_input_alone(self):
+        graph = BLOCK_GRAPHS["churned-12"]
+        state = np.ones((3, graph.n), dtype=bool)
+        for alive in (np.ones(3, dtype=bool), np.array([True, False, True])):
+            CobraRule(make_policy(2)).step(graph, state, alive, np.random.default_rng(0))
+            assert state.all()
 
     def test_state_width_must_match_the_graph(self):
         state = np.zeros((2, 6), dtype=bool)

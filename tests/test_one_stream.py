@@ -9,9 +9,9 @@ must equal on two worker processes.  That is the sampler itself with
 workers=2)`` on the rule, start state and completion the sampler
 builds.  The dynamic samplers take a realised sequence (one
 realisation every run replays); on a frozen one they equal the static
-samplers, and a ``SeedSequence`` seed equals its integer.  ``RUNS``
-sits above the 256-run shard cap, so the plan has two shards and the
-pool really runs.
+samplers, and a ``SeedSequence`` seed equals its integer, however
+often the one object is reused.  ``RUNS`` sits above the 256-run shard
+cap, so the plan has two shards and the pool really runs.
 """
 
 import numpy as np
@@ -155,3 +155,20 @@ def test_sampler_draws_the_sharded_stream(name):
     got = sample()
     assert got.dtype == np.int64 and got.shape == (RUNS,)
     assert np.array_equal(got, on_two_processes())
+
+
+def test_a_reused_seed_sequence_draws_the_same_samples():
+    seed = np.random.SeedSequence(5)
+    first = cover_time_samples(GRAPH, START, RUNS, rng=seed)
+    assert np.array_equal(cover_time_samples(GRAPH, START, RUNS, rng=seed), first)
+    assert np.array_equal(cover_time_samples(GRAPH, START, RUNS, rng=5), first)
+
+
+def test_sequences_on_one_seed_sequence_realise_the_same_topology():
+    seed = np.random.SeedSequence(5)
+    first, second = RewiringSequence(GRAPH, 10, seed), RewiringSequence(GRAPH, 10, seed)
+    later = second.graph_at(3)  # read before the first sequence is
+    assert np.array_equal(first.graph_at(3).edge_array(), later.edge_array())
+    assert np.array_equal(
+        RewiringSequence(GRAPH, 10, 5).graph_at(3).edge_array(), later.edge_array()
+    )
