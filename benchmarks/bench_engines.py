@@ -10,12 +10,12 @@ caught independently of the experiment pipelines.
 import numpy as np
 import pytest
 
+from repro.baselines import flooding_broadcast_times
 from repro.core import BipsProcess, CobraProcess
 from repro.core.branching import FixedBranching
 from repro.dynamics import RewiringSequence
 from repro.engine import (
     CobraRule,
-    FloodingRule,
     PullRule,
     PushRule,
     SpreadEngine,
@@ -115,17 +115,8 @@ def test_bench_engine_walk_step(benchmark, expander, rng):
 
 
 def test_bench_engine_flooding_batch(benchmark, expander):
-    rule = FloodingRule(runs=256)
-    engine = SpreadEngine(rule, expander)
-    mask = np.zeros((256, expander.n), dtype=bool)
-    mask[np.arange(256), np.arange(256)] = True
-    state = rule.pack(mask)
-
-    def run():
-        return engine.run(state, np.random.default_rng(0)).rounds_run
-
-    rounds = benchmark(run)
-    assert rounds >= 3
+    times = benchmark(flooding_broadcast_times, expander, np.arange(256))
+    assert times.max() >= 3
 
 
 def test_bench_engine_dynamic_batch(benchmark):

@@ -1,14 +1,10 @@
-"""Kernel throughput: per-round seconds, numpy vs the faster kernels.
+"""Kernel throughput: per-round seconds, numpy vs the numba kernels.
 
 Times one engine round (wall seconds / rounds executed) for each rule
 that has a faster twin in :mod:`repro.kernels`, at n ∈ {10^4, 10^5}:
-
-* **COBRA** and batch **BIPS** — the numpy rules vs the fused
-  ``numba`` CSR kernels (bit-identical, so the comparison is pure
-  wall-clock), switched the way ``tests/kernels/test_numba_parity.py``
-  switches them;
-* **push** — ``PushRule`` vs the word-packed ``BitPushRule``
-  (distribution-equivalent: same per-run law, 64 runs per draw).
+**COBRA** and batch **BIPS**, the numpy rules vs the fused ``numba``
+CSR kernels (bit-identical, so the comparison is pure wall-clock),
+switched the way ``tests/kernels/test_numba_parity.py`` switches them.
 
 The pytest gate asserts the ≥ 10× per-round win of the numba kernel
 over numpy for COBRA at n = 10^5 — on machines that actually have
@@ -34,9 +30,9 @@ import numpy as np
 import pytest
 
 from repro.core.branching import make_policy
-from repro.engine import BipsRule, CobraRule, PushRule, SpreadEngine
+from repro.engine import BipsRule, CobraRule, SpreadEngine
 from repro.graphs import random_regular_graph
-from repro.kernels import BitPushRule, dispatch, numba_backend
+from repro.kernels import dispatch, numba_backend
 
 SIZES = (10_000, 100_000)
 RUNS = 32
@@ -52,7 +48,6 @@ GATE_N = 100_000
 CELLS = {
     "cobra": (lambda: CobraRule(make_policy(2)), "numba"),
     "bips": (lambda: BipsRule(make_policy(2), 0), "numba"),
-    "push": (lambda: PushRule(), "bitplane"),
 }
 
 
@@ -63,15 +58,6 @@ def build_cell(rule_key: str, n: int, runs: int = RUNS):
     state = np.zeros((runs, n), dtype=bool)
     state[:, 0] = True
     return engine, state
-
-
-def faster_cell(engine, state, kernel: str):
-    """The engine and start state that run ``kernel`` on the same cell:
-    the same engine for numba, a packed ``BitPushRule`` for bitplane."""
-    if kernel == "numba":
-        return engine, state
-    rule = BitPushRule(state.shape[0])
-    return SpreadEngine(rule, engine.topology), rule.pack(state)
 
 
 def time_kernel(
@@ -108,7 +94,7 @@ def measure(
     rows: list[dict] = []
     skipped: list[str] = []
     for rule_key, (_, kernel) in CELLS.items():
-        kernel_ok = kernel != "numba" or numba_backend.AVAILABLE
+        kernel_ok = numba_backend.AVAILABLE
         if not kernel_ok and kernel not in skipped:
             skipped.append(kernel)
         for n in sizes:
@@ -128,12 +114,10 @@ def measure(
             )
             if not kernel_ok:
                 continue
-            fast_engine, fast_state = faster_cell(engine, state, kernel)
-            numba = kernel == "numba"
-            # Warm-up: compile (numba) / allocate (bitplane) off the clock.
-            time_kernel(fast_engine, fast_state, numba=numba, max_rounds=2)
+            # Warm-up: compile off the clock.
+            time_kernel(engine, state, numba=True, max_rounds=2)
             spr, rounds = time_kernel(
-                fast_engine, fast_state, numba=numba, max_rounds=max_rounds
+                engine, state, numba=True, max_rounds=max_rounds
             )
             rows.append(
                 {

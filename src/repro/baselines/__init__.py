@@ -1,9 +1,10 @@
 """Baseline propagation processes COBRA is compared against (E9).
 
-Every baseline executes through the unified batched engine
+Every random baseline executes through the unified batched engine
 (:mod:`repro.engine`); the samplers advance all their runs inside one
 ``(R, n)`` boolean program per shard, on the sharded stream of
-:meth:`repro.engine.SpreadEngine.run_sharded`.
+:meth:`repro.engine.SpreadEngine.run_sharded`.  Flooding draws
+nothing, so it is a BFS (:mod:`repro.baselines.flooding`).
 """
 
 from .flooding import (

@@ -7,21 +7,19 @@ Flooding spends ``d(u)`` transmissions per vertex per round — the
 budget COBRA caps at ``b`` — and realises the ``Diam(G)`` part of the
 paper's universal lower bound ``max{log₂ n, Diam(G)}``.
 
-Flooding executes through the unified batched engine
-(:class:`repro.engine.SpreadEngine` with a
-:class:`~repro.engine.rules.FloodingRule`, which consumes no
-randomness): :func:`flooding_broadcast_times` expands the BFS balls of
-``R`` start vertices inside one ``(R, n)`` boolean program, which is
-also what makes flooding available on time-evolving topologies.
+Flooding draws no randomness, so it is a BFS, not an engine rule:
+:func:`flooding_broadcast_time` and :func:`flooding_frontier_sizes`
+read :meth:`repro.graphs.Graph.bfs_distances`, and
+:func:`flooding_broadcast_times` advances the BFS balls of many starts
+together, packed eight runs per byte and 64 per word.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..engine.engine import SpreadEngine
-from ..engine.rules import FloodingRule
 from ..graphs.graph import Graph
+from ..graphs.properties import eccentricity
 from ..graphs.validation import check_vertex, require_connected
 
 __all__ = [
@@ -31,30 +29,19 @@ __all__ = [
 ]
 
 
-def _flooding_run(graph: Graph, starts: np.ndarray, record_sizes: bool):
-    """Run the engine from each start vertex (no randomness consumed)."""
-    rule = FloodingRule(runs=starts.shape[0])
-    engine = SpreadEngine(rule, graph)
-    mask = np.zeros((starts.shape[0], graph.n), dtype=bool)
-    mask[np.arange(starts.shape[0]), starts] = True
-    return engine.run(
-        rule.pack(mask), np.random.default_rng(0), record_sizes=record_sizes
-    )
-
-
 def flooding_broadcast_time(graph: Graph, start: int = 0) -> int:
     """Rounds for flooding to inform everyone — equals ``ecc(start)``."""
     require_connected(graph)
-    start = check_vertex(graph, start)
-    res = _flooding_run(graph, np.array([start], dtype=np.int64), False)
-    return int(res.finish_times[0])
+    return eccentricity(graph, check_vertex(graph, start))
 
 
 def flooding_broadcast_times(graph: Graph, starts) -> np.ndarray:
     """Flooding broadcast times (eccentricities) for many start vertices.
 
-    All starts advance together in one ``(R, n)`` program; the result
-    is ``[ecc(s) for s in starts]``.
+    Run ``r`` is bit ``r % 8`` of byte ``r // 8`` in each vertex's row,
+    and the row is read as 64-bit words, so one word op advances 64
+    runs and a round is one CSR gather plus one ``bitwise_or.reduceat``.
+    The result is ``[ecc(s) for s in starts]``.
     """
     require_connected(graph)
     starts = np.asarray(starts, dtype=np.int64)
@@ -62,7 +49,24 @@ def flooding_broadcast_times(graph: Graph, starts) -> np.ndarray:
         raise ValueError("starts must be a 1-D nonempty array of vertices")
     if starts.min() < 0 or starts.max() >= graph.n:
         raise ValueError(f"start vertex out of range [0, {graph.n})")
-    return _flooding_run(graph, starts, False).finish_times.copy()
+    runs = starts.shape[0]
+    mask = np.zeros((graph.n, -(-runs // 64) * 64), dtype=bool)
+    mask[starts, np.arange(runs)] = True
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    informed = frontier = packed.view(np.uint64)
+    times = np.zeros(runs, dtype=np.int64)
+    while True:
+        covered = np.bitwise_and.reduce(informed, axis=0).view(np.uint8)
+        pending = np.unpackbits(~covered, count=runs, bitorder="little")
+        if not pending.any():
+            return times
+        times += pending
+        # Only last round's frontier can reach an uninformed vertex.
+        reached = np.bitwise_or.reduceat(
+            frontier[graph.indices], graph.indptr[:-1], axis=0
+        )
+        frontier = reached & ~informed
+        informed = informed | frontier
 
 
 def flooding_frontier_sizes(graph: Graph, start: int = 0) -> np.ndarray:
@@ -73,5 +77,4 @@ def flooding_frontier_sizes(graph: Graph, start: int = 0) -> np.ndarray:
     """
     require_connected(graph)
     start = check_vertex(graph, start)
-    res = _flooding_run(graph, np.array([start], dtype=np.int64), True)
-    return res.sizes[0].copy()
+    return np.cumsum(np.bincount(graph.bfs_distances(start)))

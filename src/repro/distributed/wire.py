@@ -47,7 +47,6 @@ from ..engine.engine import SpreadResult, StaticTopology
 from ..engine.rules import (
     BipsRule,
     CobraRule,
-    FloodingRule,
     PullRule,
     PushPullRule,
     PushRule,
@@ -222,12 +221,6 @@ def _encode_rule(rule) -> dict:
         return {"kind": "push-pull"}
     if isinstance(rule, PullRule):
         return {"kind": "pull"}
-    if isinstance(rule, FloodingRule):
-        return {
-            "kind": "flooding",
-            "runs": int(rule.runs),
-            "reflood": bool(rule.reflood),
-        }
     raise TypeError(f"spread rule {type(rule).__name__} is not wire-encodable")
 
 
@@ -250,8 +243,6 @@ def _decode_rule(obj: dict):
         return PushPullRule()
     if kind == "pull":
         return PullRule()
-    if kind == "flooding":
-        return FloodingRule(runs=int(obj["runs"]), reflood=obj["reflood"])
     raise ValueError(f"unknown spread rule kind {kind!r}")
 
 
@@ -599,9 +590,7 @@ def _wrap_decode_error(kind: str, exc: BaseException) -> WireDecodeError:
 
 def _check_state(rule, state: np.ndarray, n: int) -> None:
     """Refuse a state that is not the array the decoded ``rule`` steps."""
-    if isinstance(rule, FloodingRule):  # 2·⌈runs/8⌉ packed bit planes
-        ok = state.dtype == np.uint8 and state.shape == (2 * -(-rule.runs // 8), n)
-    elif isinstance(rule, WalkRule):  # (R, k) positions in [0, n)
+    if isinstance(rule, WalkRule):  # (R, k) positions in [0, n)
         ok = state.dtype == np.int64 and state.ndim == 2 and state.shape[1] == rule.k
         ok = ok and (state.size == 0 or 0 <= state.min() <= state.max() < n)
     else:

@@ -5,22 +5,22 @@ of any spread process over any topology source.  The three axes are
 independent and freely composable:
 
 * **Spread rule** (:mod:`~repro.engine.rules`) — COBRA
-  branching-choose-``b``, BIPS pull, push, pull, push–pull, flooding,
-  and ``k`` independent walks, each a small gather/scatter kernel over
-  the CSR arrays;
+  branching-choose-``b``, BIPS pull, push, pull, push–pull and ``k``
+  independent walks, each a small gather/scatter kernel over the CSR
+  arrays with one state row per run;
 * **Topology source** (:class:`~repro.engine.engine.StaticTopology` or
   any :class:`repro.dynamics.GraphSequence`) — static and
   time-evolving graphs share one step loop;
 * **Completion criterion** (:mod:`~repro.engine.completion`) —
   ``all-vertices``, churn-aware ``all-active``, or ``TargetHit(v)``.
 
-:mod:`repro.core`, :mod:`repro.baselines` and :mod:`repro.dynamics`
-are thin wrappers over this layer; round caps are centralised in
-:mod:`~repro.engine.caps` and per-rule memory footprints feed
-:func:`repro.parallel.plan_shards`.
+:mod:`repro.core`, :mod:`repro.baselines` (all but flooding, which is
+a BFS) and :mod:`repro.dynamics` are thin wrappers over this layer;
+round caps are centralised in :mod:`~repro.engine.caps` and per-rule
+memory footprints feed :func:`repro.parallel.plan_shards`.
 """
 
-from .caps import flooding_round_cap, process_round_cap, walk_round_cap
+from .caps import process_round_cap, walk_round_cap
 from .completion import (
     AllActive,
     AllVertices,
@@ -33,7 +33,6 @@ from .observation import FrontierObservation
 from .rules import (
     BipsRule,
     CobraRule,
-    FloodingRule,
     PullRule,
     PushPullRule,
     PushRule,
@@ -56,7 +55,6 @@ __all__ = [
     "PushRule",
     "PullRule",
     "PushPullRule",
-    "FloodingRule",
     "WalkRule",
     # completion
     "CompletionCriterion",
@@ -67,5 +65,4 @@ __all__ = [
     # caps
     "process_round_cap",
     "walk_round_cap",
-    "flooding_round_cap",
 ]

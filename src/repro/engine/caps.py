@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["process_round_cap", "walk_round_cap", "flooding_round_cap"]
+__all__ = ["process_round_cap", "walk_round_cap"]
 
 
 def process_round_cap(n: int, m: int, dmax: int) -> int:
@@ -44,8 +44,3 @@ def walk_round_cap(n: int, dmax: int) -> int:
     Walks have no branching, so the epidemic cap shape does not apply.
     """
     return int(64 * n * max(1.0, math.log(n)) * dmax + 1000)
-
-
-def flooding_round_cap(n: int) -> int:
-    """Cap for deterministic flooding: the eccentricity is below ``n``."""
-    return int(n)

@@ -5,9 +5,10 @@
 static :class:`~repro.graphs.Graph` or a time-evolving
 :class:`~repro.dynamics.GraphSequence` — until a
 :class:`~repro.engine.completion.CompletionCriterion` is met or a
-round cap is hit.  Every process in the repo (COBRA, BIPS, push, pull,
-push–pull, flooding, k walks, and their dynamic variants) is a thin
-wrapper over this one loop::
+round cap is hit.  State has one row per run.  Every random process in
+the repo (COBRA, BIPS, push, pull, push–pull, k walks, and their
+dynamic variants) is a thin wrapper over this one loop (flooding,
+which draws nothing, is a BFS: :mod:`repro.baselines.flooding`)::
 
     engine = SpreadEngine(CobraRule(policy), graph)          # static
     engine = SpreadEngine(BipsRule(policy, 0), sequence,      # dynamic
@@ -38,7 +39,7 @@ import numpy as np
 
 from ..graphs.graph import Graph
 from ..telemetry import get_telemetry
-from .completion import AllVertices, CompletionCriterion, make_completion
+from .completion import CompletionCriterion, make_completion
 from .observation import FrontierObservation
 from .rules import SpreadRule
 
@@ -163,9 +164,6 @@ class SpreadEngine:
         self.rule = rule
         self.topology = as_topology(topology)
         self.completion = make_completion(completion)
-        validate = getattr(rule, "validate_topology", None)
-        if validate is not None:
-            validate(self.topology)
 
     # ------------------------------------------------------------------
     def default_cap(self) -> int:
@@ -221,11 +219,7 @@ class SpreadEngine:
             topo.observe if getattr(topo, "observes_process", False) else None
         )
         n = topo.n
-        # Rules with non-row-per-run state (bit-packed flooding) publish
-        # their run count through runs_of; the default is one state row
-        # per run.
-        runs_of = getattr(self.rule, "runs_of", None)
-        runs = runs_of(state) if runs_of is not None else state.shape[0]
+        runs = state.shape[0]
         cap = self.default_cap() if max_rounds is None else int(max_rounds)
 
         binding = dispatch.resolve(self.rule, n=n, runs=runs)
@@ -330,15 +324,6 @@ class SpreadEngine:
             and monotone
             and not record_sizes
         )
-        # Bit-packed rules (flooding) answer all-vertices completion on
-        # their packed planes, skipping the dense unpack per round.
-        finished = getattr(rule, "finished", None)
-        use_packed_done = (
-            finished is not None
-            and isinstance(self.completion, AllVertices)
-            and visited is None
-            and not record_sizes
-        )
 
         t = 0
         while np.any(times < 0) and t < cap:
@@ -379,9 +364,6 @@ class SpreadEngine:
                     "engine.round.seconds", time.perf_counter() - round_wall0
                 )
             t += 1
-            if use_packed_done:
-                times[alive & finished(state)] = t
-                continue
             if use_sparse:
                 rows, verts = touched(state, n)
                 keep = alive[rows] & ~visited[rows, verts]

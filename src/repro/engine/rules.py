@@ -57,25 +57,14 @@ imports from :mod:`repro.core`.
 
 Compiled kernels
 ----------------
-The kernels in this module are the reference; :mod:`repro.kernels`
-relates faster code to them, per rule:
-
-* **bit-identical** numba kernels for :class:`CobraRule` and
-  :class:`BipsRule`.  They pre-draw the
-  same uniforms from the same Generator in the same order and
-  reproduce the numpy index arithmetic exactly, so the engine swaps
-  them in by itself (:func:`repro.kernels.dispatch.resolve`, where
-  numba is installed and the graph is large): wall-clock changes,
-  never a sample.
-* **distribution-equivalent** bit-plane rules
-  (:class:`~repro.kernels.BitPushRule` and its pull and push–pull
-  siblings) for :class:`PushRule`, :class:`PullRule` and
-  :class:`PushPullRule`.  They share neighbour draws across the runs
-  of a machine word, so per-run cover/broadcast laws are exact but the
-  draw stream (and cross-run independence within a word) differs.
-  They are separate rules a caller chooses, never a substitution.
-* every other rule (:class:`FloodingRule`, already bit-parallel, and
-  :class:`WalkRule`) always runs its own ``step``.
+The kernels in this module are the reference.  The numba kernels of
+:mod:`repro.kernels` are **bit-identical** to :class:`CobraRule` and
+:class:`BipsRule`: they pre-draw the same uniforms from the same
+Generator in the same order and reproduce the numpy index arithmetic
+exactly, so the engine swaps them in by itself
+(:func:`repro.kernels.dispatch.resolve`, where numba is installed and
+the graph is large): wall-clock changes, never a sample.  Every other
+rule runs its own ``step``.
 """
 
 from __future__ import annotations
@@ -84,8 +73,8 @@ import abc
 
 import numpy as np
 
-from ..graphs.graph import Graph, _ragged_arange
-from .caps import flooding_round_cap, process_round_cap, walk_round_cap
+from ..graphs.graph import Graph
+from .caps import process_round_cap, walk_round_cap
 
 __all__ = [
     "SpreadRule",
@@ -94,7 +83,6 @@ __all__ = [
     "PushRule",
     "PullRule",
     "PushPullRule",
-    "FloodingRule",
     "WalkRule",
 ]
 
@@ -147,7 +135,8 @@ class SpreadRule(abc.ABC):
         ``"visited"`` if completion is judged on the cumulative visited
         set (cover-type processes: COBRA, walks), ``"state"`` if on the
         instantaneous state (infection/broadcast-type: BIPS, push,
-        pull, flooding — for the monotone broadcasts the two coincide).
+        pull, push–pull — for the monotone broadcasts the two
+        coincide).
     state_arrays:
         How many ``(R, n)``-byte boolean-array equivalents the engine
         keeps live per run while stepping this rule; used by
@@ -445,139 +434,6 @@ class PushPullRule(_BroadcastRule):
         learned = state[rows_a, answers]
         nxt[rows_a[learned], askers[learned]] = True
         return nxt
-
-
-class FloodingRule(SpreadRule):
-    """Deterministic flooding: every informed vertex transmits to *all*
-    neighbours each round, so the informed set after ``t`` rounds is the
-    BFS ball of radius ``t``.  Consumes no randomness.
-
-    This is the engine's one bit-parallel rule: the ``R`` runs are
-    packed into uint8 bitplanes, so state is ``(2·ceil(R/8), n)`` —
-    the first half holds the informed bits, the second half the
-    frontier bits (vertices first informed last round).  One round is a
-    single CSR gather plus a ``bitwise_or.reduceat``, advancing all
-    runs 8-per-byte: a full broadcast costs O(m · R/8) byte-ops, the
-    bit-parallel analogue of one BFS.  Use :meth:`pack` to build the
-    initial state from a boolean mask.
-
-    On a static topology only the frontier transmits (interior vertices
-    already reached all their neighbours).  On a *time-evolving*
-    topology an interior vertex can gain new neighbours, so pass
-    ``reflood=True`` to re-transmit from the whole informed set every
-    round (the literal protocol, correct on dynamic snapshots).
-    """
-
-    completion_basis = "state"
-    state_arrays = 1  # packed bits: n/4 bytes per run in state
-
-    def __init__(self, runs: int = 1, reflood: bool = False) -> None:
-        if runs < 1:
-            raise ValueError("need at least one run")
-        self.runs = int(runs)
-        self.reflood = bool(reflood)
-
-    # -- packing --------------------------------------------------------
-    def pack(self, mask: np.ndarray) -> np.ndarray:
-        """Pack an ``(R, n)`` boolean informed mask into rule state."""
-        if mask.shape[0] != self.runs:
-            raise ValueError(f"mask must have {self.runs} rows")
-        informed = np.packbits(mask, axis=0, bitorder="little")
-        return np.concatenate([informed, informed.copy()], axis=0)
-
-    def runs_of(self, state: np.ndarray) -> int:
-        """The run count is fixed at construction (bits hide ``R``)."""
-        return self.runs
-
-    def validate_topology(self, topology) -> None:
-        """Refuse frontier-only flooding on a non-static topology.
-
-        The frontier optimisation assumes interior vertices never gain
-        new neighbours; on a time-evolving topology that silently
-        inflates broadcast times, so the engine demands
-        ``reflood=True`` there (checked at engine construction).
-        """
-        from .engine import StaticTopology
-
-        if not self.reflood and not isinstance(topology, StaticTopology):
-            raise ValueError(
-                "frontier-only flooding is wrong on a time-evolving "
-                "topology: construct FloodingRule(..., reflood=True) to "
-                "re-transmit from the whole informed set each round"
-            )
-
-    # -- kernel ---------------------------------------------------------
-    @staticmethod
-    def _or_over_neighbors(
-        graph: Graph, bits: np.ndarray, verts: np.ndarray
-    ) -> np.ndarray:
-        """OR the ``bits`` planes over each vertex's neighbourhood.
-
-        Returns the ``(Wb, len(verts))`` OR-reduction of ``bits`` over
-        the neighbours of each vertex in ``verts`` (every vertex must
-        have positive degree).
-        """
-        counts = graph.degrees[verts]
-        flat = np.repeat(graph.indptr[verts], counts) + _ragged_arange(counts)
-        gathered = bits[:, graph.indices[flat]]
-        seg_starts = np.cumsum(counts) - counts
-        return np.bitwise_or.reduceat(gathered, seg_starts, axis=1)
-
-    def step(
-        self,
-        graph: Graph,
-        state: np.ndarray,
-        alive: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Expand each run's informed set by one BFS level (no RNG)."""
-        wb = state.shape[0] // 2
-        informed, frontier = state[:wb], state[wb:]
-        plane = informed if self.reflood else frontier
-        sources = np.nonzero(plane.any(axis=0) & (graph.degrees > 0))[0]
-        if sources.size == 0:
-            return np.concatenate([informed, np.zeros_like(frontier)], axis=0)
-        # Recompute exactly the columns reachable from the sources
-        # (scatter-dedup: cheaper than sorting the neighbour multiset).
-        counts = graph.degrees[sources]
-        flat = np.repeat(graph.indptr[sources], counts) + _ragged_arange(counts)
-        is_target = np.zeros(graph.n, dtype=bool)
-        is_target[graph.indices[flat]] = True
-        targets = np.nonzero(is_target)[0]
-        arrived = self._or_over_neighbors(graph, plane, targets)
-        nxt_informed = informed.copy()
-        new_bits = arrived & ~informed[:, targets]
-        nxt_informed[:, targets] |= new_bits
-        nxt_frontier = np.zeros_like(frontier)
-        nxt_frontier[:, targets] = new_bits
-        return np.concatenate([nxt_informed, nxt_frontier], axis=0)
-
-    def occupancy(self, state: np.ndarray, n: int) -> np.ndarray:
-        """Unpack the informed bitplanes into an ``(R, n)`` boolean mask."""
-        wb = state.shape[0] // 2
-        return np.unpackbits(
-            state[:wb], axis=0, count=self.runs, bitorder="little"
-        ).view(bool)
-
-    def finished(self, state: np.ndarray) -> np.ndarray:
-        """All-vertices completion evaluated on the packed bitplanes.
-
-        AND-reducing the informed planes over the vertex axis answers
-        "which runs cover everything" in O(n·R/8) byte-ops without
-        unpacking the ``(R, n)`` mask — the engine's fast path when no
-        dense per-round tracking is requested.
-        """
-        wb = state.shape[0] // 2
-        cols = np.bitwise_and.reduce(state[:wb], axis=1)
-        return np.unpackbits(cols, count=self.runs, bitorder="little").view(bool)
-
-    def default_cap(self, graph: Graph) -> int:
-        """Static flooding finishes within ``ecc < n`` rounds; dynamic
-        flooding (``reflood=True``) can stall while vertices are
-        churned out, so it gets the generous epidemic cap instead."""
-        if self.reflood:
-            return process_round_cap(graph.n, graph.m, graph.dmax)
-        return flooding_round_cap(graph.n)
 
 
 class WalkRule(SpreadRule):

@@ -627,7 +627,7 @@ def _ragged_arange(counts: np.ndarray) -> np.ndarray:
     E.g. counts=[2,0,3] -> [0,1,0,1,2].  The returned array is freshly
     allocated (callers may mutate it); the linear ramp it is built from
     comes from the grow-only module cache, saving one allocation plus
-    an O(total) fill per call on the flooding/BFS hot paths.
+    an O(total) fill per call on the BFS hot paths.
     """
     total = int(counts.sum())
     if total == 0:

@@ -537,19 +537,9 @@ def run_sharded(
     :class:`~repro.engine.SpreadResult`, bit-for-bit identical for every
     ``workers`` value and on both tiers (an ``R = 0`` state merges into
     a well-formed empty result).
-
-    Bit-packed rules (flooding and the bit-plane gossip rules of
-    :mod:`repro.kernels`) fold all runs into shared byte planes, so
-    their state cannot be row-sharded; they are rejected.
     """
     from ..engine.engine import as_topology
 
-    if getattr(rule, "runs_of", None) is not None:
-        raise ValueError(
-            f"{type(rule).__name__} packs multiple runs per state row and "
-            "cannot be sharded along the run axis; shard it manually by "
-            "constructing one rule per shard"
-        )
     topo = as_topology(topology)
     runs = state.shape[0]
     if runs == 0:

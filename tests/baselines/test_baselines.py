@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines import (
     flooding_broadcast_time,
+    flooding_broadcast_times,
     flooding_frontier_sizes,
     multi_walk_cover_samples,
     push_broadcast_samples,
@@ -110,6 +111,62 @@ class TestFlooding:
         assert sizes[0] == 1
         assert sizes[-1] == petersen.n
         assert np.all(np.diff(sizes) >= 0)
+
+    def test_frontier_sizes_are_bfs_ball_sizes(self, flooding_graph):
+        # The ball of radius t + 1 is the ball of radius t and its neighbours.
+        g = flooding_graph
+        for start in {0, g.n // 2, g.n - 1}:
+            ball, expected = {start}, [1]
+            while len(ball) < g.n:
+                ball |= {int(v) for u in ball for v in g.neighbors(u)}
+                expected.append(len(ball))
+            assert flooding_frontier_sizes(g, start).tolist() == expected
+            assert flooding_broadcast_time(g, start) == len(expected) - 1
+
+    @pytest.mark.parametrize(
+        "call,match",
+        [
+            pytest.param(
+                lambda: flooding_broadcast_time(Graph(3, [(0, 1)]), 0),
+                "connected",
+                id="time-disconnected",
+            ),
+            pytest.param(
+                lambda: flooding_broadcast_time(path_graph(4), 4),
+                "out of range",
+                id="time-start-too-large",
+            ),
+            pytest.param(
+                lambda: flooding_frontier_sizes(Graph(3, [(0, 1)]), 0),
+                "connected",
+                id="sizes-disconnected",
+            ),
+            pytest.param(
+                lambda: flooding_frontier_sizes(path_graph(4), -1),
+                "out of range",
+                id="sizes-negative-start",
+            ),
+            pytest.param(
+                lambda: flooding_broadcast_times(Graph(3, [(0, 1)]), [0]),
+                "connected",
+                id="times-disconnected",
+            ),
+            pytest.param(
+                lambda: flooding_broadcast_times(path_graph(4), [[0, 1]]),
+                "1-D",
+                id="times-2d-starts",
+            ),
+            pytest.param(
+                lambda: flooding_broadcast_times(path_graph(4), [0, -1]),
+                "out of range",
+                id="times-negative-start",
+            ),
+        ],
+    )
+    def test_input_checks(self, call, match):
+        # Flooding is only defined from a vertex of a connected graph.
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 class TestCrossProcessOrdering:

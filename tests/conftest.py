@@ -14,7 +14,18 @@ from repro.graphs import (
     petersen_graph,
     random_regular_graph,
     star_graph,
+    torus_graph,
 )
+
+#: The graphs flooding is checked on: a path, a star, an odd torus, a
+#: random regular graph and the one-vertex graph.
+FLOODING_GRAPHS = {
+    "path": lambda: path_graph(12),
+    "star": lambda: star_graph(9),
+    "odd-torus": lambda: torus_graph([5, 7]),
+    "rreg": lambda: random_regular_graph(40, 4, rng=2),
+    "one-vertex": lambda: Graph(1, []),
+}
 
 
 @pytest.fixture
@@ -56,3 +67,9 @@ def q4() -> Graph:
 @pytest.fixture
 def expander32() -> Graph:
     return random_regular_graph(32, 3, rng=777)
+
+
+@pytest.fixture(params=list(FLOODING_GRAPHS))
+def flooding_graph(request) -> Graph:
+    """Each of :data:`FLOODING_GRAPHS` in turn."""
+    return FLOODING_GRAPHS[request.param]()

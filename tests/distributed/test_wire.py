@@ -42,7 +42,6 @@ from repro.dynamics import (
 from repro.engine import (
     BipsRule,
     CobraRule,
-    FloodingRule,
     PullRule,
     PushPullRule,
     PushRule,
@@ -177,6 +176,12 @@ class TestRulesAndCompletion:
         assert isinstance(decode_task(obj).rule, BipsRule)
         obj["rule"]["discipline"] = "single"
         with pytest.raises(WireDecodeError, match="discipline"):
+            decode_task(obj)
+        # Flooding was a rule once, with two runs per packed uint8 plane.
+        obj = _cycle_rule_task(PullRule(), np.zeros((2, 8), dtype=bool))
+        obj["rule"] = {"kind": "flooding", "runs": 2, "reflood": False}
+        obj["state"] = _encode_array(np.zeros((2, 8), dtype=np.uint8))
+        with pytest.raises(WireDecodeError, match="unknown spread rule kind 'flooding'"):
             decode_task(obj)
 
     def test_unsupported_policy_rejected(self):
@@ -426,8 +431,6 @@ MALFORMED_STATE = {
     "cobra-int64": (CobraRule(make_policy(2), lazy=True), np.ones((2, 8), np.int64)),
     "bips-1d": (BipsRule(make_policy(2), 0), np.ones(8, bool)),
     "push-too-narrow": (PushRule(), np.ones((2, 7), bool)),
-    "flooding-bool": (FloodingRule(runs=2), np.ones((2, 8), bool)),
-    "flooding-too-many-planes": (FloodingRule(runs=2), np.ones((4, 8), np.uint8)),
     "walk-beyond-n": (WalkRule(2), _walkers(0, 8)),
     "walk-negative": (WalkRule(2), _walkers(-1, 0)),
     "walk-wrong-k": (WalkRule(2), _walkers(0, 1, 2)),
@@ -438,14 +441,12 @@ MALFORMED_STATE = {
 def _well_formed_states():
     mask = np.zeros((2, 8), dtype=bool)
     mask[:, 0] = True
-    flooding = FloodingRule(runs=2)
     return {
         "cobra": (CobraRule(make_policy(1.5), lazy=True), mask),
         "bips": (BipsRule(make_policy(2), 0, lazy=True), mask),
         "push": (PushRule(), mask),
         "pull": (PullRule(), mask),
         "push-pull": (PushPullRule(), mask),
-        "flooding": (flooding, flooding.pack(mask)),
         "walk": (WalkRule(2, lazy=True), np.array([[0, 7], [3, 3]], dtype=np.int64)),
         "no-runs": (CobraRule(make_policy(2)), np.zeros((0, 8), dtype=bool)),
     }

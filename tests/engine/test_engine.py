@@ -22,7 +22,6 @@ from repro.dynamics import (
 from repro.engine import (
     BipsRule,
     CobraRule,
-    FloodingRule,
     PullRule,
     PushRule,
     SpreadEngine,
@@ -80,16 +79,6 @@ class TestCaps:
             expander.n, expander.dmax
         )
 
-    def test_flooding_cap_is_n(self, expander):
-        assert FloodingRule().default_cap(expander) == expander.n
-
-    def test_dynamic_flooding_cap_generous(self, expander):
-        # Under churn a vertex can be absent past round n, so reflood
-        # mode gets the epidemic cap rather than the eccentricity one.
-        assert FloodingRule(reflood=True).default_cap(expander) == (
-            default_round_cap(expander)
-        )
-
 
 class TestPlanShardsWiring:
     """Shard plans account the rule's declared live arrays."""
@@ -124,19 +113,6 @@ class TestRuleValidation:
     def test_push_fanout_validated(self):
         with pytest.raises(ValueError, match="fanout"):
             PushRule(0)
-
-    def test_frontier_flooding_rejects_dynamic_topology(self, expander):
-        # Frontier-only flooding is wrong when interior vertices can
-        # gain new neighbours; the engine enforces reflood=True there.
-        seq = FrozenSequence(expander)
-        with pytest.raises(ValueError, match="reflood"):
-            SpreadEngine(FloodingRule(runs=2), seq)
-        engine = SpreadEngine(FloodingRule(runs=2, reflood=True), seq)
-        rule = engine.rule
-        mask = np.zeros((2, expander.n), dtype=bool)
-        mask[:, 0] = True
-        res = engine.run(rule.pack(mask), np.random.default_rng(0))
-        assert res.all_finished
 
 
 class TestCobraRoundMemory:
@@ -283,10 +259,14 @@ class TestBatchedDynamicRunner:
 
 
 class TestBatchedBaselines:
-    def test_flooding_batch_equals_eccentricities(self, expander):
-        starts = np.array([0, 5, 11, 23], dtype=np.int64)
-        times = flooding_broadcast_times(expander, starts)
-        assert times.tolist() == [eccentricity(expander, int(s)) for s in starts]
+    @pytest.mark.parametrize("runs", [1, 8, 9, 257])
+    def test_flooding_batch_equals_eccentricities(self, flooding_graph, runs):
+        # Eight runs share a byte plane: 8 fill one, 9 and 257 spill over.
+        g = flooding_graph
+        starts = np.random.default_rng(runs).integers(0, g.n, size=runs)
+        starts[runs // 2] = starts[0]  # a repeated start
+        times = flooding_broadcast_times(g, starts)
+        assert times.tolist() == [eccentricity(g, int(s)) for s in starts]
 
     def test_flooding_batch_validation(self, expander):
         with pytest.raises(ValueError):

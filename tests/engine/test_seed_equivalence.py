@@ -25,7 +25,6 @@ stream (``tests/test_one_stream.py``).
 import numpy as np
 import pytest
 
-from repro.baselines.flooding import flooding_broadcast_time
 from repro.core import BipsProcess, CobraProcess, cobra_hit_survival_mc
 from repro.core.branching import FixedBranching, make_policy
 from repro.core.cobra import default_round_cap
@@ -49,7 +48,6 @@ from repro.graphs import (
     random_regular_graph,
     star_graph,
 )
-from repro.graphs.properties import eccentricity
 from repro.parallel import plan_shards
 from repro.stats.rng import seed_sequence_from, spawn_seeds
 from repro.stats.survival import empirical_survival
@@ -433,12 +431,6 @@ class TestBaselineEquivalence:
             )
             positions = np.zeros(1, dtype=np.int64)
             assert _engine_time(WalkRule(1), g, positions, seed) == ref
-
-    def test_flooding_equals_eccentricity(self, expander):
-        for start in (0, 7, 23):
-            assert flooding_broadcast_time(expander, start) == eccentricity(
-                expander, start
-            )
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,6 @@ from repro.core.branching import FixedBranching
 from repro.engine import (
     BipsRule,
     CobraRule,
-    FloodingRule,
     PullRule,
     PushPullRule,
     PushRule,
@@ -26,7 +25,7 @@ from repro.engine import (
     WalkRule,
 )
 from repro.graphs import random_regular_graph
-from repro.kernels import AUTO_NUMBA_MIN_N, BitPushRule, dispatch, numba_backend, resolve
+from repro.kernels import AUTO_NUMBA_MIN_N, dispatch, numba_backend, resolve
 from repro.parallel import ShardTask, run_sharded
 from repro.telemetry import MemorySink, configure, get_telemetry
 
@@ -41,9 +40,7 @@ NUMPY_RULES = {
     "push": PushRule,
     "pull": PullRule,
     "push-pull": PushPullRule,
-    "flooding": lambda: FloodingRule(runs=8),
     "walk": lambda: WalkRule(2),
-    "bit-push": lambda: BitPushRule(8),
 }
 
 

@@ -17,9 +17,8 @@ from repro.dynamics import (
     dynamic_cover_time_samples,
     dynamic_infection_time_samples,
 )
-from repro.engine import BipsRule, CobraRule, FloodingRule, SpreadEngine, WalkRule
+from repro.engine import BipsRule, CobraRule, SpreadEngine, WalkRule
 from repro.graphs import cycle_graph, random_regular_graph
-from repro.kernels import BitPullRule, BitPushPullRule, BitPushRule
 from repro.parallel import (
     ShardTask,
     execute_shards,
@@ -167,18 +166,6 @@ class TestPlanAndErrors:
             plan_shards(rule, -1, 10)
         with pytest.raises(ValueError):
             plan_shards(rule, 10, 0)
-
-    def test_bit_packed_rules_rejected(self):
-        graph = cycle_graph(9)
-        for rule in (
-            FloodingRule(runs=8),
-            BitPushRule(8),
-            BitPullRule(8),
-            BitPushPullRule(8),
-        ):
-            state = rule.pack(np.eye(8, 9, dtype=bool))
-            with pytest.raises(ValueError, match="sharded"):
-                run_sharded(rule, graph, "all-vertices", state, 1)
 
     def test_execute_shards_empty(self):
         assert execute_shards([], workers=4) == []

@@ -193,8 +193,10 @@ class TestMetricsServer:
         with MetricsServer(port=0, health=health) as server:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(f"http://{server.address}/healthz")
-        assert excinfo.value.code == 503
-        assert json.loads(excinfo.value.read())["detail"] == "sweeper dead"
+        # An HTTPError is an open response: close it.
+        with excinfo.value as error:
+            assert error.code == 503
+            assert json.loads(error.read())["detail"] == "sweeper dead"
 
     def test_statusz_default_frame(self):
         with MetricsServer(port=0) as server:
@@ -211,7 +213,8 @@ class TestMetricsServer:
         with MetricsServer(port=0) as server:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(f"http://{server.address}/nope")
-        assert excinfo.value.code == 404
+        with excinfo.value as error:
+            assert error.code == 404
 
     def test_raising_callback_is_500_and_server_survives(self):
         def boom():
@@ -220,7 +223,8 @@ class TestMetricsServer:
         with MetricsServer(port=0, status=boom) as server:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(f"http://{server.address}/statusz")
-            assert excinfo.value.code == 500
+            with excinfo.value as error:
+                assert error.code == 500
             # The serving thread must survive the exception.
             status, _, _ = _get(f"http://{server.address}/healthz")
             assert status == 200
