@@ -1,4 +1,4 @@
-"""Baseline sampling throughput: scalar loops vs the batched engine.
+"""Baseline sampling throughput: scalar loops vs batched runs.
 
 Three implementation rungs are compared for push, pull and flooding,
 on a random 8-regular expander and a 2-D torus at ``n = 4096``:
@@ -13,15 +13,18 @@ on a random 8-regular expander and a 2-D torus at ``n = 4096``:
   of the pre-engine samplers (stripped of their per-run connectivity
   revalidation and dispatch overhead) and is reported for
   transparency, not gated: at ``n = 4096`` its rounds are already
-  array-sized, so it can match or beat the batched engine on
+  array-sized, so it can match or beat the batched rung on
   push/pull — both are bound by the same neighbour-sampling work.
   Against the *actual* replaced samplers, batching measured 2–4×
   faster at experiment scale (``n ≤ 1024``, the E9 regime) and parity
   at ``n = 4096``.
-* **batched engine** — all 256 runs advance inside one ``(R, n)``
-  boolean program via :mod:`repro.engine`.
+* **batched** — all 256 runs advance together: push and pull inside
+  one ``(R, n)`` boolean program via :mod:`repro.engine`, flooding as
+  one multi-source BFS packed 64 runs per word
+  (:func:`repro.graphs.properties.eccentricities`, behind
+  :func:`repro.baselines.flooding_broadcast_times`).
 
-The acceptance gate asserts the batched engine beats the scalar rung
+The acceptance gate asserts the batched rung beats the scalar rung
 by ≥ 10× per-run on every protocol/graph cell.
 
 Run with::
@@ -211,7 +214,7 @@ def test_batched_speedup(family, protocol):
         f"batched {batched * 1e3:.3f} ms/run -> {speedup:.1f}x vs scalar"
     )
     assert speedup >= SPEEDUP_FLOOR, (
-        f"{family}/{protocol}: batched engine only {speedup:.1f}x faster "
+        f"{family}/{protocol}: batched runs only {speedup:.1f}x faster "
         f"than the scalar loop (floor {SPEEDUP_FLOOR}x)"
     )
 

@@ -7,7 +7,8 @@ task unit (rule + topology + spawned seed — see
 
 * :mod:`~repro.distributed.wire` — a versioned, canonical JSON
   encoding of shard tasks and results (replacing the pickle-only pool
-  path), plus the framed TCP protocol;
+  path) that names each graph by content digest and ships its CSR once
+  per job, plus the framed TCP protocol;
 * :mod:`~repro.distributed.broker` — an asyncio queue holding the
   shard ledger (pending/leased/done), with lease timeouts, heartbeat
   renewal and requeue-on-dead-worker;
@@ -43,6 +44,7 @@ from .client import (
 )
 from .wire import (
     WIRE_VERSION,
+    GraphCache,
     WireDecodeError,
     attach_trace,
     canonical_bytes,
@@ -50,6 +52,7 @@ from .wire import (
     decode_task,
     encode_result,
     encode_task,
+    graph_blobs,
     parse_endpoint,
     result_envelope_error,
     task_key,
@@ -70,6 +73,7 @@ __all__ = [
     "transport_snapshot",
     "run_worker",
     "WIRE_VERSION",
+    "GraphCache",
     "WireDecodeError",
     "attach_trace",
     "canonical_bytes",
@@ -77,6 +81,7 @@ __all__ = [
     "decode_task",
     "encode_result",
     "encode_task",
+    "graph_blobs",
     "parse_endpoint",
     "result_envelope_error",
     "task_key",

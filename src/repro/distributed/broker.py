@@ -16,14 +16,18 @@ Two layers:
 
 * :class:`Broker` — a small asyncio TCP server speaking the framed
   JSON protocol of :mod:`repro.distributed.wire`.  Clients ``submit``
-  a job (a list of encoded shard tasks keyed by shard index) and
-  ``wait`` on it: the broker answers with one ``result`` frame per
+  a job (a list of encoded shard tasks keyed by shard index, plus a
+  ``graphs`` map holding each graph the tasks name by digest, once)
+  and ``wait`` on it: the broker answers with one ``result`` frame per
   shard as soon as that shard finishes, then ``done`` (or ``failed``),
   so the client can persist every finished shard before the job ends;
-  workers ``lease`` / ``heartbeat`` / ``complete`` / ``error``.  Shard
-  payloads pass through the broker opaquely — it never decodes a task,
-  so its memory and CPU footprint is queue-sized, not
-  simulation-sized.  Result frames *are* shallowly validated
+  workers ``lease`` / ``heartbeat`` / ``complete`` / ``error``, and a
+  worker that lacks a leased task's graph asks for it with ``graph``
+  (shard id and digest) and gets the job's blob back.  Shard payloads
+  and graph blobs pass through the broker opaquely — it never decodes
+  a task or a graph, and it drops a job's blobs with the job — so its
+  memory and CPU footprint is queue-sized, not simulation-sized.
+  Result frames *are* shallowly validated
   (:func:`~repro.distributed.wire.result_envelope_error`): a
   structurally broken result is rejected and its shard requeued
   without poison-counting, instead of poisoning the client's decode.
@@ -59,7 +63,8 @@ FAILED = "failed"
 #: The lifecycle counters of the ``metrics`` status section; each is the
 #: ``broker.queue.<key>`` counter of the broker's registry.
 _QUEUE_COUNTERS = ("submits", "shards_submitted", "leases", "heartbeats",
-                   "requeues", "completes", "worker_errors", "decode_rejects")
+                   "requeues", "completes", "worker_errors", "decode_rejects",
+                   "graph_fetches")
 
 #: Per-worker registry series (labelled ``worker``) and the key each
 #: has in a worker's entry of the ``metrics`` status section.
@@ -123,18 +128,29 @@ class ShardLedger:
         self._queue: deque[str] = deque()
         self._jobs: dict[str, list[str]] = {}
         self._job_errors: dict[str, str] = {}
+        self._graphs: dict[str, dict] = {}
 
     # -- submission -----------------------------------------------------
-    def submit(self, job_id: str, tasks: list[tuple[int, dict]], now: float) -> None:
+    def submit(
+        self,
+        job_id: str,
+        tasks: list[tuple[int, dict]],
+        now: float,
+        graphs: dict | None = None,
+    ) -> None:
         """Register a job's shards (``(index, payload)`` pairs), FIFO.
 
-        Atomic: the whole task list is validated before any state
+        ``graphs`` maps a digest to the graph blob the job's tasks name
+        by it; the blobs are kept unread beside the job and dropped with
+        it.  Atomic: the whole submission is validated before any state
         mutates, so a rejected submission (duplicate job or duplicate
         index) leaves no orphan shards behind and the job id stays
         reusable.  ``now`` stamps each shard's ``submitted_at``.
         """
         if job_id in self._jobs:
             raise ValueError(f"job {job_id!r} already submitted")
+        if not isinstance(graphs, (dict, type(None))):
+            raise TypeError(f"graphs of {job_id!r} must map digests to blobs")
         indices = [int(index) for index, _ in tasks]
         if len(set(indices)) != len(indices):
             raise ValueError(f"duplicate shard index in {job_id!r}")
@@ -148,6 +164,8 @@ class ShardLedger:
             self._queue.append(shard_id)
             ids.append(shard_id)
         self._jobs[job_id] = ids
+        if graphs:
+            self._graphs[job_id] = graphs
 
     # -- worker side ----------------------------------------------------
     def lease(self, worker_id: str, now: float) -> ShardRecord | None:
@@ -286,6 +304,13 @@ class ShardLedger:
         """The ledger entry of ``shard_id`` (None if unknown or dropped)."""
         return self._shards.get(shard_id)
 
+    def graph_blob(self, shard_id: str, digest: str) -> dict | None:
+        """The blob of graph ``digest`` in the job of ``shard_id`` (or None)."""
+        record = self._shards.get(shard_id)
+        if record is None:
+            return None
+        return self._graphs.get(record.job_id, {}).get(digest)
+
     # -- client side ----------------------------------------------------
     def job_state(self, job_id: str) -> tuple[str, str | None]:
         """Return ``("running"|"done"|"failed"|"unknown", error)``."""
@@ -312,10 +337,11 @@ class ShardLedger:
         return [(r.index, r.result) for r in records]
 
     def drop_job(self, job_id: str) -> None:
-        """Forget a job and its shards (once its waiter has them all)."""
+        """Forget a job, its shards and its graphs (once its waiter has them all)."""
         for shard_id in self._jobs.pop(job_id, []):
             self._shards.pop(shard_id, None)
         self._job_errors.pop(job_id, None)
+        self._graphs.pop(job_id, None)
 
     def counts(self) -> dict:
         """Queue statistics: shards per state plus the live job count."""
@@ -830,6 +856,18 @@ class Broker:
                             reply, self._job_traces.get(record.job_id)
                         )
                         await write_frame(writer, reply)
+                elif kind == "graph":
+                    shard_id, digest = message["shard_id"], message["digest"]
+                    blob = self.ledger.graph_blob(shard_id, digest)
+                    if blob is None:
+                        reply = {
+                            "type": "failed",
+                            "error": f"no graph {digest!r} for shard {shard_id!r}",
+                        }
+                    else:
+                        tel.count("broker.queue.graph_fetches")
+                        reply = {"type": "graph", "digest": digest, "blob": blob}
+                    await write_frame(writer, reply)
                 elif kind == "heartbeat":
                     tel.count("broker.queue.heartbeats")
                     self.ledger.renew(
@@ -910,6 +948,7 @@ class Broker:
                                 for item in message["tasks"]
                             ],
                             now,
+                            message.get("graphs"),
                         )
                     except (ValueError, KeyError, TypeError) as exc:
                         await write_frame(

@@ -2,14 +2,16 @@
 
 :func:`run_on_broker` is the broker tier of
 :func:`repro.parallel.execute_cached`: given wire-encoded shard tasks
-it submits them as one job, then sends ``wait``, on which the broker
-streams back each shard's result the moment a worker finishes it, and
-hands every result to the caller as it arrives — which stores it in the
-content-addressed cache, so a client killed mid-job has already cached
-every shard it saw finish.  The shard plan and the spawned seeds are
-computed before the transport is chosen, so any broker, any worker count
-and any arrival order give results bit-for-bit identical to
-``run_sharded(workers=1)``.
+and the blobs of the graphs they name by digest, it submits them as one
+job (each graph once, in the submit frame's ``graphs`` map, from which
+workers fetch a graph they lack), then sends ``wait``, on which the
+broker streams back each shard's result the moment a worker finishes
+it, and hands every result to the caller as it arrives — which stores
+it in the content-addressed cache, so a client killed mid-job has
+already cached every shard it saw finish.  The shard plan and the
+spawned seeds are computed before the transport is chosen, so any
+broker, any worker count and any arrival order give results
+bit-for-bit identical to ``run_sharded(workers=1)``.
 
 Transport failures — refused dials, dropped or undecodable frames, a
 broker dying mid-job — are retried under a
@@ -127,8 +129,8 @@ def cache_lookup(tasks, store) -> tuple[list, list | None, list]:
     Returns ``(encoded, keys, results)``: the encoded tasks, their
     content addresses, and the cached result per task (None for a
     miss).  Without a store there are no content addresses — hashing
-    the full canonical encoding per shard would be pure overhead — and
-    every task is a miss.
+    each shard's canonical encoding would be pure overhead — and every
+    task is a miss.
     """
     encoded = [encode_task(task) for task in tasks]
     if store is None:
@@ -147,10 +149,12 @@ def cache_lookup(tasks, store) -> tuple[list, list | None, list]:
     return encoded, keys, results
 
 
-def run_on_broker(encoded: dict, endpoint, policy, deliver) -> None:
+def run_on_broker(encoded: dict, graphs: dict, endpoint, policy, deliver) -> None:
     """Run wire-encoded shard tasks on the broker at ``endpoint``.
 
-    ``encoded`` maps shard index to encoded task.  The tasks are
+    ``encoded`` maps shard index to encoded task, and ``graphs`` maps
+    the digest of each graph they name to its blob
+    (:func:`~repro.distributed.wire.graph_blobs`).  The tasks are
     submitted as one job, then the client sends ``wait`` and the broker
     streams back each shard's result as soon as it finishes;
     ``deliver(index, result, payload)`` receives the decoded result and
@@ -202,6 +206,7 @@ def run_on_broker(encoded: dict, endpoint, policy, deliver) -> None:
                 "tasks": [
                     {"index": i, "task": task} for i, task in pending.items()
                 ],
+                "graphs": graphs,
             }
             # The optional trace-context wire key: present only when the
             # client itself is tracing, so untraced submissions stay

@@ -1,7 +1,7 @@
 """Versioned wire format for distributed shard execution.
 
 Everything a :class:`~repro.parallel.ShardTask` carries — the spread
-rule and its branching policy, the topology (a static CSR payload or a
+rule and its branching policy, the topology (a static graph or a
 seeded graph-sequence spec), the completion criterion, the initial
 state array, and the shard's spawned :class:`numpy.random.SeedSequence`
 — is encoded into plain JSON-able dictionaries, and likewise for
@@ -17,6 +17,15 @@ in-process pool is thereby replaced by a format that
 * crosses **machine boundaries** (no pickled code objects; rules and
   sequences are reconstructed from small named specs through the same
   registry of classes the in-process engine uses).
+
+A task names its topology graph — a static graph, or the base of a
+sequence — by a ``graph-ref``: the graph's content digest
+(:attr:`repro.graphs.Graph.digest`) plus ``n``, ``m`` and its name.
+The CSR itself travels once per job, as a blob in the submit frame's
+``graphs`` map (:func:`graph_blobs`); a decoder resolves refs through a
+:class:`GraphCache`, which checks each blob against its digest before
+keeping the decoded graph.  Boolean arrays (a task's ``state``, a
+result's ``final_state``) travel packed eight bits per byte.
 
 Replay semantics for graph sequences: a sequence is shipped as its
 constructor spec plus its master seed (entropy, spawn key, pool size).
@@ -36,8 +45,10 @@ import asyncio
 import base64
 import hashlib
 import json
+import math
 import struct
 import time
+from collections import OrderedDict
 
 import numpy as np
 
@@ -61,9 +72,11 @@ __all__ = [
     "WIRE_VERSION",
     "MAX_FRAME_BYTES",
     "WireDecodeError",
+    "GraphCache",
     "attach_trace",
     "encode_task",
     "decode_task",
+    "graph_blobs",
     "encode_result",
     "decode_result",
     "result_envelope_error",
@@ -80,11 +93,15 @@ __all__ = [
 #: whenever the encoding changes shape; decoders reject other versions,
 #: and the version participates in :func:`task_key`, so a bump also
 #: invalidates every cached result.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Upper bound on one framed message (guards against a corrupt or
 #: hostile length prefix allocating gigabytes).
 MAX_FRAME_BYTES = 1 << 30
+
+#: Decoded graphs one :class:`GraphCache` keeps, least recently used
+#: out first.
+_GRAPH_CACHE_SIZE = 4
 
 
 class WireDecodeError(ValueError):
@@ -123,20 +140,36 @@ class WireDecodeError(ValueError):
 # Scalars and arrays
 # ----------------------------------------------------------------------
 def _encode_array(arr: np.ndarray) -> dict:
-    """Encode an ndarray as dtype + shape + base64 of its C-order bytes."""
+    """Encode an ndarray as dtype + shape + base64 of its C-order bytes.
+
+    A boolean array's bytes are its bits, packed eight per byte.
+    """
     arr = np.ascontiguousarray(arr)
+    raw = np.packbits(arr, axis=None) if arr.dtype == np.bool_ else arr
     return {
         "dtype": arr.dtype.str,
         "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+        "data": base64.b64encode(raw.tobytes()).decode("ascii"),
     }
 
 
 def _decode_array(obj: dict) -> np.ndarray:
-    """Rebuild an ndarray from :func:`_encode_array` output (owned copy)."""
+    """Rebuild an ndarray from :func:`_encode_array` output (owned copy).
+
+    Packed booleans must fill exactly the bytes their shape needs.
+    """
     raw = base64.b64decode(obj["data"])
-    arr = np.frombuffer(raw, dtype=np.dtype(obj["dtype"]))
-    return arr.reshape([int(s) for s in obj["shape"]]).copy()
+    dtype = np.dtype(obj["dtype"])
+    shape = [int(s) for s in obj["shape"]]
+    if dtype == np.bool_:
+        size = math.prod(shape)
+        if size < 0 or len(raw) != -(-size // 8):
+            raise ValueError(
+                f"{len(raw)} packed bytes do not hold a {shape} boolean array"
+            )
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=size)
+        return bits.view(np.bool_).reshape(shape)
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
 def _maybe_array(obj: dict | None) -> np.ndarray | None:
@@ -365,18 +398,17 @@ def _decode_adversary(obj: dict):
 # Topologies
 # ----------------------------------------------------------------------
 def _encode_graph(graph: Graph) -> dict:
+    """The CSR blob of a graph, as a submit frame's ``graphs`` map holds it."""
     return {
-        "kind": "graph",
         "n": int(graph.n),
         "m": int(graph.m),
-        "name": graph.name,
         "indptr": _encode_array(graph.indptr),
         "indices": _encode_array(graph.indices),
     }
 
 
-def _decode_graph(obj: dict) -> Graph:
-    """Rebuild a graph from the sender's CSR, checking it first.
+def _decode_graph(obj: dict, name: str) -> Graph:
+    """Rebuild a graph from the sender's CSR blob, checking it first.
 
     :meth:`Graph._from_csr` trusts its input, and a malformed CSR would
     otherwise run as a different graph (numpy wraps a negative index)
@@ -399,7 +431,90 @@ def _decode_graph(obj: dict) -> Graph:
         raise ValueError("graph indices must lie in [0, n)")
     indptr = indptr.astype(np.int64, copy=False)
     indices = indices.astype(np.int64, copy=False)
-    return Graph._from_csr(n, m, indptr, indices, np.diff(indptr), obj["name"])
+    return Graph._from_csr(n, m, indptr, indices, np.diff(indptr), name)
+
+
+def _encode_graph_ref(graph: Graph) -> dict:
+    return {
+        "kind": "graph-ref",
+        "digest": graph.digest,
+        "n": int(graph.n),
+        "m": int(graph.m),
+        "name": graph.name,
+    }
+
+
+def _shipped_graph(topology) -> Graph:
+    """The graph a topology's encoding names: the graph itself or its base."""
+    if isinstance(topology, Graph):
+        return topology
+    if isinstance(topology, SharedGraph):
+        raise TypeError(
+            "a SharedGraph handle is process-local and cannot cross machine "
+            "boundaries; ship the underlying Graph instead"
+        )
+    return topology.base
+
+
+def graph_blobs(tasks) -> dict[str, dict]:
+    """The CSR blob of every graph the tasks name, by digest.
+
+    The submit frame's ``graphs`` map: each distinct graph is encoded
+    once, however many tasks name it.
+    """
+    blobs: dict[str, dict] = {}
+    for task in tasks:
+        graph = _shipped_graph(task.topology)
+        if graph.digest not in blobs:
+            blobs[graph.digest] = _encode_graph(graph)
+    return blobs
+
+
+class GraphCache:
+    """Decoded topology graphs by digest: a small LRU filled on demand.
+
+    A ref this cache lacks asks ``fetch(digest)`` for the graph's blob
+    (None when the peer has none, which fails the decode).  The blob's
+    CSR is checked, and it must hash to the digest it was asked for,
+    before the decoded graph is kept; a ref must also agree with the
+    graph on ``n`` and ``m``.  A worker keeps one cache for its
+    lifetime, so a graph crosses the wire once per worker while it
+    stays among the :data:`_GRAPH_CACHE_SIZE` most recently used.
+    """
+
+    def __init__(self, fetch) -> None:
+        self.fetch = fetch
+        self._graphs: OrderedDict[str, Graph] = OrderedDict()
+
+    def resolve(self, ref: dict) -> Graph:
+        """The graph a ``graph-ref`` names, under the ref's name."""
+        digest = ref["digest"]
+        graph = self._graphs.get(digest)
+        if graph is not None:
+            self._graphs.move_to_end(digest)
+        else:
+            blob = self.fetch(digest)
+            if blob is None:
+                raise ValueError(f"unknown graph digest {digest!r}")
+            graph = _decode_graph(blob, ref["name"])
+            if graph.digest != digest:
+                raise ValueError(f"graph blob does not hash to its digest {digest!r}")
+            self._graphs[digest] = graph
+            if len(self._graphs) > _GRAPH_CACHE_SIZE:
+                self._graphs.popitem(last=False)
+        if (graph.n, graph.m) != (ref["n"], ref["m"]):
+            raise ValueError(
+                f"graph ref n={ref['n']!r}, m={ref['m']!r} does not match "
+                f"graph {digest!r} (n={graph.n}, m={graph.m})"
+            )
+        if graph.name != ref["name"]:
+            renamed = Graph._from_csr(
+                graph.n, graph.m, graph.indptr, graph.indices, graph.degrees,
+                ref["name"],
+            )
+            renamed._digest = digest
+            graph = renamed
+        return graph
 
 
 def _encode_topology(topology) -> dict:
@@ -411,21 +526,14 @@ def _encode_topology(topology) -> dict:
     )
     from ..dynamics.sequence import FrozenSequence
 
-    if isinstance(topology, Graph):
-        return _encode_graph(topology)
-    if isinstance(topology, StaticTopology):
-        return _encode_graph(topology.base)
-    if isinstance(topology, SharedGraph):
-        raise TypeError(
-            "a SharedGraph handle is process-local and cannot cross machine "
-            "boundaries; ship the underlying Graph instead"
-        )
+    if isinstance(topology, (Graph, StaticTopology, SharedGraph)):
+        return _encode_graph_ref(_shipped_graph(topology))
     if isinstance(topology, FrozenSequence):
-        return {"kind": "frozen", "base": _encode_graph(topology.base)}
+        return {"kind": "frozen", "base": _encode_graph_ref(topology.base)}
     if isinstance(topology, RewiringSequence):
         return {
             "kind": "rewiring",
-            "base": _encode_graph(topology.base),
+            "base": _encode_graph_ref(topology.base),
             "swaps": int(topology.swaps_per_round),
             "keep_connected": bool(topology.keep_connected),
             "max_retries": int(topology.max_retries),
@@ -434,7 +542,7 @@ def _encode_topology(topology) -> dict:
     if isinstance(topology, EdgeMarkovianSequence):
         return {
             "kind": "edge-markovian",
-            "base": _encode_graph(topology.base),
+            "base": _encode_graph_ref(topology.base),
             "birth": float(topology.birth),
             "death": float(topology.death),
             "seed": _encode_seed(topology._master),
@@ -442,7 +550,7 @@ def _encode_topology(topology) -> dict:
     if isinstance(topology, ChurnSequence):
         return {
             "kind": "churn",
-            "base": _encode_graph(topology.base),
+            "base": _encode_graph_ref(topology.base),
             "leave": float(topology.leave),
             "rejoin": float(topology.rejoin),
             "protected": np.nonzero(topology._protected)[0].tolist(),
@@ -457,7 +565,7 @@ def _encode_topology(topology) -> dict:
         # copy had already advanced.
         return {
             "kind": "adversarial",
-            "base": _encode_graph(topology.base),
+            "base": _encode_graph_ref(topology.base),
             "adversary": _encode_adversary(topology.adversary),
             "swaps": int(topology.swaps_per_round),
             "keep_connected": bool(topology.keep_connected),
@@ -471,7 +579,7 @@ def _encode_topology(topology) -> dict:
     )
 
 
-def _decode_topology(obj: dict):
+def _decode_topology(obj: dict, graphs: GraphCache):
     from ..adversary.sequence import AdversarialSequence
     from ..dynamics.providers import (
         ChurnSequence,
@@ -481,13 +589,13 @@ def _decode_topology(obj: dict):
     from ..dynamics.sequence import FrozenSequence
 
     kind = obj["kind"]
-    if kind == "graph":
-        return _decode_graph(obj)
+    if kind == "graph-ref":
+        return graphs.resolve(obj)
     if kind == "frozen":
-        return FrozenSequence(_decode_graph(obj["base"]))
+        return FrozenSequence(graphs.resolve(obj["base"]))
     if kind == "rewiring":
         return RewiringSequence(
-            _decode_graph(obj["base"]),
+            graphs.resolve(obj["base"]),
             int(obj["swaps"]),
             seed=_decode_seed(obj["seed"]),
             keep_connected=obj["keep_connected"],
@@ -495,14 +603,14 @@ def _decode_topology(obj: dict):
         )
     if kind == "edge-markovian":
         return EdgeMarkovianSequence(
-            _decode_graph(obj["base"]),
+            graphs.resolve(obj["base"]),
             float(obj["birth"]),
             float(obj["death"]),
             seed=_decode_seed(obj["seed"]),
         )
     if kind == "churn":
         return ChurnSequence(
-            _decode_graph(obj["base"]),
+            graphs.resolve(obj["base"]),
             float(obj["leave"]),
             float(obj["rejoin"]),
             seed=_decode_seed(obj["seed"]),
@@ -510,7 +618,7 @@ def _decode_topology(obj: dict):
         )
     if kind == "adversarial":
         return AdversarialSequence(
-            _decode_graph(obj["base"]),
+            graphs.resolve(obj["base"]),
             _decode_adversary(obj["adversary"]),
             _decode_seed(obj["seed"]),
             swaps_per_round=int(obj["swaps"]),
@@ -554,9 +662,9 @@ def attach_trace(frame: dict, context) -> dict:
 
     ``context`` is a :class:`~repro.telemetry.TraceContext` (or an
     already-encoded wire dict, as the broker relays on lease replies);
-    ``None`` leaves the frame untouched, so the default encoding stays
-    byte-identical to the pre-trace format, which is why
-    :data:`WIRE_VERSION` stays put.  Returns the frame for chaining.
+    ``None`` leaves the frame untouched, so an untraced frame encodes
+    byte-identically to one from a build without the key.  Returns the
+    frame for chaining.
     """
     if context is None:
         return frame
@@ -602,17 +710,23 @@ def _check_state(rule, state: np.ndarray, n: int) -> None:
         )
 
 
-def decode_task(obj: dict) -> ShardTask:
+def decode_task(obj: dict, graphs: GraphCache) -> ShardTask:
     """Rebuild a :class:`~repro.parallel.ShardTask` from its encoding.
 
+    ``graphs`` resolves the task's graph refs (a worker keeps one
+    :class:`GraphCache`; ``GraphCache(graph_blobs(tasks).get)`` decodes
+    a job's tasks in one process).
+
     Raises :class:`WireDecodeError` (never a raw ``KeyError``) when the
-    encoding is truncated, corrupted, or from another wire version, and
-    when its state or ``max_rounds`` does not fit the task.
+    encoding is truncated, corrupted, or from another wire version,
+    when a graph ref names a graph ``graphs`` cannot supply or that
+    does not match it, and when its state or ``max_rounds`` does not
+    fit the task.
     """
     try:
         _check_version(obj, "task")
         rule = _decode_rule(obj["rule"])
-        topology = _decode_topology(obj["topology"])
+        topology = _decode_topology(obj["topology"], graphs)
         state = _decode_array(obj["state"])
         _check_state(rule, state, topology.n)
         max_rounds = obj["max_rounds"]
@@ -728,7 +842,8 @@ def task_key(task: "ShardTask | dict") -> str:
     execution outcome — rule, topology, completion, state, seed, round
     cap, recording flags, and the wire version itself — participates,
     so equal keys imply bit-identical results and a format bump
-    invalidates old cache entries.
+    invalidates old cache entries.  A graph takes part through its
+    ref's digest, so the hashed bytes do not grow with the graph.
     """
     obj = task if isinstance(task, dict) else encode_task(task)
     return hashlib.sha256(canonical_bytes(obj)).hexdigest()

@@ -9,6 +9,14 @@ completion order — a worker only asks for the next shard after
 finishing the last — which is what balances heavy-tailed cover times
 across a heterogeneous pool.
 
+A task names its graph by digest.  The worker keeps the graphs it has
+decoded in one :class:`~repro.distributed.wire.GraphCache` for its
+whole life, across jobs and reconnects; on a miss the decode asks the
+broker with a ``graph`` frame for the leased shard's job, and the
+reply's blob is checked against the digest before it is kept.  So a
+graph crosses the wire once per worker, and again only after the
+cache evicts it or the worker restarts.
+
 While a shard is computing, a daemon heartbeat thread renews the lease
 at a third of the broker's lease timeout, so long shards on healthy
 workers are never requeued; a transient socket error inside the
@@ -50,6 +58,7 @@ from ..telemetry import TraceContext, get_telemetry
 from ..telemetry.live import MetricsServer, metrics_port_from_env
 from ..telemetry.resource import resource_snapshot
 from .wire import (
+    GraphCache,
     attach_trace,
     decode_task,
     encode_result,
@@ -101,6 +110,26 @@ def _heartbeat_loop(
                     error=f"{type(exc).__name__}: {exc}",
                 )
             continue
+
+
+def _fetch_graph(
+    sock: socket.socket, lock: threading.Lock, shard_id: str, digest: str
+) -> dict | None:
+    """Ask the broker for graph ``digest`` of ``shard_id``'s job.
+
+    Returns the blob, or None when the broker has none.  The heartbeat
+    thread only sends, so the next frame read is the reply.
+    """
+    with lock:
+        send_frame(
+            sock,
+            {"type": "graph", "shard_id": shard_id, "digest": digest},
+            site="worker.send",
+        )
+    reply = recv_frame(sock)
+    if reply is None:
+        raise ConnectionError("broker closed the connection")
+    return reply.get("blob") if reply.get("type") == "graph" else None
 
 
 def _dial(host: str, port: int, policy: RetryPolicy) -> socket.socket:
@@ -197,6 +226,10 @@ def run_worker(
             # can load (the record carries the pid).
             tel.event("worker.start", endpoint=f"{host}:{port}")
         ever_connected = False
+        # Fetches through the session and the shard in hand at the miss.
+        graphs = GraphCache(
+            lambda digest: _fetch_graph(sock, lock, shard_id, digest)
+        )
         while max_tasks is None or completed < max_tasks:
             try:
                 sock = _dial(host, port, dial_policy)
@@ -254,13 +287,15 @@ def run_worker(
                         # the client's tree; restored immediately after.
                         prev_ctx = tel.install_context(trace) if trace else None
                         try:
-                            result = run_shard(decode_task(message["task"]))
+                            result = run_shard(decode_task(message["task"], graphs))
                         finally:
                             if trace is not None:
                                 tel.install_context(prev_ctx)
                     except Exception as exc:
                         stop.set()
                         heartbeat.join()
+                        if isinstance(exc, ConnectionError):
+                            raise  # a graph fetch lost the broker: re-dial
                         tel.count("worker.errors")
                         if tel.enabled:
                             tel.event(

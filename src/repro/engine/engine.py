@@ -382,7 +382,9 @@ class SpreadEngine:
                     visited |= fresh
                     if hits is not None:
                         hits[fresh] = t
-                    remaining -= fresh.sum(axis=1)
+                    # The uint8 view summed into uint32: the same counts
+                    # as bool's int64 sum, in about half the time.
+                    remaining -= fresh.view(np.uint8).sum(axis=1, dtype=np.uint32)
                 basis = visited if monotone else occ
             done_now = alive & self.completion.done(
                 basis, graph, remaining if monotone else None

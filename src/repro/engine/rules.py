@@ -20,7 +20,9 @@ bookkeeping step.  This is the one place the invariant is stated:
 * an actor's row base ``r·n`` is ``actor // n * n`` (a floor-divide by
   a scalar), its vertex the actor minus that base, never ``actor % n``;
 * a fixed policy's ``draw_counts`` is a read-only zero-stride view of
-  ``b``, not ``k`` int64 copies; rules only read their counts.
+  ``b``, not ``k`` int64 copies; rules only read their counts, and
+  :class:`CobraRule` sizes its blocks from one element of such a view,
+  not a max over all ``k``.
 
 Seed-for-seed contract
 ----------------------
@@ -220,7 +222,9 @@ class CobraRule(SpreadRule):
             work = work & can_move[None, :]
         movers = np.flatnonzero(work)  # r·n + v, in the 2-D nonzero's order
         counts = self.policy.draw_counts(movers.shape[0], rng)
-        per = max(1, _BLOCK // int(counts.max(initial=1)))
+        # A fixed policy's counts are one value read k times (stride 0).
+        top = counts[:1] if counts.strides == (0,) else counts
+        per = max(1, _BLOCK // int(top.max(initial=1)))
 
         def blocks():
             """Each block's actors as (row bases r·n, vertices v)."""

@@ -18,6 +18,7 @@ direction.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from typing import Iterable, Iterator, Sequence, Tuple
 
@@ -228,7 +229,9 @@ class Graph:
         Per-vertex degree, ``degrees[u] == indptr[u + 1] - indptr[u]``.
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "degrees", "name", "_dmin", "_dmax")
+    __slots__ = (
+        "n", "m", "indptr", "indices", "degrees", "name", "_dmin", "_dmax", "_digest"
+    )
 
     def __init__(
         self,
@@ -282,6 +285,23 @@ class Graph:
             arr.setflags(write=False)
         self._dmin = int(self.degrees.min()) if self.n else 0
         self._dmax = int(self.degrees.max()) if self.n else 0
+        self._digest = None
+
+    @property
+    def digest(self) -> str:
+        """The graph's content address: sha256 of ``n``, ``m`` and the CSR.
+
+        Hashes ``n`` and ``m`` and then ``indptr`` and ``indices`` as
+        little-endian int64, so equal CSRs give equal digests; the name
+        does not take part.  Computed on first use and kept (the graph
+        is immutable).
+        """
+        if self._digest is None:
+            h = hashlib.sha256(np.array([self.n, self.m], dtype="<i8").tobytes())
+            for arr in (self.indptr, self.indices):
+                h.update(np.ascontiguousarray(arr, dtype="<i8").data)
+            self._digest = h.hexdigest()
+        return self._digest
 
     # ------------------------------------------------------------------
     # Basic accessors

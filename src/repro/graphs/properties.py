@@ -16,6 +16,7 @@ from .graph import Graph
 __all__ = [
     "diameter",
     "eccentricity",
+    "eccentricities",
     "is_bipartite",
     "connected_components",
     "degree_statistics",
@@ -33,21 +34,54 @@ def eccentricity(graph: Graph, source: int) -> int:
     return mx
 
 
+def eccentricities(graph: Graph, starts) -> np.ndarray:
+    """``[eccentricity(graph, s) for s in starts]`` in one multi-source BFS.
+
+    Run ``r`` is bit ``r % 8`` of byte ``r // 8`` in each vertex's row,
+    and the row is read as 64-bit words, so one word op advances 64
+    runs and a round is one CSR gather plus one ``bitwise_or.reduceat``
+    (which needs every row nonempty, so the graph is checked connected
+    first, raising as :func:`eccentricity` does).
+    """
+    if not graph.is_connected():
+        raise ValueError("graph is disconnected; eccentricity undefined")
+    starts = np.asarray(starts, dtype=np.int64)
+    if starts.ndim != 1 or starts.size == 0:
+        raise ValueError("starts must be a 1-D nonempty array of vertices")
+    if starts.min() < 0 or starts.max() >= graph.n:
+        raise ValueError(f"start vertex out of range [0, {graph.n})")
+    runs = starts.shape[0]
+    mask = np.zeros((graph.n, -(-runs // 64) * 64), dtype=bool)
+    mask[starts, np.arange(runs)] = True
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    informed = frontier = packed.view(np.uint64)
+    times = np.zeros(runs, dtype=np.int64)
+    while True:
+        covered = np.bitwise_and.reduce(informed, axis=0).view(np.uint8)
+        pending = np.unpackbits(~covered, count=runs, bitorder="little")
+        if not pending.any():
+            return times
+        times += pending
+        # Only last round's frontier can reach an uninformed vertex.
+        reached = np.bitwise_or.reduceat(
+            frontier[graph.indices], graph.indptr[:-1], axis=0
+        )
+        frontier = reached & ~informed
+        informed = informed | frontier
+
+
 def diameter(graph: Graph, *, exact_limit: int = 4096) -> int:
     """Graph diameter ``Diam(G)``.
 
-    Exact (all-sources BFS) for ``n <= exact_limit``; beyond that uses
-    the double-sweep heuristic twice, which is exact on trees and a
-    lower bound in general (documented: experiments never exceed the
-    exact regime).
+    Exact (the largest of all :func:`eccentricities`) for
+    ``n <= exact_limit``; beyond that uses the double-sweep heuristic
+    twice, which is exact on trees and a lower bound in general
+    (documented: experiments never exceed the exact regime).
     """
     if graph.n == 1:
         return 0
     if graph.n <= exact_limit:
-        best = 0
-        for u in range(graph.n):
-            best = max(best, eccentricity(graph, u))
-        return best
+        return int(eccentricities(graph, np.arange(graph.n)).max())
     # Double sweep: BFS from 0, then from the farthest vertex found.
     d0 = graph.bfs_distances(0)
     far = int(np.argmax(d0))

@@ -342,6 +342,7 @@ def execute_cached(
         encoded, keys, results = client.cache_lookup(tasks, store)
     missing = [i for i, result in enumerate(results) if result is None]
     if endpoint is not None and missing:
+        from ..distributed.wire import graph_blobs
         from ..resilience import resolve_fallback, resolve_retry
 
         policy = resolve_retry(retry)
@@ -354,7 +355,11 @@ def execute_cached(
 
         try:
             client.run_on_broker(
-                {i: encoded[i] for i in missing}, endpoint, policy, deliver
+                {i: encoded[i] for i in missing},
+                graph_blobs(tasks[i] for i in missing),
+                endpoint,
+                policy,
+                deliver,
             )
         except client.BrokerUnavailable as exc:
             if fallback_mode != "local":

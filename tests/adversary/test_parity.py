@@ -17,7 +17,7 @@ import pytest
 from repro.adversary import AdversarialSequence, make_adversary
 from repro.core.branching import make_policy
 from repro.distributed import Broker
-from repro.distributed.wire import decode_task, encode_task
+from repro.distributed.wire import GraphCache, decode_task, encode_task, graph_blobs
 from repro.distributed.worker import run_worker
 from repro.dynamics import dynamic_cover_time_samples, dynamic_infection_time_samples
 from repro.engine import BipsRule, CobraRule, SpreadEngine
@@ -73,7 +73,7 @@ def test_wire_round_trip_executes_identically():
         seed=np.random.SeedSequence(5),
     )
     direct = run_shard(task)
-    decoded = run_shard(decode_task(encode_task(task)))
+    decoded = run_shard(decode_task(encode_task(task), GraphCache(graph_blobs([task]).get)))
     assert np.array_equal(direct.finish_times, decoded.finish_times)
     assert np.array_equal(direct.final_state, decoded.final_state)
 

@@ -184,6 +184,25 @@ class TestJobLifecycle:
         # Shards of a dropped job are simply gone from the queue.
         assert ledger.lease("w", 1.0) is None
 
+    def test_graphs_live_and_die_with_their_job(self):
+        ledger = ShardLedger()
+        blob = {"n": 1}
+        ledger.submit("a", [(0, {})], 0.0, {"d1": blob})
+        ledger.submit("b", [(0, {})], 0.0)
+        assert ledger.graph_blob("a:0", "d1") is blob
+        assert ledger.graph_blob("b:0", "d1") is None  # another job's graph
+        assert ledger.graph_blob("a:0", "d2") is None
+        assert ledger.graph_blob("a:9", "d1") is None
+        ledger.drop_job("a")
+        assert ledger.graph_blob("a:0", "d1") is None
+        assert ledger._graphs == {}
+
+    def test_rejected_graphs_leave_no_job(self):
+        ledger = ShardLedger()
+        with pytest.raises(TypeError, match="graphs"):
+            ledger.submit("a", [(0, {})], 0.0, ["not", "a", "map"])
+        assert ledger.job_state("a") == ("unknown", None)
+
     def test_empty_job_is_immediately_done(self):
         ledger = ShardLedger()
         ledger.submit("empty", [], 0.0)

@@ -27,7 +27,7 @@ from repro.distributed import (
     broker_status,
 )
 from repro.distributed.broker import _STOP_GRACE_S
-from repro.distributed.wire import parse_endpoint, recv_frame, send_frame
+from repro.distributed.wire import graph_blobs, parse_endpoint, recv_frame, send_frame
 from repro.distributed.worker import run_worker
 from repro.dynamics import (
     RewiringSequence,
@@ -37,6 +37,7 @@ from repro.dynamics import (
 from repro.engine import BipsRule, CobraRule, SpreadEngine, WalkRule
 from repro.graphs import random_regular_graph
 from repro.parallel import ShardTask, execute_cached
+from repro.resilience import FaultPlan
 
 RUNS = 40
 MAX_SHARD = 8  # several shards even at tiny run counts
@@ -398,6 +399,7 @@ class TestBrokerHousekeeping:
                             {"index": i, "task": encode_task(t)}
                             for i, t in enumerate(tasks)
                         ],
+                        "graphs": graph_blobs(tasks),
                     },
                 )
                 assert recv_frame(sock)["type"] == "accepted"
@@ -410,6 +412,8 @@ class TestBrokerHousekeeping:
                     time.sleep(0.05)
                 else:
                     pytest.fail(f"abandoned job never reaped: {counts}")
+                assert broker_status(broker.address)["metrics"]["completes"] == len(tasks)
+                assert not _holds(broker, graph.digest)  # the blobs went too
             finally:
                 _reap(procs)
 
@@ -475,6 +479,105 @@ class TestBrokerMemory:
         assert not leaked
 
 
+def _fetches(broker) -> int:
+    return broker_status(broker.address)["metrics"]["graph_fetches"]
+
+
+class TestGraphShipping:
+    """A job carries each graph once; workers fetch it once and keep it."""
+
+    def _cell(self):
+        graph = _graph()
+        engine = SpreadEngine(BipsRule(make_policy(2), source=0), graph)
+        state = _initial_state(engine.rule, graph.n)
+        reference = engine.run_sharded(state, 123, workers=1, max_shard=MAX_SHARD)
+        return graph, engine, state, reference
+
+    def _run(self, engine, state, broker, seed=123):
+        return engine.run_distributed(
+            state, seed, endpoint=broker.address, max_shard=MAX_SHARD, cache=None
+        )
+
+    def test_each_worker_fetches_a_graph_once_across_jobs(self):
+        graph, engine, state, reference = self._cell()
+        with Broker(lease_timeout=15.0) as broker:
+            procs = _spawn_workers(broker.address, 2)
+            try:
+                self._run(engine, state, broker, seed=0)
+                assert 1 <= _fetches(broker) <= 2
+                # Jobs on the same graph until both workers have run a shard.
+                for seed in range(1, 50):
+                    if len(broker_status(broker.address)["metrics"]["workers"]) == 2:
+                        break
+                    self._run(engine, state, broker, seed=seed)
+                assert _fetches(broker) == 2
+                got = self._run(engine, state, broker)
+                assert _fetches(broker) == 2
+            finally:
+                _reap(procs)
+            assert not _holds(broker, graph.digest)  # done jobs drop their blobs
+        assert np.array_equal(got.finish_times, reference.finish_times)
+        assert np.array_equal(got.final_state, reference.final_state)
+
+    @pytest.mark.parametrize("kill_after", [1, 2])
+    def test_replacement_of_a_killed_worker_fetches_the_graph_again(self, kill_after):
+        graph, engine, state, reference = self._cell()
+        outcome = {}
+        with Broker(lease_timeout=15.0) as broker:
+            plan = FaultPlan(seed=0, kill_worker_after_leases=kill_after)
+            (doomed,) = _spawn_workers(broker.address, 1, faults=plan)
+            thread = threading.Thread(
+                target=lambda: outcome.update(result=self._run(engine, state, broker))
+            )
+            thread.start()
+            doomed.join(timeout=20)
+            assert doomed.exitcode == 17
+            # Its last lease died before a fetch; any earlier one fetched.
+            assert _fetches(broker) == kill_after - 1
+            replacement = _spawn_workers(broker.address, 1)
+            try:
+                thread.join(timeout=30)
+                assert not thread.is_alive(), "distributed job did not finish"
+            finally:
+                _reap(replacement)
+            assert _fetches(broker) == kill_after
+        got = outcome["result"]
+        assert np.array_equal(got.finish_times, reference.finish_times)
+        assert np.array_equal(got.final_state, reference.final_state)
+
+    def test_hostile_graph_frames_fail_and_the_broker_serves_on(self):
+        graph, engine, state, reference = self._cell()
+        blobs = {graph.digest: {"n": graph.n}}  # the broker never reads a blob
+        with Broker(lease_timeout=15.0, max_attempts=1) as broker:
+            with socket.create_connection(
+                parse_endpoint(broker.address), timeout=10
+            ) as peer:
+                send_frame(peer, {"type": "graph", "shard_id": "no-job:0", "digest": graph.digest})
+                assert recv_frame(peer)["type"] == "failed"
+                send_frame(
+                    peer,
+                    {"type": "submit", "job_id": "j", "graphs": blobs,
+                     "tasks": [{"index": 0, "task": {}}]},
+                )
+                assert recv_frame(peer)["type"] == "accepted"
+                send_frame(peer, {"type": "graph", "shard_id": "j:0", "digest": "f" * 64})
+                reply = recv_frame(peer)
+                assert reply["type"] == "failed" and "f" * 64 in reply["error"]
+                send_frame(peer, {"type": "graph", "shard_id": "j:0", "digest": graph.digest})
+                assert recv_frame(peer) == {
+                    "type": "graph", "digest": graph.digest, "blob": blobs[graph.digest]
+                }
+                procs = _spawn_workers(broker.address, 2)
+                try:
+                    got = self._run(engine, state, broker)
+                finally:
+                    _reap(procs)
+                send_frame(peer, {"type": "status"})
+                assert recv_frame(peer)["type"] == "status"
+        assert np.array_equal(got.finish_times, reference.finish_times)
+        assert np.array_equal(got.final_state, reference.final_state)
+
+
 class TestBrokerStatus:
     def test_metrics_keys_and_uptime_from_first_submit(self):
         # Rates and per-worker throughput count from the first job, so
@@ -489,8 +592,8 @@ class TestBrokerStatus:
             metrics = broker_status(broker.address)["metrics"]
         assert set(metrics) == {
             "submits", "shards_submitted", "leases", "heartbeats", "requeues",
-            "completes", "worker_errors", "decode_rejects", "uptime_s",
-            "wait_s", "exec_s", "workers",
+            "completes", "worker_errors", "decode_rejects", "graph_fetches",
+            "uptime_s", "wait_s", "exec_s", "workers",
         }
         assert metrics["uptime_s"] > 0
         assert (metrics["submits"], metrics["shards_submitted"]) == (1, 1)

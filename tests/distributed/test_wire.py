@@ -3,8 +3,11 @@
 The contract: ``decode(encode(x))`` rebuilds an object whose re-
 encoding is byte-identical (canonical form is a fixed point), and a
 decoded task *executes* identically to the original — the distributed
-determinism guarantee reduces to exactly this.
+determinism guarantee reduces to exactly this.  A task names its graph
+by digest, so decoding it takes the job's graph blobs as well.
 """
+
+import base64
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core.branching import BernoulliBranching, FixedBranching, make_policy
 from repro.distributed import (
     WIRE_VERSION,
+    GraphCache,
     WireDecodeError,
     attach_trace,
     canonical_bytes,
@@ -21,14 +25,17 @@ from repro.distributed import (
     decode_task,
     encode_result,
     encode_task,
+    graph_blobs,
     parse_endpoint,
     task_key,
 )
 from repro.distributed.wire import (
+    _GRAPH_CACHE_SIZE,
     _decode_array,
     _decode_seed,
     _decode_topology,
     _encode_array,
+    _encode_graph,
     _encode_seed,
     _encode_topology,
 )
@@ -49,7 +56,8 @@ from repro.engine import (
     WalkRule,
 )
 from repro.engine.completion import AllActive, AllVertices, TargetHit
-from repro.graphs import cycle_graph, petersen_graph, random_regular_graph
+from repro.engine.engine import SpreadResult
+from repro.graphs import Graph, cycle_graph, petersen_graph, random_regular_graph
 from repro.parallel import ShardTask, run_shard
 
 
@@ -73,6 +81,21 @@ def _task(rule=None, topology=None, **kw):
         seed=np.random.SeedSequence(42).spawn(3)[1],
         **kw,
     )
+
+
+def _graphs(*tasks):
+    """A graph cache holding the blobs of the tasks' job."""
+    return GraphCache(graph_blobs(tasks).get)
+
+
+def _round_trip(task):
+    """Encode a task and decode it against its own job's graph blobs."""
+    return decode_task(encode_task(task), _graphs(task))
+
+
+def _topology_round_trip(topology):
+    graphs = _graphs(_task(topology=topology))
+    return _decode_topology(_encode_topology(topology), graphs)
 
 
 class TestArrays:
@@ -145,7 +168,7 @@ class TestRulesAndCompletion:
     @pytest.mark.parametrize("rule", RULES, ids=lambda r: type(r).__name__)
     def test_rule_round_trip_is_canonical_fixed_point(self, rule):
         task = _task(rule=rule)
-        back = decode_task(encode_task(task))
+        back = _round_trip(task)
         assert type(back.rule) is type(rule)
         assert canonical_bytes(encode_task(back)) == canonical_bytes(
             encode_task(task)
@@ -163,26 +186,27 @@ class TestRulesAndCompletion:
             state=task.state,
             seed=task.seed,
         )
-        back = decode_task(encode_task(task))
+        back = _round_trip(task)
         assert type(back.completion) is type(completion)
         if isinstance(completion, TargetHit):
             assert back.completion.target == completion.target
 
     def test_legacy_bips_discipline(self):
         # BIPS had two layouts once; a peer may still send the key.
-        obj = encode_task(_task(rule=BipsRule(make_policy(2), source=3)))
+        task = _task(rule=BipsRule(make_policy(2), source=3))
+        obj, blobs = encode_task(task), _graphs(task)
         assert "discipline" not in obj["rule"]
         obj["rule"]["discipline"] = "batch"
-        assert isinstance(decode_task(obj).rule, BipsRule)
+        assert isinstance(decode_task(obj, blobs).rule, BipsRule)
         obj["rule"]["discipline"] = "single"
         with pytest.raises(WireDecodeError, match="discipline"):
-            decode_task(obj)
+            decode_task(obj, blobs)
         # Flooding was a rule once, with two runs per packed uint8 plane.
         obj = _cycle_rule_task(PullRule(), np.zeros((2, 8), dtype=bool))
         obj["rule"] = {"kind": "flooding", "runs": 2, "reflood": False}
         obj["state"] = _encode_array(np.zeros((2, 8), dtype=np.uint8))
         with pytest.raises(WireDecodeError, match="unknown spread rule kind 'flooding'"):
-            decode_task(obj)
+            decode_task(obj, _cycle_graphs())
 
     def test_unsupported_policy_rejected(self):
         class Weird:
@@ -204,14 +228,14 @@ class TestTopologies:
 
     def test_graph_round_trip(self):
         g = petersen_graph()
-        back = _decode_topology(_encode_topology(g))
+        back = _topology_round_trip(g)
         assert back == g
         assert back.name == g.name
         assert np.array_equal(back.degrees, g.degrees)
 
     def test_sequences_replay_identically(self):
         for seq in self.seqs():
-            back = _decode_topology(_encode_topology(seq))
+            back = _topology_round_trip(seq)
             for t in (0, 1, 3, 7):
                 assert back.graph_at(t) == seq.graph_at(t), (seq.name, t)
 
@@ -220,7 +244,7 @@ class TestTopologies:
         # still replay the identical realisation remotely.
         seq = RewiringSequence(_graph(), 2, seed=13)
         expected = [seq.graph_at(t) for t in range(6)]
-        back = _decode_topology(_encode_topology(seq))
+        back = _topology_round_trip(seq)
         assert [back.graph_at(t) for t in range(6)] == expected
 
     def test_snapshot_schedule_rejected(self):
@@ -236,7 +260,7 @@ class TestTopologies:
             seq = AdversarialSequence(
                 base, make_adversary(kind, 4, source=1), 9, swaps_per_round=2
             )
-            back = _decode_topology(_encode_topology(seq))
+            back = _topology_round_trip(seq)
             assert isinstance(back, AdversarialSequence)
             assert back.observes_process
             assert back.adversary.name == kind
@@ -275,7 +299,7 @@ class TestTasks:
             )
             task = _task(topology=topology, track_hits=True)
             ref = run_shard(task)
-            got = run_shard(decode_task(encode_task(task)))
+            got = run_shard(_round_trip(task))
             assert np.array_equal(got.finish_times, ref.finish_times)
             assert np.array_equal(got.hit_times, ref.hit_times)
             assert np.array_equal(got.final_state, ref.final_state)
@@ -284,7 +308,7 @@ class TestTasks:
         obj = encode_task(_task())
         obj["v"] = WIRE_VERSION + 1
         with pytest.raises(ValueError, match="wire version"):
-            decode_task(obj)
+            decode_task(obj, _graphs(_task()))
 
     def test_task_key_is_content_address(self):
         a, b = _task(), _task()
@@ -329,21 +353,175 @@ class TestTasks:
         """A task carries no kernel choice, and the ``backend`` key an
         older sender could attach is ignored: the worker picks its own
         bit-identical kernel, under the same wire version."""
-        encoded = encode_task(_task())
+        encoded, blobs = encode_task(_task()), _graphs(_task())
         assert "backend" not in encoded
         assert encoded["v"] == WIRE_VERSION
-        ref = run_shard(decode_task(encoded))
-        got = run_shard(decode_task({**encoded, "backend": "bitplane"}))
+        ref = run_shard(decode_task(encoded, blobs))
+        got = run_shard(decode_task({**encoded, "backend": "bitplane"}, blobs))
         assert np.array_equal(got.finish_times, ref.finish_times)
         assert np.array_equal(got.final_state, ref.final_state)
 
 
-def _cycle_task(key=None, edit=None):
-    """An encoded two-run COBRA task on cycle-8; ``edit`` rewrites the
-    graph field ``key`` (``"m"`` or one of the CSR arrays)."""
+def _topologies(base):
+    """``base`` itself and one sequence of each kind on it, by wire kind."""
+    from repro.adversary import AdversarialSequence, make_adversary
+
+    return {
+        "graph": base,
+        "frozen": FrozenSequence(base),
+        "rewiring": RewiringSequence(base, 2, seed=9),
+        "edge-markovian": EdgeMarkovianSequence(base, 0.02, 0.05, seed=9),
+        "churn": ChurnSequence(base, 0.1, 0.5, seed=9, protected=(0, 3)),
+        "adversarial": AdversarialSequence(
+            base, make_adversary("greedy-cut", 4), 9, swaps_per_round=2
+        ),
+    }
+
+
+def _moved_edge(graph):
+    """``graph`` with one edge moved: same ``n`` and ``m``, other CSR."""
+    edges = graph.edge_array().tolist()
+    u, v = edges.pop(0)
+    w = next(w for w in range(graph.n) if w not in (u, v) and not graph.has_edge(u, w))
+    return Graph(graph.n, edges + [[u, w]], name=graph.name)
+
+
+class TestGraphRefs:
+    """A task names its graph by digest; the CSR travels once per job."""
+
+    @pytest.mark.parametrize("kind", list(_topologies(petersen_graph())))
+    def test_round_trip_for_every_topology_kind(self, kind):
+        base = _graph()
+        task = _task(topology=_topologies(base)[kind])
+        obj = encode_task(task)
+        ref = obj["topology"] if kind == "graph" else obj["topology"]["base"]
+        assert ref == {
+            "kind": "graph-ref", "digest": base.digest, "n": base.n, "m": base.m,
+            "name": base.name,
+        }
+        blobs = graph_blobs([task])
+        assert list(blobs) == [base.digest]
+        back = decode_task(obj, GraphCache(blobs.get))
+        assert canonical_bytes(encode_task(back)) == canonical_bytes(obj)
+        assert np.array_equal(run_shard(back).finish_times, run_shard(task).finish_times)
+
+    def test_blob_once_per_job(self):
+        tasks = [_task(), _task(topology=RewiringSequence(_graph(), 2, seed=1))]
+        blobs = graph_blobs(tasks * 16)
+        assert list(blobs) == [_graph().digest]
+        assert b"indices" not in canonical_bytes(encode_task(tasks[0]))
+
+    def test_unknown_digest_names_it(self):
+        task = _task()
+        with pytest.raises(WireDecodeError, match=_graph().digest):
+            decode_task(encode_task(task), GraphCache({}.get))
+
+    def test_blob_that_misses_its_digest_is_rejected_and_never_cached(self):
+        graph = _graph()
+        other = _moved_edge(graph)
+        assert other.digest != graph.digest
+        cache = GraphCache({graph.digest: _encode_graph(other)}.get)
+        with pytest.raises(WireDecodeError, match="does not hash to its digest"):
+            decode_task(encode_task(_task()), cache)
+        assert cache._graphs == {}
+
+    @pytest.mark.parametrize("field", ["n", "m"])
+    def test_ref_that_differs_from_the_cached_graph_is_rejected(self, field):
+        task = _task()
+        cache = _graphs(task)
+        decode_task(encode_task(task), cache)  # now cached
+        obj = encode_task(task)
+        obj["topology"][field] += 1
+        with pytest.raises(WireDecodeError, match="does not match graph"):
+            decode_task(obj, cache)
+
+    def test_cache_fetches_once_and_keeps_few(self):
+        fetched = []
+        graphs = [cycle_graph(n) for n in range(5, 6 + _GRAPH_CACHE_SIZE)]
+        blobs = {g.digest: _encode_graph(g) for g in graphs}
+        cache = GraphCache(lambda digest: fetched.append(digest) or blobs[digest])
+        for graph in graphs + graphs[-1:]:
+            ref = _encode_topology(graph)
+            assert cache.resolve(ref) == graph
+        assert fetched == [g.digest for g in graphs]
+        assert list(cache._graphs) == [g.digest for g in graphs[1:]]
+
+    def test_a_renamed_ref_gets_its_own_name(self):
+        graph = _graph()
+        cache = _graphs(_task())
+        ref = _encode_topology(graph)
+        assert cache.resolve(ref).name == graph.name
+        back = cache.resolve({**ref, "name": "other"})
+        assert back.name == "other" and back == graph and back.digest == graph.digest
+
+
+class TestKeys:
+    def test_task_key_follows_the_csr_not_the_object(self):
+        a, b = _graph(), _graph()
+        assert a is not b
+        assert task_key(_task(topology=a)) == task_key(_task(topology=b))
+        assert task_key(_task(topology=_moved_edge(a))) != task_key(_task(topology=a))
+
+    def test_digest_ignores_the_name_and_is_kept(self):
+        graph = _graph()
+        renamed = Graph(graph.n, graph.edge_array(), name="another")
+        assert renamed.digest == graph.digest
+        assert graph.digest is graph.digest
+
+
+#: Shapes of packed boolean arrays: empty, one bit, a ragged last byte,
+#: and a bips-broker shard's state.
+PACKED_SHAPES = [(0, 8), (1, 1), (3, 5), (16, 4096)]
+
+
+class TestPackedBooleans:
+    @pytest.mark.parametrize("shape", PACKED_SHAPES)
+    def test_state_round_trips_packed(self, shape):
+        graph = Graph(1, []) if shape[1] == 1 else cycle_graph(shape[1])
+        state = np.random.default_rng(sum(shape)).random(shape) < 0.5
+        task = ShardTask(
+            rule=BipsRule(make_policy(2), 0), topology=graph, completion=AllActive(),
+            state=state, seed=np.random.SeedSequence(1),
+        )
+        obj = encode_task(task)
+        assert len(base64.b64decode(obj["state"]["data"])) == -(-state.size // 8)
+        back = decode_task(obj, _graphs(task)).state
+        assert back.dtype == np.bool_ and back.shape == shape
+        assert np.array_equal(back, state)
+        back[...] = True  # an owned, writable array
+
+    @pytest.mark.parametrize("shape", PACKED_SHAPES)
+    def test_final_state_round_trips_packed(self, shape):
+        final = np.random.default_rng(sum(shape) + 1).random(shape) < 0.5
+        result = SpreadResult(
+            finish_times=np.zeros(shape[0], dtype=np.int64), rounds_run=3,
+            final_state=final,
+        )
+        obj = encode_result(result)
+        assert len(base64.b64decode(obj["final_state"]["data"])) == -(-final.size // 8)
+        back = decode_result(obj).final_state
+        assert back.dtype == np.bool_ and np.array_equal(back, final)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_bit_count_must_fit_the_shape(self, extra):
+        state = np.ones((3, 8), dtype=bool)
+        obj = _cycle_rule_task(CobraRule(make_policy(2)), state)
+        raw = base64.b64decode(obj["state"]["data"])
+        raw = raw[:extra] if extra < 0 else raw + b"\0"
+        obj["state"]["data"] = base64.b64encode(raw).decode("ascii")
+        with pytest.raises(WireDecodeError, match="packed bytes do not hold"):
+            decode_task(obj, _cycle_graphs())
+        payload = encode_result(SpreadResult(np.zeros(3, np.int64), 0, state))
+        payload["final_state"]["data"] = obj["state"]["data"]
+        with pytest.raises(WireDecodeError, match="packed bytes do not hold"):
+            decode_result(payload)
+
+
+def _cycle_task():
+    """An encoded two-run COBRA task on cycle-8."""
     state = np.zeros((2, 8), dtype=bool)
     state[:, 0] = True
-    obj = encode_task(
+    return encode_task(
         ShardTask(
             rule=CobraRule(make_policy(2), lazy=True),
             topology=cycle_graph(8),
@@ -352,12 +530,18 @@ def _cycle_task(key=None, edit=None):
             seed=np.random.SeedSequence(42),
         )
     )
-    graph = obj["topology"]
+
+
+def _cycle_graphs(key=None, edit=None):
+    """A graph cache serving cycle-8's blob under its digest; ``edit``
+    rewrites the blob field ``key`` (``"m"`` or one of the CSR arrays)."""
+    graph = cycle_graph(8)
+    blob = _encode_graph(graph)
     if key == "m":
-        graph["m"] = edit(graph["m"])
+        blob["m"] = edit(blob["m"])
     elif key is not None:
-        graph[key] = _encode_array(edit(_decode_array(graph[key])))
-    return obj
+        blob[key] = _encode_array(edit(_decode_array(blob[key])))
+    return GraphCache({graph.digest: blob}.get)
 
 
 def _set(index, value):
@@ -368,7 +552,8 @@ def _set(index, value):
     return edit
 
 
-#: One malformed cycle-8 CSR per check in ``_decode_graph``.
+#: One malformed cycle-8 CSR per check in ``_decode_graph``; each blob
+#: stays under cycle-8's digest.
 MALFORMED_CSR = {
     "negative-index": ("indices", _set(0, -1)),
     "index-beyond-n": ("indices", _set(0, 8)),
@@ -393,11 +578,11 @@ class TestGraphValidation:
     @pytest.mark.parametrize("case", list(MALFORMED_CSR))
     def test_malformed_csr_rejected(self, case):
         with pytest.raises(WireDecodeError, match="graph"):
-            decode_task(_cycle_task(*MALFORMED_CSR[case]))
+            decode_task(_cycle_task(), _cycle_graphs(*MALFORMED_CSR[case]))
 
     def test_well_formed_csr_decodes_to_the_same_graph(self):
         graph = cycle_graph(8)
-        task = decode_task(_cycle_task())
+        task = decode_task(_cycle_task(), _cycle_graphs())
         assert run_shard(task).all_finished
         back = task.topology
         assert (back.n, back.m) == (graph.n, graph.m)
@@ -463,14 +648,14 @@ class TestTaskValidation:
     @pytest.mark.parametrize("case", list(MALFORMED_STATE))
     def test_state_that_does_not_fit_the_rule_rejected(self, case):
         with pytest.raises(WireDecodeError, match="task state"):
-            decode_task(_cycle_rule_task(*MALFORMED_STATE[case]))
+            decode_task(_cycle_rule_task(*MALFORMED_STATE[case]), _cycle_graphs())
 
     @pytest.mark.parametrize("max_rounds", ["7", -3, True, 2.9])
     def test_max_rounds_must_be_a_non_negative_int(self, max_rounds):
         obj = _cycle_task()
         obj["max_rounds"] = max_rounds
         with pytest.raises(WireDecodeError, match="max_rounds"):
-            decode_task(obj)
+            decode_task(obj, _cycle_graphs())
 
     @pytest.mark.parametrize("case", list(_well_formed_states()))
     def test_well_formed_state_decodes_and_runs(self, case):
@@ -478,7 +663,7 @@ class TestTaskValidation:
         obj = _cycle_rule_task(rule, state)
         for max_rounds in (None, 0, 5):
             obj["max_rounds"] = max_rounds
-            task = decode_task(obj)
+            task = decode_task(obj, _cycle_graphs())
             assert np.array_equal(task.state, state)
             assert task.max_rounds == max_rounds
             result = run_shard(task)
@@ -490,7 +675,8 @@ class TestAttachTrace:
 
     def test_no_context_is_byte_identical(self):
         """Untraced frames encode exactly as before the key existed:
-        same bytes on the wire, no version bump."""
+        same bytes on the wire.  The trace key never moved the version;
+        version 2 is the graph-ref and packed-boolean encoding."""
         import json
 
         frame = {"type": "submit", "job_id": "j1", "tasks": []}
@@ -499,7 +685,7 @@ class TestAttachTrace:
         assert out is frame
         assert json.dumps(frame, sort_keys=True) == reference
         assert "trace" not in frame
-        assert WIRE_VERSION == 1
+        assert WIRE_VERSION == 2
 
     def test_context_attaches_wire_dict(self):
         from repro.telemetry import TraceContext

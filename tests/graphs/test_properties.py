@@ -10,6 +10,7 @@ from repro.graphs import (
     cycle_graph,
     degree_statistics,
     diameter,
+    eccentricities,
     eccentricity,
     grid_graph,
     hypercube_graph,
@@ -53,6 +54,25 @@ class TestDiameter:
         g = Graph(3, [(0, 1)])
         with pytest.raises(ValueError, match="disconnected"):
             eccentricity(g, 0)
+
+    @pytest.mark.parametrize(
+        "graph", [Graph(3, [(0, 1)]), Graph(3, [(1, 2)]), Graph(4, [(0, 1), (2, 3)])]
+    )
+    def test_diameter_disconnected_raises(self, graph):
+        with pytest.raises(ValueError, match="graph is disconnected; eccentricity undefined"):
+            diameter(graph)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [path_graph(9), star_graph(70), grid_graph([5, 7]), petersen_graph()],
+        ids=lambda g: g.name,
+    )
+    def test_eccentricities_match_one_bfs_per_start(self, graph):
+        starts = np.array([graph.n - 1, 0, 3, 3])
+        expected = [eccentricity(graph, int(s)) for s in starts]
+        assert eccentricities(graph, starts).tolist() == expected
+        every = eccentricities(graph, np.arange(graph.n))
+        assert every.tolist() == [eccentricity(graph, u) for u in range(graph.n)]
 
 
 class TestBipartite:

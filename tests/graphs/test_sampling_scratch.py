@@ -106,6 +106,7 @@ def test_edgeless_graph_raises_before_any_draw():
 def _rebuilt_by_decode_task(graph):
     from repro.core import make_policy
     from repro.distributed import decode_task, encode_task
+    from repro.distributed.wire import GraphCache, graph_blobs
     from repro.engine import AllVertices, CobraRule
     from repro.parallel import ShardTask
 
@@ -116,7 +117,7 @@ def _rebuilt_by_decode_task(graph):
         state=np.ones((1, graph.n), dtype=bool),
         seed=np.random.SeedSequence(0),
     )
-    return decode_task(encode_task(task)).topology
+    return decode_task(encode_task(task), GraphCache(graph_blobs([task]).get)).topology
 
 
 @pytest.mark.parametrize("rebuild", ["pickle", "shared-memory", "decode_task"])
