@@ -99,10 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     # The sampling commands' execution fleet: local worker processes or
-    # a broker (--endpoint), plus the retry/backoff policy and the
-    # degradation mode, installed process-wide via
-    # repro.resilience.configure() so every sharded run beneath the
-    # command sees them.
+    # a broker (--endpoint), plus the degradation mode, installed
+    # process-wide via repro.resilience.configure() so every sharded run
+    # beneath the command sees it.
     fleet = argparse.ArgumentParser(add_help=False, parents=[tel])
     fleet.add_argument(
         "--workers",
@@ -121,36 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
         "local processes (results bit-identical; overrides --workers)",
     )
     fleet.add_argument(
-        "--retry-attempts",
-        type=int,
-        default=None,
-        metavar="N",
-        help="connection/submission attempts against the broker before "
-        "giving up (default 4; 1 disables retries)",
-    )
-    fleet.add_argument(
-        "--retry-base",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="base backoff delay between retries, doubled each attempt "
-        "with deterministic seeded jitter (default 0.1)",
-    )
-    fleet.add_argument(
-        "--retry-max",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="cap on the per-retry backoff delay (default 2.0)",
-    )
-    fleet.add_argument(
         "--fallback",
         default=None,
         choices=("local", "none"),
         help="what to do when the broker is unreachable: 'local' completes "
         "the job with in-process sharded execution (bit-identical "
-        "results), 'none' propagates the error (default; also "
-        "REPRO_FALLBACK)",
+        "results), 'none' propagates the error (default)",
     )
 
     # The sampling commands' --runs (default ``runs``), --lazy and --seed.
@@ -445,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="JSON",
         help="install a deterministic FaultPlan on this worker, given as "
         "the JSON spec produced by FaultPlan.to_json() (chaos testing "
-        "only; also REPRO_FAULT_PLAN)",
+        "only)",
     )
 
     chaos_p = command(
@@ -460,8 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=0,
-        help="chaos seed driving the workload, the fault plans and the "
-        "retry jitter; a failing cell replays exactly from its seed",
+        help="chaos seed driving the workload and the fault plans (the "
+        "retry schedule is fixed); a failing cell replays exactly from "
+        "its seed",
     )
     chaos_p.add_argument(
         "--smoke",
@@ -816,22 +792,21 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
 
 
 def _status_frame(endpoint: str, counts: dict) -> dict:
-    """Adapt a TCP ``status`` reply into the shared panel-frame shape."""
-    from .distributed import transport_snapshot
+    """Adapt a TCP ``status`` reply into the shared panel-frame shape.
 
+    Only what the broker's reply carries: the caller's own cache and
+    counters say nothing about the broker.
+    """
     core = ("jobs", "pending", "leased", "done", "failed")
     queue = {key: counts.get(key, 0) for key in core}
     for key in sorted(set(counts) - set(core) - {"metrics"}):
         queue[key] = counts[key]
-    frame = {
+    return {
         "role": "broker",
         "address": endpoint,
         "queue": queue,
         "metrics": counts.get("metrics") or {},
     }
-    frame.update(transport_snapshot())
-    frame.pop("counters", None)  # client-side counters are noise here
-    return frame
 
 
 def _redraw(poll, interval: float | None) -> int:
@@ -1025,34 +1000,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
-def _configure_resilience(args: argparse.Namespace) -> None:
-    """Install --retry-*/--fallback as process defaults.
-
-    Only touches the defaults a flag was actually given for, so
-    ``endpoint=`` entry points below the command pick them up through
-    their ``"default"`` sentinels without any signature threading.
-    """
-    attempts, base, cap, fallback = (
-        getattr(args, name, None)
-        for name in ("retry_attempts", "retry_base", "retry_max", "fallback")
-    )
-    kwargs: dict = {} if fallback is None else {"fallback": fallback}
-    if (attempts, base, cap) != (None, None, None):
-        from .resilience import RetryPolicy
-
-        default = RetryPolicy()
-        base = default.base_delay_s if base is None else base
-        kwargs["retry"] = RetryPolicy(
-            attempts=default.attempts if attempts is None else attempts,
-            base_delay_s=base,
-            max_delay_s=max(default.max_delay_s if cap is None else cap, base),
-        )
-    if kwargs:
-        from .resilience import configure
-
-        configure(**kwargs)
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     from .telemetry import configure_from_env, get_telemetry
@@ -1062,10 +1009,14 @@ def main(argv: list[str] | None = None) -> int:
     # command; flushed on every exit path so partial runs still leave
     # a readable JSONL trace.
     configure_from_env(getattr(args, "telemetry", None))
-    # --retry-*/--fallback install process-wide resilience
-    # defaults (see repro.resilience.configure) for the broker-reaching
-    # commands.
-    _configure_resilience(args)
+    # --fallback installs the process-wide fallback mode (see
+    # repro.resilience.configure) for the broker-reaching commands; the
+    # package is imported only when the flag is given.
+    fallback = getattr(args, "fallback", None)
+    if fallback is not None:
+        from .resilience import configure
+
+        configure(fallback=fallback)
     try:
         return args.handler(args)
     finally:

@@ -645,8 +645,8 @@ class Broker:
 
         The superset of the TCP ``status`` reply: ledger counts and
         queue metrics (with per-worker throughput and peak RSS), plus
-        this process's circuit-breaker states, result-cache footprint
-        and resource snapshot.
+        this process's result-cache footprint, ``client.*``/``retry.*``
+        counters and resource snapshot.
         """
         from ..telemetry.resource import resource_snapshot
         from .client import transport_snapshot

@@ -145,7 +145,8 @@ class ResultCache:
 
         Integrity is verified on every read: entries carry a sha256
         digest of their canonical result payload, and an entry that is
-        torn, truncated, or fails verification is *quarantined*
+        torn, truncated, lacks a digest or fails verification is
+        *quarantined*
         (renamed to ``*.corrupt``, counted in ``self.corrupt`` and the
         ``cache.corrupt`` telemetry counter) and reported as a miss, so
         the caller recomputes instead of crashing — or worse, silently
@@ -160,21 +161,20 @@ class ResultCache:
             return None
         try:
             payload = json.loads(text)
-            if (
+            # put() wraps every result in a digest envelope, so an entry
+            # without one did not come from this cache.
+            if not (
                 isinstance(payload, dict)
                 and payload.get("kind") == "cache-entry"
             ):
-                obj = payload["result"]
-                digest = hashlib.sha256(canonical_bytes(obj)).hexdigest()
-                if digest != payload.get("digest"):
-                    raise ValueError("payload digest mismatch")
-            else:
-                # Entry from before digests existed: still decodable,
-                # verified only by the decode itself.
-                obj = payload
+                raise ValueError("no digest envelope")
+            obj = payload["result"]
+            digest = hashlib.sha256(canonical_bytes(obj)).hexdigest()
+            if digest != payload.get("digest"):
+                raise ValueError("payload digest mismatch")
             result = decode_result(obj)
         except (ValueError, KeyError, TypeError):
-            self._quarantine(path, "undecodable or digest mismatch")
+            self._quarantine(path, "undecodable, undigested or digest mismatch")
             self.misses += 1
             return None
         # Bump the access time explicitly: LRU eviction orders on

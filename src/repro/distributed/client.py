@@ -16,10 +16,10 @@ bit-for-bit identical to ``run_sharded(workers=1)``.
 Transport failures — refused dials, dropped or undecodable frames, a
 broker dying mid-job — are retried under a
 :class:`~repro.resilience.RetryPolicy` (each attempt resubmits only the
-shards still missing, under a fresh job id), and a per-endpoint
-:class:`~repro.resilience.CircuitBreaker` converts repeated refusals
-into an immediate :class:`BrokerUnavailable`, which ``fallback="local"``
-turns into local execution of the shards still undone.
+shards still missing, under a fresh job id).  Every call runs the whole
+policy, whatever earlier calls met; once it is spent the call raises
+:class:`BrokerUnavailable`, which ``fallback="local"`` turns into local
+execution of the shards still undone.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import socket
 import uuid
 
-from ..resilience import RetryError, breaker_for
+from ..resilience import RetryError
 from ..resilience.faults import InjectedCrash, InjectedFault, active_fault_plan
 from ..telemetry import get_telemetry
 from .wire import (
@@ -56,7 +56,7 @@ class DistributedError(RuntimeError):
 
 
 class BrokerUnavailable(DistributedError):
-    """The broker cannot be reached (retries exhausted or breaker open).
+    """The broker cannot be reached (retries exhausted).
 
     The transport-level subset of :class:`DistributedError`: the job
     itself is fine, the queue is not.  This is the signal
@@ -163,18 +163,10 @@ def run_on_broker(encoded: dict, graphs: dict, endpoint, policy, deliver) -> Non
     Transport failures are retried under ``policy`` (a
     :class:`~repro.resilience.RetryPolicy`): each attempt resubmits only
     the shards not yet delivered, under a fresh job id, and exhausting
-    the policy — or the endpoint's circuit breaker being open — raises
-    :class:`BrokerUnavailable`.  A job the broker declares failed
-    raises :class:`DistributedError`.
+    the policy raises :class:`BrokerUnavailable`.  A job the broker
+    declares failed raises :class:`DistributedError`.
     """
     tel = get_telemetry()
-    breaker = breaker_for(str(endpoint))
-    if not breaker.allow():
-        tel.count("client.breaker_fastfails")
-        raise BrokerUnavailable(
-            f"cannot reach broker at {endpoint}: circuit breaker open, "
-            "failing fast"
-        )
     plan = active_fault_plan()
     pending = dict(encoded)
     delivered = 0
@@ -239,18 +231,8 @@ def run_on_broker(encoded: dict, graphs: dict, endpoint, policy, deliver) -> Non
                 "resubmitting"
             )
 
-    def attempt() -> None:
-        try:
-            run_attempt()
-        except (DistributedError, InjectedCrash):
-            raise  # logical failure / deliberate crash: never a breaker event
-        except (ConnectionError, TimeoutError, OSError):
-            breaker.record_failure()
-            raise
-        breaker.record_success()
-
     try:
-        policy.run(attempt, what=f"distributed job via {endpoint}")
+        policy.run(run_attempt, what=f"distributed job via {endpoint}")
     except RetryError as exc:
         raise BrokerUnavailable(
             f"cannot reach broker at {endpoint}: {exc.last!r} "
@@ -259,16 +241,14 @@ def run_on_broker(encoded: dict, graphs: dict, endpoint, policy, deliver) -> Non
 
 
 def transport_snapshot() -> dict:
-    """This process's transport-side health: cache, breakers, counters.
+    """This process's transport-side health: cache and counters.
 
-    The shared status fragment ``/statusz`` and the CLI panels splice
-    into their frames: the result-cache footprint (entries/bytes at
-    the resolved ``REPRO_CACHE_DIR`` root), every registered
-    circuit-breaker's state, and the ``client.*``/``retry.*``
+    The status fragment a broker's ``/statusz`` splices into its frame:
+    the result-cache footprint (entries/bytes at the resolved
+    ``REPRO_CACHE_DIR`` root) and the ``client.*``/``retry.*``
     lifecycle counters.  Read-only and cheap — safe to call from any
     thread.
     """
-    from ..resilience.retry import breaker_states
     from .cache import ResultCache
 
     root = ResultCache.default_root()
@@ -289,7 +269,7 @@ def transport_snapshot() -> dict:
         for name, value in get_telemetry().counters().items()
         if name.startswith(("client.", "retry."))
     }
-    return {"cache": cache, "breakers": breaker_states(), "counters": counters}
+    return {"cache": cache, "counters": counters}
 
 
 def broker_status(endpoint, *, timeout: float = 5.0) -> dict:

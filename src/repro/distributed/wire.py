@@ -639,8 +639,7 @@ def encode_task(task: ShardTask) -> dict:
     :func:`repro.parallel.run_shard` is bit-for-bit identical to
     running the original in-process.  No kernel choice is encoded: the
     worker's engine picks its own, bit-identically (see
-    :func:`repro.kernels.dispatch.resolve`), and decoding ignores the
-    ``backend`` key older senders could attach.
+    :func:`repro.kernels.dispatch.resolve`).
     """
     return {
         "v": WIRE_VERSION,

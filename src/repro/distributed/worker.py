@@ -30,12 +30,13 @@ fail the job after ``max_attempts``.
 
 The session as a whole *reconnects*: a broken or injected-away
 connection closes the socket (the broker requeues any held lease on
-EOF) and re-dials under the worker's retry policy, so a broker restart
-or a chaos plan dropping frames costs requeues, not workers.  Fault
-injection (:mod:`repro.resilience.faults`) hooks the dial
+EOF) and re-dials every 0.25 s, ``connect_retries`` times, so a broker
+restart or a chaos plan dropping frames costs requeues, not workers.
+Fault injection (:mod:`repro.resilience.faults`) hooks the dial
 (``worker.connect``), the send paths (``worker.send``,
-``worker.heartbeat``) and the lease count (worker kill); with no plan
-installed every hook is a single ``None`` check.
+``worker.heartbeat``) and the lease count (worker kill); a plan is
+installed only when ``faults=`` passes one (``repro worker --faults``),
+and with none every hook is a single ``None`` check.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import threading
 import time
 
 from ..parallel.sharding import run_shard
-from ..resilience import FAULT_PLAN_ENV_VAR, RetryPolicy
+from ..resilience import RetryPolicy
 from ..resilience.faults import (
     FaultPlan,
     InjectedFault,
@@ -74,6 +75,9 @@ __all__ = ["run_worker"]
 #: place shard timings cross the wire (results themselves stay
 #: meta-free so the wire format and cache entries are unchanged).
 _STATS_KEYS = ("wall_s", "cpu_s", "runs", "rounds_run", "max_rss")
+
+#: Seconds between dials of the broker: fixed, with no jitter.
+_DIAL_SPACING_S = 0.25
 
 
 def _heartbeat_loop(
@@ -150,21 +154,12 @@ def _dial(host: str, port: int, policy: RetryPolicy) -> socket.socket:
     return policy.run(attempt, what=f"dial broker {host}:{port}")
 
 
-def _plan_from_env() -> FaultPlan | None:
-    """Pick up a fault plan serialised into :data:`FAULT_PLAN_ENV_VAR`."""
-    spec = os.environ.get(FAULT_PLAN_ENV_VAR)
-    if not spec:
-        return None
-    return FaultPlan.from_json(spec)
-
-
 def run_worker(
     endpoint,
     *,
     max_tasks: int | None = None,
     poll_interval: float = 0.5,
     connect_retries: int = 20,
-    retry_delay: float = 0.25,
     faults: FaultPlan | None = None,
     metrics_port: int | None = None,
 ) -> int:
@@ -181,16 +176,14 @@ def run_worker(
         CLI deployment mode).
     poll_interval:
         Sleep between lease attempts while the queue is empty.
-    connect_retries / retry_delay:
-        Dial retries (fixed spacing), so workers may be launched before
+    connect_retries:
+        Dial retries, 0.25 s apart, so workers may be launched before
         (or while) the broker comes up — and, on a mid-session
         disconnect, how long the worker keeps re-dialing before giving
         up.
     faults:
-        An explicit :class:`~repro.resilience.FaultPlan` to install for
-        this process (chaos harness use).  When None, the
-        ``REPRO_FAULT_PLAN`` environment variable is consulted, so
-        spawned worker processes inherit the plan.
+        A :class:`~repro.resilience.FaultPlan` to install for this
+        process (chaos harness use); None installs none.
     metrics_port:
         Serve ``/metrics``/``/healthz``/``/statusz`` on this port (0 =
         ephemeral) for the lifetime of the worker.  When None the
@@ -203,16 +196,13 @@ def run_worker(
     cleanly once re-dialing gives up.
     """
     host, port = parse_endpoint(endpoint)
-    plan = faults if faults is not None else _plan_from_env()
-    if plan is not None:
-        install_fault_plan(plan)
+    if faults is not None:
+        install_fault_plan(faults)
     dial_policy = RetryPolicy(
         attempts=int(connect_retries) + 1,
-        base_delay_s=float(retry_delay),
-        max_delay_s=float(retry_delay),
-        multiplier=1.0,
+        base_delay_s=_DIAL_SPACING_S,
+        max_delay_s=_DIAL_SPACING_S,
         jitter=0.0,
-        retry_on=(OSError,),
     )
     def _session_loop() -> int:
         """The dial/lease/execute loop, wrapped so the live plane is
@@ -260,7 +250,7 @@ def run_worker(
                     if kind != "task":
                         break
                     leases += 1
-                    if plan is not None and plan.kill_worker(leases):
+                    if faults is not None and faults.kill_worker(leases):
                         # A chaos kill is a SIGKILL stand-in: no cleanup,
                         # no goodbye frame — the broker must recover from
                         # lease expiry / EOF alone.
@@ -359,15 +349,12 @@ def run_worker(
     resolved_port = metrics_port_from_env(metrics_port)
     server = None
     if resolved_port is not None:
-        from ..resilience.retry import breaker_states
-
         def _statusz() -> dict:
             return {
                 "role": "worker",
                 "endpoint": f"{host}:{port}",
                 "pid": os.getpid(),
                 "counters": get_telemetry().counters(),
-                "breakers": breaker_states(),
                 "resources": resource_snapshot(),
             }
 

@@ -420,7 +420,7 @@ class SpreadEngine:
         max_shard: int | None = None,
         endpoint: str | None = None,
         cache="auto",
-        retry="default",
+        retry=None,
         fallback="default",
     ) -> SpreadResult:
         """Advance the runs sharded across worker processes.

@@ -47,7 +47,6 @@ few of them per worker.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing as mp
 import os
 import time
 from dataclasses import dataclass, replace
@@ -65,7 +64,7 @@ from ..telemetry import (
     span_id_from,
     summarize_values,
 )
-from .pool import default_workers
+from .pool import default_workers, parallel_map
 
 __all__ = [
     "ShardTask",
@@ -244,25 +243,12 @@ def run_shard(task: ShardTask):
 def execute_shards(tasks: Sequence[ShardTask], workers: int | None = None) -> list:
     """Run shard tasks on the local pool, serially or across processes.
 
-    ``workers=None`` uses :func:`repro.parallel.default_workers`;
-    ``workers <= 1`` (or a single task) runs in-process, and a worker
-    count above the task count is clamped (fewer shards than workers is
-    fine — the surplus workers are simply never spawned).  Output order
-    matches input order, and because every task carries its own spawned
-    seed the results are identical either way.  ``chunksize`` is pinned
-    to 1: shards are few and heavy, so eager redistribution beats
-    amortised IPC.  Pools fork where the platform allows it.
+    :func:`~repro.parallel.parallel_map` with ``chunk_size=1``: shards
+    are few and heavy, so eager redistribution beats amortised IPC.
+    Output order matches input order, and because every task carries
+    its own spawned seed the results are identical at any ``workers``.
     """
-    tasks = list(tasks)
-    if not tasks:
-        return []
-    workers = default_workers() if workers is None else int(workers)
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        return [run_shard(task) for task in tasks]
-    ctx = mp.get_context("fork" if os.name != "nt" else "spawn")
-    with ctx.Pool(processes=workers) as pool:
-        return pool.map(run_shard, tasks, chunksize=1)
+    return parallel_map(run_shard, tasks, n_workers=workers, chunk_size=1)
 
 
 @contextlib.contextmanager
@@ -301,7 +287,7 @@ def execute_cached(
     *,
     endpoint: str | None = None,
     cache="auto",
-    retry="default",
+    retry=None,
     fallback="default",
 ) -> list:
     """Run shard tasks through the result cache, on a broker or the local pool.
@@ -318,11 +304,12 @@ def execute_cached(
     ``cache="auto"`` is ``REPRO_CACHE_DIR``'s store on the broker tier
     and no store on the local one; a
     :class:`~repro.distributed.ResultCache` or a path is used on both
-    tiers, and None disables caching.  ``retry`` governs transport
-    retries against the broker, and ``fallback="local"`` finishes on the
-    local pool whatever shards an unreachable broker left undone; both
-    default to :func:`repro.resilience.configure`.  Results come back in
-    task order, bit-identical on every tier.
+    tiers, and None disables caching.  ``retry`` is the
+    :class:`~repro.resilience.RetryPolicy` for transport retries against
+    the broker (None: ``RetryPolicy()``), and ``fallback="local"``
+    finishes on the local pool whatever shards an unreachable broker
+    left undone (``"default"``: :func:`repro.resilience.configure`).
+    Results come back in task order, bit-identical on every tier.
     """
     tasks = list(tasks)
     if not tasks:
@@ -343,9 +330,9 @@ def execute_cached(
     missing = [i for i, result in enumerate(results) if result is None]
     if endpoint is not None and missing:
         from ..distributed.wire import graph_blobs
-        from ..resilience import resolve_fallback, resolve_retry
+        from ..resilience import RetryPolicy, resolve_fallback
 
-        policy = resolve_retry(retry)
+        policy = RetryPolicy() if retry is None else retry
         fallback_mode = resolve_fallback(fallback)
 
         def deliver(index: int, result, payload: dict) -> None:
@@ -527,7 +514,7 @@ def run_sharded(
     max_shard: int = DEFAULT_MAX_SHARD,
     endpoint: str | None = None,
     cache="auto",
-    retry="default",
+    retry=None,
     fallback="default",
 ):
     """Shard one engine invocation's R axis across worker processes.

@@ -16,9 +16,9 @@ local execution, and a client killed mid-job resuming from the result
 cache without recomputing the shards it had stored (verified via the
 ``client.cache.hits`` counter).
 
-Everything is driven by one seed: the workload seed, the fault plans
-and the retry jitter all derive from it, so a failing cell replays
-exactly with ``repro chaos --seed N``.
+Everything is driven by one seed: the workload seed and the fault
+plans derive from it, and the retry schedule is fixed, so a failing
+cell replays exactly with ``repro chaos --seed N``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from ..engine import CobraRule, SpreadEngine
 from ..graphs import random_regular_graph
 from ..telemetry import get_telemetry
 from .faults import FaultPlan, FaultRule, InjectedCrash, fault_injection
-from .retry import RetryPolicy, reset_breakers
+from .retry import RetryPolicy
 
 __all__ = [
     "FAULT_CLASSES",
@@ -190,7 +190,6 @@ def chaos_case(fault: str, seed: int = 0) -> dict:
             )
         report[tier] = _identical(got, reference)
 
-    reset_breakers()
     with Broker(lease_timeout=5.0) as broker:
         procs = _spawn_workers(broker.address, worker_plans)
         try:
@@ -210,7 +209,6 @@ def chaos_case(fault: str, seed: int = 0) -> dict:
             report["distributed"] = False
         finally:
             _reap(procs)
-    reset_breakers()
     return report
 
 
@@ -253,7 +251,6 @@ def fallback_drill(seed: int = 0) -> dict:
     reference = _reference(engine, state, seed)
     tel = get_telemetry()
     before = tel.counters().get("client.fallbacks", 0)
-    reset_breakers()
     got = engine.run_sharded(
         state,
         seed,
@@ -265,7 +262,6 @@ def fallback_drill(seed: int = 0) -> dict:
         retry=RetryPolicy(attempts=2, base_delay_s=0.01, max_delay_s=0.02),
         fallback="local",
     )
-    reset_breakers()
     fallbacks = tel.counters().get("client.fallbacks", 0) - before
     return {"ok": _identical(got, reference) and fallbacks >= 1,
             "fallbacks": fallbacks}
@@ -288,7 +284,6 @@ def cache_resume_drill(seed: int = 0) -> dict:
         store = ResultCache(Path(tmp) / "cache", max_bytes=None)
         crash_plan = FaultPlan(seed=seed, crash_client_after_done=2)
         crashed = False
-        reset_breakers()
         with Broker(lease_timeout=5.0) as broker:
             procs = _spawn_workers(broker.address, [None, None])
             try:
@@ -308,7 +303,6 @@ def cache_resume_drill(seed: int = 0) -> dict:
                         crashed = True
             finally:
                 _reap(procs)
-        reset_breakers()
         hits_before = tel.counters().get("client.cache.hits", 0)
         got = engine.run_sharded(
             state,

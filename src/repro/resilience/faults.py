@@ -31,10 +31,7 @@ __all__ = [
     "active_fault_plan",
     "clear_fault_plan",
     "fault_injection",
-    "FAULT_PLAN_ENV_VAR",
 ]
-
-FAULT_PLAN_ENV_VAR = "REPRO_FAULT_PLAN"
 
 _FRAME_HEADER = struct.Struct(">I")
 
@@ -257,7 +254,7 @@ class FaultPlan:
         return out
 
     def to_json(self) -> str:
-        """Serialise the plan for transport via ``REPRO_FAULT_PLAN``."""
+        """Serialise the plan as the JSON ``repro worker --faults`` takes."""
         return json.dumps(self.spec(), sort_keys=True)
 
     @classmethod

@@ -425,8 +425,8 @@ class Telemetry:
 
         Gauges aggregate even when disabled, like counters — they feed
         the ``/metrics`` exporter and :meth:`snapshot` without a sink.
-        ``labels`` distinguish series of the same name (e.g. a gauge
-        per circuit-breaker key); a ``gauge`` record is emitted only
+        ``labels`` distinguish series of the same name (e.g. a broker's
+        throughput gauge per worker); a ``gauge`` record is emitted only
         when a sink is configured.
         """
         value = float(value)

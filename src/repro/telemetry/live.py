@@ -13,11 +13,10 @@ Three layers, all stdlib-only:
   ``http.server`` thread (``--metrics-port`` / ``REPRO_METRICS_PORT``)
   exposing ``/metrics`` (exposition text), ``/healthz`` (JSON
   liveness, 503 when degraded) and ``/statusz`` (one JSON frame of
-  queue/worker/cache/breaker/resource state).  Values that are state
-  rather than events (circuit-breaker states, resource usage, a
-  broker's queue depths) are read into a fresh registry with no sink
-  when ``/metrics`` is scraped, so no thread runs between scrapes and
-  scraping never writes to a trace.
+  queue/worker/cache/resource state).  Values that are state rather
+  than events (resource usage, a broker's queue depths) are read into
+  a fresh registry with no sink when ``/metrics`` is scraped, so no
+  thread runs between scrapes and scraping never writes to a trace.
 * **Rendering** — :func:`render_status_panel` formats one ``/statusz``
   frame as a terminal panel with the shared
   :func:`~repro.telemetry.summarize.histogram_bar` /
@@ -218,17 +217,14 @@ def metrics_port_from_env(override=None) -> int | None:
 
 
 def _read_process_state(tel) -> None:
-    """Read this process's breaker states and resource usage into ``tel``.
+    """Read this process's resource usage into ``tel``.
 
-    Called on every ``/metrics`` scrape with a registry of its own: both
-    are state, not events, so they are read when asked for instead of
+    Called on every ``/metrics`` scrape with a registry of its own: it
+    is state, not events, so it is read when asked for instead of
     pushed by a thread, and never traced.
     """
-    from ..resilience.retry import BREAKER_STATE_VALUES, breaker_states
     from .resource import resource_snapshot
 
-    for key, state in breaker_states().items():
-        tel.gauge("retry.breaker.state", BREAKER_STATE_VALUES[state], key=key)
     snap = resource_snapshot()
     for key in ("rss_bytes", "max_rss_bytes", "open_fds"):
         if key in snap:
@@ -250,9 +246,8 @@ class MetricsServer:
     ``/metrics`` after the process registry (a broker's own and its
     queue state, read on each call); with none supplied the server
     reports the process registry and resource snapshot alone.  Every
-    scrape also reads the circuit-breaker states
-    (``retry.breaker.state``) and resource usage (``process.*``) into a
-    fresh registry with no sink, so scraping never writes to a trace.  A
+    scrape also reads resource usage (``process.*``) into a fresh
+    registry with no sink, so scraping never writes to a trace.  A
     callback that raises yields a 500 response — the serving thread
     never dies with it.  Port ``0`` binds an ephemeral port, readable
     from :attr:`port` after :meth:`start`.  Usable as a context
@@ -512,8 +507,8 @@ def render_status_panel(status: dict, *, title=None, stale_s=None) -> str:
     sections are optional: ``queue`` (ledger counts + progress bar),
     ``metrics`` (the broker's queue metrics: traffic, rates, wait/exec
     percentiles with :func:`histogram_bar`, per-worker throughput/RSS
-    with :func:`fill_bar`), ``cache``, ``breakers``, ``counters``,
-    ``resources`` and ``health``.  ``stale_s`` marks the panel as
+    with :func:`fill_bar`), ``cache``, ``counters``, ``resources`` and
+    ``health``.  ``stale_s`` marks the panel as
     rendered from the last reachable frame.
     """
     role = status.get("role", "endpoint")
@@ -541,10 +536,6 @@ def render_status_panel(status: dict, *, title=None, stale_s=None) -> str:
                 f"  cache   : {cache.get('entries', 0)} entr(ies), "
                 f"{cache.get('bytes', 0)} bytes at {cache.get('path', '?')}"
             )
-    breakers = status.get("breakers")
-    if breakers:
-        rendered = " ".join(f"{k}={v}" for k, v in sorted(breakers.items()))
-        lines.append(f"  breakers: {rendered}")
     counters = status.get("counters")
     if counters:
         rendered = " ".join(

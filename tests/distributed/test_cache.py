@@ -58,6 +58,30 @@ class TestResultCache:
         path.write_text("{not json")
         assert cache.get(key) is None
 
+    @pytest.mark.parametrize("entry", ["undigested", "digest-mismatch"])
+    def test_unverified_entry_is_quarantined(self, tmp_path, entry):
+        # put() wraps every result in a digest envelope, so a bare
+        # result at a key's path came from elsewhere: it is quarantined
+        # like an entry whose digest does not match.
+        import json
+
+        from repro.distributed import encode_result
+        from repro.distributed.wire import canonical_bytes
+
+        cache = ResultCache(tmp_path)
+        task = _task()
+        key = task_key(task)
+        path = cache.put(key, run_shard(task))
+        if entry == "undigested":
+            payload = encode_result(run_shard(task))
+        else:
+            payload = json.loads(path.read_text())
+            payload["digest"] = "0" * 64
+        path.write_bytes(canonical_bytes(payload))
+        assert cache.get(key) is None
+        assert (cache.hits, cache.corrupt) == (0, 1)
+        assert not path.exists() and path.with_suffix(".corrupt").exists()
+
     def test_put_accepts_encoded_dict(self, tmp_path):
         from repro.distributed import encode_result
 

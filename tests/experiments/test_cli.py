@@ -14,10 +14,7 @@ from repro.cli import _graph_from_spec, build_parser, main
 ROOT = Path(__file__).resolve().parents[2]
 
 _TEL = {"telemetry": None}
-_FLEET = {
-    "retry_attempts": None, "retry_base": None, "retry_max": None,
-    "fallback": None, "workers": None, "endpoint": None,
-}
+_FLEET = {"fallback": None, "workers": None, "endpoint": None}
 _SAMPLING = {"lazy": False, "seed": 0}
 _EVOLVING = {
     "family": "expander", "n": 64, "rate": 0.1, "process": "cobra",
@@ -361,6 +358,21 @@ class TestRedrawLoop:
         assert main(["top", dead, "--once", "--fail-on-dead"]) == 1
         assert dead in capsys.readouterr().err
 
+    def test_status_shows_only_what_the_broker_reports(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # This process's result cache is not the broker's: with an entry
+        # in REPRO_CACHE_DIR, the broker's panel still has no cache line.
+        from repro.distributed import Broker, ResultCache
+
+        ResultCache(tmp_path, max_bytes=None).put("ab" * 32, {"v": 2})
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        with Broker(lease_timeout=15.0) as broker:
+            assert main(["status", broker.address]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"broker {broker.address}")
+        assert "cache" not in out
+
     def test_status_dead_broker_one_line(self, capsys):
         dead = _dead_endpoint()
         assert main(["status", dead]) == 1
@@ -397,25 +409,25 @@ class TestRedrawLoop:
 
 
 class TestResilienceFlags:
-    """--fallback local against a dead broker equals the local run."""
+    """--fallback local against a dead broker equals the local run.
+
+    Each fallback waits through the default retry schedule first.
+    """
 
     @pytest.fixture(autouse=True)
     def _isolated(self, tmp_path, monkeypatch):
         from repro import resilience
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        resilience.reset_breakers()
         yield
-        resilience.configure(retry=None, fallback=None)
-        resilience.reset_breakers()
+        resilience.configure(fallback=None)
 
     def test_cover_falls_back_to_local(self, capsys):
         argv = ["cover", "rreg-4-64", "--runs", "40", "--seed", "3"]
         assert main(argv + ["--workers", "1"]) == 0
         local = _statistics(capsys.readouterr().out)
         assert main(
-            argv + ["--endpoint", _dead_endpoint(), "--fallback", "local",
-                    "--retry-attempts", "1"]
+            argv + ["--endpoint", _dead_endpoint(), "--fallback", "local"]
         ) == 0
         fallen_back = _statistics(capsys.readouterr().out)
         assert len(local) == 2
@@ -426,8 +438,7 @@ class TestResilienceFlags:
         assert main(argv + ["--workers", "1"]) == 0
         local = _statistics(capsys.readouterr().out)
         assert main(
-            argv + ["--endpoint", _dead_endpoint(), "--fallback", "local",
-                    "--retry-attempts", "1"]
+            argv + ["--endpoint", _dead_endpoint(), "--fallback", "local"]
         ) == 0
         fallen_back = _statistics(capsys.readouterr().out)
         assert len(local) == 2

@@ -29,7 +29,7 @@ from repro.distributed.wire import (
 from repro.engine import CobraRule, SpreadEngine
 from repro.graphs import hypercube_graph, random_regular_graph
 from repro.parallel import ShardTask, execute_cached, execute_shards, run_shard
-from repro.resilience import RetryPolicy, reset_breakers
+from repro.resilience import RetryPolicy
 from repro.stats import spawn_seeds
 from repro.telemetry import get_telemetry
 
@@ -256,7 +256,6 @@ def test_fallback_runs_only_what_a_dead_broker_left(tmp_path):
     worker.start()
     tel = get_telemetry()
     fallbacks = tel.counters().get("client.fallbacks", 0)
-    reset_breakers()
     try:
         got = engine.run_distributed(
             state,
@@ -270,7 +269,6 @@ def test_fallback_runs_only_what_a_dead_broker_left(tmp_path):
     finally:
         broker.shutdown()
         worker.join(timeout=10)
-        reset_breakers()
     assert not worker.is_alive()
     computed_locally = len((got.meta or {}).get("shards", ()))
     assert 1 <= computed_locally < 8

@@ -3,13 +3,21 @@
 The contract under test: every injection decision is a pure function of
 ``(seed, kind, site, counter)``, so two plans built from the same spec
 make byte-identical decisions in any process — which is what makes a
-chaos run replayable from one integer.
+chaos run replayable from one integer.  A plan is active only where one
+was installed explicitly: nothing in the environment installs one.
 """
 
+import multiprocessing as mp
 import struct
+import threading
 
+import numpy as np
 import pytest
 
+from repro.core.branching import make_policy
+from repro.distributed import Broker, run_worker
+from repro.engine import CobraRule, SpreadEngine
+from repro.graphs import random_regular_graph
 from repro.resilience import (
     FaultPlan,
     FaultRule,
@@ -154,6 +162,45 @@ class TestInstallation:
     def test_none_plan_context_is_noop(self):
         with fault_injection(None):
             assert active_fault_plan() is None
+
+
+def test_worker_ignores_a_kill_plan_in_its_environment(monkeypatch):
+    # A worker installs only the plan faults= gives it, so a kill plan
+    # left in the environment must not end it on its first lease.
+    plan = FaultPlan(seed=0, kill_worker_after_leases=1)
+    monkeypatch.setenv("REPRO_FAULT_PLAN", plan.to_json())
+    graph = random_regular_graph(32, 4, rng=5)
+    engine = SpreadEngine(CobraRule(make_policy(2)), graph)
+    state = np.zeros((12, graph.n), dtype=bool)
+    state[:, 0] = True
+    reference = engine.run_sharded(state, 3, workers=1, max_shard=4)
+    got = []
+    with Broker(lease_timeout=15.0) as broker:
+        worker = mp.get_context("fork").Process(
+            target=run_worker,
+            args=(broker.address,),
+            kwargs={"poll_interval": 0.05, "max_tasks": 3},
+            daemon=True,
+        )
+        worker.start()
+        client = threading.Thread(
+            target=lambda: got.append(
+                engine.run_distributed(
+                    state, 3, endpoint=broker.address, max_shard=4, cache=None
+                )
+            ),
+            daemon=True,
+        )
+        client.start()
+        worker.join(timeout=30)
+        if worker.is_alive():
+            worker.terminate()
+            worker.join()
+        client.join(timeout=30)
+    assert worker.exitcode == 0
+    assert len(got) == 1
+    assert np.array_equal(got[0].finish_times, reference.finish_times)
+    assert np.array_equal(got[0].final_state, reference.final_state)
 
 
 class TestWireIntegration:

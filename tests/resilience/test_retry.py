@@ -1,21 +1,32 @@
-"""RetryPolicy and CircuitBreaker unit tests (no sockets, no sleeps).
+"""RetryPolicy tests: the schedule, the loop, and what a caller sees.
 
-Backoff schedules are asserted to be deterministic in the seed (two
-policies given the same seed produce identical delays — the property
-that makes chaos runs replayable) and the breaker state machine is
-driven with a fake clock.
+Backoff schedules are asserted to be deterministic (two policies give
+identical delays — the property that makes chaos runs replayable) and
+pinned to their values.  Every call runs the whole policy afresh: a
+dead broker costs each call its full schedule, and the worker dials at
+a fixed spacing.
 """
 
+import socket
+
+import numpy as np
 import pytest
 
-from repro.resilience import (
-    CircuitBreaker,
-    RetryError,
-    RetryPolicy,
-    breaker_for,
-    reset_breakers,
-)
+from repro.core.branching import make_policy
+from repro.distributed import BrokerUnavailable, run_worker
+from repro.distributed import worker as worker_module
+from repro.engine import CobraRule, SpreadEngine
+from repro.graphs import hypercube_graph
+from repro import resilience
+from repro.resilience import RetryError, RetryPolicy, resolve_fallback
 from repro.telemetry import get_telemetry
+
+
+def _dead_endpoint() -> str:
+    """A localhost port with nothing listening on it."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return f"127.0.0.1:{sock.getsockname()[1]}"
 
 
 class TestDelaySchedule:
@@ -32,10 +43,16 @@ class TestDelaySchedule:
             policy.delay_s(k, seed=2) for k in range(1, 5)
         ]
 
+    def test_default_schedule_is_pinned(self):
+        # The sleeps every broker call takes before retries 1..3.
+        assert [RetryPolicy().delay_s(k) for k in (1, 2, 3)] == [
+            0.1460874246389578,
+            0.27389489761867847,
+            0.5247911398744762,
+        ]
+
     def test_exponential_growth_capped(self):
-        policy = RetryPolicy(
-            base_delay_s=0.1, max_delay_s=0.4, multiplier=2.0, jitter=0.0
-        )
+        policy = RetryPolicy(base_delay_s=0.1, max_delay_s=0.4, jitter=0.0)
         assert [policy.delay_s(k) for k in range(1, 5)] == pytest.approx(
             [0.1, 0.2, 0.4, 0.4]
         )
@@ -75,7 +92,7 @@ class TestRun:
         assert "dial broker" in str(err.value)
         assert isinstance(err.value, ConnectionError)  # catchable as such
 
-    def test_non_retryable_propagates_immediately(self):
+    def test_other_errors_propagate_immediately(self):
         calls = {"n": 0}
 
         def broken():
@@ -97,28 +114,9 @@ class TestRun:
             RetryPolicy(attempts=1).run(dead, sleep=lambda _s: None)
         assert calls["n"] == 1
 
-    def test_budget_stops_early(self):
-        calls = {"n": 0}
-
-        def dead():
-            calls["n"] += 1
-            raise ConnectionError("x")
-
-        policy = RetryPolicy(
-            attempts=10, base_delay_s=1.0, multiplier=1.0, jitter=0.0,
-            budget_s=2.5,
-        )
-        with pytest.raises(RetryError):
-            policy.run(dead, sleep=lambda _s: None)
-        # Two 1.0s sleeps fit the 2.5s budget; the third would blow it,
-        # so exactly 3 calls happen.
-        assert calls["n"] == 3
-
-    def test_on_retry_callback_and_counter(self):
+    def test_counts_each_retry(self):
         tel = get_telemetry()
         before = tel.counters().get("retry.retries", 0)
-        seen = []
-
         calls = {"n": 0}
 
         def flaky():
@@ -128,80 +126,73 @@ class TestRun:
             return 1
 
         RetryPolicy(attempts=3, base_delay_s=0.01).run(
-            flaky,
-            sleep=lambda _s: None,
-            on_retry=lambda attempt, delay, err: seen.append(
-                (attempt, type(err))
-            ),
+            flaky, sleep=lambda _s: None
         )
-        assert seen == [(1, ConnectionError)]
         assert tel.counters().get("retry.retries", 0) == before + 1
 
 
-class TestCircuitBreaker:
-    def _breaker(self, **kw):
-        clock = {"t": 0.0}
-        kw.setdefault("failure_threshold", 3)
-        kw.setdefault("cooldown_s", 10.0)
-        breaker = CircuitBreaker("test", clock=lambda: clock["t"], **kw)
-        return breaker, clock
+class TestFallbackMode:
+    """``fallback="default"`` reads :func:`repro.resilience.configure` only."""
 
-    def test_trips_after_consecutive_failures(self):
-        breaker, _clock = self._breaker()
-        for _ in range(2):
-            breaker.record_failure()
-            assert breaker.state == "closed"
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
+    @pytest.fixture(autouse=True)
+    def _unconfigured(self, monkeypatch):
+        # monkeypatch puts back whatever mode was installed before.
+        monkeypatch.setattr(resilience, "_FALLBACK", None)
 
-    def test_success_resets_failure_run(self):
-        breaker, _clock = self._breaker()
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
+    def test_default_follows_configure(self):
+        assert resolve_fallback("default") is None
+        resilience.configure(fallback="local")
+        assert resolve_fallback("default") == "local"
+        resilience.configure(fallback="none")
+        assert resolve_fallback("default") is None
 
-    def test_half_open_admits_single_probe(self):
-        breaker, clock = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
-        clock["t"] = 11.0
-        assert breaker.state == "half-open"
-        assert breaker.allow()  # the probe
-        assert not breaker.allow()  # but only one
+    def test_explicit_mode_overrides_configure(self):
+        resilience.configure(fallback="local")
+        assert resolve_fallback("none") is None
+        assert resolve_fallback(None) is None
+        assert resolve_fallback("local") == "local"
 
-    def test_probe_success_closes(self):
-        breaker, clock = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
-        clock["t"] = 11.0
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.allow()
+    def test_environment_is_not_read(self, monkeypatch):
+        # REPRO_FALLBACK is not a second way to set the mode.
+        monkeypatch.setenv("REPRO_FALLBACK", "local")
+        assert resolve_fallback("default") is None
 
-    def test_probe_failure_restarts_cooldown(self):
-        breaker, clock = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
-        clock["t"] = 11.0
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        clock["t"] = 20.0  # 9s after reopening: still cooling down
-        assert not breaker.allow()
-        clock["t"] = 21.5
-        assert breaker.allow()
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown fallback mode 'remote'"):
+            resolve_fallback("remote")
 
-    def test_registry_returns_same_instance(self):
-        reset_breakers()
-        try:
-            a = breaker_for("127.0.0.1:7603")
-            b = breaker_for("127.0.0.1:7603")
-            c = breaker_for("127.0.0.1:9999")
-            assert a is b
-            assert a is not c
-        finally:
-            reset_breakers()
+
+def test_dead_endpoint_costs_every_call_its_whole_schedule():
+    # No call is answered from an earlier one's failures: each dials
+    # `attempts` times and names the dial error it gave up on.
+    graph = hypercube_graph(3)
+    engine = SpreadEngine(CobraRule(make_policy(2)), graph)
+    state = np.zeros((4, graph.n), dtype=bool)
+    state[:, 0] = True
+    endpoint = _dead_endpoint()
+    policy = RetryPolicy(attempts=3, base_delay_s=0.001, max_delay_s=0.001)
+    tel = get_telemetry()
+    calls = 6
+    before = {k: tel.counters().get(k, 0) for k in ("retry.retries", "retry.giveups")}
+    for _ in range(calls):
+        with pytest.raises(BrokerUnavailable, match="ConnectionRefusedError"):
+            engine.run_distributed(
+                state, 1, endpoint=endpoint, cache=None, retry=policy,
+                fallback="none",
+            )
+    after = {k: tel.counters().get(k, 0) for k in before}
+    assert after["retry.giveups"] - before["retry.giveups"] == calls
+    assert after["retry.retries"] - before["retry.retries"] == calls * 2
+
+
+def test_worker_dials_at_fixed_spacing(monkeypatch):
+    sleeps = []
+
+    class Recorded(RetryPolicy):
+        def run(self, fn, *, what="operation", sleep=None):
+            return super().run(fn, what=what, sleep=sleeps.append)
+
+    monkeypatch.setattr(worker_module, "RetryPolicy", Recorded)
+    with pytest.raises(ConnectionRefusedError):
+        run_worker(_dead_endpoint(), connect_retries=3)
+    assert sleeps == [0.25, 0.25, 0.25]

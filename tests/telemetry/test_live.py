@@ -252,61 +252,17 @@ class TestMetricsServer:
         assert (first["broker_jobs"][()], second["broker_jobs"][()]) == (1.0, 2.0)
 
     def test_scrape_writes_no_trace_record(self):
-        from repro.resilience.retry import breaker_for, reset_breakers
-
         sink = MemorySink()
         tel = configure(sink)
         tel.count("client.submits", 1)
-        reset_breakers()
-        try:
-            breaker_for("live-untraced", failure_threshold=1).record_failure()
-            sink.records.clear()
-            with MetricsServer(port=0) as server:
-                _, _, body = _get(f"http://{server.address}/metrics")
-        finally:
-            reset_breakers()
+        sink.records.clear()
+        with MetricsServer(port=0) as server:
+            _, _, body = _get(f"http://{server.address}/metrics")
         families = parse_prometheus(body.decode("utf-8"))
-        assert families["retry_breaker_state"][(("key", "live-untraced"),)] == 2.0
         assert families["process_rss_bytes"][()] > 0
         # State read at scrape time is served, but never traced.
         assert sink.records == []
         assert not any(name.startswith("process.") for name, _ in tel.gauges())
-
-    def test_half_open_breaker_scraped_as_one(self):
-        from repro.resilience.retry import breaker_for, reset_breakers
-
-        clock = [0.0]
-        reset_breakers()
-        try:
-            breaker = breaker_for(
-                "live-half-open", failure_threshold=1, cooldown_s=5.0,
-                clock=lambda: clock[0],
-            )
-            breaker.record_failure()
-            with MetricsServer(port=0) as server:
-                _, _, opened = _get(f"http://{server.address}/metrics")
-                clock[0] = 10.0  # past the cooldown: the next call probes
-                _, _, probing = _get(f"http://{server.address}/metrics")
-        finally:
-            reset_breakers()
-        key = (("key", "live-half-open"),)
-        opened = parse_prometheus(opened.decode("utf-8"))
-        probing = parse_prometheus(probing.decode("utf-8"))
-        assert opened["retry_breaker_state"][key] == 2.0
-        assert probing["retry_breaker_state"][key] == 1.0
-
-    def test_breaker_state_always_present_family(self):
-        from repro.resilience.retry import breaker_for, reset_breakers
-
-        reset_breakers()
-        try:
-            breaker_for("live-test-ep").record_success()
-            with MetricsServer(port=0) as server:
-                _, _, body = _get(f"http://{server.address}/metrics")
-        finally:
-            reset_breakers()
-        families = parse_prometheus(body.decode("utf-8"))
-        assert families["retry_breaker_state"][(("key", "live-test-ep"),)] == 0.0
 
     def test_stop_is_idempotent(self):
         server = MetricsServer(port=0).start()
@@ -366,7 +322,6 @@ class TestRenderStatusPanel:
                 },
             },
             "cache": {"enabled": True, "path": "/tmp/c", "entries": 2, "bytes": 99},
-            "breakers": {"127.0.0.1:7600": "closed"},
             "resources": {"rss_bytes": 1024**2, "max_rss_bytes": 2 * 1024**2,
                           "cpu_user_s": 1.5, "cpu_system_s": 0.5,
                           "open_fds": 12, "gc_collections": [10, 2, 1]},
@@ -381,7 +336,6 @@ class TestRenderStatusPanel:
         assert "exec    : (no samples yet)" in panel
         assert "conn-1" in panel and "rss=1.0MiB" in panel
         assert "throughput=0.30 shard/s" in panel
-        assert "breakers: 127.0.0.1:7600=closed" in panel
         assert "process : rss=1.0MiB peak=2.0MiB cpu=1.5u/0.5s fds=12 gc=10/2/1" in panel
 
     def test_stale_marker(self):
