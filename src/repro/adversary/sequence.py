@@ -96,17 +96,8 @@ class AdversarialSequence(MarkovGraphSequence):
             cache_size=cache_size,
         )
         self._log: list[FrontierDigest] = []
-        self._edges = base.edge_array()
-        self._keys = set(self._edge_keys(self._edges).tolist())
-        self._active = np.ones(base.n, dtype=bool)
-        self._built: Graph | None = None
 
     # -- bookkeeping ----------------------------------------------------
-    def _edge_keys(self, edges: np.ndarray) -> np.ndarray:
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        return lo * np.int64(self.n) + hi
-
     def _mutable(self, connected: bool | None = None) -> MutableTopology:
         return MutableTopology(
             self.n, self._edges, self._keys, self._active, connected=connected
@@ -160,9 +151,8 @@ class AdversarialSequence(MarkovGraphSequence):
     # -- MarkovGraphSequence hooks --------------------------------------
     def _reset_state(self) -> None:
         self._edges = self.base.edge_array()
-        self._keys = set(self._edge_keys(self._edges).tolist())
+        self._keys = MutableTopology.edge_key_set(self._edges, self.n)
         self._active = np.ones(self.n, dtype=bool)
-        self._built = None
         self.adversary.reset()
         self.adversary.initialize(self._mutable())
 
@@ -184,18 +174,14 @@ class AdversarialSequence(MarkovGraphSequence):
             checked = changed and self.keep_connected and bool(self._active.all())
             topo = self._mutable(connected=True if checked else None)
             if self.adversary.adapt(topo, digest, rng):
-                self._built = None
                 changed = True
         return changed
 
     def _build_graph(self) -> Graph:
-        if self._active.all():
-            if self._built is not None:
-                return self._built
-            return Graph(self.n, self._edges, name=self.name)
         e = self._edges
-        both = self._active[e[:, 0]] & self._active[e[:, 1]]
-        return Graph(self.n, e[both], name=self.name)
+        if not self._active.all():
+            e = e[self._active[e[:, 0]] & self._active[e[:, 1]]]
+        return Graph(self.n, e, name=self.name)
 
     # -- introspection ---------------------------------------------------
     def active_at(self, t: int) -> np.ndarray:

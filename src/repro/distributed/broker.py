@@ -641,12 +641,13 @@ class Broker:
         }
 
     def status_snapshot(self) -> dict:
-        """Thread-safe ``/statusz`` frame: queue, metrics, cache, resources.
+        """Thread-safe ``/statusz`` frame: queue, metrics, counters, resources.
 
         The superset of the TCP ``status`` reply: ledger counts and
         queue metrics (with per-worker throughput and peak RSS), plus
-        this process's result-cache footprint, ``client.*``/``retry.*``
-        counters and resource snapshot.
+        this process's ``client.*``/``retry.*`` counters and resource
+        snapshot.  No result-cache section: the broker never reads or
+        writes the result cache.
         """
         from ..telemetry.resource import resource_snapshot
         from .client import transport_snapshot

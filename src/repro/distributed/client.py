@@ -241,35 +241,20 @@ def run_on_broker(encoded: dict, graphs: dict, endpoint, policy, deliver) -> Non
 
 
 def transport_snapshot() -> dict:
-    """This process's transport-side health: cache and counters.
+    """This process's transport-side counters.
 
     The status fragment a broker's ``/statusz`` splices into its frame:
-    the result-cache footprint (entries/bytes at the resolved
-    ``REPRO_CACHE_DIR`` root) and the ``client.*``/``retry.*``
-    lifecycle counters.  Read-only and cheap — safe to call from any
-    thread.
+    the ``client.*``/``retry.*`` lifecycle counters.  It carries no
+    result-cache section: clients own the result cache, and the store
+    at the broker's own ``REPRO_CACHE_DIR`` says nothing about the
+    broker.  Read-only and cheap — safe to call from any thread.
     """
-    from .cache import ResultCache
-
-    root = ResultCache.default_root()
-    if root is None:
-        cache = {"enabled": False}
-    elif root.is_dir():
-        store = ResultCache(root)
-        cache = {
-            "enabled": True,
-            "path": str(root),
-            "entries": len(store),
-            "bytes": store.total_bytes(),
-        }
-    else:
-        cache = {"enabled": True, "path": str(root), "entries": 0, "bytes": 0}
     counters = {
         name: value
         for name, value in get_telemetry().counters().items()
         if name.startswith(("client.", "retry."))
     }
-    return {"cache": cache, "counters": counters}
+    return {"counters": counters}
 
 
 def broker_status(endpoint, *, timeout: float = 5.0) -> dict:

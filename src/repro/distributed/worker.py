@@ -36,7 +36,8 @@ Fault injection (:mod:`repro.resilience.faults`) hooks the dial
 (``worker.connect``), the send paths (``worker.send``,
 ``worker.heartbeat``) and the lease count (worker kill); a plan is
 installed only when ``faults=`` passes one (``repro worker --faults``),
-and with none every hook is a single ``None`` check.
+and only until ``run_worker`` returns or raises; with none every hook
+is a single ``None`` check.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import os
 import socket
 import threading
 import time
+from contextlib import nullcontext
 
 from ..parallel.sharding import run_shard
 from ..resilience import RetryPolicy
@@ -52,7 +54,7 @@ from ..resilience.faults import (
     FaultPlan,
     InjectedFault,
     active_fault_plan,
-    install_fault_plan,
+    fault_injection,
 )
 from ..resilience.retry import RetryError
 from ..telemetry import TraceContext, get_telemetry
@@ -182,8 +184,10 @@ def run_worker(
         disconnect, how long the worker keeps re-dialing before giving
         up.
     faults:
-        A :class:`~repro.resilience.FaultPlan` to install for this
-        process (chaos harness use); None installs none.
+        A :class:`~repro.resilience.FaultPlan` to install for the
+        duration of the call (chaos harness use; the plan is process
+        wide while it runs, and the previous one is restored on every
+        exit path); None installs none.
     metrics_port:
         Serve ``/metrics``/``/healthz``/``/statusz`` on this port (0 =
         ephemeral) for the lifetime of the worker.  When None the
@@ -196,8 +200,6 @@ def run_worker(
     cleanly once re-dialing gives up.
     """
     host, port = parse_endpoint(endpoint)
-    if faults is not None:
-        install_fault_plan(faults)
     dial_policy = RetryPolicy(
         attempts=int(connect_retries) + 1,
         base_delay_s=_DIAL_SPACING_S,
@@ -360,7 +362,8 @@ def run_worker(
 
         server = MetricsServer(port=resolved_port, status=_statusz).start()
     try:
-        return _session_loop()
+        with fault_injection(faults) if faults is not None else nullcontext():
+            return _session_loop()
     finally:
         if server is not None:
             server.stop()

@@ -23,11 +23,14 @@ docstring of :mod:`repro.dynamics.sequence`).
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from ..graphs.graph import Graph, _ragged_arange
 from ..graphs.validation import check_vertex_set, require_connected
 from .sequence import MarkovGraphSequence
+from .topology import MutableTopology
 
 __all__ = [
     "EdgeMarkovianSequence",
@@ -61,16 +64,20 @@ def try_swap_round(
     coins, then a sequential accept/reject loop rejecting self-loops,
     parallel edges and identity proposals.
 
-    The loop runs on plain Python ints read from the two endpoint
-    columns; only the rows it rewrites go back into the array.
+    The loop reads the two endpoint columns as ``array("q")`` copies,
+    so a Python int is made only for an entry it reads (about one in
+    five at 10% of ``m`` swaps), and writes accepted rows back into
+    them; the returned ``(m, 2)`` int64 edge array is built from their
+    buffers.  The input arrays and key set are left untouched.
     """
     keys = set(keys)
     m = edges.shape[0]
     pairs = rng.integers(0, m, size=(swaps, 2))
     mirror = rng.random(swaps) < 0.5
     n = int(n)
-    first, second = edges.T.tolist()
-    rewired: list[int] = []
+    first = array("q", edges[:, 0].astype(np.int64).tobytes())
+    second = array("q", edges[:, 1].astype(np.int64).tobytes())
+    changed = False
     for (i, j), flip in zip(pairs.tolist(), mirror.tolist()):
         if i == j:
             continue
@@ -80,6 +87,7 @@ def try_swap_round(
             continue  # proposal creates a self-loop
         lo1, hi1 = (a, c) if a < c else (c, a)
         lo2, hi2 = (b, d) if b < d else (d, b)
+        # MutableTopology.edge_key, inlined: this loop is the hot path.
         k1 = lo1 * n + hi1
         k2 = lo2 * n + hi2
         old1 = a * n + b if a < b else b * n + a
@@ -96,26 +104,28 @@ def try_swap_round(
         keys.add(k2)
         first[i], second[i] = lo1, hi1
         first[j], second[j] = lo2, hi2
-        rewired += (i, j)
-    edges = edges.copy()
-    if rewired:
-        # A row rewired twice is listed twice, both times with its
-        # final value, so the write order does not matter.
-        edges[rewired, 0] = [first[r] for r in rewired]
-        edges[rewired, 1] = [second[r] for r in rewired]
-    return edges, keys, bool(rewired)
+        changed = True
+    edges = np.column_stack(
+        (np.frombuffer(first, dtype=np.int64), np.frombuffer(second, dtype=np.int64))
+    )
+    return edges, keys, changed
 
 
 def advance_swap_state(owner, rng: np.random.Generator) -> bool:
     """One RewiringSequence-style round on ``owner``'s edge state.
 
-    ``owner`` carries ``_edges`` / ``_keys`` / ``_built`` plus the
+    ``owner`` carries ``_edges`` / ``_keys`` plus the
     ``swaps_per_round`` / ``keep_connected`` / ``max_retries`` knobs —
     :class:`RewiringSequence` itself, and the oblivious phase of
     :class:`repro.adversary.AdversarialSequence`.  A round whose
     accepted swaps disconnect the graph is re-drawn from the same
     round stream (up to ``max_retries`` times, then the round leaves
     the topology unchanged).
+
+    Each proposal is checked on its edge list, over all ``n`` vertices
+    (churned-out ones included), by :meth:`MutableTopology.connected`;
+    no :class:`Graph` is built here — the owner's ``_build_graph``
+    builds the snapshot once, if a caller asks for it.
     """
     if owner.swaps_per_round == 0:
         return False
@@ -126,12 +136,12 @@ def advance_swap_state(owner, rng: np.random.Generator) -> bool:
         )
         if not changed:
             return False
-        graph = Graph(owner.n, edges, name=owner.name)
-        if owner.keep_connected and not graph.is_connected():
+        if owner.keep_connected and not MutableTopology(
+            owner.n, edges, keys, np.ones(owner.n, dtype=bool)
+        ).connected():
             continue
         owner._edges = edges
         owner._keys = keys
-        owner._built = graph
         return True
     return False  # no connected proposal found; hold the topology
 
@@ -226,26 +236,15 @@ class RewiringSequence(MarkovGraphSequence):
         self.keep_connected = bool(keep_connected)
         self.max_retries = int(max_retries)
         super().__init__(base, f"rewiring-{base.name}", seed, cache_size=cache_size)
-        self._edges = base.edge_array()
-        self._keys = set(self._edge_keys(self._edges).tolist())
-        self._built: Graph | None = None
-
-    def _edge_keys(self, edges: np.ndarray) -> np.ndarray:
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        return lo * np.int64(self.n) + hi
 
     def _reset_state(self) -> None:
         self._edges = self.base.edge_array()
-        self._keys = set(self._edge_keys(self._edges).tolist())
-        self._built = None
+        self._keys = MutableTopology.edge_key_set(self._edges, self.n)
 
     def _advance_state(self, rng: np.random.Generator) -> bool:
         return advance_swap_state(self, rng)
 
     def _build_graph(self) -> Graph:
-        if self._built is not None:
-            return self._built
         return Graph(self.n, self._edges, name=self.name)
 
 

@@ -230,7 +230,8 @@ class Graph:
     """
 
     __slots__ = (
-        "n", "m", "indptr", "indices", "degrees", "name", "_dmin", "_dmax", "_digest"
+        "n", "m", "indptr", "indices", "degrees", "name",
+        "_dmin", "_dmax", "_digest", "_connected",
     )
 
     def __init__(
@@ -280,12 +281,14 @@ class Graph:
         self._freeze()
 
     def _freeze(self) -> None:
-        """Make the CSR read-only and read the degree bounds once."""
+        """Make the CSR read-only, read the degree bounds once, and
+        clear the properties computed on first use."""
         for arr in (self.indptr, self.indices, self.degrees):
             arr.setflags(write=False)
         self._dmin = int(self.degrees.min()) if self.n else 0
         self._dmax = int(self.degrees.max()) if self.n else 0
         self._digest = None
+        self._connected = None
 
     @property
     def digest(self) -> str:
@@ -446,8 +449,16 @@ class Graph:
     # Structure queries used across the library
     # ------------------------------------------------------------------
     def is_connected(self) -> bool:
-        """Return True iff the graph is connected (BFS from vertex 0)."""
-        return bool(self.bfs_distances(0).max(initial=0) < np.iinfo(np.int64).max)
+        """Return True iff the graph is connected (BFS from vertex 0).
+
+        Computed on first use and kept (the graph is immutable), so a
+        base graph checked by every sequence built on it is searched
+        once.
+        """
+        if self._connected is None:
+            unreachable = np.iinfo(np.int64).max
+            self._connected = bool(self.bfs_distances(0).max(initial=0) < unreachable)
+        return self._connected
 
     def bfs_distances(self, source: int) -> np.ndarray:
         """Return BFS hop distances from ``source``.

@@ -13,7 +13,7 @@ Three layers, all stdlib-only:
   ``http.server`` thread (``--metrics-port`` / ``REPRO_METRICS_PORT``)
   exposing ``/metrics`` (exposition text), ``/healthz`` (JSON
   liveness, 503 when degraded) and ``/statusz`` (one JSON frame of
-  queue/worker/cache/resource state).  Values that are state rather
+  queue/worker/resource state).  Values that are state rather
   than events (resource usage, a broker's queue depths) are read into
   a fresh registry with no sink when ``/metrics`` is scraped, so no
   thread runs between scrapes and scraping never writes to a trace.

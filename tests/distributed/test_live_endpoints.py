@@ -17,7 +17,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.branching import make_policy
-from repro.distributed import Broker, broker_status
+from repro.distributed import Broker, ResultCache, broker_status
 from repro.distributed.worker import run_worker
 from repro.engine import CobraRule, SpreadEngine
 from repro.graphs import random_regular_graph
@@ -172,7 +172,8 @@ class TestLiveFleet:
             assert stats["throughput"] >= 0
             assert stats["max_rss"] > 0
         assert payload["resources"]["max_rss_bytes"] > 0
-        assert "cache" in payload
+        assert "counters" in payload
+        assert "cache" not in payload  # clients own the result cache
 
     def test_worker_statusz_frame(self, live_fleet):
         _run_pair(live_fleet)
@@ -190,6 +191,21 @@ class TestLiveFleet:
         assert "shard/s" in out  # per-worker throughput
         assert "rss=" in out  # per-worker RSS
         assert "queue   :" in out
+
+    def test_repro_top_shows_no_cache_for_a_broker(
+        self, live_fleet, capsys, tmp_path, monkeypatch
+    ):
+        # The broker process's own REPRO_CACHE_DIR is a store it never
+        # reads or writes, so its panel must not report it.
+        store = ResultCache(tmp_path / "cache", max_bytes=None)
+        store.put("ab" * 32, {"kind": "result"})
+        assert len(store) == 1
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(store.root))
+        code = cli_main(["top", live_fleet.metrics_address, "--once"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "queue   :" in out
+        assert "cache   :" not in out
 
     def test_repro_top_mixed_live_and_dead(self, live_fleet, capsys):
         code = cli_main(

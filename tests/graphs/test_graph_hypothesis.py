@@ -8,14 +8,36 @@ from repro.graphs import Graph, connected_components, is_bipartite
 
 
 @st.composite
-def edge_lists(draw, max_n: int = 12):
-    """Random simple-graph edge lists on up to ``max_n`` vertices."""
-    n = draw(st.integers(min_value=2, max_value=max_n))
+def edge_lists(draw, max_n: int = 12, min_n: int = 2):
+    """Random simple-graph edge lists on ``min_n`` to ``max_n`` vertices."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not possible:
+        return n, []
     edges = draw(
         st.lists(st.sampled_from(possible), min_size=0, max_size=len(possible))
     )
     return n, edges
+
+
+class _SearchCountingGraph(Graph):
+    """A graph that counts the breadth-first searches it runs."""
+
+    def bfs_distances(self, source):
+        self.searches = getattr(self, "searches", 0) + 1
+        return super().bfs_distances(source)
+
+
+@given(edge_lists(min_n=1))
+@settings(max_examples=150, deadline=None)
+def test_is_connected_is_computed_once(case):
+    n, edges = case
+    g = _SearchCountingGraph(n, edges)
+    want = len(connected_components(Graph(n, edges))) == 1
+    assert g.is_connected() == want
+    assert g.searches == 1
+    assert g.is_connected() == want
+    assert g.searches == 1  # the second answer is the kept one
 
 
 @given(edge_lists())

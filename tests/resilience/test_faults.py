@@ -164,6 +164,29 @@ class TestInstallation:
             assert active_fault_plan() is None
 
 
+def _closed_port() -> int:
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_worker_plan_lasts_only_for_the_call():
+    # run_worker(faults=) installs its plan process-wide while it runs;
+    # a worker whose first dial is refused must leave the plan it found.
+    plan = FaultPlan(seed=3, kill_worker_after_leases=1)
+    endpoint = f"127.0.0.1:{_closed_port()}"
+    with pytest.raises(ConnectionRefusedError):
+        run_worker(endpoint, connect_retries=0, faults=plan)
+    assert active_fault_plan() is None
+    outer = FaultPlan(seed=4)
+    with fault_injection(outer):
+        with pytest.raises(ConnectionRefusedError):
+            run_worker(endpoint, connect_retries=0, faults=plan)
+        assert active_fault_plan() is outer
+
+
 def test_worker_ignores_a_kill_plan_in_its_environment(monkeypatch):
     # A worker installs only the plan faults= gives it, so a kill plan
     # left in the environment must not end it on its first lease.
