@@ -29,98 +29,72 @@ Quickstart::
     print(times.mean())
 """
 
-from ._version import __version__
-from .core import (
-    BernoulliBranching,
-    BipsProcess,
-    CobraProcess,
-    FixedBranching,
-    bips_exact,
-    cover_time,
-    cover_time_samples,
-    infection_time,
-    infection_time_samples,
-    verify_duality_exact,
-    verify_duality_monte_carlo,
-)
-from .dynamics import (
-    ChurnSequence,
-    EdgeMarkovianSequence,
-    FrozenSequence,
-    GraphSequence,
-    RewiringSequence,
-    SnapshotSchedule,
-    dynamic_cover_time_samples,
-    dynamic_infection_time_samples,
-)
-from .experiments import ExperimentConfig, run_experiment
-from .graphs import (
-    Graph,
-    barbell_graph,
-    complete_graph,
-    cycle_graph,
-    eigenvalue_gap,
-    erdos_renyi_graph,
-    grid_graph,
-    hypercube_graph,
-    margulis_expander,
-    path_graph,
-    random_regular_graph,
-    second_eigenvalue,
-    star_graph,
-    torus_graph,
-)
-from .theory import (
-    bound_spaa17_general,
-    bound_spaa17_regular,
-    hypercube_ladder,
-    lower_bound_cover,
-)
+from ._lazy import attach
+from ._version import __version__ as __version__
 
-__all__ = [
-    "__version__",
-    # core
-    "BernoulliBranching",
-    "BipsProcess",
-    "CobraProcess",
-    "FixedBranching",
-    "bips_exact",
-    "cover_time",
-    "cover_time_samples",
-    "infection_time",
-    "infection_time_samples",
-    "verify_duality_exact",
-    "verify_duality_monte_carlo",
-    # dynamics
-    "ChurnSequence",
-    "EdgeMarkovianSequence",
-    "FrozenSequence",
-    "GraphSequence",
-    "RewiringSequence",
-    "SnapshotSchedule",
-    "dynamic_cover_time_samples",
-    "dynamic_infection_time_samples",
-    # experiments
-    "ExperimentConfig",
-    "run_experiment",
-    # graphs
-    "Graph",
-    "barbell_graph",
-    "complete_graph",
-    "cycle_graph",
-    "eigenvalue_gap",
-    "erdos_renyi_graph",
-    "grid_graph",
-    "hypercube_graph",
-    "margulis_expander",
-    "path_graph",
-    "random_regular_graph",
-    "second_eigenvalue",
-    "star_graph",
-    "torus_graph",
-    # theory
-    "bound_spaa17_general",
-    "bound_spaa17_regular",
-    "hypercube_ladder",
-    "lower_bound_cover",
-]
+# Each name's submodule loads on first use (see repro._lazy).
+# ``__version__`` is bound above and listed for ``__all__``; the
+# subpackages with empty lists are reachable as attributes
+# (``repro.engine``) but re-export nothing here.
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "_version": ["__version__"],
+        "core": [
+            "BernoulliBranching",
+            "BipsProcess",
+            "CobraProcess",
+            "FixedBranching",
+            "bips_exact",
+            "cover_time",
+            "cover_time_samples",
+            "infection_time",
+            "infection_time_samples",
+            "verify_duality_exact",
+            "verify_duality_monte_carlo",
+        ],
+        "dynamics": [
+            "ChurnSequence",
+            "EdgeMarkovianSequence",
+            "FrozenSequence",
+            "GraphSequence",
+            "RewiringSequence",
+            "SnapshotSchedule",
+            "dynamic_cover_time_samples",
+            "dynamic_infection_time_samples",
+        ],
+        "experiments": ["ExperimentConfig", "run_experiment"],
+        "graphs": [
+            "Graph",
+            "barbell_graph",
+            "complete_graph",
+            "cycle_graph",
+            "eigenvalue_gap",
+            "erdos_renyi_graph",
+            "grid_graph",
+            "hypercube_graph",
+            "margulis_expander",
+            "path_graph",
+            "random_regular_graph",
+            "second_eigenvalue",
+            "star_graph",
+            "torus_graph",
+        ],
+        "theory": [
+            "bound_spaa17_general",
+            "bound_spaa17_regular",
+            "hypercube_ladder",
+            "lower_bound_cover",
+        ],
+        "adversary": [],
+        "analysis": [],
+        "baselines": [],
+        "distributed": [],
+        "engine": [],
+        "kernels": [],
+        "parallel": [],
+        "resilience": [],
+        "stats": [],
+        "telemetry": [],
+    },
+)

@@ -29,28 +29,22 @@ fresh_replay`) and wire-encodable as seeded replay specs, so serial,
 sharded and distributed execution agree bit-for-bit.
 """
 
-from .policies import (
-    ADVERSARY_KINDS,
-    AdaptiveRRIPolicy,
-    AdversaryPolicy,
-    FrontierDigest,
-    GreedyCutAdversary,
-    IsolatingChurnAdversary,
-    MovingSourceAdversary,
-    make_adversary,
-)
-from .sequence import AdversarialSequence
-from .state import MutableTopology
+from .._lazy import attach
 
-__all__ = [
-    "AdversarialSequence",
-    "AdversaryPolicy",
-    "GreedyCutAdversary",
-    "IsolatingChurnAdversary",
-    "MovingSourceAdversary",
-    "AdaptiveRRIPolicy",
-    "FrontierDigest",
-    "MutableTopology",
-    "make_adversary",
-    "ADVERSARY_KINDS",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "sequence": ["AdversarialSequence"],
+        "policies": [
+            "AdversaryPolicy",
+            "GreedyCutAdversary",
+            "IsolatingChurnAdversary",
+            "MovingSourceAdversary",
+            "AdaptiveRRIPolicy",
+            "FrontierDigest",
+            "make_adversary",
+            "ADVERSARY_KINDS",
+        ],
+        "state": ["MutableTopology"],
+    },
+)

@@ -1,16 +1,12 @@
 """Analysis layer: mechanical generation of the reproduction record."""
 
-from .ascii_plots import ascii_line_chart, render_ensemble
-from .report import PAPER_CLAIMS, generate_report, render_experiment_section
-from .search import SearchResult, normalized_cover, worst_case_search
+from .._lazy import attach
 
-__all__ = [
-    "ascii_line_chart",
-    "render_ensemble",
-    "PAPER_CLAIMS",
-    "generate_report",
-    "render_experiment_section",
-    "SearchResult",
-    "normalized_cover",
-    "worst_case_search",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "ascii_plots": ["ascii_line_chart", "render_ensemble"],
+        "report": ["PAPER_CLAIMS", "generate_report", "render_experiment_section"],
+        "search": ["SearchResult", "normalized_cover", "worst_case_search"],
+    },
+)

@@ -7,24 +7,19 @@ Every random baseline executes through the unified batched engine
 nothing, so it is a BFS (:mod:`repro.baselines.flooding`).
 """
 
-from .flooding import (
-    flooding_broadcast_time,
-    flooding_broadcast_times,
-    flooding_frontier_sizes,
-)
-from .multi_walk import multi_walk_cover_samples
-from .pull import pull_broadcast_samples, push_pull_broadcast_samples
-from .push import push_broadcast_samples
-from .random_walk import random_walk_cover_samples, walk_trajectory
+from .._lazy import attach
 
-__all__ = [
-    "flooding_broadcast_time",
-    "flooding_broadcast_times",
-    "flooding_frontier_sizes",
-    "multi_walk_cover_samples",
-    "pull_broadcast_samples",
-    "push_pull_broadcast_samples",
-    "push_broadcast_samples",
-    "random_walk_cover_samples",
-    "walk_trajectory",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "flooding": [
+            "flooding_broadcast_time",
+            "flooding_broadcast_times",
+            "flooding_frontier_sizes",
+        ],
+        "multi_walk": ["multi_walk_cover_samples"],
+        "pull": ["pull_broadcast_samples", "push_pull_broadcast_samples"],
+        "push": ["push_broadcast_samples"],
+        "random_walk": ["random_walk_cover_samples", "walk_trajectory"],
+    },
+)

@@ -40,7 +40,6 @@ import sys
 import time
 
 from .experiments.config import SCALES, ExperimentConfig
-from .experiments.registry import EXPERIMENTS, get_experiment, run_experiment
 
 __all__ = ["main", "build_parser"]
 
@@ -485,6 +484,8 @@ def _graph_from_spec(spec: str):
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from .experiments.registry import EXPERIMENTS
+
     print(f"{'id':5} {'paper anchor':55} title")
     print("-" * 110)
     for key in sorted(EXPERIMENTS, key=lambda k: int(k[1:])):
@@ -494,6 +495,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .experiments.registry import EXPERIMENTS, get_experiment, run_experiment
+
     config = ExperimentConfig(seed=args.seed, scale=args.scale, n_workers=args.workers)
     if args.experiment.lower() == "all":
         ids = sorted(EXPERIMENTS, key=lambda k: int(k[1:]))

@@ -29,60 +29,34 @@ and the CLI's ``--endpoint``) returns results bit-for-bit identical to
 arrival order, or mid-run worker death.
 """
 
-from .broker import Broker, ShardLedger, ShardRecord
-from .cache import (
-    CACHE_ENV_VAR,
-    CACHE_MAX_BYTES_ENV_VAR,
-    ResultCache,
-    resolve_cache,
-)
-from .client import (
-    BrokerUnavailable,
-    DistributedError,
-    broker_status,
-    transport_snapshot,
-)
-from .wire import (
-    WIRE_VERSION,
-    GraphCache,
-    WireDecodeError,
-    attach_trace,
-    canonical_bytes,
-    decode_result,
-    decode_task,
-    encode_result,
-    encode_task,
-    graph_blobs,
-    parse_endpoint,
-    result_envelope_error,
-    task_key,
-)
-from .worker import run_worker
+from .._lazy import attach
 
-__all__ = [
-    "Broker",
-    "ShardLedger",
-    "ShardRecord",
-    "CACHE_ENV_VAR",
-    "CACHE_MAX_BYTES_ENV_VAR",
-    "ResultCache",
-    "resolve_cache",
-    "BrokerUnavailable",
-    "DistributedError",
-    "broker_status",
-    "transport_snapshot",
-    "run_worker",
-    "WIRE_VERSION",
-    "GraphCache",
-    "WireDecodeError",
-    "attach_trace",
-    "canonical_bytes",
-    "decode_result",
-    "decode_task",
-    "encode_result",
-    "encode_task",
-    "graph_blobs",
-    "parse_endpoint",
-    "result_envelope_error",
-    "task_key",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "broker": ["Broker", "ShardLedger", "ShardRecord"],
+        "cache": [
+            "CACHE_ENV_VAR",
+            "CACHE_MAX_BYTES_ENV_VAR",
+            "ResultCache",
+            "resolve_cache",
+        ],
+        "client": ["BrokerUnavailable", "DistributedError", "broker_status"],
+        "worker": ["run_worker"],
+        "wire": [
+            "WIRE_VERSION",
+            "GraphCache",
+            "WireDecodeError",
+            "attach_trace",
+            "canonical_bytes",
+            "decode_result",
+            "decode_task",
+            "encode_result",
+            "encode_task",
+            "graph_blobs",
+            "parse_endpoint",
+            "result_envelope_error",
+            "task_key",
+        ],
+    },
+)

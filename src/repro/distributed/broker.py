@@ -641,19 +641,17 @@ class Broker:
         }
 
     def status_snapshot(self) -> dict:
-        """Thread-safe ``/statusz`` frame: queue, metrics, counters, resources.
+        """Thread-safe ``/statusz`` frame: queue, metrics, resources.
 
         The superset of the TCP ``status`` reply: ledger counts and
         queue metrics (with per-worker throughput and peak RSS), plus
-        this process's ``client.*``/``retry.*`` counters and resource
-        snapshot.  No result-cache section: the broker never reads or
-        writes the result cache.
+        this process's resource snapshot.  No result-cache or counters
+        section: the broker never reads or writes the result cache, and
+        counts no ``client.*``/``retry.*`` events of its own.
         """
         from ..telemetry.resource import resource_snapshot
-        from .client import transport_snapshot
 
         status = self._on_loop(self._status_sync)
-        status.update(transport_snapshot())
         status["resources"] = resource_snapshot()
         return status
 

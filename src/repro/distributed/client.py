@@ -47,7 +47,6 @@ __all__ = [
     "cache_lookup",
     "run_on_broker",
     "broker_status",
-    "transport_snapshot",
 ]
 
 
@@ -238,23 +237,6 @@ def run_on_broker(encoded: dict, graphs: dict, endpoint, policy, deliver) -> Non
             f"cannot reach broker at {endpoint}: {exc.last!r} "
             f"(after {exc.attempts} attempt(s))"
         ) from exc
-
-
-def transport_snapshot() -> dict:
-    """This process's transport-side counters.
-
-    The status fragment a broker's ``/statusz`` splices into its frame:
-    the ``client.*``/``retry.*`` lifecycle counters.  It carries no
-    result-cache section: clients own the result cache, and the store
-    at the broker's own ``REPRO_CACHE_DIR`` says nothing about the
-    broker.  Read-only and cheap — safe to call from any thread.
-    """
-    counters = {
-        name: value
-        for name, value in get_telemetry().counters().items()
-        if name.startswith(("client.", "retry."))
-    }
-    return {"counters": counters}
 
 
 def broker_status(endpoint, *, timeout: float = 5.0) -> dict:

@@ -19,23 +19,18 @@ The subsystem splits into a topology layer and a process layer:
   Both take churn-aware completion criteria (``"all-active"``).
 """
 
-from .process import dynamic_cover_time_samples, dynamic_infection_time_samples
-from .providers import ChurnSequence, EdgeMarkovianSequence, RewiringSequence
-from .sequence import (
-    FrozenSequence,
-    GraphSequence,
-    MarkovGraphSequence,
-    SnapshotSchedule,
-)
+from .._lazy import attach
 
-__all__ = [
-    "GraphSequence",
-    "MarkovGraphSequence",
-    "FrozenSequence",
-    "SnapshotSchedule",
-    "EdgeMarkovianSequence",
-    "RewiringSequence",
-    "ChurnSequence",
-    "dynamic_cover_time_samples",
-    "dynamic_infection_time_samples",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "sequence": [
+            "GraphSequence",
+            "MarkovGraphSequence",
+            "FrozenSequence",
+            "SnapshotSchedule",
+        ],
+        "providers": ["EdgeMarkovianSequence", "RewiringSequence", "ChurnSequence"],
+        "process": ["dynamic_cover_time_samples", "dynamic_infection_time_samples"],
+    },
+)

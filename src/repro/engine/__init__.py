@@ -20,49 +20,30 @@ round caps are centralised in :mod:`~repro.engine.caps` and per-rule
 memory footprints feed :func:`repro.parallel.plan_shards`.
 """
 
-from .caps import process_round_cap, walk_round_cap
-from .completion import (
-    AllActive,
-    AllVertices,
-    CompletionCriterion,
-    TargetHit,
-    make_completion,
-)
-from .engine import SpreadEngine, SpreadResult, StaticTopology, as_topology
-from .observation import FrontierObservation
-from .rules import (
-    BipsRule,
-    CobraRule,
-    PullRule,
-    PushPullRule,
-    PushRule,
-    SpreadRule,
-    WalkRule,
-)
+from .._lazy import attach
 
-__all__ = [
-    # engine
-    "SpreadEngine",
-    "SpreadResult",
-    "StaticTopology",
-    "as_topology",
-    # observation protocol
-    "FrontierObservation",
-    # rules
-    "SpreadRule",
-    "CobraRule",
-    "BipsRule",
-    "PushRule",
-    "PullRule",
-    "PushPullRule",
-    "WalkRule",
-    # completion
-    "CompletionCriterion",
-    "AllVertices",
-    "AllActive",
-    "TargetHit",
-    "make_completion",
-    # caps
-    "process_round_cap",
-    "walk_round_cap",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "engine": ["SpreadEngine", "SpreadResult", "StaticTopology", "as_topology"],
+        # observation protocol
+        "observation": ["FrontierObservation"],
+        "rules": [
+            "SpreadRule",
+            "CobraRule",
+            "BipsRule",
+            "PushRule",
+            "PullRule",
+            "PushPullRule",
+            "WalkRule",
+        ],
+        "completion": [
+            "CompletionCriterion",
+            "AllVertices",
+            "AllActive",
+            "TargetHit",
+            "make_completion",
+        ],
+        "caps": ["process_round_cap", "walk_round_cap"],
+    },
+)

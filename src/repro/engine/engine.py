@@ -38,6 +38,7 @@ from typing import Callable
 import numpy as np
 
 from ..graphs.graph import Graph
+from ..kernels import dispatch  # runs call dispatch.resolve, so a patch reaches them
 from ..telemetry import get_telemetry
 from .completion import CompletionCriterion, make_completion
 from .observation import FrontierObservation
@@ -212,8 +213,6 @@ class SpreadEngine:
         and clocks — it draws no randomness — so traced and untraced
         runs are bit-identical.
         """
-        from ..kernels import dispatch
-
         topo = self.topology
         observer = (
             topo.observe if getattr(topo, "observes_process", False) else None

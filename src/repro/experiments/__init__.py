@@ -1,19 +1,13 @@
 """Experiment harness: the E1..E17 suite (``repro list``; see :mod:`.registry`)."""
 
-from .config import SCALES, ExperimentConfig
-from .registry import EXPERIMENTS, ExperimentSpec, get_experiment, run_experiment
-from .runner import Check, ExperimentResult, measure_cover
-from .tables import Table
+from .._lazy import attach
 
-__all__ = [
-    "SCALES",
-    "ExperimentConfig",
-    "EXPERIMENTS",
-    "ExperimentSpec",
-    "get_experiment",
-    "run_experiment",
-    "Check",
-    "ExperimentResult",
-    "measure_cover",
-    "Table",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "config": ["SCALES", "ExperimentConfig"],
+        "registry": ["EXPERIMENTS", "ExperimentSpec", "get_experiment", "run_experiment"],
+        "runner": ["Check", "ExperimentResult", "measure_cover"],
+        "tables": ["Table"],
+    },
+)

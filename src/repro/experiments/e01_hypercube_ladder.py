@@ -22,11 +22,12 @@ from ..stats.regression import fit_polylog
 from ..stats.rng import spawn_seeds
 from ..theory.bounds import hypercube_ladder, lower_bound_cover
 from .config import ExperimentConfig
+from .registry import EXPERIMENTS
 from .runner import Check, ExperimentResult, measure_cover
 from .tables import Table
 
 EXPERIMENT_ID = "E1"
-TITLE = "Hypercube cover time vs the three bound predictions (Table 1)"
+TITLE = EXPERIMENTS[EXPERIMENT_ID].title
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:

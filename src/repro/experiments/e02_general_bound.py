@@ -24,11 +24,12 @@ from ..graphs.graph import Graph
 from ..stats.rng import spawn_seeds
 from ..theory.bounds import bound_spaa17_general
 from .config import ExperimentConfig
+from .registry import EXPERIMENTS
 from .runner import Check, ExperimentResult, measure_cover
 from .tables import Table
 
 EXPERIMENT_ID = "E2"
-TITLE = "General-graph bound O(m + dmax^2 log n) vs measured (Table 2)"
+TITLE = EXPERIMENTS[EXPERIMENT_ID].title
 
 #: Global calibration constant for the dominance check.  Theorem 1.1 is
 #: an O(·) statement; a single constant must work across all instances.

@@ -24,11 +24,12 @@ from ..stats.regression import fit_power_law
 from ..stats.rng import spawn_seeds
 from ..theory.bounds import bound_spaa17_regular, gap_condition_holds
 from .config import ExperimentConfig
+from .registry import EXPERIMENTS
 from .runner import Check, ExperimentResult, measure_cover
 from .tables import Table
 
 EXPERIMENT_ID = "E3"
-TITLE = "Regular bound O((r/(1-lambda) + r^2) log n) vs measured (Table 3)"
+TITLE = EXPERIMENTS[EXPERIMENT_ID].title
 
 DOMINANCE_CONSTANT = 8.0
 

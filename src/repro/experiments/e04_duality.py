@@ -26,11 +26,12 @@ from ..graphs.generators import (
 )
 from ..stats.rng import spawn_seeds
 from .config import ExperimentConfig
+from .registry import EXPERIMENTS
 from .runner import Check, ExperimentResult
 from .tables import Table
 
 EXPERIMENT_ID = "E4"
-TITLE = "COBRA-BIPS duality: exact identity + Monte-Carlo consistency (Fig 1)"
+TITLE = EXPERIMENTS[EXPERIMENT_ID].title
 
 
 def _exact_cases(config: ExperimentConfig):

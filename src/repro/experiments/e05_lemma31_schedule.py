@@ -23,11 +23,12 @@ from ..graphs.generators import barbell_graph, binary_tree, path_graph, star_gra
 from ..stats.rng import spawn_generators
 from ..theory.bounds import lemma31_round_schedule
 from .config import ExperimentConfig
+from .registry import EXPERIMENTS
 from .runner import Check, ExperimentResult
 from .tables import Table
 
 EXPERIMENT_ID = "E5"
-TITLE = "Lemma 3.1 / Theorem 1.4: BIPS degree growth schedule (Fig 2)"
+TITLE = EXPERIMENTS[EXPERIMENT_ID].title
 
 #: Maximum acceptable calibrated C' for the shape check.
 MAX_CPRIME = 8.0

@@ -23,11 +23,12 @@ from ..graphs.spectral import second_eigenvalue
 from ..stats.rng import spawn_generators
 from ..theory.growth import lemma41_growth_bound, lemma42_growth_bound
 from .config import ExperimentConfig
+from .registry import EXPERIMENTS
 from .runner import Check, ExperimentResult
 from .tables import Table
 
 EXPERIMENT_ID = "E6"
-TITLE = "Lemma 4.1/4.2: expected one-round growth lower bound (Fig 3)"
+TITLE = EXPERIMENTS[EXPERIMENT_ID].title
 
 MIN_BUCKET_SAMPLES = 25
 

@@ -23,11 +23,12 @@ from ..graphs.spectral import second_eigenvalue
 from ..stats.rng import spawn_generators
 from ..theory.growth import cor52_candidate_bound
 from .config import ExperimentConfig
+from .registry import EXPERIMENTS
 from .runner import Check, ExperimentResult
 from .tables import Table
 
 EXPERIMENT_ID = "E7"
-TITLE = "Corollary 5.2: |C_t| >= |A_{t-1}|(1-lambda)/2 (Fig 4)"
+TITLE = EXPERIMENTS[EXPERIMENT_ID].title
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:

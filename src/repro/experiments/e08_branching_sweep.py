@@ -15,11 +15,12 @@ from ..graphs.generators import hypercube_graph, margulis_expander
 from ..stats.rng import spawn_seeds
 from ..theory.bounds import rho_scaled
 from .config import ExperimentConfig
+from .registry import EXPERIMENTS
 from .runner import Check, ExperimentResult, measure_cover
 from .tables import Table
 
 EXPERIMENT_ID = "E8"
-TITLE = "Branching b = 1 + rho: cover time vs the 1/rho^2 envelope (Fig 5)"
+TITLE = EXPERIMENTS[EXPERIMENT_ID].title
 
 ENVELOPE_CONSTANT = 1.5
 

@@ -29,11 +29,12 @@ from ..stats.estimators import mean_ci
 from ..stats.rng import spawn_generators
 from ..theory.bounds import lower_bound_cover
 from .config import ExperimentConfig
+from .registry import EXPERIMENTS
 from .runner import Check, ExperimentResult, measure_cover
 from .tables import Table
 
 EXPERIMENT_ID = "E9"
-TITLE = "COBRA vs baselines: RW, k-RW, push/pull, flooding (Table 4)"
+TITLE = EXPERIMENTS[EXPERIMENT_ID].title
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:

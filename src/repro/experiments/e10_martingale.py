@@ -28,11 +28,12 @@ from ..theory.martingale import (
     synthetic_supermartingale_paths,
 )
 from .config import ExperimentConfig
+from .registry import EXPERIMENTS
 from .runner import Check, ExperimentResult
 from .tables import Table
 
 EXPERIMENT_ID = "E10"
-TITLE = "Azuma/Corollary 2.2 concentration on synthetic + BIPS streams (Fig 6)"
+TITLE = EXPERIMENTS[EXPERIMENT_ID].title
 
 
 def _bips_z_paths(graph, runs: int, steps: int, seed: int) -> np.ndarray:

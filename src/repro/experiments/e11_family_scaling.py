@@ -20,11 +20,12 @@ from ..stats.regression import fit_polylog, fit_power_law
 from ..stats.rng import spawn_seeds
 from ..theory.predictions import prediction_for
 from .config import ExperimentConfig
+from .registry import EXPERIMENTS
 from .runner import Check, ExperimentResult, sweep_cover
 from .tables import Table
 
 EXPERIMENT_ID = "E11"
-TITLE = "Family scaling panel: K_n, expanders, tori (Fig 7)"
+TITLE = EXPERIMENTS[EXPERIMENT_ID].title
 
 EXPONENT_TOLERANCE = 0.18
 

@@ -25,11 +25,12 @@ from ..graphs.spectral import eigenvalue_gap
 from ..stats.rng import spawn_generators
 from ..theory.growth import lemma54_schedule
 from .config import ExperimentConfig
+from .registry import EXPERIMENTS
 from .runner import Check, ExperimentResult
 from .tables import Table
 
 EXPERIMENT_ID = "E12"
-TITLE = "Lemma 5.4 doubling schedule + Theorem 1.5 endpoint (Table 5)"
+TITLE = EXPERIMENTS[EXPERIMENT_ID].title
 
 TAIL_CONSTANT = 64.0
 

@@ -21,11 +21,12 @@ from ..graphs.generators import (
 from ..graphs.spectral import eigenvalue_gap
 from ..stats.rng import spawn_seeds
 from .config import ExperimentConfig
+from .registry import EXPERIMENTS
 from .runner import Check, ExperimentResult, measure_cover
 from .tables import Table
 
 EXPERIMENT_ID = "E13"
-TITLE = "Ablation: lazy vs non-lazy COBRA on non-bipartite graphs"
+TITLE = EXPERIMENTS[EXPERIMENT_ID].title
 
 #: Laziness wastes half the selections (suggesting ~2x), but a staying
 #: selection also keeps the sender active into the next round, which

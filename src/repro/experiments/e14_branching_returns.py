@@ -15,11 +15,12 @@ from ..core.metrics import cobra_transmission_report
 from ..graphs.generators import margulis_expander, random_regular_graph, torus_graph
 from ..stats.rng import spawn_seeds
 from .config import ExperimentConfig
+from .registry import EXPERIMENTS
 from .runner import Check, ExperimentResult
 from .tables import Table
 
 EXPERIMENT_ID = "E14"
-TITLE = "Ablation: branching factor b in {1, 2, 3, 4} — speed vs cost"
+TITLE = EXPERIMENTS[EXPERIMENT_ID].title
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:

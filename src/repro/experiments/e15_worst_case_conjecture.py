@@ -29,11 +29,12 @@ from ..graphs.generators import (
 )
 from ..stats.rng import spawn_seeds
 from .config import ExperimentConfig
+from .registry import EXPERIMENTS
 from .runner import Check, ExperimentResult, sweep_cover
 from .tables import Table
 
 EXPERIMENT_ID = "E15"
-TITLE = "Open conjecture: is worst-case COBRA cover time O(n log n)?"
+TITLE = EXPERIMENTS[EXPERIMENT_ID].title
 
 #: The normalised ratio may drift by at most this factor across a
 #: doubling sweep before we'd flag a family as conjecture-straining.

@@ -48,11 +48,12 @@ from ..parallel.pool import parallel_map
 from ..stats.estimators import mean_ci, whp_quantile
 from ..stats.rng import spawn_seeds
 from .config import ExperimentConfig
+from .registry import EXPERIMENTS
 from .runner import Check, ExperimentResult
 from .tables import Table
 
 EXPERIMENT_ID = "E16"
-TITLE = "Dynamic graphs: cover/infection vs rewiring rate"
+TITLE = EXPERIMENTS[EXPERIMENT_ID].title
 
 # Fixed topology seed for the expander base graph, so the parent and the
 # worker processes (and any two runs at the same scale) agree on it.

@@ -56,11 +56,12 @@ from ..parallel.pool import parallel_map
 from ..stats.estimators import mean_ci, whp_quantile
 from ..stats.rng import spawn_seeds
 from .config import ExperimentConfig
+from .registry import EXPERIMENTS
 from .runner import Check, ExperimentResult
 from .tables import Table
 
 EXPERIMENT_ID = "E17"
-TITLE = "Adversarial dynamics: worst-case cover vs adversary budget"
+TITLE = EXPERIMENTS[EXPERIMENT_ID].title
 
 # Fixed topology seed for the expander base graph (E16's convention).
 _BASE_SEED = 1701

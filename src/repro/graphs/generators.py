@@ -195,7 +195,7 @@ def random_regular_graph(
         u, v = perm[0::2].copy(), perm[1::2].copy()
         if not _repair_pairing(u, v, n, gen, max_sweeps=200):
             continue
-        g = Graph(n, list(zip(u.tolist(), v.tolist())), name=f"rreg-{r}-{n}")
+        g = Graph(n, np.column_stack((u, v)), name=f"rreg-{r}-{n}")
         if g.m == n * r // 2 and g.is_connected():
             return g
     raise RuntimeError(
@@ -226,7 +226,7 @@ def erdos_renyi_graph(
     iu, iv = np.triu_indices(n, k=1)
     for _ in range(max_tries):
         mask = gen.random(iu.shape[0]) < p
-        g = Graph(n, list(zip(iu[mask].tolist(), iv[mask].tolist())), name=f"gnp-{n}")
+        g = Graph(n, np.column_stack((iu[mask], iv[mask])), name=f"gnp-{n}")
         if not connected or (g.m >= n - 1 and g.dmin >= 1 and g.is_connected()):
             return g
     raise RuntimeError(f"failed to sample a connected G({n}, {p}) in {max_tries} tries")

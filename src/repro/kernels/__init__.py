@@ -14,6 +14,8 @@ engine run, when numba is installed and the graph has at least
 guarded, so numba stays optional.
 """
 
-from .dispatch import AUTO_NUMBA_MIN_N, KernelBinding, resolve
+from .._lazy import attach
 
-__all__ = ["AUTO_NUMBA_MIN_N", "KernelBinding", "resolve"]
+__getattr__, __dir__, __all__ = attach(
+    __name__, {"dispatch": ["AUTO_NUMBA_MIN_N", "KernelBinding", "resolve"]}
+)

@@ -27,32 +27,25 @@ without threading it through every signature.
 
 from __future__ import annotations
 
-from .faults import (
-    FaultPlan,
-    FaultRule,
-    InjectedCrash,
-    InjectedFault,
-    active_fault_plan,
-    clear_fault_plan,
-    fault_injection,
-    install_fault_plan,
-)
-from .retry import RetryError, RetryPolicy
+from .._lazy import attach
 
-__all__ = [
-    "FaultPlan",
-    "FaultRule",
-    "InjectedCrash",
-    "InjectedFault",
-    "active_fault_plan",
-    "clear_fault_plan",
-    "fault_injection",
-    "install_fault_plan",
-    "RetryPolicy",
-    "RetryError",
-    "configure",
-    "resolve_fallback",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "faults": [
+            "FaultPlan",
+            "FaultRule",
+            "InjectedCrash",
+            "InjectedFault",
+            "active_fault_plan",
+            "clear_fault_plan",
+            "fault_injection",
+            "install_fault_plan",
+        ],
+        "retry": ["RetryPolicy", "RetryError"],
+    },
+)
+__all__ += ["configure", "resolve_fallback"]
 
 _FALLBACK: str | None = None
 

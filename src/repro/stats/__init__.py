@@ -1,46 +1,30 @@
 """Statistics toolkit: estimators, scaling fits, survival curves, seeding."""
 
-from .comparison import (
-    ComparisonResult,
-    ks_compare,
-    permutation_mean_test,
-    same_distribution,
-)
-from .estimators import (
-    Estimate,
-    bootstrap_ci,
-    mean_ci,
-    quantile_estimate,
-    whp_quantile,
-)
-from .regression import PowerLawFit, doubling_ratio, fit_polylog, fit_power_law
-from .rng import (
-    generator_from,
-    seed_sequence_from,
-    spawn_generators,
-    spawn_seeds,
-)
-from .survival import SurvivalCurve, empirical_survival, survival_distance
+from .._lazy import attach
 
-__all__ = [
-    "ComparisonResult",
-    "ks_compare",
-    "permutation_mean_test",
-    "same_distribution",
-    "Estimate",
-    "bootstrap_ci",
-    "mean_ci",
-    "quantile_estimate",
-    "whp_quantile",
-    "PowerLawFit",
-    "doubling_ratio",
-    "fit_polylog",
-    "fit_power_law",
-    "generator_from",
-    "seed_sequence_from",
-    "spawn_generators",
-    "spawn_seeds",
-    "SurvivalCurve",
-    "empirical_survival",
-    "survival_distance",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "comparison": [
+            "ComparisonResult",
+            "ks_compare",
+            "permutation_mean_test",
+            "same_distribution",
+        ],
+        "estimators": [
+            "Estimate",
+            "bootstrap_ci",
+            "mean_ci",
+            "quantile_estimate",
+            "whp_quantile",
+        ],
+        "regression": ["PowerLawFit", "doubling_ratio", "fit_polylog", "fit_power_law"],
+        "rng": [
+            "generator_from",
+            "seed_sequence_from",
+            "spawn_generators",
+            "spawn_seeds",
+        ],
+        "survival": ["SurvivalCurve", "empirical_survival", "survival_distance"],
+    },
+)

@@ -22,80 +22,47 @@ Or from the CLI/environment: every execution command accepts
 ``REPRO_TELEMETRY_SAMPLE``.
 """
 
-from .core import (
-    TELEMETRY_ENV_VAR,
-    TELEMETRY_SAMPLE_ENV_VAR,
-    Span,
-    Telemetry,
-    TraceContext,
-    configure,
-    configure_from_env,
-    get_telemetry,
-    seed_id_parts,
-    span_id_from,
-    summarize_values,
-)
-from .core import format_gauge_key
-from .live import (
-    METRICS_PORT_ENV_VAR,
-    MetricsServer,
-    fetch_statusz,
-    metrics_port_from_env,
-    parse_prometheus,
-    render_prometheus,
-    render_status_panel,
-)
-from .resource import max_rss_bytes, resource_snapshot
-from .sinks import NULL_SINK, JsonlSink, MemorySink, NullSink, load_jsonl
-from .summarize import (
-    SpanNode,
-    TraceSummary,
-    fill_bar,
-    histogram_bar,
-    load_trace,
-    load_traces,
-    render_trace,
-    summarize_trace,
-)
+from .._lazy import attach
 
-__all__ = [
-    # core
-    "Telemetry",
-    "Span",
-    "TraceContext",
-    "configure",
-    "configure_from_env",
-    "get_telemetry",
-    "span_id_from",
-    "seed_id_parts",
-    "summarize_values",
-    "format_gauge_key",
-    "TELEMETRY_ENV_VAR",
-    "TELEMETRY_SAMPLE_ENV_VAR",
-    # live observability plane
-    "METRICS_PORT_ENV_VAR",
-    "MetricsServer",
-    "render_prometheus",
-    "parse_prometheus",
-    "metrics_port_from_env",
-    "fetch_statusz",
-    "render_status_panel",
-    # resource profiling
-    "resource_snapshot",
-    "max_rss_bytes",
-    # sinks
-    "NullSink",
-    "NULL_SINK",
-    "MemorySink",
-    "JsonlSink",
-    "load_jsonl",
-    # summarize
-    "SpanNode",
-    "TraceSummary",
-    "load_trace",
-    "load_traces",
-    "summarize_trace",
-    "render_trace",
-    "histogram_bar",
-    "fill_bar",
-]
+__getattr__, __dir__, __all__ = attach(
+    __name__,
+    {
+        "core": [
+            "Telemetry",
+            "Span",
+            "TraceContext",
+            "configure",
+            "configure_from_env",
+            "get_telemetry",
+            "span_id_from",
+            "seed_id_parts",
+            "summarize_values",
+            "format_gauge_key",
+            "TELEMETRY_ENV_VAR",
+            "TELEMETRY_SAMPLE_ENV_VAR",
+        ],
+        # live observability plane
+        "live": [
+            "METRICS_PORT_ENV_VAR",
+            "MetricsServer",
+            "render_prometheus",
+            "parse_prometheus",
+            "metrics_port_from_env",
+            "fetch_statusz",
+            "render_status_panel",
+        ],
+        # resource profiling
+        "resource": ["resource_snapshot", "max_rss_bytes"],
+        "sinks": ["NullSink", "NULL_SINK", "MemorySink", "JsonlSink", "load_jsonl"],
+        "summarize": [
+            "SpanNode",
+            "TraceSummary",
+            "load_trace",
+            "load_traces",
+            "summarize_trace",
+            "render_trace",
+            "histogram_bar",
+            "fill_bar",
+        ],
+    },
+)

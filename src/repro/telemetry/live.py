@@ -507,9 +507,9 @@ def render_status_panel(status: dict, *, title=None, stale_s=None) -> str:
     sections are optional: ``queue`` (ledger counts + progress bar),
     ``metrics`` (the broker's queue metrics: traffic, rates, wait/exec
     percentiles with :func:`histogram_bar`, per-worker throughput/RSS
-    with :func:`fill_bar`), ``cache``, ``counters``, ``resources`` and
-    ``health``.  ``stale_s`` marks the panel as
-    rendered from the last reachable frame.
+    with :func:`fill_bar`), ``counters`` (a worker's), ``resources`` and
+    ``health``.  ``stale_s`` marks the panel as rendered from the last
+    reachable frame.
     """
     role = status.get("role", "endpoint")
     addr = status.get("address") or status.get("endpoint") or ""
@@ -527,15 +527,6 @@ def render_status_panel(status: dict, *, title=None, stale_s=None) -> str:
         _queue_lines(status["queue"], lines)
     if status.get("metrics"):
         _metrics_lines(status["metrics"], lines)
-    cache = status.get("cache")
-    if cache is not None:
-        if not cache.get("enabled"):
-            lines.append("  cache   : disabled (REPRO_CACHE_DIR)")
-        else:
-            lines.append(
-                f"  cache   : {cache.get('entries', 0)} entr(ies), "
-                f"{cache.get('bytes', 0)} bytes at {cache.get('path', '?')}"
-            )
     counters = status.get("counters")
     if counters:
         rendered = " ".join(

@@ -321,7 +321,6 @@ class TestRenderStatusPanel:
                                "rounds": 30, "throughput": 0.2},
                 },
             },
-            "cache": {"enabled": True, "path": "/tmp/c", "entries": 2, "bytes": 99},
             "resources": {"rss_bytes": 1024**2, "max_rss_bytes": 2 * 1024**2,
                           "cpu_user_s": 1.5, "cpu_system_s": 0.5,
                           "open_fds": 12, "gc_collections": [10, 2, 1]},
@@ -346,11 +345,6 @@ class TestRenderStatusPanel:
         frame = self._frame()
         frame["health"] = {"ok": False, "detail": "1 stale lease(s)"}
         assert "health  : DEGRADED (1 stale lease(s))" in render_status_panel(frame)
-
-    def test_disabled_cache(self):
-        frame = self._frame()
-        frame["cache"] = {"enabled": False}
-        assert "cache   : disabled" in render_status_panel(frame)
 
     def test_minimal_frame(self):
         panel = render_status_panel({"role": "worker", "endpoint": "h:1"})
