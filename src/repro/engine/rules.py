@@ -3,9 +3,11 @@
 A :class:`SpreadRule` advances ``R`` independent runs one round as a
 vectorised index program over the CSR arrays (reusing
 :meth:`repro.graphs.Graph.sample_neighbors` for every random neighbour
-draw).  :class:`CobraRule` runs its round over flat ``r·n + v`` actor
-ids in fixed-size blocks, so its temporaries stay bounded however many
-particles the round moves.  The engine layer owns the loop, the
+draw).  A round holds one block of work, not ``R·n``: :class:`CobraRule`
+takes its movers window by window out of the flat ``r·n + v`` work
+mask and handles them in blocks, and :class:`BipsRule` runs each
+selection over row blocks, so their temporaries stay bounded however
+many particles the round moves.  The engine layer owns the loop, the
 visited set, hit times and completion; a rule owns only its state
 array and one ``step``.
 
@@ -37,12 +39,15 @@ under identical generators (the regression tests in
 * ``CobraRule`` consumes randomness only for *alive* runs (finished
   rows are cleared from the work mask before any draw), matching the
   original batched COBRA loop; movers come out of
-  ``np.flatnonzero`` row by row in ascending vertex order, so at
+  ``np.flatnonzero`` (one window of the flat mask at a time) row by
+  row in ascending vertex order, so at
   ``R = 1`` a round draws exactly what the historical set-based round
   over the sorted unique active set drew, and drawing block by block
   consumes the stream exactly as one whole-round draw did;
 * ``BipsRule`` draws for *every* row and freezes finished rows
-  afterwards, matching the original batched BIPS loop; at
+  afterwards, matching the original batched BIPS loop; each selection
+  draws block after block of rows, then (lazy) its coins, which is the
+  order of one whole-round draw; at
   ``R = 1`` and fixed ``b`` it also draws exactly what the original
   single-run round drew (with Bernoulli ``b = 1 + ρ`` the single-run
   round drew its second selections in another order);
@@ -89,8 +94,10 @@ __all__ = [
 ]
 
 
-#: Actors per block of a COBRA round (bounds its temporaries).  16K and
-#: 64K measured equal on a 256-run ``rreg(16384, 8)`` shard, 128K slower.
+#: Actors per block of a COBRA round, and the most per row block of a
+#: BIPS selection (at least one row): bounds their temporaries.  16K and
+#: 64K measured equal on a 256-run ``rreg(16384, 8)`` COBRA shard, 128K
+#: slower.
 _BLOCK = 1 << 16
 
 
@@ -184,9 +191,11 @@ class CobraRule(SpreadRule):
     :mod:`repro.dynamics` convention.
 
     A round draws every count first (``draw_counts`` is the only policy
-    method it calls), then each block of at most ``_BLOCK`` actors draws
-    its neighbours and scatters them; a lazy round keeps its picks, one
-    int64 per actor, and draws its coins in a second pass.  This is the
+    method it calls), then takes its movers window by window out of the
+    flat work mask, and each block of at most ``_BLOCK`` actors draws
+    its neighbours and scatters them; no array holds every mover.  A
+    lazy round keeps its picks, one int64 per actor, and draws its coins
+    in a second pass.  This is the
     reference COBRA kernel (the numba kernel reproduces it bit for bit);
     :func:`~repro.core.metrics.per_vertex_load` calls it one run at a
     time.
@@ -220,20 +229,40 @@ class CobraRule(SpreadRule):
             can_move = graph.degrees > 0
             stranded = work & ~can_move[None, :]
             work = work & can_move[None, :]
-        movers = np.flatnonzero(work)  # r·n + v, in the 2-D nonzero's order
-        counts = self.policy.draw_counts(movers.shape[0], rng)
+        total = int(np.count_nonzero(work))
+        counts = self.policy.draw_counts(total, rng)
         # A fixed policy's counts are one value read k times (stride 0).
         top = counts[:1] if counts.strides == (0,) else counts
         per = max(1, _BLOCK // int(top.max(initial=1)))
+        cells = work.reshape(-1)
 
         def blocks():
-            """Each block's actors as (row bases r·n, vertices v)."""
-            for i in range(0, movers.shape[0], per):
-                verts = np.repeat(movers[i : i + per], counts[i : i + per])
-                base = verts // n  # a scalar floor-divide, several times faster than %
-                base *= n
-                verts -= base
-                yield base, verts
+            """Each block's actors as (row bases r·n, vertices v).
+
+            The movers ``r·n + v`` come out of one window of the flat
+            work mask at a time, in the 2-D nonzero's order.  A window
+            spans the cells expected to hold ``per`` of the movers still
+            to come.  One that holds more yields whole blocks of ``per``,
+            and the movers left over start the next window, so no block
+            is cut short before the last window.
+            """
+            lo = done = 0
+            while done < total:
+                hi = lo - (-per * (cells.shape[0] - lo) // (total - done))
+                movers = np.flatnonzero(cells[lo:hi])
+                movers += lo
+                keep = movers.shape[0]
+                if keep > per:
+                    keep -= keep % per
+                lo = hi if keep == movers.shape[0] else int(movers[keep])
+                for i in range(0, keep, per):
+                    chunk = movers[i : i + per]
+                    verts = np.repeat(chunk, counts[done : done + chunk.shape[0]])
+                    done += chunk.shape[0]
+                    base = verts // n  # a scalar floor-divide, several times faster than %
+                    base *= n
+                    verts -= base
+                    yield base, verts
 
         # A lazy round's coins follow all of its neighbour uniforms.
         picks = [graph.sample_neighbors(v, rng) for _, v in blocks()] if self.lazy else None
@@ -241,10 +270,9 @@ class CobraRule(SpreadRule):
         flat = nxt.reshape(-1)
         for i, (base, verts) in enumerate(blocks()):
             if self.lazy:
-                targets = np.where(rng.random(verts.shape[0]) < 0.5, verts, picks[i])
+                base += np.where(rng.random(verts.shape[0]) < 0.5, verts, picks[i])
             else:
-                targets = graph.sample_neighbors(verts, rng)
-            base += targets
+                base += graph.sample_neighbors(verts, rng)
             flat[base] = True
         if stranded is not None:
             nxt |= stranded
@@ -264,13 +292,21 @@ class BipsRule(SpreadRule):
     next infected set iff some sample is currently infected; the
     persistent source is forced back in (SIS dynamics).
 
-    A round tiles all runs into one draw per selection (drawn for
-    finished runs too, which are frozen afterwards) and gathers each
-    pick's infection status from the flat ``r·n + v`` mask.
+    Each selection runs over row blocks of at most ``_BLOCK`` actors
+    (drawn for finished runs too, which are frozen afterwards) and
+    gathers each pick's infection status from the flat ``r·n + v`` mask,
+    so a round keeps one bool per actor and selection, not ``R·n`` int64
+    picks.  A lazy selection keeps the neighbour's status for every
+    block, then draws its coins and takes the actor's own status where a
+    coin says stay.
     """
 
     completion_basis = "state"
-    state_arrays = 12  # state + next + the (R, n) int64 pick buffer
+    # Sizes plan_shards, so it stays 12, although a round now holds the
+    # state, two (R, n) bool selections and one block: a smaller value
+    # would change the shard plans, and with them the samples, for n
+    # above about 21,800 vertices.
+    state_arrays = 12
 
     def __init__(self, policy, source: int, lazy: bool = False) -> None:
         self.policy = policy
@@ -290,27 +326,40 @@ class BipsRule(SpreadRule):
             return nxt
         actors = np.arange(n, dtype=np.int64) if live is None else live
         k = actors.shape[0]
-        if runs > 1:
-            actors = np.tile(actors, runs)
-        row_base = np.arange(0, runs * n, n, dtype=np.int64)[:, None]
+        per = max(1, _BLOCK // k)  # rows per block
+        tiled = np.tile(actors, min(per, runs))
         flat = infected.reshape(-1)
+        blocks = [(lo, min(lo + per, runs)) for lo in range(0, runs, per)]
 
-        def gather() -> np.ndarray:
-            """The infection status of one pick per actor, ``flat[r·n + pick]``."""
-            pick = select_targets(graph, actors, rng, self.lazy).reshape(runs, k)
-            pick += row_base
-            return flat[pick]
+        def select() -> np.ndarray:
+            """One selection: the infection status of each actor's pick.
 
-        got = gather()
+            Every block draws its neighbours, then (lazy) every block its
+            coins: the order one whole-round draw of each had.
+            """
+            got = np.empty((runs, k), dtype=bool)
+            for lo, hi in blocks:
+                pick = graph.sample_neighbors(tiled[: (hi - lo) * k], rng).reshape(hi - lo, k)
+                pick += np.arange(lo * n, hi * n, n, dtype=np.int64)[:, None]
+                got[lo:hi] = flat[pick]
+            if self.lazy:
+                for lo, hi in blocks:
+                    own = infected[lo:hi] if live is None else infected[lo:hi, live]
+                    np.copyto(got[lo:hi], own, where=rng.random((hi - lo, k)) < 0.5)
+            return got
+
+        got = select()
         fixed_b = self.policy.fixed_selection_count()
         if fixed_b is not None:
             for _ in range(fixed_b - 1):
-                got |= gather()
+                got |= select()
         else:
             p2 = self.policy.second_selection_probability()
             if p2 > 0.0:
-                picked = gather()
-                got |= picked & (rng.random((runs, k)) < p2)
+                picked = select()
+                for lo, hi in blocks:
+                    picked[lo:hi] &= rng.random((hi - lo, k)) < p2
+                got |= picked
         if live is None:
             nxt = got
         else:

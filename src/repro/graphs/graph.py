@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Graph", "SharedGraph"]
+__all__ = ["Graph", "SharedGraph", "SharedSegment"]
 
 
 def _attach_untracked(name: str):
@@ -46,48 +46,50 @@ def _attach_untracked(name: str):
         return shared_memory.SharedMemory(name=name)
 
 
-class SharedGraph:
-    """A picklable handle to a graph's CSR arrays in shared memory.
+class SharedSegment:
+    """A picklable handle to one POSIX shared-memory segment.
 
-    Created by :meth:`Graph.to_shared`, consumed by
-    :meth:`Graph.from_shared`.  The handle itself carries only the
-    segment name and the array geometry, so shipping it to a worker
-    process costs a few hundred bytes regardless of graph size; the
-    worker then maps the one existing copy of ``indptr`` / ``indices``
-    / ``degrees`` instead of re-pickling the topology per task.
+    Pickling ships only the segment name, so a handle costs a few dozen
+    bytes to send to a worker process whatever the segment holds; the
+    worker maps the one existing copy of the bytes (:attr:`buf`) on
+    first use.  :meth:`create` makes a segment; :meth:`Graph.to_shared`
+    makes a :class:`SharedGraph`, the handle of a graph's CSR arrays.
 
     Lifecycle (the POSIX shared-memory contract):
 
     * every process that attached must :meth:`close` when done (worker
-      side; dropping the graph alone leaks the mapping until process
-      exit, which pool workers deliberately rely on);
+      side; a zero-copy array left viewing the mapping keeps it alive
+      until it is garbage collected);
     * exactly one process — the creator — must additionally
       :meth:`unlink` once all users are done, or the segment outlives
       the program.  Using the handle as a context manager does both.
     """
 
-    __slots__ = ("shm_name", "n", "m", "graph_name", "_shm", "_owner", "_unlinked")
+    __slots__ = ("shm_name", "_shm", "_owner", "_unlinked")
 
-    def __init__(
-        self, shm_name: str, n: int, m: int, graph_name: str
-    ) -> None:
+    def __init__(self, shm_name: str) -> None:
         self.shm_name = shm_name
-        self.n = int(n)
-        self.m = int(m)
-        self.graph_name = graph_name
         self._shm = None
         self._owner = False
         self._unlinked = False
 
-    # -- pickling: ship only the name + geometry ------------------------
+    @staticmethod
+    def create(size: int) -> "SharedSegment":
+        """A new zero-filled segment of at least ``size`` bytes, owned here."""
+        from multiprocessing import shared_memory
+
+        shm = shared_memory.SharedMemory(create=True, size=max(1, int(size)))
+        handle = SharedSegment(shm.name)
+        handle._shm = shm
+        handle._owner = True
+        return handle
+
+    # -- pickling: ship only the name -----------------------------------
     def __getstate__(self):
-        return (self.shm_name, self.n, self.m, self.graph_name)
+        return (self.shm_name,)
 
     def __setstate__(self, state) -> None:
-        self.shm_name, self.n, self.m, self.graph_name = state
-        self._shm = None
-        self._owner = False
-        self._unlinked = False
+        SharedSegment.__init__(self, *state)
 
     # -- attachment -----------------------------------------------------
     def _segment(self):
@@ -96,19 +98,20 @@ class SharedGraph:
             self._shm = _attach_untracked(self.shm_name)
         return self._shm
 
-    def attach(self) -> "Graph":
-        """Map the segment and return the zero-copy :class:`Graph`."""
-        return Graph.from_shared(self)
+    @property
+    def buf(self) -> memoryview:
+        """The segment's bytes, mapped on first use."""
+        return self._segment().buf
 
     # -- teardown -------------------------------------------------------
     def close(self) -> None:
         """Release this process's handle on the segment (idempotent).
 
-        If no zero-copy :class:`Graph` from this process still views
-        the mapping, the mapping is unmapped outright.  Otherwise the
-        mapping must outlive those views, so only the file descriptor
-        is closed: the attached graphs stay valid, and the memory is
-        returned when the last of them is garbage collected.
+        If no array from this process still views the mapping, the
+        mapping is unmapped outright.  Otherwise the mapping must
+        outlive those views, so only the file descriptor is closed: the
+        views stay valid, and the memory is returned when the last of
+        them is garbage collected.
         """
         shm = self._shm
         if shm is None:
@@ -180,7 +183,7 @@ class SharedGraph:
             except Exception:
                 pass
 
-    def __enter__(self) -> "SharedGraph":
+    def __enter__(self) -> "SharedSegment":
         """Context manager: yields the handle itself."""
         return self
 
@@ -191,6 +194,45 @@ class SharedGraph:
                 self.unlink()
         finally:
             self.close()
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{type(self).__name__}(shm_name={self.shm_name!r})"
+
+
+class SharedGraph(SharedSegment):
+    """A picklable handle to a graph's CSR arrays in shared memory.
+
+    Created by :meth:`Graph.to_shared`, consumed by
+    :meth:`Graph.from_shared`.  The handle itself carries only the
+    segment name and the array geometry, so shipping it to a worker
+    process costs a few hundred bytes regardless of graph size; the
+    worker then maps the one existing copy of ``indptr`` / ``indices``
+    / ``degrees`` instead of re-pickling the topology per task.  The
+    lifecycle is :class:`SharedSegment`'s: a zero-copy :class:`Graph`
+    keeps the mapping alive after :meth:`close` (pool workers rely on
+    it), and only the creator unlinks.
+    """
+
+    __slots__ = ("n", "m", "graph_name")
+
+    def __init__(
+        self, shm_name: str, n: int, m: int, graph_name: str
+    ) -> None:
+        super().__init__(shm_name)
+        self.n = int(n)
+        self.m = int(m)
+        self.graph_name = graph_name
+
+    # -- pickling: ship only the name + geometry ------------------------
+    def __getstate__(self):
+        return (self.shm_name, self.n, self.m, self.graph_name)
+
+    def __setstate__(self, state) -> None:
+        SharedGraph.__init__(self, *state)
+
+    def attach(self) -> "Graph":
+        """Map the segment and return the zero-copy :class:`Graph`."""
+        return Graph.from_shared(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -530,7 +572,7 @@ class Graph:
         views keep the mapping alive even after ``handle.close()``, but
         the segment itself lives until its creator calls ``unlink()``.
         """
-        flat = np.frombuffer(handle._segment().buf, dtype=np.int64)
+        flat = np.frombuffer(handle.buf, dtype=np.int64)
         n, m = handle.n, handle.m
         a, b = n + 1, n + 1 + 2 * m
         return cls._from_csr(

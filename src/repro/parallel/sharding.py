@@ -6,13 +6,16 @@ independent runs, but on one core.  This module splits the R axis into
 fixed per-shard state budget — and executes the shards across worker
 processes (or one after another in-process, ``workers=1``):
 
-* **Topology ships once.**  A static graph's CSR arrays are exported
-  into POSIX shared memory (:meth:`repro.graphs.Graph.to_shared`), so
-  every worker maps the same physical ``indptr`` / ``indices`` /
-  ``degrees`` instead of unpickling a private copy per task; dynamic
-  sequences ship as the small seeded objects they are and are realised
-  lazily in the worker (an observing sequence as a fresh replay per
-  shard).
+* **Topology and state travel by reference.**  When a pool runs the
+  shards, a static graph's CSR arrays are exported into POSIX shared
+  memory (:meth:`repro.graphs.Graph.to_shared`), so every worker maps
+  the same physical ``indptr`` / ``indices`` / ``degrees`` instead of
+  unpickling a private copy per task, and every shard's initial state
+  goes into one more segment, where the shard writes its final state
+  (and its hit times, when tracked) back: only handles and small
+  arrays are pickled.  Dynamic sequences ship as the small seeded
+  objects they are and are realised lazily in the worker (an
+  observing sequence as a fresh replay per shard).
 * **Randomness is per shard.**  Each shard's generator is spawned from
   the caller's master seed via :mod:`repro.stats.rng`, and the shard
   plan is a pure function of ``(rule, runs, n, max_shard)`` —
@@ -54,7 +57,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..graphs.graph import Graph, SharedGraph
+from ..graphs.graph import Graph, SharedGraph, SharedSegment
 from ..stats.rng import seed_sequence_from, spawn_seeds
 from ..telemetry import (
     TraceContext,
@@ -157,7 +160,8 @@ class ShardTask:
         A :class:`~repro.engine.completion.CompletionCriterion`.
     state:
         The shard's rule-specific initial state (rows = this shard's
-        runs).
+        runs); on the pool path, where it lives in shared memory (see
+        :func:`execute_shards`).
     seed:
         The shard's spawned :class:`numpy.random.SeedSequence`; the
         worker builds its process stream from exactly this.
@@ -174,6 +178,35 @@ class ShardTask:
     record_visited: bool = False
 
 
+@dataclass(frozen=True)
+class _SharedState:
+    """Where a pool shard's state lives: a task's ``state`` on the pool path.
+
+    The shard reads its ``shape``/``dtype`` initial state at ``offset``
+    in ``segment`` and writes its final state over it, and its
+    ``(R_i, n)`` int64 hit times at ``hits`` when they are tracked.  It
+    pickles to a few hundred bytes, whatever the state's size.
+    """
+
+    segment: SharedSegment
+    offset: int
+    shape: tuple
+    dtype: str
+    n: int
+    hits: int | None = None
+
+    def state(self) -> np.ndarray:
+        """The state array, a view of the segment."""
+        return self._view(self.offset, self.shape, self.dtype)
+
+    def hit_times(self) -> np.ndarray:
+        """The hit-time array, a view of the segment."""
+        return self._view(self.hits, (self.shape[0], self.n), np.int64)
+
+    def _view(self, offset: int, shape: tuple, dtype) -> np.ndarray:
+        return np.ndarray(shape, dtype=dtype, buffer=self.segment.buf, offset=offset)
+
+
 def run_shard(task: ShardTask):
     """Execute one shard in the current process; returns a SpreadResult.
 
@@ -187,7 +220,39 @@ def run_shard(task: ShardTask):
     encodes the shard index), and the returned result carries its
     wall/CPU timings in ``meta["shard"]`` — always, telemetry sink or
     not, so :func:`merge_shard_results` can report shard skew.
+
+    On the pool path the task's state is a :class:`_SharedState`: the
+    shard runs on its slice of the shared segment, writes its final
+    state (and hit times) there, and returns None in their place.
     """
+    shared = task.state
+    if not isinstance(shared, _SharedState):
+        return _run(task)
+    with shared.segment:  # maps the segment, and closes it (only its creator unlinks)
+        return _run_in_place(task, shared)
+
+
+def _run_in_place(task: ShardTask, shared: _SharedState):
+    """Run a shard on its state in shared memory and write its outputs back.
+
+    A final state of another shape or dtype than the initial one (none
+    of the repo's rules makes one) is returned by value instead.  No
+    view of the segment outlives this call, so the caller can close it.
+    """
+    result = _run(replace(task, state=shared.state()))
+    written = {}
+    final = result.final_state
+    if final.shape == shared.shape and final.dtype == shared.dtype:
+        shared.state()[...] = final
+        written["final_state"] = None
+    if shared.hits is not None:
+        shared.hit_times()[...] = result.hit_times
+        written["hit_times"] = None
+    return replace(result, **written)
+
+
+def _run(task: ShardTask):
+    """Execute one shard whose state is an array (see :func:`run_shard`)."""
     from ..engine.engine import SpreadEngine
 
     topology = task.topology
@@ -247,38 +312,72 @@ def execute_shards(tasks: Sequence[ShardTask], workers: int | None = None) -> li
     are few and heavy, so eager redistribution beats amortised IPC.
     Output order matches input order, and because every task carries
     its own spawned seed the results are identical at any ``workers``.
+
+    When a pool runs them, the tasks travel by reference (see
+    :func:`_by_reference`): each result's final state and hit times are
+    copied out of the shared segment once, before it is unlinked.
     """
-    return parallel_map(run_shard, tasks, n_workers=workers, chunk_size=1)
+    tasks = list(tasks)
+    workers = default_workers() if workers is None else int(workers)
+    if min(workers, len(tasks)) <= 1:
+        return [run_shard(task) for task in tasks]
+    with contextlib.ExitStack() as segments:
+        shipped = _by_reference(tasks, segments)
+        results = parallel_map(run_shard, shipped, n_workers=workers, chunk_size=1)
+        return [
+            _collect(task.state, result) for task, result in zip(shipped, results)
+        ]
 
 
-@contextlib.contextmanager
-def _graph_in_shared_memory(tasks: list, workers: int):
-    """Yield ``tasks`` with their static graph swapped for a shared-memory handle.
+def _by_reference(tasks: list, segments: contextlib.ExitStack) -> list:
+    """``tasks`` as a pool receives them: graph and states in shared memory.
 
-    Only when a pool will run them and they all share one static
-    topology: every worker then maps the same physical CSR arrays
-    instead of unpickling a private copy per task.  The segment is
-    created, closed and unlinked here, so callers manage nothing.
+    A static topology all tasks share becomes one
+    :class:`~repro.graphs.SharedGraph`; every state goes into one
+    :class:`~repro.graphs.SharedSegment`, 64-byte aligned, with room
+    after it for the shard's hit times when they are tracked.  Both
+    segments are entered on ``segments``, so the creator unlinks them
+    however the pool call ends.
     """
     from ..engine.engine import StaticTopology
 
     topology = tasks[0].topology
-    if (
-        min(workers, len(tasks)) <= 1
-        or not isinstance(topology, StaticTopology)
-        or any(task.topology is not topology for task in tasks)
+    if isinstance(topology, StaticTopology) and all(
+        task.topology is topology for task in tasks
     ):
-        yield tasks
-        return
-    shared = topology.base.to_shared()
-    try:
-        yield [replace(task, topology=shared) for task in tasks]
-    finally:
-        # Unlink first: through the still-open creator handle it also
-        # drops the resource-tracker registration on every Python
-        # version (see SharedGraph.unlink).
-        shared.unlink()
-        shared.close()
+        shared = segments.enter_context(topology.base.to_shared())
+        tasks = [replace(task, topology=shared) for task in tasks]
+    places, size = [], 0
+    for task in tasks:
+        runs, n = task.state.shape[0], task.topology.n
+        offset, size = size, _aligned(size + task.state.nbytes)
+        hits = None
+        if task.track_hits:
+            hits, size = size, _aligned(size + runs * n * 8)
+        places.append((offset, n, hits))
+    segment = segments.enter_context(SharedSegment.create(size))
+    shipped = []
+    for task, (offset, n, hits) in zip(tasks, places):
+        state = task.state
+        shared = _SharedState(segment, offset, state.shape, state.dtype.str, n, hits)
+        shared.state()[...] = state
+        shipped.append(replace(task, state=shared))
+    return shipped
+
+
+def _aligned(nbytes: int) -> int:
+    """``nbytes`` rounded up to a multiple of 64 (a cache line)."""
+    return -(-nbytes // 64) * 64
+
+
+def _collect(shared: _SharedState, result):
+    """``result`` with what its shard wrote to shared memory copied back in."""
+    copied = {}
+    if result.final_state is None:
+        copied["final_state"] = shared.state().copy()
+    if shared.hits is not None:
+        copied["hit_times"] = shared.hit_times().copy()
+    return replace(result, **copied)
 
 
 def execute_cached(
@@ -362,10 +461,7 @@ def execute_cached(
                 )
         missing = [i for i in missing if results[i] is None]
     if missing:
-        with _graph_in_shared_memory(
-            [tasks[i] for i in missing], workers
-        ) as local:
-            fresh = execute_shards(local, workers)
+        fresh = execute_shards([tasks[i] for i in missing], workers)
         for index, result in zip(missing, fresh):
             results[index] = result
             if store is not None:

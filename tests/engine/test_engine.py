@@ -1,5 +1,7 @@
 """Engine-layer unit tests: topology adapters, caps, rules, batching."""
 
+import hashlib
+import threading
 import tracemalloc
 
 import numpy as np
@@ -31,7 +33,9 @@ from repro.engine import (
     process_round_cap,
     walk_round_cap,
 )
+from repro.engine import rules
 from repro.graphs import Graph, cycle_graph, petersen_graph, random_regular_graph
+from repro.graphs import graph as graph_module
 from repro.graphs.properties import eccentricity
 from repro.parallel import plan_shards
 
@@ -115,40 +119,148 @@ class TestRuleValidation:
             PushRule(0)
 
 
+def _round_peak(rule, graph, state) -> int:
+    """tracemalloc's peak over one ``rule.step`` with every run alive, in bytes."""
+    alive = np.ones(state.shape[0], dtype=bool)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rule.step(graph, state, alive, np.random.default_rng(1))
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestCobraRoundMemory:
-    """One COBRA round holds a few blocks of actors, not the whole round.
+    """One COBRA round holds a window of movers and a block of actors.
 
     numpy reports its buffers to tracemalloc.  On ``rreg(16384, 8)`` with
     64 runs at 80% occupancy (1.7M actors at b = 2), the whole-round
     kernel peaked at 71.4 MiB (b = 2), 58.6 (b = 1.5) and 73.0 (lazy);
-    the blocked round at 18.3, 16.7 and 29.7.  Without the broadcast
-    alive mask and the k-long array of constant counts it peaks at
-    10.9, 15.7 and 22.7: the fixed policy's counts are a zero-stride
-    view, where b = 1.5 draws real ones.  A lazy round also holds its
-    picks, one int64 per actor.
+    the blocked round at 18.3, 16.7 and 29.7; without the broadcast
+    alive mask and the k-long array of constant counts at 9.9, 15.7 and
+    22.7, with every mover in one int64 array.  Taking the movers window
+    by window out of the flat work mask, it peaks at 3.3, 9.2 and 16.1:
+    the fixed policy's counts are a zero-stride view, where b = 1.5
+    draws real ones (one int64 per mover), and a lazy round holds its
+    picks, one int64 per actor.  A first round grows the sampler's
+    per-thread scratch (a block's worth, kept between rounds), so it is
+    not counted.
     """
 
     @pytest.fixture(scope="class")
     def cell(self):
         graph = random_regular_graph(16384, 8, rng=1)
-        return graph, np.random.default_rng(0).random((64, graph.n)) < 0.8
+        state = np.random.default_rng(0).random((64, graph.n)) < 0.8
+        _round_peak(CobraRule(make_policy(2)), graph, state)
+        return graph, state
 
     @pytest.mark.parametrize(
-        "branching,lazy,bound_mib", [(2, False, 14), (1.5, False, 24), (2, True, 40)]
+        "branching,lazy,bound_mib", [(2, False, 5), (1.5, False, 12), (2, True, 20)]
     )
     def test_peak_is_bounded(self, cell, branching, lazy, bound_mib):
         graph, state = cell
-        rule = CobraRule(make_policy(branching), lazy=lazy)
-        alive = np.ones(state.shape[0], dtype=bool)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            rule.step(graph, state, alive, np.random.default_rng(1))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        peak = _round_peak(CobraRule(make_policy(branching), lazy=lazy), graph, state)
         assert peak <= bound_mib * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+#: ``BipsRule.step`` over 8 rounds from a 30% random start (source 17,
+#: every fifth run from the second finished), on ``rreg(300, 6)`` and a
+#: snapshot of it whose vertices 3, 77, 150 and 299 lost their edges:
+#: sha256 of the 8 states and the generator's final state, computed
+#: before the selections were blocked over rows.
+_BIPS_PINS = {
+    ("b2", 1): "191b3ea91b09c9004455f426a930eb815c428e460bb4165831b931f108cb6f08",
+    ("b2", 16): "acb1795b7cb6fc6bd41d18f8cf4f4c6ae8e1ebe365deab7c4a7fe9dd2335686e",
+    ("b2", 512): "ba8aaa4c65031e7571f61fff8d8ec7857ef8621601ac80b9ffd955a5f57becaa",
+    ("b3", 1): "f846fbef1249a149ca81e13f3e67eac4168b4894615bbda6afd810f17cb00e73",
+    ("b3", 16): "641989c2c7f585924679a028641f59b32b9db5ef3b249fe4741c56defe91cc9f",
+    ("b3", 512): "d6f62980b33265b7c9cc288c9629340ba51e4b481c04cf32518a3df41652f265",
+    ("b1.5", 1): "8503fdaef83ee9f802e95a1f71191736da1f5627e2846ac55d204d14f1edcf51",
+    ("b1.5", 16): "a78c3af1daafb6f0605c7ed27f3ec30c9a2fb4f1450ba2e0bc9dc7569c7c193e",
+    ("b1.5", 512): "61b7241fe979cb53f715d5493e5c98985eeb0bbd10d036639c9e345265a1831d",
+    ("lazy-b2", 1): "6a0b68e143022f53c8a01e94aa36941556990cf406dd27dd18ce50cf02cd5e9a",
+    ("lazy-b2", 16): "a5bdf707645bcd8bc1e45ea95375fc0390db2d2c2ffa1ad2fc4150b3072b9560",
+    ("lazy-b2", 512): "900cb89de7b1390d0544e4013c177a9f4f5ff4731101b49521ef56ab5134d26d",
+    ("churned-b2", 1): "03c94d74da5bea875b51179e1ae44da0723f10634993e6e281f8235312fe61c3",
+    ("churned-b2", 16): "431f48ec6bc996c333b981c030463770a0f958d1fa736375e67edf81f68bd3b4",
+    ("churned-b2", 512): "090f99aa2dfbded2386f8967f0b06f5d2eb67f296e2cc08c9b921d7f8957304a",
+}
+
+_BIPS_CELLS = {
+    "b2": (2, False, False),
+    "b3": (3, False, False),
+    "b1.5": (1.5, False, False),
+    "lazy-b2": (2, True, False),
+    "churned-b2": (2, False, True),
+}
+
+
+@pytest.fixture(scope="module")
+def bips_graphs():
+    regular = random_regular_graph(300, 6, rng=5)
+    gone = {3, 77, 150, 299}
+    edges = [e for e in regular.edge_array().tolist() if not gone & set(e)]
+    return regular, Graph(300, edges, name="churned")
+
+
+class TestBipsRoundMemory:
+    """One BIPS round holds a bool per actor and a block of picks.
+
+    Each selection runs over row blocks of at most ``rules._BLOCK``
+    actors.  On ``rreg(4096, 8)`` with 512 runs, a b = 2 round peaked at
+    50.0 MiB (82.0 with the sampler's scratch grown to ``R·n``) when it
+    tiled ``R·n`` int64 picks per selection, and at 7.0 MiB blocked,
+    scratch included.
+    """
+
+    @pytest.fixture(scope="class")
+    def fresh_thread_round(self):
+        # A new thread starts with empty sampler scratch (it is per
+        # thread), so the round's own growth of it is seen and counted.
+        graph = random_regular_graph(4096, 8, rng=1)
+        state = np.random.default_rng(0).random((512, graph.n)) < 0.3
+        state[:, 0] = True
+        seen = {}
+
+        def round_():
+            seen["peak"] = _round_peak(BipsRule(make_policy(2), 0), graph, state)
+            scratch = graph_module._SCRATCH
+            seen["scratch"] = (scratch._f64.size, scratch._i64.size)
+
+        thread = threading.Thread(target=round_)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive() and "scratch" in seen
+        return seen
+
+    def test_peak_is_bounded(self, fresh_thread_round):
+        peak = fresh_thread_round["peak"]
+        assert peak <= 12 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    def test_sampler_scratch_stays_within_a_block(self, fresh_thread_round):
+        assert max(fresh_thread_round["scratch"]) <= rules._BLOCK
+
+    @pytest.mark.parametrize("block", [rules._BLOCK, 100])
+    @pytest.mark.parametrize("cell", list(_BIPS_CELLS))
+    @pytest.mark.parametrize("runs", [1, 16, 512])
+    def test_rounds_are_pinned(self, monkeypatch, bips_graphs, block, cell, runs):
+        # 100 actors a block: one row per block, each longer than the cap.
+        monkeypatch.setattr(rules, "_BLOCK", block)
+        branching, lazy, churned = _BIPS_CELLS[cell]
+        graph = bips_graphs[churned]
+        rule = BipsRule(make_policy(branching), source=17, lazy=lazy)
+        state = np.random.default_rng(runs).random((runs, graph.n)) < 0.3
+        state[:, 17] = True
+        alive = np.arange(runs) % 5 != 1
+        rng = np.random.default_rng(7)
+        digest = hashlib.sha256()
+        for _ in range(8):
+            state = rule.step(graph, state, alive, rng)
+            digest.update(state.tobytes())
+        digest.update(str(rng.bit_generator.state["state"]["state"]).encode())
+        assert digest.hexdigest() == _BIPS_PINS[cell, runs]
 
 
 class TestEngineLoop:

@@ -5,8 +5,14 @@ identical at any worker count (the shard plan and the spawned seeds
 never depend on ``workers``), and equals the serial shard-by-shard
 ``engine.run`` reference under the same spawning discipline — for
 cover-type (COBRA), infection-type (BIPS) and position-state (walks)
-rules, on static and time-evolving topologies.
+rules, on static and time-evolving topologies.  On the pool path the
+graph and the states travel through shared memory: what is pickled
+stays small, and no segment outlives a call.
 """
+
+import dataclasses
+from multiprocessing.reduction import ForkingPickler
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +129,87 @@ class TestTrajectoryMerging:
         # at n and is monotone along the common axis.
         assert np.all(serial.visited_counts[:, -1] == graph.n)
         assert np.all(np.diff(serial.visited_counts, axis=1) >= 0)
+
+
+def _assert_same(got, want):
+    """Every scientific field equal, arrays in dtype and shape too."""
+    for field in dataclasses.fields(want):
+        if field.name == "meta":
+            continue
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray), field.name
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+class _FailingRule(CobraRule):
+    """A COBRA rule whose every round raises."""
+
+    def step(self, graph, state, alive, rng):
+        raise RuntimeError("shard failed")
+
+
+def _segments() -> set:
+    return {path.name for path in Path("/dev/shm").glob("psm_*")}
+
+
+class TestPoolByReference:
+    """The pool gets handles to shared memory and small arrays, not states."""
+
+    @pytest.mark.parametrize("name", ["cobra", "bips", "walk", "walk-int32"])
+    def test_every_field_equals_the_serial_run(self, name):
+        # int32 walkers come back as int64 positions: a final state of
+        # another dtype than the initial one travels by value.
+        graph = _graph()
+        rule = _rules()[name.split("-")[0]]
+        engine = SpreadEngine(rule, graph)
+        state = _initial_state(rule, graph.n)
+        if name == "walk-int32":
+            state = state.astype(np.int32)
+        options = dict(
+            track_hits=True, record_sizes=True, record_visited=True, max_shard=MAX_SHARD
+        )
+        serial = engine.run_sharded(state, 9, workers=1, **options)
+        _assert_same(engine.run_sharded(state, 9, workers=2, **options), serial)
+
+    def test_nothing_large_is_pickled_to_the_pool(self, monkeypatch):
+        # Two shards of 64 runs on 4096 vertices: 256 KiB of state and
+        # 2 MiB of hit times each, none of which may be pickled.
+        graph = random_regular_graph(4096, 4, rng=3)
+        rule = CobraRule(make_policy(2))
+        state = np.zeros((128, graph.n), dtype=bool)
+        state[:, 0] = True
+        assert plan_shards(rule, 128, graph.n, max_shard=64) == [64, 64]
+        engine = SpreadEngine(rule, graph)
+        serial = engine.run_sharded(state, 4, workers=1, track_hits=True, max_shard=64)
+
+        sizes = []
+        dumps = ForkingPickler.dumps.__func__
+
+        def checked(cls, obj, protocol=None):
+            # Forked children run this too: one that pickles a large
+            # result fails the call, which is how its side is checked.
+            payload = dumps(cls, obj, protocol)
+            sizes.append(len(payload))
+            if len(payload) >= 16 * 1024:
+                raise AssertionError(f"{len(payload)} bytes pickled for the pool")
+            return payload
+
+        monkeypatch.setattr(ForkingPickler, "dumps", classmethod(checked))
+        pooled = engine.run_sharded(state, 4, workers=2, track_hits=True, max_shard=64)
+        assert len(sizes) >= 2  # both tasks went through the check
+        _assert_same(pooled, serial)
+
+    @pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="no /dev/shm")
+    def test_no_segment_outlives_a_call(self):
+        before = _segments()
+        _run(_rules()["cobra"], _graph(), workers=2)
+        assert _segments() - before == set()
+        with pytest.raises(RuntimeError, match="shard failed"):
+            _run(_FailingRule(make_policy(2)), _graph(), workers=2)
+        assert _segments() - before == set()
 
 
 class TestDynamicSharding:

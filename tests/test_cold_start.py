@@ -163,7 +163,7 @@ def test_cli_imports_only_the_experiment_it_runs(argv, experiments):
 
 
 _POOL_CHILD_IMPORTS = """
-import json, sys
+import json, os, sys
 import numpy as np
 from repro import random_regular_graph
 from repro.core import make_policy
@@ -178,6 +178,7 @@ def recording_run_shard(task):
     imported = sorted(set(sys.modules) - before)
     if imported:
         raise RuntimeError(imported)
+    result.meta["shard"]["recorded_in"] = os.getpid()
     return result
 
 sharding.run_shard = recording_run_shard
@@ -185,18 +186,24 @@ engine = SpreadEngine(CobraRule(make_policy(2)), random_regular_graph(256, 8, rn
 state = np.zeros((32, 256), dtype=bool)
 state[:, 0] = True
 try:
-    engine.run_sharded(state, 1, workers=2, max_shard=8)
+    result = engine.run_sharded(state, 1, workers=2, max_shard=8)
     imported = []
+    recorded_in = [shard.get("recorded_in") for shard in result.meta["shards"]]
 except RuntimeError as exc:
-    imported = exc.args[0]
-print(json.dumps(imported))
+    imported, recorded_in = exc.args[0], []
+print(json.dumps({"imported": imported, "recorded_in": recorded_in, "parent": os.getpid()}))
 """
 
 
 def test_forked_pool_child_imports_nothing_during_a_shard():
     # Whatever a shard needs is imported before the pool forks, so a
-    # child pays no import inside any call.
-    assert _fresh(_POOL_CHILD_IMPORTS) == []
+    # child pays no import inside any call.  The wrapper must be what
+    # the pool runs: every shard ran through it, in a child process.
+    seen = _fresh(_POOL_CHILD_IMPORTS)
+    assert seen["imported"] == []
+    assert len(seen["recorded_in"]) == 4
+    assert None not in seen["recorded_in"]
+    assert seen["parent"] not in seen["recorded_in"]
 
 
 def _packages():
