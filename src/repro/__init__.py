@@ -59,7 +59,6 @@ __getattr__, __dir__, __all__ = attach(
             "FrozenSequence",
             "GraphSequence",
             "RewiringSequence",
-            "SnapshotSchedule",
             "dynamic_cover_time_samples",
             "dynamic_infection_time_samples",
         ],

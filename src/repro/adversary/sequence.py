@@ -77,7 +77,6 @@ class AdversarialSequence(MarkovGraphSequence):
         swaps_per_round: int = 0,
         keep_connected: bool = True,
         max_retries: int = 20,
-        cache_size: int = 8,
     ) -> None:
         if swaps_per_round < 0:
             raise ValueError("swaps_per_round must be >= 0")
@@ -89,12 +88,7 @@ class AdversarialSequence(MarkovGraphSequence):
         self.swaps_per_round = int(swaps_per_round)
         self.keep_connected = bool(keep_connected)
         self.max_retries = int(max_retries)
-        super().__init__(
-            base,
-            f"adversarial-{adversary.name}-{base.name}",
-            seed,
-            cache_size=cache_size,
-        )
+        super().__init__(base, f"adversarial-{adversary.name}-{base.name}", seed)
         self._log: list[FrontierDigest] = []
 
     # -- bookkeeping ----------------------------------------------------
@@ -145,7 +139,6 @@ class AdversarialSequence(MarkovGraphSequence):
             swaps_per_round=self.swaps_per_round,
             keep_connected=self.keep_connected,
             max_retries=self.max_retries,
-            cache_size=self._cache.capacity,
         )
 
     # -- MarkovGraphSequence hooks --------------------------------------
@@ -186,9 +179,7 @@ class AdversarialSequence(MarkovGraphSequence):
     # -- introspection ---------------------------------------------------
     def active_at(self, t: int) -> np.ndarray:
         """Active-vertex mask of the round-``t`` snapshot (for audits)."""
-        if t < 0:
-            raise ValueError("round index must be >= 0")
-        self._materialize(int(t))
+        self.graph_at(t)  # leaves the chain at round t
         return self._active.copy()
 
     @property

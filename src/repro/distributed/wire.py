@@ -47,14 +47,13 @@ import hashlib
 import json
 import math
 import struct
-import time
 from collections import OrderedDict
 
 import numpy as np
 
 from ..core.branching import BernoulliBranching, FixedBranching
 from ..engine.completion import AllActive, AllVertices, TargetHit
-from ..engine.engine import SpreadResult, StaticTopology
+from ..engine.engine import SpreadResult
 from ..engine.rules import (
     BipsRule,
     CobraRule,
@@ -64,6 +63,7 @@ from ..engine.rules import (
     WalkRule,
 )
 from ..graphs.graph import Graph, SharedGraph
+from ..graphs.validation import check_vertex
 from ..parallel.sharding import ShardTask
 from ..resilience.faults import InjectedFault, active_fault_plan
 from ..telemetry import get_telemetry
@@ -262,9 +262,6 @@ def _decode_rule(obj: dict):
     if kind == "cobra":
         return CobraRule(_decode_policy(obj["policy"]), lazy=obj["lazy"])
     if kind == "bips":
-        # A peer from before BIPS had one layout may still name it.
-        if obj.get("discipline", "batch") != "batch":
-            raise ValueError(f"unknown BIPS discipline {obj['discipline']!r}")
         return BipsRule(
             _decode_policy(obj["policy"]), int(obj["source"]), lazy=obj["lazy"]
         )
@@ -356,7 +353,8 @@ def _encode_adversary(policy) -> dict:
     )
 
 
-def _decode_adversary(obj: dict):
+def _decode_adversary(obj: dict, base: Graph):
+    """Rebuild an adversary policy, checking the vertices it names on ``base``."""
     from ..adversary.policies import (
         AdaptiveRRIPolicy,
         GreedyCutAdversary,
@@ -373,13 +371,13 @@ def _decode_adversary(obj: dict):
         return IsolatingChurnAdversary(
             int(obj["budget"]),
             downtime=int(obj["downtime"]),
-            protected=tuple(int(p) for p in obj["protected"]),
+            protected=tuple(check_vertex(base, p) for p in obj["protected"]),
             keep_connected=obj["keep_connected"],
-            initially_out=tuple(int(p) for p in obj["initially_out"]),
+            initially_out=tuple(check_vertex(base, p) for p in obj["initially_out"]),
         )
     if kind == "moving-source":
         return MovingSourceAdversary(
-            int(obj["source"]),
+            check_vertex(base, obj["source"]),
             int(obj["budget"]),
             trigger=float(obj["trigger"]),
             keep_connected=obj["keep_connected"],
@@ -416,12 +414,14 @@ def _decode_graph(obj: dict, name: str) -> Graph:
     describing ``n`` vertices and ``m`` undirected edges.
     """
     n, m = int(obj["n"]), int(obj["m"])
+    if n < 1:
+        raise ValueError(f"graph needs at least one vertex, got n={n}")
     indptr = _decode_array(obj["indptr"])
     indices = _decode_array(obj["indices"])
     for key, arr in (("indptr", indptr), ("indices", indices)):
         if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"graph {key} must be a 1-D integer array")
-    if n < 0 or len(indptr) != n + 1 or indptr[0] != 0:
+    if len(indptr) != n + 1 or indptr[0] != 0:
         raise ValueError("graph indptr must hold n + 1 offsets starting at 0")
     if np.any(indptr[1:] < indptr[:-1]):
         raise ValueError("graph indptr must be non-decreasing")
@@ -526,7 +526,7 @@ def _encode_topology(topology) -> dict:
     )
     from ..dynamics.sequence import FrozenSequence
 
-    if isinstance(topology, (Graph, StaticTopology, SharedGraph)):
+    if isinstance(topology, (Graph, SharedGraph)):
         return _encode_graph_ref(_shipped_graph(topology))
     if isinstance(topology, FrozenSequence):
         return {"kind": "frozen", "base": _encode_graph_ref(topology.base)}
@@ -617,9 +617,10 @@ def _decode_topology(obj: dict, graphs: GraphCache):
             protected=tuple(int(v) for v in obj["protected"]),
         )
     if kind == "adversarial":
+        base = graphs.resolve(obj["base"])
         return AdversarialSequence(
-            graphs.resolve(obj["base"]),
-            _decode_adversary(obj["adversary"]),
+            base,
+            _decode_adversary(obj["adversary"], base),
             _decode_seed(obj["seed"]),
             swaps_per_round=int(obj["swaps"]),
             keep_connected=obj["keep_connected"],
@@ -719,13 +720,19 @@ def decode_task(obj: dict, graphs: GraphCache) -> ShardTask:
     Raises :class:`WireDecodeError` (never a raw ``KeyError``) when the
     encoding is truncated, corrupted, or from another wire version,
     when a graph ref names a graph ``graphs`` cannot supply or that
-    does not match it, and when its state or ``max_rounds`` does not
-    fit the task.
+    does not match it, when a vertex it names (a BIPS source, a
+    ``TargetHit`` target, an adversary's vertices) lies outside the
+    graph, and when its state or ``max_rounds`` does not fit the task.
     """
     try:
         _check_version(obj, "task")
         rule = _decode_rule(obj["rule"])
         topology = _decode_topology(obj["topology"], graphs)
+        completion = _decode_completion(obj["completion"])
+        if isinstance(rule, BipsRule):
+            check_vertex(topology, rule.source)
+        if isinstance(completion, TargetHit):
+            check_vertex(topology, completion.target)
         state = _decode_array(obj["state"])
         _check_state(rule, state, topology.n)
         max_rounds = obj["max_rounds"]
@@ -734,7 +741,7 @@ def decode_task(obj: dict, graphs: GraphCache) -> ShardTask:
         return ShardTask(
             rule=rule,
             topology=topology,
-            completion=_decode_completion(obj["completion"]),
+            completion=completion,
             state=state,
             seed=_decode_seed(obj["seed"]),
             max_rounds=max_rounds,
@@ -882,8 +889,8 @@ def _faulted_payload(plan, payload: bytes, site: str) -> bytes:
     Raises :class:`~repro.resilience.faults.InjectedFault` for a drop
     (the frame never reaches the wire, and the caller sees the same
     ``ConnectionError`` surface a real half-open drop produces);
-    returns mutated/duplicated bytes for corrupt/duplicate; sleeps for
-    delay.  Only called when a plan is installed.
+    returns mutated bytes for a corrupt.  Only called when a plan is
+    installed.
     """
     kind = plan.frame_fault(site)
     if kind is None:
@@ -894,13 +901,7 @@ def _faulted_payload(plan, payload: bytes, site: str) -> bytes:
         tel.event("faults.frame", fault=kind, site=site)
     if kind == "drop":
         raise InjectedFault("drop", site)
-    if kind == "corrupt":
-        return plan.corrupt_payload(payload, site)
-    if kind == "duplicate":
-        return payload + payload
-    if kind == "delay":
-        time.sleep(plan.delay_s)
-    return payload
+    return plan.corrupt_payload(payload, site)
 
 
 def send_frame(sock, obj: dict, *, site: str | None = None) -> None:

@@ -3,9 +3,9 @@
 The subsystem splits into a topology layer and a process layer:
 
 * :class:`GraphSequence` — deterministic random-access snapshot
-  sequences, with :class:`FrozenSequence` (static limit),
-  :class:`SnapshotSchedule` (replay, eager or lazy), and the stochastic
-  providers :class:`EdgeMarkovianSequence`, :class:`RewiringSequence`,
+  sequences, each serving the snapshot of the round it is at, with
+  :class:`FrozenSequence` (static limit) and the stochastic providers
+  :class:`EdgeMarkovianSequence`, :class:`RewiringSequence`,
   :class:`ChurnSequence`;
 * samplers (:func:`dynamic_cover_time_samples`,
   :func:`dynamic_infection_time_samples`) that run COBRA and BIPS
@@ -24,12 +24,7 @@ from .._lazy import attach
 __getattr__, __dir__, __all__ = attach(
     __name__,
     {
-        "sequence": [
-            "GraphSequence",
-            "MarkovGraphSequence",
-            "FrozenSequence",
-            "SnapshotSchedule",
-        ],
+        "sequence": ["GraphSequence", "MarkovGraphSequence", "FrozenSequence"],
         "providers": ["EdgeMarkovianSequence", "RewiringSequence", "ChurnSequence"],
         "process": ["dynamic_cover_time_samples", "dynamic_infection_time_samples"],
     },

@@ -164,16 +164,12 @@ class EdgeMarkovianSequence(MarkovGraphSequence):
         birth: float,
         death: float,
         seed: int | np.random.SeedSequence | None = None,
-        *,
-        cache_size: int = 8,
     ) -> None:
         if base.n < 2:
             raise ValueError("edge-Markovian dynamics need n >= 2")
         self.birth = _check_probability(birth, "birth")
         self.death = _check_probability(death, "death")
-        super().__init__(
-            base, f"edge-markovian-{base.name}", seed, cache_size=cache_size
-        )
+        super().__init__(base, f"edge-markovian-{base.name}", seed)
         iu, iv = np.triu_indices(base.n, k=1)
         self._iu = iu.astype(np.int64)
         self._iv = iv.astype(np.int64)
@@ -224,7 +220,6 @@ class RewiringSequence(MarkovGraphSequence):
         *,
         keep_connected: bool = True,
         max_retries: int = 20,
-        cache_size: int = 8,
     ) -> None:
         if swaps_per_round < 0:
             raise ValueError("swaps_per_round must be >= 0")
@@ -235,7 +230,7 @@ class RewiringSequence(MarkovGraphSequence):
         self.swaps_per_round = int(swaps_per_round)
         self.keep_connected = bool(keep_connected)
         self.max_retries = int(max_retries)
-        super().__init__(base, f"rewiring-{base.name}", seed, cache_size=cache_size)
+        super().__init__(base, f"rewiring-{base.name}", seed)
 
     def _reset_state(self) -> None:
         self._edges = self.base.edge_array()
@@ -276,13 +271,12 @@ class ChurnSequence(MarkovGraphSequence):
         seed: int | np.random.SeedSequence | None = None,
         *,
         protected: tuple[int, ...] = (0,),
-        cache_size: int = 8,
     ) -> None:
         require_connected(base)
         self.leave = _check_probability(leave, "leave")
         self.rejoin = _check_probability(rejoin, "rejoin")
         protected_arr = check_vertex_set(base, protected)
-        super().__init__(base, f"churn-{base.name}", seed, cache_size=cache_size)
+        super().__init__(base, f"churn-{base.name}", seed)
         self._protected = np.zeros(base.n, dtype=bool)
         self._protected[protected_arr] = True
         self.anchor = int(protected_arr[0])
@@ -366,10 +360,5 @@ class ChurnSequence(MarkovGraphSequence):
 
     def active_at(self, t: int) -> np.ndarray:
         """Boolean mask of active vertices in the round-``t`` snapshot."""
-        if t < 0:
-            raise ValueError("round index must be >= 0")
-        # Sync the chain state to round t directly — the LRU snapshot
-        # cache serves graph_at() without touching the chain state, so
-        # a cached lookup must not be trusted to have advanced it.
-        self._materialize(int(t))
+        self.graph_at(t)  # leaves the chain at round t
         return self._active.copy()

@@ -8,8 +8,9 @@ independent and freely composable:
   branching-choose-``b``, BIPS pull, push, pull, push–pull and ``k``
   independent walks, each a small gather/scatter kernel over the CSR
   arrays with one state row per run;
-* **Topology source** (:class:`~repro.engine.engine.StaticTopology` or
-  any :class:`repro.dynamics.GraphSequence`) — static and
+* **Topology source** (a :class:`~repro.graphs.Graph`, whose
+  ``graph_at(t)`` is itself, or any :class:`repro.dynamics.GraphSequence`,
+  which serves the snapshot of the round it is at) — static and
   time-evolving graphs share one step loop;
 * **Completion criterion** (:mod:`~repro.engine.completion`) —
   ``all-vertices``, churn-aware ``all-active``, or ``TargetHit(v)``.
@@ -25,7 +26,7 @@ from .._lazy import attach
 __getattr__, __dir__, __all__ = attach(
     __name__,
     {
-        "engine": ["SpreadEngine", "SpreadResult", "StaticTopology", "as_topology"],
+        "engine": ["SpreadEngine", "SpreadResult", "as_topology"],
         # observation protocol
         "observation": ["FrontierObservation"],
         "rules": [

@@ -23,9 +23,10 @@ through the rule kernels in the historical order, so wrappers retain
 their seed-for-seed behaviour (see :mod:`repro.engine.rules`).
 
 Topology duck-typing: any object with ``.n`` and ``.graph_at(t)`` is a
-topology source; plain graphs are wrapped in :class:`StaticTopology`
-(equivalent to, but dependency-free of,
-:class:`repro.dynamics.FrozenSequence`).
+topology source.  A :class:`~repro.graphs.Graph` is one itself
+(``graph_at`` returns the graph), and every
+:class:`~repro.dynamics.GraphSequence` serves the snapshot of the round
+it is at.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .completion import CompletionCriterion, make_completion
 from .observation import FrontierObservation
 from .rules import SpreadRule
 
-__all__ = ["SpreadEngine", "SpreadResult", "StaticTopology", "as_topology"]
+__all__ = ["SpreadEngine", "SpreadResult", "as_topology"]
 
 # Allocator warm-up, once per process.  When glibc frees a block it had
 # memory-mapped, it raises its mmap threshold to that block's size (up
@@ -56,32 +57,13 @@ __all__ = ["SpreadEngine", "SpreadResult", "StaticTopology", "as_topology"]
 np.empty(16 << 20, dtype=np.uint8)
 
 
-class StaticTopology:
-    """Adapter presenting a static :class:`Graph` as a snapshot source.
-
-    Behaviourally identical to
-    :class:`repro.dynamics.FrozenSequence`, but defined here so the
-    engine package has no dependency on :mod:`repro.dynamics`.
-    """
-
-    def __init__(self, graph: Graph) -> None:
-        self.base = graph
-        self.n = graph.n
-        self.name = graph.name
-
-    def graph_at(self, t: int) -> Graph:
-        """Every round sees the same static graph."""
-        return self.base
-
-
 def as_topology(source):
-    """Coerce a topology source: graphs are wrapped, sequences pass through.
+    """Check a topology source and return it unchanged.
 
-    Any object exposing ``.n`` and ``.graph_at(t)`` (in particular every
-    :class:`repro.dynamics.GraphSequence`) is accepted as-is.
+    Any object exposing ``.n`` and ``.graph_at(t)`` is one: a
+    :class:`~repro.graphs.Graph` and every
+    :class:`repro.dynamics.GraphSequence`.
     """
-    if isinstance(source, Graph):
-        return StaticTopology(source)
     if hasattr(source, "graph_at") and hasattr(source, "n"):
         return source
     raise TypeError(

@@ -378,6 +378,15 @@ class Graph:
         mask = src < self.indices
         return np.column_stack([src[mask], self.indices[mask]])
 
+    def graph_at(self, t: int) -> "Graph":
+        """The snapshot in force during round ``t``: the graph itself.
+
+        With ``n``, this makes a static graph a topology source for the
+        engine (see :func:`repro.engine.as_topology`): every round sees
+        the same graph.
+        """
+        return self
+
     @property
     def dmax(self) -> int:
         """Maximum vertex degree (``d_max`` in the paper)."""

@@ -332,20 +332,18 @@ def execute_shards(tasks: Sequence[ShardTask], workers: int | None = None) -> li
 def _by_reference(tasks: list, segments: contextlib.ExitStack) -> list:
     """``tasks`` as a pool receives them: graph and states in shared memory.
 
-    A static topology all tasks share becomes one
+    A static graph all tasks share becomes one
     :class:`~repro.graphs.SharedGraph`; every state goes into one
     :class:`~repro.graphs.SharedSegment`, 64-byte aligned, with room
     after it for the shard's hit times when they are tracked.  Both
     segments are entered on ``segments``, so the creator unlinks them
     however the pool call ends.
     """
-    from ..engine.engine import StaticTopology
-
     topology = tasks[0].topology
-    if isinstance(topology, StaticTopology) and all(
+    if isinstance(topology, Graph) and all(
         task.topology is topology for task in tasks
     ):
-        shared = segments.enter_context(topology.base.to_shared())
+        shared = segments.enter_context(topology.to_shared())
         tasks = [replace(task, topology=shared) for task in tasks]
     places, size = [], 0
     for task in tasks:

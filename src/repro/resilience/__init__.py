@@ -3,9 +3,9 @@
 Three pieces, layered under :mod:`repro.distributed`:
 
 * :mod:`~repro.resilience.faults` — a deterministic, seed-driven
-  :class:`FaultPlan` (frame drop/corrupt/duplicate/delay, worker kill,
-  heartbeat stall, connection refusal, client crash) whose injection
-  hooks sit behind a zero-cost no-op default, so any chaos run replays
+  :class:`FaultPlan` (frame drop/corrupt, worker kill, heartbeat
+  stall, connection refusal, client crash) whose injection hooks sit
+  behind a zero-cost no-op default, so any chaos run replays
   bit-for-bit from one seed;
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy`, capped
   exponential backoff on a fixed, deterministically jittered schedule;

@@ -1,9 +1,9 @@
 """Deterministic, seed-driven fault injection for the distributed tier.
 
 A :class:`FaultPlan` describes *which* faults to inject (frame drops,
-payload corruption, duplicated/delayed frames, worker kills, heartbeat
-stalls, connection refusals, client crashes) and *when*, using nothing
-but a seed and monotonically increasing per-site counters.  Every
+payload corruption, worker kills, heartbeat stalls, connection
+refusals, client crashes) and *when*, using nothing but a seed and
+monotonically increasing per-site counters.  Every
 decision is a pure function ``sha256(seed, kind, site, counter)`` so a
 chaos run is replayable bit-for-bit from the single seed — no RNG
 streams to interleave, no wall-clock dependence.
@@ -112,16 +112,16 @@ def _hash01(seed: int, kind: str, site: str, counter: int) -> float:
 # Frame-level fault kinds, in priority order: the first rule that fires
 # for a given frame wins, so a plan mixing several frame faults is still
 # deterministic.
-_FRAME_KINDS = ("drop", "corrupt", "duplicate", "delay")
+_FRAME_KINDS = ("drop", "corrupt")
 
 
 @dataclass
 class FaultPlan:
     """A replayable chaos schedule, parameterised by a single seed.
 
-    Frame faults (``drop``, ``corrupt``, ``duplicate``, ``delay``)
-    apply to outbound frames at instrumented sites.  ``kill_worker_after_leases``
-    hard-kills the worker process after it has accepted that many tasks.
+    Frame faults (``drop``, ``corrupt``) apply to outbound frames at
+    instrumented sites.  ``kill_worker_after_leases`` hard-kills the
+    worker process after it has accepted that many tasks.
     ``stall_heartbeats`` suppresses heartbeat sends.  ``refuse_connections``
     rejects dial attempts.  ``crash_client_after_done`` aborts the
     client (raises :class:`InjectedCrash`) once that many shards have
@@ -131,9 +131,6 @@ class FaultPlan:
     seed: int = 0
     drop: FaultRule | None = None
     corrupt: FaultRule | None = None
-    duplicate: FaultRule | None = None
-    delay: FaultRule | None = None
-    delay_s: float = 0.05
     kill_worker_after_leases: int | None = None
     stall_heartbeats: FaultRule | None = None
     refuse_connections: FaultRule | None = None
@@ -150,10 +147,6 @@ class FaultPlan:
             return self.drop
         if kind == "corrupt":
             return self.corrupt
-        if kind == "duplicate":
-            return self.duplicate
-        if kind == "delay":
-            return self.delay
         if kind == "stall_heartbeat":
             return self.stall_heartbeats
         if kind == "refuse":
@@ -185,7 +178,7 @@ class FaultPlan:
         """Return the frame fault to apply at *site*, or ``None``.
 
         At most one frame fault fires per frame; kinds are consulted in
-        fixed priority order (drop, corrupt, duplicate, delay).
+        fixed priority order (drop, then corrupt).
         """
         for kind in _FRAME_KINDS:
             if self._decide(kind, site):
@@ -238,8 +231,8 @@ class FaultPlan:
 
     def spec(self) -> dict:
         """Return a JSON-serialisable description of this plan."""
-        out: dict = {"seed": self.seed, "delay_s": self.delay_s}
-        for kind in ("drop", "corrupt", "duplicate", "delay"):
+        out: dict = {"seed": self.seed}
+        for kind in _FRAME_KINDS:
             rule = self._rule(kind)
             if rule is not None:
                 out[kind] = rule.spec()
@@ -269,9 +262,6 @@ class FaultPlan:
             seed=int(spec.get("seed", 0)),
             drop=rule("drop"),
             corrupt=rule("corrupt"),
-            duplicate=rule("duplicate"),
-            delay=rule("delay"),
-            delay_s=float(spec.get("delay_s", 0.05)),
             kill_worker_after_leases=spec.get("kill_worker_after_leases"),
             stall_heartbeats=rule("stall_heartbeats"),
             refuse_connections=rule("refuse_connections"),

@@ -8,12 +8,14 @@ by digest, so decoding it takes the job's graph blobs as well.
 """
 
 import base64
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary import IsolatingChurnAdversary, MovingSourceAdversary
 from repro.core.branching import BernoulliBranching, FixedBranching, make_policy
 from repro.distributed import (
     WIRE_VERSION,
@@ -43,8 +45,8 @@ from repro.dynamics import (
     ChurnSequence,
     EdgeMarkovianSequence,
     FrozenSequence,
+    GraphSequence,
     RewiringSequence,
-    SnapshotSchedule,
 )
 from repro.engine import (
     BipsRule,
@@ -52,7 +54,6 @@ from repro.engine import (
     PullRule,
     PushPullRule,
     PushRule,
-    SpreadEngine,
     WalkRule,
 )
 from repro.engine.completion import AllActive, AllVertices, TargetHit
@@ -191,16 +192,7 @@ class TestRulesAndCompletion:
         if isinstance(completion, TargetHit):
             assert back.completion.target == completion.target
 
-    def test_legacy_bips_discipline(self):
-        # BIPS had two layouts once; a peer may still send the key.
-        task = _task(rule=BipsRule(make_policy(2), source=3))
-        obj, blobs = encode_task(task), _graphs(task)
-        assert "discipline" not in obj["rule"]
-        obj["rule"]["discipline"] = "batch"
-        assert isinstance(decode_task(obj, blobs).rule, BipsRule)
-        obj["rule"]["discipline"] = "single"
-        with pytest.raises(WireDecodeError, match="discipline"):
-            decode_task(obj, blobs)
+    def test_legacy_flooding_rule_rejected(self):
         # Flooding was a rule once, with two runs per packed uint8 plane.
         obj = _cycle_rule_task(PullRule(), np.zeros((2, 8), dtype=bool))
         obj["rule"] = {"kind": "flooding", "runs": 2, "reflood": False}
@@ -247,10 +239,13 @@ class TestTopologies:
         back = _topology_round_trip(seq)
         assert [back.graph_at(t) for t in range(6)] == expected
 
-    def test_snapshot_schedule_rejected(self):
-        g = petersen_graph()
+    def test_sequence_without_a_replay_spec_rejected(self):
+        class Fixed(GraphSequence):
+            def _materialize(self, t):
+                return petersen_graph()
+
         with pytest.raises(TypeError, match="not wire-encodable"):
-            _encode_topology(SnapshotSchedule([g]))
+            _encode_topology(Fixed(10, "fixed"))
 
     def test_adversarial_sequence_round_trips_as_replay_spec(self):
         from repro.adversary import ADVERSARY_KINDS, AdversarialSequence, make_adversary
@@ -532,16 +527,34 @@ def _cycle_task():
     )
 
 
-def _cycle_graphs(key=None, edit=None):
-    """A graph cache serving cycle-8's blob under its digest; ``edit``
-    rewrites the blob field ``key`` (``"m"`` or one of the CSR arrays)."""
+def _cycle_graphs():
+    """A graph cache serving cycle-8's blob under its digest."""
     graph = cycle_graph(8)
-    blob = _encode_graph(graph)
-    if key == "m":
+    return GraphCache({graph.digest: _encode_graph(graph)}.get)
+
+
+def _malformed_job(key, edit):
+    """Cycle-8's encoded task and a graph cache serving an edited blob.
+
+    ``edit`` rewrites the blob's field ``key`` (``"m"``, one of the CSR
+    arrays, or the whole ``"blob"``).  The task's graph ref names the
+    edited blob: its ``n``, its ``m`` and the digest its arrays hash to
+    (``Graph.digest``'s recipe), so only ``_decode_graph``'s checks
+    stand between the blob and the engine.
+    """
+    blob = _encode_graph(cycle_graph(8))
+    if key == "blob":
+        blob = edit(blob)
+    elif key == "m":
         blob["m"] = edit(blob["m"])
-    elif key is not None:
+    else:
         blob[key] = _encode_array(edit(_decode_array(blob[key])))
-    return GraphCache({graph.digest: blob}.get)
+    h = hashlib.sha256(np.array([blob["n"], blob["m"]], dtype="<i8").tobytes())
+    for arr in ("indptr", "indices"):
+        h.update(np.ascontiguousarray(_decode_array(blob[arr]), dtype="<i8").tobytes())
+    obj = _cycle_task()
+    obj["topology"].update(digest=h.hexdigest(), n=blob["n"], m=blob["m"])
+    return obj, GraphCache({h.hexdigest(): blob}.get)
 
 
 def _set(index, value):
@@ -552,8 +565,7 @@ def _set(index, value):
     return edit
 
 
-#: One malformed cycle-8 CSR per check in ``_decode_graph``; each blob
-#: stays under cycle-8's digest.
+#: One malformed cycle-8 CSR per check in ``_decode_graph``.
 MALFORMED_CSR = {
     "negative-index": ("indices", _set(0, -1)),
     "index-beyond-n": ("indices", _set(0, 8)),
@@ -564,6 +576,15 @@ MALFORMED_CSR = {
     "indices-short": ("indices", lambda a: a[:-1]),
     "indices-float": ("indices", lambda a: a.astype(np.float64)),
     "indptr-2d": ("indptr", lambda a: a.reshape(1, -1)),
+    "no-vertices": (
+        "blob",
+        lambda blob: {
+            "n": 0,
+            "m": 0,
+            "indptr": _encode_array(np.zeros(1, dtype=np.int64)),
+            "indices": _encode_array(np.zeros(0, dtype=np.int64)),
+        },
+    ),
 }
 
 
@@ -571,14 +592,16 @@ class TestGraphValidation:
     """A sender's CSR is checked on decode, never trusted.
 
     Each malformation decoded silently before: a negative index ran as
-    another graph (numpy wraps -1 to vertex 7), the others reached
-    ``Graph._from_csr`` and ran or failed inside the kernel.
+    another graph (numpy wraps -1 to vertex 7), a blob of no vertices
+    failed inside the engine with a math domain error, and the others
+    reached ``Graph._from_csr`` and ran or failed inside the kernel.
     """
 
     @pytest.mark.parametrize("case", list(MALFORMED_CSR))
     def test_malformed_csr_rejected(self, case):
+        obj, graphs = _malformed_job(*MALFORMED_CSR[case])
         with pytest.raises(WireDecodeError, match="graph"):
-            decode_task(_cycle_task(), _cycle_graphs(*MALFORMED_CSR[case]))
+            decode_task(obj, graphs)
 
     def test_well_formed_csr_decodes_to_the_same_graph(self):
         graph = cycle_graph(8)
@@ -623,6 +646,51 @@ MALFORMED_STATE = {
 }
 
 
+def _vertex_task(rule=None, completion=None, adversary=None):
+    """An encoded two-run task on cycle-8, or on an adversarial
+    sequence over it when ``adversary`` is given."""
+    from repro.adversary import AdversarialSequence
+
+    graph = cycle_graph(8)
+    state = np.zeros((2, 8), dtype=bool)
+    state[:, 0] = True
+    return encode_task(
+        ShardTask(
+            rule=rule or CobraRule(make_policy(2), lazy=True),
+            topology=(
+                graph if adversary is None else AdversarialSequence(graph, adversary, 7)
+            ),
+            completion=completion or AllVertices(),
+            state=state,
+            seed=np.random.SeedSequence(42),
+        )
+    )
+
+
+#: One vertex id outside cycle-8 per task field that names a vertex, as
+#: ``(_vertex_task arguments, path to the field, id)``; each decoded and
+#: ran (numpy wraps -1 to vertex 7).
+BAD_VERTEX = {
+    "bips-source": ({"rule": BipsRule(make_policy(2), 0)}, ("rule", "source"), -1),
+    "target-hit": ({"completion": TargetHit(1)}, ("completion", "target"), 8),
+    "moving-source": (
+        {"adversary": MovingSourceAdversary(0, 1)},
+        ("topology", "adversary", "source"),
+        -1,
+    ),
+    "churn-protected": (
+        {"adversary": IsolatingChurnAdversary(1)},
+        ("topology", "adversary", "protected"),
+        [0, 8],
+    ),
+    "churn-initially-out": (
+        {"adversary": IsolatingChurnAdversary(1)},
+        ("topology", "adversary", "initially_out"),
+        [-1],
+    ),
+}
+
+
 def _well_formed_states():
     mask = np.zeros((2, 8), dtype=bool)
     mask[:, 0] = True
@@ -638,12 +706,26 @@ def _well_formed_states():
 
 
 class TestTaskValidation:
-    """A task's state and round cap are checked on decode, never trusted.
+    """A task's state, round cap and vertex ids are checked on decode,
+    never trusted.
 
     Each malformation decoded on the previous wire: a width-9 or int64
-    COBRA state ran to finish times [13, 6], and ``max_rounds`` of
-    ``"7"``, ``-3``, ``True`` and ``2.9`` ran 7, 0, 1 and 2 rounds.
+    COBRA state ran to finish times [13, 6], ``max_rounds`` of
+    ``"7"``, ``-3``, ``True`` and ``2.9`` ran 7, 0, 1 and 2 rounds, and
+    a moving source of -1 ran a different process from vertex 7.
     """
+
+    @pytest.mark.parametrize("case", list(BAD_VERTEX))
+    def test_vertex_outside_the_graph_rejected(self, case):
+        args, (*outer, field), vertex = BAD_VERTEX[case]
+        obj = _vertex_task(**args)
+        decode_task(obj, _cycle_graphs())  # decodes as encoded
+        node = obj
+        for key in outer:
+            node = node[key]
+        node[field] = vertex
+        with pytest.raises(WireDecodeError, match="out of range"):
+            decode_task(obj, _cycle_graphs())
 
     @pytest.mark.parametrize("case", list(MALFORMED_STATE))
     def test_state_that_does_not_fit_the_rule_rejected(self, case):
@@ -738,12 +820,3 @@ class TestEndpoints:
         finally:
             handle.unlink()
             handle.close()
-
-
-class TestEngineIntegration:
-    def test_static_topology_encodes_as_plain_graph(self):
-        g = _graph()
-        engine = SpreadEngine(CobraRule(make_policy(2)), g)
-        direct = canonical_bytes(_encode_topology(g))
-        wrapped = canonical_bytes(_encode_topology(engine.topology))
-        assert direct == wrapped

@@ -1,4 +1,4 @@
-"""GraphSequence providers: determinism, invariants, caching."""
+"""GraphSequence providers: determinism, invariants, the round held."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,12 @@ from repro.dynamics import (
     ChurnSequence,
     EdgeMarkovianSequence,
     FrozenSequence,
+    GraphSequence,
     RewiringSequence,
-    SnapshotSchedule,
 )
 from repro.graphs import (
     complete_graph,
     cycle_graph,
-    path_graph,
     random_regular_graph,
 )
 
@@ -35,6 +34,28 @@ class TestFrozenSequence:
     def test_negative_round_rejected(self, expander):
         with pytest.raises(ValueError, match=">= 0"):
             FrozenSequence(expander).graph_at(-1)
+
+
+class TestRoundHeld:
+    """A sequence serves the round it is at; any other round is a miss."""
+
+    def test_hold_step_and_replay(self, expander):
+        seq = RewiringSequence(expander, 4, seed=2)
+        g3 = seq.graph_at(3)
+        assert seq.graph_at(3) is g3  # the round held
+        seq.graph_at(5)  # a later round steps the chain
+        assert seq.graph_at(3) == g3  # an earlier one replays from round 0
+        assert seq.cache_info == {"hits": 1, "misses": 3}
+
+    def test_snapshot_of_another_size_rejected(self):
+        class Growing(GraphSequence):
+            def _materialize(self, t):
+                return complete_graph(5 if t == 0 else 6)
+
+        seq = Growing(5, "growing")
+        assert seq.graph_at(0).n == 5
+        with pytest.raises(ValueError, match="n=6, expected 5"):
+            seq.graph_at(1)
 
 
 class TestEdgeMarkovian:
@@ -159,61 +180,3 @@ class TestChurn:
             assert active[0] and active[4]
             reached = g.bfs_distances(seq.anchor) < UNREACHABLE
             assert np.array_equal(reached, active), t
-
-
-class TestSnapshotSchedule:
-    def test_durations_and_hold(self):
-        a, b = complete_graph(6), cycle_graph(6)
-        seq = SnapshotSchedule([a, b], durations=[3, 2])
-        assert [seq.graph_at(t) for t in range(7)] == [a, a, a, b, b, b, b]
-
-    def test_cycle_wraps(self):
-        a, b = complete_graph(6), cycle_graph(6)
-        seq = SnapshotSchedule([a, b], cycle=True)
-        assert [seq.graph_at(t) for t in range(4)] == [a, b, a, b]
-
-    def test_lazy_factories_materialize_once_while_cached(self):
-        calls = []
-
-        def factory(tag):
-            def build():
-                calls.append(tag)
-                return complete_graph(5)
-
-            return build
-
-        seq = SnapshotSchedule(
-            [complete_graph(5), factory("x"), factory("y")],
-            durations=[2, 2, 2],
-            cycle=True,
-        )
-        for t in range(18):  # three full cycles
-            seq.graph_at(t)
-        assert calls == ["x", "y"]  # LRU retained them across cycles
-
-    def test_lru_eviction_rematerializes(self):
-        calls = []
-
-        def factory(tag):
-            def build():
-                calls.append(tag)
-                return path_graph(4)
-
-            return build
-
-        seq = SnapshotSchedule(
-            [path_graph(4)] + [factory(i) for i in range(1, 4)],
-            cycle=True,
-            cache_size=2,
-        )
-        for t in range(8):  # two cycles over 4 snapshots, cache of 2
-            seq.graph_at(t)
-        assert len(calls) == 6  # every lazy hit after eviction rebuilds
-
-    def test_mismatched_sizes_rejected(self):
-        with pytest.raises(ValueError, match="n="):
-            SnapshotSchedule([complete_graph(5), complete_graph(6)]).graph_at(1)
-
-    def test_bad_durations_rejected(self):
-        with pytest.raises(ValueError, match="one-to-one"):
-            SnapshotSchedule([complete_graph(5)], durations=[1, 2])

@@ -2,11 +2,11 @@
 
 A rewiring round checks each swap proposal's connectivity on its edge
 list (``MutableTopology.connected``) and builds no ``Graph``; the
-snapshot is built once, by ``_build_graph``, when ``graph_at`` misses
-its cache.  The pins below are the edge arrays of rounds 1–12 on an odd
-cycle, where most rounds' first proposals disconnect the graph and are
-re-drawn from the round stream, so they hold the redraw path's draws
-and decisions.
+snapshot is built once, by ``_build_graph``, when ``graph_at`` moves
+the chain to a round whose topology changed.  The pins below are the
+edge arrays of rounds 1–12 on an odd cycle, where most rounds' first
+proposals disconnect the graph and are re-drawn from the round stream,
+so they hold the redraw path's draws and decisions.
 """
 
 import hashlib
@@ -14,10 +14,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.adversary import AdversarialSequence, GreedyCutAdversary
+from repro.adversary import AdversarialSequence, GreedyCutAdversary, make_adversary
 from repro.adversary.state import MutableTopology
 from repro.core.branching import make_policy
-from repro.dynamics import RewiringSequence
+from repro.dynamics import GraphSequence, RewiringSequence, dynamic_cover_time_samples
 from repro.dynamics.topology import MutableTopology as DynamicsTopology
 from repro.engine import CobraRule, SpreadEngine
 from repro.graphs import Graph, cycle_graph, random_regular_graph
@@ -78,6 +78,37 @@ class TestOneBuildPerSnapshot:
         assert result.rounds_run == 20
         assert adapts  # the adversary was consulted
         assert len(builds) <= seq.cache_info["misses"]
+
+    def test_adversary_rewire_small_cell(self, monkeypatch):
+        # perfbench's adversary-rewire cell at --size small --seed 1.
+        # Each run's sequence is asked for round 0 three times (the
+        # round cap, the opening completion check, the first round) and
+        # for every later round once, in order: one miss, two hits,
+        # then a miss and a build per round.
+        base = random_regular_graph(256, 4, rng=1)
+        driven = {}
+        graph_at = GraphSequence.graph_at
+
+        def remembered(seq, t):
+            driven.setdefault(id(seq), seq)
+            return graph_at(seq, t)
+
+        monkeypatch.setattr(GraphSequence, "graph_at", remembered)
+        builds = _counting(monkeypatch, Graph, "__init__")
+        dynamic_cover_time_samples(
+            lambda topology_seed: AdversarialSequence(
+                base,
+                make_adversary("greedy-cut", 8),
+                topology_seed,
+                swaps_per_round=round(0.1 * base.m),
+            ),
+            4,
+            seed=1,
+        )
+        assert len(driven) == 4
+        misses = sum(seq.cache_info["misses"] for seq in driven.values())
+        hits = sum(seq.cache_info["hits"] for seq in driven.values())
+        assert (misses, hits, len(builds)) == (86, 8, 86)
 
 
 _REWIRING_PINS = {

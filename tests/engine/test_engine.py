@@ -27,7 +27,6 @@ from repro.engine import (
     PullRule,
     PushRule,
     SpreadEngine,
-    StaticTopology,
     WalkRule,
     as_topology,
     process_round_cap,
@@ -46,12 +45,9 @@ def expander():
 
 
 class TestTopology:
-    def test_static_wraps_graph(self, expander):
-        topo = as_topology(expander)
-        assert isinstance(topo, StaticTopology)
-        assert topo.n == expander.n
-        assert topo.graph_at(0) is expander
-        assert topo.graph_at(99) is expander
+    def test_graph_is_its_own_topology(self, expander):
+        assert as_topology(expander) is expander
+        assert expander.graph_at(99) is expander
 
     def test_sequence_passthrough(self, expander):
         seq = FrozenSequence(expander)
