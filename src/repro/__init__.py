@@ -11,8 +11,9 @@ Public API highlights:
   static graph or a :mod:`repro.dynamics` sequence;
 * :func:`repro.core.verify_duality_exact` — Theorem 1.3 checked to
   machine precision on tiny graphs;
-* :mod:`repro.theory` — every bound formula in the paper and its
-  comparisons;
+* :mod:`repro.theory` — the paper's bound formulas the experiments
+  evaluate, and the earlier regular-graph bounds Theorem 1.2 improves
+  on;
 * :mod:`repro.dynamics` — the same processes on time-evolving graphs
   (edge-Markovian, degree-preserving rewiring, vertex churn);
 * :mod:`repro.experiments` — the E1..E17 reproduction suite (list it

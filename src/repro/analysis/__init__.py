@@ -7,6 +7,5 @@ __getattr__, __dir__, __all__ = attach(
     {
         "ascii_plots": ["ascii_line_chart", "render_ensemble"],
         "report": ["PAPER_CLAIMS", "generate_report", "render_experiment_section"],
-        "search": ["SearchResult", "normalized_cover", "worst_case_search"],
     },
 )

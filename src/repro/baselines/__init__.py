@@ -12,14 +12,10 @@ from .._lazy import attach
 __getattr__, __dir__, __all__ = attach(
     __name__,
     {
-        "flooding": [
-            "flooding_broadcast_time",
-            "flooding_broadcast_times",
-            "flooding_frontier_sizes",
-        ],
+        "flooding": ["flooding_broadcast_time", "flooding_broadcast_times"],
         "multi_walk": ["multi_walk_cover_samples"],
         "pull": ["pull_broadcast_samples", "push_pull_broadcast_samples"],
         "push": ["push_broadcast_samples"],
-        "random_walk": ["random_walk_cover_samples", "walk_trajectory"],
+        "random_walk": ["random_walk_cover_samples"],
     },
 )

@@ -8,8 +8,7 @@ budget COBRA caps at ``b`` — and realises the ``Diam(G)`` part of the
 paper's universal lower bound ``max{log₂ n, Diam(G)}``.
 
 Flooding draws no randomness, so it is a BFS, not an engine rule:
-:func:`flooding_broadcast_time` and :func:`flooding_frontier_sizes`
-read :meth:`repro.graphs.Graph.bfs_distances`, and
+:func:`flooding_broadcast_time` reads one start's eccentricity, and
 :func:`flooding_broadcast_times` advances the BFS balls of many starts
 together, packed 64 runs per word
 (:func:`repro.graphs.properties.eccentricities`).
@@ -23,11 +22,7 @@ from ..graphs.graph import Graph
 from ..graphs.properties import eccentricities, eccentricity
 from ..graphs.validation import check_vertex, require_connected
 
-__all__ = [
-    "flooding_broadcast_time",
-    "flooding_broadcast_times",
-    "flooding_frontier_sizes",
-]
+__all__ = ["flooding_broadcast_time", "flooding_broadcast_times"]
 
 
 def flooding_broadcast_time(graph: Graph, start: int = 0) -> int:
@@ -45,14 +40,3 @@ def flooding_broadcast_times(graph: Graph, starts) -> np.ndarray:
     """
     require_connected(graph)
     return eccentricities(graph, starts)
-
-
-def flooding_frontier_sizes(graph: Graph, start: int = 0) -> np.ndarray:
-    """``|informed after t rounds|`` for ``t = 0 .. ecc(start)``.
-
-    The deterministic trajectory COBRA's ``|⋃ C_t|`` curve is bounded
-    above by (COBRA can never beat flooding pointwise).
-    """
-    require_connected(graph)
-    start = check_vertex(graph, start)
-    return np.cumsum(np.bincount(graph.bfs_distances(start)))

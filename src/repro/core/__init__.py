@@ -8,15 +8,12 @@ __getattr__, __dir__, __all__ = attach(
         "coupling": [
             "SelectionTable",
             "bips_replay",
-            "bips_replay_multi",
             "cobra_replay",
             "coupling_equivalence_holds",
-            "set_coupling_equivalence_holds",
         ],
         "bips": [
             "BipsProcess",
             "candidate_set",
-            "default_infection_cap",
             "fixed_set",
             "infection_time",
             "infection_time_samples",
@@ -41,12 +38,10 @@ __getattr__, __dir__, __all__ = attach(
         ],
         "exact": [
             "BipsExact",
-            "bips_absorption_rate",
             "bips_exact",
             "cobra_cover_survival_exact",
             "cobra_hit_survival_exact",
             "exact_cover_expectation",
-            "exact_cover_of_graph",
             "expected_time_from_survival",
         ],
         "serialization": [
@@ -65,7 +60,6 @@ __getattr__, __dir__, __all__ = attach(
         ],
         "hitting": [
             "cobra_hit_survival_mc",
-            "commute_time",
             "random_walk_hitting_time",
             "random_walk_hitting_times",
         ],

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.caps import process_round_cap
 from ..engine.completion import CompletionCriterion
 from ..engine.engine import SpreadEngine
 from ..engine.rules import BipsRule
@@ -41,22 +40,11 @@ from .state import BipsResult
 
 __all__ = [
     "BipsProcess",
-    "default_infection_cap",
     "infection_time",
     "infection_time_samples",
     "candidate_set",
     "fixed_set",
 ]
-
-
-def default_infection_cap(graph: Graph) -> int:
-    """Round cap mirroring :func:`repro.core.cobra.default_round_cap`.
-
-    Theorem 1.4 guarantees infection within ``O(m + dmax² log n)`` with
-    probability ``1 − O(1/n³)``, so ``64×`` that is effectively certain.
-    Delegates to :func:`repro.engine.caps.process_round_cap`.
-    """
-    return process_round_cap(graph.n, graph.m, graph.dmax)
 
 
 def _neighbor_counts_and_fixed(

@@ -37,9 +37,7 @@ __all__ = [
     "SelectionTable",
     "cobra_replay",
     "bips_replay",
-    "bips_replay_multi",
     "coupling_equivalence_holds",
-    "set_coupling_equivalence_holds",
 ]
 
 
@@ -156,56 +154,5 @@ def coupling_equivalence_holds(
     visited = cobra_replay(table, start)
     infected = bips_replay(table, source)
     lhs = bool(visited[source])
-    rhs = bool(infected[start].any())
-    return lhs == rhs
-
-
-def bips_replay_multi(table: SelectionTable, sources) -> np.ndarray:
-    """BIPS replay with a *set* of persistent sources (extension).
-
-    Identical to :func:`bips_replay` except every vertex of ``sources``
-    is re-added each round.  Used by the set-duality check below.
-    """
-    g = table.graph
-    src = check_vertex_set(g, sources)
-    infected = np.zeros(g.n, dtype=bool)
-    infected[src] = True
-    horizon = table.horizon
-    for s in range(1, horizon + 1):
-        row = table.selections[horizon - s]
-        nxt = np.zeros(g.n, dtype=bool)
-        for u in range(g.n):
-            for w in row[u]:
-                if infected[w]:
-                    nxt[u] = True
-                    break
-        nxt[src] = True
-        infected = nxt
-    return infected
-
-
-def set_coupling_equivalence_holds(
-    table: SelectionTable, start_set, target_set
-) -> bool:
-    """The set-generalised duality, per table (an extension of Thm 1.3).
-
-    The same time-reversal argument gives, for any nonempty sets
-    ``C`` (COBRA start) and ``S`` (BIPS persistent sources):
-
-        some vertex of ``S`` is visited by COBRA within ``T``
-            ⟺  ``C ∩ A_T ≠ ∅`` for multi-source BIPS on the
-                reversed table.
-
-    Taking probabilities over the (exchangeable) table yields
-    ``P̂(Hit(S) > T | C_0 = C) = P(C ∩ A_T = ∅ | A_0 = S)`` —
-    Theorem 1.3 is the ``|S| = 1`` case.  This function checks the
-    deterministic per-table claim.
-    """
-    g = table.graph
-    start = check_vertex_set(g, start_set)
-    targets = check_vertex_set(g, target_set)
-    visited = cobra_replay(table, start)
-    infected = bips_replay_multi(table, targets)
-    lhs = bool(visited[targets].any())
     rhs = bool(infected[start].any())
     return lhs == rhs

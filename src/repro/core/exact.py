@@ -37,11 +37,9 @@ from .branching import BernoulliBranching, BranchingPolicy, FixedBranching, make
 __all__ = [
     "BipsExact",
     "bips_exact",
-    "bips_absorption_rate",
     "cobra_hit_survival_exact",
     "cobra_cover_survival_exact",
     "exact_cover_expectation",
-    "exact_cover_of_graph",
     "expected_time_from_survival",
 ]
 
@@ -165,53 +163,6 @@ def bips_exact(
         for state in np.nonzero(cur > 0)[0]:
             nxt += cur[state] * row(int(state))
     return BipsExact(graph=graph, source=source, others=others, dists=dists)
-
-
-def bips_absorption_rate(
-    graph: Graph,
-    source: int,
-    *,
-    branching: BranchingPolicy | int | float = 2,
-    lazy: bool = False,
-) -> float:
-    """Geometric decay rate of the infection-time tail.
-
-    The all-infected state is absorbing; restricted to the transient
-    states the BIPS chain is substochastic, and its spectral radius
-    ``γ`` governs the tail: ``P(infec(v) > t) = Θ(γ^t)``.  Returns γ.
-
-    Builds the full ``(2^k − 1)²`` transient transition matrix, so the
-    practical limit is ``n ≲ 11``.
-    """
-    require_connected(graph)
-    source = check_vertex(graph, source)
-    if graph.n > _MAX_BIPS_N - 2:
-        raise ValueError(
-            f"absorption rate limited to n <= {_MAX_BIPS_N - 2} "
-            f"(got n = {graph.n})"
-        )
-    if graph.n == 1:
-        return 0.0
-    policy = make_policy(branching)
-    others = np.array([u for u in range(graph.n) if u != source], dtype=np.int64)
-    k = others.shape[0]
-    size = 1 << k
-    full = size - 1
-
-    matrix = np.zeros((size - 1, size - 1), dtype=np.float64)
-    for state in range(size - 1):  # transient states only
-        infected = np.zeros(graph.n, dtype=bool)
-        infected[source] = True
-        for i in range(k):
-            if state >> i & 1:
-                infected[others[i]] = True
-        p = _infection_probabilities(graph, infected, policy, lazy)[others]
-        row = np.ones(1, dtype=np.float64)
-        for i in range(k):
-            row = np.concatenate([row * (1.0 - p[i]), row * p[i]])
-        matrix[state, :] = row[:full]
-    eigenvalues = np.linalg.eigvals(matrix)
-    return float(np.max(np.abs(eigenvalues)))
 
 
 # ----------------------------------------------------------------------
@@ -408,28 +359,6 @@ def exact_cover_expectation(
         graph, start, branching=branching, lazy=lazy, t_max=t_max
     )
     return expected_time_from_survival(surv)
-
-
-def exact_cover_of_graph(
-    graph: Graph,
-    *,
-    branching: BranchingPolicy | int | float = 2,
-    lazy: bool = False,
-    t_max: int = 400,
-) -> tuple[int, float]:
-    """Exact ``COVER(G) = max_u E[cover(u)]`` on a tiny graph.
-
-    Returns ``(worst_start, value)`` — the paper's cover-time
-    definition evaluated without Monte-Carlo error.
-    """
-    best_u, best_val = 0, -1.0
-    for u in range(graph.n):
-        val = exact_cover_expectation(
-            graph, u, branching=branching, lazy=lazy, t_max=t_max
-        )
-        if val > best_val:
-            best_u, best_val = u, val
-    return best_u, best_val
 
 
 def expected_time_from_survival(

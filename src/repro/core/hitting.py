@@ -31,7 +31,6 @@ __all__ = [
     "random_walk_hitting_times",
     "random_walk_hitting_time",
     "cobra_hit_survival_mc",
-    "commute_time",
 ]
 
 
@@ -66,13 +65,6 @@ def random_walk_hitting_times(graph: Graph, target: int) -> np.ndarray:
 def random_walk_hitting_time(graph: Graph, start: int, target: int) -> float:
     """Exact ``H(start, target)`` for the simple random walk."""
     return float(random_walk_hitting_times(graph, target)[check_vertex(graph, start)])
-
-
-def commute_time(graph: Graph, u: int, v: int) -> float:
-    """``H(u, v) + H(v, u)`` — equals ``2m · R_eff(u, v)`` classically."""
-    return random_walk_hitting_time(graph, u, v) + random_walk_hitting_time(
-        graph, v, u
-    )
 
 
 def cobra_hit_survival_mc(

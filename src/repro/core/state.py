@@ -46,10 +46,6 @@ class CobraResult:
     active_sizes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     visited_counts: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
-    def hit_time(self, v: int) -> int:
-        """First round vertex ``v`` received a particle; -1 if never."""
-        return int(self.hit_times[v])
-
 
 @dataclass(frozen=True)
 class BipsResult:

@@ -67,27 +67,6 @@ class TrajectoryEnsemble:
         """A (lower, upper) quantile band — the shaded region of a figure."""
         return self.quantile(lo), self.quantile(hi)
 
-    def first_round_reaching(self, target: float) -> np.ndarray:
-        """Per-run first round with value >= target (−1 if never)."""
-        hits = self.series >= target
-        any_hit = hits.any(axis=1)
-        firsts = np.where(any_hit, hits.argmax(axis=1), -1)
-        return firsts.astype(np.int64)
-
-    def to_rows(self, *, stride: int = 1) -> list[dict]:
-        """Figure-series rows: round, mean, q05, q95 (for Table dumps)."""
-        mean = self.mean()
-        lo, hi = self.band()
-        return [
-            {
-                "round": t,
-                "mean": float(mean[t]),
-                "q05": float(lo[t]),
-                "q95": float(hi[t]),
-            }
-            for t in range(0, self.horizon + 1, stride)
-        ]
-
 
 def bips_size_ensemble(
     graph: Graph,

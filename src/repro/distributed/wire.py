@@ -139,6 +139,35 @@ class WireDecodeError(ValueError):
 # ----------------------------------------------------------------------
 # Scalars and arrays
 # ----------------------------------------------------------------------
+# A decoded scalar must already have its JSON type: coercing a float,
+# a bool or a string would run a task that was never sent.  ``bool`` is
+# a subclass of ``int``, so ``true`` is neither an integer nor a number.
+def _int(value, name: str) -> int:
+    """``value`` if it is a JSON integer, else ``ValueError``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _bool(value, name: str) -> bool:
+    """``value`` if it is a JSON ``true`` or ``false``, else ``ValueError``."""
+    if type(value) is not bool:
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number, else ``ValueError``."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _vertex(graph: Graph, value, name: str) -> int:
+    """``value`` if it is a JSON integer naming a vertex of ``graph``."""
+    return check_vertex(graph, _int(value, name))
+
+
 def _encode_array(arr: np.ndarray) -> dict:
     """Encode an ndarray as dtype + shape + base64 of its C-order bytes.
 
@@ -160,7 +189,7 @@ def _decode_array(obj: dict) -> np.ndarray:
     """
     raw = base64.b64decode(obj["data"])
     dtype = np.dtype(obj["dtype"])
-    shape = [int(s) for s in obj["shape"]]
+    shape = [_int(s, "array shape") for s in obj["shape"]]
     if dtype == np.bool_:
         size = math.prod(shape)
         if size < 0 or len(raw) != -(-size // 8):
@@ -199,13 +228,13 @@ def _encode_seed(seed: np.random.SeedSequence) -> dict:
 def _decode_seed(obj: dict) -> np.random.SeedSequence:
     entropy = obj["entropy"]
     if isinstance(entropy, list):
-        entropy = [int(e) for e in entropy]
+        entropy = [_int(e, "seed entropy") for e in entropy]
     elif entropy is not None:
-        entropy = int(entropy)
+        entropy = _int(entropy, "seed entropy")
     return np.random.SeedSequence(
         entropy,
-        spawn_key=tuple(int(k) for k in obj["spawn_key"]),
-        pool_size=int(obj["pool_size"]),
+        spawn_key=tuple(_int(k, "seed spawn_key") for k in obj["spawn_key"]),
+        pool_size=_int(obj["pool_size"], "seed pool_size"),
     )
 
 
@@ -226,9 +255,9 @@ def _encode_policy(policy) -> dict:
 def _decode_policy(obj: dict):
     kind = obj["kind"]
     if kind == "fixed":
-        return FixedBranching(int(obj["b"]))
+        return FixedBranching(_int(obj["b"], "b"))
     if kind == "bernoulli":
-        return BernoulliBranching(float(obj["rho"]))
+        return BernoulliBranching(_number(obj["rho"], "rho"))
     raise ValueError(f"unknown branching policy kind {kind!r}")
 
 
@@ -260,15 +289,17 @@ def _encode_rule(rule) -> dict:
 def _decode_rule(obj: dict):
     kind = obj["kind"]
     if kind == "cobra":
-        return CobraRule(_decode_policy(obj["policy"]), lazy=obj["lazy"])
+        return CobraRule(_decode_policy(obj["policy"]), lazy=_bool(obj["lazy"], "lazy"))
     if kind == "bips":
         return BipsRule(
-            _decode_policy(obj["policy"]), int(obj["source"]), lazy=obj["lazy"]
+            _decode_policy(obj["policy"]),
+            _int(obj["source"], "source"),
+            lazy=_bool(obj["lazy"], "lazy"),
         )
     if kind == "walk":
-        return WalkRule(int(obj["k"]), lazy=obj["lazy"])
+        return WalkRule(_int(obj["k"], "k"), lazy=_bool(obj["lazy"], "lazy"))
     if kind == "push":
-        return PushRule(int(obj["fanout"]))
+        return PushRule(_int(obj["fanout"], "fanout"))
     if kind == "push-pull":
         return PushPullRule()
     if kind == "pull":
@@ -295,7 +326,7 @@ def _decode_completion(obj: dict):
     if kind == "all-active":
         return AllActive()
     if kind == "target-hit":
-        return TargetHit(int(obj["target"]))
+        return TargetHit(_int(obj["target"], "target"))
     raise ValueError(f"unknown completion kind {kind!r}")
 
 
@@ -365,29 +396,32 @@ def _decode_adversary(obj: dict, base: Graph):
     kind = obj["kind"]
     if kind == "greedy-cut":
         return GreedyCutAdversary(
-            int(obj["budget"]), keep_connected=obj["keep_connected"]
+            _int(obj["budget"], "budget"),
+            keep_connected=_bool(obj["keep_connected"], "keep_connected"),
         )
     if kind == "isolating-churn":
         return IsolatingChurnAdversary(
-            int(obj["budget"]),
-            downtime=int(obj["downtime"]),
-            protected=tuple(check_vertex(base, p) for p in obj["protected"]),
-            keep_connected=obj["keep_connected"],
-            initially_out=tuple(check_vertex(base, p) for p in obj["initially_out"]),
+            _int(obj["budget"], "budget"),
+            downtime=_int(obj["downtime"], "downtime"),
+            protected=tuple(_vertex(base, v, "protected") for v in obj["protected"]),
+            keep_connected=_bool(obj["keep_connected"], "keep_connected"),
+            initially_out=tuple(
+                _vertex(base, v, "initially_out") for v in obj["initially_out"]
+            ),
         )
     if kind == "moving-source":
         return MovingSourceAdversary(
-            check_vertex(base, obj["source"]),
-            int(obj["budget"]),
-            trigger=float(obj["trigger"]),
-            keep_connected=obj["keep_connected"],
+            _vertex(base, obj["source"], "source"),
+            _int(obj["budget"], "budget"),
+            trigger=_number(obj["trigger"], "trigger"),
+            keep_connected=_bool(obj["keep_connected"], "keep_connected"),
         )
     if kind == "adaptive-rri":
         return AdaptiveRRIPolicy(
-            int(obj["burst_swaps"]),
-            growth_threshold=float(obj["growth_threshold"]),
-            keep_connected=obj["keep_connected"],
-            max_retries=int(obj["max_retries"]),
+            _int(obj["burst_swaps"], "burst_swaps"),
+            growth_threshold=_number(obj["growth_threshold"], "growth_threshold"),
+            keep_connected=_bool(obj["keep_connected"], "keep_connected"),
+            max_retries=_int(obj["max_retries"], "max_retries"),
         )
     raise ValueError(f"unknown adversary policy kind {kind!r}")
 
@@ -413,7 +447,7 @@ def _decode_graph(obj: dict, name: str) -> Graph:
     or fail deep inside a kernel, so the arrays must be 1-D integers
     describing ``n`` vertices and ``m`` undirected edges.
     """
-    n, m = int(obj["n"]), int(obj["m"])
+    n, m = _int(obj["n"], "graph n"), _int(obj["m"], "graph m")
     if n < 1:
         raise ValueError(f"graph needs at least one vertex, got n={n}")
     indptr = _decode_array(obj["indptr"])
@@ -502,7 +536,7 @@ class GraphCache:
             self._graphs[digest] = graph
             if len(self._graphs) > _GRAPH_CACHE_SIZE:
                 self._graphs.popitem(last=False)
-        if (graph.n, graph.m) != (ref["n"], ref["m"]):
+        if (graph.n, graph.m) != (_int(ref["n"], "graph n"), _int(ref["m"], "graph m")):
             raise ValueError(
                 f"graph ref n={ref['n']!r}, m={ref['m']!r} does not match "
                 f"graph {digest!r} (n={graph.n}, m={graph.m})"
@@ -596,25 +630,25 @@ def _decode_topology(obj: dict, graphs: GraphCache):
     if kind == "rewiring":
         return RewiringSequence(
             graphs.resolve(obj["base"]),
-            int(obj["swaps"]),
+            _int(obj["swaps"], "swaps"),
             seed=_decode_seed(obj["seed"]),
-            keep_connected=obj["keep_connected"],
-            max_retries=int(obj["max_retries"]),
+            keep_connected=_bool(obj["keep_connected"], "keep_connected"),
+            max_retries=_int(obj["max_retries"], "max_retries"),
         )
     if kind == "edge-markovian":
         return EdgeMarkovianSequence(
             graphs.resolve(obj["base"]),
-            float(obj["birth"]),
-            float(obj["death"]),
+            _number(obj["birth"], "birth"),
+            _number(obj["death"], "death"),
             seed=_decode_seed(obj["seed"]),
         )
     if kind == "churn":
         return ChurnSequence(
             graphs.resolve(obj["base"]),
-            float(obj["leave"]),
-            float(obj["rejoin"]),
+            _number(obj["leave"], "leave"),
+            _number(obj["rejoin"], "rejoin"),
             seed=_decode_seed(obj["seed"]),
-            protected=tuple(int(v) for v in obj["protected"]),
+            protected=tuple(_int(v, "protected") for v in obj["protected"]),
         )
     if kind == "adversarial":
         base = graphs.resolve(obj["base"])
@@ -622,9 +656,9 @@ def _decode_topology(obj: dict, graphs: GraphCache):
             base,
             _decode_adversary(obj["adversary"], base),
             _decode_seed(obj["seed"]),
-            swaps_per_round=int(obj["swaps"]),
-            keep_connected=obj["keep_connected"],
-            max_retries=int(obj["max_retries"]),
+            swaps_per_round=_int(obj["swaps"], "swaps"),
+            keep_connected=_bool(obj["keep_connected"], "keep_connected"),
+            max_retries=_int(obj["max_retries"], "max_retries"),
         )
     raise ValueError(f"unknown topology kind {kind!r}")
 
@@ -719,10 +753,12 @@ def decode_task(obj: dict, graphs: GraphCache) -> ShardTask:
 
     Raises :class:`WireDecodeError` (never a raw ``KeyError``) when the
     encoding is truncated, corrupted, or from another wire version,
-    when a graph ref names a graph ``graphs`` cannot supply or that
-    does not match it, when a vertex it names (a BIPS source, a
-    ``TargetHit`` target, an adversary's vertices) lies outside the
-    graph, and when its state or ``max_rounds`` does not fit the task.
+    when a scalar is not of its JSON type (a vertex id of ``2.9``, a
+    flag of ``"false"``), when a graph ref names a graph ``graphs``
+    cannot supply or that does not match it, when a vertex it names (a
+    BIPS source, a ``TargetHit`` target, an adversary's vertices) lies
+    outside the graph, and when its state or ``max_rounds`` does not
+    fit the task.
     """
     try:
         _check_version(obj, "task")
@@ -736,7 +772,7 @@ def decode_task(obj: dict, graphs: GraphCache) -> ShardTask:
         state = _decode_array(obj["state"])
         _check_state(rule, state, topology.n)
         max_rounds = obj["max_rounds"]
-        if max_rounds is not None and (type(max_rounds) is not int or max_rounds < 0):
+        if max_rounds is not None and _int(max_rounds, "task max_rounds") < 0:
             raise ValueError("task max_rounds must be None or a non-negative int")
         return ShardTask(
             rule=rule,
@@ -745,9 +781,9 @@ def decode_task(obj: dict, graphs: GraphCache) -> ShardTask:
             state=state,
             seed=_decode_seed(obj["seed"]),
             max_rounds=max_rounds,
-            track_hits=obj["track_hits"],
-            record_sizes=obj["record_sizes"],
-            record_visited=obj["record_visited"],
+            track_hits=_bool(obj["track_hits"], "track_hits"),
+            record_sizes=_bool(obj["record_sizes"], "record_sizes"),
+            record_visited=_bool(obj["record_visited"], "record_visited"),
         )
     except WireDecodeError:
         raise
@@ -785,7 +821,7 @@ def decode_result(obj: dict) -> SpreadResult:
         _check_version(obj, "result")
         return SpreadResult(
             finish_times=_decode_array(obj["finish_times"]),
-            rounds_run=int(obj["rounds_run"]),
+            rounds_run=_int(obj["rounds_run"], "rounds_run"),
             final_state=_decode_array(obj["final_state"]),
             hit_times=_maybe_array(obj["hit_times"]),
             sizes=_maybe_array(obj["sizes"]),

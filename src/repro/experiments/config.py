@@ -11,7 +11,7 @@ preset trades statistical resolution for wall-clock time:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["ExperimentConfig", "SCALES"]
 
@@ -49,7 +49,3 @@ class ExperimentConfig:
     def pick(self, smoke, quick, full):
         """Pick any per-scale value (sizes, grids, horizons...)."""
         return {"smoke": smoke, "quick": quick, "full": full}[self.scale]
-
-    def with_scale(self, scale: str) -> "ExperimentConfig":
-        """Copy with a different scale preset."""
-        return replace(self, scale=scale)

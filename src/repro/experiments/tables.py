@@ -2,7 +2,7 @@
 
 The benchmark harness prints the same rows the paper's (virtual) tables
 would contain; this module keeps formatting in one place — fixed-width
-aligned columns, numeric rounding, and a CSV escape hatch.
+aligned columns and numeric rounding.
 """
 
 from __future__ import annotations
@@ -67,19 +67,6 @@ class Table:
             for r in cells
         ]
         return "\n".join([f"== {self.title} ==", header, rule, *body])
-
-    def to_csv(self) -> str:
-        """Comma-separated rendering (cells with commas get quoted)."""
-
-        def esc(s: str) -> str:
-            return f'"{s}"' if ("," in s or '"' in s) else s
-
-        lines = [",".join(esc(c) for c in self.columns)]
-        for row in self.rows:
-            lines.append(
-                ",".join(esc(_format_cell(row.get(col, ""))) for col in self.columns)
-            )
-        return "\n".join(lines)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.render()

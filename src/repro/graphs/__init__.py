@@ -10,7 +10,6 @@ __getattr__, __dir__, __all__ = attach(
             "barbell_graph",
             "binary_tree",
             "caterpillar_graph",
-            "complete_bipartite_graph",
             "complete_graph",
             "cycle_graph",
             "erdos_renyi_graph",
@@ -23,15 +22,12 @@ __getattr__, __dir__, __all__ = attach(
             "random_regular_graph",
             "ring_of_cliques",
             "star_graph",
-            "wheel_graph",
             "torus_graph",
-            "two_clique_bridge",
         ],
-        "io": ["parse_edge_list", "read_edge_list", "write_edge_list"],
+        "io": ["parse_edge_list", "read_edge_list"],
         "properties": [
             "GraphSummary",
             "connected_components",
-            "degree_statistics",
             "diameter",
             "eccentricities",
             "eccentricity",
@@ -43,7 +39,6 @@ __getattr__, __dir__, __all__ = attach(
             "cheeger_bounds",
             "conductance_of_cut",
             "eigenvalue_gap",
-            "mixing_time_bound",
             "random_walk_spectrum",
             "second_eigenvalue",
             "spectral_profile",
@@ -54,8 +49,6 @@ __getattr__, __dir__, __all__ = attach(
             "check_vertex",
             "check_vertex_set",
             "require_connected",
-            "require_nonbipartite_or_lazy",
-            "require_regular",
         ],
     },
 )

@@ -4,8 +4,8 @@ Every family that appears in the paper's discussion or in its cited
 comparisons is constructible here: complete graphs, cycles/paths,
 D-dimensional grids and tori, hypercubes, random regular graphs
 (expanders w.h.p.), Erdős–Rényi graphs, stars, binary trees, and the
-low-conductance extremal families (barbell, lollipop, two-clique
-bridge) that stress the general bound of Theorem 1.1.
+low-conductance extremal families (barbell, lollipop, ring of cliques)
+that stress the general bound of Theorem 1.1.
 
 All generators return :class:`repro.graphs.Graph` and accept an
 optional ``rng``/``seed`` where randomness is involved.
@@ -32,13 +32,10 @@ __all__ = [
     "hypercube_graph",
     "random_regular_graph",
     "erdos_renyi_graph",
-    "complete_bipartite_graph",
     "barbell_graph",
     "lollipop_graph",
-    "two_clique_bridge",
     "margulis_expander",
     "petersen_graph",
-    "wheel_graph",
     "ring_of_cliques",
     "caterpillar_graph",
 ]
@@ -232,14 +229,6 @@ def erdos_renyi_graph(
     raise RuntimeError(f"failed to sample a connected G({n}, {p}) in {max_tries} tries")
 
 
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    """Complete bipartite ``K_{a,b}`` (bipartite: exercises the lazy variant)."""
-    if a < 1 or b < 1:
-        raise ValueError("both sides need at least one vertex")
-    edges = [(u, a + v) for u in range(a) for v in range(b)]
-    return Graph(a + b, edges, name=f"kbip-{a}-{b}")
-
-
 def barbell_graph(k: int) -> Graph:
     """Two ``K_k`` cliques joined by a single edge (``n = 2k``).
 
@@ -265,20 +254,6 @@ def lollipop_graph(k: int, path_len: int) -> Graph:
         edges.append((prev, k + i))
         prev = k + i
     return Graph(k + path_len, edges, name=f"lollipop-{k}-{path_len}")
-
-
-def two_clique_bridge(k: int, bridge_len: int) -> Graph:
-    """Two ``K_k`` cliques joined by a path of ``bridge_len`` inner vertices."""
-    if k < 3 or bridge_len < 1:
-        raise ValueError("need clique size >= 3 and bridge length >= 1")
-    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
-    edges += [(k + u, k + v) for u in range(k) for v in range(u + 1, k)]
-    prev = k - 1
-    for i in range(bridge_len):
-        edges.append((prev, 2 * k + i))
-        prev = 2 * k + i
-    edges.append((prev, k))
-    return Graph(2 * k + bridge_len, edges, name=f"bridge-{k}-{bridge_len}")
 
 
 def margulis_expander(side: int) -> Graph:
@@ -314,20 +289,6 @@ def margulis_expander(side: int) -> Graph:
                 if u != v:
                     edges.append((u, v))
     return Graph(s * s, edges, name=f"margulis-{s}")
-
-
-def wheel_graph(n: int) -> Graph:
-    """Wheel ``W_n``: a hub joined to every vertex of an (n−1)-cycle.
-
-    Diameter 2 with one high-degree hub — a useful irregular contrast
-    to the star (the rim adds redundancy the star lacks).
-    """
-    if n < 5:
-        raise ValueError("wheel needs n >= 5 (hub + >= 4 rim vertices)")
-    rim = n - 1
-    edges = [(0, i) for i in range(1, n)]
-    edges += [(1 + i, 1 + (i + 1) % rim) for i in range(rim)]
-    return Graph(n, edges, name=f"wheel-{n}")
 
 
 def ring_of_cliques(num_cliques: int, clique_size: int) -> Graph:

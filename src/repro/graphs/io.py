@@ -1,18 +1,17 @@
 """Edge-list file I/O.
 
 Downstream users will want to run COBRA/BIPS on their own networks; this
-module reads and writes the de-facto standard whitespace edge-list
+module reads the de-facto standard whitespace edge-list
 format (one ``u v`` pair per line, ``#`` comments, blank lines ignored),
 with optional vertex-label relabelling for non-integer ids.
 """
 
 from __future__ import annotations
 
-import io as _io
 from pathlib import Path
 from .graph import Graph
 
-__all__ = ["read_edge_list", "write_edge_list", "parse_edge_list"]
+__all__ = ["read_edge_list", "parse_edge_list"]
 
 
 def parse_edge_list(text: str, *, name: str = "graph") -> Graph:
@@ -62,15 +61,3 @@ def read_edge_list(path: str | Path, *, name: str | None = None) -> Graph:
     path = Path(path)
     return parse_edge_list(path.read_text(), name=name or path.stem)
 
-
-def write_edge_list(
-    graph: Graph, path: str | Path, *, header: bool = True
-) -> None:
-    """Write a graph as an edge-list file (each edge once, ``u < v``)."""
-    path = Path(path)
-    buf = _io.StringIO()
-    if header:
-        buf.write(f"# {graph.name}: n={graph.n} m={graph.m}\n")
-    for u, v in graph.edges():
-        buf.write(f"{u} {v}\n")
-    path.write_text(buf.getvalue())

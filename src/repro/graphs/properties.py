@@ -1,8 +1,8 @@
 """Structural graph properties used throughout the experiment suite.
 
-Diameter (the paper's universal lower-bound ingredient), degree
-statistics, bipartiteness (decides whether the lazy COBRA variant is
-needed), and connectivity certificates.
+Diameter (the paper's universal lower-bound ingredient), bipartiteness
+(decides whether the lazy COBRA variant is needed), connected
+components, and the one-line summary experiment tables print.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "eccentricities",
     "is_bipartite",
     "connected_components",
-    "degree_statistics",
     "GraphSummary",
     "summarize",
 ]
@@ -126,18 +125,6 @@ def connected_components(graph: Graph) -> list[np.ndarray]:
         seen[members] = True
         comps.append(members)
     return comps
-
-
-def degree_statistics(graph: Graph) -> dict[str, float]:
-    """Min / max / mean / std of the degree sequence plus ``2m``."""
-    degs = graph.degrees.astype(np.float64)
-    return {
-        "dmin": float(degs.min()),
-        "dmax": float(degs.max()),
-        "dmean": float(degs.mean()),
-        "dstd": float(degs.std()),
-        "total_degree": float(graph.total_degree()),
-    }
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Spectral toolkit: eigenvalue gap, conductance, and mixing estimates.
+"""Spectral toolkit: eigenvalue gap and conductance.
 
 The paper's regular-graph bound (Theorem 1.2) is stated in terms of the
 second-largest eigenvalue *in absolute value*, ``λ``, of the random-walk
@@ -24,7 +24,6 @@ __all__ = [
     "cheeger_bounds",
     "sweep_conductance",
     "conductance_of_cut",
-    "mixing_time_bound",
     "SpectralProfile",
     "spectral_profile",
 ]
@@ -164,25 +163,6 @@ def cheeger_bounds(graph: Graph) -> tuple[float, float]:
     vals = random_walk_spectrum(graph)
     gap2 = 1.0 - float(vals[1])
     return gap2 / 2.0, float(np.sqrt(2.0 * gap2))
-
-
-def mixing_time_bound(
-    graph: Graph, *, epsilon: float = 0.25, lazy: bool = False
-) -> float:
-    """Standard spectral mixing-time upper bound ``ln(n/ε)/(1 − λ)``.
-
-    The number of random-walk steps after which the distribution is
-    within ``ε`` of stationarity in total variation, for any start.
-    Bipartite graphs never mix (``λ = 1``): use ``lazy=True``.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
-    gap = eigenvalue_gap(graph, lazy=lazy)
-    if gap <= 0:
-        raise ValueError(
-            "zero eigenvalue gap (bipartite graph?); use lazy=True"
-        )
-    return float(np.log(graph.n / epsilon) / gap)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Input-validation helpers shared by the process engines.
 
 The COBRA/BIPS engines require connected graphs (the paper's standing
-assumption) and non-bipartite spectra for the eigenvalue-gap bounds;
-these checks centralise the error messages.
+assumption) and vertex ids in range; these checks centralise the error
+messages.
 """
 
 from __future__ import annotations
@@ -10,15 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph
-from .properties import is_bipartite
 
-__all__ = [
-    "require_connected",
-    "require_regular",
-    "require_nonbipartite_or_lazy",
-    "check_vertex",
-    "check_vertex_set",
-]
+__all__ = ["require_connected", "check_vertex", "check_vertex_set"]
 
 
 def require_connected(graph: Graph) -> None:
@@ -31,22 +24,6 @@ def require_connected(graph: Graph) -> None:
         raise ValueError(
             f"{graph.name}: COBRA/BIPS require a connected graph "
             "(cover time is infinite otherwise)"
-        )
-
-
-def require_regular(graph: Graph) -> int:
-    """Raise unless the graph is regular; return the common degree ``r``."""
-    if not graph.is_regular():
-        raise ValueError(f"{graph.name}: expected a regular graph")
-    return graph.dmax
-
-
-def require_nonbipartite_or_lazy(graph: Graph, *, lazy: bool) -> None:
-    """Theorem 1.2 needs ``1 - λ > 0``: non-bipartite, or the lazy walk."""
-    if not lazy and is_bipartite(graph):
-        raise ValueError(
-            f"{graph.name}: bipartite graph has eigenvalue gap 0; "
-            "use the lazy process variant (lazy=True) as the paper suggests"
         )
 
 

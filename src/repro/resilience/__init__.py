@@ -38,7 +38,6 @@ __getattr__, __dir__, __all__ = attach(
             "InjectedCrash",
             "InjectedFault",
             "active_fault_plan",
-            "clear_fault_plan",
             "fault_injection",
             "install_fault_plan",
         ],

@@ -29,7 +29,6 @@ __all__ = [
     "FaultPlan",
     "install_fault_plan",
     "active_fault_plan",
-    "clear_fault_plan",
     "fault_injection",
 ]
 
@@ -286,11 +285,6 @@ def install_fault_plan(plan: FaultPlan | None) -> None:
 def active_fault_plan() -> FaultPlan | None:
     """Return the installed plan, or ``None`` when chaos is off."""
     return _ACTIVE
-
-
-def clear_fault_plan() -> None:
-    """Remove any installed plan."""
-    install_fault_plan(None)
 
 
 class fault_injection:

@@ -11,20 +11,14 @@ __getattr__, __dir__, __all__ = attach(
             "permutation_mean_test",
             "same_distribution",
         ],
-        "estimators": [
-            "Estimate",
-            "bootstrap_ci",
-            "mean_ci",
-            "quantile_estimate",
-            "whp_quantile",
-        ],
-        "regression": ["PowerLawFit", "doubling_ratio", "fit_polylog", "fit_power_law"],
+        "estimators": ["Estimate", "mean_ci", "quantile_estimate", "whp_quantile"],
+        "regression": ["PowerLawFit", "fit_polylog", "fit_power_law"],
         "rng": [
             "generator_from",
             "seed_sequence_from",
             "spawn_generators",
             "spawn_seeds",
         ],
-        "survival": ["SurvivalCurve", "empirical_survival", "survival_distance"],
+        "survival": ["SurvivalCurve", "empirical_survival"],
     },
 )

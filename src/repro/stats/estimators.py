@@ -13,13 +13,7 @@ import numpy as np
 
 from .rng import generator_from
 
-__all__ = [
-    "Estimate",
-    "mean_ci",
-    "quantile_estimate",
-    "whp_quantile",
-    "bootstrap_ci",
-]
+__all__ = ["Estimate", "mean_ci", "quantile_estimate", "whp_quantile"]
 
 
 @dataclass(frozen=True)
@@ -36,10 +30,6 @@ class Estimate:
     def half_width(self) -> float:
         """Half the CI width — the ± in table cells."""
         return (self.upper - self.lower) / 2.0
-
-    def overlaps(self, other: "Estimate") -> bool:
-        """True iff the two intervals intersect."""
-        return self.lower <= other.upper and other.lower <= self.upper
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.value:.2f} ± {self.half_width:.2f}"
@@ -109,24 +99,3 @@ def whp_quantile(
     95th percentile) of the sampled times.
     """
     return quantile_estimate(samples, level, rng=rng)
-
-
-def bootstrap_ci(
-    samples: np.ndarray,
-    statistic,
-    *,
-    confidence: float = 0.95,
-    n_boot: int = 1000,
-    rng: np.random.Generator | int | None = None,
-) -> Estimate:
-    """Generic bootstrap percentile CI for an arbitrary statistic."""
-    x = np.asarray(samples, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("no samples")
-    gen = generator_from(rng)
-    point = float(statistic(x))
-    idx = gen.integers(0, x.size, size=(n_boot, x.size))
-    boots = np.array([statistic(x[row]) for row in idx], dtype=np.float64)
-    lo = float(np.quantile(boots, (1.0 - confidence) / 2.0))
-    hi = float(np.quantile(boots, 0.5 + confidence / 2.0))
-    return Estimate(point, lo, hi, int(x.size), confidence)

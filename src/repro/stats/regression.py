@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PowerLawFit", "fit_power_law", "fit_polylog", "doubling_ratio"]
+__all__ = ["PowerLawFit", "fit_power_law", "fit_polylog"]
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,6 @@ class PowerLawFit:
     amplitude: float
     r_squared: float
     n_points: int
-
-    def predict(self, x) -> np.ndarray:
-        """Evaluate the fitted law at ``x``."""
-        return self.amplitude * np.asarray(x, dtype=np.float64) ** self.exponent
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -74,15 +70,3 @@ def fit_polylog(n, y) -> PowerLawFit:
     if np.any(n <= 1) or np.any(y <= 0):
         raise ValueError("polylog fit requires n > 1 and positive y")
     return _loglog_fit(np.log(np.log(n)), np.log(y))
-
-
-def doubling_ratio(x, y) -> np.ndarray:
-    """``y_{i+1}/y_i`` along a doubling sweep of ``x`` (sanity diagnostic).
-
-    For a power law ``n^c`` on an exactly-doubling ``x`` grid the ratios
-    converge to ``2^c``; polylog growth drives them to 1.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    order = np.argsort(x)
-    return y[order][1:] / y[order][:-1]

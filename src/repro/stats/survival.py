@@ -2,7 +2,7 @@
 
 Duality verification and the w.h.p. experiments are phrased in terms of
 survival functions of hit/cover/infection times; this module provides
-the empirical estimator and comparison helpers.
+the empirical estimator.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SurvivalCurve", "empirical_survival", "survival_distance"]
+__all__ = ["SurvivalCurve", "empirical_survival"]
 
 
 @dataclass(frozen=True)
@@ -59,11 +59,3 @@ def empirical_survival(samples: np.ndarray, horizon: int | None = None) -> Survi
     counts = x.size - cum + 0  # censored runs always count as surviving
     probs = counts / x.size
     return SurvivalCurve(horizons=ts, probabilities=probs.astype(np.float64), n_samples=int(x.size))
-
-
-def survival_distance(a: SurvivalCurve, b: SurvivalCurve) -> float:
-    """Max pointwise distance between two survival curves (common grid)."""
-    horizon = min(a.horizons.shape[0], b.horizons.shape[0]) - 1
-    pa = np.array([a.at(t) for t in range(horizon + 1)])
-    pb = np.array([b.at(t) for t in range(horizon + 1)])
-    return float(np.max(np.abs(pa - pb)))

@@ -8,16 +8,9 @@ __getattr__, __dir__, __all__ = attach(
         "bounds": [
             "HypercubeLadder",
             "bound_podc16_regular",
-            "bound_spaa13_complete",
-            "bound_spaa13_expander",
-            "bound_spaa13_grid",
-            "bound_spaa16_general",
-            "bound_spaa16_grid",
             "bound_spaa16_regular",
             "bound_spaa17_general",
             "bound_spaa17_regular",
-            "cor51_round_schedule",
-            "cor53_delta",
             "gap_condition_holds",
             "hypercube_ladder",
             "lemma31_round_schedule",
@@ -38,7 +31,6 @@ __getattr__, __dir__, __all__ = attach(
             "azuma_tail_bound",
             "check_azuma_on_paths",
             "corollary22_bound",
-            "empirical_sup_tail",
             "synthetic_supermartingale_paths",
         ],
         "predictions": ["PREDICTIONS", "FamilyPrediction", "prediction_for"],

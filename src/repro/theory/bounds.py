@@ -1,4 +1,8 @@
-"""Every cover-time bound the paper states, proves, or compares against.
+"""Cover-time bound formulas.
+
+The paper's Theorems 1.1 and 1.2, the universal lower bound, the
+earlier regular-graph bounds Theorem 1.2 improves on, and the schedules
+of the proof lemmas.
 
 All bounds are asymptotic (``O(·)``); the functions here evaluate the
 *bound expression* with an explicit leading constant (default 1) so
@@ -6,8 +10,8 @@ experiments can (a) check dominance ``bound >= measured`` after
 calibrating the constant on one instance, and (b) compare the *growth
 shapes* of competing bounds, which is the paper's actual claim.
 
-Naming: ``spaa13`` = Dutta et al. [5, 6]; ``spaa16`` = Mitzenmacher et
-al. [8]; ``podc16`` = Cooper et al. [4]; ``spaa17`` = this paper.
+Naming: ``spaa16`` = Mitzenmacher et al. [8]; ``podc16`` = Cooper et
+al. [4]; ``spaa17`` = this paper.
 Logarithms are natural unless stated otherwise.
 """
 
@@ -22,14 +26,7 @@ __all__ = [
     "bound_spaa17_regular",
     "bound_podc16_regular",
     "bound_spaa16_regular",
-    "bound_spaa16_general",
-    "bound_spaa16_grid",
-    "bound_spaa13_complete",
-    "bound_spaa13_expander",
-    "bound_spaa13_grid",
     "lemma31_round_schedule",
-    "cor51_round_schedule",
-    "cor53_delta",
     "rho_scaled",
     "gap_condition_holds",
     "HypercubeLadder",
@@ -97,41 +94,6 @@ def bound_spaa16_regular(
     return constant * (r**4 / phi**2) * _log(n) ** 2
 
 
-def bound_spaa16_general(n: int, *, constant: float = 1.0) -> float:
-    """[Mitzenmacher et al., SPAA 2016]: ``O(n^{11/4} log n)`` for any graph.
-
-    The previous best general bound, improved by Theorem 1.1 to
-    ``O(n² log n)``.
-    """
-    return constant * n ** (11.0 / 4.0) * _log(n)
-
-
-def bound_spaa16_grid(n: int, dim: int, *, constant: float = 1.0) -> float:
-    """[Mitzenmacher et al., SPAA 2016]: ``O(D² n^{1/D})`` for D-dim grids."""
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    return constant * dim**2 * n ** (1.0 / dim)
-
-
-def bound_spaa13_complete(n: int, *, constant: float = 1.0) -> float:
-    """[Dutta et al., SPAA 2013]: ``O(log n)`` w.h.p. on the complete graph."""
-    return constant * _log(n)
-
-
-def bound_spaa13_expander(n: int, *, constant: float = 1.0) -> float:
-    """[Dutta et al., SPAA 2013]: ``O(log² n)`` on constant-degree expanders."""
-    return constant * _log(n) ** 2
-
-
-def bound_spaa13_grid(
-    n: int, dim: int, *, constant: float = 1.0, polylog_power: float = 1.0
-) -> float:
-    """[Dutta et al., SPAA 2013]: ``Õ(n^{1/D})`` on D-dimensional grids."""
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
-    return constant * n ** (1.0 / dim) * _log(n) ** polylog_power
-
-
 # ----------------------------------------------------------------------
 # Internal proof schedules (for the BIPS growth experiments)
 # ----------------------------------------------------------------------
@@ -144,24 +106,6 @@ def lemma31_round_schedule(
     probability ``n^{-C}``.
     """
     return 4.0 * k + c_prime * dmax**2 * _log(n)
-
-
-def cor51_round_schedule(kappa: float, r: int, n: int, *, c_prime: float = 1.0) -> float:
-    """Corollary 5.1: ``t(κ) = 4rκ + C′ r² log n`` (infection *size* ≥ κ)."""
-    return 4.0 * r * kappa + c_prime * r**2 * _log(n)
-
-
-def cor53_delta(
-    kappa: float, alpha: float, r: int, n: int, *, c_prime: float = 1.0
-) -> float:
-    """Corollary 5.3: ``Δ(κ, α) = (4rκ + C′ r² log n)/α``.
-
-    Rounds needed to add ``κ`` infected vertices when every round has at
-    least ``α`` serialised steps.
-    """
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    return (4.0 * r * kappa + c_prime * r**2 * _log(n)) / alpha
 
 
 def rho_scaled(bound_value: float, rho: float) -> float:

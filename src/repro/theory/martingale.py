@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "azuma_tail_bound",
     "corollary22_bound",
-    "empirical_sup_tail",
     "TailCheck",
     "check_azuma_on_paths",
     "synthetic_supermartingale_paths",
@@ -55,25 +54,13 @@ def corollary22_bound(delta: float, alpha: float, q0: int) -> float:
     )
 
 
-def empirical_sup_tail(
-    paths: np.ndarray, delta: float, alpha: float, q0: int
-) -> float:
-    """Empirical LHS of Corollary 2.2 over sample paths.
-
-    ``paths`` has shape ``(R, Q)``: R independent increment sequences
-    ``Z_1..Z_Q``.  Returns the fraction of paths on which
-    ``S_q > α(q − q0) + δ√q0`` for *some* ``q0 <= q <= Q``.
-    """
-    paths = np.asarray(paths, dtype=np.float64)
-    if paths.ndim != 2:
-        raise ValueError("paths must be 2-D (runs, steps)")
-    if q0 > paths.shape[1]:
-        raise ValueError("q0 beyond the simulated horizon")
-    return _sup_tail(np.cumsum(paths, axis=1), delta, alpha, q0)
-
-
 def _sup_tail(sums: np.ndarray, delta: float, alpha: float, q0: int) -> float:
-    """:func:`empirical_sup_tail` on the paths' partial sums ``S_1..S_Q``."""
+    """Empirical LHS of Corollary 2.2 from partial sums ``S_1..S_Q``.
+
+    ``sums`` has shape ``(R, Q)``, one row per path.  Returns the
+    fraction of paths on which ``S_q > α(q − q0) + δ√q0`` for *some*
+    ``q0 <= q <= Q``.
+    """
     qs = np.arange(1, sums.shape[1] + 1, dtype=np.float64)
     threshold = alpha * (qs - q0) + delta * np.sqrt(q0)
     relevant = qs >= q0

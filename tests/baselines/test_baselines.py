@@ -6,11 +6,9 @@ import pytest
 from repro.baselines import (
     flooding_broadcast_time,
     flooding_broadcast_times,
-    flooding_frontier_sizes,
     multi_walk_cover_samples,
     push_broadcast_samples,
     random_walk_cover_samples,
-    walk_trajectory,
 )
 from repro.graphs import (
     Graph,
@@ -20,24 +18,6 @@ from repro.graphs import (
     petersen_graph,
     star_graph,
 )
-
-
-class TestWalkTrajectory:
-    def test_moves_along_edges(self, petersen, rng):
-        traj = walk_trajectory(petersen, 0, 50, rng)
-        assert traj.shape == (51,)
-        assert traj[0] == 0
-        for a, b in zip(traj[:-1], traj[1:]):
-            assert petersen.has_edge(int(a), int(b))
-
-    def test_lazy_can_stay(self, rng):
-        traj = walk_trajectory(path_graph(3), 0, 200, rng, lazy=True)
-        stays = np.sum(traj[:-1] == traj[1:])
-        assert stays > 50  # roughly half the steps stay put
-
-    def test_disconnected_rejected(self, rng):
-        with pytest.raises(ValueError):
-            walk_trajectory(Graph(4, [(0, 1)]), 0, 5, rng)
 
 
 class TestRandomWalkCover:
@@ -101,27 +81,15 @@ class TestFlooding:
         assert flooding_broadcast_time(path_graph(10), 5) == 5
         assert flooding_broadcast_time(complete_graph(7), 3) == 1
 
-    def test_frontier_sizes(self):
-        sizes = flooding_frontier_sizes(star_graph(6), 1)
-        # From a leaf: 1, then hub (2), then everything (6).
-        assert sizes.tolist() == [1, 2, 6]
-
-    def test_frontier_cumulative(self, petersen):
-        sizes = flooding_frontier_sizes(petersen, 0)
-        assert sizes[0] == 1
-        assert sizes[-1] == petersen.n
-        assert np.all(np.diff(sizes) >= 0)
-
-    def test_frontier_sizes_are_bfs_ball_sizes(self, flooding_graph):
+    def test_time_is_bfs_ball_radius(self, flooding_graph):
         # The ball of radius t + 1 is the ball of radius t and its neighbours.
         g = flooding_graph
         for start in {0, g.n // 2, g.n - 1}:
-            ball, expected = {start}, [1]
+            ball, radius = {start}, 0
             while len(ball) < g.n:
                 ball |= {int(v) for u in ball for v in g.neighbors(u)}
-                expected.append(len(ball))
-            assert flooding_frontier_sizes(g, start).tolist() == expected
-            assert flooding_broadcast_time(g, start) == len(expected) - 1
+                radius += 1
+            assert flooding_broadcast_time(g, start) == radius
 
     @pytest.mark.parametrize(
         "call,match",
@@ -135,16 +103,6 @@ class TestFlooding:
                 lambda: flooding_broadcast_time(path_graph(4), 4),
                 "out of range",
                 id="time-start-too-large",
-            ),
-            pytest.param(
-                lambda: flooding_frontier_sizes(Graph(3, [(0, 1)]), 0),
-                "connected",
-                id="sizes-disconnected",
-            ),
-            pytest.param(
-                lambda: flooding_frontier_sizes(path_graph(4), -1),
-                "out of range",
-                id="sizes-negative-start",
             ),
             pytest.param(
                 lambda: flooding_broadcast_times(Graph(3, [(0, 1)]), [0]),

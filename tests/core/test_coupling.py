@@ -138,59 +138,3 @@ def test_coupling_equivalence_property(case):
     g, source, start, horizon, seed = case
     table = SelectionTable.sample(g, horizon, np.random.default_rng(seed))
     assert coupling_equivalence_holds(table, start, source)
-
-
-@st.composite
-def set_coupled_cases(draw):
-    n = draw(st.integers(min_value=2, max_value=7))
-    edges = set()
-    for v in range(1, n):
-        parent = draw(st.integers(min_value=0, max_value=v - 1))
-        edges.add((parent, v))
-    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges.update(draw(st.lists(st.sampled_from(possible), max_size=6)))
-    g = Graph(n, sorted(edges))
-    vertex_sets = st.lists(
-        st.integers(min_value=0, max_value=n - 1),
-        min_size=1,
-        max_size=n,
-        unique=True,
-    )
-    start = draw(vertex_sets)
-    targets = draw(vertex_sets)
-    horizon = draw(st.integers(min_value=0, max_value=6))
-    seed = draw(st.integers(min_value=0, max_value=10**6))
-    return g, start, targets, horizon, seed
-
-
-@given(set_coupled_cases())
-@settings(max_examples=120, deadline=None)
-def test_set_generalised_duality_property(case):
-    """The set-of-sources duality extension holds per table."""
-    from repro.core import set_coupling_equivalence_holds
-
-    g, start, targets, horizon, seed = case
-    table = SelectionTable.sample(g, horizon, np.random.default_rng(seed))
-    assert set_coupling_equivalence_holds(table, start, targets)
-
-
-class TestSetDuality:
-    def test_single_target_matches_original(self):
-        from repro.core import set_coupling_equivalence_holds
-
-        rng = np.random.default_rng(31)
-        g = cycle_graph(6)
-        for trial in range(50):
-            table = SelectionTable.sample(g, horizon=3, rng=rng)
-            # |S| = 1 reduces to Theorem 1.3's statement.
-            assert set_coupling_equivalence_holds(table, [0], [trial % 6])
-            assert coupling_equivalence_holds(table, [0], trial % 6)
-
-    def test_multi_source_replay_marks_all_sources(self):
-        from repro.core import bips_replay_multi
-
-        rng = np.random.default_rng(32)
-        g = path_graph(6)
-        table = SelectionTable.sample(g, horizon=4, rng=rng)
-        infected = bips_replay_multi(table, [0, 5])
-        assert infected[0] and infected[5]

@@ -171,15 +171,13 @@ class TestExactCoverConvenience:
         sem = samples.std(ddof=1) / np.sqrt(samples.shape[0])
         assert abs(samples.mean() - exact) < 4.5 * sem
 
-    def test_cover_of_graph_worst_is_path_end(self):
-        from repro.core import exact_cover_expectation, exact_cover_of_graph
+    def test_path_end_is_the_worst_start(self):
+        from repro.core import exact_cover_expectation
 
         g = path_graph(5)
-        worst, value = exact_cover_of_graph(g)
-        # On a path the endpoints are the worst starts.
-        assert worst in (0, 4)
-        assert value == pytest.approx(exact_cover_expectation(g, worst))
-        assert value > exact_cover_expectation(g, 2)
+        ends = exact_cover_expectation(g, 0)
+        assert ends == pytest.approx(exact_cover_expectation(g, 4))
+        assert ends > max(exact_cover_expectation(g, u) for u in (1, 2, 3))
 
     def test_symmetric_graph_start_invariant(self):
         from repro.core import exact_cover_expectation

@@ -6,7 +6,6 @@ import pytest
 from repro.core import (
     cobra_hit_survival_mc,
     cobra_hit_survival_exact,
-    commute_time,
     random_walk_hitting_time,
     random_walk_hitting_times,
 )
@@ -51,16 +50,6 @@ class TestExactHittingTimes:
         times = random_walk_hitting_times(petersen_graph(), 4)
         assert times[4] == 0.0
         assert np.all(times[np.arange(10) != 4] > 0)
-
-    def test_commute_symmetric(self):
-        g = petersen_graph()
-        assert commute_time(g, 0, 7) == pytest.approx(commute_time(g, 7, 0))
-
-    def test_commute_via_effective_resistance(self):
-        # Edge of a cycle: R_eff = (1 * (n-1))/n; commute = 2m R_eff.
-        n = 9
-        g = cycle_graph(n)
-        assert commute_time(g, 0, 1) == pytest.approx(2 * n * (n - 1) / n)
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):

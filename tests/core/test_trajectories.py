@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    TrajectoryEnsemble,
-    bips_size_ensemble,
-    cobra_coverage_ensemble,
-)
+from repro.core import bips_size_ensemble, cobra_coverage_ensemble
 from repro.graphs import complete_graph, cycle_graph, petersen_graph
 
 
@@ -40,18 +36,6 @@ class TestSummaries:
         assert np.all(lo <= hi + 1e-12)
         med = ensemble.quantile(0.5)
         assert np.all(lo <= med + 1e-12) and np.all(med <= hi + 1e-12)
-
-    def test_first_round_reaching(self, ensemble):
-        firsts = ensemble.first_round_reaching(16)
-        assert np.all(firsts >= 1)
-        never = ensemble.first_round_reaching(17)
-        assert np.all(never == -1)
-
-    def test_rows(self, ensemble):
-        rows = ensemble.to_rows(stride=2)
-        assert rows[0]["round"] == 0
-        assert all(r["q05"] <= r["mean"] + 1e-9 for r in rows)
-        assert all(r["mean"] <= r["q95"] + 1e-9 for r in rows)
 
 
 class TestDeterminism:

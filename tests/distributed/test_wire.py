@@ -15,7 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversary import IsolatingChurnAdversary, MovingSourceAdversary
+from repro.adversary import (
+    AdaptiveRRIPolicy,
+    GreedyCutAdversary,
+    IsolatingChurnAdversary,
+    MovingSourceAdversary,
+)
 from repro.core.branching import BernoulliBranching, FixedBranching, make_policy
 from repro.distributed import (
     WIRE_VERSION,
@@ -337,6 +342,13 @@ class TestTasks:
         assert np.array_equal(back.sizes, ref.sizes)
         assert np.array_equal(back.visited_counts, ref.visited_counts)
 
+    @pytest.mark.parametrize("rounds_run", ["7", 7.0, True])
+    def test_result_rounds_run_of_the_wrong_type_rejected(self, rounds_run):
+        obj = encode_result(run_shard(_task()))
+        obj["rounds_run"] = rounds_run
+        with pytest.raises(WireDecodeError, match="rounds_run must be an integer"):
+            decode_result(obj)
+
     def test_none_fields_survive(self):
         ref = run_shard(_task())
         back = decode_result(encode_result(ref))
@@ -646,20 +658,27 @@ MALFORMED_STATE = {
 }
 
 
-def _vertex_task(rule=None, completion=None, adversary=None):
-    """An encoded two-run task on cycle-8, or on an adversarial
-    sequence over it when ``adversary`` is given."""
+def _vertex_task(rule=None, completion=None, adversary=None, sequence=None, state=None):
+    """An encoded two-run task on cycle-8, on an adversarial sequence
+    over it when ``adversary`` is given, or on ``sequence(cycle-8)``
+    when ``sequence`` is given; ``state`` defaults to a mask holding
+    vertex 0 in each run."""
     from repro.adversary import AdversarialSequence
 
     graph = cycle_graph(8)
-    state = np.zeros((2, 8), dtype=bool)
-    state[:, 0] = True
+    if adversary is not None:
+        topology = AdversarialSequence(graph, adversary, 7)
+    elif sequence is not None:
+        topology = sequence(graph)
+    else:
+        topology = graph
+    if state is None:
+        state = np.zeros((2, 8), dtype=bool)
+        state[:, 0] = True
     return encode_task(
         ShardTask(
             rule=rule or CobraRule(make_policy(2), lazy=True),
-            topology=(
-                graph if adversary is None else AdversarialSequence(graph, adversary, 7)
-            ),
+            topology=topology,
             completion=completion or AllVertices(),
             state=state,
             seed=np.random.SeedSequence(42),
@@ -667,27 +686,97 @@ def _vertex_task(rule=None, completion=None, adversary=None):
     )
 
 
+def _edited_task(args, path, value):
+    """``_vertex_task(**args)``, which decodes, with the field at
+    ``path`` set to ``value``, or ``value`` appended if the field holds a
+    list (so a protected set of ``[0]`` becomes ``[0, value]``)."""
+    obj = _vertex_task(**args)
+    decode_task(obj, _cycle_graphs())  # decodes as encoded
+    *outer, field = path
+    node = obj
+    for key in outer:
+        node = node[key]
+    node[field] = [*node[field], value] if isinstance(node[field], list) else value
+    return obj
+
+
+_BIPS = {"rule": BipsRule(make_policy(2), 0)}
+_WALK = {"rule": WalkRule(2), "state": np.zeros((2, 2), dtype=np.int64)}
+_ISOLATING = {"adversary": IsolatingChurnAdversary(1)}
+_GREEDY = {"adversary": GreedyCutAdversary(2)}
+_MOVING = {"adversary": MovingSourceAdversary(0, 1)}
+_RRI = {"adversary": AdaptiveRRIPolicy(1)}
+_CHURN = {"sequence": lambda g: ChurnSequence(g, 0.1, 0.5, seed=7)}
+_REWIRING = {"sequence": lambda g: RewiringSequence(g, 1, seed=7)}
+_MARKOV = {"sequence": lambda g: EdgeMarkovianSequence(g, 0.1, 0.2, seed=7)}
+
 #: One vertex id outside cycle-8 per task field that names a vertex, as
-#: ``(_vertex_task arguments, path to the field, id)``; each decoded and
-#: ran (numpy wraps -1 to vertex 7).
+#: ``(_vertex_task arguments, path to the field, id)``; each but the
+#: churn sequence's (which ``ChurnSequence`` refuses) decoded and ran
+#: (numpy wraps -1 to vertex 7).
 BAD_VERTEX = {
-    "bips-source": ({"rule": BipsRule(make_policy(2), 0)}, ("rule", "source"), -1),
+    "bips-source": (_BIPS, ("rule", "source"), -1),
     "target-hit": ({"completion": TargetHit(1)}, ("completion", "target"), 8),
-    "moving-source": (
-        {"adversary": MovingSourceAdversary(0, 1)},
-        ("topology", "adversary", "source"),
-        -1,
+    "moving-source": (_MOVING, ("topology", "adversary", "source"), -1),
+    "churn-protected": (_ISOLATING, ("topology", "adversary", "protected"), 8),
+    "churn-initially-out": (_ISOLATING, ("topology", "adversary", "initially_out"), -1),
+    "sequence-protected": (_CHURN, ("topology", "protected"), 8),
+}
+
+#: Vertex ids that are not JSON integers; in every ``BAD_VERTEX`` field
+#: each decoded and ran as vertex 2, 1 or 2.
+NOT_AN_INTEGER = {"float": 2.9, "bool": True, "string": "2"}
+
+#: A flag, a count, a rate or a seed of the wrong JSON type, one row per
+#: such field the task decoder reads, as ``(_vertex_task arguments, path
+#: to the field, value)``; each decoded and ran (a ``"lazy"`` of
+#: ``"false"`` ran the lazy process).
+WRONG_TYPE = {
+    "b-float": ({}, ("rule", "policy", "b"), 2.5),
+    "rho-string": ({"rule": CobraRule(make_policy(1.5))}, ("rule", "policy", "rho"), "0.5"),
+    "lazy-string": ({}, ("rule", "lazy"), "false"),
+    "bips-lazy-int": (_BIPS, ("rule", "lazy"), 0),
+    "walk-k-float": (_WALK, ("rule", "k"), 2.0),
+    "walk-lazy-string": (_WALK, ("rule", "lazy"), "true"),
+    "fanout-bool": ({"rule": PushRule()}, ("rule", "fanout"), True),
+    "track-hits-string": ({}, ("track_hits",), "no"),
+    "record-sizes-int": ({}, ("record_sizes",), 1),
+    "record-visited-string": ({}, ("record_visited",), "false"),
+    "seed-entropy-string": ({}, ("seed", "entropy"), "42"),
+    "seed-spawn-key-float": ({}, ("seed", "spawn_key"), 0.5),
+    "seed-pool-size-float": ({}, ("seed", "pool_size"), 4.0),
+    "graph-n-float": ({}, ("topology", "n"), 8.0),
+    "graph-m-float": ({}, ("topology", "m"), 8.0),
+    "rewiring-swaps-float": (_REWIRING, ("topology", "swaps"), 1.5),
+    "rewiring-keep-connected-string": (_REWIRING, ("topology", "keep_connected"), "no"),
+    "rewiring-max-retries-bool": (_REWIRING, ("topology", "max_retries"), True),
+    "sequence-seed-string": (_REWIRING, ("topology", "seed", "entropy"), "7"),
+    "birth-string": (_MARKOV, ("topology", "birth"), "0.1"),
+    "death-bool": (_MARKOV, ("topology", "death"), True),
+    "leave-string": (_CHURN, ("topology", "leave"), "0.1"),
+    "rejoin-bool": (_CHURN, ("topology", "rejoin"), False),
+    "adversarial-swaps-float": (_GREEDY, ("topology", "swaps"), 1.0),
+    "adversarial-keep-connected-int": (_GREEDY, ("topology", "keep_connected"), 1),
+    "adversarial-max-retries-string": (_GREEDY, ("topology", "max_retries"), "8"),
+    "budget-string": (_GREEDY, ("topology", "adversary", "budget"), "3"),
+    "budget-float": (_GREEDY, ("topology", "adversary", "budget"), 2.7),
+    "greedy-keep-connected-string": (
+        _GREEDY, ("topology", "adversary", "keep_connected"), "false"
     ),
-    "churn-protected": (
-        {"adversary": IsolatingChurnAdversary(1)},
-        ("topology", "adversary", "protected"),
-        [0, 8],
+    "isolating-budget-bool": (_ISOLATING, ("topology", "adversary", "budget"), True),
+    "downtime-bool": (_ISOLATING, ("topology", "adversary", "downtime"), True),
+    "isolating-keep-connected-int": (
+        _ISOLATING, ("topology", "adversary", "keep_connected"), 0
     ),
-    "churn-initially-out": (
-        {"adversary": IsolatingChurnAdversary(1)},
-        ("topology", "adversary", "initially_out"),
-        [-1],
+    "moving-budget-float": (_MOVING, ("topology", "adversary", "budget"), 1.5),
+    "trigger-string": (_MOVING, ("topology", "adversary", "trigger"), "0.5"),
+    "moving-keep-connected-string": (
+        _MOVING, ("topology", "adversary", "keep_connected"), "true"
     ),
+    "burst-swaps-float": (_RRI, ("topology", "adversary", "burst_swaps"), 1.5),
+    "growth-threshold-string": (_RRI, ("topology", "adversary", "growth_threshold"), "2"),
+    "rri-keep-connected-int": (_RRI, ("topology", "adversary", "keep_connected"), 1),
+    "rri-max-retries-float": (_RRI, ("topology", "adversary", "max_retries"), 20.0),
 }
 
 
@@ -711,21 +800,24 @@ class TestTaskValidation:
 
     Each malformation decoded on the previous wire: a width-9 or int64
     COBRA state ran to finish times [13, 6], ``max_rounds`` of
-    ``"7"``, ``-3``, ``True`` and ``2.9`` ran 7, 0, 1 and 2 rounds, and
-    a moving source of -1 ran a different process from vertex 7.
+    ``"7"``, ``-3``, ``True`` and ``2.9`` ran 7, 0, 1 and 2 rounds, a
+    moving source of -1 ran a different process from vertex 7, and a
+    source of ``2.9`` ran from vertex 2.
     """
 
+    @pytest.mark.parametrize("kind", ["outside", *NOT_AN_INTEGER])
     @pytest.mark.parametrize("case", list(BAD_VERTEX))
-    def test_vertex_outside_the_graph_rejected(self, case):
-        args, (*outer, field), vertex = BAD_VERTEX[case]
-        obj = _vertex_task(**args)
-        decode_task(obj, _cycle_graphs())  # decodes as encoded
-        node = obj
-        for key in outer:
-            node = node[key]
-        node[field] = vertex
-        with pytest.raises(WireDecodeError, match="out of range"):
+    def test_bad_vertex_rejected(self, case, kind):
+        args, path, outside = BAD_VERTEX[case]
+        obj = _edited_task(args, path, NOT_AN_INTEGER.get(kind, outside))
+        match = "out of range" if kind == "outside" else "must be an integer"
+        with pytest.raises(WireDecodeError, match=match):
             decode_task(obj, _cycle_graphs())
+
+    @pytest.mark.parametrize("case", list(WRONG_TYPE))
+    def test_flag_or_count_of_the_wrong_type_rejected(self, case):
+        with pytest.raises(WireDecodeError, match="must be"):
+            decode_task(_edited_task(*WRONG_TYPE[case]), _cycle_graphs())
 
     @pytest.mark.parametrize("case", list(MALFORMED_STATE))
     def test_state_that_does_not_fit_the_rule_rejected(self, case):

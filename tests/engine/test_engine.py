@@ -12,7 +12,6 @@ from repro.baselines import (
     push_pull_broadcast_samples,
 )
 from repro.core import BipsProcess, CobraProcess
-from repro.core.bips import default_infection_cap
 from repro.core.branching import BernoulliBranching, FixedBranching, make_policy
 from repro.core.cobra import default_round_cap
 from repro.dynamics import (
@@ -64,7 +63,6 @@ class TestCaps:
     def test_core_caps_delegate(self, expander):
         expected = process_round_cap(expander.n, expander.m, expander.dmax)
         assert default_round_cap(expander) == expected
-        assert default_infection_cap(expander) == expected
 
     def test_gossip_caps_agree_with_core(self, expander):
         # push/pull previously hand-rolled a different (smaller) formula.

@@ -17,7 +17,6 @@ class TestConfig:
         c = ExperimentConfig(scale="smoke")
         assert c.runs(1, 2, 3) == 1
         assert c.pick("a", "b", "c") == "a"
-        assert c.with_scale("full").runs(1, 2, 3) == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):

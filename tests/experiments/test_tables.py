@@ -45,10 +45,3 @@ class TestTable:
         t.add_row(a=3)
         assert t.column("a") == [1, 3]
         assert t.column("b") == [2, None]
-
-    def test_csv(self):
-        t = Table(title="t")
-        t.add_row(name="a,b", v=1)
-        csv = t.to_csv()
-        assert csv.splitlines()[0] == "name,v"
-        assert '"a,b"' in csv

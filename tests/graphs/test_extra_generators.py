@@ -1,4 +1,4 @@
-"""Tests for the extended graph families (wheel, clique ring, caterpillar)."""
+"""Tests for the extended graph families (clique ring, caterpillar)."""
 
 import pytest
 
@@ -7,22 +7,7 @@ from repro.graphs import (
     diameter,
     ring_of_cliques,
     sweep_conductance,
-    wheel_graph,
 )
-
-
-class TestWheel:
-    def test_structure(self):
-        g = wheel_graph(9)
-        assert g.n == 9
-        assert g.m == 2 * 8  # spokes + rim
-        assert g.degree(0) == 8
-        assert all(g.degree(i) == 3 for i in range(1, 9))
-        assert diameter(g) == 2
-
-    def test_error(self):
-        with pytest.raises(ValueError):
-            wheel_graph(4)
 
 
 class TestRingOfCliques:

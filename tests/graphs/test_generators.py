@@ -1,12 +1,10 @@
 """Unit tests for the graph family generators."""
 
-import numpy as np
 import pytest
 
 from repro.graphs import (
     barbell_graph,
     binary_tree,
-    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     diameter,
@@ -21,7 +19,6 @@ from repro.graphs import (
     random_regular_graph,
     star_graph,
     torus_graph,
-    two_clique_bridge,
 )
 
 
@@ -191,18 +188,11 @@ class TestLowConductanceFamilies:
         assert g.m == 10 + 4
         assert diameter(g) >= 4
 
-    def test_two_clique_bridge(self):
-        g = two_clique_bridge(4, 3)
-        assert g.n == 11
-        assert g.is_connected()
-
     def test_errors(self):
         with pytest.raises(ValueError):
             barbell_graph(2)
         with pytest.raises(ValueError):
             lollipop_graph(3, 0)
-        with pytest.raises(ValueError):
-            two_clique_bridge(2, 1)
 
 
 class TestExpanders:
@@ -225,18 +215,9 @@ class TestExpanders:
             margulis_expander(1)
 
 
-class TestNamedAndBipartite:
+class TestPetersen:
     def test_petersen(self):
         g = petersen_graph()
         assert g.n == 10 and g.m == 15
         assert g.is_regular() and g.dmax == 3
         assert diameter(g) == 2
-
-    def test_complete_bipartite(self):
-        g = complete_bipartite_graph(3, 4)
-        assert g.n == 7 and g.m == 12
-        assert is_bipartite(g)
-
-    def test_error(self):
-        with pytest.raises(ValueError):
-            complete_bipartite_graph(0, 3)

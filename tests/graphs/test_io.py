@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.graphs import (
-    Graph,
-    parse_edge_list,
-    petersen_graph,
-    read_edge_list,
-    write_edge_list,
-)
+from repro.graphs import parse_edge_list, read_edge_list
 
 
 class TestParse:
@@ -46,17 +40,13 @@ class TestParse:
             parse_edge_list("# only a comment\n")
 
 
-class TestRoundTrip:
-    def test_file_round_trip(self, tmp_path, petersen):
+class TestReadFile:
+    def test_reads_graph_and_name_from_file(self, tmp_path, petersen):
         path = tmp_path / "petersen.edges"
-        write_edge_list(petersen, path)
+        path.write_text(
+            "# petersen: n=10 m=15\n"
+            + "".join(f"{u} {v}\n" for u, v in petersen.edges())
+        )
         back = read_edge_list(path)
         assert back == petersen
         assert back.name == "petersen"
-
-    def test_header_optional(self, tmp_path):
-        g = Graph(3, [(0, 1), (1, 2)])
-        path = tmp_path / "g.txt"
-        write_edge_list(g, path, header=False)
-        assert not path.read_text().startswith("#")
-        assert read_edge_list(path).m == 2

@@ -8,7 +8,6 @@ from repro.graphs import (
     complete_graph,
     connected_components,
     cycle_graph,
-    degree_statistics,
     diameter,
     eccentricities,
     eccentricity,
@@ -106,12 +105,6 @@ class TestComponents:
 
 
 class TestSummaries:
-    def test_degree_statistics(self, star7):
-        stats = degree_statistics(star7)
-        assert stats["dmax"] == 6
-        assert stats["dmin"] == 1
-        assert stats["total_degree"] == 2 * star7.m
-
     def test_summarize(self, q4):
         s = summarize(q4)
         assert s.n == 16

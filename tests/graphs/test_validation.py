@@ -3,17 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graphs import (
-    Graph,
-    check_vertex,
-    check_vertex_set,
-    cycle_graph,
-    petersen_graph,
-    require_connected,
-    require_nonbipartite_or_lazy,
-    require_regular,
-    star_graph,
-)
+from repro.graphs import Graph, check_vertex, check_vertex_set, require_connected
 
 
 class TestRequireConnected:
@@ -24,26 +14,6 @@ class TestRequireConnected:
         g = Graph(4, [(0, 1)])
         with pytest.raises(ValueError, match="connected"):
             require_connected(g)
-
-
-class TestRequireRegular:
-    def test_returns_degree(self, petersen):
-        assert require_regular(petersen) == 3
-
-    def test_raises_on_irregular(self):
-        with pytest.raises(ValueError, match="regular"):
-            require_regular(star_graph(5))
-
-
-class TestBipartiteGuard:
-    def test_bipartite_needs_lazy(self):
-        g = cycle_graph(8)
-        with pytest.raises(ValueError, match="lazy"):
-            require_nonbipartite_or_lazy(g, lazy=False)
-        require_nonbipartite_or_lazy(g, lazy=True)  # no raise
-
-    def test_nonbipartite_ok(self):
-        require_nonbipartite_or_lazy(cycle_graph(7), lazy=False)
 
 
 class TestVertexChecks:

@@ -22,7 +22,6 @@ from repro.resilience import (
     FaultPlan,
     FaultRule,
     active_fault_plan,
-    clear_fault_plan,
     fault_injection,
     install_fault_plan,
 )
@@ -147,7 +146,7 @@ class TestInstallation:
         try:
             assert active_fault_plan() is plan
         finally:
-            clear_fault_plan()
+            install_fault_plan(None)
         assert active_fault_plan() is None
 
     def test_context_manager_restores_previous(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats import bootstrap_ci, mean_ci, quantile_estimate, whp_quantile
+from repro.stats import mean_ci, quantile_estimate, whp_quantile
 
 
 class TestMeanCI:
@@ -54,13 +54,6 @@ class TestMeanCI:
         with pytest.raises(ValueError):
             mean_ci(np.array([]))
 
-    def test_overlap(self):
-        a = mean_ci(np.array([1.0, 2.0, 3.0]))
-        b = mean_ci(np.array([2.0, 3.0, 4.0]))
-        c = mean_ci(np.array([100.0, 101.0]))
-        assert a.overlaps(b)
-        assert not a.overlaps(c)
-
 
 class TestQuantiles:
     def test_median(self):
@@ -82,15 +75,3 @@ class TestQuantiles:
             quantile_estimate(np.array([1.0]), 1.5)
         with pytest.raises(ValueError):
             quantile_estimate(np.array([]), 0.5)
-
-
-class TestBootstrap:
-    def test_mean_statistic(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(3.0, 1.0, size=200)
-        est = bootstrap_ci(x, np.mean, rng=6)
-        assert est.lower <= 3.0 <= est.upper or abs(est.value - 3.0) < 0.3
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci(np.array([]), np.mean)

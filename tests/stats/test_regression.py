@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats import doubling_ratio, fit_polylog, fit_power_law
+from repro.stats import fit_polylog, fit_power_law
 
 
 class TestPowerLaw:
@@ -22,10 +22,6 @@ class TestPowerLaw:
         fit = fit_power_law(x, y)
         assert fit.exponent == pytest.approx(1.5, abs=0.1)
         assert fit.r_squared > 0.98
-
-    def test_predict(self):
-        fit = fit_power_law([1.0, 2.0, 4.0], [2.0, 4.0, 8.0])
-        assert fit.predict(8.0) == pytest.approx(16.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -51,15 +47,3 @@ class TestPolylog:
     def test_validation(self):
         with pytest.raises(ValueError):
             fit_polylog([1.0, 10.0], [1.0, 2.0])  # n must be > 1
-
-
-class TestDoublingRatio:
-    def test_power_law_ratios(self):
-        x = np.array([8, 16, 32, 64], dtype=float)
-        y = x**2
-        assert np.allclose(doubling_ratio(x, y), 4.0)
-
-    def test_sorts_by_x(self):
-        x = np.array([32, 8, 16], dtype=float)
-        y = x.copy()
-        assert np.allclose(doubling_ratio(x, y), 2.0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stats import empirical_survival, survival_distance
+from repro.stats import empirical_survival
 
 
 class TestEmpiricalSurvival:
@@ -42,14 +42,3 @@ class TestEmpiricalSurvival:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             empirical_survival(np.array([], dtype=np.int64))
-
-
-class TestSurvivalDistance:
-    def test_identical_zero(self):
-        a = empirical_survival(np.array([1, 2, 3]))
-        assert survival_distance(a, a) == 0.0
-
-    def test_differs(self):
-        a = empirical_survival(np.array([1, 1, 1]))
-        b = empirical_survival(np.array([3, 3, 3]))
-        assert survival_distance(a, b) == pytest.approx(1.0)

@@ -6,16 +6,9 @@ import pytest
 
 from repro.theory import (
     bound_podc16_regular,
-    bound_spaa13_complete,
-    bound_spaa13_expander,
-    bound_spaa13_grid,
-    bound_spaa16_general,
-    bound_spaa16_grid,
     bound_spaa16_regular,
     bound_spaa17_general,
     bound_spaa17_regular,
-    cor51_round_schedule,
-    cor53_delta,
     gap_condition_holds,
     hypercube_ladder,
     lemma31_round_schedule,
@@ -81,21 +74,6 @@ class TestComparisonBounds:
         with pytest.raises(ValueError):
             bound_spaa16_regular(10, 3, 0.0)
 
-    def test_spaa16_general_vs_spaa17(self):
-        # The paper's improvement: for large n, n^2 log n << n^{11/4} log n.
-        n = 4096
-        assert bound_spaa17_general(n, n**2 // 2, n - 1) < bound_spaa16_general(n)
-
-    def test_grid_bounds(self):
-        assert bound_spaa16_grid(256, 2) == pytest.approx(4 * 16.0)
-        assert bound_spaa13_grid(256, 2, polylog_power=0.0) == pytest.approx(16.0)
-        with pytest.raises(ValueError):
-            bound_spaa16_grid(10, 0)
-
-    def test_spaa13_values(self):
-        assert bound_spaa13_complete(math.e**2) == pytest.approx(2.0)
-        assert bound_spaa13_expander(math.e**2) == pytest.approx(4.0)
-
 
 class TestImprovementRegimes:
     def test_regular_beats_podc16_when_gap_small_vs_r(self):
@@ -120,18 +98,6 @@ class TestSchedules:
         assert lemma31_round_schedule(10, 3, 100, c_prime=2.0) == pytest.approx(
             40 + 2 * 9 * math.log(100)
         )
-
-    def test_cor51(self):
-        assert cor51_round_schedule(5, 3, 100) == pytest.approx(
-            60 + 9 * math.log(100)
-        )
-
-    def test_cor53(self):
-        assert cor53_delta(5, 2.0, 3, 100) == pytest.approx(
-            cor51_round_schedule(5, 3, 100) / 2.0
-        )
-        with pytest.raises(ValueError):
-            cor53_delta(5, 0.5, 3, 100)
 
     def test_rho_scaling(self):
         assert rho_scaled(100.0, 0.5) == pytest.approx(400.0)

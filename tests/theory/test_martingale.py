@@ -7,7 +7,6 @@ from repro.theory import (
     azuma_tail_bound,
     check_azuma_on_paths,
     corollary22_bound,
-    empirical_sup_tail,
     synthetic_supermartingale_paths,
 )
 
@@ -39,19 +38,15 @@ class TestEmpiricalSupTail:
     def test_deterministic_flat_paths(self):
         # All-zero increments: S_q = 0 never exceeds a positive threshold.
         paths = np.zeros((10, 50))
-        assert empirical_sup_tail(paths, delta=1.0, alpha=0.5, q0=5) == 0.0
+        (check,) = check_azuma_on_paths(paths, deltas=(1.0,), alphas=(0.5,), q0s=(5,))
+        assert check.empirical == 0.0
 
     def test_deterministic_rising_paths(self):
         # Constant +1 increments: S_q = q > alpha (q - q0) + delta sqrt(q0)
         # eventually, so every path exceeds.
         paths = np.ones((4, 100))
-        assert empirical_sup_tail(paths, delta=1.0, alpha=0.5, q0=4) == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            empirical_sup_tail(np.zeros(5), 1.0, 0.5, 1)
-        with pytest.raises(ValueError):
-            empirical_sup_tail(np.zeros((2, 5)), 1.0, 0.5, 10)
+        (check,) = check_azuma_on_paths(paths, deltas=(1.0,), alphas=(0.5,), q0s=(4,))
+        assert check.empirical == 1.0
 
 
 class TestSyntheticPaths:
