@@ -19,8 +19,6 @@ Run with::
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from repro.core import (
     cobra_hit_survival_mc,
     random_walk_hitting_time,

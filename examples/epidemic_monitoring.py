@@ -19,7 +19,7 @@ Run with::
 import numpy as np
 
 from repro.core import BipsProcess
-from repro.graphs import eigenvalue_gap, random_regular_graph, second_eigenvalue
+from repro.graphs import random_regular_graph, second_eigenvalue
 from repro.stats import mean_ci
 from repro.theory import (
     bound_spaa17_regular,

@@ -16,8 +16,6 @@ import numpy as np
 
 from repro.core import (
     SelectionTable,
-    bips_replay,
-    cobra_replay,
     coupling_equivalence_holds,
 )
 from repro.graphs import cycle_graph, erdos_renyi_graph

@@ -15,7 +15,6 @@ Subcommands::
     repro status 127.0.0.1:7603 [--watch 2]   # broker queue counters + metrics
     repro top 127.0.0.1:9633 [...] [--once]   # live dashboard over /statusz
     repro trace summarize trace.jsonl [...]   # stitched span tree + histograms
-    repro chaos [--smoke] [--seed N]          # seeded fault-injection matrix
 
 Experiment output is the table(s) plus the pass/fail shape checks each
 experiment registers (``repro list``; :mod:`repro.experiments.registry`).
@@ -412,38 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.5,
         help="seconds between lease attempts while the queue is empty",
-    )
-    worker_p.add_argument(
-        "--faults",
-        default=None,
-        metavar="JSON",
-        help="install a deterministic FaultPlan on this worker, given as "
-        "the JSON spec produced by FaultPlan.to_json() (chaos testing "
-        "only)",
-    )
-
-    chaos_p = command(
-        "chaos",
-        _cmd_chaos,
-        help="run the seeded fault-injection matrix: every fault class x "
-        "serial/sharded/distributed, asserting bit-identity with the "
-        "fault-free reference",
-        parents=[tel],
-    )
-    chaos_p.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="chaos seed driving the workload and the fault plans (the "
-        "retry schedule is fixed); a failing cell replays exactly from "
-        "its seed",
-    )
-    chaos_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the fast CI leg instead of the full matrix: two fault "
-        "classes plus the dead-broker-fallback and killed-client "
-        "cache-resume drills",
     )
     return parser
 
@@ -966,23 +933,12 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from .distributed import DistributedError
     from .distributed.worker import run_worker
 
-    faults = None
-    if args.faults is not None:
-        from .resilience import FaultPlan
-
-        try:
-            faults = FaultPlan.from_json(args.faults)
-        except (ValueError, TypeError, KeyError) as exc:
-            print(f"malformed --faults plan: {exc}", file=sys.stderr)
-            return 2
-        print(f"repro worker running with fault plan seed={faults.seed}")
     print(f"repro worker attaching to {args.endpoint}")
     try:
         completed = run_worker(
             args.endpoint,
             max_tasks=args.max_tasks,
             poll_interval=args.poll,
-            faults=faults,
             metrics_port=args.metrics_port,
         )
     except KeyboardInterrupt:
@@ -992,15 +948,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         return 1
     print(f"worker exiting after {completed} shard(s)")
     return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .resilience import chaos
-
-    runner = chaos.run_chaos_smoke if args.smoke else chaos.run_chaos_matrix
-    report = runner(seed=args.seed, emit=print)
-    print(chaos.format_report(report))
-    return 0 if report["ok"] else 1
 
 
 def main(argv: list[str] | None = None) -> int:

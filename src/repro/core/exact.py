@@ -272,7 +272,7 @@ def cobra_hit_survival_exact(
         )
     target = check_vertex(graph, target)
     if np.ndim(start) == 0:
-        start_set = np.array([check_vertex(graph, int(start))], dtype=np.int64)
+        start_set = np.array([check_vertex(graph, start)], dtype=np.int64)
     else:
         start_set = check_vertex_set(graph, start)
     policy = make_policy(branching)

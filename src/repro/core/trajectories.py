@@ -126,7 +126,7 @@ def cobra_coverage_ensemble(
     """
     proc = CobraProcess(graph, branching, lazy=lazy)
     state = np.zeros((int(runs), graph.n), dtype=bool)
-    state[:, check_vertex(graph, int(start))] = True
+    state[:, check_vertex(graph, start)] = True
     res = SpreadEngine(proc.rule, graph).run_sharded(
         state,
         seed,

@@ -31,13 +31,13 @@ fail the job after ``max_attempts``.
 The session as a whole *reconnects*: a broken or injected-away
 connection closes the socket (the broker requeues any held lease on
 EOF) and re-dials every 0.25 s, ``connect_retries`` times, so a broker
-restart or a chaos plan dropping frames costs requeues, not workers.
+restart or a fault plan dropping frames costs requeues, not workers.
 Fault injection (:mod:`repro.resilience.faults`) hooks the dial
 (``worker.connect``), the send paths (``worker.send``,
-``worker.heartbeat``) and the lease count (worker kill); a plan is
-installed only when ``faults=`` passes one (``repro worker --faults``),
-and only until ``run_worker`` returns or raises; with none every hook
-is a single ``None`` check.
+``worker.heartbeat``) and the lease count (worker kill).  A plan is
+installed only when a caller passes one as ``faults=``, and only
+until ``run_worker`` returns or raises; with none every hook is a
+single ``None`` check.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ def run_worker(
         up.
     faults:
         A :class:`~repro.resilience.FaultPlan` to install for the
-        duration of the call (chaos harness use; the plan is process
+        duration of the call (fault-injection tests; the plan is process
         wide while it runs, and the previous one is restored on every
         exit path); None installs none.
     metrics_port:
@@ -253,7 +253,7 @@ def run_worker(
                         break
                     leases += 1
                     if faults is not None and faults.kill_worker(leases):
-                        # A chaos kill is a SIGKILL stand-in: no cleanup,
+                        # An injected kill is a SIGKILL stand-in: no cleanup,
                         # no goodbye frame — the broker must recover from
                         # lease expiry / EOF alone.
                         tel.count("faults.injected")

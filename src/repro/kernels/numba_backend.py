@@ -16,8 +16,8 @@ kernel runs, with exactly the sizes and order the numpy kernels use
 then any second-selection coins), and the kernels reproduce the numpy
 index arithmetic ``indices[indptr[v] + int(u * degree[v])]`` in IEEE
 double precision with ``fastmath`` off.  The compiled and numpy
-kernels are therefore **bit-identical** — pinned per rule by
-``tests/kernels/test_numba_parity.py``.
+kernels are therefore **bit-identical** — pinned per rule by the
+numba tier of ``tests/test_oracle.py``.
 
 Degenerate inputs (degree-zero vertices on churned snapshots) fall
 back to the numpy kernel *per call*; because the numpy path consumes

@@ -37,9 +37,8 @@ This is the one seed stream of every static sampler in
 estimators and of the dynamic samplers on a shared
 :class:`~repro.dynamics.GraphSequence`: samples depend on the seed, the
 run count and the shard cap, never on the tier that ran them.
-``tests/parallel/test_sharding.py`` pins the worker-count invariance
-and the serial shard-by-shard reference, and
-``tests/test_one_stream.py`` pins each sampler to it.
+``tests/test_oracle.py`` pins every tier to the serial shard-by-shard
+reference, and ``tests/test_one_stream.py`` pins each sampler to it.
 
 A shard holds at most :data:`DEFAULT_SHARD_STATE_BUDGET_BYTES` of
 state and at most :data:`DEFAULT_MAX_SHARD` runs: shards are the unit

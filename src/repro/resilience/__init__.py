@@ -1,18 +1,19 @@
-"""repro.resilience — chaos engineering and recovery for the distributed tier.
+"""repro.resilience — fault injection and recovery for the distributed tier.
 
-Three pieces, layered under :mod:`repro.distributed`:
+Two pieces, layered under :mod:`repro.distributed`:
 
 * :mod:`~repro.resilience.faults` — a deterministic, seed-driven
   :class:`FaultPlan` (frame drop/corrupt, worker kill, heartbeat
   stall, connection refusal, client crash) whose injection hooks sit
-  behind a zero-cost no-op default, so any chaos run replays
-  bit-for-bit from one seed;
+  behind a zero-cost no-op default, so any faulted run replays
+  bit-for-bit from one seed.  A plan is installed only by code:
+  :class:`fault_injection` around a client call, or
+  ``run_worker(..., faults=plan)`` for a worker.  The oracle
+  (``tests/test_oracle.py``) runs every fault class against a broker
+  fleet and checks each faulted run against the fault-free reference;
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy`, capped
   exponential backoff on a fixed, deterministically jittered schedule;
-  every call runs it afresh, so no call depends on an earlier one;
-* :mod:`~repro.resilience.chaos` — the seeded fault-matrix harness
-  behind ``repro chaos``, asserting bit-identity between every faulted
-  run and the fault-free reference.
+  every call runs it afresh, so no call depends on an earlier one.
 
 Resuming needs no piece of its own: every finished shard is stored in
 the content-addressed result cache as it arrives, so a rerun serves it

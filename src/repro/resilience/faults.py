@@ -5,7 +5,7 @@ payload corruption, worker kills, heartbeat stalls, connection
 refusals, client crashes) and *when*, using nothing but a seed and
 monotonically increasing per-site counters.  Every
 decision is a pure function ``sha256(seed, kind, site, counter)`` so a
-chaos run is replayable bit-for-bit from the single seed — no RNG
+faulted run is replayable bit-for-bit from the single seed — no RNG
 streams to interleave, no wall-clock dependence.
 
 The hooks in ``repro.distributed`` consult :func:`active_fault_plan`,
@@ -17,7 +17,6 @@ runs pay nothing.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 import threading
 from dataclasses import dataclass, field
@@ -53,9 +52,8 @@ class InjectedCrash(RuntimeError):
     """An injected client-process crash (abort, not a transport error).
 
     Deliberately *not* a :class:`ConnectionError`: retry policies must
-    not swallow it.  The chaos harness uses it to simulate a client
-    killed mid-job so resuming from the cache can be exercised
-    deterministically.
+    not swallow it.  It simulates a client killed mid-job, so resuming
+    from the cache can be exercised deterministically.
     """
 
     def __init__(self, site: str, done: int):
@@ -80,26 +78,6 @@ class FaultRule:
     after: int = 0
     sites: tuple[str, ...] | None = None
 
-    def spec(self) -> dict:
-        """Return a JSON-serialisable description of this rule."""
-        out: dict = {"rate": self.rate, "after": self.after}
-        if self.limit is not None:
-            out["limit"] = self.limit
-        if self.sites is not None:
-            out["sites"] = list(self.sites)
-        return out
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "FaultRule":
-        """Rebuild a rule from :meth:`spec` output."""
-        sites = spec.get("sites")
-        return cls(
-            rate=float(spec.get("rate", 1.0)),
-            limit=spec.get("limit"),
-            after=int(spec.get("after", 0)),
-            sites=tuple(sites) if sites is not None else None,
-        )
-
 
 def _hash01(seed: int, kind: str, site: str, counter: int) -> float:
     """Map (seed, kind, site, counter) to a uniform float in [0, 1)."""
@@ -116,7 +94,7 @@ _FRAME_KINDS = ("drop", "corrupt")
 
 @dataclass
 class FaultPlan:
-    """A replayable chaos schedule, parameterised by a single seed.
+    """A replayable fault schedule, parameterised by a single seed.
 
     Frame faults (``drop``, ``corrupt``) apply to outbound frames at
     instrumented sites.  ``kill_worker_after_leases`` hard-kills the
@@ -228,50 +206,6 @@ class FaultPlan:
             self._crashed = True
             return True
 
-    def spec(self) -> dict:
-        """Return a JSON-serialisable description of this plan."""
-        out: dict = {"seed": self.seed}
-        for kind in _FRAME_KINDS:
-            rule = self._rule(kind)
-            if rule is not None:
-                out[kind] = rule.spec()
-        if self.stall_heartbeats is not None:
-            out["stall_heartbeats"] = self.stall_heartbeats.spec()
-        if self.refuse_connections is not None:
-            out["refuse_connections"] = self.refuse_connections.spec()
-        if self.kill_worker_after_leases is not None:
-            out["kill_worker_after_leases"] = self.kill_worker_after_leases
-        if self.crash_client_after_done is not None:
-            out["crash_client_after_done"] = self.crash_client_after_done
-        return out
-
-    def to_json(self) -> str:
-        """Serialise the plan as the JSON ``repro worker --faults`` takes."""
-        return json.dumps(self.spec(), sort_keys=True)
-
-    @classmethod
-    def from_spec(cls, spec: dict) -> "FaultPlan":
-        """Rebuild a plan from :meth:`spec` output."""
-
-        def rule(key: str) -> FaultRule | None:
-            raw = spec.get(key)
-            return FaultRule.from_spec(raw) if raw is not None else None
-
-        return cls(
-            seed=int(spec.get("seed", 0)),
-            drop=rule("drop"),
-            corrupt=rule("corrupt"),
-            kill_worker_after_leases=spec.get("kill_worker_after_leases"),
-            stall_heartbeats=rule("stall_heartbeats"),
-            refuse_connections=rule("refuse_connections"),
-            crash_client_after_done=spec.get("crash_client_after_done"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Rebuild a plan serialised with :meth:`to_json`."""
-        return cls.from_spec(json.loads(text))
-
 
 _ACTIVE: FaultPlan | None = None
 
@@ -283,7 +217,7 @@ def install_fault_plan(plan: FaultPlan | None) -> None:
 
 
 def active_fault_plan() -> FaultPlan | None:
-    """Return the installed plan, or ``None`` when chaos is off."""
+    """Return the installed plan, or ``None`` when injection is off."""
     return _ACTIVE
 
 

@@ -2,7 +2,7 @@
 
 :class:`RetryPolicy` retries a callable under capped exponential
 backoff with *deterministic* jitter: the schedule is a pure function of
-the policy, so every process sleeps the same schedule and chaos runs
+the policy, so every process sleeps the same schedule and faulted runs
 replay exactly.  Each call starts afresh; nothing is carried from one
 call to the next.
 """

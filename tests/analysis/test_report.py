@@ -1,7 +1,5 @@
 """Report-generation tests."""
 
-import pytest
-
 from repro.analysis import PAPER_CLAIMS, generate_report, render_experiment_section
 from repro.experiments import (
     Check,

@@ -117,6 +117,9 @@ class TestRun:
     def test_invalid_start(self, rng):
         with pytest.raises(ValueError):
             CobraProcess(path_graph(4)).run(7, rng)
+        # Refused, not run from vertex 2.
+        with pytest.raises(ValueError, match="must be an integer"):
+            cover_time_samples(cycle_graph(9), start=2.9, runs=3, rng=1)
 
     def test_default_round_cap_generous(self):
         g = cycle_graph(32)

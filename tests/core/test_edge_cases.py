@@ -16,6 +16,7 @@ from repro.core import (
     bips_exact,
     cover_time_samples,
     infection_time,
+    infection_time_samples,
     verify_duality_exact,
 )
 from repro.engine import SpreadEngine
@@ -112,6 +113,9 @@ class TestCapsAndErrors:
     def test_bips_invalid_source(self):
         with pytest.raises(ValueError):
             BipsProcess(path_graph(3), 5)
+        # Refused, not read as vertex 1.
+        with pytest.raises(ValueError, match="must be an integer"):
+            infection_time_samples(cycle_graph(9), source=True, runs=3, rng=1, lazy=True)
 
     def test_exact_t_max_zero(self):
         ex = bips_exact(path_graph(3), 0, t_max=0)

@@ -1,4 +1,8 @@
-"""Exact subset-chain engine tests."""
+"""Exact subset-chain engine tests.
+
+That the engine's samples agree with these chains is the oracle's
+exact leg (``tests/test_oracle.py``).
+"""
 
 import numpy as np
 import pytest
@@ -7,10 +11,7 @@ from repro.core import (
     bips_exact,
     cobra_cover_survival_exact,
     cobra_hit_survival_exact,
-    cobra_hit_survival_mc,
-    cover_time_samples,
     expected_time_from_survival,
-    infection_time_samples,
 )
 from repro.graphs import (
     complete_graph,
@@ -55,15 +56,6 @@ class TestBipsExact:
     def test_size_limit_enforced(self):
         with pytest.raises(ValueError, match="exact BIPS limited"):
             bips_exact(hypercube_graph(4), 0)
-
-    def test_matches_monte_carlo(self):
-        # Exact mean infection time vs sampled mean on a tiny graph.
-        g = path_graph(5)
-        ex = bips_exact(g, 0, t_max=200)
-        exact_mean = expected_time_from_survival(ex.survival())
-        samples = infection_time_samples(g, 0, runs=800, rng=11)
-        sem = samples.std(ddof=1) / np.sqrt(samples.shape[0])
-        assert abs(samples.mean() - exact_mean) < 4.5 * sem
 
     def test_b1_probabilities(self):
         # With b = 1 and A = {source}, a neighbour of the source is
@@ -112,14 +104,6 @@ class TestCobraHitExact:
         surv = cobra_hit_survival_exact(g, 0, target, branching=1, t_max=12)
         assert np.allclose(surv, expected, atol=1e-12)
 
-    def test_matches_monte_carlo(self):
-        g = cycle_graph(6)
-        surv = cobra_hit_survival_exact(g, 0, 3, t_max=16)
-        emp = cobra_hit_survival_mc(g, 0, 3, runs=1500, horizon=16, rng=21)
-        for t in range(16):
-            se = max(np.sqrt(surv[t] * (1 - surv[t]) / 1500), 1e-3)
-            assert abs(emp.at(t) - surv[t]) < 5 * se
-
     def test_size_limit(self):
         with pytest.raises(ValueError, match="exact COBRA limited"):
             cobra_hit_survival_exact(cycle_graph(12), 0, 5)
@@ -131,14 +115,6 @@ class TestCobraCoverExact:
         assert surv[0] == pytest.approx(1.0)
         assert np.all(np.diff(surv) <= 1e-12)
         assert surv[-1] < 1e-6
-
-    def test_mean_matches_monte_carlo(self):
-        g = star_graph(5)
-        surv = cobra_cover_survival_exact(g, 0, t_max=300)
-        exact_mean = expected_time_from_survival(surv)
-        samples = cover_time_samples(g, 0, runs=800, rng=17)
-        sem = samples.std(ddof=1) / np.sqrt(samples.shape[0])
-        assert abs(samples.mean() - exact_mean) < 4.5 * sem
 
     def test_size_limit(self):
         with pytest.raises(ValueError, match="cover limited"):
@@ -162,15 +138,6 @@ class TestExpectedTimeFromSurvival:
 
 
 class TestExactCoverConvenience:
-    def test_cover_expectation_matches_sampling(self):
-        from repro.core import exact_cover_expectation
-
-        g = path_graph(4)
-        exact = exact_cover_expectation(g, 0)
-        samples = cover_time_samples(g, 0, runs=1000, rng=29)
-        sem = samples.std(ddof=1) / np.sqrt(samples.shape[0])
-        assert abs(samples.mean() - exact) < 4.5 * sem
-
     def test_path_end_is_the_worst_start(self):
         from repro.core import exact_cover_expectation
 

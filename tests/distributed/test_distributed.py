@@ -1,11 +1,13 @@
 """End-to-end distributed execution over a localhost broker.
 
-The acceptance contract under test: ``run_distributed`` through a real
-TCP broker with real worker processes returns results bit-for-bit
-identical to ``SpreadEngine.run_sharded(workers=1)`` — for COBRA, BIPS
-and walk rules, on static and dynamic topologies, with recorded
-trajectories, and *including* the run where a worker stalls mid-shard
-and the broker requeues its lease onto the survivors.
+That the broker tier returns the ``run_sharded(workers=1)`` reference
+for every rule and topology is the oracle's job
+(``tests/test_oracle.py``).  Here: the broker and its workers survive
+what goes wrong — a worker that stalls or dies mid-shard (its lease is
+requeued onto the survivors), a result the client cannot decode (the
+shard is resubmitted), poison tasks, garbage frames and hostile graph
+frames — and results stay bit-identical; plus housekeeping, memory,
+graph shipping, the cache and trace stitching.
 """
 
 import collections
@@ -18,7 +20,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import cover_time_samples
 from repro.core.branching import make_policy
 from repro.distributed import (
     Broker,
@@ -27,17 +28,20 @@ from repro.distributed import (
     broker_status,
 )
 from repro.distributed.broker import _STOP_GRACE_S
-from repro.distributed.wire import graph_blobs, parse_endpoint, recv_frame, send_frame
-from repro.distributed.worker import run_worker
-from repro.dynamics import (
-    RewiringSequence,
-    dynamic_cover_time_samples,
-    dynamic_infection_time_samples,
+from repro.distributed.wire import (
+    encode_result,
+    graph_blobs,
+    parse_endpoint,
+    recv_frame,
+    result_envelope_error,
+    send_frame,
 )
-from repro.engine import BipsRule, CobraRule, SpreadEngine, WalkRule
+from repro.engine import BipsRule, CobraRule, SpreadEngine, SpreadResult
 from repro.graphs import random_regular_graph
 from repro.parallel import ShardTask, execute_cached
 from repro.resilience import FaultPlan
+from repro.telemetry import get_telemetry
+from tiers import FAST_RETRY, assert_same_result, reap, spawn_workers
 
 RUNS = 40
 MAX_SHARD = 8  # several shards even at tiny run counts
@@ -48,115 +52,23 @@ def _graph():
     return random_regular_graph(24, 4, rng=11)
 
 
-def _rules():
-    return {
-        "cobra": CobraRule(make_policy(2)),
-        "bips": BipsRule(make_policy(2), source=0),
-        "walk": WalkRule(k=2),
-    }
-
-
-def _initial_state(rule, n):
-    if isinstance(rule, WalkRule):
-        return np.zeros((RUNS, rule.k), dtype=np.int64)
+def _initial_state(n):
     state = np.zeros((RUNS, n), dtype=bool)
     state[:, 0] = True
     return state
 
 
-def _spawn_workers(address, count, **kw):
-    kw.setdefault("poll_interval", 0.05)
-    procs = [
-        _CTX.Process(
-            target=run_worker, args=(address,), kwargs=kw, daemon=True
-        )
-        for _ in range(count)
-    ]
-    for proc in procs:
-        proc.start()
-    return procs
+def _cobra_job():
+    """``(engine, state)``: COBRA b = 2 from vertex 0, ``RUNS`` runs on the test graph."""
+    graph = _graph()
+    return SpreadEngine(CobraRule(make_policy(2)), graph), _initial_state(graph.n)
 
 
-def _reap(procs):
-    for proc in procs:
-        proc.terminate()
-    for proc in procs:
-        proc.join(timeout=5)
-
-
-@pytest.fixture(scope="module")
-def fleet():
-    """One broker plus two worker processes, shared by the matrix tests."""
-    with Broker(lease_timeout=15.0) as broker:
-        procs = _spawn_workers(broker.address, 2)
-        try:
-            yield broker
-        finally:
-            _reap(procs)
-
-
-class TestBitIdentity:
-    @pytest.mark.parametrize("name", ["cobra", "bips", "walk"])
-    @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
-    def test_matches_run_sharded_serial(self, fleet, name, dynamic):
-        graph = _graph()
-        topology = RewiringSequence(graph, 2, seed=77) if dynamic else graph
-        rule = _rules()[name]
-        engine = SpreadEngine(rule, topology)
-        state = _initial_state(rule, graph.n)
-        reference = engine.run_sharded(
-            state, 123, workers=1, track_hits=True, max_shard=MAX_SHARD
-        )
-        got = engine.run_distributed(
-            state,
-            123,
-            endpoint=fleet.address,
-            track_hits=True,
-            max_shard=MAX_SHARD,
-            cache=None,
-        )
-        assert got.rounds_run == reference.rounds_run
-        assert np.array_equal(got.finish_times, reference.finish_times)
-        assert np.array_equal(got.hit_times, reference.hit_times)
-        assert np.array_equal(got.final_state, reference.final_state)
-
-    def test_recorded_trajectories_identical(self, fleet):
-        graph = _graph()
-        engine = SpreadEngine(CobraRule(make_policy(2)), graph)
-        state = _initial_state(CobraRule(make_policy(2)), graph.n)
-        reference = engine.run_sharded(
-            state, 5, workers=1, record_sizes=True, record_visited=True,
-            max_shard=MAX_SHARD,
-        )
-        got = engine.run_distributed(
-            state, 5, endpoint=fleet.address, record_sizes=True,
-            record_visited=True, max_shard=MAX_SHARD, cache=None,
-        )
-        assert np.array_equal(got.sizes, reference.sizes)
-        assert np.array_equal(got.visited_counts, reference.visited_counts)
-
-    @pytest.mark.parametrize(
-        "sampler", [dynamic_cover_time_samples, dynamic_infection_time_samples]
+def _run(engine, state, address, seed=123, cache=None, **kwargs):
+    """``run_distributed`` of ``state`` through the broker at ``address``."""
+    return engine.run_distributed(
+        state, seed, endpoint=address, max_shard=MAX_SHARD, cache=cache, **kwargs
     )
-    def test_dynamic_shared_sequence_samplers(
-        self, fleet, sampler, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        seq = RewiringSequence(_graph(), 2, seed=np.random.SeedSequence(3))
-        # The default in-process path and the broker draw one stream.
-        reference = sampler(seq, RUNS, seed=3)
-        got = sampler(seq, RUNS, seed=3, endpoint=fleet.address)
-        assert np.array_equal(got, reference)
-
-    def test_cover_time_samples_endpoint(self, fleet, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        graph = _graph()
-        # The default in-process path and the broker draw one stream.
-        reference = cover_time_samples(graph, runs=RUNS, rng=9)
-        got = cover_time_samples(
-            graph, runs=RUNS, rng=9, endpoint=fleet.address
-        )
-        assert np.array_equal(got, reference)
 
 
 def _stalling_worker(address):
@@ -174,12 +86,31 @@ def _stalling_worker(address):
         time.sleep(0.02)
 
 
+def _undecodable_worker(address, completed):
+    """Lease one shard and complete it with a result the broker's envelope
+    check passes but the client cannot decode: no final-state bytes."""
+    with socket.create_connection(parse_endpoint(address), timeout=10) as sock:
+        while True:
+            send_frame(sock, {"type": "lease"})
+            message = recv_frame(sock)
+            if message.get("type") == "task":
+                break
+            time.sleep(0.02)
+        result = encode_result(
+            SpreadResult(np.zeros(1, dtype=np.int64), 0, np.zeros((1, 1), dtype=bool))
+        )
+        result["final_state"]["data"] = ""
+        assert result_envelope_error(result) is None
+        send_frame(
+            sock, {"type": "complete", "shard_id": message["shard_id"], "result": result}
+        )
+        recv_frame(sock)
+    completed.set()
+
+
 class TestFaultTolerance:
     def test_killed_worker_shard_requeues_and_merge_is_bit_identical(self):
-        graph = _graph()
-        rule = CobraRule(make_policy(2))
-        engine = SpreadEngine(rule, graph)
-        state = _initial_state(rule, graph.n)
+        engine, state = _cobra_job()
         reference = engine.run_sharded(
             state, 123, workers=1, track_hits=True, max_shard=MAX_SHARD
         )
@@ -190,18 +121,9 @@ class TestFaultTolerance:
             staller.start()
 
             outcome = {}
-
-            def client():
-                outcome["result"] = engine.run_distributed(
-                    state,
-                    123,
-                    endpoint=broker.address,
-                    track_hits=True,
-                    max_shard=MAX_SHARD,
-                    cache=None,
-                )
-
-            thread = threading.Thread(target=client)
+            thread = threading.Thread(target=lambda: outcome.update(
+                result=_run(engine, state, broker.address, track_hits=True)
+            ))
             thread.start()
             # Wait until the stalling worker holds a lease, then bring
             # up the healthy pair that must absorb the requeue.
@@ -212,24 +134,18 @@ class TestFaultTolerance:
                 time.sleep(0.02)
             else:
                 pytest.fail("stalling worker never leased a shard")
-            healthy = _spawn_workers(broker.address, 2)
+            healthy = spawn_workers(broker.address)
             try:
                 thread.join(timeout=30)
                 assert not thread.is_alive(), "distributed job did not finish"
             finally:
-                _reap(healthy + [staller])
-        got = outcome["result"]
-        assert np.array_equal(got.finish_times, reference.finish_times)
-        assert np.array_equal(got.hit_times, reference.hit_times)
-        assert np.array_equal(got.final_state, reference.final_state)
+                reap(healthy + [staller])
+        assert_same_result(outcome["result"], reference)
 
     def test_abrupt_worker_death_disconnect_requeues(self):
         # A worker that dies outright (connection drop) frees its shard
         # immediately, without waiting for the lease to expire.
-        graph = _graph()
-        rule = CobraRule(make_policy(2))
-        engine = SpreadEngine(rule, graph)
-        state = _initial_state(rule, graph.n)
+        engine, state = _cobra_job()
         reference = engine.run_sharded(
             state, 123, workers=1, max_shard=MAX_SHARD
         )
@@ -239,17 +155,9 @@ class TestFaultTolerance:
             )
             staller.start()
             outcome = {}
-
-            def client():
-                outcome["result"] = engine.run_distributed(
-                    state,
-                    123,
-                    endpoint=broker.address,
-                    max_shard=MAX_SHARD,
-                    cache=None,
-                )
-
-            thread = threading.Thread(target=client)
+            thread = threading.Thread(
+                target=lambda: outcome.update(result=_run(engine, state, broker.address))
+            )
             thread.start()
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
@@ -257,15 +165,13 @@ class TestFaultTolerance:
                     break
                 time.sleep(0.02)
             staller.kill()  # SIGKILL mid-shard: no goodbye, just EOF
-            healthy = _spawn_workers(broker.address, 2)
+            healthy = spawn_workers(broker.address)
             try:
                 thread.join(timeout=30)
                 assert not thread.is_alive()
             finally:
-                _reap(healthy)
-        assert np.array_equal(
-            outcome["result"].finish_times, reference.finish_times
-        )
+                reap(healthy)
+        assert_same_result(outcome["result"], reference)
 
     def test_poison_task_fails_job_after_max_attempts(self):
         # A task whose execution always raises must fail the job with a
@@ -293,7 +199,7 @@ class TestFaultTolerance:
             max_rounds=5,
         )
         with Broker(lease_timeout=5.0, max_attempts=2) as broker:
-            procs = _spawn_workers(broker.address, 1)
+            procs = spawn_workers(broker.address, [None])
             try:
                 with pytest.raises(DistributedError, match="failed"):
                     execute_cached(
@@ -303,7 +209,41 @@ class TestFaultTolerance:
                         fallback=None,
                     )
             finally:
-                _reap(procs)
+                reap(procs)
+
+
+    def test_undecodable_result_is_resubmitted_to_the_broker(self):
+        # The client resubmits a shard whose result it could not decode;
+        # a healthy worker computes it, and nothing runs locally.
+        engine, state = _cobra_job()
+        reference = engine.run_sharded(state, 123, workers=1, track_hits=True, max_shard=MAX_SHARD)
+        before = get_telemetry().counters()
+        with Broker(lease_timeout=15.0) as broker:
+            completed = threading.Event()
+            bad = threading.Thread(
+                target=_undecodable_worker, args=(broker.address, completed), daemon=True
+            )
+            bad.start()
+            outcome = {}
+            thread = threading.Thread(target=lambda: outcome.update(
+                result=_run(engine, state, broker.address, track_hits=True, retry=FAST_RETRY)
+            ))
+            thread.start()
+            assert completed.wait(10), "the undecodable worker never completed"
+            healthy = spawn_workers(broker.address, [None])
+            try:
+                thread.join(timeout=30)
+                assert not thread.is_alive(), "distributed job did not finish"
+            finally:
+                reap(healthy)
+            bad.join(timeout=5)
+            assert not bad.is_alive()
+        got = outcome["result"]
+        assert_same_result(got, reference)
+        assert got.meta is None  # no shard was computed locally
+        after = get_telemetry().counters()
+        for name in ("client.decode_rejects", "retry.retries"):
+            assert after.get(name, 0) == before.get(name, 0) + 1, name
 
 
 class TestBrokerHousekeeping:
@@ -355,18 +295,15 @@ class TestBrokerHousekeeping:
         assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
         assert elapsed < _STOP_GRACE_S
 
-
     def test_uncollected_job_is_reaped_after_ttl(self):
         # A client that submits and vanishes must not pin the job's
         # payloads and results in broker memory past job_ttl.
-        graph = _graph()
-        rule = CobraRule(make_policy(2))
-        engine = SpreadEngine(rule, graph)
-        state = _initial_state(rule, graph.n)
+        engine, state = _cobra_job()
+        graph, rule = engine.topology, engine.rule
         with Broker(
             lease_timeout=15.0, sweep_interval=0.05, job_ttl=0.3
         ) as broker:
-            procs = _spawn_workers(broker.address, 1)
+            procs = spawn_workers(broker.address, [None])
             try:
                 from repro.distributed.wire import encode_task
                 from repro.parallel import plan_shards
@@ -415,7 +352,7 @@ class TestBrokerHousekeeping:
                 assert broker_status(broker.address)["metrics"]["completes"] == len(tasks)
                 assert not _holds(broker, graph.digest)  # the blobs went too
             finally:
-                _reap(procs)
+                reap(procs)
 
 
 def _holds(root, needle: str) -> bool:
@@ -489,35 +426,29 @@ class TestGraphShipping:
     def _cell(self):
         graph = _graph()
         engine = SpreadEngine(BipsRule(make_policy(2), source=0), graph)
-        state = _initial_state(engine.rule, graph.n)
+        state = _initial_state(graph.n)
         reference = engine.run_sharded(state, 123, workers=1, max_shard=MAX_SHARD)
         return graph, engine, state, reference
-
-    def _run(self, engine, state, broker, seed=123):
-        return engine.run_distributed(
-            state, seed, endpoint=broker.address, max_shard=MAX_SHARD, cache=None
-        )
 
     def test_each_worker_fetches_a_graph_once_across_jobs(self):
         graph, engine, state, reference = self._cell()
         with Broker(lease_timeout=15.0) as broker:
-            procs = _spawn_workers(broker.address, 2)
+            procs = spawn_workers(broker.address)
             try:
-                self._run(engine, state, broker, seed=0)
+                _run(engine, state, broker.address, 0)
                 assert 1 <= _fetches(broker) <= 2
                 # Jobs on the same graph until both workers have run a shard.
                 for seed in range(1, 50):
                     if len(broker_status(broker.address)["metrics"]["workers"]) == 2:
                         break
-                    self._run(engine, state, broker, seed=seed)
+                    _run(engine, state, broker.address, seed)
                 assert _fetches(broker) == 2
-                got = self._run(engine, state, broker)
+                got = _run(engine, state, broker.address)
                 assert _fetches(broker) == 2
             finally:
-                _reap(procs)
+                reap(procs)
             assert not _holds(broker, graph.digest)  # done jobs drop their blobs
-        assert np.array_equal(got.finish_times, reference.finish_times)
-        assert np.array_equal(got.final_state, reference.final_state)
+        assert_same_result(got, reference)
 
     @pytest.mark.parametrize("kill_after", [1, 2])
     def test_replacement_of_a_killed_worker_fetches_the_graph_again(self, kill_after):
@@ -525,25 +456,23 @@ class TestGraphShipping:
         outcome = {}
         with Broker(lease_timeout=15.0) as broker:
             plan = FaultPlan(seed=0, kill_worker_after_leases=kill_after)
-            (doomed,) = _spawn_workers(broker.address, 1, faults=plan)
+            (doomed,) = spawn_workers(broker.address, [plan])
             thread = threading.Thread(
-                target=lambda: outcome.update(result=self._run(engine, state, broker))
+                target=lambda: outcome.update(result=_run(engine, state, broker.address))
             )
             thread.start()
             doomed.join(timeout=20)
             assert doomed.exitcode == 17
             # Its last lease died before a fetch; any earlier one fetched.
             assert _fetches(broker) == kill_after - 1
-            replacement = _spawn_workers(broker.address, 1)
+            replacement = spawn_workers(broker.address, [None])
             try:
                 thread.join(timeout=30)
                 assert not thread.is_alive(), "distributed job did not finish"
             finally:
-                _reap(replacement)
+                reap(replacement)
             assert _fetches(broker) == kill_after
-        got = outcome["result"]
-        assert np.array_equal(got.finish_times, reference.finish_times)
-        assert np.array_equal(got.final_state, reference.final_state)
+        assert_same_result(outcome["result"], reference)
 
     def test_hostile_graph_frames_fail_and_the_broker_serves_on(self):
         graph, engine, state, reference = self._cell()
@@ -567,15 +496,14 @@ class TestGraphShipping:
                 assert recv_frame(peer) == {
                     "type": "graph", "digest": graph.digest, "blob": blobs[graph.digest]
                 }
-                procs = _spawn_workers(broker.address, 2)
+                procs = spawn_workers(broker.address)
                 try:
-                    got = self._run(engine, state, broker)
+                    got = _run(engine, state, broker.address)
                 finally:
-                    _reap(procs)
+                    reap(procs)
                 send_frame(peer, {"type": "status"})
                 assert recv_frame(peer)["type"] == "status"
-        assert np.array_equal(got.finish_times, reference.finish_times)
-        assert np.array_equal(got.final_state, reference.final_state)
+        assert_same_result(got, reference)
 
 
 class TestBrokerStatus:
@@ -601,63 +529,39 @@ class TestBrokerStatus:
 
 class TestCacheIntegration:
     def test_warm_cache_serves_without_broker(self, tmp_path):
-        graph = _graph()
-        rule = CobraRule(make_policy(2))
-        engine = SpreadEngine(rule, graph)
-        state = _initial_state(rule, graph.n)
+        engine, state = _cobra_job()
         cache = ResultCache(tmp_path)
         with Broker(lease_timeout=15.0) as broker:
-            procs = _spawn_workers(broker.address, 2)
+            procs = spawn_workers(broker.address)
             try:
-                first = engine.run_distributed(
-                    state, 123, endpoint=broker.address,
-                    max_shard=MAX_SHARD, cache=cache,
-                )
+                first = _run(engine, state, broker.address, cache=cache)
             finally:
-                _reap(procs)
+                reap(procs)
             address = broker.address
         assert len(cache) > 0
         # The broker is gone; a fully-cached rerun must not even dial.
-        second = engine.run_distributed(
-            state, 123, endpoint=address, max_shard=MAX_SHARD, cache=cache
-        )
-        assert np.array_equal(second.finish_times, first.finish_times)
-        assert np.array_equal(second.final_state, first.final_state)
+        second = _run(engine, state, address, cache=cache)
+        assert_same_result(second, first)
 
     def test_cold_cache_against_dead_broker_raises(self, tmp_path):
-        graph = _graph()
-        rule = CobraRule(make_policy(2))
-        engine = SpreadEngine(rule, graph)
-        state = _initial_state(rule, graph.n)
+        engine, state = _cobra_job()
         with Broker() as broker:
             address = broker.address
         with pytest.raises(DistributedError, match="cannot reach broker"):
-            engine.run_distributed(
-                state, 1, endpoint=address, max_shard=MAX_SHARD,
-                cache=ResultCache(tmp_path),
-            )
+            _run(engine, state, address, 1, cache=ResultCache(tmp_path))
 
     def test_cache_key_sensitivity_causes_recompute(self, tmp_path):
         # Same everything but the seed: the second run must miss.
-        graph = _graph()
-        rule = CobraRule(make_policy(2))
-        engine = SpreadEngine(rule, graph)
-        state = _initial_state(rule, graph.n)
+        engine, state = _cobra_job()
         cache = ResultCache(tmp_path)
         with Broker(lease_timeout=15.0) as broker:
-            procs = _spawn_workers(broker.address, 2)
+            procs = spawn_workers(broker.address)
             try:
-                engine.run_distributed(
-                    state, 123, endpoint=broker.address,
-                    max_shard=MAX_SHARD, cache=cache,
-                )
+                _run(engine, state, broker.address, cache=cache)
                 before = len(cache)
-                engine.run_distributed(
-                    state, 124, endpoint=broker.address,
-                    max_shard=MAX_SHARD, cache=cache,
-                )
+                _run(engine, state, broker.address, 124, cache=cache)
             finally:
-                _reap(procs)
+                reap(procs)
         assert len(cache) == 2 * before
 
 
@@ -675,10 +579,7 @@ class TestTraceStitching:
     def test_traced_run_stitches_one_tree_across_processes(self, tmp_path):
         from repro.telemetry import JsonlSink, configure, load_traces, summarize_trace
 
-        graph = _graph()
-        rule = CobraRule(make_policy(2))
-        engine = SpreadEngine(rule, graph)
-        state = _initial_state(rule, graph.n)
+        engine, state = _cobra_job()
         path = tmp_path / "stitch.jsonl"
         configure(JsonlSink(path), sample_every=1)
         procs = []
@@ -686,13 +587,10 @@ class TestTraceStitching:
             with Broker(lease_timeout=15.0) as broker:
                 # Forked after configure: the workers inherit the sink
                 # (lazily opened, so each process appends its own lines).
-                procs = _spawn_workers(broker.address, 2)
-                engine.run_distributed(
-                    state, 123, endpoint=broker.address,
-                    max_shard=MAX_SHARD, cache=None,
-                )
+                procs = spawn_workers(broker.address)
+                _run(engine, state, broker.address)
         finally:
-            _reap(procs)
+            reap(procs)
             configure(None)
 
         summary = summarize_trace(load_traces([path]))
@@ -731,20 +629,14 @@ class TestTraceStitching:
     def test_untraced_run_emits_nothing(self, tmp_path):
         from repro.telemetry import configure
 
-        graph = _graph()
-        rule = CobraRule(make_policy(2))
-        engine = SpreadEngine(rule, graph)
-        state = _initial_state(rule, graph.n)
+        engine, state = _cobra_job()
         path = tmp_path / "off.jsonl"
         configure(None)
         procs = []
         with Broker(lease_timeout=15.0) as broker:
-            procs = _spawn_workers(broker.address, 2)
+            procs = spawn_workers(broker.address)
             try:
-                engine.run_distributed(
-                    state, 123, endpoint=broker.address,
-                    max_shard=MAX_SHARD, cache=None,
-                )
+                _run(engine, state, broker.address)
             finally:
-                _reap(procs)
+                reap(procs)
         assert not path.exists()

@@ -1,11 +1,11 @@
 """The live plane end-to-end: a 2-worker fleet with exporters on.
 
 The acceptance contract: with ``--metrics-port`` enabled on the broker
-and every worker, a distributed run stays bit-identical to the
-exporter-off serial reference while ``GET /metrics`` on broker *and*
-worker returns exposition text the strict round-trip parser accepts,
-``/healthz`` reports live, ``/statusz`` carries per-worker throughput
-and RSS, and ``repro top --once`` renders both.
+and every worker, ``GET /metrics`` on broker *and* worker returns
+exposition text the strict round-trip parser accepts, ``/healthz``
+reports live, ``/statusz`` carries per-worker throughput and RSS, and
+``repro top --once`` renders both.  That results stay bit-identical
+with exporters on is the oracle's broker tier (``tests/test_oracle.py``).
 """
 
 import socket
@@ -76,15 +76,13 @@ def live_fleet():
         thread.join(timeout=10)
 
 
-def _run_pair(fleet):
+def _run_job(fleet):
+    """One COBRA job on the fleet, so every surface has counts to show."""
     graph = random_regular_graph(24, 4, rng=11)
     engine = SpreadEngine(CobraRule(make_policy(2)), graph)
     state = np.zeros((RUNS, graph.n), dtype=bool)
     state[:, 0] = True
-    reference = engine.run_sharded(
-        state, 123, workers=1, track_hits=True, max_shard=MAX_SHARD
-    )
-    got = engine.run_distributed(
+    engine.run_distributed(
         state,
         123,
         endpoint=fleet.address,
@@ -92,24 +90,11 @@ def _run_pair(fleet):
         max_shard=MAX_SHARD,
         cache=None,
     )
-    return reference, got
 
 
 class TestLiveFleet:
-    def test_bit_identical_with_exporters_on(self, live_fleet):
-        reference, got = _run_pair(live_fleet)
-        assert got.rounds_run == reference.rounds_run
-        assert np.array_equal(got.finish_times, reference.finish_times)
-        assert np.array_equal(got.hit_times, reference.hit_times)
-        assert np.array_equal(got.final_state, reference.final_state)
-        # The serial reference carries the merged per-shard RSS peak;
-        # distributed results stay meta-free (the wire format contract)
-        # and report it through the broker's stats path instead.
-        assert reference.meta["max_rss"] > 0
-        assert all(s["max_rss"] > 0 for s in reference.meta["shards"])
-
     def test_broker_metrics_parse_with_required_families(self, live_fleet):
-        _run_pair(live_fleet)
+        _run_job(live_fleet)
         families = _scrape(live_fleet.metrics_address)
         for family in (
             "broker_jobs",
@@ -134,7 +119,7 @@ class TestLiveFleet:
 
     def test_counts_agree_across_surfaces(self, live_fleet):
         # One registry behind /metrics, /statusz and the TCP status reply.
-        _run_pair(live_fleet)
+        _run_job(live_fleet)
         families = _scrape(live_fleet.metrics_address)
         statusz = fetch_statusz(live_fleet.metrics_address)["metrics"]
         tcp = broker_status(live_fleet.address)["metrics"]
@@ -144,7 +129,7 @@ class TestLiveFleet:
             assert scraped == statusz[key] == tcp[key], key
 
     def test_worker_metrics_parse_on_both_workers(self, live_fleet):
-        _run_pair(live_fleet)
+        _run_job(live_fleet)
         for address in live_fleet.worker_addresses:
             families = _scrape(address)
             # The process registry is shared in-process here, so the
@@ -162,7 +147,7 @@ class TestLiveFleet:
         assert '"sweeper_alive": true' in body
 
     def test_broker_statusz_per_worker_stats(self, live_fleet):
-        _run_pair(live_fleet)
+        _run_job(live_fleet)
         payload = fetch_statusz(live_fleet.metrics_address)
         assert payload["role"] == "broker"
         assert payload["health"]["ok"] is True
@@ -178,7 +163,7 @@ class TestLiveFleet:
         assert "cache" not in payload
 
     def test_worker_statusz_frame(self, live_fleet):
-        _run_pair(live_fleet)
+        _run_job(live_fleet)
         payload = fetch_statusz(live_fleet.worker_addresses[0])
         assert payload["role"] == "worker"
         assert payload["endpoint"] == live_fleet.address
@@ -186,7 +171,7 @@ class TestLiveFleet:
         assert payload["resources"]["rss_bytes"] > 0
 
     def test_repro_top_once_renders_throughput_and_rss(self, live_fleet, capsys):
-        _run_pair(live_fleet)
+        _run_job(live_fleet)
         code = cli_main(["top", live_fleet.metrics_address, "--once"])
         out = capsys.readouterr().out
         assert code == 0
@@ -224,7 +209,7 @@ class TestLiveFleet:
         assert code == 1
 
     def test_repro_status_against_broker_tcp(self, live_fleet, capsys):
-        _run_pair(live_fleet)
+        _run_job(live_fleet)
         code = cli_main(["status", live_fleet.address])
         out = capsys.readouterr().out
         assert code == 0

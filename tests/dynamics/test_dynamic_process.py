@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.adversary import AdversarialSequence, make_adversary
 from repro.core import (
     BipsProcess,
     CobraProcess,
@@ -83,6 +84,19 @@ class TestFrozenMatchesStatic:
             ]
         )
         assert np.array_equal(dynamic, static)
+
+
+def test_factory_refuses_a_fleet():
+    # A factory realises one sequence per run, in this process.
+    base = random_regular_graph(24, 4, rng=11)
+
+    def factory(topology_seed):
+        return AdversarialSequence(
+            base, make_adversary("greedy-cut", 4), topology_seed, swaps_per_round=2
+        )
+
+    with pytest.raises(ValueError, match="factory"):
+        dynamic_infection_time_samples(factory, 40, seed=3, workers=2)
 
 
 class TestDeterminism:

@@ -67,9 +67,8 @@ MINIMAL_NAMESPACES = [
     }),
     (["worker", "127.0.0.1:7603"], {
         "command": "worker", **_TEL, "endpoint": "127.0.0.1:7603",
-        "max_tasks": None, "poll": 0.5, "metrics_port": None, "faults": None,
+        "max_tasks": None, "poll": 0.5, "metrics_port": None,
     }),
-    (["chaos"], {"command": "chaos", **_TEL, "seed": 0, "smoke": False}),
 ]
 
 

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.graphs import Graph, petersen_graph, random_regular_graph
+from repro.graphs import random_regular_graph
 
 
 class TestPickle:

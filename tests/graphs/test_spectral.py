@@ -13,7 +13,6 @@ from repro.graphs import (
     eigenvalue_gap,
     hypercube_graph,
     petersen_graph,
-    random_regular_graph,
     random_walk_spectrum,
     second_eigenvalue,
     spectral_profile,

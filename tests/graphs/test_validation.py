@@ -20,10 +20,15 @@ class TestVertexChecks:
     def test_check_vertex(self, petersen):
         assert check_vertex(petersen, 3) == 3
         assert check_vertex(petersen, np.int64(9)) == 9
+        assert check_vertex(petersen, np.uint8(2)) == 2
         with pytest.raises(ValueError):
             check_vertex(petersen, 10)
         with pytest.raises(ValueError):
             check_vertex(petersen, -1)
+        # Refused, not truncated to a vertex: a wire task's ids are too.
+        for u in (2.9, 3.0, np.float64(3.0), True, np.bool_(True), "3"):
+            with pytest.raises(ValueError, match="must be an integer"):
+                check_vertex(petersen, u)
 
     def test_check_vertex_set(self, petersen):
         out = check_vertex_set(petersen, [3, 1, 3])
@@ -32,3 +37,7 @@ class TestVertexChecks:
             check_vertex_set(petersen, [])
         with pytest.raises(ValueError, match="range"):
             check_vertex_set(petersen, [0, 11])
+        assert check_vertex_set(petersen, np.array([4, 2], dtype=np.uint16)).tolist() == [2, 4]
+        for vertices in ([1.0, 3.0], [0.5], np.array([True, False])):
+            with pytest.raises(ValueError, match="must hold integers"):
+                check_vertex_set(petersen, vertices)

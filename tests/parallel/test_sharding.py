@@ -1,16 +1,12 @@
-"""Sharded engine execution tests.
+"""Sharded engine execution: pool transport, plans and merges.
 
-The contract under test: ``run_sharded`` output is bit-for-bit
-identical at any worker count (the shard plan and the spawned seeds
-never depend on ``workers``), and equals the serial shard-by-shard
-``engine.run`` reference under the same spawning discipline — for
-cover-type (COBRA), infection-type (BIPS) and position-state (walks)
-rules, on static and time-evolving topologies.  On the pool path the
-graph and the states travel through shared memory: what is pickled
-stays small, and no segment outlives a call.
+That every tier returns the serial shard-by-shard reference is the
+oracle's job (``tests/test_oracle.py``).  Here: on the pool path the
+graph and the states travel through shared memory, so what is pickled
+stays small and no segment outlives a call; and shard plans and merges
+are well-formed at their edges.
 """
 
-import dataclasses
 from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 
@@ -18,21 +14,15 @@ import numpy as np
 import pytest
 
 from repro.core.branching import make_policy
-from repro.dynamics import (
-    RewiringSequence,
-    dynamic_cover_time_samples,
-    dynamic_infection_time_samples,
-)
-from repro.engine import BipsRule, CobraRule, SpreadEngine, WalkRule
+from repro.engine import BipsRule, CobraRule, SpreadEngine
 from repro.graphs import cycle_graph, random_regular_graph
 from repro.parallel import (
     ShardTask,
     execute_shards,
     merge_shard_results,
     plan_shards,
-    run_sharded,
 )
-from repro.stats import spawn_seeds
+from tiers import assert_same_result
 
 RUNS = 40
 MAX_SHARD = 8  # force several shards even at tiny run counts
@@ -42,106 +32,13 @@ def _graph():
     return random_regular_graph(24, 4, rng=11)
 
 
-def _sequence(graph):
-    return RewiringSequence(graph, 2, seed=77)
-
-
-def _rules():
-    return {
-        "cobra": CobraRule(make_policy(2)),
-        "bips": BipsRule(make_policy(2), source=0),
-        "walk": WalkRule(k=2),
-    }
-
-
-def _initial_state(rule, n):
-    if isinstance(rule, WalkRule):
-        return np.zeros((RUNS, rule.k), dtype=np.int64)
-    state = np.zeros((RUNS, n), dtype=bool)
+def _run(rule, graph, workers):
+    engine = SpreadEngine(rule, graph)
+    state = np.zeros((RUNS, graph.n), dtype=bool)
     state[:, 0] = True
-    return state
-
-
-def _run(rule, topology, workers):
-    engine = SpreadEngine(rule, topology)
-    state = _initial_state(rule, topology.n)
     return engine.run_sharded(
         state, 123, workers=workers, track_hits=True, max_shard=MAX_SHARD
     )
-
-
-class TestWorkerCountInvariance:
-    @pytest.mark.parametrize("name", ["cobra", "bips", "walk"])
-    @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
-    def test_identical_across_worker_counts(self, name, dynamic):
-        graph = _graph()
-        topology = _sequence(graph) if dynamic else graph
-        rule = _rules()[name]
-        reference = _run(rule, topology, workers=1)
-        for workers in (2, 4):
-            got = _run(rule, topology, workers=workers)
-            assert got.rounds_run == reference.rounds_run
-            assert np.array_equal(got.finish_times, reference.finish_times)
-            assert np.array_equal(got.hit_times, reference.hit_times)
-            assert np.array_equal(got.final_state, reference.final_state)
-
-    @pytest.mark.parametrize("name", ["cobra", "bips", "walk"])
-    def test_matches_serial_run_batch_reference(self, name):
-        # Shard-by-shard engine.run with the same spawned seeds is the
-        # definitional serial reference; run_sharded must equal it.
-        graph = _graph()
-        rule = _rules()[name]
-        engine = SpreadEngine(rule, graph)
-        state = _initial_state(rule, graph.n)
-        sharded = _run(rule, graph, workers=2)
-
-        sizes = plan_shards(rule, RUNS, graph.n, max_shard=MAX_SHARD)
-        seeds = spawn_seeds(np.random.SeedSequence(123), len(sizes))
-        times, lo = [], 0
-        for size, seed in zip(sizes, seeds):
-            res = engine.run(
-                state[lo : lo + size], np.random.default_rng(seed), track_hits=True
-            )
-            times.append(res.finish_times)
-            lo += size
-        assert np.array_equal(np.concatenate(times), sharded.finish_times)
-
-
-class TestTrajectoryMerging:
-    def test_recorded_series_identical_and_padded(self):
-        graph = _graph()
-        rule = CobraRule(make_policy(2))
-        engine = SpreadEngine(rule, graph)
-        state = np.zeros((RUNS, graph.n), dtype=bool)
-        state[:, 0] = True
-        serial = engine.run_sharded(
-            state, 5, workers=1, record_sizes=True, record_visited=True,
-            max_shard=MAX_SHARD,
-        )
-        parallel = engine.run_sharded(
-            state, 5, workers=3, record_sizes=True, record_visited=True,
-            max_shard=MAX_SHARD,
-        )
-        assert serial.sizes.shape == (RUNS, serial.rounds_run + 1)
-        assert np.array_equal(serial.sizes, parallel.sizes)
-        assert np.array_equal(serial.visited_counts, parallel.visited_counts)
-        # Terminal-value padding: every covered run's visited count ends
-        # at n and is monotone along the common axis.
-        assert np.all(serial.visited_counts[:, -1] == graph.n)
-        assert np.all(np.diff(serial.visited_counts, axis=1) >= 0)
-
-
-def _assert_same(got, want):
-    """Every scientific field equal, arrays in dtype and shape too."""
-    for field in dataclasses.fields(want):
-        if field.name == "meta":
-            continue
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(b, np.ndarray):
-            assert isinstance(a, np.ndarray), field.name
-            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
-        else:
-            assert a == b, field.name
 
 
 class _FailingRule(CobraRule):
@@ -157,22 +54,6 @@ def _segments() -> set:
 
 class TestPoolByReference:
     """The pool gets handles to shared memory and small arrays, not states."""
-
-    @pytest.mark.parametrize("name", ["cobra", "bips", "walk", "walk-int32"])
-    def test_every_field_equals_the_serial_run(self, name):
-        # int32 walkers come back as int64 positions: a final state of
-        # another dtype than the initial one travels by value.
-        graph = _graph()
-        rule = _rules()[name.split("-")[0]]
-        engine = SpreadEngine(rule, graph)
-        state = _initial_state(rule, graph.n)
-        if name == "walk-int32":
-            state = state.astype(np.int32)
-        options = dict(
-            track_hits=True, record_sizes=True, record_visited=True, max_shard=MAX_SHARD
-        )
-        serial = engine.run_sharded(state, 9, workers=1, **options)
-        _assert_same(engine.run_sharded(state, 9, workers=2, **options), serial)
 
     def test_nothing_large_is_pickled_to_the_pool(self, monkeypatch):
         # Two shards of 64 runs on 4096 vertices: 256 KiB of state and
@@ -200,30 +81,16 @@ class TestPoolByReference:
         monkeypatch.setattr(ForkingPickler, "dumps", classmethod(checked))
         pooled = engine.run_sharded(state, 4, workers=2, track_hits=True, max_shard=64)
         assert len(sizes) >= 2  # both tasks went through the check
-        _assert_same(pooled, serial)
+        assert_same_result(pooled, serial)
 
     @pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="no /dev/shm")
     def test_no_segment_outlives_a_call(self):
         before = _segments()
-        _run(_rules()["cobra"], _graph(), workers=2)
+        _run(CobraRule(make_policy(2)), _graph(), workers=2)
         assert _segments() - before == set()
         with pytest.raises(RuntimeError, match="shard failed"):
             _run(_FailingRule(make_policy(2)), _graph(), workers=2)
         assert _segments() - before == set()
-
-
-class TestDynamicSharding:
-    @pytest.mark.parametrize(
-        "sampler", [dynamic_cover_time_samples, dynamic_infection_time_samples]
-    )
-    def test_shared_sequence_samples_identical_across_worker_counts(self, sampler):
-        # A concrete GraphSequence is one realisation every run replays;
-        # the worker count picks only where the shards run.  300 runs
-        # make two shards of the default plan, so the pool really runs.
-        seq = _sequence(_graph())
-        reference = sampler(seq, 300, seed=3)
-        for workers in (1, 2):
-            assert np.array_equal(sampler(seq, 300, seed=3, workers=workers), reference)
 
 
 class TestPlanAndErrors:
@@ -263,30 +130,6 @@ class TestPlanAndErrors:
         assert res.rounds_run == 0
         assert res.final_state.shape[0] == 0
         assert res.all_finished  # vacuously: no capped runs
-
-    def test_zero_runs_plan_and_run(self):
-        rule = CobraRule(make_policy(2))
-        assert plan_shards(rule, 0, 64) == []
-        graph = _graph()
-        state = np.zeros((0, graph.n), dtype=bool)
-        res = run_sharded(
-            rule, graph, "all-vertices", state, 1, track_hits=True
-        )
-        assert res.finish_times.shape == (0,)
-        assert res.final_state.shape == (0, graph.n)
-        assert res.hit_times.shape == (0, graph.n)
-        assert res.rounds_run == 0
-
-    def test_fewer_shards_than_workers(self):
-        # A 2-shard plan run under 8 workers must clamp the pool and
-        # still merge a complete, reference-identical result.
-        graph = _graph()
-        rule = _rules()["cobra"]
-        engine = SpreadEngine(rule, graph)
-        state = _initial_state(rule, graph.n)
-        reference = engine.run_sharded(state, 123, workers=1, max_shard=20)
-        got = engine.run_sharded(state, 123, workers=8, max_shard=20)
-        assert np.array_equal(got.finish_times, reference.finish_times)
 
     def test_single_task_serial_even_with_many_workers(self):
         # min(workers, tasks) == 1 must not spin up a pool: verified by

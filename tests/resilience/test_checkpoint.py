@@ -6,10 +6,10 @@ those shards from the cache.  So a run whose cache lost k entries
 recomputes exactly those k shards, bit-identical to the uninterrupted
 run, on the serial path and on the pool; and on the broker tier each
 result is stored the moment the broker streams it back, while the job
-is still running, and a client that dies mid-job is let go at once.
+is still running: a client that dies mid-job is let go at once, and
+running it again serves what it stored from the cache.
 """
 
-import multiprocessing as mp
 import socket
 import threading
 import time
@@ -29,9 +29,10 @@ from repro.distributed.wire import (
 from repro.engine import CobraRule, SpreadEngine
 from repro.graphs import hypercube_graph, random_regular_graph
 from repro.parallel import ShardTask, execute_cached, execute_shards, run_shard
-from repro.resilience import RetryPolicy
+from repro.resilience import FaultPlan, InjectedCrash, RetryPolicy, fault_injection
 from repro.stats import spawn_seeds
 from repro.telemetry import get_telemetry
+from tiers import assert_same_result, reap, spawn_workers
 
 
 def _tasks(runs=12, max_shard=4):
@@ -57,13 +58,10 @@ def _tasks(runs=12, max_shard=4):
     ]
 
 
-def _identical(got, want):
-    return (
-        got.rounds_run == want.rounds_run
-        and np.array_equal(got.finish_times, want.finish_times)
-        and np.array_equal(got.hit_times, want.hit_times)
-        and np.array_equal(got.final_state, want.final_state)
-    )
+def _assert_all_same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_result(g, w)
 
 
 def _computed(results):
@@ -78,7 +76,7 @@ class TestExecuteCheckpointed:
         reference = execute_shards(tasks, workers=1)
         store = ResultCache(tmp_path / "cache", max_bytes=None)
         first = execute_cached(tasks, 1, cache=store)
-        assert all(_identical(g, w) for g, w in zip(first, reference))
+        _assert_all_same(first, reference)
         # Second invocation: everything from cache, nothing recomputed.
         hits_before = tel.counters().get("client.cache.hits", 0)
         second = execute_cached(tasks, 1, cache=store)
@@ -86,7 +84,7 @@ class TestExecuteCheckpointed:
             tasks
         )
         assert _computed(second) == []
-        assert all(_identical(g, w) for g, w in zip(second, reference))
+        _assert_all_same(second, reference)
 
     def test_partial_manifest_recomputes_only_pending(self, tmp_path):
         # The cache is the manifest: a shard a previous run completed is
@@ -97,7 +95,7 @@ class TestExecuteCheckpointed:
         store.put(task_key(encode_task(tasks[0])), run_shard(tasks[0]))
         got = execute_cached(tasks, 1, cache=store)
         assert _computed(got) == [1, 2]
-        assert all(_identical(g, w) for g, w in zip(got, reference))
+        _assert_all_same(got, reference)
 
     def test_evicted_cache_entry_recomputes(self, tmp_path):
         tasks = _tasks()
@@ -106,16 +104,7 @@ class TestExecuteCheckpointed:
         store.path_for(task_key(encode_task(tasks[1]))).unlink()
         got = execute_cached(tasks, 1, cache=store)
         assert _computed(got) == [1]
-        assert all(_identical(g, w) for g, w in zip(got, first))
-
-    def test_pool_path_matches_serial(self, tmp_path):
-        tasks = _tasks()
-        store_a = ResultCache(tmp_path / "a", max_bytes=None)
-        store_b = ResultCache(tmp_path / "b", max_bytes=None)
-        serial = execute_cached(tasks, 1, cache=store_a)
-        pooled = execute_cached(tasks, 3, cache=store_b)
-        assert len(store_a) == len(store_b) == len(tasks)
-        assert all(_identical(g, w) for g, w in zip(pooled, serial))
+        _assert_all_same(got, first)
 
 
 RUNS = 24
@@ -144,8 +133,8 @@ class TestRunShardedCheckpoint:
         hits_before = tel.counters().get("client.cache.hits", 0)
         second = engine.run_sharded(state, 5, cache=store, **kwargs)
         assert tel.counters().get("client.cache.hits", 0) == hits_before + 6
-        assert _identical(first, reference)
-        assert _identical(second, reference)
+        assert_same_result(first, reference)
+        assert_same_result(second, reference)
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("lost", [0, 2, 6])
@@ -166,7 +155,7 @@ class TestRunShardedCheckpoint:
         # The merged meta tables only the freshly computed shards.
         assert len((again.meta or {}).get("shards", ())) == lost
         assert len(store) == 6
-        assert _identical(again, reference)
+        assert_same_result(again, reference)
 
     def test_local_default_writes_no_cache(self, tmp_path, monkeypatch):
         root = tmp_path / "cache"
@@ -192,24 +181,16 @@ def test_broker_stores_results_while_job_runs(tmp_path):
 
     store = WatchedCache(tmp_path, max_bytes=None)
     with Broker(lease_timeout=15.0) as broker:
-        worker = mp.get_context("fork").Process(
-            target=run_worker,
-            args=(broker.address,),
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-        )
-        worker.start()
+        procs = spawn_workers(broker.address, [None])
         try:
             got = engine.run_distributed(
                 state, 4, endpoint=broker.address, max_shard=4, cache=store
             )
         finally:
-            worker.terminate()
-            worker.join(timeout=5)
+            reap(procs)
     assert queue_at_first_put[0]["pending"] > 0
     assert len(store) == 8
-    assert np.array_equal(got.finish_times, reference.finish_times)
-    assert np.array_equal(got.final_state, reference.final_state)
+    assert_same_result(got, reference)
 
 
 def test_broker_lets_go_of_a_client_that_dies_mid_wait():
@@ -274,5 +255,27 @@ def test_fallback_runs_only_what_a_dead_broker_left(tmp_path):
     assert 1 <= computed_locally < 8
     assert tel.counters().get("client.fallbacks", 0) == fallbacks + 1
     assert len(store) == 8
-    assert np.array_equal(got.finish_times, reference.finish_times)
-    assert np.array_equal(got.final_state, reference.final_state)
+    assert_same_result(got, reference)
+
+
+def test_killed_client_resumes_from_the_cache(tmp_path):
+    # The client dies once two shard results are stored; running again
+    # with the same cache serves those from it and recomputes the rest.
+    engine, state = _cell()
+    kwargs = dict(track_hits=True, max_shard=MAX_SHARD)
+    reference = engine.run_sharded(state, 7, workers=1, **kwargs)
+    store = ResultCache(tmp_path, max_bytes=None)
+    with Broker(lease_timeout=5.0) as broker:
+        procs = spawn_workers(broker.address)
+        try:
+            with fault_injection(FaultPlan(seed=0, crash_client_after_done=2)):
+                with pytest.raises(InjectedCrash):
+                    engine.run_distributed(
+                        state, 7, endpoint=broker.address, cache=store, **kwargs
+                    )
+        finally:
+            reap(procs)
+    hits = store.hits
+    resumed = engine.run_sharded(state, 7, workers=1, cache=store, **kwargs)
+    assert store.hits - hits >= 2
+    assert_same_result(resumed, reference)

@@ -1,10 +1,11 @@
-"""FaultPlan unit tests: determinism, rule bookkeeping, serialisation.
+"""FaultPlan unit tests: determinism, rule bookkeeping, installation.
 
 The contract under test: every injection decision is a pure function of
-``(seed, kind, site, counter)``, so two plans built from the same spec
-make byte-identical decisions in any process — which is what makes a
-chaos run replayable from one integer.  A plan is active only where one
-was installed explicitly: nothing in the environment installs one.
+``(seed, kind, site, counter)``, so two plans built with the same
+arguments make byte-identical decisions in any process — which is what
+makes a faulted run replayable from one integer.  A plan is active only
+where one was installed explicitly: nothing in the environment installs
+one.
 """
 
 import multiprocessing as mp
@@ -56,22 +57,6 @@ class TestDeterminism:
         assert _decisions(silent, "s") == [None] * 40
         loud = FaultPlan(seed=5, drop=FaultRule(rate=1.0))
         assert _decisions(loud, "s") == ["drop"] * 40
-
-    def test_roundtrip_preserves_decisions(self):
-        plan = FaultPlan(
-            seed=11,
-            drop=FaultRule(rate=0.4, limit=5, after=2, sites=("a", "b")),
-            corrupt=FaultRule(rate=0.2),
-            kill_worker_after_leases=3,
-            crash_client_after_done=2,
-        )
-        clone = FaultPlan.from_json(plan.to_json())
-        assert clone.seed == plan.seed
-        assert clone.drop == plan.drop
-        assert clone.corrupt == plan.corrupt
-        assert clone.kill_worker_after_leases == 3
-        assert clone.crash_client_after_done == 2
-        assert _decisions(plan, "a") == _decisions(clone, "a")
 
 
 class TestRuleBookkeeping:
@@ -189,8 +174,7 @@ def test_worker_plan_lasts_only_for_the_call():
 def test_worker_ignores_a_kill_plan_in_its_environment(monkeypatch):
     # A worker installs only the plan faults= gives it, so a kill plan
     # left in the environment must not end it on its first lease.
-    plan = FaultPlan(seed=0, kill_worker_after_leases=1)
-    monkeypatch.setenv("REPRO_FAULT_PLAN", plan.to_json())
+    monkeypatch.setenv("REPRO_FAULT_PLAN", '{"kill_worker_after_leases": 1, "seed": 0}')
     graph = random_regular_graph(32, 4, rng=5)
     engine = SpreadEngine(CobraRule(make_policy(2)), graph)
     state = np.zeros((12, graph.n), dtype=bool)
