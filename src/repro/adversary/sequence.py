@@ -18,6 +18,10 @@ its share of the round generator, a budget-0 adversary replays the
 oblivious :class:`RewiringSequence` realisation **bit-for-bit** under
 the same seed — the anchoring contract of experiment E17.
 
+A round sorts its edges once: the policy mutates the accepted
+proposal's :class:`~repro.adversary.MutableTopology`, CSR included,
+and the snapshot wraps that CSR.  Churn drops it until the next query.
+
 Determinism and replay: the sequence digests every observation into a
 compact :class:`~repro.adversary.FrontierDigest` log.  Snapshots are
 therefore a pure function of ``(seed, digest log)``, and the digest
@@ -92,10 +96,18 @@ class AdversarialSequence(MarkovGraphSequence):
         self._log: list[FrontierDigest] = []
 
     # -- bookkeeping ----------------------------------------------------
-    def _mutable(self, connected: bool | None = None) -> MutableTopology:
-        return MutableTopology(
-            self.n, self._edges, self._keys, self._active, connected=connected
-        )
+    def _mutable(self) -> MutableTopology:
+        """The round's topology over the active mask.  A proposal was
+        checked over all ``n`` vertices: with none churned out, its CSR
+        and connectivity are the active subgraph's."""
+        topo = self._topology
+        if topo.active is not self._active:
+            if self._active.all():
+                topo.active = self._active
+            else:
+                topo = MutableTopology(self.n, self._edges, self._keys, self._active)
+                self._topology = topo
+        return topo
 
     # -- observation protocol -------------------------------------------
     def observe(self, observation) -> None:
@@ -146,8 +158,9 @@ class AdversarialSequence(MarkovGraphSequence):
         self._edges = self.base.edge_array()
         self._keys = MutableTopology.edge_key_set(self._edges, self.n)
         self._active = np.ones(self.n, dtype=bool)
+        self._topology = MutableTopology(self.n, self._edges, self._keys, self._active)
         self.adversary.reset()
-        self.adversary.initialize(self._mutable())
+        self.adversary.initialize(self._topology)
 
     def _advance_state(self, rng: np.random.Generator) -> bool:
         into_round = self._state_t + 1
@@ -161,20 +174,12 @@ class AdversarialSequence(MarkovGraphSequence):
             self._log[into_round] if into_round < len(self._log) else None
         )
         if digest is not None and self.adversary.budget > 0:
-            # A round the oblivious phase rewired under keep_connected
-            # was just checked connected over all n vertices, which with
-            # none churned out is the active subgraph the policy sees.
-            checked = changed and self.keep_connected and bool(self._active.all())
-            topo = self._mutable(connected=True if checked else None)
-            if self.adversary.adapt(topo, digest, rng):
+            if self.adversary.adapt(self._mutable(), digest, rng):
                 changed = True
         return changed
 
     def _build_graph(self) -> Graph:
-        e = self._edges
-        if not self._active.all():
-            e = e[self._active[e[:, 0]] & self._active[e[:, 1]]]
-        return Graph(self.n, e, name=self.name)
+        return self._mutable().snapshot(self.name)
 
     # -- introspection ---------------------------------------------------
     def active_at(self, t: int) -> np.ndarray:

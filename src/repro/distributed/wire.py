@@ -732,8 +732,8 @@ def _wrap_decode_error(kind: str, exc: BaseException) -> WireDecodeError:
 
 def _check_state(rule, state: np.ndarray, n: int) -> None:
     """Refuse a state that is not the array the decoded ``rule`` steps."""
-    if isinstance(rule, WalkRule):  # (R, k) positions in [0, n)
-        ok = state.dtype == np.int64 and state.ndim == 2 and state.shape[1] == rule.k
+    if isinstance(rule, WalkRule):  # (R, k) int32 or int64 positions in [0, n)
+        ok = state.dtype in (np.int32, np.int64) and state.ndim == 2 and state.shape[1] == rule.k
         ok = ok and (state.size == 0 or 0 <= state.min() <= state.max() < n)
     else:
         ok = state.dtype == np.bool_ and state.ndim == 2 and state.shape[1] == n

@@ -77,6 +77,7 @@ def try_swap_round(
     n = int(n)
     first = array("q", edges[:, 0].astype(np.int64).tobytes())
     second = array("q", edges[:, 1].astype(np.int64).tobytes())
+    discard, add = keys.discard, keys.add
     changed = False
     for (i, j), flip in zip(pairs.tolist(), mirror.tolist()):
         if i == j:
@@ -92,16 +93,15 @@ def try_swap_round(
         k2 = lo2 * n + hi2
         old1 = a * n + b if a < b else b * n + a
         old2 = c * n + d if c < d else d * n + c
-        if {k1, k2} == {old1, old2}:
+        if (k1 == old1 and k2 == old2) or (k1 == old2 and k2 == old1):
             continue  # identity proposal (edges share a vertex)
-        keys.discard(old1)
-        keys.discard(old2)
+        # Past the identity test neither new key is an old one.
         if k1 == k2 or k1 in keys or k2 in keys:
-            keys.add(old1)
-            keys.add(old2)
             continue  # proposal creates a parallel edge
-        keys.add(k1)
-        keys.add(k2)
+        discard(old1)
+        discard(old2)
+        add(k1)
+        add(k2)
         first[i], second[i] = lo1, hi1
         first[j], second[j] = lo2, hi2
         changed = True
@@ -122,10 +122,11 @@ def advance_swap_state(owner, rng: np.random.Generator) -> bool:
     round stream (up to ``max_retries`` times, then the round leaves
     the topology unchanged).
 
-    Each proposal is checked on its edge list, over all ``n`` vertices
-    (churned-out ones included), by :meth:`MutableTopology.connected`;
-    no :class:`Graph` is built here — the owner's ``_build_graph``
-    builds the snapshot once, if a caller asks for it.
+    Each proposal is checked over all ``n`` vertices (churned-out ones
+    included) by :meth:`MutableTopology.connected`, which sorts its
+    edges into a CSR.  The accepted proposal's topology, CSR included,
+    stays on the owner as ``_topology`` for the adversary phase and
+    the snapshot (:meth:`MutableTopology.snapshot`).
     """
     if owner.swaps_per_round == 0:
         return False
@@ -136,12 +137,12 @@ def advance_swap_state(owner, rng: np.random.Generator) -> bool:
         )
         if not changed:
             return False
-        if owner.keep_connected and not MutableTopology(
-            owner.n, edges, keys, np.ones(owner.n, dtype=bool)
-        ).connected():
+        topology = MutableTopology(owner.n, edges, keys, np.ones(owner.n, dtype=bool))
+        if owner.keep_connected and not topology.connected():
             continue
         owner._edges = edges
         owner._keys = keys
+        owner._topology = topology
         return True
     return False  # no connected proposal found; hold the topology
 
@@ -235,12 +236,13 @@ class RewiringSequence(MarkovGraphSequence):
     def _reset_state(self) -> None:
         self._edges = self.base.edge_array()
         self._keys = MutableTopology.edge_key_set(self._edges, self.n)
+        self._topology = MutableTopology(self.n, self._edges, self._keys, np.ones(self.n, bool))
 
     def _advance_state(self, rng: np.random.Generator) -> bool:
         return advance_swap_state(self, rng)
 
     def _build_graph(self) -> Graph:
-        return Graph(self.n, self._edges, name=self.name)
+        return self._topology.snapshot(self.name)
 
 
 class ChurnSequence(MarkovGraphSequence):

@@ -15,7 +15,9 @@ the held graph, a later round steps the chain forward, and an earlier
 round replays it from round 0.  Rounds whose transition left the
 topology untouched (zero accepted swaps, no edge flips) keep the held
 ``Graph`` object instead of rebuilding it.  An engine run asks for its
-rounds in order, so it builds each snapshot at most once.
+rounds in order, so it builds each snapshot at most once.  A
+swap-driven sequence's snapshot wraps the CSR its round's
+:class:`~repro.dynamics.topology.MutableTopology` sorted once.
 
 Concrete stochastic providers live in
 :mod:`repro.dynamics.providers`; :class:`FrozenSequence` (a constant
@@ -32,10 +34,6 @@ from ..graphs.graph import Graph
 from ..stats.rng import unspawned
 
 __all__ = ["GraphSequence", "MarkovGraphSequence", "FrozenSequence"]
-
-# Round seeds are spawned from the master SeedSequence in blocks, so a
-# long run does not pay one ``spawn`` call per round.
-_SEED_BLOCK = 64
 
 
 class GraphSequence(abc.ABC):
@@ -164,9 +162,10 @@ class MarkovGraphSequence(GraphSequence):
 
     # -- machinery ------------------------------------------------------
     def _round_rng(self, t: int) -> np.random.Generator:
-        """The generator driving the transition into round ``t`` (t >= 1)."""
+        """The generator driving the transition into round ``t`` (t >= 1):
+        the master's ``t``-th child, spawned on first use and kept."""
         while len(self._round_seeds) < t:
-            self._round_seeds.extend(self._master.spawn(_SEED_BLOCK))
+            self._round_seeds.append(self._master.spawn(1)[0])
         return np.random.default_rng(self._round_seeds[t - 1])
 
     def _materialize(self, t: int) -> Graph:

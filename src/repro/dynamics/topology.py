@@ -12,12 +12,15 @@ need:
   **active-induced** subgraph (departed vertices keep their edge rows
   but do not count), including the exact local certificate that
   decides whether a swap kept a connected graph connected,
-* frontier-degree counting against an observed mask.
+* frontier-degree counting against an observed mask,
+* the round's snapshot :class:`~repro.graphs.Graph`.
 
-The oblivious rounds of :mod:`repro.dynamics.providers` check each
-swap proposal's connectivity here, on its edge list, and the
-adversary policies of :mod:`repro.adversary` mutate the state through
-it; :mod:`repro.adversary.state` re-exports the class.
+The queries and the snapshot share one CSR, sorted once and patched by
+the mutators: the oblivious rounds of :mod:`repro.dynamics.providers`
+check each swap proposal's connectivity here, the adversary policies
+of :mod:`repro.adversary` mutate the accepted proposal through it
+(:mod:`repro.adversary.state` re-exports the class), and the sequence
+wraps its CSR as the snapshot.
 
 Everything here is exact integer bookkeeping — no randomness — so a
 policy's effect is a pure function of (topology state, digest, the
@@ -30,11 +33,16 @@ from array import array
 
 import numpy as np
 
+from ..graphs.graph import Graph, _ragged_arange
+
 __all__ = ["MutableTopology"]
 
 
 class MutableTopology:
     """In-place view of a swap-driven sequence's topology state.
+
+    It owns the round's CSR of the active subgraph: sorted once by the
+    first query, patched by the swaps and wrapped by :meth:`snapshot`.
 
     Parameters
     ----------
@@ -47,34 +55,26 @@ class MutableTopology:
         in place.
     active:
         ``(n,)`` boolean active-vertex mask — mutated in place.
-    connected:
-        Whether the active subgraph is connected, if the caller has
-        just checked it (``None``: unknown; the first check finds out).
     """
 
     __slots__ = ("n", "edges", "keys", "active", "_adjacency", "_connected")
 
-    def __init__(
-        self,
-        n: int,
-        edges: np.ndarray,
-        keys: set,
-        active: np.ndarray,
-        *,
-        connected: bool | None = None,
-    ) -> None:
+    def __init__(self, n: int, edges: np.ndarray, keys: set, active: np.ndarray) -> None:
         self.n = int(n)
         self.edges = edges
         self.keys = keys
         self.active = active
-        # Known connectivity of the current state, kept exact by the
-        # mutators (a swap makes it unknown, undo restores it).
-        self._connected = connected
-        # Flat CSR (row starts, neighbours) of the active subgraph as
-        # int64 arrays (``array("q")``: a Python int is made only for an
-        # entry read), built by the first reaches() and kept in step by
+        # Known connectivity of the current state (None: unknown; the
+        # first check finds out), kept exact by the mutators (a swap
+        # makes it unknown, undo restores it).
+        self._connected: bool | None = None
+        # CSR (row starts, sorted neighbours) of the active subgraph as
+        # int64 ``array("q")`` buffers (reaches() makes a Python int
+        # only for an entry it reads; the numpy queries read
+        # ``np.frombuffer`` views), plus the row width if every row has
+        # one (else 0).  Built by the first query and kept in step by
         # the mutators below, like ``keys`` (so mutate only through them).
-        self._adjacency: tuple[array, array] | None = None
+        self._adjacency: tuple[array, array, int] | None = None
 
     # -- keys -----------------------------------------------------------
     def edge_key(self, u: int, v: int) -> int:
@@ -154,21 +154,23 @@ class MutableTopology:
         self._connected = None
 
     def _rewire_adjacency(self, removed, added) -> None:
-        """Mirror an edge replacement in the adjacency cache.
+        """Mirror an edge replacement in the CSR.
 
         A replacement among active vertices that keeps every degree (a
-        double-edge swap) rewrites neighbour slots in place; any other
-        drops the cache, to be rebuilt on the next query.
+        double-edge swap) rewrites neighbour slots in place and re-sorts
+        the rows it touched; any other drops the CSR, to be rebuilt on
+        the next query.
         """
         if self._adjacency is None:
             return
         ends = [x for edge in removed for x in edge]
-        if sorted(ends) != sorted(x for edge in added for x in edge) or not (
-            self.active[ends].all()
+        active = self.active
+        if sorted(ends) != sorted([x for edge in added for x in edge]) or not all(
+            active[x] for x in ends
         ):
             self._adjacency = None
             return
-        starts, nbrs = self._adjacency
+        starts, nbrs, _ = self._adjacency
         free: dict[int, list[int]] = {}
         for x, y in removed:
             for p, q in ((x, y), (y, x)):
@@ -178,6 +180,9 @@ class MutableTopology:
         for x, y in added:
             for p, q in ((x, y), (y, x)):
                 nbrs[free[p].pop()] = q
+        for p in free:
+            lo, hi = starts[p], starts[p + 1]
+            nbrs[lo:hi] = array("q", sorted(nbrs[lo:hi]))
 
     # -- activity -------------------------------------------------------
     def deactivate(self, vertices) -> None:
@@ -192,19 +197,24 @@ class MutableTopology:
         self._adjacency = None
         self._connected = None
 
-    def _neighbours(self) -> tuple[array, array]:
-        """The adjacency cache, built from the live edges if absent."""
+    def _neighbours(self) -> tuple[array, array, int]:
+        """The CSR, built from the live edges if absent: one sort of the
+        doubled ``src * n + dst`` keys, as in :class:`Graph` but without
+        its checks (the rows are unique, as their key set says)."""
         if self._adjacency is None:
             u, v = self._live_edges()
             n = np.int64(self.n)
             keys = np.concatenate([u * n + v, v * n + u])
             keys.sort()
             src = keys // n
+            degrees = np.bincount(src, minlength=self.n)
             starts = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(src, minlength=self.n), out=starts[1:])
+            np.cumsum(degrees, out=starts[1:])
+            width = int(degrees[0]) if degrees.min() == degrees.max() else 0
             self._adjacency = (
                 array("q", starts.tobytes()),
                 array("q", (keys - src * n).tobytes()),
+                width,
             )
         return self._adjacency
 
@@ -222,20 +232,31 @@ class MutableTopology:
 
     # -- queries --------------------------------------------------------
     def component_of(self, start: int) -> np.ndarray:
-        """Boolean mask of ``start``'s component in the active subgraph."""
+        """Boolean mask of ``start``'s component in the active subgraph.
+
+        A breadth-first search over the CSR, one gather of the frontier's
+        rows per level (of the ``(n, d)`` view when every row has ``d``);
+        the next frontier is the vertices the gather newly marked.
+        """
         seen = np.zeros(self.n, dtype=bool)
         if not self.active[start]:
             return seen
-        u, v = self._live_edges()
+        starts, nbrs, width = self._neighbours()
+        indices = np.frombuffer(nbrs, dtype=np.int64)
+        rows = indices.reshape(self.n, width) if width else None
+        indptr = np.frombuffer(starts, dtype=np.int64)
         seen[start] = True
-        while True:
-            # Edges with one endpoint seen: mark both ends (one sweep
-            # per level of the search).
-            cross = seen[u] != seen[v]
-            if not cross.any():
-                return seen
-            seen[u[cross]] = True
-            seen[v[cross]] = True
+        frontier = np.array([start])
+        while frontier.size:
+            before = seen.copy()
+            if rows is not None:
+                seen[rows[frontier]] = True
+            else:
+                lo = indptr[frontier]
+                counts = indptr[frontier + 1] - lo
+                seen[indices[np.repeat(lo, counts) + _ragged_arange(counts)]] = True
+            frontier = (seen > before).nonzero()[0]
+        return seen
 
     def reaches(self, a: int, b: int) -> bool:
         """Does ``a`` reach ``b`` in the active subgraph?
@@ -249,18 +270,20 @@ class MutableTopology:
             return False
         if a == b:
             return True
-        starts, nbrs = self._neighbours()
+        starts, nbrs, _ = self._neighbours()
         side = {a: 0, b: 1}
+        get = side.get
         frontiers = [[a], [b]]
         while frontiers[0] and frontiers[1]:
             s = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
             grown = []
+            push = grown.append
             for x in frontiers[s]:
                 for y in nbrs[starts[x] : starts[x + 1]]:
-                    t = side.get(y)
+                    t = get(y)
                     if t is None:
                         side[y] = s
-                        grown.append(y)
+                        push(y)
                     elif t != s:
                         return True
             frontiers[s] = grown
@@ -293,7 +316,8 @@ class MutableTopology:
         returned ``token``.
         """
         _, _, (a, b), (c, d), k1, k2, _, _, was_connected = token
-        if was_connected and self.active[[a, b, c, d]].all():
+        active = self.active
+        if was_connected and active[a] and active[b] and active[c] and active[d]:
             swaps = (
                 {self.edge_key(a, c), self.edge_key(b, d)},
                 {self.edge_key(a, d), self.edge_key(b, c)},
@@ -321,3 +345,14 @@ class MutableTopology:
         np.add.at(deg, u, mask[v].astype(np.int64))
         np.add.at(deg, v, mask[u].astype(np.int64))
         return deg
+
+    def snapshot(self, name: str) -> Graph:
+        """The active subgraph as a :class:`Graph` named ``name``: a copy
+        of the CSR when one is held (the CSR ``Graph`` would build from
+        the live edges), else a validated build from them."""
+        if self._adjacency is None:
+            return Graph(self.n, np.column_stack(self._live_edges()), name=name)
+        starts, nbrs, _ = self._adjacency
+        indptr = np.frombuffer(starts, dtype=np.int64)
+        indices = np.frombuffer(nbrs, dtype=np.int64).copy()
+        return Graph._from_csr(self.n, len(nbrs) // 2, indptr, indices, np.diff(indptr), name)

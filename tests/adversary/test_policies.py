@@ -104,8 +104,8 @@ class TestMutableTopology:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_reaches_tracks_every_mutation(self, data):
-        # The reachability query walks an adjacency cache that the
-        # mutators patch or drop; it must always agree with a fresh scan.
+        # The queries walk a CSR that the mutators patch or drop; they
+        # must always agree with a search of a CSR built afresh.
         n = data.draw(st.integers(min_value=4, max_value=12))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         # Sparse, so that swaps and their undos often change connectivity.
@@ -137,8 +137,10 @@ class TestMutableTopology:
                 token = None
             if token is not None:
                 tokens.append(token)
+            fresh = _fresh(topo)
             for x in range(n):
-                component = topo.component_of(x)
+                component = fresh.component_of(x)
+                assert topo.component_of(x).tolist() == component.tolist()
                 assert [topo.reaches(x, y) for y in range(n)] == component.tolist()
 
     def test_active_degrees(self):
@@ -294,10 +296,16 @@ class TestMovingSource:
             MovingSourceAdversary(0, 4, trigger=1.5)
 
 
+def _fresh(topo):
+    """A copy of ``topo``'s state, its CSR not yet built."""
+    return MutableTopology(topo.n, topo.edges.copy(), set(topo.keys), topo.active.copy())
+
+
 def _full_scan(topo) -> bool:
-    """Connectivity of the active subgraph by a fresh full scan."""
-    idx = np.nonzero(topo.active)[0]
-    return idx.size <= 1 or bool(topo.component_of(int(idx[0]))[topo.active].all())
+    """Connectivity of the active subgraph by a full scan of a fresh CSR."""
+    fresh = _fresh(topo)
+    idx = np.nonzero(fresh.active)[0]
+    return idx.size <= 1 or bool(fresh.component_of(int(idx[0]))[fresh.active].all())
 
 
 class _AuditedTopology(MutableTopology):
@@ -348,10 +356,13 @@ def _swap_cases(draw):
     }
 
 
-def _topology(cls, case, connected=None):
+def _topology(cls, case, told=False):
     n, edges = case["n"], case["edges"].copy()
     keys = set((edges[:, 0] * np.int64(n) + edges[:, 1]).tolist())
-    return cls(n, edges, keys, case["active"].copy(), connected=connected)
+    topo = cls(n, edges, keys, case["active"].copy())
+    if told:
+        topo.connected()  # as a sequence's checked proposal knows it
+    return topo
 
 
 def _policy(case):
@@ -366,8 +377,7 @@ class TestConnectivityCertificate:
     def test_every_decision_matches_the_full_scan(self, case):
         # Either told the start's true connectivity, as a sequence
         # does, or left to find it out.
-        told = _full_scan(_topology(MutableTopology, case))
-        audited = _topology(_AuditedTopology, case, told if case["seed"] % 2 else None)
+        audited = _topology(_AuditedTopology, case, told=bool(case["seed"] % 2))
         reference = _topology(_FullScanTopology, case)
         got = _policy(case).adapt(
             audited, case["digest"], np.random.default_rng(case["seed"])
@@ -398,8 +408,7 @@ class TestConnectivityCertificate:
         topo = _mutable(cycle_graph(8))
         topo.deactivate([0])
         rows = {tuple(r): i for i, r in enumerate(topo.edges.tolist())}
-        assert _full_scan(topo)
-        topo = MutableTopology(topo.n, topo.edges, topo.keys, topo.active, connected=True)
+        assert _full_scan(topo) and topo.connected()
         token = topo.replace_pair(rows[(0, 1)], rows[(4, 5)], (0, 4), (1, 5))
         assert token is not None
         assert topo.swap_keeps_connected(token) == _full_scan(topo)

@@ -654,7 +654,7 @@ MALFORMED_STATE = {
     "walk-beyond-n": (WalkRule(2), _walkers(0, 8)),
     "walk-negative": (WalkRule(2), _walkers(-1, 0)),
     "walk-wrong-k": (WalkRule(2), _walkers(0, 1, 2)),
-    "walk-int32": (WalkRule(2), _walkers(0, 1).astype(np.int32)),
+    "walk-float": (WalkRule(2), _walkers(0, 1).astype(np.float64)),
 }
 
 

@@ -1,12 +1,15 @@
-"""Swap-driven sequences: one CSR build per snapshot, pinned redraws.
+"""Swap-driven sequences: one sort per round, pinned redraws.
 
-A rewiring round checks each swap proposal's connectivity on its edge
-list (``MutableTopology.connected``) and builds no ``Graph``; the
-snapshot is built once, by ``_build_graph``, when ``graph_at`` moves
-the chain to a round whose topology changed.  The pins below are the
-edge arrays of rounds 1–12 on an odd cycle, where most rounds' first
-proposals disconnect the graph and are re-drawn from the round stream,
-so they hold the redraw path's draws and decisions.
+A rewiring round checks each swap proposal's connectivity with
+``MutableTopology.connected``, which sorts the proposal's edges into a
+CSR once; the adversary phase patches that CSR, and ``_build_graph``
+wraps it as the snapshot when ``graph_at`` moves the chain to a round
+whose topology changed.  Only round 0, and a state whose CSR was
+dropped (churn, a wholesale edge commit), build a validated ``Graph``.
+The pins below are the edge arrays of rounds 1–12 on an odd cycle,
+where most rounds' first proposals disconnect the graph and are
+re-drawn from the round stream, so they hold the redraw path's draws
+and decisions.
 """
 
 import hashlib
@@ -14,13 +17,18 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.adversary import AdversarialSequence, GreedyCutAdversary, make_adversary
+from repro.adversary import (
+    ADVERSARY_KINDS,
+    AdversarialSequence,
+    GreedyCutAdversary,
+    make_adversary,
+)
 from repro.adversary.state import MutableTopology
 from repro.core.branching import make_policy
 from repro.dynamics import GraphSequence, RewiringSequence, dynamic_cover_time_samples
 from repro.dynamics.topology import MutableTopology as DynamicsTopology
 from repro.engine import CobraRule, SpreadEngine
-from repro.graphs import Graph, cycle_graph, random_regular_graph
+from repro.graphs import Graph, cycle_graph, erdos_renyi_graph, random_regular_graph
 
 
 def _counting(monkeypatch, owner, name):
@@ -84,7 +92,8 @@ class TestOneBuildPerSnapshot:
         # Each run's sequence is asked for round 0 three times (the
         # round cap, the opening completion check, the first round) and
         # for every later round once, in order: one miss, two hits,
-        # then a miss and a build per round.
+        # then a miss per round.  Round 0 is the one validated build of
+        # a run; every later snapshot wraps its round's CSR.
         base = random_regular_graph(256, 4, rng=1)
         driven = {}
         graph_at = GraphSequence.graph_at
@@ -108,7 +117,49 @@ class TestOneBuildPerSnapshot:
         assert len(driven) == 4
         misses = sum(seq.cache_info["misses"] for seq in driven.values())
         hits = sum(seq.cache_info["hits"] for seq in driven.values())
-        assert (misses, hits, len(builds)) == (86, 8, 86)
+        assert (misses, hits, len(builds)) == (86, 8, 4)
+
+
+_TRUST_BASES = {
+    "rreg-64": random_regular_graph(64, 4, rng=2),
+    "gnp-48": erdos_renyi_graph(48, 0.12, rng=4),  # connected, irregular
+}
+
+
+@pytest.mark.parametrize("base", list(_TRUST_BASES))
+@pytest.mark.parametrize(
+    "kind, swaps", [("rewiring", 6), *((kind, 6) for kind in ADVERSARY_KINDS), ("greedy-cut", 0)]
+)
+def test_trusted_snapshots_equal_validated_builds(kind, swaps, base):
+    # A snapshot wraps its round's CSR (patched by the adversary, its
+    # patched rows re-sorted) without Graph's sort and checks; it must
+    # be the graph a validated build of its edges gives when it is
+    # served, and stay so while later rounds patch the CSR (with no
+    # oblivious swaps, greedy-cut patches one topology every round).
+    base = _TRUST_BASES[base]
+    if kind == "rewiring":
+        seq = RewiringSequence(base, swaps, seed=7)
+    else:
+        seq = AdversarialSequence(base, make_adversary(kind, 6), 7, swaps_per_round=swaps)
+    served = []
+    graph_at = seq.graph_at
+
+    def recorded(t):
+        graph = graph_at(t)
+        served.append((graph, Graph(graph.n, graph.edge_array())))
+        return graph
+
+    seq.graph_at = recorded
+    state = np.zeros((4, seq.n), dtype=bool)
+    state[:, 0] = True
+    engine = SpreadEngine(CobraRule(make_policy(2), lazy=True), seq)
+    assert engine.run(state, np.random.default_rng(5), max_rounds=16).rounds_run == 16
+    assert len({id(graph) for graph, _ in served}) > 4  # the topology kept changing
+    for graph, built in served:
+        assert np.array_equal(graph.indptr, built.indptr)
+        assert np.array_equal(graph.indices, built.indices)
+        assert np.array_equal(graph.degrees, built.degrees)
+        assert graph.digest == built.digest
 
 
 _REWIRING_PINS = {

@@ -42,7 +42,7 @@ from repro.core import (
     random_walk_hitting_time,
     verify_duality_exact,
 )
-from repro.distributed import Broker, DistributedError, ResultCache, broker_status
+from repro.distributed import Broker, ResultCache, broker_status
 from repro.dynamics import (
     ChurnSequence,
     EdgeMarkovianSequence,
@@ -511,8 +511,7 @@ def fleet():
             server.stop()
 
 
-#: ``(case, client fault, traced)``.  The wire carries int64 walk
-#: positions only, so it refuses an int32 walk every local tier runs.
+#: ``(case, client fault, traced)``.
 BROKER_CASES = {
     **{name: (case, "none", False) for name, case in GRID.items()},
     "recorded": (Case(seed=5, **RECORD_SERIES), "none", False),
@@ -525,10 +524,7 @@ BROKER_CASES = {
        for fault in ("drop", "corrupt", "refuse")},
     "push-pull-edge-markovian": (Case(rule="push-pull", topology="edge-markovian"), "none", False),
     "churn-target-hit": (Case(topology="churn", completion=5, max_rounds=16), "none", False),
-    "walk-int32": pytest.param(
-        Case(rule="walk", int32=True), "none", False,
-        marks=pytest.mark.xfail(strict=True, raises=DistributedError, reason="int32 walks refused"),
-    ),
+    "walk-int32": (Case(rule="walk", int32=True), "none", False),
 }
 
 
@@ -548,9 +544,7 @@ def test_broker_case(fleet, case, fault, trace):
 @ORACLE
 @given(case=cases(), fault=st.sampled_from(tuple(CLIENT_FAULTS)), trace=st.booleans())
 def test_broker_tier(fleet, case, fault, trace):
-    refused = case.rule == "walk" and case.int32 and case.runs  # as BROKER_CASES' walk-int32
-    with pytest.raises(DistributedError) if refused else contextlib.nullcontext():
-        test_broker_case(fleet, case, fault, trace)
+    test_broker_case(fleet, case, fault, trace)
 
 
 def test_samplers_reach_the_broker(fleet, monkeypatch):
